@@ -22,7 +22,7 @@ from .errors import (
     StepTooLarge,
 )
 from .torus import GeodesicPath, Harmonic, SMPoint, TorusMetric, integrate_geodesic
-from .smfield import Connection, FourierField, Higgs, Pair, l2_inner, multiply
+from .smfield import Connection, FourierField, Higgs, Pair, l2_inner
 
 __all__ = [
     "CocycleLabError",
@@ -48,5 +48,4 @@ __all__ = [
     "TorusMetric",
     "integrate_geodesic",
     "l2_inner",
-    "multiply",
 ]

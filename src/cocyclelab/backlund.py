@@ -32,6 +32,8 @@ from .errors import (
     PhiNotZero,
     RankDeficient,
     ReductionFailed,
+    passes,
+    worst,
 )
 from .lie3 import check_unit, hat, inner, polar_project, su2_path_lift, vee
 from .smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm
@@ -237,12 +239,12 @@ def backlund_transform(
     if u_in is None:
         raise InputNotCertified("input pair carries no trivializer")
     in_res = transport_residual_field(pair)
-    if in_res > cert_tol:
+    if not passes(in_res, cert_tol):
         raise InputNotCertified(
             f"input field residual {in_res:.3e} exceeds {cert_tol:.1e}"
         )
     gres = gmero_residual(g, pair.conn)
-    if gres > gmero_tol:
+    if not passes(gres, gmero_tol):
         raise GNotHolomorphic(
             f"holomorphy residual {gres:.3e} exceeds {gmero_tol:.1e}"
         )
@@ -409,7 +411,7 @@ def two_step_su2(
     loop parity returns to +1, while the one-step trivializer has parity -1.
     """
     phi_rel = pair.higgs.norm() / (pair.conn.norm() + 1.0)
-    if phi_rel > phi_tol:
+    if not passes(phi_rel, phi_tol):
         raise PhiNotZero(f"input Higgs field has relative size {phi_rel:.3e}")
     parity_in = fiber_loop_parity(pair.trivializer)
     cert1 = backlund_transform(pair, g, cert_tol=cert_tol, gmero_tol=gmero_tol)
@@ -502,10 +504,10 @@ def holomorphic_g_factory(
     if validate:
         res = holomorphy_residuals(sec, Connection.zero(metric))
         sec.residuals.update(res)
-        worst = max(res.values())
-        if worst > tol:
+        top = worst(res.values())
+        if not passes(top, tol):
             raise FactoryValidationFailed(
-                f"holomorphy residuals up to {worst:.3e} exceed {tol:.1e}"
+                f"holomorphy residuals up to {top:.3e} exceed {tol:.1e}"
             )
     return sec
 
@@ -565,24 +567,6 @@ class ReductionResult:
     pair: Pair
     cert: BacklundCertificate
     residuals: dict[str, float]
-
-
-def _align_signs(cy: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Row-major sign alignment of the frame (Cy, Dy) with a seam-repair pass
-    joining rows.  The derived axis n = unit(Cy) x unit(Dy) is invariant under
-    per-point sign flips, so this affects only the stored frame."""
-    dots = np.einsum("yxc,yxc->yx", cy, np.roll(cy, 1, axis=1))
-    s = np.where(dots < 0, -1.0, 1.0)
-    s[:, 0] = 1.0
-    run = np.cumprod(s, axis=1)
-    first = run[:, 0:1] * 0 + 1.0
-    row_dots = np.einsum("yc,yc->y", cy[:, 0], np.roll(cy[:, 0], 1, axis=0))
-    rs = np.where(row_dots < 0, -1.0, 1.0)
-    rs[0] = 1.0
-    row_run = np.cumprod(rs)[:, None]
-    total = run * row_run * first
-    flip_fraction = float((total < 0).mean())
-    return cy * total[..., None], dy * total[..., None], flip_fraction
 
 
 def _fill_masked_axis(n: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -652,7 +636,6 @@ def reduce_degree(
     idx = jstar[..., None, None]
     cy = np.take_along_axis(c_re, np.broadcast_to(idx, c_re.shape[:-1] + (1,)), -1)[..., 0]
     dy = np.take_along_axis(d_im, np.broadcast_to(idx, d_im.shape[:-1] + (1,)), -1)[..., 0]
-    cy, dy, flip_fraction = _align_signs(cy, dy)
     safe = np.maximum(np.linalg.norm(cy, axis=-1, keepdims=True), 1e-300)
     p = cy / safe
     qv = dy / np.maximum(np.linalg.norm(dy, axis=-1, keepdims=True), 1e-300)
@@ -665,10 +648,10 @@ def reduce_degree(
     )
     g_new = UnitSection(met, hat(n_axis), meta={"kind": "reduction", "from-degree": n_deg})
     hres = holomorphy_residuals(g_new, pair.conn)
-    worst = max(hres.values())
-    if worst > lemma_tol:
+    top = worst(hres.values())
+    if not passes(top, lemma_tol):
         raise ReductionFailed(
-            f"reduction axis fails the holomorphy gate at {worst:.3e}"
+            f"reduction axis fails the holomorphy gate at {top:.3e}"
         )
     a_new = vertical_solution(g_new)
     bn_scale = max(grid_l2_norm(met, b_top), 1e-300)
@@ -686,7 +669,7 @@ def reduce_degree(
     top2 = np.sqrt(
         sum(grid_l2_norm(met, u_full.mode(m)) ** 2 for m in (n_deg + 1, -n_deg - 1))
     )
-    u_red = u_full.drop_modes(m for m in u_full.modes if abs(m) < n_deg)
+    u_red = u_full.truncate(n_deg - 1)
     pair_red = Pair(cert.pair_out.conn, cert.pair_out.higgs, trivializer=u_red)
     red_res = transport_residual_field(pair_red)
     residuals = dict(cert.residuals)
@@ -695,7 +678,6 @@ def reduce_degree(
         {
             "rank-deficient-fraction": frac,
             "axis-norm-dev": axis_dev,
-            "flip-fraction": flip_fraction,
             "constraint-a1-bN": float(r_a1_bn),
             "constraint-a0-bN": float(r_a0_bn),
             "constraint-a1-bNm1": float(r_a1_bnm),

@@ -1,4 +1,19 @@
-"""Exception types raised by construction and verification routines."""
+"""Exception types raised by construction and verification routines, and the
+one rule that turns a residual into a verdict."""
+
+import numpy as np
+
+
+def passes(value, tol) -> bool:
+    """The pass rule of every gate and verdict: value is finite and <= tol,
+    so NaN and infinity never pass."""
+    return bool(np.isfinite(value) and value <= tol)
+
+
+def worst(values) -> float:
+    """Largest of some non-negative residuals, 0.0 for none.  NaN when any is
+    NaN; Python's max drops NaN depending on argument order."""
+    return float(np.max([0.0, *values]))
 
 
 class CocycleLabError(Exception):

@@ -88,11 +88,17 @@ def save_json(path, obj) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite value {token} in input")
+
+
 def load_json(path):
+    """Parse a JSON file; the non-standard NaN and Infinity tokens that
+    Python's json module would accept are rejected with ValueError."""
     import json
 
     with open(path, "rb") as f:
-        return json.loads(f.read().decode())
+        return json.loads(f.read().decode(), parse_constant=_reject_constant)
 
 
 # -- field schema --------------------------------------------------------------------
@@ -127,10 +133,8 @@ def metric_from_header(doc: dict) -> TorusMetric:
 
 
 def _mode_block(field: FourierField) -> dict:
-    modes = []
-    for m in sorted(field.modes):
-        c = field.mode(m)
-        modes.append({"m": m, "re": c.real.ravel(), "im": c.imag.ravel()})
+    modes = [{"m": m, "re": c.real.ravel(), "im": c.imag.ravel()}
+             for m, c in field.modes.items()]
     return {"degree": field.degree, "modes": modes}
 
 
@@ -280,10 +284,7 @@ def heatmap_from_field(field: FourierField, selector: str) -> np.ndarray:
     """
     sel = selector.strip().lower()
     if sel == "norm":
-        acc = np.zeros((field.metric.ny, field.metric.nx))
-        for m in field.modes:
-            acc += (np.abs(field.mode(m)) ** 2).sum(axis=(-2, -1))
-        return np.sqrt(acc)
+        return np.sqrt((np.abs(field.coef) ** 2).sum(axis=(0, -2, -1)))
     parts = [p.strip() for p in sel.split(",")]
     if len(parts) != 4:
         raise ValueError(f"bad selector {selector!r}: want 'norm' or 'm,i,j,part'")

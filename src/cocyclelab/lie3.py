@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotUnit, SamplingTooCoarse
+from .errors import NotUnit, SamplingTooCoarse, passes
 
 EYE3 = np.eye(3)
 
@@ -69,11 +69,11 @@ def unit_residual(g: np.ndarray) -> float:
 def check_unit(g: np.ndarray, tol: float = 1e-10) -> None:
     """Raise NotUnit unless g^3 + g = 0 and |g| = 1 pointwise within tol."""
     res = unit_residual(g)
-    if res > tol:
+    if not passes(res, tol):
         raise NotUnit(f"||g^3 + g|| = {res:.3e} exceeds {tol:.1e}")
     nrm = inner(g, g)
     dev = float(np.abs(nrm - 1.0).max())
-    if dev > 100 * tol:
+    if not passes(dev, 100 * tol):
         raise NotUnit(f"| |g|^2 - 1 | = {dev:.3e} exceeds {100 * tol:.1e}")
 
 

@@ -1,9 +1,12 @@
 """Matrix-valued functions on the unit tangent bundle as fiber Fourier sums.
 
-A field u(x, y, theta) with values in 3x3 complex matrices is stored as a
-sparse dict of fiber modes: u = sum_m c_m(x, y) e^{i m theta}, each c_m a
-(ny, nx, 3, 3) grid.  The vertical field V acts as multiplication by i*m on
-mode m, the raising/lowering parts of the frame act mode-by-mode:
+A field u(x, y, theta) with values in 3x3 complex matrices is a finite
+Fourier series in the fiber angle, u = sum_m c_m(x, y) e^{i m theta}, stored
+as one contiguous band of modes: the lowest mode lo and an array coef of
+shape (n_modes, ny, nx, 3, 3) holding c_lo, ..., c_{lo+n_modes-1} in order.
+Modes inside the band may be zero.  The vertical field V acts as
+multiplication by i*m on mode m, the raising/lowering parts of the frame act
+on the whole band at once:
 
   eta_minus : mode m -> m-1,  c |-> e^{-(1+m) lam} dbar(c e^{m lam})
   eta_plus  : mode m -> m+1,  c |-> e^{(m-1) lam} dz(c e^{-m lam})
@@ -13,8 +16,12 @@ X = eta_plus + eta_minus, H = i (eta_plus - eta_minus).
 
 Connections are fields A = a cos(theta) + b sin(theta) with antisymmetric
 real coefficient grids (so modes +-1 only); Higgs fields are antisymmetric
-real mode-0 grids.  Products of fields are exact mode convolutions, nothing
-is ever truncated implicitly.
+real mode-0 grids.  The product of two fields is pseudo-spectral (Boyd,
+Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 11): both bands are
+sampled at len_u + len_v - 1 equispaced fiber angles, multiplied pointwise
+and transformed back.  That many samples resolve the whole product band
+[lo_u + lo_v, hi_u + hi_v], so nothing aliases and nothing is truncated; the
+product is exact to rounding.
 
 The L2 pairing is <u, v> = integral over SM of trace(u v*) with measure
 e^{2 lam} dx dy dtheta, evaluated as a plain grid sum (spectrally accurate
@@ -24,13 +31,13 @@ for smooth integrands): 2 pi * sum_m sum_grid trace(c_m d_m^*) e^{2 lam} dx dy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from . import spectral
+from .errors import worst
 from .torus import TorusMetric
-
-_MAT = (3, 3)
 
 
 def _as_mode_grid(metric: TorusMetric, arr: np.ndarray) -> np.ndarray:
@@ -42,20 +49,43 @@ def _as_mode_grid(metric: TorusMetric, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class FourierField:
-    """Sparse fiber-Fourier representation of a matrix field on SM."""
+def _to_angles(coef: np.ndarray, ntheta: int) -> np.ndarray:
+    """Values of sum_k coef[k] e^{i k theta} at theta_j = 2 pi j / ntheta;
+    ntheta must be at least len(coef)."""
+    return np.fft.ifft(coef, n=ntheta, axis=0) * ntheta
 
-    __slots__ = ("metric", "modes")
+
+def _from_angles(samples: np.ndarray) -> np.ndarray:
+    """Inverse of _to_angles with as many modes as samples."""
+    return np.fft.fft(samples, axis=0) / len(samples)
+
+
+class FourierField:
+    """A contiguous band of fiber modes of a matrix field on SM."""
+
+    __slots__ = ("metric", "lo", "coef")
 
     def __init__(self, metric: TorusMetric, modes: dict[int, np.ndarray]):
+        grids = {int(m): _as_mode_grid(metric, c) for m, c in modes.items()}
+        lo = min(grids, default=0)
+        hi = max(grids, default=0)
+        coef = np.zeros((hi - lo + 1, metric.ny, metric.nx, 3, 3), dtype=complex)
+        for m, c in grids.items():
+            coef[m - lo] = c
         self.metric = metric
-        self.modes = {int(m): _as_mode_grid(metric, c) for m, c in modes.items()}
+        self.lo = lo
+        self.coef = coef
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, metric: TorusMetric) -> "FourierField":
-        return cls(metric, {})
+    def band(cls, metric: TorusMetric, lo: int, coef: np.ndarray) -> "FourierField":
+        """Field with modes lo .. lo + len(coef) - 1 taken from coef (not copied)."""
+        out = cls.__new__(cls)
+        out.metric = metric
+        out.lo = int(lo)
+        out.coef = coef
+        return out
 
     @classmethod
     def identity(cls, metric: TorusMetric) -> "FourierField":
@@ -71,25 +101,33 @@ class FourierField:
     # -- basic structure -----------------------------------------------------
 
     @property
+    def hi(self) -> int:
+        return self.lo + len(self.coef) - 1
+
+    @property
+    def modes(self):
+        """Read-only mapping from each mode of the band to its grid."""
+        return MappingProxyType({self.lo + k: c for k, c in enumerate(self.coef)})
+
+    @property
     def degree(self) -> int:
-        return max((abs(m) for m in self.modes), default=0)
+        return max(abs(self.lo), abs(self.hi))
+
+    def _ms(self) -> np.ndarray:
+        return np.arange(self.lo, self.hi + 1)
 
     def mode(self, m: int) -> np.ndarray:
-        c = self.modes.get(int(m))
-        if c is None:
-            return np.zeros((self.metric.ny, self.metric.nx, 3, 3), dtype=complex)
-        return c
+        if self.lo <= m <= self.hi:
+            return self.coef[m - self.lo]
+        return np.zeros((self.metric.ny, self.metric.nx, 3, 3), dtype=complex)
 
     def mode_norms(self) -> dict[int, float]:
         return {m: grid_l2_norm(self.metric, c, fiber=True) for m, c in self.modes.items()}
 
-    def copy(self) -> "FourierField":
-        return FourierField(self.metric, {m: c.copy() for m, c in self.modes.items()})
-
-    def drop_modes(self, keep) -> "FourierField":
-        """Field restricted to the modes in keep (an iterable of ints)."""
-        keep = set(int(m) for m in keep)
-        return FourierField(self.metric, {m: c for m, c in self.modes.items() if m in keep})
+    def truncate(self, degree: int) -> "FourierField":
+        """Field restricted to the modes |m| <= degree."""
+        lo, hi = max(self.lo, -degree), min(self.hi, degree)
+        return FourierField.band(self.metric, lo, self.coef[lo - self.lo : hi + 1 - self.lo])
 
     # -- algebra -------------------------------------------------------------
 
@@ -99,45 +137,35 @@ class FourierField:
 
     def __add__(self, other: "FourierField") -> "FourierField":
         self._check_same(other)
-        out = {m: c.copy() for m, c in self.modes.items()}
-        for m, c in other.modes.items():
-            if m in out:
-                out[m] = out[m] + c
-            else:
-                out[m] = c.copy()
-        return FourierField(self.metric, out)
+        lo = min(self.lo, other.lo)
+        coef = np.zeros((max(self.hi, other.hi) - lo + 1,) + self.coef.shape[1:], dtype=complex)
+        coef[self.lo - lo : self.hi + 1 - lo] = self.coef
+        coef[other.lo - lo : other.hi + 1 - lo] += other.coef
+        return FourierField.band(self.metric, lo, coef)
 
     def __sub__(self, other: "FourierField") -> "FourierField":
         return self + (other * (-1.0))
 
     def __mul__(self, scalar) -> "FourierField":
-        return FourierField(self.metric, {m: c * scalar for m, c in self.modes.items()})
+        return FourierField.band(self.metric, self.lo, self.coef * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "FourierField") -> "FourierField":
-        """Pointwise matrix product on SM = full mode convolution, untruncated."""
+        """Pointwise matrix product on SM: one batched product at
+        len_u + len_v - 1 fiber angles, exact to rounding (module docstring)."""
         self._check_same(other)
-        out: dict[int, np.ndarray] = {}
-        for mu, cu in self.modes.items():
-            for mv, cv in other.modes.items():
-                m = mu + mv
-                prod = cu @ cv
-                if m in out:
-                    out[m] += prod
-                else:
-                    out[m] = prod
-        return FourierField(self.metric, out)
+        nt = len(self.coef) + len(other.coef) - 1
+        prod = _to_angles(self.coef, nt) @ _to_angles(other.coef, nt)
+        return FourierField.band(self.metric, self.lo + other.lo, _from_angles(prod))
 
     def transpose(self) -> "FourierField":
         """Pointwise matrix transpose (the inverse for SO(3)-valued fields)."""
-        return FourierField(
-            self.metric, {m: np.swapaxes(c, -1, -2) for m, c in self.modes.items()}
-        )
+        return FourierField.band(self.metric, self.lo, np.swapaxes(self.coef, -1, -2))
 
     def conj(self) -> "FourierField":
         """Pointwise complex conjugate of the field (mode m -> -m, conjugated)."""
-        return FourierField(self.metric, {-m: np.conj(c) for m, c in self.modes.items()})
+        return FourierField.band(self.metric, -self.hi, np.conj(self.coef[::-1]))
 
     # -- sampling ------------------------------------------------------------
 
@@ -150,11 +178,8 @@ class FourierField:
             ntheta = self.default_ntheta()
         if ntheta < 2 * self.degree + 1:
             raise ValueError("theta grid too coarse for the field degree")
-        theta = self.metric.theta_grid(ntheta)
-        out = np.zeros((ntheta, self.metric.ny, self.metric.nx, 3, 3), dtype=complex)
-        for m, c in self.modes.items():
-            out += np.exp(1j * m * theta)[:, None, None, None, None] * c
-        return out
+        phase = np.exp(1j * self.lo * self.metric.theta_grid(ntheta))
+        return _to_angles(self.coef, ntheta) * phase[:, None, None, None, None]
 
     @classmethod
     def from_samples(
@@ -163,17 +188,12 @@ class FourierField:
         """Inverse of sample(); exact when ntheta > 2*degree."""
         samples = np.asarray(samples, dtype=complex)
         ntheta = samples.shape[0]
-        coef = np.fft.fft(samples, axis=0) / ntheta
         if degree is None:
             degree = (ntheta - 1) // 2
         if ntheta < 2 * degree + 1:
             raise ValueError("theta grid too coarse for the requested degree")
-        modes = {}
-        for m in range(-degree, degree + 1):
-            c = coef[m % ntheta]
-            if np.abs(c).max() > 0.0:
-                modes[m] = c
-        return cls(metric, modes)
+        coef = _from_angles(samples)
+        return cls.band(metric, -degree, coef[np.arange(-degree, degree + 1) % ntheta])
 
     def at_points(self, x, y, theta, interp_cache=None) -> np.ndarray:
         """Values at arbitrary SM points via the torus interpolation policy.
@@ -186,17 +206,16 @@ class FourierField:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         theta = np.asarray(theta, dtype=float)
+        met = self.metric
+        n = len(self.coef)
         key = id(self)
         cache = interp_cache if interp_cache is not None else {}
         if key not in cache:
-            ms = sorted(self.modes)
-            stack = np.stack([self.modes[m].reshape(self.metric.ny, self.metric.nx, 9) for m in ms], axis=-1)
-            stack = stack.reshape(self.metric.ny, self.metric.nx, 9 * len(ms))
-            cache[key] = (ms, PeriodicCubic2D(stack, self.metric.lx, self.metric.ly))
-        ms, itp = cache[key]
-        vals = itp(x % self.metric.lx, y % self.metric.ly)
-        vals = vals.reshape(x.shape + (9, len(ms)))
-        phases = np.exp(1j * np.multiply.outer(theta, np.array(ms, dtype=float)))
+            stack = np.moveaxis(self.coef.reshape(n, met.ny, met.nx, 9), 0, -1)
+            cache[key] = PeriodicCubic2D(stack.reshape(met.ny, met.nx, 9 * n), met.lx, met.ly)
+        vals = cache[key](x % met.lx, y % met.ly)
+        vals = vals.reshape(x.shape + (9, n))
+        phases = np.exp(1j * np.multiply.outer(theta, self._ms().astype(float)))
         out = np.einsum("...cm,...m->...c", vals, phases)
         return out.reshape(x.shape + (3, 3))
 
@@ -207,14 +226,10 @@ class FourierField:
 
     def reality_residual(self) -> float:
         """Max norm of c_{-m} - conj(c_m) over modes, relative to the field size."""
-        scale = max((float(np.abs(c).max()) for c in self.modes.values()), default=0.0)
+        scale = float(np.abs(self.coef).max())
         if scale == 0.0:
             return 0.0
-        worst = 0.0
-        for m in set(self.modes) | {-m for m in self.modes}:
-            d = self.mode(-m) - np.conj(self.mode(m))
-            worst = max(worst, float(np.abs(d).max()))
-        return worst / scale
+        return float(np.abs((self - self.conj()).coef).max()) / scale
 
     def orthogonality_residual(self, ntheta: int | None = None) -> float:
         """Max pointwise ||R^T R - Id|| + imaginary part, over a theta grid."""
@@ -227,11 +242,6 @@ class FourierField:
         return float(np.sqrt(np.einsum("...ij,...ij->...", g, g)).max() + im)
 
 
-def multiply(u: FourierField, v: FourierField) -> FourierField:
-    """Pointwise product of fields (exact mode convolution)."""
-    return u @ v
-
-
 # -- L2 structure ---------------------------------------------------------------
 
 
@@ -239,12 +249,11 @@ def l2_inner(u: FourierField, v: FourierField) -> complex:
     u._check_same(v)
     met = u.metric
     dxdy = (met.lx / met.nx) * (met.ly / met.ny)
-    total = 0.0 + 0.0j
-    for m, cu in u.modes.items():
-        cv = v.modes.get(m)
-        if cv is None:
-            continue
-        total += np.einsum("yxij,yxij,yx->", cu, np.conj(cv), met.e_2lam)
+    lo = max(u.lo, v.lo)
+    n = max(min(u.hi, v.hi) - lo + 1, 0)
+    cu = u.coef[lo - u.lo : lo - u.lo + n]
+    cv = v.coef[lo - v.lo : lo - v.lo + n]
+    total = np.einsum("myxij,myxij,yx->", cu, np.conj(cv), met.e_2lam)
     return complex(2.0 * np.pi * dxdy * total)
 
 
@@ -266,41 +275,32 @@ def grid_l2_norm(metric: TorusMetric, grid: np.ndarray, fiber: bool = False) -> 
 
 def vertical(u: FourierField) -> FourierField:
     """V(u) = du/dtheta: multiplication by i*m on mode m."""
-    return FourierField(u.metric, {m: 1j * m * c for m, c in u.modes.items() if m != 0})
+    return FourierField.band(u.metric, u.lo, 1j * u._ms()[:, None, None, None, None] * u.coef)
 
 
 def _scal(metric_grid: np.ndarray) -> np.ndarray:
     return metric_grid[:, :, None, None]
 
 
+def _exp_lam(metric: TorusMetric, ks: np.ndarray) -> np.ndarray:
+    """e^{k lam} for each k in ks, shaped to scale a band of modes."""
+    return np.exp(np.multiply.outer(ks, metric.lam))[:, :, :, None, None]
+
+
 def eta_minus(u: FourierField) -> FourierField:
     met = u.metric
-    out: dict[int, np.ndarray] = {}
-    for m, c in u.modes.items():
-        w = c * _scal(np.exp(m * met.lam))
-        d = spectral.dbar(w, met.lx, met.ly, axes=(0, 1))
-        d *= _scal(np.exp(-(1 + m) * met.lam))
-        k = m - 1
-        if k in out:
-            out[k] += d
-        else:
-            out[k] = d
-    return FourierField(met, out)
+    ms = u._ms()
+    d = spectral.dbar(u.coef * _exp_lam(met, ms), met.lx, met.ly, axes=(1, 2))
+    d *= _exp_lam(met, -(1 + ms))
+    return FourierField.band(met, u.lo - 1, d)
 
 
 def eta_plus(u: FourierField) -> FourierField:
     met = u.metric
-    out: dict[int, np.ndarray] = {}
-    for m, c in u.modes.items():
-        w = c * _scal(np.exp(-m * met.lam))
-        d = spectral.dz(w, met.lx, met.ly, axes=(0, 1))
-        d *= _scal(np.exp((m - 1) * met.lam))
-        k = m + 1
-        if k in out:
-            out[k] += d
-        else:
-            out[k] = d
-    return FourierField(met, out)
+    ms = u._ms()
+    d = spectral.dz(u.coef * _exp_lam(met, -ms), met.lx, met.ly, axes=(1, 2))
+    d *= _exp_lam(met, ms - 1)
+    return FourierField.band(met, u.lo + 1, d)
 
 
 def x_op(u: FourierField) -> FourierField:
@@ -348,10 +348,9 @@ class Connection:
     @classmethod
     def from_field(cls, f: FourierField, tol: float = 1e-8) -> "Connection":
         """Build from a field with modes +-1; raises if structure is violated."""
-        extra = [m for m in f.modes if m not in (-1, 1)]
-        scale = max((float(np.abs(c).max()) for c in f.modes.values()), default=1.0)
-        for m in extra:
-            if np.abs(f.modes[m]).max() > tol * scale:
+        scale = float(np.abs(f.coef).max())
+        for m, c in f.modes.items():
+            if m not in (-1, 1) and np.abs(c).max() > tol * scale:
                 raise ValueError(f"connection field has content in mode {m}")
         c1 = f.mode(1)
         cm1 = f.mode(-1)
@@ -367,7 +366,7 @@ class Connection:
         return FourierField(self.metric, {1: c1, -1: cm1})
 
     def antisymmetry_residual(self) -> float:
-        return max(_antisym_residual(self.a), _antisym_residual(self.b))
+        return worst([_antisym_residual(self.a), _antisym_residual(self.b)])
 
     def norm(self) -> float:
         return self.as_field().l2_norm()

@@ -32,6 +32,8 @@ def test_unit_section_gates():
     assert np.abs(sec.axis() - np.array([0.6, 0.0, 0.8])).max() < 1e-15
     with pytest.raises(NotUnit):
         bk.UnitSection(met, 1.3 * sec.grid)
+    with pytest.raises(NotUnit):
+        bk.UnitSection(met, np.full_like(sec.grid, np.nan))
     with pytest.raises(ValueError):
         bk.UnitSection(met, np.zeros((16, 16, 3, 3)))
 
@@ -130,6 +132,10 @@ def test_backlund_gates():
     )
     with pytest.raises(InputNotCertified):
         bk.backlund_transform(lying, sec)
+    # NaN residuals must not pass a gate
+    nan_triv = FourierField(met, {0: np.full((48, 48, 3, 3), np.nan)})
+    with pytest.raises(InputNotCertified):
+        bk.backlund_transform(Pair(Connection.zero(met), Higgs.zero(met), nan_triv), sec)
     rand = bk.random_unit_section(TorusMetric.flat(48, 48), seed=3)
     with pytest.raises(GNotHolomorphic):
         bk.backlund_transform(Pair.trivial(TorusMetric.flat(48, 48)), rand)

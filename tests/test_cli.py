@@ -1,9 +1,14 @@
 """End-to-end runs of the command line front end via main(argv)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cocyclelab import cli, fieldio as fio
+from cocyclelab.backlund import generate_chain
+from cocyclelab.smfield import Higgs, Pair
+from cocyclelab.torus import TorusMetric
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -68,6 +73,50 @@ def test_generate_deterministic(tmp_path):
     h2 = fio.load_json(out2 / "certificates.json")["hashes"]
     assert h1 == h2
     assert (out1 / "pair.json").read_bytes() == (out2 / "pair.json").read_bytes()
+
+
+def test_generate_prints_worst_gated_residual(tmp_path, capsys):
+    doc = dict(CONST_CHAIN, chain=CONST_CHAIN["chain"] + [{"kind": "repeat-q"}])
+    out = run_generate(tmp_path, doc)
+    printed = float(capsys.readouterr().out.split("worst residual ")[1].rstrip(")\n"))
+    steps = fio.load_json(out / "certificates.json")["steps"]
+    gated = [s["residuals"][k] for s in steps for k in cli.GATED_RESIDUALS]
+    assert printed == float(f"{max(gated):.3e}")
+    assert printed < 1e-6  # the ungated phi-off-modes diagnostic is O(1) here
+
+
+def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
+    out = run_generate(tmp_path, CONST_CHAIN)
+    pair, triv = str(out / "pair.json"), str(out / "trivializer.json")
+    doc = fio.load_json(pair)
+    doc["phi"]["modes"][0]["re"][0] = float("nan")
+    (out / "pair.json").write_text(json.dumps(doc))  # writes the token NaN
+    cfg = tmp_path / "nan_config.json"
+    cfg.write_text('{"metric": {"nx": 32, "ny": 32, "lx": Infinity}, "chain": []}')
+    for argv in (
+        ["generate", str(cfg), "--outdir", str(tmp_path / "o")],
+        ["verify", pair, triv],
+        ["transport", pair, "--x", "0", "--y", "0", "--theta", "0", "--t-final", "0.1",
+         "--out", str(tmp_path / "t.csv")],
+        ["reduce", pair, triv, "--outdir", str(tmp_path / "r")],
+        ["export", pair, "--out", str(tmp_path / "p.pgm")],
+    ):
+        assert cli.main(argv) == cli.EXIT_BADINPUT, argv[0]
+    assert "all identities verified" not in capsys.readouterr().out
+
+
+def test_verify_report_fails_on_nan():
+    """No verdict passes on NaN, even where Python's max would drop it."""
+    met = TorusMetric.from_harmonics(32, 32, 1.0, 1.0, [[0.1, 1, 0]])
+    good = generate_chain(met, CONST_CHAIN["chain"]).final
+    phi = good.higgs.phi.copy()
+    phi[0, 0, 0, 1] = np.nan
+    pair = Pair(good.conn, Higgs(met, phi), good.trivializer)
+    report = cli._verify_report(pair, {}, seed=0, geodesic_count=1, t_final=0.5, dt=1e-2)
+    assert report["pass"] is False
+    nan_keys = [k for k, v in report["residuals"].items() if np.isnan(v)]
+    assert nan_keys and set(nan_keys) <= set(report["failures"])
+    assert "structure" in report["failures"]
 
 
 def test_verify_detects_corruption(tmp_path, capsys):

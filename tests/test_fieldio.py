@@ -157,6 +157,14 @@ def test_heatmap_selectors():
             fio.heatmap_from_field(f, bad)
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_json_rejects_non_finite_tokens(tmp_path, token):
+    p = tmp_path / "bad.json"
+    p.write_text('{"re": [0.5, %s]}' % token)
+    with pytest.raises(ValueError):
+        fio.load_json(p)
+
+
 def test_non_finite_rejected(tmp_path):
     met = TorusMetric.flat(16, 16)
     grid = np.zeros((16, 16, 3, 3), dtype=complex)

@@ -25,7 +25,6 @@ from cocyclelab.smfield import (
     l2_inner,
     mu_minus,
     mu_plus,
-    multiply,
     star_curvature,
     vertical,
     x_op,
@@ -152,13 +151,44 @@ def test_energy_identity_random_triples():
     assert worst < 1e-7
 
 
-def test_multiply_matches_pointwise():
-    met = curved(32)
-    u = bandlimited_field(met, 2, seed=31, kcut=3)
-    v = bandlimited_field(met, 1, seed=32, kcut=3)
-    w = multiply(u, v)
-    ntheta = 16
-    assert np.abs(w.sample(ntheta) - u.sample(ntheta) @ v.sample(ntheta)).max() < 1e-12
+def convolve_modes(u, v):
+    """Reference product: the mode convolution sum_{a+b=m} c_a d_b, one 3x3
+    grid product per pair of modes."""
+    out = {}
+    for mu, cu in u.modes.items():
+        for mv, cv in v.modes.items():
+            out[mu + mv] = out.get(mu + mv, 0.0) + cu @ cv
+    return out
+
+
+@pytest.mark.parametrize(
+    "bands",
+    [
+        ((0,), (-1, 1)),
+        ((-1, 0, 1), (-1, 0, 1)),
+        (range(-2, 3), (-1, 0, 1)),
+        (range(-12, 13), range(-13, 14)),
+        ((1,), (-3,)),
+        ((), (-1, 0, 1)),
+    ],
+    ids=["0x(-1,1)", "deg1xdeg1", "deg2xdeg1", "deg12xdeg13", "1x(-3)", "zero"],
+)
+def test_product_matches_mode_convolution(bands):
+    """u @ v against the mode convolution, on band shapes that the Backlund
+    steps and residual suites multiply."""
+    met = curved(16)
+    rng = np.random.default_rng(31)
+    u, v = (
+        FourierField(met, {m: rng.normal(size=(16, 16, 3, 3))
+                           + 1j * rng.normal(size=(16, 16, 3, 3)) for m in ms})
+        for ms in bands
+    )
+    w = u @ v
+    ref = convolve_modes(u, v)
+    scale = max((np.abs(c).max() for c in ref.values()), default=1.0)
+    for m in set(ref) | set(w.modes):
+        expect = ref.get(m, np.zeros((16, 16, 3, 3)))
+        assert np.abs(w.mode(m) - expect).max() <= 1e-13 * scale, m
 
 
 def test_sample_round_trip():
