@@ -204,12 +204,12 @@ class BacklundCertificate:
         return self._q
 
 
-def _project_structure(full: FourierField, keep: tuple[int, ...]) -> tuple[dict, dict]:
-    """Split a field into kept modes and residual diagnostics (relative)."""
+def _project_structure(full: FourierField, keep: tuple[int, ...],
+                       scale: float) -> tuple[dict, float]:
+    """Split a field into its kept modes and the norm of the others / scale."""
     norms = full.mode_norms()
-    total = max(np.sqrt(sum(v * v for v in norms.values())), 1e-300)
     off = np.sqrt(sum(v * v for m, v in norms.items() if m not in keep))
-    return {m: full.mode(m) for m in keep}, {"off": off / total, "total": total}
+    return {m: full.mode(m) for m in keep}, off / scale
 
 
 def backlund_transform(
@@ -260,20 +260,21 @@ def backlund_transform(
     phi_full = a @ core @ at
     a_full = sm.x_op(a) @ at * (-1.0) + a @ (pair.total_field() - core) @ at
 
-    phi_keep, phi_diag = _project_structure(phi_full, (0,))
+    # Every projection loss is relative to the joint norm of the transformed
+    # connection and Higgs fields: Phi can vanish up to rounding (a repeat-q
+    # step), and a ratio to its own norm would then read that rounding as O(1).
+    tot = max(float(np.hypot(phi_full.l2_norm(), a_full.l2_norm())), 1e-300)
+    phi_keep, phi_off = _project_structure(phi_full, (0,), tot)
     phi0 = phi_keep[0]
     phi_re = phi0.real
     phi_proj = 0.5 * (phi_re - np.swapaxes(phi_re, -1, -2))
-    phi_imag = grid_l2_norm(met, phi0.imag) / phi_diag["total"]
-    phi_sym = grid_l2_norm(
-        met, 0.5 * (phi_re + np.swapaxes(phi_re, -1, -2))
-    ) / phi_diag["total"]
+    phi_imag = grid_l2_norm(met, phi0.imag) / tot
+    phi_sym = grid_l2_norm(met, 0.5 * (phi_re + np.swapaxes(phi_re, -1, -2))) / tot
 
-    a_keep, a_diag = _project_structure(a_full, (1, -1))
+    a_keep, conn_off = _project_structure(a_full, (1, -1), tot)
     c1, cm1 = a_keep[1], a_keep[-1]
     a_raw = c1 + cm1
     b_raw = 1j * (c1 - cm1)
-    tot = a_diag["total"]
     conn_imag = (grid_l2_norm(met, a_raw.imag) + grid_l2_norm(met, b_raw.imag)) / tot
     a_re, b_re = a_raw.real, b_raw.real
     conn_sym = (
@@ -293,10 +294,10 @@ def backlund_transform(
         "vertical": vres,
         "a-orthogonality": a.orthogonality_residual(),
         "u-out-orthogonality": u_out.orthogonality_residual(),
-        "phi-off-modes": phi_diag["off"],
+        "phi-off-modes": phi_off,
         "phi-imag": phi_imag,
         "phi-sym": phi_sym,
-        "conn-off-modes": a_diag["off"],
+        "conn-off-modes": conn_off,
         "conn-imag": conn_imag,
         "conn-sym": conn_sym,
         "output-field": out_res,

@@ -56,14 +56,26 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _tolerances(doc) -> dict:
+    """Tolerance overrides as floats.  An infinite one (a literal such as
+    1e999) would pass every finite residual, so non-finite values are bad input."""
+    if not isinstance(doc, dict):
+        raise ValueError("tolerances must be a JSON object")
+    tols = {k: float(v) for k, v in doc.items()}
+    bad = sorted(k for k, v in tols.items() if not np.isfinite(v))
+    if bad:
+        raise ValueError(f"non-finite tolerance for {', '.join(bad)}")
+    return tols
+
+
 def cmd_generate(args) -> int:
     try:
         config = _load_config(args.config)
         metric = _metric_from_config(config)
         steps = config.get("chain", [])
-        tols = config.get("tolerances", {})
+        tols = _tolerances(config.get("tolerances", {}))
         outdir = Path(args.outdir or config.get("outdir", "."))
-    except (ValueError, KeyError, OSError, TypeError) as exc:
+    except (ValueError, KeyError, OSError, TypeError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BADINPUT
     outdir.mkdir(parents=True, exist_ok=True)
@@ -187,7 +199,7 @@ def _verify_report(pair: Pair, tols: dict, seed: int, geodesic_count: int,
 def cmd_verify(args) -> int:
     try:
         pair = fio.load_pair(args.pair, trivializer_path=args.trivializer)
-        tols = _load_config(args.tolerances) if args.tolerances else {}
+        tols = _tolerances(_load_config(args.tolerances)) if args.tolerances else {}
     except (ValueError, KeyError, OSError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BADINPUT

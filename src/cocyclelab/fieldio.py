@@ -1,8 +1,16 @@
 """Deterministic file formats: JSON fields and pairs, transport CSV, PGM heatmaps.
 
-All floats are written with 17 significant digits, which round-trips float64
-exactly and makes outputs byte-identical for identical inputs.  The field
-schema is one flat layout shared by every field type:
+Every float is written as its ``.17g`` token, which round-trips float64
+exactly and makes outputs byte-identical for identical inputs; an
+integer-valued float that ``.17g`` prints as bare digits carries a ``.0``
+(``1.0``, ``-0.0``), so every float token has a '.', an 'e' or both.  Float
+arrays (mode grids, ``metric_lambda``) are checked and formatted as a whole:
+one finiteness test and one format string per array, with the same tokens as
+the scalar formatter.  NaN and infinity are never written, and reading a
+field or pair rejects a non-finite value in any number it reads (grid
+header, metric, mode blocks), including literals such as ``1e999`` that
+overflow to infinity, with ValueError (exit 2 at the command line).  The
+field schema is one flat layout shared by every field type:
 
     {"grid": {"nx", "ny", "lx", "ly"},
      "metric_lambda": [row-major reals],
@@ -40,6 +48,17 @@ def _fmt_float(x: float) -> str:
     return s
 
 
+def _emit_floats(a: np.ndarray, out: list) -> None:
+    """A 1-d float64 array in one pass, with the tokens of _fmt_float."""
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite value cannot be serialized")
+    # .17g prints bare digits exactly for the integer values below 1e17, and
+    # %.1f prints those same digits followed by the ".0" _fmt_float appends
+    bare = (a == np.floor(a)) & (np.abs(a) < 1e17)
+    fmt = ",".join(np.where(bare, "%.1f", "%.17g").tolist())
+    out.append("[" + fmt % tuple(a.tolist()) + "]")
+
+
 def _emit(obj, out: list) -> None:
     if obj is None:
         out.append("null")
@@ -62,6 +81,8 @@ def _emit(obj, out: list) -> None:
             out.append(":")
             _emit(v, out)
         out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1:
+        _emit_floats(obj, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         out.append("[")
@@ -118,17 +139,29 @@ def _grid_header(metric: TorusMetric) -> dict:
     return head
 
 
+def _finite(values) -> np.ndarray:
+    """Numbers read from a file as a float array.  json parses a literal such
+    as 1e999 to infinity, so a non-finite number is rejected here."""
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite value in input")
+    return a
+
+
 def metric_from_header(doc: dict) -> TorusMetric:
     g = doc["grid"]
+    _finite([g["nx"], g["ny"], g["lx"], g["ly"]])
     nx, ny = int(g["nx"]), int(g["ny"])
+    lam = _finite(doc["metric_lambda"]).reshape(ny, nx)
     harm = doc.get("metric_harmonics")
     if harm is not None:
+        _finite([[h["amp"], h["kx"], h["ky"], h.get("phase_x", 0.0), h.get("phase_y", 0.0)]
+                 for h in harm])
         return TorusMetric.from_harmonics(
             nx, ny, float(g["lx"]), float(g["ly"]),
             [Harmonic(h["amp"], int(h["kx"]), int(h["ky"]),
                       h.get("phase_x", 0.0), h.get("phase_y", 0.0)) for h in harm],
         )
-    lam = np.asarray(doc["metric_lambda"], dtype=float).reshape(ny, nx)
     return TorusMetric.from_grid(float(g["lx"]), float(g["ly"]), lam)
 
 
@@ -142,9 +175,9 @@ def _field_from_block(metric: TorusMetric, block: dict) -> FourierField:
     shape = (metric.ny, metric.nx, 3, 3)
     modes = {}
     for entry in block["modes"]:
-        re = np.asarray(entry["re"], dtype=float).reshape(shape)
-        im = np.asarray(entry["im"], dtype=float).reshape(shape)
-        modes[int(entry["m"])] = re + 1j * im
+        re = _finite(entry["re"]).reshape(shape)
+        im = _finite(entry["im"]).reshape(shape)
+        modes[int(_finite(entry["m"]))] = re + 1j * im
     return FourierField(metric, modes)
 
 

@@ -93,11 +93,13 @@ class TorusMetric:
     def __init__(self, nx, ny, lx, ly, lam, harmonics=None):
         if nx < 16 or ny < 16:
             raise ValueError("grid must be at least 16x16")
-        if lx <= 0 or ly <= 0:
-            raise ValueError("torus side lengths must be positive")
+        if not (0 < lx < np.inf and 0 < ly < np.inf):
+            raise ValueError("torus side lengths must be positive and finite")
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (ny, nx):
             raise ValueError(f"lambda grid must have shape ({ny}, {nx})")
+        if not np.isfinite(lam).all():
+            raise ValueError("lambda must be finite")
         nyq = spectral.nyquist_shell_max(lam)
         if nyq > NYQUIST_TOL:
             raise NonSmoothLambda(

@@ -141,6 +141,19 @@ def test_backlund_gates():
         bk.backlund_transform(Pair.trivial(TorusMetric.flat(48, 48)), rand)
 
 
+def test_phi_diagnostics_vanish_with_phi():
+    """The repeat-q step after a constant step has a Higgs field that is zero
+    up to rounding; its projection losses must read as rounding too, not as
+    ratios of rounding noise to itself."""
+    met = TorusMetric.from_harmonics(
+        48, 48, 1.0, 1.0, [Harmonic(0.1, 1, 0), Harmonic(0.04, 1, 1, 0.5, 1.2)]
+    )
+    chain = bk.generate_chain(met, [{"kind": "constant", "axis": AXIS}, {"kind": "repeat-q"}])
+    res = chain.certs[1].residuals
+    assert res["phi-off-modes"] <= 1e-12
+    assert res["phi-imag"] <= 1e-12
+
+
 def test_backlund_factory_step_has_higgs():
     met = TorusMetric.flat(96, 96)
     sec = bk.holomorphic_g_factory(met, scale=0.7 + 0.2j, offset=0.1 - 0.3j)

@@ -82,26 +82,51 @@ def test_generate_prints_worst_gated_residual(tmp_path, capsys):
     steps = fio.load_json(out / "certificates.json")["steps"]
     gated = [s["residuals"][k] for s in steps for k in cli.GATED_RESIDUALS]
     assert printed == float(f"{max(gated):.3e}")
-    assert printed < 1e-6  # the ungated phi-off-modes diagnostic is O(1) here
+    assert printed < 1e-6
+
+
+def _write_with_token(path, doc, numbers, token):
+    """Rewrite a field or pair file with numbers[0] replaced by a literal
+    token: NaN, or 1e999, which json parses to infinity."""
+    numbers[0] = "TOKEN"
+    path.write_text(json.dumps(doc).replace('"TOKEN"', token))
 
 
 def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
     out = run_generate(tmp_path, CONST_CHAIN)
-    pair, triv = str(out / "pair.json"), str(out / "trivializer.json")
-    doc = fio.load_json(pair)
-    doc["phi"]["modes"][0]["re"][0] = float("nan")
-    (out / "pair.json").write_text(json.dumps(doc))  # writes the token NaN
-    cfg = tmp_path / "nan_config.json"
-    cfg.write_text('{"metric": {"nx": 32, "ny": 32, "lx": Infinity}, "chain": []}')
-    for argv in (
-        ["generate", str(cfg), "--outdir", str(tmp_path / "o")],
-        ["verify", pair, triv],
-        ["transport", pair, "--x", "0", "--y", "0", "--theta", "0", "--t-final", "0.1",
-         "--out", str(tmp_path / "t.csv")],
-        ["reduce", pair, triv, "--outdir", str(tmp_path / "r")],
-        ["export", pair, "--out", str(tmp_path / "p.pgm")],
+    pair, triv = out / "pair.json", out / "trivializer.json"
+    o = str(tmp_path / "o")
+    transport = ["transport", str(pair), "--x", "0", "--y", "0", "--theta", "0",
+                 "--t-final", "0.1", "--out", str(tmp_path / "t.csv")]
+    verify = ["verify", str(pair), str(triv)]
+    reduce = ["reduce", str(pair), str(triv), "--outdir", str(tmp_path / "r")]
+    pair_verbs = (verify, transport, reduce, ["export", str(pair), "--out", o])
+    triv_verbs = (verify, reduce, ["export", str(triv), "--out", o])
+    for path, where, tokens, verbs in (
+        (pair, lambda d: d["phi"]["modes"][0]["re"], ("NaN", "1e999", "-1e999"), pair_verbs),
+        (pair, lambda d: d["metric_lambda"], ("1e999",), pair_verbs),
+        (triv, lambda d: d["modes"][0]["im"], ("NaN", "1e999", "-1e999"), triv_verbs),
     ):
-        assert cli.main(argv) == cli.EXIT_BADINPUT, argv[0]
+        good = path.read_bytes()
+        for token in tokens:
+            doc = json.loads(good)
+            _write_with_token(path, doc, where(doc), token)
+            for argv in verbs:
+                assert cli.main(argv) == cli.EXIT_BADINPUT, (path.name, token, argv[0])
+        path.write_bytes(good)
+    tols = tmp_path / "tols.json"
+    tols.write_text('{"structure": 1e999}')
+    assert cli.main(verify + ["--tolerances", str(tols)]) == cli.EXIT_BADINPUT
+    for cfg_text in (
+        '{"metric": {"nx": 32, "ny": 32, "lx": Infinity}, "chain": []}',
+        '{"metric": {"nx": 32, "ny": 32, "lx": 1e999}, "chain": []}',
+        '{"metric": {"nx": 1e999, "ny": 32}, "chain": []}',
+        '{"metric": {"nx": 32, "ny": 32, "harmonics": [[1e999, 1, 0]]}, "chain": []}',
+        '{"metric": {"nx": 32, "ny": 32}, "chain": [], "tolerances": {"cert": 1e999}}',
+    ):
+        cfg = tmp_path / "bad_config.json"
+        cfg.write_text(cfg_text)
+        assert cli.main(["generate", str(cfg), "--outdir", o]) == cli.EXIT_BADINPUT, cfg_text
     assert "all identities verified" not in capsys.readouterr().out
 
 

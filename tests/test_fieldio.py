@@ -1,7 +1,12 @@
 """Deterministic JSON/CSV/PGM serialization round trips."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cocyclelab import backlund as bk
 from cocyclelab import fieldio as fio
@@ -35,9 +40,45 @@ def test_float_formatting_round_trips():
             fio._fmt_float(float(bad))
 
 
-def test_canonical_json_parses_back():
-    import json
+# finite doubles with the cases the array formatter treats apart: integer
+# values (bare digits under .17g below 1e17), signed zeros, subnormals and
+# values on both sides of 1e17
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
+               1e17 - 16, 1e17, -(1e17 - 16), 2.0**60, 1.7976931348623157e308]
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**62), 2**62).map(float),
+    st.floats(min_value=9e16, max_value=1.1e17),
+    st.sampled_from(EDGE_FLOATS),
+)
 
+
+def float_arrays(min_side=0):
+    shape = hnp.array_shapes(min_dims=1, max_dims=1, min_side=min_side, max_side=64)
+    return hnp.arrays(np.float64, shape, elements=FINITE)
+
+
+@settings(deadline=None)
+@given(float_arrays())
+def test_float_array_matches_scalar_tokens(a):
+    s = fio.dumps_canonical(a)
+    assert s == "[" + ",".join(fio._fmt_float(x) for x in a.tolist()) + "]"
+    back = np.array(json.loads(s), dtype=np.float64)
+    assert back.tobytes() == a.tobytes()  # bit-exact, signed zeros included
+
+
+@settings(deadline=None)
+@given(float_arrays(min_side=1), st.sampled_from([np.nan, -np.nan, np.inf, -np.inf]),
+       st.data())
+def test_float_array_rejects_non_finite(a, bad, data):
+    a[data.draw(st.integers(0, a.size - 1))] = bad
+    with pytest.raises(ValueError):
+        fio.dumps_canonical(a)
+    with pytest.raises(ValueError):
+        fio.dumps_canonical({"modes": [{"re": a}]})
+
+
+def test_canonical_json_parses_back():
     doc = {"b": [1.5, 2.0, None, True], "a": {"y": 0.1, "x": 3, "s": 'q"\\'}}
     s = fio.dumps_canonical(doc)
     assert json.loads(s) == doc

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cocyclelab.errors import NotUnit, SamplingTooCoarse
 from cocyclelab.lie3 import (
@@ -38,6 +41,20 @@ def test_hat_intertwines_cross_and_bracket():
     a = RNG.normal(size=(300, 3))
     b = RNG.normal(size=(300, 3))
     assert np.abs(bracket(hat(a), hat(b)) - hat(np.cross(a, b))).max() < 1e-13
+
+
+VECTORS = hnp.arrays(np.float64, (3,), elements=st.floats(-1e6, 1e6))
+
+
+@settings(deadline=None)
+@given(VECTORS, VECTORS)
+def test_hat_vee_bracket_identities(a, b):
+    """vee inverts hat exactly, hat is skew, and hat carries the cross
+    product to the commutator up to rounding of the products."""
+    assert np.array_equal(vee(hat(a)), a)
+    assert np.array_equal(hat(a), -hat(a).T)
+    err = np.abs(bracket(hat(a), hat(b)) - hat(np.cross(a, b))).max()
+    assert err <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(b) + 1e-300
 
 
 def test_inner_matches_euclidean_dot():
