@@ -717,12 +717,20 @@ def generate_chain(
       constant  {"axis": [x, y, z]}
       elliptic  {"z0": [x, y], "scale": [re, im], "offset": [re, im]}
       repeat-q  {}   (use q from the previous step; doubling step)
+
+    Raises ValueError on a non-finite parameter or an axis of zero or
+    overflowing length, before any section is built.
     """
     pair = base if base is not None else Pair.trivial(metric)
     certs: list[BacklundCertificate] = []
     for step in steps:
         kind = step.get("kind")
+        for key in ("axis", "z0", "scale", "offset"):
+            if key in step and not np.isfinite(np.asarray(step[key], dtype=float)).all():
+                raise ValueError(f"{kind} step: {key} must be finite")
         if kind == "constant":
+            if not 0 < np.linalg.norm(np.asarray(step["axis"], dtype=float)) < np.inf:
+                raise ValueError("constant step: axis must have a nonzero finite length")
             g = UnitSection.constant(metric, step["axis"])
         elif kind == "elliptic":
             scale = complex(*step.get("scale", (1.0, 0.0)))

@@ -8,6 +8,7 @@ configuration.  All outputs are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -66,6 +67,23 @@ def _tolerances(doc) -> dict:
     if bad:
         raise ValueError(f"non-finite tolerance for {', '.join(bad)}")
     return tols
+
+
+def _check_run_args(args) -> None:
+    """Reject numeric arguments of verify and transport that argparse accepts
+    but no run can use: a non-finite or non-positive step, a non-finite or
+    zero time, a non-finite start point, and counts below 1."""
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        raise ValueError(f"--dt must be positive and finite, got {args.dt}")
+    if not (math.isfinite(args.t_final) and args.t_final != 0):
+        raise ValueError(f"--t-final must be nonzero and finite, got {args.t_final}")
+    for name in ("x", "y", "theta"):
+        if name in args and not math.isfinite(getattr(args, name)):
+            raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")
+    for name in ("save_every", "geodesics"):
+        if name in args and getattr(args, name) < 1:
+            flag = name.replace("_", "-")
+            raise ValueError(f"--{flag} must be at least 1, got {getattr(args, name)}")
 
 
 def cmd_generate(args) -> int:
@@ -198,6 +216,7 @@ def _verify_report(pair: Pair, tols: dict, seed: int, geodesic_count: int,
 
 def cmd_verify(args) -> int:
     try:
+        _check_run_args(args)
         pair = fio.load_pair(args.pair, trivializer_path=args.trivializer)
         tols = _tolerances(_load_config(args.tolerances)) if args.tolerances else {}
     except (ValueError, KeyError, OSError, TypeError) as exc:
@@ -225,6 +244,7 @@ def cmd_verify(args) -> int:
 
 def cmd_transport(args) -> int:
     try:
+        _check_run_args(args)
         pair = fio.load_pair(args.pair)
         p0 = SMPoint(args.x, args.y, args.theta)
     except (ValueError, KeyError, OSError, TypeError) as exc:

@@ -20,6 +20,7 @@ leading axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,27 +58,36 @@ class SMPoint:
         return SMPoint(self.x % lx, self.y % ly, self.theta % (2.0 * np.pi))
 
 
-def _eval_harmonics(harmonics, x, y, lx, ly):
-    """(lambda, lambda_x, lambda_y) of a harmonic sum at arbitrary points."""
-    lam = np.zeros_like(np.asarray(x, dtype=float))
-    lam_x = np.zeros_like(lam)
-    lam_y = np.zeros_like(lam)
-    for h in harmonics:
-        if h.kx:
-            ax = 2.0 * np.pi * h.kx / lx
-            cx = np.cos(ax * x + h.phase_x)
-            sx = np.sin(ax * x + h.phase_x)
+def _harmonic_table(harmonics, lx, ly):
+    """(amp, ax, phase_x, ay, phase_y) per harmonic, with ax = 2 pi kx / Lx
+    (0 when kx = 0, and the same in y): the series as _eval_harmonics reads it."""
+    return tuple(
+        (h.amp, 2.0 * math.pi * h.kx / lx, h.phase_x,
+         2.0 * math.pi * h.ky / ly, h.phase_y)
+        for h in harmonics
+    )
+
+
+def _eval_harmonics(table, x, y, lib=np):
+    """(lambda, lambda_x, lambda_y) of a harmonic sum at x, y of one shape.
+
+    lib supplies cos and sin: numpy for arrays, math for Python floats (the
+    geodesic loop, where a numpy call on a scalar costs more than the sum)."""
+    lam = lam_x = lam_y = 0.0 * x
+    for amp, ax, phase_x, ay, phase_y in table:
+        if ax:
+            cx = lib.cos(ax * x + phase_x)
+            sx = lib.sin(ax * x + phase_x)
         else:
-            ax, cx, sx = 0.0, 1.0, 0.0
-        if h.ky:
-            ay = 2.0 * np.pi * h.ky / ly
-            cy = np.cos(ay * y + h.phase_y)
-            sy = np.sin(ay * y + h.phase_y)
+            cx, sx = 1.0, 0.0
+        if ay:
+            cy = lib.cos(ay * y + phase_y)
+            sy = lib.sin(ay * y + phase_y)
         else:
-            ay, cy, sy = 0.0, 1.0, 0.0
-        lam += h.amp * cx * cy
-        lam_x += -h.amp * ax * sx * cy
-        lam_y += -h.amp * ay * cx * sy
+            cy, sy = 1.0, 0.0
+        lam = lam + amp * cx * cy
+        lam_x = lam_x + -amp * ax * sx * cy
+        lam_y = lam_y + -amp * ay * cx * sy
     return lam, lam_x, lam_y
 
 
@@ -109,6 +119,8 @@ class TorusMetric:
         self.lx, self.ly = float(lx), float(ly)
         self.lam = lam
         self.harmonics = tuple(harmonics) if harmonics is not None else None
+        exact = self.harmonics is not None and len(self.harmonics) <= MAX_EXACT_HARMONICS
+        self._series = _harmonic_table(self.harmonics, self.lx, self.ly) if exact else None
         self.lam_x = spectral.deriv(lam, self.lx, axis=1)
         self.lam_y = spectral.deriv(lam, self.ly, axis=0)
         self.e_lam = np.exp(lam)
@@ -130,7 +142,7 @@ class TorusMetric:
             for h in harmonics
         )
         xg, yg = grid_coords(nx, ny, lx, ly)
-        lam, _, _ = _eval_harmonics(harmonics, xg, yg, lx, ly)
+        lam, _, _ = _eval_harmonics(_harmonic_table(harmonics, lx, ly), xg, yg)
         return cls(nx, ny, lx, ly, lam, harmonics=harmonics)
 
     @classmethod
@@ -146,15 +158,12 @@ class TorusMetric:
     def area(self) -> float:
         return float(self.e_2lam.mean() * self.lx * self.ly)
 
-    def _exact_series(self) -> bool:
-        return self.harmonics is not None and len(self.harmonics) <= MAX_EXACT_HARMONICS
-
     def lambda_and_grad_at(self, x, y):
         """(lambda, lambda_x, lambda_y) at arbitrary points (periodic)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if self._exact_series():
-            return _eval_harmonics(self.harmonics, x, y, self.lx, self.ly)
+        if self._series is not None:
+            return _eval_harmonics(self._series, x, y)
         if self._interp is None:
             stack = np.stack([self.lam, self.lam_x, self.lam_y], axis=-1)
             self._interp = PeriodicCubic2D(stack, self.lx, self.ly)
@@ -259,11 +268,15 @@ class GeodesicPath:
         return float(np.abs(speed2[interior] - 1.0).max())
 
 
-def _geodesic_rhs(metric, x, y, theta):
-    lam, lam_x, lam_y = metric.lambda_and_grad_at(x, y)
-    e = np.exp(-lam)
-    c, s = np.cos(theta), np.sin(theta)
-    return e * c, e * s, e * (-lam_x * s + lam_y * c)
+def step_count(t_final: float, dt: float) -> int:
+    """Number of steps of magnitude about dt that land exactly on t_final.
+    Raises ValueError unless t_final is finite and nonzero and dt finite and
+    positive."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
+    if not (math.isfinite(t_final) and t_final != 0):
+        raise ValueError("t_final must be nonzero and finite")
+    return max(1, int(round(abs(t_final) / dt)))
 
 
 def integrate_geodesic(
@@ -273,39 +286,53 @@ def integrate_geodesic(
 
     t_final may be negative (time-reversed flow).  dt is a magnitude; it is
     adjusted slightly so an integer number of steps lands exactly on t_final.
-    Raises StepTooLarge if dt exceeds 1e-2 * min(Lx, Ly).
+    Raises ValueError on a non-finite p0, t_final or dt, and StepTooLarge if
+    dt exceeds 1e-2 * min(Lx, Ly).
+
+    The loop runs on Python floats: a step is four evaluations of lambda and
+    its gradient plus a few float operations, where numpy calls on scalars
+    would cost more than the arithmetic.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    nsteps = step_count(t_final, dt)
     if dt > MAX_STEP_FRACTION * min(metric.lx, metric.ly):
         raise StepTooLarge(
             f"dt = {dt:g} exceeds {MAX_STEP_FRACTION:g} * min(Lx, Ly) = "
             f"{MAX_STEP_FRACTION * min(metric.lx, metric.ly):g}"
         )
-    if t_final == 0:
-        raise ValueError("t_final must be nonzero")
-    nsteps = max(1, int(round(abs(t_final) / dt)))
-    h = t_final / nsteps
-    xs = np.empty(nsteps + 1)
-    ys = np.empty(nsteps + 1)
-    ts = np.empty(nsteps + 1)
-    xs[0], ys[0], ts[0] = p0.x, p0.y, p0.theta
     x, y, th = float(p0.x), float(p0.y), float(p0.theta)
-    for k in range(nsteps):
-        ax1, ay1, at1 = _geodesic_rhs(metric, x, y, th)
-        ax2, ay2, at2 = _geodesic_rhs(
-            metric, x + 0.5 * h * ax1, y + 0.5 * h * ay1, th + 0.5 * h * at1
-        )
-        ax3, ay3, at3 = _geodesic_rhs(
-            metric, x + 0.5 * h * ax2, y + 0.5 * h * ay2, th + 0.5 * h * at2
-        )
-        ax4, ay4, at4 = _geodesic_rhs(metric, x + h * ax3, y + h * ay3, th + h * at3)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
+        raise ValueError("start point must be finite")
+    series = metric._series
+    if series is not None:
+        def grad(x, y):
+            return _eval_harmonics(series, x, y, math)
+    else:
+        def grad(x, y):
+            lam, lam_x, lam_y = metric.lambda_and_grad_at(x, y)
+            return lam.item(), lam_x.item(), lam_y.item()
+    cos, sin, exp = math.cos, math.sin, math.exp
+
+    def rhs(x, y, th):
+        lam, lam_x, lam_y = grad(x, y)
+        e = exp(-lam)
+        c, s = cos(th), sin(th)
+        return e * c, e * s, e * (-lam_x * s + lam_y * c)
+
+    h = t_final / nsteps
+    xs, ys, ts = [x], [y], [th]
+    for _ in range(nsteps):
+        ax1, ay1, at1 = rhs(x, y, th)
+        ax2, ay2, at2 = rhs(x + 0.5 * h * ax1, y + 0.5 * h * ay1, th + 0.5 * h * at1)
+        ax3, ay3, at3 = rhs(x + 0.5 * h * ax2, y + 0.5 * h * ay2, th + 0.5 * h * at2)
+        ax4, ay4, at4 = rhs(x + h * ax3, y + h * ay3, th + h * at3)
         x += h / 6.0 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
         y += h / 6.0 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
         th += h / 6.0 * (at1 + 2.0 * at2 + 2.0 * at3 + at4)
-        xs[k + 1], ys[k + 1], ts[k + 1] = x, y, th
+        xs.append(x)
+        ys.append(y)
+        ts.append(th)
     times = np.linspace(0.0, t_final, nsteps + 1)
-    return GeodesicPath(metric, times, xs, ys, ts, h)
+    return GeodesicPath(metric, times, np.array(xs), np.array(ys), np.array(ts), h)
 
 
 def torus_distance(metric: TorusMetric, p: SMPoint, q: SMPoint) -> float:
@@ -323,8 +350,35 @@ def torus_distance(metric: TorusMetric, p: SMPoint, q: SMPoint) -> float:
     )
 
 
+# the first slopes (p, q) of flat_closed_geodesics, in this order
+FIRST_SLOPES = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (-1, 1), (3, 1), (1, 3), (3, 2), (2, 3))
+
+
+def _closed_slopes(lx: float, ly: float, count: int) -> list:
+    """FIRST_SLOPES, then the other primitive (p, q) (gcd 1, one of +-(p, q),
+    namely q > 0 or (p, q) = (1, 0)) by increasing length hypot(p Lx, q Ly),
+    ties by (p, q); count of them."""
+    slopes = list(FIRST_SLOPES[:count])
+    bound = max(lx, ly)
+    while len(slopes) < count:
+        # every slope of length <= bound has |p| <= bound / Lx and q <= bound / Ly
+        pmax, qmax = int(bound / lx), int(bound / ly)
+        extra = sorted(
+            (math.hypot(p * lx, q * ly), p, q)
+            for q in range(1, qmax + 1)
+            for p in range(-pmax, pmax + 1)
+            if math.gcd(p, q) == 1 and (p, q) not in FIRST_SLOPES
+        )
+        extra = [(p, q) for length, p, q in extra if length <= bound]
+        if len(FIRST_SLOPES) + len(extra) >= count:
+            slopes += extra[: count - len(slopes)]
+        bound *= 2.0
+    return slopes
+
+
 def flat_closed_geodesics(metric: TorusMetric, count: int, seed: int = 0):
-    """(p0, T) pairs of closed geodesics on a flat torus, rational slopes.
+    """(p0, T) pairs of count closed geodesics on a flat torus, rational slopes
+    (see _closed_slopes).
 
     Only meaningful for flat metrics (constant lambda = 0); raises ValueError
     otherwise.  Base points are drawn from a seeded generator so runs are
@@ -332,10 +386,9 @@ def flat_closed_geodesics(metric: TorusMetric, count: int, seed: int = 0):
     """
     if not metric.is_flat:
         raise ValueError("closed geodesics by slope require a flat metric")
-    slopes = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (-1, 1), (3, 1), (1, 3), (3, 2), (2, 3)]
     rng = np.random.default_rng(seed)
     out = []
-    for p, q in slopes[:count]:
+    for p, q in _closed_slopes(metric.lx, metric.ly, count):
         theta = float(np.arctan2(q * metric.ly, p * metric.lx))
         t_final = float(np.hypot(p * metric.lx, q * metric.ly))
         x0 = float(rng.uniform(0, metric.lx))

@@ -123,11 +123,38 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
         '{"metric": {"nx": 1e999, "ny": 32}, "chain": []}',
         '{"metric": {"nx": 32, "ny": 32, "harmonics": [[1e999, 1, 0]]}, "chain": []}',
         '{"metric": {"nx": 32, "ny": 32}, "chain": [], "tolerances": {"cert": 1e999}}',
+        '{"metric": {"nx": 32, "ny": 32}, "chain": [{"kind": "elliptic", "scale": [1e999, 0]}]}',
+        '{"metric": {"nx": 32, "ny": 32}, "chain": [{"kind": "elliptic", "offset": [0, 1e999]}]}',
+        '{"metric": {"nx": 32, "ny": 32}, "chain": [{"kind": "constant", "axis": [0, 0, 0]}]}',
+        '{"metric": {"nx": 32, "ny": 32}, "chain": [{"kind": "constant", "axis": [1e999, 0, 0]}]}',
     ):
         cfg = tmp_path / "bad_config.json"
         cfg.write_text(cfg_text)
         assert cli.main(["generate", str(cfg), "--outdir", o]) == cli.EXIT_BADINPUT, cfg_text
     assert "all identities verified" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb, arg", [
+    ("verify", "--dt=nan"), ("verify", "--dt=0"), ("verify", "--dt=-1e-3"),
+    ("verify", "--t-final=nan"), ("verify", "--t-final=inf"), ("verify", "--t-final=0"),
+    ("verify", "--geodesics=0"),
+    ("transport", "--dt=inf"), ("transport", "--t-final=0"), ("transport", "--t-final=-inf"),
+    ("transport", "--x=nan"), ("transport", "--x=inf"), ("transport", "--y=-inf"),
+    ("transport", "--theta=nan"), ("transport", "--save-every=0"),
+])
+def test_run_verbs_reject_bad_numbers(tmp_path, capsys, verb, arg):
+    out = run_generate(tmp_path, {"metric": {"nx": 32, "ny": 32}, "chain": []})
+    pair = str(out / "pair.json")
+    argv = {
+        "verify": ["verify", pair, str(out / "trivializer.json")],
+        "transport": ["transport", pair, "--x", "0.2", "--y", "0.7", "--theta", "1.1",
+                      "--t-final", "1.0", "--out", str(tmp_path / "t.csv")],
+    }[verb]
+    capsys.readouterr()
+    assert cli.main(argv + [arg]) == cli.EXIT_BADINPUT
+    captured = capsys.readouterr()
+    assert "input error" in captured.err
+    assert "all identities verified" not in captured.out
 
 
 def test_verify_report_fails_on_nan():

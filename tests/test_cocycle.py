@@ -17,7 +17,7 @@ from cocyclelab.cocycle import (
 from cocyclelab.errors import NonOrthogonalDrift, NotClosed
 from cocyclelab.lie3 import hat, so3_exp
 from cocyclelab.smfield import Connection, FourierField, Higgs, Pair
-from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords
+from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords, integrate_geodesic
 
 
 def curved_metric(n=64):
@@ -79,6 +79,50 @@ def test_transport_fourth_order():
     assert 12.0 < e1 / e2 < 20.0
 
 
+def test_propagator_step_matches_stagewise_rk4():
+    """transport's precomputed step matrices against the four RK4 stages
+    applied one by one to the same generator samples.  The coarse step and
+    the large generator make each of the h^2, h^3 and h^4 terms of a step
+    matrix far larger than the tolerance."""
+    met = curved_metric()
+    pair = generic_pair(met, scale=12.0)
+    ctx = TransportContext(pair)
+    p0 = SMPoint(0.33, 0.41, 0.9)
+    t_final, n = 1.0, 125
+    res = transport(pair, p0, t_final, t_final / n, save_every=1, context=ctx)
+    path = integrate_geodesic(met, p0, t_final, t_final / (2 * n))
+    b = ctx.generator_at(path.xs, path.ys, path.thetas)
+    h = t_final / n
+    c = np.eye(3)
+    ref = [c]
+    for k in range(n):
+        b0, bh, b1 = b[2 * k], b[2 * k + 1], b[2 * k + 2]
+        k1 = -(b0 @ c)
+        k2 = -(bh @ (c + (0.5 * h) * k1))
+        k3 = -(bh @ (c + (0.5 * h) * k2))
+        k4 = -(b1 @ (c + h * k3))
+        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ref.append(c)
+    ref = np.array(ref)
+    assert res.matrices.shape == ref.shape
+    assert np.abs(res.matrices - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("slope, dt", [((3, 1), 1e-3), ((1, 1), 9.99e-4)])
+def test_holonomy_closed_with_odd_half_step_count(slope, dt):
+    """round(T / (dt / 2)) is odd here; the geodesic must still take exactly
+    twice the cocycle's steps and end at T, back at its start."""
+    met = TorusMetric.flat(32, 32)
+    p, q = slope
+    p0 = SMPoint(0.2, 0.7, float(np.arctan2(q, p)))
+    t_final = float(np.hypot(p, q))
+    assert round(t_final / (dt / 2)) % 2 == 1
+    assert holonomy_closed(Pair.trivial(met), p0, t_final, dt) < 1e-13
+    res = transport(Pair.trivial(met), p0, t_final, dt)
+    assert res.path_times[-1] == t_final
+    assert len(res.path_times) - 1 == 2 * round(t_final / dt)
+
+
 def test_cocycle_composition_property():
     """C(p, t + s) = C(phi_t p, s) C(p, t) along one geodesic."""
     met = curved_metric()
@@ -88,8 +132,6 @@ def test_cocycle_composition_property():
     t, s = 1.5, 2.0
     full = transport(pair, p0, t + s, 1e-3, context=ctx)
     first = transport(pair, p0, t, 1e-3, context=ctx)
-    from cocyclelab.torus import integrate_geodesic
-
     mid = integrate_geodesic(met, p0, t, 1e-3).endpoint()
     second = transport(pair, mid, s, 1e-3, context=ctx)
     assert np.abs(second.final() @ first.final() - full.final()).max() < 1e-9

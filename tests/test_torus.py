@@ -3,6 +3,7 @@ import pytest
 
 from cocyclelab.errors import NonSmoothLambda, StepTooLarge
 from cocyclelab.torus import (
+    FIRST_SLOPES,
     Harmonic,
     SMPoint,
     TorusMetric,
@@ -89,6 +90,65 @@ def test_flat_geodesics_are_straight_lines():
     assert abs(end.theta - 1.1) < 1e-14
 
 
+def reference_geodesic(metric, p0, t_final, dt):
+    """Classical RK4 on numpy calls, one lambda_and_grad_at per stage: the
+    loop the float loop of integrate_geodesic replaced."""
+
+    def rhs(x, y, theta):
+        lam, lam_x, lam_y = metric.lambda_and_grad_at(x, y)
+        e = np.exp(-lam)
+        c, s = np.cos(theta), np.sin(theta)
+        return e * c, e * s, e * (-lam_x * s + lam_y * c)
+
+    nsteps = max(1, int(round(abs(t_final) / dt)))
+    h = t_final / nsteps
+    x, y, th = np.array([p0.x]), np.array([p0.y]), np.array([p0.theta])
+    out = [np.concatenate([x, y, th])]
+    for _ in range(nsteps):
+        ax1, ay1, at1 = rhs(x, y, th)
+        ax2, ay2, at2 = rhs(x + 0.5 * h * ax1, y + 0.5 * h * ay1, th + 0.5 * h * at1)
+        ax3, ay3, at3 = rhs(x + 0.5 * h * ax2, y + 0.5 * h * ay2, th + 0.5 * h * at2)
+        ax4, ay4, at4 = rhs(x + h * ax3, y + h * ay3, th + h * at3)
+        x = x + h / 6.0 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+        y = y + h / 6.0 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+        th = th + h / 6.0 * (at1 + 2.0 * at2 + 2.0 * at3 + at4)
+        out.append(np.concatenate([x, y, th]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind, t_final", [("curved", 2.0), ("flat", 2.0), ("grid", 0.3)])
+def test_float_loop_matches_numpy_reference(kind, t_final):
+    curved = TorusMetric.from_harmonics(
+        48, 48, 1.0, 1.5, [Harmonic(0.1, 1, 0), Harmonic(0.04, 1, 1, 0.5, 1.2)]
+    )
+    metric = {
+        "curved": curved,
+        "flat": TorusMetric.flat(32, 32, 1.0, 1.5),
+        "grid": TorusMetric.from_grid(1.0, 1.5, curved.lam),  # interpolated route
+    }[kind]
+    p0 = SMPoint(0.3, 1.1, 2.2)
+    path = integrate_geodesic(metric, p0, t_final, 1e-3)
+    ref = reference_geodesic(metric, p0, t_final, 1e-3)
+    got = np.stack([path.xs, path.ys, path.thetas], axis=-1)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("p0, t_final, dt", [
+    (SMPoint(np.nan, 0.0, 0.0), 1.0, 1e-3),
+    (SMPoint(0.0, np.inf, 0.0), 1.0, 1e-3),
+    (SMPoint(0.0, 0.0, -np.inf), 1.0, 1e-3),
+    (SMPoint(0.0, 0.0, 0.0), np.nan, 1e-3),
+    (SMPoint(0.0, 0.0, 0.0), np.inf, 1e-3),
+    (SMPoint(0.0, 0.0, 0.0), 0.0, 1e-3),
+    (SMPoint(0.0, 0.0, 0.0), 1.0, np.nan),
+    (SMPoint(0.0, 0.0, 0.0), 1.0, 0.0),
+])
+def test_geodesic_rejects_bad_arguments(p0, t_final, dt):
+    with pytest.raises(ValueError):
+        integrate_geodesic(curved_metric(32), p0, t_final, dt)
+
+
 def test_geodesic_lands_exactly_on_t_final():
     met = TorusMetric.flat(32, 32)
     path = integrate_geodesic(met, SMPoint(0, 0, 0.5), 1.0, dt=3e-3)
@@ -145,6 +205,28 @@ def test_flat_closed_geodesics_close():
     for p0, t_close in flat_closed_geodesics(met, 6, seed=3):
         end = integrate_geodesic(met, p0, t_close, 1e-3).endpoint()
         assert torus_distance(met, end, p0) < 1e-10
+
+
+def test_flat_closed_geodesics_count_and_slopes():
+    """count is honoured; the ten first slopes come first; every slope is
+    primitive and no direction appears twice, up to sign."""
+    lx, ly = 1.0, 2.0
+    met = TorusMetric.flat(32, 32, lx, ly)
+    first = flat_closed_geodesics(met, 10, seed=3)
+    for count in (3, 10, 40):
+        got = flat_closed_geodesics(met, count, seed=3)
+        assert len(got) == count
+        assert got[: min(count, 10)] == first[:count]
+        slopes = []
+        for p0, t in got:
+            p, q = t * np.cos(p0.theta) / lx, t * np.sin(p0.theta) / ly
+            slopes.append((round(p), round(q)))
+            assert abs(p - round(p)) < 1e-12 and abs(q - round(q)) < 1e-12
+        assert slopes[: min(count, 10)] == list(FIRST_SLOPES[:count])
+        assert all(np.gcd(p, q) == 1 for p, q in slopes)
+        assert len({(p, q) for p, q in slopes} | {(-p, -q) for p, q in slopes}) == 2 * count
+        lengths = [t for _, t in got[10:]]
+        assert lengths == sorted(lengths)
 
 
 def test_flat_closed_geodesics_needs_flat():
