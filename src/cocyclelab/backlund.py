@@ -37,7 +37,7 @@ from .errors import (
 )
 from .lie3 import check_unit, hat, inner, polar_project, su2_path_lift, vee
 from .smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm
-from .spectral import dbar, nyquist_shell_max
+from .spectral import dbar
 from .torus import TorusMetric
 
 DEFAULT_CERT_TOL = 1e-6
@@ -47,10 +47,9 @@ DEFAULT_GMERO_TOL = 1e-6
 class UnitSection:
     """A section g: M -> so(3) with |g| = 1 pointwise, sampled on the metric grid.
 
-    Unit length (g^3 = -g) is enforced at construction.  The relative Nyquist
-    content of the grid is recorded in residuals["nyquist"] as a smoothness
-    diagnostic; sections produced by the elliptic factory keep their
-    construction parameters in meta.
+    Unit length (g^3 = -g) is enforced at construction.  meta holds how the
+    section was built (its kind and, for the elliptic factory, its parameters);
+    certificates copy it.
     """
 
     def __init__(self, metric: TorusMetric, grid: np.ndarray, meta: dict | None = None,
@@ -62,8 +61,6 @@ class UnitSection:
         self.metric = metric
         self.grid = grid
         self.meta = dict(meta) if meta else {}
-        scale = max(np.abs(grid).max(), 1e-300)
-        self.residuals = {"nyquist": nyquist_shell_max(grid) / scale}
 
     @classmethod
     def constant(cls, metric: TorusMetric, axis) -> "UnitSection":
@@ -129,12 +126,8 @@ def holomorphy_residuals(g: UnitSection, conn: Connection) -> dict[str, float]:
     exactly when the axis of g is constant and the connection commutes.
     """
     met = g.metric
-    gf = g.field()
     dg = sm.d_A(g.grid, conn)
-    star_dg = sm.hodge_star(dg)
-    res1_f = star_dg + (dg @ gf - gf @ dg)
-    den1 = dg.l2_norm() + grid_l2_norm(met, g.grid) + 1e-300
-    res1 = res1_f.l2_norm() / den1
+    res1 = _star_bracket(g, dg, sm.hodge_star(dg))
 
     q = sm.dbar_A(g.grid, conn)
     res2_g = q - 1j * (q @ g.grid - g.grid @ q)
@@ -167,9 +160,12 @@ def holomorphy_residuals(g: UnitSection, conn: Connection) -> dict[str, float]:
     }
 
 
-def gmero_residual(g: UnitSection, conn: Connection) -> float:
-    """The star-bracket holomorphy residual, used as the admissibility gate."""
-    return holomorphy_residuals(g, conn)["star-bracket"]
+def _star_bracket(g: UnitSection, dg: FourierField, star_dg: FourierField) -> float:
+    """|| *d_A g + [d_A g, g] || relative to || d_A g || + || g ||: the
+    star-bracket holomorphy residual, from d_A g and its Hodge star."""
+    gf = g.field()
+    res = star_dg + (dg @ gf - gf @ dg)
+    return res.l2_norm() / (dg.l2_norm() + grid_l2_norm(g.metric, g.grid) + 1e-300)
 
 
 @dataclass
@@ -243,7 +239,10 @@ def backlund_transform(
         raise InputNotCertified(
             f"input field residual {in_res:.3e} exceeds {cert_tol:.1e}"
         )
-    gres = gmero_residual(g, pair.conn)
+    # the star-bracket holomorphy residual is the admissibility gate of g
+    dg = sm.d_A(g.grid, pair.conn)
+    star_dg = sm.hodge_star(dg)
+    gres = _star_bracket(g, dg, star_dg)
     if not passes(gres, gmero_tol):
         raise GNotHolomorphic(
             f"holomorphy residual {gres:.3e} exceeds {gmero_tol:.1e}"
@@ -252,8 +251,6 @@ def backlund_transform(
     vres = vertical_residual(a, g)
     at = a.transpose()
 
-    dg = sm.d_A(g.grid, pair.conn)
-    star_dg = sm.hodge_star(dg)
     gphi = inner(g.grid, pair.higgs.phi)
     core = FourierField(met, {0: g.grid.astype(complex) * gphi[..., None, None]}) + star_dg
 
@@ -503,9 +500,7 @@ def holomorphic_g_factory(
     }
     sec = UnitSection.from_axis(metric, n, meta=meta)
     if validate:
-        res = holomorphy_residuals(sec, Connection.zero(metric))
-        sec.residuals.update(res)
-        top = worst(res.values())
+        top = worst(holomorphy_residuals(sec, Connection.zero(metric)).values())
         if not passes(top, tol):
             raise FactoryValidationFailed(
                 f"holomorphy residuals up to {top:.3e} exceed {tol:.1e}"

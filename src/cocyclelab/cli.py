@@ -1,8 +1,11 @@
 """Batch front end: generate transform chains, verify pairs, transport
 cocycles, reduce trivializer degree, export heatmaps.
 
-Exit codes: 0 success, 1 verification/certification failure, 2 bad input or
-configuration.  All outputs are deterministic for a fixed config and seed.
+Each verb loads, computes and writes; main alone turns its outcome into the
+exit code: 0 success, 1 a failed check (any CocycleLabError, stderr
+"<verb> failed: <Error>: msg", or a verify residual that fails), 2 bad input
+or configuration (stderr "input error: msg").  All outputs are deterministic
+for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from . import fieldio as fio
 from .errors import CocycleLabError, passes, worst
 from .smfield import Pair, l2_inner, mu_minus, mu_plus, star_curvature
 from .smfield import FourierField
-from .torus import SMPoint, TorusMetric, flat_closed_geodesics, integrate_geodesic
+from .torus import SMPoint, TorusMetric, flat_closed_geodesics
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -72,7 +75,7 @@ def _tolerances(doc) -> dict:
 def _check_run_args(args) -> None:
     """Reject numeric arguments of verify and transport that argparse accepts
     but no run can use: a non-finite or non-positive step, a non-finite or
-    zero time, a non-finite start point, and counts below 1."""
+    zero time, a non-finite start point, counts below 1 and a negative seed."""
     if not (math.isfinite(args.dt) and args.dt > 0):
         raise ValueError(f"--dt must be positive and finite, got {args.dt}")
     if not (math.isfinite(args.t_final) and args.t_final != 0):
@@ -80,37 +83,25 @@ def _check_run_args(args) -> None:
     for name in ("x", "y", "theta"):
         if name in args and not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")
-    for name in ("save_every", "geodesics"):
-        if name in args and getattr(args, name) < 1:
+    for name, least in (("save_every", 1), ("geodesics", 1), ("seed", 0)):
+        if name in args and getattr(args, name) < least:
             flag = name.replace("_", "-")
-            raise ValueError(f"--{flag} must be at least 1, got {getattr(args, name)}")
+            raise ValueError(f"--{flag} must be at least {least}, got {getattr(args, name)}")
 
 
 def cmd_generate(args) -> int:
-    try:
-        config = _load_config(args.config)
-        metric = _metric_from_config(config)
-        steps = config.get("chain", [])
-        tols = _tolerances(config.get("tolerances", {}))
-        outdir = Path(args.outdir or config.get("outdir", "."))
-    except (ValueError, KeyError, OSError, TypeError, OverflowError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BADINPUT
+    config = _load_config(args.config)
+    metric = _metric_from_config(config)
+    tols = _tolerances(config.get("tolerances", {}))
+    outdir = Path(args.outdir or config.get("outdir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        chain = bk.generate_chain(
-            metric,
-            steps,
-            cert_tol=float(tols.get("cert", bk.DEFAULT_CERT_TOL)),
-            gmero_tol=float(tols.get("gmero", bk.DEFAULT_GMERO_TOL)),
-        )
-        final = chain.certs[-1].pair_out if chain.certs else Pair.trivial(metric)
-    except CocycleLabError as exc:
-        print(f"certification failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BADINPUT
+    chain = bk.generate_chain(
+        metric,
+        config.get("chain", []),
+        cert_tol=tols.get("cert", bk.DEFAULT_CERT_TOL),
+        gmero_tol=tols.get("gmero", bk.DEFAULT_GMERO_TOL),
+    )
+    final = chain.final if chain.certs else Pair.trivial(metric)
     hashes = {}
     hashes["pair.json"] = fio.save_pair(outdir / "pair.json", final)
     hashes["trivializer.json"] = fio.save_field(
@@ -201,8 +192,7 @@ def _verify_report(pair: Pair, tols: dict, seed: int, geodesic_count: int,
         # e.g. orthogonality drift blowing past its bound on a broken pair;
         # report it as a failure instead of crashing the run
         errors[tag] = f"{type(exc).__name__}: {exc}"
-    merged = dict(DEFAULT_TOLS)
-    merged.update({k: float(v) for k, v in tols.items()})
+    merged = {**DEFAULT_TOLS, **tols}
     failures = [k for k, v in residuals.items() if not passes(v, merged.get(k, 1e-6))]
     failures += sorted(errors)
     return {
@@ -215,23 +205,18 @@ def _verify_report(pair: Pair, tols: dict, seed: int, geodesic_count: int,
 
 
 def cmd_verify(args) -> int:
-    try:
-        _check_run_args(args)
-        pair = fio.load_pair(args.pair, trivializer_path=args.trivializer)
-        tols = _tolerances(_load_config(args.tolerances)) if args.tolerances else {}
-    except (ValueError, KeyError, OSError, TypeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_BADINPUT
+    _check_run_args(args)
+    pair = fio.load_pair(args.pair, trivializer_path=args.trivializer)
+    tols = _tolerances(_load_config(args.tolerances)) if args.tolerances else {}
     report = _verify_report(
         pair, tols, seed=args.seed, geodesic_count=args.geodesics,
         t_final=args.t_final, dt=args.dt,
     )
     for k in sorted(report["residuals"]):
-        v = report["residuals"][k]
-        tol = report["tolerances"][k]
-        status = "PASS" if passes(v, tol) else "FAIL"
-        print(f"{k:12s} {v:12.4e}  (tol {tol:.1e})  {status}")
-    for k in sorted(report.get("errors", {})):
+        status = "FAIL" if k in report["failures"] else "PASS"
+        print(f"{k:12s} {report['residuals'][k]:12.4e}  "
+              f"(tol {report['tolerances'][k]:.1e})  {status}")
+    for k in sorted(report["errors"]):
         print(f"{k:12s} {'n/a':>12s}  ({report['errors'][k]})  FAIL")
     if args.report:
         fio.save_json(args.report, report)
@@ -243,19 +228,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    try:
-        _check_run_args(args)
-        pair = fio.load_pair(args.pair)
-        p0 = SMPoint(args.x, args.y, args.theta)
-    except (ValueError, KeyError, OSError, TypeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_BADINPUT
-    try:
-        result = cc.transport(pair, p0, args.t_final, args.dt,
-                              save_every=args.save_every)
-    except CocycleLabError as exc:
-        print(f"transport failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    _check_run_args(args)
+    pair = fio.load_pair(args.pair)
+    p0 = SMPoint(args.x, args.y, args.theta)
+    result = cc.transport(pair, p0, args.t_final, args.dt, save_every=args.save_every)
     fio.write_transport_csv(args.out, result)
     print(f"wrote {args.out} ({len(result.times)} samples, "
           f"final drift {result.drift[-1]:.3e})")
@@ -263,21 +239,10 @@ def cmd_transport(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        pair = fio.load_pair(args.pair, trivializer_path=args.trivializer)
-        outdir = Path(args.outdir)
-    except (ValueError, KeyError, OSError, TypeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_BADINPUT
+    pair = fio.load_pair(args.pair, trivializer_path=args.trivializer)
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        red = bk.reduce_degree(pair)
-    except CocycleLabError as exc:
-        print(f"reduction failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_BADINPUT
+    red = bk.reduce_degree(pair)
     fio.save_field(outdir / "g.json", red.g.field())
     fio.save_field(outdir / "trivializer_reduced.json", red.u)
     fio.save_pair(outdir / "pair_reduced.json", red.pair)
@@ -288,17 +253,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        doc = fio.load_json(args.field)
-        if "modes" in doc:
-            field = fio.field_from_json(doc)
-        else:
-            pair = fio.pair_from_json(doc)
-            field = pair.higgs.as_field()
-        image = fio.heatmap_from_field(field, args.selector)
-    except (ValueError, KeyError, OSError, TypeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_BADINPUT
+    doc = fio.load_json(args.field)
+    field = (fio.field_from_json(doc) if "modes" in doc
+             else fio.pair_from_json(doc).higgs.as_field())
+    image = fio.heatmap_from_field(field, args.selector)
     lo, hi = fio.write_pgm(args.out, image, bits=args.bits)
     print(f"wrote {args.out} (range [{lo:.6g}, {hi:.6g}])")
     return EXIT_OK
@@ -356,8 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb and map its outcome to the exit code.  This is the only
+    place an exception becomes an exit code: a CocycleLabError is a failed
+    check (1); the built-in errors that the loaders, the argument checks and
+    the writers raise are bad input (2)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CocycleLabError as exc:
+        print(f"{args.command} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except (ValueError, KeyError, OSError, TypeError, OverflowError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_BADINPUT
 
 
 if __name__ == "__main__":

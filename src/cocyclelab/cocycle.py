@@ -289,8 +289,10 @@ def h0_residuals(u: FourierField, higgs: Higgs | None = None) -> dict[str, float
     """
     ut = u.transpose()
     f = ut @ sm.vertical(u)
-    xf = sm.x_op(f)
-    hf = sm.h_op(f)
+    # X = eta_+ + eta_- and H = i (eta_+ - eta_-), from one eta of each sign
+    ep, em = sm.eta_plus(f), sm.eta_minus(f)
+    xf = ep + em
+    hf = (ep - em) * 1j
     vxf = sm.vertical(xf)
     brk = xf @ f - f @ xf
     if higgs is None:

@@ -21,7 +21,7 @@ leading axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -53,9 +53,6 @@ class SMPoint:
     x: float
     y: float
     theta: float
-
-    def wrapped(self, lx: float, ly: float) -> "SMPoint":
-        return SMPoint(self.x % lx, self.y % ly, self.theta % (2.0 * np.pi))
 
 
 def _harmonic_table(harmonics, lx, ly):
@@ -91,6 +88,13 @@ def _eval_harmonics(table, x, y, lib=np):
     return lam, lam_x, lam_y
 
 
+def _check_grid(nx, ny, lx, ly) -> None:
+    if nx < 16 or ny < 16:
+        raise ValueError("grid must be at least 16x16")
+    if not (0 < lx < np.inf and 0 < ly < np.inf):
+        raise ValueError("torus side lengths must be positive and finite")
+
+
 class TorusMetric:
     """Discretized conformal factor with cached derivatives and curvature.
 
@@ -101,10 +105,7 @@ class TorusMetric:
     """
 
     def __init__(self, nx, ny, lx, ly, lam, harmonics=None):
-        if nx < 16 or ny < 16:
-            raise ValueError("grid must be at least 16x16")
-        if not (0 < lx < np.inf and 0 < ly < np.inf):
-            raise ValueError("torus side lengths must be positive and finite")
+        _check_grid(nx, ny, lx, ly)
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (ny, nx):
             raise ValueError(f"lambda grid must have shape ({ny}, {nx})")
@@ -141,6 +142,10 @@ class TorusMetric:
             else Harmonic(*h)
             for h in harmonics
         )
+        # checked before sampling, where they would turn into NaN and warnings
+        _check_grid(nx, ny, lx, ly)
+        if not all(math.isfinite(v) for h in harmonics for v in astuple(h)):
+            raise ValueError("harmonic parameters must be finite")
         xg, yg = grid_coords(nx, ny, lx, ly)
         lam, _, _ = _eval_harmonics(_harmonic_table(harmonics, lx, ly), xg, yg)
         return cls(nx, ny, lx, ly, lam, harmonics=harmonics)

@@ -92,6 +92,7 @@ def _write_with_token(path, doc, numbers, token):
     path.write_text(json.dumps(doc).replace('"TOKEN"', token))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
     out = run_generate(tmp_path, CONST_CHAIN)
     pair, triv = out / "pair.json", out / "trivializer.json"
@@ -137,7 +138,7 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
 @pytest.mark.parametrize("verb, arg", [
     ("verify", "--dt=nan"), ("verify", "--dt=0"), ("verify", "--dt=-1e-3"),
     ("verify", "--t-final=nan"), ("verify", "--t-final=inf"), ("verify", "--t-final=0"),
-    ("verify", "--geodesics=0"),
+    ("verify", "--geodesics=0"), ("verify", "--seed=-1"),
     ("transport", "--dt=inf"), ("transport", "--t-final=0"), ("transport", "--t-final=-inf"),
     ("transport", "--x=nan"), ("transport", "--x=inf"), ("transport", "--y=-inf"),
     ("transport", "--theta=nan"), ("transport", "--save-every=0"),
