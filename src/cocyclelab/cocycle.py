@@ -26,7 +26,8 @@ DRIFT_TOL = 1e-6
 
 
 class TransportContext:
-    """Caches interpolators for a pair (and its trivializer) across transports."""
+    """Interpolators of a pair across transports; the trivializer's is built
+    on the first trivializer_at call and kept."""
 
     def __init__(self, pair: Pair):
         self.pair = pair
@@ -40,7 +41,7 @@ class TransportContext:
             axis=-1,
         )
         self._field_interp = PeriodicCubic2D(channels, met.lx, met.ly)
-        self._triv_cache: dict = {}
+        self._trivializer_at = None
 
     def coefficients_at(self, xs, ys):
         """(a, b, phi) matrices at arbitrary base points; shapes (n, 3, 3)."""
@@ -61,10 +62,11 @@ class TransportContext:
         return a * ct + b * st + phi
 
     def trivializer_at(self, xs, ys, thetas):
-        u = self.pair.trivializer
-        if u is None:
-            raise ValueError("pair has no trivializer")
-        return u.at_points(xs, ys, thetas, interp_cache=self._triv_cache)
+        if self._trivializer_at is None:
+            if self.pair.trivializer is None:
+                raise ValueError("pair has no trivializer")
+            self._trivializer_at = self.pair.trivializer.interpolant()
+        return self._trivializer_at(xs, ys, thetas)
 
 
 @dataclass

@@ -17,11 +17,11 @@ def worst(values) -> float:
 
 
 class CocycleLabError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class of the failed-check errors (exit 1)."""
 
 
-class NonSmoothLambda(CocycleLabError):
-    """Conformal factor has significant spectral content at the grid Nyquist."""
+class NonSmoothLambda(ValueError):
+    """Conformal factor has Nyquist content on its grid: bad input, not a failed check."""
 
 
 class StepTooLarge(CocycleLabError):

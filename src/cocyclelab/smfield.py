@@ -37,6 +37,7 @@ import numpy as np
 
 from . import spectral
 from .errors import worst
+from .interp import PeriodicCubic2D
 from .torus import TorusMetric
 
 
@@ -195,29 +196,24 @@ class FourierField:
         coef = _from_angles(samples)
         return cls.band(metric, -degree, coef[np.arange(-degree, degree + 1) % ntheta])
 
-    def at_points(self, x, y, theta, interp_cache=None) -> np.ndarray:
-        """Values at arbitrary SM points via the torus interpolation policy.
-
-        Returns shape (..., 3, 3).  interp_cache, if given, is a dict reused
-        across calls to avoid rebuilding spline coefficients.
-        """
-        from .interp import PeriodicCubic2D
-
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        theta = np.asarray(theta, dtype=float)
+    def interpolant(self):
+        """Evaluator (x, y, theta) -> values at arbitrary SM points, shape
+        (..., 3, 3): one bicubic spline over every mode grid, summed against
+        e^{i m theta}."""
         met = self.metric
         n = len(self.coef)
-        key = id(self)
-        cache = interp_cache if interp_cache is not None else {}
-        if key not in cache:
-            stack = np.moveaxis(self.coef.reshape(n, met.ny, met.nx, 9), 0, -1)
-            cache[key] = PeriodicCubic2D(stack.reshape(met.ny, met.nx, 9 * n), met.lx, met.ly)
-        vals = cache[key](x % met.lx, y % met.ly)
-        vals = vals.reshape(x.shape + (9, n))
-        phases = np.exp(1j * np.multiply.outer(theta, self._ms().astype(float)))
-        out = np.einsum("...cm,...m->...c", vals, phases)
-        return out.reshape(x.shape + (3, 3))
+        stack = np.moveaxis(self.coef.reshape(n, met.ny, met.nx, 9), 0, -1)
+        spline = PeriodicCubic2D(stack.reshape(met.ny, met.nx, 9 * n), met.lx, met.ly)
+        ms = self._ms().astype(float)
+
+        def at(x, y, theta) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            vals = spline(x % met.lx, np.asarray(y, dtype=float) % met.ly)
+            phases = np.exp(1j * np.multiply.outer(np.asarray(theta, dtype=float), ms))
+            out = np.einsum("...cm,...m->...c", vals.reshape(x.shape + (9, n)), phases)
+            return out.reshape(x.shape + (3, 3))
+
+        return at
 
     # -- norms and checks ------------------------------------------------------
 

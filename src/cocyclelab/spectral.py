@@ -82,32 +82,32 @@ def nyquist_shell_max(grid: np.ndarray) -> float:
     return float(max(pieces)) if pieces else 0.0
 
 
-def refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
-    """Band-limited upsampling of a periodic grid by zero-padding its FFT.
+def padded_spectrum(grid: np.ndarray, factor: int) -> np.ndarray:
+    """FFT of a periodic grid (ny, nx, ...), even ny and nx, zero-padded to
+    (factor*ny, factor*nx) in FFT order and scaled by factor**2, so that its
+    inverse FFT resamples the data on the finer grid; factor >= 2.  The
+    Nyquist bins are halved onto +-Nyquist, so real input stays real."""
+    g = np.asarray(grid)
+    ny, nx = g.shape[:2]
+    if ny % 2 or nx % 2:
+        raise ValueError("spectral refinement expects even grid sizes")
+    f = np.fft.fft2(g, axes=(0, 1)) * (factor * factor)
+    f[ny // 2] *= 0.5
+    f[:, nx // 2] *= 0.5
+    # signed frequencies 0..N/2, -N/2..-1 index the same bins on both grids
+    ky = np.r_[0 : ny // 2 + 1, -(ny // 2) : 0]
+    kx = np.r_[0 : nx // 2 + 1, -(nx // 2) : 0]
+    big = np.zeros((factor * ny, factor * nx) + g.shape[2:], dtype=complex)
+    big[ky[:, None], kx] = f[ky[:, None], kx]
+    return big
 
-    grid has shape (ny, nx, ...) with even ny, nx; returns the same data
-    resampled on a (factor*ny, factor*nx) grid.  Exact on band-limited data,
-    spectrally accurate on smooth data.  The Nyquist bins are split between
-    +-Nyquist so real input stays real.
-    """
+
+def refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
+    """Band-limited upsampling of a periodic grid (ny, nx, ...), even ny and
+    nx, to (factor*ny, factor*nx) by zero-padding its FFT.  Exact on
+    band-limited data, spectrally accurate on smooth data."""
     g = np.asarray(grid)
     if factor == 1:
         return g.copy()
-    ny, nx = g.shape[:2]
-    if ny % 2 or nx % 2:
-        raise ValueError("refine_grid expects even grid sizes")
-    fs = np.fft.fftshift(np.fft.fft2(g, axes=(0, 1)), axes=(0, 1))
-    fs[0] *= 0.5
-    fs = np.concatenate([fs, fs[:1]], axis=0)
-    fs[:, 0] *= 0.5
-    fs = np.concatenate([fs, fs[:, :1]], axis=1)
-    big_ny, big_nx = factor * ny, factor * nx
-    big = np.zeros((big_ny, big_nx) + g.shape[2:], dtype=complex)
-    y0 = big_ny // 2 - ny // 2
-    x0 = big_nx // 2 - nx // 2
-    big[y0 : y0 + ny + 1, x0 : x0 + nx + 1] = fs
-    out = np.fft.ifft2(np.fft.ifftshift(big, axes=(0, 1)), axes=(0, 1))
-    out *= factor * factor
-    if np.isrealobj(g):
-        return out.real
-    return out
+    out = np.fft.ifft2(padded_spectrum(g, factor), axes=(0, 1))
+    return out.real if np.isrealobj(g) else out

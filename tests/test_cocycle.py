@@ -15,6 +15,7 @@ from cocyclelab.cocycle import (
     triviality_residual,
 )
 from cocyclelab.errors import NonOrthogonalDrift, NotClosed
+from cocyclelab.interp import PeriodicCubic2D
 from cocyclelab.lie3 import hat, so3_exp
 from cocyclelab.smfield import Connection, FourierField, Higgs, Pair
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords, integrate_geodesic
@@ -167,6 +168,29 @@ def test_holonomy_closed_on_flat_torus():
     assert holonomy_closed(pair, SMPoint(0.2, 0.9, 0.0), 1.0, 1e-3) < 1e-13
     with pytest.raises(NotClosed):
         holonomy_closed(pair, SMPoint(0.2, 0.9, 0.7), 1.0, 1e-3)
+
+
+def test_interpolants_built_lazily_and_once(monkeypatch):
+    """A context builds the field interpolant at once and the trivializer's
+    on first use, then keeps both; holonomy never needs the trivializer."""
+    builds = []
+    init = PeriodicCubic2D.__init__
+
+    def counting_init(self, *args):
+        builds.append(np.shape(args[0]))
+        init(self, *args)
+
+    monkeypatch.setattr(PeriodicCubic2D, "__init__", counting_init)
+    met = curved_metric(32)
+    pair = constant_axis_pair(met, [0.6, -0.48, 0.64])
+    ctx = TransportContext(pair)
+    for p0 in (SMPoint(0.15, 0.67, 2.1), SMPoint(0.4, 0.2, 0.3)):
+        assert triviality_residual(pair, p0, 0.5, 1e-2, context=ctx).max_residual < 1e-6
+    assert builds == [(32, 32, 27), (32, 32, 27)]
+    builds.clear()
+    flat = TorusMetric.flat(32, 32)
+    assert holonomy_closed(Pair.trivial(flat), SMPoint(0.2, 0.9, 0.0), 1.0, 1e-2) < 1e-13
+    assert len(builds) == 1
 
 
 def test_field_residual_certificate():

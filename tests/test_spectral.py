@@ -1,5 +1,6 @@
 import numpy as np
 
+from cocyclelab import interp
 from cocyclelab.interp import PeriodicCubic2D
 from cocyclelab.spectral import dbar, deriv, dz, laplacian, nyquist_shell_max, refine_grid
 
@@ -92,19 +93,19 @@ def test_interp_spectral_accuracy_on_bandlimited():
     nx = ny = 32
     xg, yg = _trig(nx, ny, 1.0, 1.0)
     f = np.cos(2 * np.pi * (2 * xg - yg) + 0.4)
-    itp = PeriodicCubic2D(f, 1.0, 1.0)
+    itp = PeriodicCubic2D(f[..., None], 1.0, 1.0)
     rng = np.random.default_rng(5)
     xs = rng.uniform(0, 1, 400)
     ys = rng.uniform(0, 1, 400)
-    got = itp(xs, ys)
+    got = itp(xs, ys)[:, 0]
     expected = np.cos(2 * np.pi * (2 * xs - ys) + 0.4)
     assert np.abs(got - expected).max() < 1e-6
     # doubling the grid should cut the error by about 2^4
     f2 = np.cos(2 * np.pi * (2 * _trig(64, 64, 1.0, 1.0)[0]
                              - _trig(64, 64, 1.0, 1.0)[1]) + 0.4)
-    itp2 = PeriodicCubic2D(f2, 1.0, 1.0)
+    itp2 = PeriodicCubic2D(f2[..., None], 1.0, 1.0)
     err1 = np.abs(got - expected).max()
-    err2 = np.abs(itp2(xs, ys) - expected).max()
+    err2 = np.abs(itp2(xs, ys)[:, 0] - expected).max()
     assert err2 < err1 / 8
 
 
@@ -113,21 +114,49 @@ def test_interp_exact_on_grid_points():
     f = rng.normal(size=(24, 24))
     fs = np.fft.ifft2(np.fft.fft2(f) * (np.abs(np.fft.fftfreq(24)) < 0.2)[:, None]
                       * (np.abs(np.fft.fftfreq(24)) < 0.2)[None, :]).real
-    itp = PeriodicCubic2D(fs, 1.0, 1.0, refine=4)
+    itp = PeriodicCubic2D(fs[..., None], 1.0, 1.0)
     xs = np.arange(24) / 24.0
-    got = itp(xs, np.zeros(24))
+    got = itp(xs, np.zeros(24))[:, 0]
     assert np.abs(got - fs[0]).max() < 1e-9
 
 
 def test_interp_channels_and_chunking():
+    """A call on more points than one chunk equals the same points evaluated
+    in slices, bit for bit."""
     nx = ny = 32
     xg, yg = _trig(nx, ny, 1.0, 1.0)
     data = np.stack([np.sin(2 * np.pi * xg), np.cos(2 * np.pi * yg)], axis=-1)
     itp = PeriodicCubic2D(data, 1.0, 1.0)
     rng = np.random.default_rng(3)
-    xs = rng.uniform(-2, 2, 5000) % 1.0
-    ys = rng.uniform(-2, 2, 5000) % 1.0
-    small = itp(xs, ys, chunk=64)
-    big = itp(xs, ys, chunk=100000)
-    assert np.abs(small - big).max() == 0.0
-    assert np.abs(small[:, 0] - np.sin(2 * np.pi * xs)).max() < 2e-7
+    n = 2 * interp.CHUNK + 1000
+    xs = rng.uniform(-2, 2, n) % 1.0
+    ys = rng.uniform(-2, 2, n) % 1.0
+    whole = itp(xs, ys)
+    sliced = np.concatenate([itp(xs[lo : lo + 700], ys[lo : lo + 700]) for lo in range(0, n, 700)])
+    assert whole.shape == (n, 2)
+    assert np.array_equal(whole, sliced)
+    assert np.abs(whole[:, 0] - np.sin(2 * np.pi * xs)).max() < 2e-7
+
+
+def _two_pass_coefficients(data, factor):
+    """The spline build as refinement, then a second forward FFT, the
+    division by the B-spline symbol and a second inverse FFT."""
+    fine = refine_grid(data, factor)
+    ny, nx = fine.shape[:2]
+    f = np.fft.fft2(fine, axes=(0, 1))
+    f /= ((4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(ny) / ny)) / 6.0)[:, None, None]
+    f /= ((4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(nx) / nx)) / 6.0)[None, :, None]
+    coef = np.fft.ifft2(f, axes=(0, 1))
+    return coef.real if np.isrealobj(fine) else coef
+
+
+def test_interp_one_pass_build_matches_refine_then_prefilter():
+    rng = np.random.default_rng(12)
+    for shape, factor in (((32, 32, 9), 4), ((24, 40, 5), 4), ((8, 194, 3), 2)):
+        real = rng.normal(size=shape)
+        cplx = real + 1j * rng.normal(size=shape)
+        for data in (real, cplx):
+            got = PeriodicCubic2D(data, 1.0, 2.0).coef
+            ref = _two_pass_coefficients(data, factor)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
