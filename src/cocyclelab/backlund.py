@@ -28,7 +28,6 @@ from .errors import (
     FactoryValidationFailed,
     GNotHolomorphic,
     InputNotCertified,
-    NotUnit,
     PhiNotZero,
     RankDeficient,
     ReductionFailed,
@@ -42,6 +41,7 @@ from .torus import TorusMetric
 
 DEFAULT_CERT_TOL = 1e-6
 DEFAULT_GMERO_TOL = 1e-6
+FACTORY_TOL = 1e-5
 
 
 class UnitSection:
@@ -52,12 +52,11 @@ class UnitSection:
     certificates copy it.
     """
 
-    def __init__(self, metric: TorusMetric, grid: np.ndarray, meta: dict | None = None,
-                 unit_tol: float = 1e-10):
+    def __init__(self, metric: TorusMetric, grid: np.ndarray, meta: dict | None = None):
         grid = np.asarray(grid, dtype=float)
         if grid.shape != (metric.ny, metric.nx, 3, 3):
             raise ValueError(f"grid shape {grid.shape} does not match metric grid")
-        check_unit(grid, tol=unit_tol)
+        check_unit(grid)
         self.metric = metric
         self.grid = grid
         self.meta = dict(meta) if meta else {}
@@ -84,10 +83,10 @@ class UnitSection:
         return FourierField(self.metric, {0: self.grid.astype(complex)})
 
 
-def projector(g) -> np.ndarray:
+def projector(g: UnitSection) -> np.ndarray:
     """pi = -g(g + i Id)/2, the Hermitian rank-one projector onto the
     i-eigenbundle E_i of g acting on C^3."""
-    grid = g.grid if isinstance(g, UnitSection) else np.asarray(g)
+    grid = g.grid
     g2 = grid @ grid
     return -0.5 * (g2 + 1j * grid)
 
@@ -185,18 +184,12 @@ class BacklundCertificate:
         inverse transform is -q."""
         if self._q is None:
             qf = self.vertical @ self.g.field() @ self.vertical.transpose()
-            norms = qf.mode_norms()
-            total = np.sqrt(sum(v * v for v in norms.values()))
-            off = np.sqrt(sum(v * v for m, v in norms.items() if m != 0))
-            q0 = qf.mode(0)
-            qre = q0.real
-            met = self.pair_in.metric
-            self.residuals["q-off-modes"] = off / max(total, 1e-300)
-            self.residuals["q-imag"] = grid_l2_norm(met, q0.imag) / max(total, 1e-300)
-            self.residuals["q-sym"] = grid_l2_norm(
-                met, 0.5 * (qre + np.swapaxes(qre, -1, -2))
-            ) / max(total, 1e-300)
-            self._q = 0.5 * (qre - np.swapaxes(qre, -1, -2))
+            total = max(np.sqrt(sum(v * v for v in qf.mode_norms().values())), 1e-300)
+            keep, off = _project_structure(qf, (0,), total)
+            self._q, imag, sym = _real_skew(self.pair_in.metric, keep[0])
+            self.residuals["q-off-modes"] = off
+            self.residuals["q-imag"] = imag / total
+            self.residuals["q-sym"] = sym / total
         return self._q
 
 
@@ -206,6 +199,15 @@ def _project_structure(full: FourierField, keep: tuple[int, ...],
     norms = full.mode_norms()
     off = np.sqrt(sum(v * v for m, v in norms.items() if m not in keep))
     return {m: full.mode(m) for m in keep}, off / scale
+
+
+def _real_skew(metric: TorusMetric, c: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The real antisymmetric part of a complex coefficient grid, with the
+    norms of what it drops: the imaginary part and the real symmetric part."""
+    re = c.real
+    re_t = np.swapaxes(re, -1, -2)
+    return (0.5 * (re - re_t), grid_l2_norm(metric, c.imag),
+            grid_l2_norm(metric, 0.5 * (re + re_t)))
 
 
 def backlund_transform(
@@ -262,24 +264,12 @@ def backlund_transform(
     # step), and a ratio to its own norm would then read that rounding as O(1).
     tot = max(float(np.hypot(phi_full.l2_norm(), a_full.l2_norm())), 1e-300)
     phi_keep, phi_off = _project_structure(phi_full, (0,), tot)
-    phi0 = phi_keep[0]
-    phi_re = phi0.real
-    phi_proj = 0.5 * (phi_re - np.swapaxes(phi_re, -1, -2))
-    phi_imag = grid_l2_norm(met, phi0.imag) / tot
-    phi_sym = grid_l2_norm(met, 0.5 * (phi_re + np.swapaxes(phi_re, -1, -2))) / tot
+    phi_proj, phi_imag, phi_sym = _real_skew(met, phi_keep[0])
 
     a_keep, conn_off = _project_structure(a_full, (1, -1), tot)
     c1, cm1 = a_keep[1], a_keep[-1]
-    a_raw = c1 + cm1
-    b_raw = 1j * (c1 - cm1)
-    conn_imag = (grid_l2_norm(met, a_raw.imag) + grid_l2_norm(met, b_raw.imag)) / tot
-    a_re, b_re = a_raw.real, b_raw.real
-    conn_sym = (
-        grid_l2_norm(met, 0.5 * (a_re + np.swapaxes(a_re, -1, -2)))
-        + grid_l2_norm(met, 0.5 * (b_re + np.swapaxes(b_re, -1, -2)))
-    ) / tot
-    a_proj = 0.5 * (a_re - np.swapaxes(a_re, -1, -2))
-    b_proj = 0.5 * (b_re - np.swapaxes(b_re, -1, -2))
+    a_proj, a_imag, a_sym = _real_skew(met, c1 + cm1)
+    b_proj, b_imag, b_sym = _real_skew(met, 1j * (c1 - cm1))
 
     u_out = a @ u_in
     pair_out = Pair(Connection(met, a_proj, b_proj), Higgs(met, phi_proj), trivializer=u_out)
@@ -292,11 +282,11 @@ def backlund_transform(
         "a-orthogonality": a.orthogonality_residual(),
         "u-out-orthogonality": u_out.orthogonality_residual(),
         "phi-off-modes": phi_off,
-        "phi-imag": phi_imag,
-        "phi-sym": phi_sym,
+        "phi-imag": phi_imag / tot,
+        "phi-sym": phi_sym / tot,
         "conn-off-modes": conn_off,
-        "conn-imag": conn_imag,
-        "conn-sym": conn_sym,
+        "conn-imag": (a_imag + b_imag) / tot,
+        "conn-sym": (a_sym + b_sym) / tot,
         "output-field": out_res,
     }
     return BacklundCertificate(
@@ -334,18 +324,14 @@ def q_lemma_residuals(cert: BacklundCertificate) -> dict[str, float]:
 
 
 def inverse_backlund(
-    cert: BacklundCertificate,
-    cert_tol: float = DEFAULT_CERT_TOL,
-    gmero_tol: float = DEFAULT_GMERO_TOL,
+    cert: BacklundCertificate, gmero_tol: float = DEFAULT_GMERO_TOL
 ) -> BacklundCertificate:
     """Undo a transform step: run the forward transform on the output pair
     with axis section -q and vertical solution a^{-1} = a^T."""
     q = cert.q_grid()
     g_inv = UnitSection(cert.pair_in.metric, -q, meta={"kind": "inverse"})
     a_inv = cert.vertical.transpose()
-    return backlund_transform(
-        cert.pair_out, g_inv, vertical=a_inv, cert_tol=cert_tol, gmero_tol=gmero_tol
-    )
+    return backlund_transform(cert.pair_out, g_inv, vertical=a_inv, gmero_tol=gmero_tol)
 
 
 def round_trip_residuals(cert_fwd: BacklundCertificate,
@@ -366,18 +352,17 @@ def round_trip_residuals(cert_fwd: BacklundCertificate,
     return {"conn": float(dconn), "higgs": float(dphi), "trivializer": float(du)}
 
 
-def fiber_loop_parity(u: FourierField, ix: int = 0, iy: int = 0,
-                      nsamples: int = 512) -> int:
-    """Lift parity of the loop theta -> u(x0, y0, theta) in SO(3).
+def fiber_loop_parity(u: FourierField) -> int:
+    """Lift parity of the loop theta -> u(0, 0, theta) in SO(3).
 
     Returns +1 when the loop lifts to a closed path in SU(2) (homotopically
-    trivial) and -1 otherwise.  The loop is sampled at an exact grid point so
-    closure at theta = 2 pi is exact.
+    trivial) and -1 otherwise.  The loop is sampled at 513 angles over the
+    grid point at the origin, so closure at theta = 2 pi is exact.
     """
-    thetas = np.linspace(0.0, 2.0 * np.pi, nsamples + 1)
-    mats = np.zeros((nsamples + 1, 3, 3), dtype=complex)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 513)
+    mats = np.zeros((513, 3, 3), dtype=complex)
     for m in range(-u.degree, u.degree + 1):
-        mats += u.mode(m)[iy, ix] * np.exp(1j * m * thetas)[:, None, None]
+        mats += u.mode(m)[0, 0] * np.exp(1j * m * thetas)[:, None, None]
     return su2_path_lift(polar_project(mats.real))
 
 
@@ -393,31 +378,24 @@ class TwoStepResult:
     parity_out: int
 
 
-def two_step_su2(
-    pair: Pair,
-    g: UnitSection,
-    phi_tol: float = 1e-10,
-    cert_tol: float = DEFAULT_CERT_TOL,
-    gmero_tol: float = DEFAULT_GMERO_TOL,
-) -> TwoStepResult:
+def two_step_su2(pair: Pair, g: UnitSection) -> TwoStepResult:
     """Higgs-free doubling: transform with g, then with q = a g a^{-1}.
 
-    Requires Phi = 0 on input (PhiNotZero otherwise).  The intermediate pair
+    Requires Phi = 0 on input, to 1e-10 relative to the connection
+    (PhiNotZero otherwise).  The intermediate pair
     carries the Higgs field a (*d_A g) a^{-1}; the final one is again
     Higgs-free.  The combined vertical solution c = a_q a satisfies
     c^{-1} V(c) = 2g, and the two-step trivializer lifts to SU(2): the fiber
     loop parity returns to +1, while the one-step trivializer has parity -1.
     """
     phi_rel = pair.higgs.norm() / (pair.conn.norm() + 1.0)
-    if not passes(phi_rel, phi_tol):
+    if not passes(phi_rel, 1e-10):
         raise PhiNotZero(f"input Higgs field has relative size {phi_rel:.3e}")
     parity_in = fiber_loop_parity(pair.trivializer)
-    cert1 = backlund_transform(pair, g, cert_tol=cert_tol, gmero_tol=gmero_tol)
+    cert1 = backlund_transform(pair, g)
     q = cert1.q_grid()
     q_sec = UnitSection(pair.metric, q, meta={"kind": "q", "from": g.meta.get("kind")})
-    cert2 = backlund_transform(
-        cert1.pair_out, q_sec, cert_tol=cert_tol, gmero_tol=gmero_tol
-    )
+    cert2 = backlund_transform(cert1.pair_out, q_sec)
     c = cert2.vertical @ cert1.vertical
     lhs = c.transpose() @ sm.vertical(c)
     two_g = FourierField(pair.metric, {0: 2.0 * g.grid.astype(complex)})
@@ -455,7 +433,6 @@ def holomorphic_g_factory(
     offset: complex = 0.0,
     conjugate: bool = False,
     validate: bool = True,
-    tol: float = 1e-5,
 ) -> UnitSection:
     """Unit sections with holomorphic eigenbundle on a flat torus, A = 0.
 
@@ -467,8 +444,8 @@ def holomorphic_g_factory(
 
     conjugate=True uses the antiholomorphic zeta instead; such sections fail
     the holomorphy gate and serve as negative controls.  With validate=True
-    the section must pass all four holomorphy residuals below tol, otherwise
-    FactoryValidationFailed is raised.
+    the section must pass all four holomorphy residuals below FACTORY_TOL,
+    otherwise FactoryValidationFailed is raised.
     """
     if not metric.is_flat:
         raise ValueError("the elliptic factory requires a flat metric")
@@ -501,17 +478,17 @@ def holomorphic_g_factory(
     sec = UnitSection.from_axis(metric, n, meta=meta)
     if validate:
         top = worst(holomorphy_residuals(sec, Connection.zero(metric)).values())
-        if not passes(top, tol):
+        if not passes(top, FACTORY_TOL):
             raise FactoryValidationFailed(
-                f"holomorphy residuals up to {top:.3e} exceed {tol:.1e}"
+                f"holomorphy residuals up to {top:.3e} exceed {FACTORY_TOL:.1e}"
             )
     return sec
 
 
-def section_family(metric: TorusMetric, count: int, seed: int,
-                   validate: bool = False) -> list[UnitSection]:
+def section_family(metric: TorusMetric, count: int, seed: int) -> list[UnitSection]:
     """Random elliptic sections for sweep studies: log-normal scale with a
-    random phase, normal complex offset, uniform off-grid pole location."""
+    random phase, normal complex offset, uniform off-grid pole location.  They
+    are not validated; the sweep measures them."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -523,16 +500,15 @@ def section_family(metric: TorusMetric, count: int, seed: int,
         offset = complex(rng.normal(0.0, 1.0), rng.normal(0.0, 1.0))
         out.append(
             holomorphic_g_factory(
-                metric, z0=(x0, y0), scale=scale, offset=offset, validate=validate
+                metric, z0=(x0, y0), scale=scale, offset=offset, validate=False
             )
         )
     return out
 
 
-def random_unit_section(metric: TorusMetric, seed: int, kmax: int = 2,
-                        amplitude: float = 0.6) -> UnitSection:
-    """Band-limited random unit section; generically fails the holomorphy
-    gate, which makes it a negative control."""
+def random_unit_section(metric: TorusMetric, seed: int) -> UnitSection:
+    """Band-limited random unit section (wavenumbers up to 2 per axis);
+    generically fails the holomorphy gate, which makes it a negative control."""
     rng = np.random.default_rng(seed)
     xg, yg = np.meshgrid(
         2.0 * np.pi * np.arange(metric.nx) / metric.nx,
@@ -542,11 +518,11 @@ def random_unit_section(metric: TorusMetric, seed: int, kmax: int = 2,
     n = np.zeros((metric.ny, metric.nx, 3))
     n[..., 2] = 1.0
     for c in range(3):
-        for kx in range(-kmax, kmax + 1):
-            for ky in range(-kmax, kmax + 1):
+        for kx in range(-2, 3):
+            for ky in range(-2, 3):
                 if kx == 0 and ky == 0:
                     continue
-                amp = amplitude * rng.normal() / (1 + kx * kx + ky * ky)
+                amp = 0.6 * rng.normal() / (1 + kx * kx + ky * ky)
                 n[..., c] += amp * np.cos(kx * xg + ky * yg + rng.uniform(0, 2 * np.pi))
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
     return UnitSection.from_axis(metric, n, meta={"kind": "random", "seed": seed})
@@ -591,23 +567,17 @@ def _fill_masked_axis(n: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return n
 
 
-def reduce_degree(
-    pair: Pair,
-    tol_rank: float = 1e-8,
-    max_rank_fraction: float = 0.01,
-    lemma_tol: float = 1e-6,
-    cert_tol: float = DEFAULT_CERT_TOL,
-) -> ReductionResult:
+def reduce_degree(pair: Pair) -> ReductionResult:
     """Lower the fiber degree of a certified trivializer by one Bäcklund step.
 
     The top mode b_N of the trivializer is rank one with isotropic range;
     writing b_N = C + iD, the new axis section is n = unit(Cy) x unit(Dy) for
     any column choice y with Cy != 0 (the result is independent of y and of
     the sign of the frame; the argmax-norm column is used).  Grid points where
-    b_N nearly vanishes (top singular value below tol_rank relative) are
-    filled from neighbors; RankDeficient is raised when they exceed
-    max_rank_fraction of the grid.  The section must pass the holomorphy gate
-    (ReductionFailed otherwise).  The transform with this section annihilates
+    b_N nearly vanishes (top singular value below 1e-8 relative) are filled
+    from neighbors; RankDeficient is raised when they exceed 1% of the grid.
+    The section must pass all four holomorphy residuals below
+    DEFAULT_GMERO_TOL (ReductionFailed otherwise).  The transform with this section annihilates
     the top modes of a u, which are dropped, and the output is re-certified.
     """
     b = pair.trivializer
@@ -620,9 +590,9 @@ def reduce_degree(
     b_top = b.mode(n_deg)
     svals = np.linalg.svd(b_top, compute_uv=False)
     s1 = svals[..., 0]
-    mask = s1 < tol_rank * s1.max()
+    mask = s1 < 1e-8 * s1.max()
     frac = float(mask.mean())
-    if frac > max_rank_fraction:
+    if frac > 0.01:
         raise RankDeficient(
             f"top mode rank-deficient on {100 * frac:.2f}% of the grid"
         )
@@ -645,7 +615,7 @@ def reduce_degree(
     g_new = UnitSection(met, hat(n_axis), meta={"kind": "reduction", "from-degree": n_deg})
     hres = holomorphy_residuals(g_new, pair.conn)
     top = worst(hres.values())
-    if not passes(top, lemma_tol):
+    if not passes(top, DEFAULT_GMERO_TOL):
         raise ReductionFailed(
             f"reduction axis fails the holomorphy gate at {top:.3e}"
         )
@@ -657,8 +627,7 @@ def reduce_degree(
     bnm_scale = max(grid_l2_norm(met, b_next), 1e-300)
     r_a1_bnm = grid_l2_norm(met, a_new.mode(1) @ b_next) / bnm_scale
 
-    cert = backlund_transform(pair, g_new, vertical=a_new, cert_tol=cert_tol,
-                              gmero_tol=lemma_tol)
+    cert = backlund_transform(pair, g_new, vertical=a_new)
     u_full = cert.pair_out.trivializer
     unorm = u_full.l2_norm()
     top1 = np.sqrt(sum(grid_l2_norm(met, u_full.mode(m)) ** 2 for m in (n_deg, -n_deg)))
@@ -702,7 +671,6 @@ class ChainResult:
 def generate_chain(
     metric: TorusMetric,
     steps: list[dict],
-    base: Pair | None = None,
     cert_tol: float = DEFAULT_CERT_TOL,
     gmero_tol: float = DEFAULT_GMERO_TOL,
 ) -> ChainResult:
@@ -716,7 +684,7 @@ def generate_chain(
     Raises ValueError on a non-finite parameter or an axis of zero or
     overflowing length, before any section is built.
     """
-    pair = base if base is not None else Pair.trivial(metric)
+    pair = Pair.trivial(metric)
     certs: list[BacklundCertificate] = []
     for step in steps:
         kind = step.get("kind")

@@ -3,15 +3,17 @@ cocycles, reduce trivializer degree, export heatmaps.
 
 Each verb loads, computes and writes; main alone turns its outcome into the
 exit code: 0 success, 1 a failed check (any CocycleLabError, stderr
-"<verb> failed: <Error>: msg", or a verify residual that fails), 2 bad input
-or configuration (stderr "input error: msg").  All outputs are deterministic
-for a fixed config and seed.
+"<verb> failed: <Error>: msg", or a verify residual that fails) or a
+standard output closed by its reader, 2 bad input or configuration (stderr
+"input error: msg").  All outputs are deterministic for a fixed config and
+seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -313,16 +315,36 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _discard_stdout() -> None:
+    """Point the file descriptor under sys.stdout at the null device, so the
+    flush at interpreter exit does not hit the closed pipe again.  Streams
+    without a descriptor (StringIO) are left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     """Run one verb and map its outcome to the exit code.  This is the only
     place an exception becomes an exit code: a CocycleLabError is a failed
-    check (1); the built-in errors that the loaders, the argument checks and
-    the writers raise are bad input (2)."""
+    check (1), and so is a standard output closed by its reader (a
+    BrokenPipeError, reported silently: stderr may be that pipe too); the
+    built-in errors that the loaders, the argument checks and the writers
+    raise are bad input (2)."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
     except CocycleLabError as exc:
         print(f"{args.command} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except BrokenPipeError:
+        _discard_stdout()
         return EXIT_FAIL
     except (ValueError, KeyError, OSError, TypeError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ import numpy as np
 from . import smfield as sm
 from .errors import NonOrthogonalDrift, NotClosed, passes
 from .interp import PeriodicCubic2D
-from .lie3 import polar_project
 from .smfield import FourierField, Higgs, Pair
 from .torus import SMPoint, integrate_geodesic, step_count, torus_distance
 
@@ -125,8 +124,6 @@ def transport(
     t_final: float,
     dt: float,
     save_every: int = 10,
-    project_every: int | None = None,
-    drift_tol: float = DRIFT_TOL,
     context: TransportContext | None = None,
 ) -> CocycleResult:
     """RK4 transport of C' = -(A + Phi) C along the geodesic from p0.
@@ -136,8 +133,7 @@ def transport(
     both land on t_final; both pieces are fourth order.  The equation is
     linear, so each step is one precomputed matrix product (_rk4_propagators).
     Orthogonality of C is monitored at every saved sample and
-    NonOrthogonalDrift is raised beyond drift_tol.  No reprojection happens
-    unless project_every is set (polar projection every that many steps).
+    NonOrthogonalDrift is raised beyond DRIFT_TOL.
     """
     met = pair.metric
     ctx = context if context is not None else TransportContext(pair)
@@ -153,13 +149,11 @@ def transport(
     for k in range(nsteps):
         c = c + steps[k] @ c
         step = k + 1
-        if project_every and step % project_every == 0:
-            c = polar_project(c)
         if step % save_every == 0 or step == nsteps:
             d = _ortho_defect(c)
-            if not passes(d, drift_tol):
+            if not passes(d, DRIFT_TOL):
                 raise NonOrthogonalDrift(
-                    f"orthogonality defect {d:.3e} exceeds {drift_tol:.1e} at t={step * h:.4f}"
+                    f"orthogonality defect {d:.3e} exceeds {DRIFT_TOL:.1e} at t={step * h:.4f}"
                 )
             saved_t.append(step * h)
             saved_c.append(c)
@@ -217,16 +211,15 @@ def holonomy_closed(
     p0: SMPoint,
     t_final: float,
     dt: float,
-    closure_tol: float = 1e-8,
     context: TransportContext | None = None,
 ) -> float:
     """|| C(T) - Id || along a closed geodesic; NotClosed if the endpoint
-    does not return to p0 within closure_tol (coordinate distance mod periods)."""
+    does not return to p0 within 1e-8 (coordinate distance mod periods)."""
     res = transport(pair, p0, t_final, dt, context=context)
     met = pair.metric
     xe, ye, te = res.path_points[-1]
     gap = torus_distance(met, SMPoint(xe, ye, te), p0)
-    if gap > closure_tol:
+    if gap > 1e-8:
         raise NotClosed(f"geodesic endpoint misses start by {gap:.3e}")
     d = res.final() - np.eye(3)
     return float(np.sqrt((d * d).sum()))
@@ -235,22 +228,22 @@ def holonomy_closed(
 # -- field-equation certificates ---------------------------------------------------
 
 
-def transport_residual_field(pair: Pair, u: FourierField | None = None) -> float:
-    """|| X(u) + (A + Phi) u ||_{L2} / || u ||_{L2} in mode calculus."""
-    if u is None:
-        u = pair.trivializer
+def transport_residual_field(pair: Pair) -> float:
+    """|| X(u) + (A + Phi) u ||_{L2} / || u ||_{L2} in mode calculus, for the
+    pair's trivializer u."""
+    u = pair.trivializer
     if u is None:
         raise ValueError("no trivializer to test")
     res = sm.x_op(u) + pair.total_field() @ u
     return res.l2_norm() / max(u.l2_norm(), 1e-300)
 
 
-def recurrence_residuals(pair: Pair, u: FourierField | None = None) -> dict[int, float]:
-    """Per-mode residuals mu_plus(u_{m-1}) + mu_minus(u_{m+1}) + Phi u_m,
-    relative to ||u||.  mu_plus and mu_minus shift every mode by exactly +1
-    and -1, so mode m of mu_plus(u) + mu_minus(u) + Phi u is that sum."""
-    if u is None:
-        u = pair.trivializer
+def recurrence_residuals(pair: Pair) -> dict[int, float]:
+    """Per-mode residuals mu_plus(u_{m-1}) + mu_minus(u_{m+1}) + Phi u_m of
+    the pair's trivializer u, relative to ||u||.  mu_plus and mu_minus shift
+    every mode by exactly +1 and -1, so mode m of mu_plus(u) + mu_minus(u) +
+    Phi u is that sum."""
+    u = pair.trivializer
     if u is None:
         raise ValueError("no trivializer to test")
     unorm = max(u.l2_norm(), 1e-300)
@@ -318,11 +311,10 @@ def h0_residuals(u: FourierField, higgs: Higgs | None = None) -> dict[str, float
     }
 
 
-def frame_transfer_residual(pair: Pair, u: FourierField | None = None) -> float:
+def frame_transfer_residual(pair: Pair) -> float:
     """Residual of V(A) = -u X(f) u^{-1} - H(u) u^{-1} with f = u^{-1} V(u),
-    an identity that holds when u trivializes the pair."""
-    if u is None:
-        u = pair.trivializer
+    an identity that holds when the pair's trivializer u trivializes it."""
+    u = pair.trivializer
     if u is None:
         raise ValueError("no trivializer to test")
     ut = u.transpose()

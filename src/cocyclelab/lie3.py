@@ -18,6 +18,8 @@ import numpy as np
 from .errors import NotUnit, SamplingTooCoarse, passes
 
 EYE3 = np.eye(3)
+UNIT_TOL = 1e-10
+MAX_LIFT_STEP = np.pi / 4
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -66,15 +68,16 @@ def unit_residual(g: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("...ij,...ij->...", r, r)).max())
 
 
-def check_unit(g: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise NotUnit unless g^3 + g = 0 and |g| = 1 pointwise within tol."""
+def check_unit(g: np.ndarray) -> None:
+    """Raise NotUnit unless ||g^3 + g|| <= UNIT_TOL and | |g|^2 - 1 | <=
+    100 UNIT_TOL pointwise."""
     res = unit_residual(g)
-    if not passes(res, tol):
-        raise NotUnit(f"||g^3 + g|| = {res:.3e} exceeds {tol:.1e}")
+    if not passes(res, UNIT_TOL):
+        raise NotUnit(f"||g^3 + g|| = {res:.3e} exceeds {UNIT_TOL:.1e}")
     nrm = inner(g, g)
     dev = float(np.abs(nrm - 1.0).max())
-    if not passes(dev, 100 * tol):
-        raise NotUnit(f"| |g|^2 - 1 | = {dev:.3e} exceeds {100 * tol:.1e}")
+    if not passes(dev, 100 * UNIT_TOL):
+        raise NotUnit(f"| |g|^2 - 1 | = {dev:.3e} exceeds {100 * UNIT_TOL:.1e}")
 
 
 def ell(g: np.ndarray) -> np.ndarray:
@@ -166,12 +169,12 @@ def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def su2_path_lift(loop: np.ndarray, max_step: float = np.pi / 4) -> int:
+def su2_path_lift(loop: np.ndarray) -> int:
     """Lift a sampled SO(3) loop to SU(2) and report the holonomy sign.
 
     loop has shape (n, 3, 3) with loop[-1] equal to loop[0].  The lift is
     continued stepwise through relative rotations loop[k]^T loop[k+1]; each
-    step must rotate by less than max_step or SamplingTooCoarse is raised,
+    step must rotate by less than MAX_LIFT_STEP or SamplingTooCoarse is raised,
     since the continuation is otherwise ambiguous.  Returns +1 if the lift
     closes at the same SU(2) element and -1 if it closes at its negative
     (i.e. the loop is nontrivial in the fundamental group of SO(3)).
@@ -184,9 +187,9 @@ def su2_path_lift(loop: np.ndarray, max_step: float = np.pi / 4) -> int:
     steps = np.swapaxes(loop[:-1], -1, -2) @ loop[1:]
     angles = rotation_angle(steps)
     amax = float(angles.max())
-    if amax >= max_step:
+    if amax >= MAX_LIFT_STEP:
         raise SamplingTooCoarse(
-            f"largest step rotates by {amax:.3f} rad >= {max_step:.3f}"
+            f"largest step rotates by {amax:.3f} rad >= {MAX_LIFT_STEP:.3f}"
         )
     q = np.array([1.0, 0.0, 0.0, 0.0])
     for dq in _quat_from_small_rotation(steps):

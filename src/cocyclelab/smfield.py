@@ -95,9 +95,9 @@ class FourierField:
         return cls(metric, {0: c})
 
     @classmethod
-    def from_grid(cls, metric: TorusMetric, grid: np.ndarray, m: int = 0) -> "FourierField":
-        """Single-mode field c(x,y) e^{i m theta}."""
-        return cls(metric, {m: np.asarray(grid, dtype=complex)})
+    def from_grid(cls, metric: TorusMetric, grid: np.ndarray) -> "FourierField":
+        """Mode-0 field c(x, y), constant along the fiber."""
+        return cls(metric, {0: np.asarray(grid, dtype=complex)})
 
     # -- basic structure -----------------------------------------------------
 
@@ -227,11 +227,10 @@ class FourierField:
             return 0.0
         return float(np.abs((self - self.conj()).coef).max()) / scale
 
-    def orthogonality_residual(self, ntheta: int | None = None) -> float:
-        """Max pointwise ||R^T R - Id|| + imaginary part, over a theta grid."""
-        if ntheta is None:
-            ntheta = self.default_ntheta()
-        s = self.sample(ntheta)
+    def orthogonality_residual(self) -> float:
+        """Max pointwise ||R^T R - Id|| + imaginary part, over the default
+        theta grid."""
+        s = self.sample()
         im = float(np.abs(s.imag).max())
         r = s.real
         g = np.swapaxes(r, -1, -2) @ r - np.eye(3)
@@ -367,8 +366,8 @@ class Connection:
     def norm(self) -> float:
         return self.as_field().l2_norm()
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return max(np.abs(self.a).max(), np.abs(self.b).max()) <= tol
+    def is_zero(self) -> bool:
+        return max(np.abs(self.a).max(), np.abs(self.b).max()) <= 0.0
 
 
 @dataclass
@@ -402,8 +401,8 @@ class Higgs:
 
         return float(so3_norm(self.phi).max())
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return np.abs(self.phi).max() <= tol
+    def is_zero(self) -> bool:
+        return np.abs(self.phi).max() <= 0.0
 
 
 @dataclass
@@ -464,23 +463,15 @@ def hodge_star(obj):
     raise TypeError(f"hodge_star undefined for {type(obj)!r}")
 
 
-def d_A(g: np.ndarray | FourierField, conn: Connection | None = None) -> FourierField:
+def d_A(g: np.ndarray, conn: Connection) -> FourierField:
     """Covariant derivative of a matrix function of the base point, as a field.
 
-    g is a (ny, nx, 3, 3) grid (or a mode-0 field); the result is
-    X(g) + [A, g] with modes +-1: the 1-form d g + [A, g] evaluated on unit
-    tangent vectors.
+    g is a (ny, nx, 3, 3) grid; the result is X(g) + [A, g] with modes +-1:
+    the 1-form d g + [A, g] evaluated on unit tangent vectors.
     """
-    if isinstance(g, FourierField):
-        gf = g
-        metric = g.metric
-    else:
-        if conn is None:
-            raise ValueError("need a connection (or pass a FourierField)")
-        metric = conn.metric
-        gf = FourierField.from_grid(metric, np.asarray(g, dtype=complex))
+    gf = FourierField.from_grid(conn.metric, g)
     out = x_op(gf)
-    if conn is not None and not conn.is_zero():
+    if not conn.is_zero():
         af = conn.as_field()
         out = out + (af @ gf - gf @ af)
     return out
@@ -493,15 +484,14 @@ def dbar_A(g: np.ndarray, conn: Connection, via: str = "modes") -> np.ndarray:
     via="forms": (d_A g - i * (star d_A g)) / 2 assembled from the full
     covariant derivative; agrees with the modes route to rounding.
     """
-    metric = conn.metric
-    gf = FourierField.from_grid(metric, np.asarray(g, dtype=complex))
     if via == "modes":
+        gf = FourierField.from_grid(conn.metric, g)
         down = eta_minus(gf)
         am1 = conn.as_field().mode(-1)
         c = down.mode(-1) + am1 @ gf.mode(0) - gf.mode(0) @ am1
         return c
     if via == "forms":
-        dg = d_A(gf, conn)
+        dg = d_A(g, conn)
         star_dg = hodge_star(dg)
         comb = (dg - star_dg * 1j) * 0.5
         return comb.mode(-1)

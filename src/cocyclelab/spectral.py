@@ -36,19 +36,15 @@ def deriv(arr: np.ndarray, length: float, axis: int) -> np.ndarray:
     return out
 
 
-def laplacian(arr: np.ndarray, lx: float, ly: float, axes: tuple[int, int] = (0, 1)) -> np.ndarray:
-    """Spectral Laplacian; axes = (y_axis, x_axis)."""
+def laplacian(arr: np.ndarray, lx: float, ly: float) -> np.ndarray:
+    """Spectral Laplacian over the two leading (y, x) axes."""
     arr = np.asarray(arr)
-    ay, ax = axes
-    ky = wavenumbers(arr.shape[ay], ly)
-    kx = wavenumbers(arr.shape[ax], lx)
-    f = np.fft.fft2(arr, axes=(ay, ax))
-    sy = [1] * arr.ndim
-    sy[ay] = arr.shape[ay]
-    sx = [1] * arr.ndim
-    sx[ax] = arr.shape[ax]
-    f *= -(ky.reshape(sy) ** 2 + kx.reshape(sx) ** 2)
-    out = np.fft.ifft2(f, axes=(ay, ax))
+    ky = wavenumbers(arr.shape[0], ly)
+    kx = wavenumbers(arr.shape[1], lx)
+    k2 = ky[:, None] ** 2 + kx**2
+    f = np.fft.fft2(arr, axes=(0, 1))
+    f *= -k2.reshape(k2.shape + (1,) * (arr.ndim - 2))
+    out = np.fft.ifft2(f, axes=(0, 1))
     if np.isrealobj(arr):
         return out.real
     return out
@@ -104,10 +100,8 @@ def padded_spectrum(grid: np.ndarray, factor: int) -> np.ndarray:
 
 def refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     """Band-limited upsampling of a periodic grid (ny, nx, ...), even ny and
-    nx, to (factor*ny, factor*nx) by zero-padding its FFT.  Exact on
-    band-limited data, spectrally accurate on smooth data."""
+    nx, to (factor*ny, factor*nx) by zero-padding its FFT; factor >= 2.
+    Exact on band-limited data, spectrally accurate on smooth data."""
     g = np.asarray(grid)
-    if factor == 1:
-        return g.copy()
     out = np.fft.ifft2(padded_spectrum(g, factor), axes=(0, 1))
     return out.real if np.isrealobj(g) else out

@@ -30,7 +30,6 @@ from .errors import NonSmoothLambda, StepTooLarge
 from .interp import PeriodicCubic2D
 
 NYQUIST_TOL = 1e-10
-MAX_EXACT_HARMONICS = 8
 MAX_STEP_FRACTION = 1e-2
 
 
@@ -100,8 +99,8 @@ class TorusMetric:
 
     Construct with flat(), from_harmonics() or from_grid().  Off-grid values
     of lambda and its gradient come from the exact trigonometric series when
-    the metric was built from at most 8 harmonics, otherwise from bicubic
-    interpolation on a spectrally refined grid.
+    the metric was built from harmonics, and from bicubic interpolation on a
+    spectrally refined grid when it was built from a grid alone.
     """
 
     def __init__(self, nx, ny, lx, ly, lam, harmonics=None):
@@ -120,8 +119,8 @@ class TorusMetric:
         self.lx, self.ly = float(lx), float(ly)
         self.lam = lam
         self.harmonics = tuple(harmonics) if harmonics is not None else None
-        exact = self.harmonics is not None and len(self.harmonics) <= MAX_EXACT_HARMONICS
-        self._series = _harmonic_table(self.harmonics, self.lx, self.ly) if exact else None
+        self._series = (None if self.harmonics is None
+                        else _harmonic_table(self.harmonics, self.lx, self.ly))
         self.lam_x = spectral.deriv(lam, self.lx, axis=1)
         self.lam_y = spectral.deriv(lam, self.ly, axis=0)
         self.e_lam = np.exp(lam)

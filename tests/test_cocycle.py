@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cocyclelab import cocycle
 from cocyclelab.cocycle import (
     TransportContext,
     frame_transfer_residual,
@@ -138,17 +139,15 @@ def test_cocycle_composition_property():
     assert np.abs(second.final() @ first.final() - full.final()).max() < 1e-9
 
 
-def test_drift_monitor_and_projection():
+def test_drift_monitor(monkeypatch):
     met = curved_metric()
     pair = generic_pair(met, scale=12.0)
     p0 = SMPoint(0.33, 0.41, 0.9)
     res = transport(pair, p0, 4.0, 8e-3)
-    assert res.orthogonality_drift() < 1e-6
-    with pytest.raises(NonOrthogonalDrift):
-        transport(pair, p0, 4.0, 8e-3, drift_tol=0.0)
-    proj = transport(pair, p0, 4.0, 8e-3, project_every=50)
-    assert proj.orthogonality_drift() < res.orthogonality_drift()
-    assert np.abs(proj.final() - res.final()).max() < 1e-6
+    assert 0.0 < res.orthogonality_drift() < 1e-6
+    monkeypatch.setattr(cocycle, "DRIFT_TOL", 0.0)
+    with pytest.raises(NonOrthogonalDrift, match="exceeds 0.0e"):
+        transport(pair, p0, 4.0, 8e-3)
 
 
 def test_triviality_residual_positive_and_negative():

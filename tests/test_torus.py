@@ -11,6 +11,8 @@ from cocyclelab.torus import (
     frame_apply,
     grid_coords,
     integrate_geodesic,
+    _eval_harmonics,
+    _harmonic_table,
     torus_distance,
 )
 
@@ -256,6 +258,22 @@ def test_lambda_and_grad_interpolated_route():
     b = grid.lambda_and_grad_at(xs, ys)
     for u, v in zip(a, b):
         assert np.abs(u - v).max() < 1e-7
+
+
+def test_many_harmonics_use_the_exact_series():
+    """However many harmonics a metric has, lambda and its gradient off the
+    grid are its trigonometric series, not an interpolant (which is off by
+    about 5e-9 on this 9-harmonic 48^2 metric)."""
+    harmonics = [Harmonic(0.02, kx, ky, 0.1 * kx, 0.3 * ky)
+                 for kx in range(3) for ky in range(3)]
+    met = TorusMetric.from_harmonics(48, 48, 1.0, 1.5, harmonics)
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-1, 2, 1000)
+    ys = rng.uniform(-1, 2, 1000)
+    got = met.lambda_and_grad_at(xs, ys)
+    ref = _eval_harmonics(_harmonic_table(met.harmonics, 1.0, 1.5), xs, ys)
+    for u, v in zip(got, ref):
+        assert np.abs(u - v).max() <= 1e-14
 
 
 def test_torus_distance_wraps():
