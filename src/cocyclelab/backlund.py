@@ -86,19 +86,14 @@ class UnitSection:
 def projector(g: UnitSection) -> np.ndarray:
     """pi = -g(g + i Id)/2, the Hermitian rank-one projector onto the
     i-eigenbundle E_i of g acting on C^3."""
-    grid = g.grid
-    g2 = grid @ grid
-    return -0.5 * (g2 + 1j * grid)
+    return -0.5 * (sm.grid_matmul(g.grid, g.grid) + 1j * g.grid)
 
 
 def vertical_solution(g: UnitSection, r: np.ndarray | None = None) -> FourierField:
     """a(x, y, theta) = r exp(theta g), the solution of a g = V(a), as a
     degree-one field: exp(theta g) = (Id + g^2) - cos(theta) g^2 + sin(theta) g."""
-    grid = g.grid
-    g2 = grid @ grid
-    eye = np.broadcast_to(np.eye(3), grid.shape)
-    c0 = (eye + g2).astype(complex)
-    c1 = -0.5 * (g2 + 1j * grid)
+    c1 = projector(g)
+    c0 = np.eye(3) - 2.0 * c1.real
     if r is not None:
         r = np.asarray(r, dtype=float)
         c0 = r @ c0
@@ -129,27 +124,21 @@ def holomorphy_residuals(g: UnitSection, conn: Connection) -> dict[str, float]:
     res1 = _star_bracket(g, dg, sm.hodge_star(dg))
 
     q = sm.dbar_A(g.grid, conn)
-    res2_g = q - 1j * (q @ g.grid - g.grid @ q)
+    res2_g = q - 1j * (sm.grid_matmul(q, g.grid) - sm.grid_matmul(g.grid, q))
     den2 = grid_l2_norm(met, q) + grid_l2_norm(met, g.grid) + 1e-300
     res2 = grid_l2_norm(met, res2_g) / den2
 
     pi = projector(g)
     pi_perp = np.broadcast_to(np.eye(3), pi.shape) - pi
-    cols = []
-    dencols = 1e-300
-    a_minus = conn.as_field().mode(-1)
-    for j in range(3):
-        s = pi[..., :, j]
-        ds = dbar(s.reshape(met.ny, met.nx, 3), met.lx, met.ly) \
-            + np.einsum("yxab,yxb->yxa", a_minus, s)
-        cols.append(np.einsum("yxab,yxb->yxa", pi_perp, ds))
-        dencols += np.sqrt((np.abs(ds) ** 2).sum())
-    num3 = np.sqrt(sum((np.abs(c) ** 2).sum() for c in cols))
-    res3 = float(num3 / (dencols + np.sqrt((np.abs(pi) ** 2).sum())))
+    # column j of ds is the covariant dbar of the section pi e_j of C^3
+    ds = dbar(pi, met.lx, met.ly) + sm.grid_matmul(conn.as_field().mode(-1), pi)
+    num3 = np.sqrt((np.abs(sm.grid_matmul(pi_perp, ds)) ** 2).sum())
+    dencols = np.sqrt((np.abs(ds) ** 2).sum(axis=(0, 1, 2))).sum()
+    res3 = float(num3 / (1e-300 + dencols + np.sqrt((np.abs(pi) ** 2).sum())))
 
     dpi = sm.dbar_A(pi, conn)
     den4 = grid_l2_norm(met, dpi) + grid_l2_norm(met, pi) + 1e-300
-    res4 = grid_l2_norm(met, dpi @ pi) / den4
+    res4 = grid_l2_norm(met, sm.grid_matmul(dpi, pi)) / den4
 
     return {
         "star-bracket": res1,
@@ -169,28 +158,17 @@ def _star_bracket(g: UnitSection, dg: FourierField, star_dg: FourierField) -> fl
 
 @dataclass
 class BacklundCertificate:
-    """Inputs, outputs and the full residual record of one transform step."""
+    """Inputs, outputs and the full residual record of one transform step.
+    q = a g a^{-1} is theta-independent and unit; the axis section of the
+    inverse transform is -q."""
 
     pair_in: Pair
     g: UnitSection
     vertical: FourierField
     pair_out: Pair
     residuals: dict[str, float]
+    q: np.ndarray
     meta: dict = dc_field(default_factory=dict)
-    _q: np.ndarray | None = None
-
-    def q_grid(self) -> np.ndarray:
-        """q = a g a^{-1}, theta-independent and unit; the axis section of the
-        inverse transform is -q."""
-        if self._q is None:
-            qf = self.vertical @ self.g.field() @ self.vertical.transpose()
-            total = max(np.sqrt(sum(v * v for v in qf.mode_norms().values())), 1e-300)
-            keep, off = _project_structure(qf, (0,), total)
-            self._q, imag, sym = _real_skew(self.pair_in.metric, keep[0])
-            self.residuals["q-off-modes"] = off
-            self.residuals["q-imag"] = imag / total
-            self.residuals["q-sym"] = sym / total
-        return self._q
 
 
 def _project_structure(full: FourierField, keep: tuple[int, ...],
@@ -275,6 +253,11 @@ def backlund_transform(
     pair_out = Pair(Connection(met, a_proj, b_proj), Higgs(met, phi_proj), trivializer=u_out)
     out_res = transport_residual_field(pair_out)
 
+    qf = a @ g.field() @ at
+    q_tot = max(np.sqrt(sum(v * v for v in qf.mode_norms().values())), 1e-300)
+    q_keep, q_off = _project_structure(qf, (0,), q_tot)
+    q, q_imag, q_sym = _real_skew(met, q_keep[0])
+
     residuals = {
         "input-field": in_res,
         "holomorphy": gres,
@@ -288,9 +271,12 @@ def backlund_transform(
         "conn-imag": (a_imag + b_imag) / tot,
         "conn-sym": (a_sym + b_sym) / tot,
         "output-field": out_res,
+        "q-off-modes": q_off,
+        "q-imag": q_imag / q_tot,
+        "q-sym": q_sym / q_tot,
     }
     return BacklundCertificate(
-        pair_in=pair, g=g, vertical=a, pair_out=pair_out, residuals=residuals,
+        pair_in=pair, g=g, vertical=a, pair_out=pair_out, residuals=residuals, q=q,
         meta=dict(g.meta),
     )
 
@@ -304,7 +290,7 @@ def q_lemma_residuals(cert: BacklundCertificate) -> dict[str, float]:
 
     The last one makes -q an admissible axis section for the inverse step.
     """
-    q = cert.q_grid()
+    q = cert.q
     met = cert.pair_in.metric
     qf = FourierField(met, {0: q.astype(complex)})
     conn_out = cert.pair_out.conn
@@ -328,7 +314,7 @@ def inverse_backlund(
 ) -> BacklundCertificate:
     """Undo a transform step: run the forward transform on the output pair
     with axis section -q and vertical solution a^{-1} = a^T."""
-    q = cert.q_grid()
+    q = cert.q
     g_inv = UnitSection(cert.pair_in.metric, -q, meta={"kind": "inverse"})
     a_inv = cert.vertical.transpose()
     return backlund_transform(cert.pair_out, g_inv, vertical=a_inv, gmero_tol=gmero_tol)
@@ -393,7 +379,7 @@ def two_step_su2(pair: Pair, g: UnitSection) -> TwoStepResult:
         raise PhiNotZero(f"input Higgs field has relative size {phi_rel:.3e}")
     parity_in = fiber_loop_parity(pair.trivializer)
     cert1 = backlund_transform(pair, g)
-    q = cert1.q_grid()
+    q = cert1.q
     q_sec = UnitSection(pair.metric, q, meta={"kind": "q", "from": g.meta.get("kind")})
     cert2 = backlund_transform(cert1.pair_out, q_sec)
     c = cert2.vertical @ cert1.vertical
@@ -705,7 +691,7 @@ def generate_chain(
         elif kind == "repeat-q":
             if not certs:
                 raise ValueError("repeat-q needs a previous step")
-            g = UnitSection(metric, certs[-1].q_grid(), meta={"kind": "repeat-q"})
+            g = UnitSection(metric, certs[-1].q, meta={"kind": "repeat-q"})
         else:
             raise ValueError(f"unknown step kind: {kind!r}")
         cert = backlund_transform(pair, g, cert_tol=cert_tol, gmero_tol=gmero_tol)

@@ -317,7 +317,7 @@ def heatmap_from_field(field: FourierField, selector: str) -> np.ndarray:
     """
     sel = selector.strip().lower()
     if sel == "norm":
-        return np.sqrt((np.abs(field.coef) ** 2).sum(axis=(0, -2, -1)))
+        return np.sqrt((np.abs(field.coef) ** 2).sum(axis=(0, 1, 2)))
     parts = [p.strip() for p in sel.split(",")]
     if len(parts) != 4:
         raise ValueError(f"bad selector {selector!r}: want 'norm' or 'm,i,j,part'")

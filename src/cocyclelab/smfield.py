@@ -3,10 +3,10 @@
 A field u(x, y, theta) with values in 3x3 complex matrices is a finite
 Fourier series in the fiber angle, u = sum_m c_m(x, y) e^{i m theta}, stored
 as one contiguous band of modes: the lowest mode lo and an array coef of
-shape (n_modes, ny, nx, 3, 3) holding c_lo, ..., c_{lo+n_modes-1} in order.
-Modes inside the band may be zero.  The vertical field V acts as
-multiplication by i*m on mode m, the raising/lowering parts of the frame act
-on the whole band at once:
+shape (n_modes, 3, 3, ny, nx) holding c_lo, ..., c_{lo+n_modes-1} in order
+(mode(m) and modes hand out (ny, nx, 3, 3) views).  Modes inside the band may
+be zero.  The vertical field V acts as multiplication by i*m on mode m, the
+raising/lowering parts of the frame act on the whole band at once:
 
   eta_minus : mode m -> m-1,  c |-> e^{-(1+m) lam} dbar(c e^{m lam})
   eta_plus  : mode m -> m+1,  c |-> e^{(m-1) lam} dz(c e^{-m lam})
@@ -21,7 +21,11 @@ Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 11): both bands are
 sampled at len_u + len_v - 1 equispaced fiber angles, multiplied pointwise
 and transformed back.  That many samples resolve the whole product band
 [lo_u + lo_v, hi_u + hi_v], so nothing aliases and nothing is truncated; the
-product is exact to rounding.
+product is exact to rounding.  The fiber transforms are products with small
+dense DFT matrices, cached by size, which beat an FFT along the short mode
+axis.  Every pointwise 3x3 product, of bands and of (ny, nx, 3, 3) grids
+alike, runs through one unrolled kernel of nine output planes, each a sum
+of three plane products.
 
 The L2 pairing is <u, v> = integral over SM of trace(u v*) with measure
 e^{2 lam} dx dy dtheta, evaluated as a plain grid sum (spectrally accurate
@@ -31,6 +35,7 @@ for smooth integrands): 2 pi * sum_m sum_grid trace(c_m d_m^*) e^{2 lam} dx dy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -41,24 +46,56 @@ from .interp import PeriodicCubic2D
 from .torus import TorusMetric
 
 
-def _as_mode_grid(metric: TorusMetric, arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=complex)
-    if arr.shape != (metric.ny, metric.nx, 3, 3):
-        raise ValueError(
-            f"mode grid must have shape ({metric.ny}, {metric.nx}, 3, 3), got {arr.shape}"
-        )
-    return arr
+def _matrix_first(grid: np.ndarray) -> np.ndarray:
+    """A (..., ny, nx, 3, 3) grid as a (..., 3, 3, ny, nx) view."""
+    return np.moveaxis(grid, (-2, -1), (-4, -3))
 
 
-def _to_angles(coef: np.ndarray, ntheta: int) -> np.ndarray:
-    """Values of sum_k coef[k] e^{i k theta} at theta_j = 2 pi j / ntheta;
-    ntheta must be at least len(coef)."""
-    return np.fft.ifft(coef, n=ntheta, axis=0) * ntheta
+def _grid_first(arr: np.ndarray) -> np.ndarray:
+    """A (..., 3, 3, ny, nx) array as a (..., ny, nx, 3, 3) view."""
+    return np.moveaxis(arr, (-4, -3), (-2, -1))
 
 
-def _from_angles(samples: np.ndarray) -> np.ndarray:
-    """Inverse of _to_angles with as many modes as samples."""
-    return np.fft.fft(samples, axis=0) / len(samples)
+def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise 3x3 product of (..., 3, 3, ny, nx) arrays, broadcast over the
+    leading axes: plane out[i, j] is the sum over k of a[i, k] b[k, j]."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    dtype = np.result_type(a, b)
+    out = np.empty(shape, dtype=dtype)
+    tmp = np.empty(shape[:-4] + shape[-2:], dtype=dtype)
+    for i, j in np.ndindex(3, 3):
+        o = out[..., i, j, :, :]
+        np.multiply(a[..., i, 0, :, :], b[..., 0, j, :, :], out=o)
+        for k in (1, 2):
+            o += np.multiply(a[..., i, k, :, :], b[..., k, j, :, :], out=tmp)
+    return out
+
+
+def grid_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise product of (..., ny, nx, 3, 3) grids through _matmul3."""
+    return _grid_first(_matmul3(_matrix_first(a), _matrix_first(b)))
+
+
+@lru_cache(maxsize=64)
+def _fiber_dft(nt: int, n: int) -> np.ndarray:
+    """The read-only (nt, n) matrix e^{i k theta_j} of modes k = 0 .. n-1 at
+    the fiber angles theta_j = 2 pi j / nt."""
+    mat = np.exp(2j * np.pi / nt * (np.multiply.outer(np.arange(nt), np.arange(n)) % nt))
+    mat.setflags(write=False)
+    return mat
+
+
+def _to_angles(coef: np.ndarray, nt: int) -> np.ndarray:
+    """sum_k coef[k] e^{i k theta} at theta_j = 2 pi j / nt, nt >= len(coef)."""
+    vals = _fiber_dft(nt, len(coef)) @ coef.reshape(len(coef), -1)
+    return vals.reshape((nt,) + coef.shape[1:])
+
+
+def _from_angles(samples: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Coefficients of the modes ks (taken mod nt) of nt equispaced samples."""
+    nt = len(samples)
+    coef = (_fiber_dft(nt, nt)[ks].conj() / nt) @ samples.reshape(nt, -1)
+    return coef.reshape((len(ks),) + samples.shape[1:])
 
 
 class FourierField:
@@ -67,12 +104,16 @@ class FourierField:
     __slots__ = ("metric", "lo", "coef")
 
     def __init__(self, metric: TorusMetric, modes: dict[int, np.ndarray]):
-        grids = {int(m): _as_mode_grid(metric, c) for m, c in modes.items()}
+        grids = {int(m): np.asarray(c) for m, c in modes.items()}
+        for c in grids.values():
+            if c.shape != (metric.ny, metric.nx, 3, 3):
+                raise ValueError(f"mode grid must have shape ({metric.ny}, {metric.nx}, 3, 3), "
+                                 f"got {c.shape}")
         lo = min(grids, default=0)
         hi = max(grids, default=0)
-        coef = np.zeros((hi - lo + 1, metric.ny, metric.nx, 3, 3), dtype=complex)
+        coef = np.zeros((hi - lo + 1, 3, 3, metric.ny, metric.nx), dtype=complex)
         for m, c in grids.items():
-            coef[m - lo] = c
+            coef[m - lo] = _matrix_first(c)
         self.metric = metric
         self.lo = lo
         self.coef = coef
@@ -90,9 +131,7 @@ class FourierField:
 
     @classmethod
     def identity(cls, metric: TorusMetric) -> "FourierField":
-        c = np.zeros((metric.ny, metric.nx, 3, 3), dtype=complex)
-        c[..., 0, 0] = c[..., 1, 1] = c[..., 2, 2] = 1.0
-        return cls(metric, {0: c})
+        return cls.from_grid(metric, np.broadcast_to(np.eye(3), (metric.ny, metric.nx, 3, 3)))
 
     @classmethod
     def from_grid(cls, metric: TorusMetric, grid: np.ndarray) -> "FourierField":
@@ -107,8 +146,8 @@ class FourierField:
 
     @property
     def modes(self):
-        """Read-only mapping from each mode of the band to its grid."""
-        return MappingProxyType({self.lo + k: c for k, c in enumerate(self.coef)})
+        """Read-only mapping from each mode of the band to its (ny, nx, 3, 3) grid."""
+        return MappingProxyType({self.lo + k: _grid_first(c) for k, c in enumerate(self.coef)})
 
     @property
     def degree(self) -> int:
@@ -119,7 +158,7 @@ class FourierField:
 
     def mode(self, m: int) -> np.ndarray:
         if self.lo <= m <= self.hi:
-            return self.coef[m - self.lo]
+            return _grid_first(self.coef[m - self.lo])
         return np.zeros((self.metric.ny, self.metric.nx, 3, 3), dtype=complex)
 
     def mode_norms(self) -> dict[int, float]:
@@ -153,16 +192,22 @@ class FourierField:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "FourierField") -> "FourierField":
-        """Pointwise matrix product on SM: one batched product at
-        len_u + len_v - 1 fiber angles, exact to rounding (module docstring)."""
+        """Pointwise matrix product on SM at len_u + len_v - 1 fiber angles,
+        exact to rounding; a one-mode factor is fiber-constant and needs no
+        transform (module docstring)."""
         self._check_same(other)
-        nt = len(self.coef) + len(other.coef) - 1
-        prod = _to_angles(self.coef, nt) @ _to_angles(other.coef, nt)
-        return FourierField.band(self.metric, self.lo + other.lo, _from_angles(prod))
+        u, v = self.coef, other.coef
+        if min(len(u), len(v)) == 1:
+            prod = _matmul3(u, v)
+        else:
+            nt = len(u) + len(v) - 1
+            prod = _matmul3(_to_angles(u, nt), _to_angles(v, nt))
+            prod = _from_angles(prod, np.arange(nt))
+        return FourierField.band(self.metric, self.lo + other.lo, prod)
 
     def transpose(self) -> "FourierField":
         """Pointwise matrix transpose (the inverse for SO(3)-valued fields)."""
-        return FourierField.band(self.metric, self.lo, np.swapaxes(self.coef, -1, -2))
+        return FourierField.band(self.metric, self.lo, np.swapaxes(self.coef, 1, 2))
 
     def conj(self) -> "FourierField":
         """Pointwise complex conjugate of the field (mode m -> -m, conjugated)."""
@@ -170,17 +215,13 @@ class FourierField:
 
     # -- sampling ------------------------------------------------------------
 
-    def default_ntheta(self) -> int:
-        return max(8, 4 * (self.degree + 1))
-
     def sample(self, ntheta: int | None = None) -> np.ndarray:
         """Pointwise values on the (theta, y, x) product grid: (ntheta, ny, nx, 3, 3)."""
-        if ntheta is None:
-            ntheta = self.default_ntheta()
+        ntheta = max(8, 4 * (self.degree + 1)) if ntheta is None else ntheta
         if ntheta < 2 * self.degree + 1:
             raise ValueError("theta grid too coarse for the field degree")
         phase = np.exp(1j * self.lo * self.metric.theta_grid(ntheta))
-        return _to_angles(self.coef, ntheta) * phase[:, None, None, None, None]
+        return _grid_first(_to_angles(self.coef, ntheta) * phase[:, None, None, None, None])
 
     @classmethod
     def from_samples(
@@ -193,8 +234,8 @@ class FourierField:
             degree = (ntheta - 1) // 2
         if ntheta < 2 * degree + 1:
             raise ValueError("theta grid too coarse for the requested degree")
-        coef = _from_angles(samples)
-        return cls.band(metric, -degree, coef[np.arange(-degree, degree + 1) % ntheta])
+        coef = _from_angles(_matrix_first(samples), np.arange(-degree, degree + 1) % ntheta)
+        return cls.band(metric, -degree, coef)
 
     def interpolant(self):
         """Evaluator (x, y, theta) -> values at arbitrary SM points, shape
@@ -202,15 +243,15 @@ class FourierField:
         e^{i m theta}."""
         met = self.metric
         n = len(self.coef)
-        stack = np.moveaxis(self.coef.reshape(n, met.ny, met.nx, 9), 0, -1)
-        spline = PeriodicCubic2D(stack.reshape(met.ny, met.nx, 9 * n), met.lx, met.ly)
+        stack = np.moveaxis(self.coef.reshape(n * 9, met.ny, met.nx), 0, -1)
+        spline = PeriodicCubic2D(stack, met.lx, met.ly)
         ms = self._ms().astype(float)
 
         def at(x, y, theta) -> np.ndarray:
             x = np.asarray(x, dtype=float)
             vals = spline(x % met.lx, np.asarray(y, dtype=float) % met.ly)
             phases = np.exp(1j * np.multiply.outer(np.asarray(theta, dtype=float), ms))
-            out = np.einsum("...cm,...m->...c", vals.reshape(x.shape + (9, n)), phases)
+            out = np.einsum("...mc,...m->...c", vals.reshape(x.shape + (n, 9)), phases)
             return out.reshape(x.shape + (3, 3))
 
         return at
@@ -230,11 +271,11 @@ class FourierField:
     def orthogonality_residual(self) -> float:
         """Max pointwise ||R^T R - Id|| + imaginary part, over the default
         theta grid."""
-        s = self.sample()
+        s = _matrix_first(self.sample())
         im = float(np.abs(s.imag).max())
         r = s.real
-        g = np.swapaxes(r, -1, -2) @ r - np.eye(3)
-        return float(np.sqrt(np.einsum("...ij,...ij->...", g, g)).max() + im)
+        g = _matmul3(np.swapaxes(r, 1, 2), r) - np.eye(3)[:, :, None, None]
+        return float(np.sqrt(np.einsum("tijyx,tijyx->tyx", g, g)).max() + im)
 
 
 # -- L2 structure ---------------------------------------------------------------
@@ -248,7 +289,7 @@ def l2_inner(u: FourierField, v: FourierField) -> complex:
     n = max(min(u.hi, v.hi) - lo + 1, 0)
     cu = u.coef[lo - u.lo : lo - u.lo + n]
     cv = v.coef[lo - v.lo : lo - v.lo + n]
-    total = np.einsum("myxij,myxij,yx->", cu, np.conj(cv), met.e_2lam)
+    total = np.einsum("mijyx,mijyx,yx->", cu, np.conj(cv), met.e_2lam)
     return complex(2.0 * np.pi * dxdy * total)
 
 
@@ -273,19 +314,15 @@ def vertical(u: FourierField) -> FourierField:
     return FourierField.band(u.metric, u.lo, 1j * u._ms()[:, None, None, None, None] * u.coef)
 
 
-def _scal(metric_grid: np.ndarray) -> np.ndarray:
-    return metric_grid[:, :, None, None]
-
-
 def _exp_lam(metric: TorusMetric, ks: np.ndarray) -> np.ndarray:
     """e^{k lam} for each k in ks, shaped to scale a band of modes."""
-    return np.exp(np.multiply.outer(ks, metric.lam))[:, :, :, None, None]
+    return np.exp(np.multiply.outer(ks, metric.lam))[:, None, None]
 
 
 def eta_minus(u: FourierField) -> FourierField:
     met = u.metric
     ms = u._ms()
-    d = spectral.dbar(u.coef * _exp_lam(met, ms), met.lx, met.ly, axes=(1, 2))
+    d = spectral.dbar(u.coef * _exp_lam(met, ms), met.lx, met.ly, axes=(3, 4))
     d *= _exp_lam(met, -(1 + ms))
     return FourierField.band(met, u.lo - 1, d)
 
@@ -293,7 +330,7 @@ def eta_minus(u: FourierField) -> FourierField:
 def eta_plus(u: FourierField) -> FourierField:
     met = u.metric
     ms = u._ms()
-    d = spectral.dz(u.coef * _exp_lam(met, -ms), met.lx, met.ly, axes=(1, 2))
+    d = spectral.dz(u.coef * _exp_lam(met, -ms), met.lx, met.ly, axes=(3, 4))
     d *= _exp_lam(met, ms - 1)
     return FourierField.band(met, u.lo + 1, d)
 
@@ -432,11 +469,8 @@ class Pair:
 
 def decompose_connection(conn: Connection) -> tuple[FourierField, FourierField]:
     """(A_1, A_{-1}) with A_1 = (A - i V(A))/2 in mode +1 and its conjugate in -1."""
-    f = conn.as_field()
-    return (
-        FourierField(conn.metric, {1: f.mode(1)}),
-        FourierField(conn.metric, {-1: f.mode(-1)}),
-    )
+    f = conn.as_field()  # modes -1, 0, 1
+    return FourierField.band(f.metric, 1, f.coef[2:]), FourierField.band(f.metric, -1, f.coef[:1])
 
 
 def mu_plus(u: FourierField, conn: Connection) -> FourierField:
@@ -485,10 +519,10 @@ def dbar_A(g: np.ndarray, conn: Connection, via: str = "modes") -> np.ndarray:
     covariant derivative; agrees with the modes route to rounding.
     """
     if via == "modes":
-        gf = FourierField.from_grid(conn.metric, g)
-        down = eta_minus(gf)
-        am1 = conn.as_field().mode(-1)
-        c = down.mode(-1) + am1 @ gf.mode(0) - gf.mode(0) @ am1
+        c = eta_minus(FourierField.from_grid(conn.metric, g)).mode(-1)
+        if not conn.is_zero():
+            am1 = conn.as_field().mode(-1)
+            c = c + grid_matmul(am1, g) - grid_matmul(g, am1)
         return c
     if via == "forms":
         dg = d_A(g, conn)
@@ -507,6 +541,6 @@ def star_curvature(conn: Connection) -> np.ndarray:
     met = conn.metric
     b_x = spectral.deriv(conn.b, met.lx, axis=1)
     a_y = spectral.deriv(conn.a, met.ly, axis=0)
-    lin = b_x + conn.b * _scal(met.lam_x) - a_y - conn.a * _scal(met.lam_y)
-    lin *= _scal(met.e_neg_lam)
+    lin = b_x + conn.b * met.lam_x[..., None, None] - a_y - conn.a * met.lam_y[..., None, None]
+    lin *= met.e_neg_lam[..., None, None]
     return lin + (conn.a @ conn.b - conn.b @ conn.a)

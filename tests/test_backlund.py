@@ -115,7 +115,7 @@ def test_backlund_constant_axis_closed_form():
     assert np.abs(sf + met.gauss[..., None, None] * gg).max() < 1e-9
     assert cert.residuals["output-field"] < 1e-12
     assert cert.residuals["conn-off-modes"] < 1e-12
-    assert np.abs(cert.q_grid() - hat(AXIS)).max() < 1e-13
+    assert np.abs(cert.q - hat(AXIS)).max() < 1e-13
 
 
 def test_backlund_gates():
@@ -290,6 +290,21 @@ def test_section_family_deterministic():
         assert np.abs(s1.grid - s2.grid).max() == 0.0
         res = bk.holomorphy_residuals(s1, zero)
         assert max(res.values()) < 1e-6
+
+
+def test_last_step_certifies_q():
+    """Every step records the q residuals, with the values a following
+    repeat-q step would have computed, whatever step follows."""
+    met = curved_metric(32)
+    steps = [{"kind": "constant", "axis": AXIS.tolist()}, {"kind": "repeat-q"}]
+    two = bk.generate_chain(met, steps)
+    three = bk.generate_chain(met, steps + [{"kind": "repeat-q"}])
+    keys = [set(c.residuals) for c in two.certs + three.certs]
+    assert all(k == keys[0] for k in keys)
+    assert {"q-off-modes", "q-imag", "q-sym"} <= keys[0]
+    for name in ("q-off-modes", "q-imag", "q-sym"):
+        assert two.certs[-1].residuals[name] == three.certs[1].residuals[name]
+    assert np.array_equal(three.certs[2].g.grid, two.certs[-1].q)
 
 
 def test_generate_chain_kinds():

@@ -7,7 +7,10 @@ or against exact integrals.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cocyclelab import fieldio
 from cocyclelab.lie3 import hat
 from cocyclelab.smfield import (
     Connection,
@@ -28,6 +31,11 @@ from cocyclelab.smfield import (
     star_curvature,
     vertical,
     x_op,
+    _from_angles,
+    _grid_first,
+    _matmul3,
+    _matrix_first,
+    _to_angles,
 )
 from cocyclelab.torus import Harmonic, TorusMetric, frame_apply, grid_coords
 
@@ -334,3 +342,77 @@ def test_orthogonality_residual_flags_nonorthogonal():
     assert u.orthogonality_residual() < 1e-15
     bad = u * 1.1
     assert bad.orthogonality_residual() > 0.1
+
+
+def _random(rng, shape, complex_):
+    a = rng.normal(size=shape)
+    return a + 1j * rng.normal(size=shape) if complex_ else a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    ny=st.integers(1, 5),
+    nx=st.integers(1, 5),
+    a_complex=st.booleans(),
+    b_complex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unrolled_kernel_matches_matmul(batch, ny, nx, a_complex, b_complex, seed):
+    """The unrolled 3x3 kernel against np.matmul: real and complex bands with
+    a batch, and a real grid broadcast against a complex band."""
+    rng = np.random.default_rng(seed)
+    a = _random(rng, tuple(batch) + (3, 3, ny, nx), a_complex)
+    b = _random(rng, a.shape, b_complex)
+    grid = rng.normal(size=(3, 3, ny, nx))
+    band = _random(rng, a.shape, True)
+    for x, y in ((a, b), (b, a), (grid, band), (band, grid)):
+        got = _grid_first(_matmul3(x, y))
+        ref = np.matmul(_grid_first(x), _grid_first(y))
+        scale = np.matmul(np.abs(_grid_first(x)), np.abs(_grid_first(y))).max()
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.abs(got - ref).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n", range(1, 62))
+def test_dft_matrix_fiber_transforms_match_fft(n):
+    """_to_angles and _from_angles against an FFT along the mode axis, for
+    the sample count of a product of two bands of length n."""
+    rng = np.random.default_rng(n)
+    nt = 2 * n - 1
+    coef = _random(rng, (n, 3, 3, 2, 3), True)
+    vals = _to_angles(coef, nt)
+    ref = np.fft.ifft(coef, n=nt, axis=0) * nt
+    assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
+    ks = np.arange(-(n - 1), n) % nt
+    back = _from_angles(vals, ks)
+    ref_back = (np.fft.fft(ref, axis=0) / nt)[ks]
+    assert np.abs(back - ref_back).max() <= 1e-13 * np.abs(ref_back).max()
+    round_trip = _from_angles(vals, np.arange(n))
+    assert np.abs(round_trip - coef).max() <= 1e-13 * np.abs(coef).max()
+
+
+def test_modes_are_grid_views_and_file_layout_is_unchanged():
+    met = curved(16)
+    rng = np.random.default_rng(3)
+    grids = {m: _random(rng, (16, 16, 3, 3), True) for m in (-2, 0, 1)}
+    f = FourierField(met, grids)
+    assert f.coef.shape == (4, 3, 3, 16, 16)
+    assert np.array_equal(f.coef[1], np.zeros((3, 3, 16, 16)))
+    assert set(f.modes) == {-2, -1, 0, 1}
+    for m, grid in f.modes.items():
+        assert grid.shape == (16, 16, 3, 3)
+        assert np.array_equal(grid, f.mode(m))
+        assert np.array_equal(grid, grids.get(m, np.zeros((16, 16, 3, 3))))
+    assert np.array_equal(f.coef, _matrix_first(np.stack([f.mode(m) for m in range(-2, 2)])))
+    for entry in fieldio.field_to_json(f)["modes"]:
+        grid = grids.get(entry["m"], np.zeros((16, 16, 3, 3)))
+        assert np.array_equal(entry["re"], grid.real.ravel())
+        assert np.array_equal(entry["im"], grid.imag.ravel())
+
+
+def test_dbar_a_zero_connection_is_eta_minus():
+    met = curved(32)
+    g = bandlimited_field(met, 0, seed=8).mode(0)
+    expect = eta_minus(FourierField.from_grid(met, g)).mode(-1)
+    assert np.array_equal(dbar_A(g, Connection.zero(met)), expect)
