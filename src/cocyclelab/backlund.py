@@ -17,7 +17,7 @@ functions, and degree reduction of trivializers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .errors import (
 )
 from .lie3 import check_unit, hat, inner, polar_project, su2_path_lift, vee
 from .smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm
-from .spectral import dbar
 from .torus import TorusMetric
 
 DEFAULT_CERT_TOL = 1e-6
@@ -49,7 +48,7 @@ class UnitSection:
 
     Unit length (g^3 = -g) is enforced at construction.  meta holds how the
     section was built (its kind and, for the elliptic factory, its parameters);
-    certificates copy it.
+    generate writes it with each step's residuals.
     """
 
     def __init__(self, metric: TorusMetric, grid: np.ndarray, meta: dict | None = None):
@@ -130,8 +129,8 @@ def holomorphy_residuals(g: UnitSection, conn: Connection) -> dict[str, float]:
 
     pi = projector(g)
     pi_perp = np.broadcast_to(np.eye(3), pi.shape) - pi
-    # column j of ds is the covariant dbar of the section pi e_j of C^3
-    ds = dbar(pi, met.lx, met.ly) + sm.grid_matmul(conn.as_field().mode(-1), pi)
+    # column j of ds is the twisted dbar mu_- of the section pi e_j of C^3
+    ds = sm.mu_minus(FourierField.from_grid(met, pi), conn).mode(-1)
     num3 = np.sqrt((np.abs(sm.grid_matmul(pi_perp, ds)) ** 2).sum())
     dencols = np.sqrt((np.abs(ds) ** 2).sum(axis=(0, 1, 2))).sum()
     res3 = float(num3 / (1e-300 + dencols + np.sqrt((np.abs(pi) ** 2).sum())))
@@ -168,7 +167,6 @@ class BacklundCertificate:
     pair_out: Pair
     residuals: dict[str, float]
     q: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
 
 
 def _project_structure(full: FourierField, keep: tuple[int, ...],
@@ -277,7 +275,6 @@ def backlund_transform(
     }
     return BacklundCertificate(
         pair_in=pair, g=g, vertical=a, pair_out=pair_out, residuals=residuals, q=q,
-        meta=dict(g.meta),
     )
 
 
@@ -523,7 +520,6 @@ class ReductionResult:
     vertical: FourierField
     u: FourierField
     pair: Pair
-    cert: BacklundCertificate
     residuals: dict[str, float]
 
 
@@ -638,7 +634,7 @@ def reduce_degree(pair: Pair) -> ReductionResult:
         }
     )
     return ReductionResult(
-        g=g_new, vertical=a_new, u=u_red, pair=pair_red, cert=cert, residuals=residuals
+        g=g_new, vertical=a_new, u=u_red, pair=pair_red, residuals=residuals
     )
 
 
@@ -667,12 +663,15 @@ def generate_chain(
       elliptic  {"z0": [x, y], "scale": [re, im], "offset": [re, im]}
       repeat-q  {}   (use q from the previous step; doubling step)
 
-    Raises ValueError on a non-finite parameter or an axis of zero or
-    overflowing length, before any section is built.
+    Raises ValueError on a step that is not a dict, a non-finite parameter
+    or an axis of zero or overflowing length, before that step's section is
+    built.
     """
     pair = Pair.trivial(metric)
     certs: list[BacklundCertificate] = []
     for step in steps:
+        if not isinstance(step, dict):
+            raise ValueError(f"chain step {len(certs)} must be a JSON object")
         kind = step.get("kind")
         for key in ("axis", "z0", "scale", "offset"):
             if key in step and not np.isfinite(np.asarray(step[key], dtype=float)).all():

@@ -49,6 +49,8 @@ GATED_RESIDUALS = ("input-field", "holomorphy", "output-field")
 
 def _metric_from_config(doc: dict) -> TorusMetric:
     m = doc.get("metric", {})
+    if not isinstance(m, dict):
+        raise ValueError("metric must be a JSON object")
     nx, ny = int(m.get("nx", 128)), int(m.get("ny", 128))
     lx, ly = float(m.get("lx", 1.0)), float(m.get("ly", 1.0))
     harmonics = m.get("harmonics", [])
@@ -111,7 +113,7 @@ def cmd_generate(args) -> int:
     )
     certs_doc = {
         "steps": [
-            {"step": k, "meta": c.meta, "residuals": c.residuals}
+            {"step": k, "meta": c.g.meta, "residuals": c.residuals}
             for k, c in enumerate(chain.certs)
         ],
         "hashes": hashes,

@@ -72,14 +72,11 @@ class TransportContext:
 class CocycleResult:
     """Transport output sampled every save_every steps (always includes both ends)."""
 
-    pair: Pair
-    p0: SMPoint
     times: np.ndarray
     matrices: np.ndarray
     drift: np.ndarray
     path_times: np.ndarray
     path_points: np.ndarray  # (n, 3) unwrapped (x, y, theta) at saved times
-    dt: float
 
     def final(self) -> np.ndarray:
         return self.matrices[-1]
@@ -163,14 +160,11 @@ def transport(
         [path.xs[saved_idx], path.ys[saved_idx], path.thetas[saved_idx]], axis=-1
     )
     return CocycleResult(
-        pair=pair,
-        p0=p0,
         times=np.array(saved_t),
         matrices=np.array(saved_c),
         drift=np.array(saved_drift),
         path_times=path.times,
         path_points=pts,
-        dt=h,
     )
 
 

@@ -14,8 +14,13 @@ field schema is one flat layout shared by every field type:
 
     {"grid": {"nx", "ny", "lx", "ly"},
      "metric_lambda": [row-major reals],
+     "metric_harmonics": [{"amp", "kx", "ky", "phase_x", "phase_y"}, ...],
      "degree": N,
      "modes": [{"m": int, "re": [...], "im": [...]}, ...]}
+
+The metric is read from its harmonic series; metric_lambda is that series
+sampled on the grid, and a file whose metric_lambda differs from it by more
+than LAMBDA_TOL, or that has no metric_harmonics, is rejected.
 
 Mode entries are row-major in (y, x), then 3x3 row-major.  Pair files bundle
 three such mode blocks (connection coefficients a, b and the Higgs field)
@@ -30,9 +35,12 @@ import io
 import numpy as np
 
 from .smfield import Connection, FourierField, Higgs, Pair
-from .torus import Harmonic, TorusMetric
+from .torus import TorusMetric
 
 FLOAT_FMT = ".17g"
+# the writer's tokens round-trip exactly; the margin absorbs libm differences
+# in the sampled series between machines
+LAMBDA_TOL = 1e-12
 
 
 # -- canonical JSON ------------------------------------------------------------------
@@ -126,17 +134,15 @@ def load_json(path):
 
 
 def _grid_header(metric: TorusMetric) -> dict:
-    head = {
+    return {
         "grid": {"nx": metric.nx, "ny": metric.ny, "lx": metric.lx, "ly": metric.ly},
         "metric_lambda": metric.lam.ravel(),
-    }
-    if metric.harmonics is not None:
-        head["metric_harmonics"] = [
+        "metric_harmonics": [
             {"amp": h.amp, "kx": h.kx, "ky": h.ky,
              "phase_x": h.phase_x, "phase_y": h.phase_y}
             for h in metric.harmonics
-        ]
-    return head
+        ],
+    }
 
 
 def _finite(values) -> np.ndarray:
@@ -149,20 +155,21 @@ def _finite(values) -> np.ndarray:
 
 
 def metric_from_header(doc: dict) -> TorusMetric:
+    """The metric of a file: its harmonic series, which the sampled
+    metric_lambda must match to LAMBDA_TOL."""
     g = doc["grid"]
     _finite([g["nx"], g["ny"], g["lx"], g["ly"]])
     nx, ny = int(g["nx"]), int(g["ny"])
     lam = _finite(doc["metric_lambda"]).reshape(ny, nx)
-    harm = doc.get("metric_harmonics")
-    if harm is not None:
-        _finite([[h["amp"], h["kx"], h["ky"], h.get("phase_x", 0.0), h.get("phase_y", 0.0)]
-                 for h in harm])
-        return TorusMetric.from_harmonics(
-            nx, ny, float(g["lx"]), float(g["ly"]),
-            [Harmonic(h["amp"], int(h["kx"]), int(h["ky"]),
-                      h.get("phase_x", 0.0), h.get("phase_y", 0.0)) for h in harm],
-        )
-    return TorusMetric.from_grid(float(g["lx"]), float(g["ly"]), lam)
+    if "metric_harmonics" not in doc:
+        raise ValueError("the grid header has no metric_harmonics")
+    met = TorusMetric.from_harmonics(nx, ny, float(g["lx"]), float(g["ly"]),
+                                     doc["metric_harmonics"])
+    diff = float(np.abs(lam - met.lam).max())
+    if diff > LAMBDA_TOL:
+        raise ValueError(f"metric_lambda differs from the series of metric_harmonics "
+                         f"by {diff:.3e}")
+    return met
 
 
 def _mode_block(field: FourierField) -> dict:

@@ -483,18 +483,10 @@ def mu_minus(u: FourierField, conn: Connection) -> FourierField:
     return eta_minus(u) + am1 @ u
 
 
-def hodge_star(obj):
-    """Hodge star on connection-type objects, realized fiberwise as -V.
-
-    For a Connection (a, b) this is (-b, a); for a FourierField the operator
-    -V is applied mode-by-mode (correct for fields of the form
-    omega(x, v) = <1-form, v>, i.e. modes +-1).
-    """
-    if isinstance(obj, Connection):
-        return Connection(obj.metric, -obj.b, obj.a)
-    if isinstance(obj, FourierField):
-        return vertical(obj) * (-1.0)
-    raise TypeError(f"hodge_star undefined for {type(obj)!r}")
+def hodge_star(f: FourierField) -> FourierField:
+    """Hodge star of a 1-form field omega(x, v) = <1-form, v> (modes +-1),
+    realized fiberwise as -V."""
+    return vertical(f) * (-1.0)
 
 
 def d_A(g: np.ndarray, conn: Connection) -> FourierField:
@@ -511,25 +503,14 @@ def d_A(g: np.ndarray, conn: Connection) -> FourierField:
     return out
 
 
-def dbar_A(g: np.ndarray, conn: Connection, via: str = "modes") -> np.ndarray:
-    """Covariant dbar of a matrix function: the mode -1 coefficient grid.
-
-    via="modes": eta_minus(g) + [A_{-1}, g] directly.
-    via="forms": (d_A g - i * (star d_A g)) / 2 assembled from the full
-    covariant derivative; agrees with the modes route to rounding.
-    """
-    if via == "modes":
-        c = eta_minus(FourierField.from_grid(conn.metric, g)).mode(-1)
-        if not conn.is_zero():
-            am1 = conn.as_field().mode(-1)
-            c = c + grid_matmul(am1, g) - grid_matmul(g, am1)
-        return c
-    if via == "forms":
-        dg = d_A(g, conn)
-        star_dg = hodge_star(dg)
-        comb = (dg - star_dg * 1j) * 0.5
-        return comb.mode(-1)
-    raise ValueError(f"unknown route {via!r}")
+def dbar_A(g: np.ndarray, conn: Connection) -> np.ndarray:
+    """Covariant dbar of a matrix function of the base point: the mode -1
+    coefficient grid e^{-lam} dbar(g) + [A_{-1}, g] of d_A g."""
+    c = eta_minus(FourierField.from_grid(conn.metric, g)).mode(-1)
+    if not conn.is_zero():
+        am1 = conn.as_field().mode(-1)
+        c = c + grid_matmul(am1, g) - grid_matmul(g, am1)
+    return c
 
 
 def star_curvature(conn: Connection) -> np.ndarray:

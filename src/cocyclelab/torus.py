@@ -2,7 +2,9 @@
 bundle, and geodesic integration.
 
 The torus is R^2 / (Lx Z x Ly Z) with metric e^{2 lambda(x,y)} (dx^2 + dy^2)
-in isothermal coordinates; the unit tangent bundle carries coordinates
+in isothermal coordinates, lambda a finite sum of separable harmonics
+(Harmonic): the grid samples, the geodesic equations and every off-grid
+value come from that one series.  The unit tangent bundle carries coordinates
 (x, y, theta) where theta is the angle of the unit vector against d/dx.
 The canonical frame is
 
@@ -27,7 +29,6 @@ import numpy as np
 
 from . import spectral
 from .errors import NonSmoothLambda, StepTooLarge
-from .interp import PeriodicCubic2D
 
 NYQUIST_TOL = 1e-10
 MAX_STEP_FRACTION = 1e-2
@@ -95,46 +96,14 @@ def _check_grid(nx, ny, lx, ly) -> None:
 
 
 class TorusMetric:
-    """Discretized conformal factor with cached derivatives and curvature.
+    """A conformal factor given by its harmonic series, sampled on the grid
+    with cached derivatives and curvature.
 
-    Construct with flat(), from_harmonics() or from_grid().  Off-grid values
-    of lambda and its gradient come from the exact trigonometric series when
-    the metric was built from harmonics, and from bicubic interpolation on a
-    spectrally refined grid when it was built from a grid alone.
+    Construct with flat() or from_harmonics().  Off-grid values of lambda and
+    its gradient are the exact trigonometric series.
     """
 
-    def __init__(self, nx, ny, lx, ly, lam, harmonics=None):
-        _check_grid(nx, ny, lx, ly)
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape != (ny, nx):
-            raise ValueError(f"lambda grid must have shape ({ny}, {nx})")
-        if not np.isfinite(lam).all():
-            raise ValueError("lambda must be finite")
-        nyq = spectral.nyquist_shell_max(lam)
-        if nyq > NYQUIST_TOL:
-            raise NonSmoothLambda(
-                f"lambda Nyquist coefficient {nyq:.3e} exceeds {NYQUIST_TOL:.1e}"
-            )
-        self.nx, self.ny = int(nx), int(ny)
-        self.lx, self.ly = float(lx), float(ly)
-        self.lam = lam
-        self.harmonics = tuple(harmonics) if harmonics is not None else None
-        self._series = (None if self.harmonics is None
-                        else _harmonic_table(self.harmonics, self.lx, self.ly))
-        self.lam_x = spectral.deriv(lam, self.lx, axis=1)
-        self.lam_y = spectral.deriv(lam, self.ly, axis=0)
-        self.e_lam = np.exp(lam)
-        self.e_neg_lam = np.exp(-lam)
-        self.e_2lam = np.exp(2.0 * lam)
-        self.gauss = -np.exp(-2.0 * lam) * spectral.laplacian(lam, self.lx, self.ly)
-        self._interp = None
-
-    @classmethod
-    def flat(cls, nx=64, ny=64, lx=1.0, ly=1.0):
-        return cls(nx, ny, lx, ly, np.zeros((ny, nx)), harmonics=())
-
-    @classmethod
-    def from_harmonics(cls, nx, ny, lx, ly, harmonics):
+    def __init__(self, nx, ny, lx, ly, harmonics):
         harmonics = tuple(
             h if isinstance(h, Harmonic)
             else Harmonic(**h) if isinstance(h, dict)
@@ -145,15 +114,34 @@ class TorusMetric:
         _check_grid(nx, ny, lx, ly)
         if not all(math.isfinite(v) for h in harmonics for v in astuple(h)):
             raise ValueError("harmonic parameters must be finite")
-        xg, yg = grid_coords(nx, ny, lx, ly)
-        lam, _, _ = _eval_harmonics(_harmonic_table(harmonics, lx, ly), xg, yg)
-        return cls(nx, ny, lx, ly, lam, harmonics=harmonics)
+        self.nx, self.ny = int(nx), int(ny)
+        self.lx, self.ly = float(lx), float(ly)
+        self.harmonics = harmonics
+        self._series = _harmonic_table(harmonics, lx, ly)
+        lam, _, _ = _eval_harmonics(self._series, *grid_coords(nx, ny, lx, ly))
+        if not np.isfinite(lam).all():
+            raise ValueError("lambda must be finite")
+        nyq = spectral.nyquist_shell_max(lam)
+        if nyq > NYQUIST_TOL:
+            raise NonSmoothLambda(
+                f"lambda Nyquist coefficient {nyq:.3e} exceeds {NYQUIST_TOL:.1e}"
+            )
+        self.lam = lam
+        self.lam_x = spectral.deriv(lam, self.lx, axis=1)
+        self.lam_y = spectral.deriv(lam, self.ly, axis=0)
+        self.e_lam = np.exp(lam)
+        self.e_neg_lam = np.exp(-lam)
+        self.e_2lam = np.exp(2.0 * lam)
+        self.gauss = -np.exp(-2.0 * lam) * spectral.laplacian(lam, self.lx, self.ly)
 
     @classmethod
-    def from_grid(cls, lx, ly, lam):
-        lam = np.asarray(lam, dtype=float)
-        ny, nx = lam.shape
-        return cls(nx, ny, lx, ly, lam)
+    def flat(cls, nx=64, ny=64, lx=1.0, ly=1.0):
+        return cls(nx, ny, lx, ly, ())
+
+    @classmethod
+    def from_harmonics(cls, nx, ny, lx, ly, harmonics):
+        """Harmonics are Harmonic objects, dicts of its fields or tuples."""
+        return cls(nx, ny, lx, ly, harmonics)
 
     @property
     def is_flat(self) -> bool:
@@ -164,15 +152,8 @@ class TorusMetric:
 
     def lambda_and_grad_at(self, x, y):
         """(lambda, lambda_x, lambda_y) at arbitrary points (periodic)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self._series is not None:
-            return _eval_harmonics(self._series, x, y)
-        if self._interp is None:
-            stack = np.stack([self.lam, self.lam_x, self.lam_y], axis=-1)
-            self._interp = PeriodicCubic2D(stack, self.lx, self.ly)
-        vals = self._interp(x % self.lx, y % self.ly)
-        return vals[..., 0], vals[..., 1], vals[..., 2]
+        return _eval_harmonics(self._series, np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
 
     def theta_grid(self, ntheta: int) -> np.ndarray:
         return 2.0 * np.pi * np.arange(ntheta) / ntheta
@@ -253,13 +234,9 @@ class GeodesicPath:
     xs: np.ndarray
     ys: np.ndarray
     thetas: np.ndarray
-    dt: float
 
     def endpoint(self) -> SMPoint:
         return SMPoint(float(self.xs[-1]), float(self.ys[-1]), float(self.thetas[-1]))
-
-    def point(self, k: int) -> SMPoint:
-        return SMPoint(float(self.xs[k]), float(self.ys[k]), float(self.thetas[k]))
 
     def unit_speed_residual(self) -> float:
         """Max deviation of the coordinate speed from e^{-lambda} along the path
@@ -307,17 +284,10 @@ def integrate_geodesic(
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
         raise ValueError("start point must be finite")
     series = metric._series
-    if series is not None:
-        def grad(x, y):
-            return _eval_harmonics(series, x, y, math)
-    else:
-        def grad(x, y):
-            lam, lam_x, lam_y = metric.lambda_and_grad_at(x, y)
-            return lam.item(), lam_x.item(), lam_y.item()
     cos, sin, exp = math.cos, math.sin, math.exp
 
     def rhs(x, y, th):
-        lam, lam_x, lam_y = grad(x, y)
+        lam, lam_x, lam_y = _eval_harmonics(series, x, y, math)
         e = exp(-lam)
         c, s = cos(th), sin(th)
         return e * c, e * s, e * (-lam_x * s + lam_y * c)
@@ -336,7 +306,7 @@ def integrate_geodesic(
         ys.append(y)
         ts.append(th)
     times = np.linspace(0.0, t_final, nsteps + 1)
-    return GeodesicPath(metric, times, np.array(xs), np.array(ys), np.array(ts), h)
+    return GeodesicPath(metric, times, np.array(xs), np.array(ys), np.array(ts))
 
 
 def torus_distance(metric: TorusMetric, p: SMPoint, q: SMPoint) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cocyclelab import backlund as bk
-from cocyclelab.cocycle import transport_residual_field, triviality_residual
+from cocyclelab.cocycle import gauge_transform, transport_residual_field, triviality_residual
 from cocyclelab.errors import (
     FactoryValidationFailed,
     GNotHolomorphic,
@@ -17,7 +17,7 @@ from cocyclelab.errors import (
 )
 from cocyclelab.lie3 import hat, so3_exp
 from cocyclelab.smfield import Connection, FourierField, Higgs, Pair, star_curvature
-from cocyclelab.torus import Harmonic, SMPoint, TorusMetric
+from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords
 
 AXIS = np.array([0.6, -0.48, 0.64]) / np.linalg.norm([0.6, -0.48, 0.64])
 
@@ -321,3 +321,23 @@ def test_generate_chain_kinds():
     )
     assert len(two.certs) == 2
     assert two.final.trivializer.degree == 2
+
+
+def test_reduce_degree_after_gauge_on_curved_metric():
+    """A gauge transform by a non-constant r keeps a pair certified and
+    reducible; on a curved metric the subbundle route must then carry the
+    e^{-lambda} of the twisted dbar-operator like the other three routes."""
+    met = TorusMetric.from_harmonics(
+        48, 48, 1.0, 1.0, [Harmonic(0.1, 1, 0), Harmonic(0.04, 1, 1, 0.5, 1.2)]
+    )
+    chain = bk.generate_chain(
+        met, [{"kind": "constant", "axis": AXIS.tolist()}, {"kind": "repeat-q"}]
+    )
+    xg, yg = grid_coords(48, 48, 1.0, 1.0)
+    w = np.stack([0.3 * np.sin(2 * np.pi * xg), 0.2 * np.cos(2 * np.pi * yg),
+                  0.1 * np.sin(2 * np.pi * (xg + yg))], axis=-1)
+    gauged = gauge_transform(chain.final, so3_exp(hat(w)))
+    red = bk.reduce_degree(gauged)
+    assert red.residuals["reduced-field"] <= 1e-12
+    for name in ("star-bracket", "dbar-bracket", "subbundle", "projector"):
+        assert red.residuals[name] <= 1e-12, name

@@ -119,6 +119,19 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
             for argv in verbs:
                 assert cli.main(argv) == cli.EXIT_BADINPUT, (path.name, token, argv[0])
         path.write_bytes(good)
+    # metric_lambda off the series of metric_harmonics, and no series at all
+    good = pair.read_bytes()
+    shifted = json.loads(good)
+    shifted["metric_lambda"] = [v + 0.5 for v in shifted["metric_lambda"]]
+    unseries = json.loads(good)
+    del unseries["metric_harmonics"]
+    for doc, message in ((shifted, "metric_lambda differs"), (unseries, "no metric_harmonics")):
+        pair.write_text(json.dumps(doc))
+        for argv in pair_verbs:
+            capsys.readouterr()
+            assert cli.main(argv) == cli.EXIT_BADINPUT, (message, argv[0])
+            assert message in capsys.readouterr().err
+    pair.write_bytes(good)
     tols = tmp_path / "tols.json"
     tols.write_text('{"structure": 1e999}')
     assert cli.main(verify + ["--tolerances", str(tols)]) == cli.EXIT_BADINPUT
@@ -267,9 +280,12 @@ def test_generate_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]")
     assert cli.main(["generate", str(bad)]) == cli.EXIT_BADINPUT
-    worse = write_config(tmp_path, {"chain": [{"kind": "mystery"}]}, "worse.json")
-    assert cli.main(["generate", worse, "--outdir", str(tmp_path / "o")]) \
-        == cli.EXIT_BADINPUT
+    for name, doc in (("worse.json", {"chain": [{"kind": "mystery"}]}),
+                      ("list-metric.json", {"metric": [], "chain": []}),
+                      ("number-step.json", {"metric": {"nx": 32, "ny": 32}, "chain": [1]})):
+        cfg = write_config(tmp_path, doc, name)
+        assert cli.main(["generate", cfg, "--outdir", str(tmp_path / "o")]) \
+            == cli.EXIT_BADINPUT, name
     missing = cli.main(["verify", str(tmp_path / "nope.json"), str(bad)])
     assert missing == cli.EXIT_BADINPUT
 

@@ -71,10 +71,8 @@ def test_frame_brackets():
 
 
 def test_nonsmooth_lambda_rejected():
-    rng = np.random.default_rng(0)
-    lam = 0.05 * rng.normal(size=(32, 32))  # white noise has Nyquist content
-    with pytest.raises(NonSmoothLambda):
-        TorusMetric.from_grid(1.0, 1.0, lam)
+    with pytest.raises(NonSmoothLambda):  # kx = 16 is the Nyquist frequency of 32
+        TorusMetric.from_harmonics(32, 32, 1, 1, [Harmonic(0.05, 16, 0)])
 
 
 def test_min_grid_size():
@@ -118,15 +116,13 @@ def reference_geodesic(metric, p0, t_final, dt):
     return np.array(out)
 
 
-@pytest.mark.parametrize("kind, t_final", [("curved", 2.0), ("flat", 2.0), ("grid", 0.3)])
+@pytest.mark.parametrize("kind, t_final", [("curved", 2.0), ("flat", 2.0)])
 def test_float_loop_matches_numpy_reference(kind, t_final):
-    curved = TorusMetric.from_harmonics(
-        48, 48, 1.0, 1.5, [Harmonic(0.1, 1, 0), Harmonic(0.04, 1, 1, 0.5, 1.2)]
-    )
     metric = {
-        "curved": curved,
+        "curved": TorusMetric.from_harmonics(
+            48, 48, 1.0, 1.5, [Harmonic(0.1, 1, 0), Harmonic(0.04, 1, 1, 0.5, 1.2)]
+        ),
         "flat": TorusMetric.flat(32, 32, 1.0, 1.5),
-        "grid": TorusMetric.from_grid(1.0, 1.5, curved.lam),  # interpolated route
     }[kind]
     p0 = SMPoint(0.3, 1.1, 2.2)
     path = integrate_geodesic(metric, p0, t_final, 1e-3)
@@ -247,23 +243,9 @@ def test_lambda_and_grad_exact_trig():
     assert np.abs(ly).max() < 1e-14
 
 
-def test_lambda_and_grad_interpolated_route():
-    """A metric built from a raw grid must agree with the trig route."""
-    trig = curved_metric(96)
-    grid = TorusMetric.from_grid(1.0, 1.0, trig.lam)
-    rng = np.random.default_rng(2)
-    xs = rng.uniform(0, 1, 80)
-    ys = rng.uniform(0, 1, 80)
-    a = trig.lambda_and_grad_at(xs, ys)
-    b = grid.lambda_and_grad_at(xs, ys)
-    for u, v in zip(a, b):
-        assert np.abs(u - v).max() < 1e-7
-
-
 def test_many_harmonics_use_the_exact_series():
     """However many harmonics a metric has, lambda and its gradient off the
-    grid are its trigonometric series, not an interpolant (which is off by
-    about 5e-9 on this 9-harmonic 48^2 metric)."""
+    grid are its trigonometric series."""
     harmonics = [Harmonic(0.02, kx, ky, 0.1 * kx, 0.3 * ky)
                  for kx in range(3) for ky in range(3)]
     met = TorusMetric.from_harmonics(48, 48, 1.0, 1.5, harmonics)
