@@ -187,12 +187,13 @@ def triviality_residual(
     """max_t || C(t) - u(phi_t p) u(p)^{-1} || along one geodesic.
 
     The trivializer is evaluated off-grid by bicubic interpolation of its
-    mode grids; the ODE solution is the independent route.
+    modes m >= 0 (FourierField.interpolant); the ODE solution is the
+    independent route.
     """
     ctx = context if context is not None else TransportContext(pair)
     res = transport(pair, p0, t_final, dt, save_every=save_every, context=ctx)
     xs, ys, ths = res.path_points.T
-    uvals = ctx.trivializer_at(xs, ys, ths).real
+    uvals = ctx.trivializer_at(xs, ys, ths)
     u0_inv = uvals[0].T
     pred = uvals @ u0_inv
     diff = res.matrices - pred
@@ -278,29 +279,35 @@ def h0_residuals(u: FourierField, higgs: Higgs | None = None) -> dict[str, float
     """
     ut = u.transpose()
     f = ut @ sm.vertical(u)
-    # X = eta_+ + eta_- and H = i (eta_+ - eta_-), from one eta of each sign
+    # X = eta_+ + eta_- and H = i (eta_+ - eta_-), from one eta of each sign;
+    # every band is dropped once its norm is taken, which bounds the peak
     ep, em = sm.eta_plus(f), sm.eta_minus(f)
     xf = ep + em
     hf = (ep - em) * 1j
+    del ep, em
     vxf = sm.vertical(xf)
     brk = xf @ f - f @ xf
-    if higgs is None:
-        psi = (hf + vxf - brk) * (-1.0)
-    else:
-        psi = ut @ higgs.as_field() @ u
-    k1 = hf + vxf - brk + psi
+    del xf
+    lhs = hf + vxf - brk
+    den1 = hf.l2_norm() + vxf.l2_norm() + brk.l2_norm()
+    del hf, vxf, brk
+    psi = lhs * (-1.0) if higgs is None else ut @ higgs.as_field() @ u
+    k1 = lhs + psi
+    del lhs
+    frame = k1.l2_norm()
+    del k1
     # the scale floor keeps the ratio meaningful when the equations hold
     # degenerately: f and Psi can both sit at rounding level (e.g. a constant
     # trivializer with a certified-zero Higgs field), and the orthogonal u is
     # the natural O(1) unit against which such a Psi counts as zero
     scale = f.l2_norm() + psi.l2_norm() + u.l2_norm()
-    den1 = hf.l2_norm() + vxf.l2_norm() + brk.l2_norm() + psi.l2_norm() + scale
+    den1 = den1 + psi.l2_norm() + scale
     vpsi = sm.vertical(psi)
     brk2 = f @ psi - psi @ f
     k2 = vpsi + brk2
     den2 = vpsi.l2_norm() + brk2.l2_norm() + scale
     return {
-        "h0-frame": k1.l2_norm() / den1,
+        "h0-frame": frame / den1,
         "h0-vertical": k2.l2_norm() / den2,
     }
 

@@ -238,20 +238,27 @@ class FourierField:
         return cls.band(metric, -degree, coef)
 
     def interpolant(self):
-        """Evaluator (x, y, theta) -> values at arbitrary SM points, shape
-        (..., 3, 3): one bicubic spline over every mode grid, summed against
-        e^{i m theta}."""
+        """Evaluator (x, y, theta) -> real values at arbitrary SM points, shape
+        (..., 3, 3), of a field that is real on SM (c_{-m} = conj(c_m), which
+        reality_residual measures).  It reads modes m >= 0 only: one bicubic
+        spline over the real channels [Re c_0, 2 Re c_m, -2 Im c_m], m = 1..hi,
+        summed against 1, cos(m theta) and sin(m theta)."""
         met = self.metric
-        n = len(self.coef)
-        stack = np.moveaxis(self.coef.reshape(n * 9, met.ny, met.nx), 0, -1)
-        spline = PeriodicCubic2D(stack, met.lx, met.ly)
-        ms = self._ms().astype(float)
+        hi = max(self.hi, 0)
+        pos = np.stack([self.mode(m) for m in range(hi + 1)], axis=2).reshape(
+            met.ny, met.nx, hi + 1, 9
+        )
+        stack = np.concatenate([pos.real, -pos.imag[:, :, 1:]], axis=2)
+        stack[:, :, 1:] *= 2.0
+        spline = PeriodicCubic2D(stack.reshape(met.ny, met.nx, -1), met.lx, met.ly)
+        ms = np.arange(1, hi + 1, dtype=float)
 
         def at(x, y, theta) -> np.ndarray:
             x = np.asarray(x, dtype=float)
             vals = spline(x % met.lx, np.asarray(y, dtype=float) % met.ly)
-            phases = np.exp(1j * np.multiply.outer(np.asarray(theta, dtype=float), ms))
-            out = np.einsum("...mc,...m->...c", vals.reshape(x.shape + (n, 9)), phases)
+            mt = np.multiply.outer(np.asarray(theta, dtype=float), ms)
+            basis = np.concatenate([np.ones(mt.shape[:-1] + (1,)), np.cos(mt), np.sin(mt)], axis=-1)
+            out = np.einsum("...kc,...k->...c", vals.reshape(x.shape + (2 * hi + 1, 9)), basis)
             return out.reshape(x.shape + (3, 3))
 
         return at

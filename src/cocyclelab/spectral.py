@@ -78,11 +78,11 @@ def nyquist_shell_max(grid: np.ndarray) -> float:
     return float(max(pieces)) if pieces else 0.0
 
 
-def padded_spectrum(grid: np.ndarray, factor: int) -> np.ndarray:
-    """FFT of a periodic grid (ny, nx, ...), even ny and nx, zero-padded to
-    (factor*ny, factor*nx) in FFT order and scaled by factor**2, so that its
-    inverse FFT resamples the data on the finer grid; factor >= 2.  The
-    Nyquist bins are halved onto +-Nyquist, so real input stays real."""
+def refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
+    """Band-limited upsampling of a periodic grid (ny, nx, ...), even ny and
+    nx, to (factor*ny, factor*nx) by zero-padding its FFT; factor >= 2.
+    The Nyquist bins are halved onto +-Nyquist, so real input stays real.
+    Exact on band-limited data, spectrally accurate on smooth data."""
     g = np.asarray(grid)
     ny, nx = g.shape[:2]
     if ny % 2 or nx % 2:
@@ -95,13 +95,5 @@ def padded_spectrum(grid: np.ndarray, factor: int) -> np.ndarray:
     kx = np.r_[0 : nx // 2 + 1, -(nx // 2) : 0]
     big = np.zeros((factor * ny, factor * nx) + g.shape[2:], dtype=complex)
     big[ky[:, None], kx] = f[ky[:, None], kx]
-    return big
-
-
-def refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
-    """Band-limited upsampling of a periodic grid (ny, nx, ...), even ny and
-    nx, to (factor*ny, factor*nx) by zero-padding its FFT; factor >= 2.
-    Exact on band-limited data, spectrally accurate on smooth data."""
-    g = np.asarray(grid)
-    out = np.fft.ifft2(padded_spectrum(g, factor), axes=(0, 1))
+    out = np.fft.ifft2(big, axes=(0, 1))
     return out.real if np.isrealobj(g) else out

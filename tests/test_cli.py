@@ -209,6 +209,28 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert "FAIL" in captured.out
 
 
+def test_verify_fails_structure_on_perturbed_negative_mode(tmp_path, capsys):
+    """The interpolant reads only the modes m >= 0 of the trivializer, so the
+    structure residual (reality and the imaginary part of the samples) is
+    what catches a corrupted mode -1."""
+    out = run_generate(tmp_path, CONST_CHAIN)
+    doc = fio.load_json(out / "trivializer.json")
+    (entry,) = [e for e in doc["modes"] if e["m"] == -1]
+    entry["re"] = [1.01 * v for v in entry["re"]]
+    entry["im"] = [1.01 * v for v in entry["im"]]
+    fio.save_json(out / "trivializer.json", doc)
+    report = tmp_path / "report.json"
+    rc = cli.main([
+        "verify", str(out / "pair.json"), str(out / "trivializer.json"),
+        "--geodesics", "1", "--t-final", "1.0", "--dt", "5e-3", "--report", str(report),
+    ])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_FAIL
+    assert "structure" in fio.load_json(report)["failures"]
+    assert any(line.split()[:1] == ["structure"] and "FAIL" in line
+               for line in captured.out.splitlines())
+
+
 def test_transport_trivial_pair_stays_identity(tmp_path):
     out = run_generate(tmp_path, {"metric": {"nx": 32, "ny": 32}, "chain": []})
     csv = tmp_path / "run.csv"

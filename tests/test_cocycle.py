@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cocyclelab import cocycle
+from cocyclelab.backlund import generate_chain
 from cocyclelab.cocycle import (
     TransportContext,
     frame_transfer_residual,
@@ -266,3 +267,33 @@ def test_transport_csv_samples_align_with_path():
     assert res.times[0] == 0.0
     assert res.times[-1] == pytest.approx(2.0, abs=0)
     assert len(res.times) == len(res.matrices) == len(res.drift) == len(res.path_points)
+
+
+def _full_band_values(u, xs, ys, ths):
+    """The interpolant as one spline over the real and imaginary parts of
+    every mode, negative ones included, summed against e^{i m theta}, real
+    part taken."""
+    met = u.metric
+    stack = np.stack([u.mode(m) for m in range(u.lo, u.hi + 1)], axis=2).reshape(met.ny, met.nx, -1)
+    vals = PeriodicCubic2D(stack.real, met.lx, met.ly)(xs, ys)
+    vals = vals + 1j * PeriodicCubic2D(stack.imag, met.lx, met.ly)(xs, ys)
+    phases = np.exp(1j * np.multiply.outer(ths, np.arange(u.lo, u.hi + 1)))
+    out = np.einsum("pmc,pm->pc", vals.reshape(len(xs), -1, 9), phases)
+    return out.real.reshape(len(xs), 3, 3)
+
+
+@pytest.mark.parametrize("repeats", [1, 5])
+def test_interpolant_of_modes_m_ge_0_matches_full_band(repeats):
+    """On the curved degree-2 and degree-6 trivializers the interpolant built
+    from the modes m >= 0 equals the full-band route to rounding."""
+    met = TorusMetric.from_harmonics(32, 32, 1.0, 1.0, [[0.1, 1, 0], [0.04, 1, 1, 0.5, 1.2]])
+    steps = [{"kind": "constant", "axis": [0.6, -0.48, 0.64]}] + [{"kind": "repeat-q"}] * repeats
+    u = generate_chain(met, steps).final.trivializer
+    assert u.degree == repeats + 1
+    rng = np.random.default_rng(repeats)
+    xs, ys = rng.uniform(-1, 2, (2, 500))
+    ths = rng.uniform(0, 2 * np.pi, 500)
+    got = u.interpolant()(xs, ys, ths)
+    ref = _full_band_values(u, xs % 1.0, ys % 1.0, ths)
+    assert got.dtype == np.float64 and got.shape == (500, 3, 3)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
