@@ -34,7 +34,7 @@ from .errors import (
     passes,
     worst,
 )
-from .lie3 import check_unit, hat, inner, polar_project, su2_path_lift, vee
+from .lie3 import check_unit, hat, inner, polar_project, su2_path_lift
 from .smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm
 from .torus import TorusMetric
 
@@ -74,9 +74,6 @@ class UnitSection:
         n = np.asarray(axis_grid, dtype=float)
         n = n / np.linalg.norm(n, axis=-1, keepdims=True)
         return cls(metric, hat(n), meta=meta)
-
-    def axis(self) -> np.ndarray:
-        return vee(self.grid)
 
     def field(self) -> FourierField:
         return FourierField(self.metric, {0: self.grid.astype(complex)})
@@ -151,7 +148,7 @@ def _star_bracket(g: UnitSection, dg: FourierField, star_dg: FourierField) -> fl
     """|| *d_A g + [d_A g, g] || relative to || d_A g || + || g ||: the
     star-bracket holomorphy residual, from d_A g and its Hodge star."""
     gf = g.field()
-    res = star_dg + (dg @ gf - gf @ dg)
+    res = star_dg + sm.bracket(dg, gf)
     return res.l2_norm() / (dg.l2_norm() + grid_l2_norm(g.metric, g.grid) + 1e-300)
 
 
@@ -293,11 +290,11 @@ def q_lemma_residuals(cert: BacklundCertificate) -> dict[str, float]:
     conn_out = cert.pair_out.conn
     dq = sm.d_A(q, conn_out)
     rhs = cert.vertical @ cert.pair_in.higgs.as_field() @ cert.vertical.transpose()
-    rhs_brk = rhs @ qf - qf @ rhs
+    rhs_brk = sm.bracket(rhs, qf)
     den = dq.l2_norm() + rhs_brk.l2_norm() + grid_l2_norm(met, q) + 1e-300
     covariant = (dq - rhs_brk).l2_norm() / den
     star_dq = sm.hodge_star(dq)
-    res3 = dq + (star_dq @ qf - qf @ star_dq)
+    res3 = dq + sm.bracket(star_dq, qf)
     star = res3.l2_norm() / den
     return {
         "vertical": cert.residuals["q-off-modes"],

@@ -161,19 +161,8 @@ def _energy_residuals(pair: Pair, count: int, seed: int) -> float:
 def _verify_report(pair: Pair, tols: dict, seed: int, geodesic_count: int,
                    t_final: float, dt: float) -> dict:
     met = pair.metric
-    u = pair.trivializer
-    residuals = {}
-    residuals["structure"] = worst([
-        pair.conn.antisymmetry_residual(),
-        pair.higgs.antisymmetry_residual(),
-        u.orthogonality_residual(),
-        u.reality_residual(),
-    ])
-    residuals["transport"] = float(cc.transport_residual_field(pair))
-    residuals["recurrence"] = worst(cc.recurrence_residuals(pair).values())
+    residuals = cc.mode_residuals(pair)
     residuals["energy"] = float(_energy_residuals(pair, 8, seed))
-    h0 = cc.h0_residuals(u, pair.higgs)
-    residuals.update({k: float(v) for k, v in h0.items()})
     rng = np.random.default_rng(seed + 1)
     ctx = cc.TransportContext(pair)
     errors = {}

@@ -93,11 +93,3 @@ def invariants(lx: float = 1.0, ly: float = 1.0) -> tuple[float, float]:
     g3 = (8.0 * np.pi**6 / 27.0) * e6 / lx**6
     return g2, g3
 
-
-def p_derivative_cauchy(z0: complex, lx: float, ly: float, radius: float = 0.05, n: int = 64) -> complex:
-    """p'(z0) via the Cauchy integral on a small circle (independent of the
-    series expression for the derivative; used as a test oracle)."""
-    t = 2.0 * np.pi * np.arange(n) / n
-    w = z0 + radius * np.exp(1j * t)
-    vals = weierstrass_p(w, lx, ly)
-    return complex(np.mean(vals * np.exp(-1j * t)) / radius)

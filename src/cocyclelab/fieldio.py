@@ -258,15 +258,6 @@ def write_transport_csv(path, result) -> None:
         f.write(buf.getvalue())
 
 
-def read_transport_csv(path) -> dict:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return {
-        "times": data[:, 0],
-        "matrices": data[:, 1:10].reshape(-1, 3, 3),
-        "drift": data[:, 10],
-    }
-
-
 # -- PGM heatmaps --------------------------------------------------------------------
 
 
@@ -299,21 +290,6 @@ def write_pgm(path, image: np.ndarray, bits: int = 8) -> tuple[float, float]:
         f.write(f"maxval {maxval}\n")
         f.write("value = min + pixel / maxval * (max - min)\n")
     return lo, hi
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM back into pixel values (not rescaled)."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(b"P5"):
-        raise ValueError("not a binary PGM file")
-    parts = data.split(b"\n", 3)
-    nx, ny = (int(v) for v in parts[1].split())
-    maxval = int(parts[2])
-    raw = parts[3]
-    dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
-    img = np.frombuffer(raw, dtype=dtype, count=nx * ny).reshape(ny, nx)
-    return img.astype(float)
 
 
 def heatmap_from_field(field: FourierField, selector: str) -> np.ndarray:

@@ -97,15 +97,6 @@ def ell(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def ell_inv(h: np.ndarray) -> np.ndarray:
-    """Inverse of ell on traceless anti-Hermitian 2x2 matrices."""
-    h = np.asarray(h)
-    v3 = 2.0 * h[..., 0, 0].imag
-    v1 = 2.0 * h[..., 1, 0].imag
-    v2 = 2.0 * h[..., 1, 0].real
-    return hat(np.stack([v1, v2, v3], axis=-1))
-
-
 def so3_exp(g: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(t g) for skew g via the Rodrigues formula, batched.
 

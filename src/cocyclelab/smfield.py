@@ -21,11 +21,11 @@ Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 11): both bands are
 sampled at len_u + len_v - 1 equispaced fiber angles, multiplied pointwise
 and transformed back.  That many samples resolve the whole product band
 [lo_u + lo_v, hi_u + hi_v], so nothing aliases and nothing is truncated; the
-product is exact to rounding.  The fiber transforms are products with small
-dense DFT matrices, cached by size, which beat an FFT along the short mode
-axis.  Every pointwise 3x3 product, of bands and of (ny, nx, 3, 3) grids
-alike, runs through one unrolled kernel of nine output planes, each a sum
-of three plane products.
+product is exact to rounding; bracket forms [u, v] from the same samples.
+The fiber transforms are products with small dense DFT matrices, cached by
+size, which beat an FFT along the short mode axis.  Every pointwise 3x3
+product, of bands and of (ny, nx, 3, 3) grids alike, runs through one
+unrolled kernel of nine output planes, each a sum of three plane products.
 
 The L2 pairing is <u, v> = integral over SM of trace(u v*) with measure
 e^{2 lam} dx dy dtheta, evaluated as a plain grid sum (spectrally accurate
@@ -96,6 +96,31 @@ def _from_angles(samples: np.ndarray, ks: np.ndarray) -> np.ndarray:
     nt = len(samples)
     coef = (_fiber_dft(nt, nt)[ks].conj() / nt) @ samples.reshape(nt, -1)
     return coef.reshape((len(ks),) + samples.shape[1:])
+
+
+def _commutator3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise commutator ab - ba of (..., 3, 3, ny, nx) arrays."""
+    out = _matmul3(a, b)
+    out -= _matmul3(b, a)
+    return out
+
+
+def _pointwise(u: "FourierField", v: "FourierField", kernel) -> "FourierField":
+    """kernel (_matmul3 or _commutator3) of u and v pointwise on SM (module
+    docstring); a one-mode factor is fiber-constant and needs no transform."""
+    u._check_same(v)
+    a, b = u.coef, v.coef
+    if min(len(a), len(b)) == 1:
+        out = kernel(a, b)
+    else:
+        nt = len(a) + len(b) - 1
+        out = _from_angles(kernel(_to_angles(a, nt), _to_angles(b, nt)), np.arange(nt))
+    return FourierField.band(u.metric, u.lo + v.lo, out)
+
+
+def bracket(u: "FourierField", v: "FourierField") -> "FourierField":
+    """[u, v] = u v - v u pointwise, sampling each factor once."""
+    return _pointwise(u, v, _commutator3)
 
 
 class FourierField:
@@ -192,18 +217,8 @@ class FourierField:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "FourierField") -> "FourierField":
-        """Pointwise matrix product on SM at len_u + len_v - 1 fiber angles,
-        exact to rounding; a one-mode factor is fiber-constant and needs no
-        transform (module docstring)."""
-        self._check_same(other)
-        u, v = self.coef, other.coef
-        if min(len(u), len(v)) == 1:
-            prod = _matmul3(u, v)
-        else:
-            nt = len(u) + len(v) - 1
-            prod = _matmul3(_to_angles(u, nt), _to_angles(v, nt))
-            prod = _from_angles(prod, np.arange(nt))
-        return FourierField.band(self.metric, self.lo + other.lo, prod)
+        """Pointwise matrix product on SM (module docstring)."""
+        return _pointwise(self, other, _matmul3)
 
     def transpose(self) -> "FourierField":
         """Pointwise matrix transpose (the inverse for SO(3)-valued fields)."""
@@ -347,11 +362,6 @@ def x_op(u: FourierField) -> FourierField:
     return eta_plus(u) + eta_minus(u)
 
 
-def h_op(u: FourierField) -> FourierField:
-    """Horizontal complement H = i (eta_plus - eta_minus)."""
-    return (eta_plus(u) - eta_minus(u)) * 1j
-
-
 # -- connections and Higgs fields -------------------------------------------------
 
 
@@ -440,11 +450,6 @@ class Higgs:
     def norm(self) -> float:
         return grid_l2_norm(self.metric, self.phi, fiber=True)
 
-    def max_pointwise_norm(self) -> float:
-        from .lie3 import so3_norm
-
-        return float(so3_norm(self.phi).max())
-
     def is_zero(self) -> bool:
         return np.abs(self.phi).max() <= 0.0
 
@@ -505,8 +510,7 @@ def d_A(g: np.ndarray, conn: Connection) -> FourierField:
     gf = FourierField.from_grid(conn.metric, g)
     out = x_op(gf)
     if not conn.is_zero():
-        af = conn.as_field()
-        out = out + (af @ gf - gf @ af)
+        out = out + bracket(conn.as_field(), gf)
     return out
 
 

@@ -147,9 +147,6 @@ class TorusMetric:
     def is_flat(self) -> bool:
         return float(np.abs(self.lam).max()) < 1e-14
 
-    def area(self) -> float:
-        return float(self.e_2lam.mean() * self.lx * self.ly)
-
     def lambda_and_grad_at(self, x, y):
         """(lambda, lambda_x, lambda_y) at arbitrary points (periodic)."""
         return _eval_harmonics(self._series, np.asarray(x, dtype=float),
@@ -179,48 +176,6 @@ def grid_coords(nx, ny, lx, ly):
     return np.meshgrid(x, y, indexing="xy")
 
 
-def _expand(grid: np.ndarray, sample_ndim: int, lead: int = 1) -> np.ndarray:
-    """Reshape a (ny, nx) grid for broadcasting against (ntheta, ny, nx, ...)."""
-    shape = (1,) * lead + grid.shape + (1,) * (sample_ndim - lead - grid.ndim)
-    return grid.reshape(shape)
-
-
-def frame_apply(metric: TorusMetric, samples: np.ndarray, op: str) -> np.ndarray:
-    """Apply a frame vector field to a sampled function on the unit tangent bundle.
-
-    samples: shape (ntheta, ny, nx) or (ntheta, ny, nx, 3, 3), uniformly
-    sampled in all three periodic variables.  op is one of "X", "H", "V".
-    Derivatives are spectral in every variable; the fiber grid must resolve
-    the field (ntheta at least 4*(degree+1) is the convention used by the
-    Fourier-mode code paths).
-    """
-    samples = np.asarray(samples)
-    if samples.shape[1:3] != (metric.ny, metric.nx):
-        raise ValueError("sample grid does not match the metric grid")
-    ntheta = samples.shape[0]
-    nd = samples.ndim
-    if op == "V":
-        return spectral.deriv(samples, 2.0 * np.pi, axis=0)
-    theta = metric.theta_grid(ntheta)
-    cos_t = _expand(np.cos(theta), nd, lead=0)
-    sin_t = _expand(np.sin(theta), nd, lead=0)
-    lam_x = _expand(metric.lam_x, nd)
-    lam_y = _expand(metric.lam_y, nd)
-    e_neg = _expand(metric.e_neg_lam, nd)
-    du_x = spectral.deriv(samples, metric.lx, axis=2)
-    du_y = spectral.deriv(samples, metric.ly, axis=1)
-    du_t = spectral.deriv(samples, 2.0 * np.pi, axis=0)
-    if op == "X":
-        return e_neg * (
-            cos_t * du_x + sin_t * du_y + (-lam_x * sin_t + lam_y * cos_t) * du_t
-        )
-    if op == "H":
-        return e_neg * (
-            -sin_t * du_x + cos_t * du_y - (lam_x * cos_t + lam_y * sin_t) * du_t
-        )
-    raise ValueError(f"unknown frame op {op!r}")
-
-
 @dataclass
 class GeodesicPath:
     """Geodesic flow trajectory sampled at uniform time steps.
@@ -237,16 +192,6 @@ class GeodesicPath:
 
     def endpoint(self) -> SMPoint:
         return SMPoint(float(self.xs[-1]), float(self.ys[-1]), float(self.thetas[-1]))
-
-    def unit_speed_residual(self) -> float:
-        """Max deviation of the coordinate speed from e^{-lambda} along the path
-        (finite-difference velocity against the stored conformal factor)."""
-        vx = np.gradient(self.xs, self.times)
-        vy = np.gradient(self.ys, self.times)
-        lam, _, _ = self.metric.lambda_and_grad_at(self.xs, self.ys)
-        speed2 = np.exp(2.0 * lam) * (vx**2 + vy**2)
-        interior = slice(1, -1)
-        return float(np.abs(speed2[interior] - 1.0).max())
 
 
 def step_count(t_final: float, dt: float) -> int:

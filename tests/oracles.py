@@ -1,0 +1,116 @@
+"""Reference computations the tests compare the package against.
+
+Each one takes a route independent of the code it checks: frame derivatives
+taken literally in (x, y, theta), a Cauchy integral for p', a finite-
+difference speed, readers of the files the package writes, and the
+frame-transfer identity of a trivializing u.  No verb runs them.
+"""
+
+import numpy as np
+
+from cocyclelab import smfield as sm
+from cocyclelab import spectral
+from cocyclelab.elliptic import weierstrass_p
+
+
+def _expand(grid: np.ndarray, sample_ndim: int, lead: int = 1) -> np.ndarray:
+    """Reshape a (ny, nx) grid for broadcasting against (ntheta, ny, nx, ...)."""
+    shape = (1,) * lead + grid.shape + (1,) * (sample_ndim - lead - grid.ndim)
+    return grid.reshape(shape)
+
+
+def frame_apply(metric, samples: np.ndarray, op: str) -> np.ndarray:
+    """Apply a frame vector field to a sampled function on the unit tangent bundle.
+
+    samples: shape (ntheta, ny, nx) or (ntheta, ny, nx, 3, 3), uniformly
+    sampled in all three periodic variables.  op is one of "X", "H", "V".
+    Derivatives are spectral in every variable; the fiber grid must resolve
+    the field (ntheta at least 4*(degree+1) is the convention used by the
+    Fourier-mode code paths).
+    """
+    samples = np.asarray(samples)
+    if samples.shape[1:3] != (metric.ny, metric.nx):
+        raise ValueError("sample grid does not match the metric grid")
+    ntheta = samples.shape[0]
+    nd = samples.ndim
+    if op == "V":
+        return spectral.deriv(samples, 2.0 * np.pi, axis=0)
+    theta = metric.theta_grid(ntheta)
+    cos_t = _expand(np.cos(theta), nd, lead=0)
+    sin_t = _expand(np.sin(theta), nd, lead=0)
+    lam_x = _expand(metric.lam_x, nd)
+    lam_y = _expand(metric.lam_y, nd)
+    e_neg = _expand(metric.e_neg_lam, nd)
+    du_x = spectral.deriv(samples, metric.lx, axis=2)
+    du_y = spectral.deriv(samples, metric.ly, axis=1)
+    du_t = spectral.deriv(samples, 2.0 * np.pi, axis=0)
+    if op == "X":
+        return e_neg * (
+            cos_t * du_x + sin_t * du_y + (-lam_x * sin_t + lam_y * cos_t) * du_t
+        )
+    if op == "H":
+        return e_neg * (
+            -sin_t * du_x + cos_t * du_y - (lam_x * cos_t + lam_y * sin_t) * du_t
+        )
+    raise ValueError(f"unknown frame op {op!r}")
+
+
+def p_derivative_cauchy(z0: complex, lx: float, ly: float, radius: float = 0.05,
+                        n: int = 64) -> complex:
+    """p'(z0) via the Cauchy integral on a small circle (independent of the
+    series expression for the derivative)."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    w = z0 + radius * np.exp(1j * t)
+    vals = weierstrass_p(w, lx, ly)
+    return complex(np.mean(vals * np.exp(-1j * t)) / radius)
+
+
+def unit_speed_residual(path) -> float:
+    """Max deviation of the coordinate speed from e^{-lambda} along a
+    GeodesicPath (finite-difference velocity against the conformal factor)."""
+    vx = np.gradient(path.xs, path.times)
+    vy = np.gradient(path.ys, path.times)
+    lam, _, _ = path.metric.lambda_and_grad_at(path.xs, path.ys)
+    speed2 = np.exp(2.0 * lam) * (vx**2 + vy**2)
+    interior = slice(1, -1)
+    return float(np.abs(speed2[interior] - 1.0).max())
+
+
+def read_transport_csv(path) -> dict:
+    """The columns of a file written by fieldio.write_transport_csv."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return {
+        "times": data[:, 0],
+        "matrices": data[:, 1:10].reshape(-1, 3, 3),
+        "drift": data[:, 10],
+    }
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a binary PGM back into pixel values (not rescaled)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if not data.startswith(b"P5"):
+        raise ValueError("not a binary PGM file")
+    parts = data.split(b"\n", 3)
+    nx, ny = (int(v) for v in parts[1].split())
+    maxval = int(parts[2])
+    raw = parts[3]
+    dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+    img = np.frombuffer(raw, dtype=dtype, count=nx * ny).reshape(ny, nx)
+    return img.astype(float)
+
+
+def frame_transfer_residual(pair) -> float:
+    """Residual of V(A) = -u X(f) u^{-1} - H(u) u^{-1} with f = u^{-1} V(u),
+    an identity that holds when the pair's trivializer u trivializes it;
+    H = i (eta_plus - eta_minus)."""
+    u = pair.trivializer
+    ut = u.transpose()
+    f = ut @ sm.vertical(u)
+    va = sm.vertical(pair.conn.as_field())
+    t2 = u @ sm.x_op(f) @ ut
+    t3 = ((sm.eta_plus(u) - sm.eta_minus(u)) * 1j) @ ut
+    res = va + t2 + t3
+    den = va.l2_norm() + t2.l2_norm() + t3.l2_norm() + f.l2_norm() + 1e-300
+    return res.l2_norm() / den

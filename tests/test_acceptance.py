@@ -11,7 +11,8 @@ import pytest
 from cocyclelab import backlund as bk
 from cocyclelab import cli
 from cocyclelab import cocycle as cc
-from cocyclelab.lie3 import bracket, ell, hat, inner, so3_exp
+from cocyclelab.errors import passes, worst
+from cocyclelab.lie3 import bracket, ell, hat, inner, so3_exp, so3_norm
 from cocyclelab.smfield import (
     Connection,
     FourierField,
@@ -28,9 +29,9 @@ from cocyclelab.torus import (
     SMPoint,
     TorusMetric,
     flat_closed_geodesics,
-    frame_apply,
     grid_coords,
 )
+from oracles import frame_apply
 
 AXIS = np.array([0.6, -0.48, 0.64]) / np.linalg.norm([0.6, -0.48, 0.64])
 
@@ -103,8 +104,8 @@ def test_criterion_01_algebra(capsys):
     g = hat(v / np.linalg.norm(v, axis=-1, keepdims=True))
     h = ell(2.0 * g)
     r3 = np.abs(h @ h + np.eye(2)).max()
-    worst = max(r1, r2, r3)
-    emit(capsys, 1, "so(3)/su(2) algebra on 1500 samples", worst < 1e-13,
+    ok = passes(worst([r1, r2, r3]), 1e-13)
+    emit(capsys, 1, "so(3)/su(2) algebra on 1500 samples", ok,
          f"bracket {r1:.2e}, ell-hom {r2:.2e}, (ell 2g)^2+Id {r3:.2e}")
 
 
@@ -134,7 +135,7 @@ def test_criterion_02_operator_oracle(capsys):
 
 def test_criterion_03_energy_identity(capsys):
     rng = np.random.default_rng(99)
-    worst = 0.0
+    rel = []
     for trial in range(20):
         amp = float(rng.uniform(0.02, 0.12))
         kx, ky = int(rng.integers(1, 3)), int(rng.integers(0, 2))
@@ -154,9 +155,10 @@ def test_criterion_03_energy_identity(capsys):
             {m: (1j * sf - m * met.gauss[..., None, None] * np.eye(3)) @ u.mode(m)},
         )
         rhs = l2_inner(um, um).real + 0.5 * l2_inner(op, u).real
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    emit(capsys, 3, "energy identity on 20 random triples", worst < 1e-7,
-         f"worst relative residual {worst:.2e}")
+        rel.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+    res = worst(rel)
+    emit(capsys, 3, "energy identity on 20 random triples", passes(res, 1e-7),
+         f"worst relative residual {res:.2e}")
 
 
 def test_criterion_04_constant_section_step(capsys, const_chain):
@@ -173,13 +175,12 @@ def test_criterion_04_constant_section_step(capsys, const_chain):
 def test_criterion_05_factory_step_with_higgs(capsys, factory_chain):
     pair = factory_chain.pair_out
     met = pair.metric
-    phi_max = pair.higgs.max_pointwise_norm()
+    phi_max = float(so3_norm(pair.higgs.phi).max())
     field_res = cc.transport_residual_field(pair)
     ctx = cc.TransportContext(pair)
-    hol = 0.0
-    for p0, t_closed in flat_closed_geodesics(met, 5, seed=2):
-        hol = max(hol, cc.holonomy_closed(pair, p0, t_closed, 1e-3, context=ctx))
-    ok = phi_max > 1e-5 and field_res <= 1e-6 and hol <= 1e-6
+    hol = worst(cc.holonomy_closed(pair, p0, t_closed, 1e-3, context=ctx)
+                for p0, t_closed in flat_closed_geodesics(met, 5, seed=2))
+    ok = phi_max > 1e-5 and passes(field_res, 1e-6) and passes(hol, 1e-6)
     emit(capsys, 5, "factory step with Higgs at 256^2", ok,
          f"max|Phi| {phi_max:.3g} (>1e-5), field residual {field_res:.2e}, "
          f"holonomy over 5 closed geodesics {hol:.2e}")
@@ -192,16 +193,17 @@ def test_criterion_06_holomorphy_route_agreement(capsys, factory_chain):
     sections += [bk.random_unit_section(met, seed=300 + i) for i in range(25)]
     disagreements = 0
     n_pass = 0
-    worst_factory = 0.0
+    factory = []
     for k, sec in enumerate(sections):
         res = bk.holomorphy_residuals(sec, zero)
-        verdicts = [v <= 1e-5 for v in res.values()]
+        verdicts = [passes(v, 1e-5) for v in res.values()]
         if len(set(verdicts)) > 1:
             disagreements += 1
         if all(verdicts):
             n_pass += 1
         if k < 25:
-            worst_factory = max(worst_factory, max(res.values()))
+            factory.extend(res.values())
+    worst_factory = worst(factory)
     ok = disagreements == 0
     emit(capsys, 6, "four holomorphy routes on 50 sections", ok,
          f"{disagreements} disagreements, {n_pass}/50 sections pass at 1e-5, "
@@ -209,12 +211,13 @@ def test_criterion_06_holomorphy_route_agreement(capsys, factory_chain):
 
 
 def test_criterion_07_inverse_round_trip(capsys, const_chain, factory_chain):
-    worst_rt, worst_ql = 0.0, 0.0
+    rt, ql = [], []
     for cert in (const_chain, factory_chain):
-        worst_ql = max(worst_ql, max(bk.q_lemma_residuals(cert).values()))
+        ql.extend(bk.q_lemma_residuals(cert).values())
         back = bk.inverse_backlund(cert)
-        worst_rt = max(worst_rt, max(bk.round_trip_residuals(cert, back).values()))
-    ok = worst_rt <= 1e-7 and worst_ql <= 1e-8
+        rt.extend(bk.round_trip_residuals(cert, back).values())
+    worst_rt, worst_ql = worst(rt), worst(ql)
+    ok = passes(worst_rt, 1e-7) and passes(worst_ql, 1e-8)
     emit(capsys, 7, "inverse transform on both chains", ok,
          f"round trip {worst_rt:.2e} (<=1e-7), q-lemma {worst_ql:.2e} (<=1e-8)")
 
@@ -235,21 +238,21 @@ def test_criterion_08_two_step_su2(capsys, const_chain):
 
 def test_criterion_09_degree_reduction(capsys, factory_chain):
     red = bk.reduce_degree(factory_chain.pair_out)
-    top = max(red.residuals["top-mode-N"], red.residuals["top-mode-N1"])
-    constraint = max(
+    top = worst([red.residuals["top-mode-N"], red.residuals["top-mode-N1"]])
+    constraint = worst([
         red.residuals["constraint-a1-bN"],
         red.residuals["constraint-a0-bN"],
         red.residuals["constraint-a1-bNm1"],
-    )
+    ])
     phi_norm = red.pair.higgs.norm()
     field_res = red.residuals["reduced-field"]
     report = cli._verify_report(red.pair, {}, seed=0, geodesic_count=3,
                                 t_final=3.0, dt=1e-3)
     ok = (
-        top <= 1e-8
-        and constraint <= 1e-9
-        and phi_norm <= 1e-8
-        and field_res <= 1e-7
+        passes(top, 1e-8)
+        and passes(constraint, 1e-9)
+        and passes(phi_norm, 1e-8)
+        and passes(field_res, 1e-7)
         and report["pass"]
     )
     emit(capsys, 9, "degree reduction of the factory trivializer", ok,
@@ -295,11 +298,11 @@ def test_criterion_10_gauge_invariance(capsys, const_chain):
 
 
 def test_criterion_11_h0_correspondence(capsys, const_chain, factory_chain):
-    worst = 0.0
+    positive = []
     for cert in (const_chain, factory_chain):
         pair = cert.pair_out
-        res = cc.h0_residuals(pair.trivializer, pair.higgs)
-        worst = max(worst, *res.values())
+        positive.extend(cc.h0_residuals(pair.trivializer, pair.higgs).values())
+    res = worst(positive)
     pair_f = factory_chain.pair_out
     wrong_phi = Higgs(pair_f.metric, 1.6 * pair_f.higgs.phi)
     neg1 = cc.h0_residuals(pair_f.trivializer, wrong_phi)["h0-frame"]
@@ -310,33 +313,16 @@ def test_criterion_11_h0_correspondence(capsys, const_chain, factory_chain):
         {0: u_c.mode(0), 1: c1, -1: c1.conj(), 2: 0.3 * c1, -2: 0.3 * c1.conj()},
     )
     neg2 = cc.h0_residuals(u_bad)["h0-vertical"]
-    ok = worst <= 1e-7 and neg1 > 1e-3 and neg2 > 1e-3
+    ok = passes(res, 1e-7) and neg1 > 1e-3 and neg2 > 1e-3
     emit(capsys, 11, "h0 equations for certified pairs", ok,
-         f"worst positive residual {worst:.2e} (<=1e-7), negative controls "
+         f"worst positive residual {res:.2e} (<=1e-7), negative controls "
          f"{neg1:.2e}/{neg2:.2e} (>1e-3)")
 
 
 def test_criterion_12_perturbation_controls(capsys, const_chain, factory_chain):
-    tols = cli.DEFAULT_TOLS
-
     def failing_tags(pair):
-        tags = []
-        u = pair.trivializer
-        structure = max(
-            pair.conn.antisymmetry_residual(),
-            pair.higgs.antisymmetry_residual(),
-            u.orthogonality_residual(),
-            u.reality_residual(),
-        )
-        if structure > tols["structure"]:
-            tags.append("structure")
-        if cc.transport_residual_field(pair) > tols["transport"]:
-            tags.append("transport")
-        if max(cc.recurrence_residuals(pair).values()) > tols["recurrence"]:
-            tags.append("recurrence")
-        h0 = cc.h0_residuals(u, pair.higgs)
-        tags.extend(k for k, v in h0.items() if v > tols[k])
-        return tags
+        rows = cc.mode_residuals(pair)
+        return [k for k, v in rows.items() if not passes(v, cli.DEFAULT_TOLS[k])]
 
     pair_c = const_chain.pair_out
     pair_f = factory_chain.pair_out

@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cocyclelab import cli, fieldio as fio
+from cocyclelab import cli, cocycle as cc, fieldio as fio
+from cocyclelab.errors import passes
 from cocyclelab.backlund import generate_chain
 from cocyclelab.smfield import Higgs, Pair
 from cocyclelab.torus import TorusMetric
+from oracles import read_pgm, read_transport_csv
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -184,11 +186,26 @@ def test_verify_report_fails_on_nan():
     phi = good.higgs.phi.copy()
     phi[0, 0, 0, 1] = np.nan
     pair = Pair(good.conn, Higgs(met, phi), good.trivializer)
+    rows = cc.mode_residuals(pair)
+    for k, v in rows.items():
+        assert np.isnan(v), k
+        assert not passes(v, cli.DEFAULT_TOLS[k])
     report = cli._verify_report(pair, {}, seed=0, geodesic_count=1, t_final=0.5, dt=1e-2)
     assert report["pass"] is False
     nan_keys = [k for k, v in report["residuals"].items() if np.isnan(v)]
-    assert nan_keys and set(nan_keys) <= set(report["failures"])
-    assert "structure" in report["failures"]
+    assert set(rows) <= set(nan_keys) <= set(report["failures"])
+
+
+def test_verify_builds_the_transport_band_once(monkeypatch):
+    """transport and recurrence are read from one band per report."""
+    met = TorusMetric.from_harmonics(32, 32, 1.0, 1.0, [[0.1, 1, 0]])
+    pair = generate_chain(met, CONST_CHAIN["chain"]).final
+    calls = []
+    band = cc._transport_band
+    monkeypatch.setattr(cc, "_transport_band", lambda p: calls.append(p) or band(p))
+    report = cli._verify_report(pair, {}, seed=0, geodesic_count=1, t_final=0.5, dt=1e-2)
+    assert report["pass"] is True
+    assert len(calls) == 1
 
 
 def test_verify_detects_corruption(tmp_path, capsys):
@@ -240,7 +257,7 @@ def test_transport_trivial_pair_stays_identity(tmp_path):
         "--t-final", "1.0", "--dt", "1e-2", "--out", str(csv),
     ])
     assert rc == cli.EXIT_OK
-    data = fio.read_transport_csv(csv)
+    data = read_transport_csv(csv)
     assert data["times"][0] == 0.0 and data["times"][-1] == 1.0
     err = np.abs(data["matrices"] - np.eye(3)).max()
     assert err < 1e-12  # zero generator: C stays the identity
@@ -277,7 +294,7 @@ def test_export_field_and_pair(tmp_path):
     png = tmp_path / "phi.pgm"
     rc = cli.main(["export", str(out / "pair.json"), "--out", str(png)])
     assert rc == cli.EXIT_OK
-    img = fio.read_pgm(png)
+    img = read_pgm(png)
     assert img.shape == (96, 96)
     assert img.max() == 255.0  # min-max scaled
     rc = cli.main([
@@ -286,7 +303,7 @@ def test_export_field_and_pair(tmp_path):
         "--out", str(tmp_path / "u.pgm"),
     ])
     assert rc == cli.EXIT_OK
-    assert fio.read_pgm(tmp_path / "u.pgm").max() == 65535.0
+    assert read_pgm(tmp_path / "u.pgm").max() == 65535.0
 
 
 def test_export_bad_selector(tmp_path):

@@ -7,10 +7,10 @@ from cocyclelab import cocycle
 from cocyclelab.backlund import generate_chain
 from cocyclelab.cocycle import (
     TransportContext,
-    frame_transfer_residual,
     gauge_transform,
     h0_residuals,
     holonomy_closed,
+    mode_residuals,
     recurrence_residuals,
     transport,
     transport_residual_field,
@@ -21,6 +21,7 @@ from cocyclelab.interp import PeriodicCubic2D
 from cocyclelab.lie3 import hat, so3_exp
 from cocyclelab.smfield import Connection, FourierField, Higgs, Pair
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords, integrate_geodesic
+from oracles import frame_transfer_residual
 
 
 def curved_metric(n=64):
@@ -60,7 +61,7 @@ def test_trivial_pair_transports_identity():
     met = TorusMetric.flat(32, 32)
     res = transport(Pair.trivial(met), SMPoint(0.2, 0.3, 0.7), 5.0, 1e-2)
     assert np.abs(res.matrices - np.eye(3)).max() == 0.0
-    assert res.orthogonality_drift() == 0.0
+    assert res.drift.max() == 0.0
 
 
 def test_constant_higgs_matches_matrix_exponential():
@@ -145,7 +146,7 @@ def test_drift_monitor(monkeypatch):
     pair = generic_pair(met, scale=12.0)
     p0 = SMPoint(0.33, 0.41, 0.9)
     res = transport(pair, p0, 4.0, 8e-3)
-    assert 0.0 < res.orthogonality_drift() < 1e-6
+    assert 0.0 < res.drift.max() < 1e-6
     monkeypatch.setattr(cocycle, "DRIFT_TOL", 0.0)
     with pytest.raises(NonOrthogonalDrift, match="exceeds 0.0e"):
         transport(pair, p0, 4.0, 8e-3)
@@ -201,6 +202,12 @@ def test_field_residual_certificate():
     assert max(rr.values()) < 1e-13
     bad = Pair(Connection.zero(met), pair.higgs, trivializer=pair.trivializer)
     assert transport_residual_field(bad) > 1e-2
+    # verify's rows: transport and recurrence are two norms of one band
+    for p in (pair, bad):
+        rows = mode_residuals(p)
+        assert rows["transport"] == transport_residual_field(p)
+        assert abs(rows["recurrence"] - max(recurrence_residuals(p).values())) <= 1e-15
+    assert mode_residuals(bad)["recurrence"] > 1e-2
 
 
 def test_gauge_transform_preserves_certificates():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cocyclelab.elliptic import invariants, p_derivative_cauchy, weierstrass_p
+from cocyclelab.elliptic import invariants, weierstrass_p
+from oracles import p_derivative_cauchy
 
 
 def test_laurent_expansion_near_zero():
