@@ -32,7 +32,7 @@ EXIT_FAIL = 1
 EXIT_BADINPUT = 2
 
 DEFAULT_TOLS = {
-    "structure": 1e-9,
+    "structure": fio.STRUCTURE_TOL,
     "transport": 1e-6,
     "recurrence": 1e-6,
     "energy": 1e-6,
@@ -236,7 +236,7 @@ def cmd_reduce(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     red = bk.reduce_degree(pair)
-    fio.save_field(outdir / "g.json", red.g.field())
+    fio.save_field(outdir / "g.json", red.g.field(), so3=True)
     fio.save_field(outdir / "trivializer_reduced.json", red.u)
     fio.save_pair(outdir / "pair_reduced.json", red.pair)
     fio.save_json(outdir / "reduction_report.json", {"residuals": red.residuals})

@@ -20,6 +20,11 @@ class CocycleLabError(Exception):
     """Base class of the failed-check errors (exit 1)."""
 
 
+class StructureViolated(CocycleLabError):
+    """Data handed to a writer is not real on SM or not skew-symmetric to the
+    structure tolerance, so the compact file layout would change it."""
+
+
 class NonSmoothLambda(ValueError):
     """Conformal factor has Nyquist content on its grid: bad input, not a failed check."""
 

@@ -9,22 +9,40 @@ one finiteness test and one format string per array, with the same tokens as
 the scalar formatter.  NaN and infinity are never written, and reading a
 field or pair rejects a non-finite value in any number it reads (grid
 header, metric, mode blocks), including literals such as ``1e999`` that
-overflow to infinity, with ValueError (exit 2 at the command line).  The
-field schema is one flat layout shared by every field type:
+overflow to infinity, with ValueError (exit 2 at the command line).
 
-    {"grid": {"nx", "ny", "lx", "ly"},
+Field and pair files are format 2, which stores only the numbers the
+mathematics leaves free.  A field is real on SM (c_{-m} = conj(c_m)), so a
+file holds its modes m = 0..degree: mode 0 as its real part, the others as
+real and imaginary parts; the reader rebuilds m < 0 by conjugation.  An
+so(3)-valued grid is stored as its vee triples and rebuilt with hat.  The
+field schema:
+
+    {"format": 2,
+     "grid": {"nx", "ny", "lx", "ly"},
      "metric_lambda": [row-major reals],
      "metric_harmonics": [{"amp", "kx", "ky", "phase_x", "phase_y"}, ...],
+     "values": "matrix" | "so3",
      "degree": N,
-     "modes": [{"m": int, "re": [...], "im": [...]}, ...]}
+     "modes": [{"m": 0, "re": [...]}, {"m": 1, "re": [...], "im": [...]}, ...,
+               {"m": N, "re": [...], "im": [...]}]}
+
+Each mode grid is row-major in (y, x), then 3x3 row-major ("matrix", 9
+numbers a point) or the vee triple (v1, v2, v3) of hat(v) ("so3", 3 numbers
+a point).  A pair file has the same header without "values", "degree" and
+"modes", and three so(3)-valued mode-0 blocks: the connection coefficients
+"a" and "b" and the Higgs field "phi", each {"degree": 0, "modes": [{"m": 0,
+"re": [vee triples]}]}.  A file without "format": 2 is rejected with
+ValueError.
+
+The writer drops numbers only where they are redundant to STRUCTURE_TOL,
+verify's structure tolerance: a field whose reality_residual, or an so(3)
+grid whose antisymmetry residual, exceeds it raises StructureViolated (a
+failed check, exit 1) and writes nothing.
 
 The metric is read from its harmonic series; metric_lambda is that series
 sampled on the grid, and a file whose metric_lambda differs from it by more
 than LAMBDA_TOL, or that has no metric_harmonics, is rejected.
-
-Mode entries are row-major in (y, x), then 3x3 row-major.  Pair files bundle
-three such mode blocks (connection coefficients a, b and the Higgs field)
-over one grid header.
 """
 
 from __future__ import annotations
@@ -34,10 +52,16 @@ import io
 
 import numpy as np
 
+from .errors import StructureViolated
+from .lie3 import hat, vee
 from .smfield import Connection, FourierField, Higgs, Pair
 from .torus import TorusMetric
 
+FORMAT = 2
 FLOAT_FMT = ".17g"
+# verify's structure tolerance: the writer drops the modes m < 0 of a field
+# and the symmetric part of an so(3) value only when they are redundant to it
+STRUCTURE_TOL = 1e-9
 # the writer's tokens round-trip exactly; the margin absorbs libm differences
 # in the sampled series between machines
 LAMBDA_TOL = 1e-12
@@ -135,6 +159,7 @@ def load_json(path):
 
 def _grid_header(metric: TorusMetric) -> dict:
     return {
+        "format": FORMAT,
         "grid": {"nx": metric.nx, "ny": metric.ny, "lx": metric.lx, "ly": metric.ly},
         "metric_lambda": metric.lam.ravel(),
         "metric_harmonics": [
@@ -143,6 +168,14 @@ def _grid_header(metric: TorusMetric) -> dict:
             for h in metric.harmonics
         ],
     }
+
+
+def _check_format(doc) -> None:
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != FORMAT:
+        what = "no \"format\" key" if found is None else f"format {found}"
+        raise ValueError(f"file has {what}; cocyclelab reads format {FORMAT} only: "
+                         f"re-run generate to write format {FORMAT}")
 
 
 def _finite(values) -> np.ndarray:
@@ -172,35 +205,70 @@ def metric_from_header(doc: dict) -> TorusMetric:
     return met
 
 
-def _mode_block(field: FourierField) -> dict:
-    modes = [{"m": m, "re": c.real.ravel(), "im": c.imag.ravel()}
-             for m, c in field.modes.items()]
+def _gate(name: str, check: str, residual: float) -> None:
+    """Refuse to write data that the compact layout would change by more
+    than STRUCTURE_TOL."""
+    if not np.isfinite(residual):
+        raise ValueError("non-finite value cannot be serialized")
+    if residual > STRUCTURE_TOL:
+        raise StructureViolated(f"{name}: {check} residual {residual:.3e} exceeds "
+                                f"{STRUCTURE_TOL:.0e}, so format {FORMAT} cannot store it")
+
+
+def _mode_block(name: str, field: FourierField, so3: bool) -> dict:
+    """The modes m = 0..degree of a field that is real on SM: mode 0 as its
+    real part, the others as real and imaginary parts; vee triples if so3."""
+    _gate(name, "reality", field.reality_residual())
+    if so3:
+        _gate(name, "antisymmetry", float(np.abs(field.coef + field.coef.swapaxes(1, 2)).max()))
+    modes = []
+    for m in range(field.degree + 1):
+        c = vee(field.mode(m)) if so3 else field.mode(m)
+        entry = {"m": m, "re": c.real.ravel()}
+        if m:
+            entry["im"] = c.imag.ravel()
+        modes.append(entry)
     return {"degree": field.degree, "modes": modes}
 
 
-def _field_from_block(metric: TorusMetric, block: dict) -> FourierField:
-    shape = (metric.ny, metric.nx, 3, 3)
+def _field_from_block(metric: TorusMetric, block: dict, so3: bool) -> FourierField:
+    degree = int(_finite(block["degree"]))
+    entries = block["modes"]
+    if degree < 0 or [int(_finite(e["m"])) for e in entries] != list(range(degree + 1)):
+        raise ValueError(f"format {FORMAT} lists the modes m = 0..degree in order")
+    if "im" in entries[0]:
+        raise ValueError("mode 0 of a real field has no im part")
+    shape = (metric.ny, metric.nx) + ((3,) if so3 else (3, 3))
     modes = {}
-    for entry in block["modes"]:
-        re = _finite(entry["re"]).reshape(shape)
-        im = _finite(entry["im"]).reshape(shape)
-        modes[int(_finite(entry["m"]))] = re + 1j * im
+    for m, entry in enumerate(entries):
+        c = _finite(entry["re"]).reshape(shape)
+        if m:
+            c = c + 1j * _finite(entry["im"]).reshape(shape)
+        modes[m] = hat(c) if so3 else c
+        if m:
+            modes[-m] = np.conj(modes[m])
     return FourierField(metric, modes)
 
 
-def field_to_json(field: FourierField) -> dict:
+def field_to_json(field: FourierField, so3: bool = False) -> dict:
     doc = _grid_header(field.metric)
-    doc.update(_mode_block(field))
+    doc["values"] = "so3" if so3 else "matrix"
+    doc.update(_mode_block("field", field, so3))
     return doc
 
 
 def field_from_json(doc: dict, metric: TorusMetric | None = None) -> FourierField:
+    _check_format(doc)
+    if doc.get("values") not in ("matrix", "so3"):
+        raise ValueError('a field file declares "values": "matrix" or "so3"')
     met = metric if metric is not None else metric_from_header(doc)
-    return _field_from_block(met, doc)
+    return _field_from_block(met, doc, doc["values"] == "so3")
 
 
-def save_field(path, field: FourierField) -> str:
-    return save_json(path, field_to_json(field))
+def save_field(path, field: FourierField, so3: bool = False) -> str:
+    """Write a field that is real on SM; so3 stores each value as its vee
+    triple (a unit section, say)."""
+    return save_json(path, field_to_json(field, so3))
 
 
 def load_field(path, metric: TorusMetric | None = None) -> FourierField:
@@ -209,22 +277,23 @@ def load_field(path, metric: TorusMetric | None = None) -> FourierField:
 
 # -- pairs ---------------------------------------------------------------------------
 
+PAIR_BLOCKS = ("a", "b", "phi")
+
 
 def pair_to_json(pair: Pair) -> dict:
-    met = pair.metric
-    doc = _grid_header(met)
-    doc["a"] = _mode_block(FourierField(met, {0: pair.conn.a.astype(complex)}))
-    doc["b"] = _mode_block(FourierField(met, {0: pair.conn.b.astype(complex)}))
-    doc["phi"] = _mode_block(FourierField(met, {0: pair.higgs.phi.astype(complex)}))
+    doc = _grid_header(pair.metric)
+    for name, grid in zip(PAIR_BLOCKS, (pair.conn.a, pair.conn.b, pair.higgs.phi)):
+        doc[name] = _mode_block(name, FourierField.from_grid(pair.metric, grid), so3=True)
     return doc
 
 
 def pair_from_json(doc: dict) -> Pair:
+    _check_format(doc)
     met = metric_from_header(doc)
-    a = _field_from_block(met, doc["a"]).mode(0).real
-    b = _field_from_block(met, doc["b"]).mode(0).real
-    phi = _field_from_block(met, doc["phi"]).mode(0).real
-    return Pair(Connection(met, a, b), Higgs(met, phi))
+    a, b, phi = (_field_from_block(met, doc[name], so3=True) for name in PAIR_BLOCKS)
+    if max(a.degree, b.degree, phi.degree):
+        raise ValueError("a pair block holds mode 0 only")
+    return Pair(Connection(met, a.mode(0).real, b.mode(0).real), Higgs(met, phi.mode(0).real))
 
 
 def save_pair(path, pair: Pair) -> str:

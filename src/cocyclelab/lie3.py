@@ -58,10 +58,6 @@ def inner(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...ij,...ij->...", g, h)
 
 
-def so3_norm(g: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(inner(g, g).real, 0.0))
-
-
 def unit_residual(g: np.ndarray) -> float:
     """max over points of ||g^3 + g||_F; zero iff g is 0 or a unit section value."""
     r = g @ g @ g + g

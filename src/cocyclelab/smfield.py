@@ -238,20 +238,6 @@ class FourierField:
         phase = np.exp(1j * self.lo * self.metric.theta_grid(ntheta))
         return _grid_first(_to_angles(self.coef, ntheta) * phase[:, None, None, None, None])
 
-    @classmethod
-    def from_samples(
-        cls, metric: TorusMetric, samples: np.ndarray, degree: int | None = None
-    ) -> "FourierField":
-        """Inverse of sample(); exact when ntheta > 2*degree."""
-        samples = np.asarray(samples, dtype=complex)
-        ntheta = samples.shape[0]
-        if degree is None:
-            degree = (ntheta - 1) // 2
-        if ntheta < 2 * degree + 1:
-            raise ValueError("theta grid too coarse for the requested degree")
-        coef = _from_angles(_matrix_first(samples), np.arange(-degree, degree + 1) % ntheta)
-        return cls.band(metric, -degree, coef)
-
     def interpolant(self):
         """Evaluator (x, y, theta) -> real values at arbitrary SM points, shape
         (..., 3, 3), of a field that is real on SM (c_{-m} = conj(c_m), which

@@ -147,11 +147,6 @@ class TorusMetric:
     def is_flat(self) -> bool:
         return float(np.abs(self.lam).max()) < 1e-14
 
-    def lambda_and_grad_at(self, x, y):
-        """(lambda, lambda_x, lambda_y) at arbitrary points (periodic)."""
-        return _eval_harmonics(self._series, np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
-
     def theta_grid(self, ntheta: int) -> np.ndarray:
         return 2.0 * np.pi * np.arange(ntheta) / ntheta
 

@@ -11,6 +11,33 @@ import numpy as np
 from cocyclelab import smfield as sm
 from cocyclelab import spectral
 from cocyclelab.elliptic import weierstrass_p
+from cocyclelab.lie3 import inner
+from cocyclelab.torus import _eval_harmonics
+
+
+def lambda_and_grad_at(metric, x, y):
+    """(lambda, lambda_x, lambda_y) of a TorusMetric at arbitrary points
+    (periodic), from its harmonic series."""
+    return _eval_harmonics(metric._series, np.asarray(x, dtype=float),
+                           np.asarray(y, dtype=float))
+
+
+def so3_norm(g: np.ndarray) -> np.ndarray:
+    """Pointwise norm sqrt(inner(g, g)) of so(3) values."""
+    return np.sqrt(np.maximum(inner(g, g).real, 0.0))
+
+
+def from_samples(metric, samples: np.ndarray, degree: int | None = None) -> sm.FourierField:
+    """The field of degree `degree` with the given fiber samples (ntheta, ny,
+    nx, 3, 3): the inverse of FourierField.sample, exact when ntheta > 2 degree."""
+    samples = np.asarray(samples, dtype=complex)
+    ntheta = samples.shape[0]
+    if degree is None:
+        degree = (ntheta - 1) // 2
+    if ntheta < 2 * degree + 1:
+        raise ValueError("theta grid too coarse for the requested degree")
+    coef = sm._from_angles(sm._matrix_first(samples), np.arange(-degree, degree + 1) % ntheta)
+    return sm.FourierField.band(metric, -degree, coef)
 
 
 def _expand(grid: np.ndarray, sample_ndim: int, lead: int = 1) -> np.ndarray:
@@ -70,7 +97,7 @@ def unit_speed_residual(path) -> float:
     GeodesicPath (finite-difference velocity against the conformal factor)."""
     vx = np.gradient(path.xs, path.times)
     vy = np.gradient(path.ys, path.times)
-    lam, _, _ = path.metric.lambda_and_grad_at(path.xs, path.ys)
+    lam, _, _ = lambda_and_grad_at(path.metric, path.xs, path.ys)
     speed2 = np.exp(2.0 * lam) * (vx**2 + vy**2)
     interior = slice(1, -1)
     return float(np.abs(speed2[interior] - 1.0).max())

@@ -15,9 +15,10 @@ from cocyclelab.errors import (
     RankDeficient,
     ReductionFailed,
 )
-from cocyclelab.lie3 import hat, so3_exp, so3_norm, vee
+from cocyclelab.lie3 import hat, so3_exp, vee
 from cocyclelab.smfield import Connection, FourierField, Higgs, Pair, star_curvature
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords
+from oracles import so3_norm
 
 AXIS = np.array([0.6, -0.48, 0.64]) / np.linalg.norm([0.6, -0.48, 0.64])
 

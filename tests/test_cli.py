@@ -112,7 +112,8 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
     for path, where, tokens, verbs in (
         (pair, lambda d: d["phi"]["modes"][0]["re"], ("NaN", "1e999", "-1e999"), pair_verbs),
         (pair, lambda d: d["metric_lambda"], ("1e999",), pair_verbs),
-        (triv, lambda d: d["modes"][0]["im"], ("NaN", "1e999", "-1e999"), triv_verbs),
+        (triv, lambda d: d["modes"][1]["im"], ("NaN", "1e999", "-1e999"), triv_verbs),
+        (triv, lambda d: d["modes"][0]["re"], ("NaN", "1e999", "-1e999"), triv_verbs),
     ):
         good = path.read_bytes()
         for token in tokens:
@@ -134,6 +135,21 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
             assert cli.main(argv) == cli.EXIT_BADINPUT, (message, argv[0])
             assert message in capsys.readouterr().err
     pair.write_bytes(good)
+    # files of another format, or of none, are refused by name
+    for path, verbs in ((pair, pair_verbs), (triv, triv_verbs)):
+        good = path.read_bytes()
+        for fmt in (1, None):
+            doc = json.loads(good)
+            if fmt is None:
+                del doc["format"]
+            else:
+                doc["format"] = fmt
+            path.write_text(json.dumps(doc))
+            for argv in verbs:
+                capsys.readouterr()
+                assert cli.main(argv) == cli.EXIT_BADINPUT, (path.name, fmt, argv[0])
+                assert "format 2" in capsys.readouterr().err
+        path.write_bytes(good)
     tols = tmp_path / "tols.json"
     tols.write_text('{"structure": 1e999}')
     assert cli.main(verify + ["--tolerances", str(tols)]) == cli.EXIT_BADINPUT
@@ -211,9 +227,9 @@ def test_verify_builds_the_transport_band_once(monkeypatch):
 def test_verify_detects_corruption(tmp_path, capsys):
     out = run_generate(tmp_path, CONST_CHAIN)
     doc = fio.load_json(out / "pair.json")
-    # flat layout: ((y * nx + x) * 3 + i) * 3 + j; pick x = nx/4 where the
-    # metric harmonic has maximal slope, so the entry is nonzero
-    idx = ((0 * 48 + 12) * 3 + 0) * 3 + 1
+    # vee triples: (y * nx + x) * 3 + k; pick x = nx/4 where the metric
+    # harmonic has maximal slope, so the entry is nonzero
+    idx = (0 * 48 + 12) * 3 + 2
     assert doc["b"]["modes"][0]["re"][idx] != 0.0
     doc["b"]["modes"][0]["re"][idx] *= 1.01
     fio.save_json(out / "pair.json", doc)
@@ -226,13 +242,14 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert "FAIL" in captured.out
 
 
-def test_verify_fails_structure_on_perturbed_negative_mode(tmp_path, capsys):
-    """The interpolant reads only the modes m >= 0 of the trivializer, so the
-    structure residual (reality and the imaginary part of the samples) is
-    what catches a corrupted mode -1."""
+def test_verify_fails_structure_on_perturbed_mode_one(tmp_path, capsys):
+    """A file holds the modes m >= 0 of the trivializer and the reader
+    rebuilds m < 0 by conjugation, so reality holds by construction; a
+    corrupted mode 1 leaves u off SO(3), and the orthogonality part of the
+    structure residual catches it."""
     out = run_generate(tmp_path, CONST_CHAIN)
     doc = fio.load_json(out / "trivializer.json")
-    (entry,) = [e for e in doc["modes"] if e["m"] == -1]
+    (entry,) = [e for e in doc["modes"] if e["m"] == 1]
     entry["re"] = [1.01 * v for v in entry["re"]]
     entry["im"] = [1.01 * v for v in entry["im"]]
     fio.save_json(out / "trivializer.json", doc)

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from cocyclelab import backlund as bk
 from cocyclelab import fieldio as fio
 from cocyclelab.cocycle import transport
+from cocyclelab.errors import StructureViolated
 from cocyclelab.smfield import FourierField, Pair
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric
 from oracles import read_pgm, read_transport_csv
@@ -26,6 +27,12 @@ def random_field(met, degree=2, seed=0):
             size=(met.ny, met.nx, 3, 3)
         )
     return FourierField(met, modes)
+
+
+def real_random_field(met, degree=2, seed=0):
+    """A random field that is real on SM: c_{-m} = conj(c_m), c_0 real."""
+    f = random_field(met, degree, seed)
+    return (f + f.conj()) * 0.5
 
 
 def test_float_formatting_round_trips():
@@ -90,16 +97,27 @@ def test_canonical_json_parses_back():
 
 def test_field_json_round_trip_exact(tmp_path):
     met = TorusMetric.from_harmonics(20, 16, 1.0, 1.5, [Harmonic(0.05, 1, 1)])
-    f = random_field(met, degree=2, seed=3)
+    f = real_random_field(met, degree=2, seed=3)
     p = tmp_path / "field.json"
     h1 = fio.save_field(p, f)
+    doc = fio.load_json(p)
+    assert doc["format"] == 2 and doc["values"] == "matrix"
+    assert [e["m"] for e in doc["modes"]] == [0, 1, 2]
     g = fio.load_field(p)
     assert g.metric.nx == 20 and g.metric.ny == 16
     assert sorted(g.modes) == sorted(f.modes)
-    for m in f.modes:
+    for m in range(3):
         assert np.array_equal(g.mode(m), f.mode(m))  # bit-exact via %.17g
+        assert np.array_equal(g.mode(-m), np.conj(g.mode(m)))  # exact conjugates
     h2 = fio.save_field(tmp_path / "again.json", g)
     assert h1 == h2  # identical bytes both times
+    # a unit section is stored as its vee triples and read back bit-exact
+    axis = np.stack([np.cos(met.lam), np.sin(met.lam), np.zeros_like(met.lam)], axis=-1)
+    section = bk.UnitSection.from_axis(met, axis).field()
+    fio.save_field(tmp_path / "g.json", section, so3=True)
+    doc = fio.load_json(tmp_path / "g.json")
+    assert doc["values"] == "so3" and len(doc["modes"][0]["re"]) == 16 * 20 * 3
+    assert np.array_equal(fio.load_field(tmp_path / "g.json").mode(0), section.mode(0))
 
 
 def test_metric_round_trip_flat(tmp_path):
@@ -205,6 +223,26 @@ def test_load_json_rejects_non_finite_tokens(tmp_path, token):
     p.write_text('{"re": [0.5, %s]}' % token)
     with pytest.raises(ValueError):
         fio.load_json(p)
+
+
+def test_writer_refuses_data_the_layout_would_change(tmp_path):
+    """Format 2 drops the modes m < 0 and the symmetric part of so(3) values;
+    data for which they are not redundant to STRUCTURE_TOL is a failed check,
+    and no file is written."""
+    met = TorusMetric.flat(16, 16)
+    f = real_random_field(met, degree=1, seed=5)
+    bent = f + FourierField(met, {-1: np.full((16, 16, 3, 3), 1e-8)})
+    assert bent.reality_residual() > fio.STRUCTURE_TOL
+    with pytest.raises(StructureViolated):
+        fio.save_field(tmp_path / "bent.json", bent)
+    assert not (tmp_path / "bent.json").exists()
+    axis = np.array([0.0, 0.6, 0.8])
+    pair = bk.backlund_transform(Pair.trivial(met), bk.UnitSection.constant(met, axis)).pair_out
+    pair.higgs.phi[3, 4, 0, 1] += 1e-8
+    assert pair.higgs.antisymmetry_residual() > fio.STRUCTURE_TOL
+    with pytest.raises(StructureViolated):
+        fio.save_pair(tmp_path / "pair.json", pair)
+    assert not (tmp_path / "pair.json").exists()
 
 
 def test_non_finite_rejected(tmp_path):

@@ -14,11 +14,11 @@ from cocyclelab.lie3 import (
     polar_project,
     rotation_angle,
     so3_exp,
-    so3_norm,
     su2_path_lift,
     unit_residual,
     vee,
 )
+from oracles import so3_norm
 
 RNG = np.random.default_rng(42)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocyclelab import fieldio
-from cocyclelab.lie3 import hat, so3_norm
+from cocyclelab.lie3 import hat
 from cocyclelab.smfield import (
     Connection,
     FourierField,
@@ -38,7 +38,7 @@ from cocyclelab.smfield import (
     _to_angles,
 )
 from cocyclelab.torus import Harmonic, TorusMetric, grid_coords
-from oracles import frame_apply
+from oracles import frame_apply, from_samples, so3_norm
 
 
 def curved(n=64, ly=1.0):
@@ -92,8 +92,8 @@ def test_eta_formulas_match_frame_oracle():
     samples = u.sample(ntheta)
     xs = frame_apply(met, samples, "X")
     hs = frame_apply(met, samples, "H")
-    up = FourierField.from_samples(met, (xs - 1j * hs) / 2.0, degree=4)
-    um = FourierField.from_samples(met, (xs + 1j * hs) / 2.0, degree=4)
+    up = from_samples(met, (xs - 1j * hs) / 2.0, degree=4)
+    um = from_samples(met, (xs + 1j * hs) / 2.0, degree=4)
     scale = u.l2_norm()
     assert (eta_plus(u) - up).l2_norm() / scale < 1e-8
     assert (eta_minus(u) - um).l2_norm() / scale < 1e-8
@@ -107,8 +107,8 @@ def test_mu_formulas_match_frame_oracle():
     samples = u.sample(32)
     xs = frame_apply(met, samples, "X")
     hs = frame_apply(met, samples, "H")
-    oracle_p = FourierField.from_samples(met, (xs - 1j * hs) / 2.0, degree=3) + a1 @ u
-    oracle_m = FourierField.from_samples(met, (xs + 1j * hs) / 2.0, degree=3) + am1 @ u
+    oracle_p = from_samples(met, (xs - 1j * hs) / 2.0, degree=3) + a1 @ u
+    oracle_m = from_samples(met, (xs + 1j * hs) / 2.0, degree=3) + am1 @ u
     scale = u.l2_norm()
     assert (mu_plus(u, conn) - oracle_p).l2_norm() / scale < 1e-8
     assert (mu_minus(u, conn) - oracle_m).l2_norm() / scale < 1e-8
@@ -222,7 +222,7 @@ def test_bracket_is_the_commutator_of_products(lens):
 def test_sample_round_trip():
     met = curved(32)
     u = bandlimited_field(met, 3, seed=41)
-    back = FourierField.from_samples(met, u.sample(16), degree=3)
+    back = from_samples(met, u.sample(16), degree=3)
     assert (u - back).l2_norm() < 1e-12
 
 
@@ -416,10 +416,20 @@ def test_modes_are_grid_views_and_file_layout_is_unchanged():
         assert np.array_equal(grid, f.mode(m))
         assert np.array_equal(grid, grids.get(m, np.zeros((16, 16, 3, 3))))
     assert np.array_equal(f.coef, _matrix_first(np.stack([f.mode(m) for m in range(-2, 2)])))
-    for entry in fieldio.field_to_json(f)["modes"]:
-        grid = grids.get(entry["m"], np.zeros((16, 16, 3, 3)))
+    # a file holds the modes m >= 0 of a real field, row-major (y, x, i, j)
+    grids[0] = grids[0].real
+    grids[2] = np.conj(grids.pop(-2))
+    grids[-1] = np.conj(grids[1])
+    real = FourierField(met, {**grids, -2: np.conj(grids[2])})
+    entries = fieldio.field_to_json(real)["modes"]
+    assert [e["m"] for e in entries] == [0, 1, 2]
+    for entry in entries:
+        grid = grids[entry["m"]]
         assert np.array_equal(entry["re"], grid.real.ravel())
-        assert np.array_equal(entry["im"], grid.imag.ravel())
+        if entry["m"]:
+            assert np.array_equal(entry["im"], grid.imag.ravel())
+        else:
+            assert "im" not in entry
 
 
 def test_dbar_a_zero_connection_is_eta_minus():
