@@ -15,6 +15,7 @@ from .errors import (
     NonSmoothLambda,
     NotClosed,
     NotUnit,
+    OutputNotCertified,
     PhiNotZero,
     RankDeficient,
     ReductionFailed,
@@ -38,6 +39,7 @@ __all__ = [
     "NonSmoothLambda",
     "NotClosed",
     "NotUnit",
+    "OutputNotCertified",
     "Pair",
     "PhiNotZero",
     "RankDeficient",

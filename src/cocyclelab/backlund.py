@@ -9,7 +9,10 @@ dbar-operator, the transform produces a new certified pair
 
 with trivializer a u, where a(x, y, theta) = r(x, y) exp(theta g) solves the
 vertical equation a g = V(a).  Every identity used along the way is checked
-numerically and the residuals are recorded in a certificate.  The module also
+numerically and the residuals are recorded in a certificate; the input and
+the output pair of every step are gated on their field residual, and a chain
+hands each certificate to the next step, so each pair's residual is computed
+once.  The module also
 implements the inverse transform, the Higgs-free two-step transform that
 lifts to SU(2), a factory of holomorphic unit sections from elliptic
 functions, and degree reduction of trivializers.
@@ -28,6 +31,7 @@ from .errors import (
     FactoryValidationFailed,
     GNotHolomorphic,
     InputNotCertified,
+    OutputNotCertified,
     PhiNotZero,
     RankDeficient,
     ReductionFailed,
@@ -115,10 +119,14 @@ def holomorphy_residuals(g: UnitSection, conn: Connection) -> dict[str, float]:
     Residuals are relative; they agree up to discretization, and all vanish
     exactly when the axis of g is constant and the connection commutes.
     """
-    met = g.metric
     dg = sm.d_A(g.grid, conn)
-    res1 = _star_bracket(g, dg, sm.hodge_star(dg))
+    return {"star-bracket": _star_bracket(g, dg, sm.hodge_star(dg))} | _dbar_routes(g, conn)
 
+
+def _dbar_routes(g: UnitSection, conn: Connection) -> dict[str, float]:
+    """The dbar-bracket, subbundle and projector residuals of
+    holomorphy_residuals: the three routes through the mode -1 coefficient."""
+    met = g.metric
     q = sm.dbar_A(g.grid, conn)
     res2_g = q - 1j * (sm.grid_matmul(q, g.grid) - sm.grid_matmul(g.grid, q))
     den2 = grid_l2_norm(met, q) + grid_l2_norm(met, g.grid) + 1e-300
@@ -136,12 +144,7 @@ def holomorphy_residuals(g: UnitSection, conn: Connection) -> dict[str, float]:
     den4 = grid_l2_norm(met, dpi) + grid_l2_norm(met, pi) + 1e-300
     res4 = grid_l2_norm(met, sm.grid_matmul(dpi, pi)) / den4
 
-    return {
-        "star-bracket": res1,
-        "dbar-bracket": res2,
-        "subbundle": res3,
-        "projector": res4,
-    }
+    return {"dbar-bracket": res2, "subbundle": res3, "projector": res4}
 
 
 def _star_bracket(g: UnitSection, dg: FourierField, star_dg: FourierField) -> float:
@@ -184,7 +187,7 @@ def _real_skew(metric: TorusMetric, c: np.ndarray) -> tuple[np.ndarray, float, f
 
 
 def backlund_transform(
-    pair: Pair,
+    pair: Pair | BacklundCertificate,
     g: UnitSection,
     vertical: FourierField | None = None,
     cert_tol: float = DEFAULT_CERT_TOL,
@@ -194,7 +197,14 @@ def backlund_transform(
 
     Gates: the input pair must carry a trivializer whose field residual
     || X(u) + (A + Phi) u || / || u || is below cert_tol (InputNotCertified),
-    and g must pass the holomorphy gate below gmero_tol (GNotHolomorphic).
+    g must pass the holomorphy gate below gmero_tol (GNotHolomorphic), and
+    the output pair's field residual must be below cert_tol too
+    (OutputNotCertified).
+
+    pair is the input pair, or the certificate of the step that produced it.
+    That step's output-field is the field residual of the same pair, so it is
+    the input residual here and the pair's band is not built again: along a
+    chain of N steps, N + 1 bands are built.
 
     The transformed connection and Higgs field are computed in mode calculus,
     projected onto their structural form (modes +-1 for A, mode 0 for Phi,
@@ -203,13 +213,16 @@ def backlund_transform(
     recorded in the certificate residuals; they measure discretization, not
     modelling error.
     """
+    if isinstance(pair, BacklundCertificate):
+        pair, in_res = pair.pair_out, pair.residuals["output-field"]
+    elif pair.trivializer is None:
+        raise InputNotCertified("input pair carries no trivializer")
+    else:
+        in_res = transport_residual_field(pair)
     met = pair.metric
     if g.metric is not met and g.metric != met:
         raise ValueError("section and pair live on different metrics")
     u_in = pair.trivializer
-    if u_in is None:
-        raise InputNotCertified("input pair carries no trivializer")
-    in_res = transport_residual_field(pair)
     if not passes(in_res, cert_tol):
         raise InputNotCertified(
             f"input field residual {in_res:.3e} exceeds {cert_tol:.1e}"
@@ -247,6 +260,10 @@ def backlund_transform(
     u_out = a @ u_in
     pair_out = Pair(Connection(met, a_proj, b_proj), Higgs(met, phi_proj), trivializer=u_out)
     out_res = transport_residual_field(pair_out)
+    if not passes(out_res, cert_tol):
+        raise OutputNotCertified(
+            f"output field residual {out_res:.3e} exceeds {cert_tol:.1e}"
+        )
 
     qf = a @ g.field() @ at
     q_tot = max(np.sqrt(sum(v * v for v in qf.mode_norms().values())), 1e-300)
@@ -311,7 +328,7 @@ def inverse_backlund(
     q = cert.q
     g_inv = UnitSection(cert.pair_in.metric, -q, meta={"kind": "inverse"})
     a_inv = cert.vertical.transpose()
-    return backlund_transform(cert.pair_out, g_inv, vertical=a_inv, gmero_tol=gmero_tol)
+    return backlund_transform(cert, g_inv, vertical=a_inv, gmero_tol=gmero_tol)
 
 
 def round_trip_residuals(cert_fwd: BacklundCertificate,
@@ -375,7 +392,7 @@ def two_step_su2(pair: Pair, g: UnitSection) -> TwoStepResult:
     cert1 = backlund_transform(pair, g)
     q = cert1.q
     q_sec = UnitSection(pair.metric, q, meta={"kind": "q", "from": g.meta.get("kind")})
-    cert2 = backlund_transform(cert1.pair_out, q_sec)
+    cert2 = backlund_transform(cert1, q_sec)
     c = cert2.vertical @ cert1.vertical
     lhs = c.transpose() @ sm.vertical(c)
     two_g = FourierField(pair.metric, {0: 2.0 * g.grid.astype(complex)})
@@ -555,9 +572,13 @@ def reduce_degree(pair: Pair) -> ReductionResult:
     the sign of the frame; the argmax-norm column is used).  Grid points where
     b_N nearly vanishes (top singular value below 1e-8 relative) are filled
     from neighbors; RankDeficient is raised when they exceed 1% of the grid.
-    The section must pass all four holomorphy residuals below
-    DEFAULT_GMERO_TOL (ReductionFailed otherwise).  The transform with this section annihilates
-    the top modes of a u, which are dropped, and the output is re-certified.
+    The section must pass the dbar-bracket, subbundle and projector
+    residuals below DEFAULT_GMERO_TOL (ReductionFailed otherwise) and the
+    transform's own star-bracket gate, which is computed once and reported
+    under both "holomorphy" and "star-bracket".  The transform with this
+    section annihilates the top modes of a u, which are dropped, and the
+    reduced pair must pass the field residual gate at DEFAULT_CERT_TOL
+    (OutputNotCertified).
     """
     b = pair.trivializer
     if b is None:
@@ -592,7 +613,7 @@ def reduce_degree(pair: Pair) -> ReductionResult:
         mask,
     )
     g_new = UnitSection(met, hat(n_axis), meta={"kind": "reduction", "from-degree": n_deg})
-    hres = holomorphy_residuals(g_new, pair.conn)
+    hres = _dbar_routes(g_new, pair.conn)
     top = worst(hres.values())
     if not passes(top, DEFAULT_GMERO_TOL):
         raise ReductionFailed(
@@ -616,7 +637,12 @@ def reduce_degree(pair: Pair) -> ReductionResult:
     u_red = u_full.truncate(n_deg - 1)
     pair_red = Pair(cert.pair_out.conn, cert.pair_out.higgs, trivializer=u_red)
     red_res = transport_residual_field(pair_red)
+    if not passes(red_res, DEFAULT_CERT_TOL):
+        raise OutputNotCertified(
+            f"reduced field residual {red_res:.3e} exceeds {DEFAULT_CERT_TOL:.1e}"
+        )
     residuals = dict(cert.residuals)
+    residuals["star-bracket"] = cert.residuals["holomorphy"]
     residuals.update(hres)
     residuals.update(
         {
@@ -660,11 +686,11 @@ def generate_chain(
       elliptic  {"z0": [x, y], "scale": [re, im], "offset": [re, im]}
       repeat-q  {}   (use q from the previous step; doubling step)
 
-    Raises ValueError on a step that is not a dict, a non-finite parameter
-    or an axis of zero or overflowing length, before that step's section is
-    built.
+    Each step continues from the certificate of the step before it
+    (backlund_transform), so N steps build N + 1 transport bands.  Raises
+    ValueError on a step that is not a dict, a non-finite parameter or an
+    axis of zero or overflowing length, before that step's section is built.
     """
-    pair = Pair.trivial(metric)
     certs: list[BacklundCertificate] = []
     for step in steps:
         if not isinstance(step, dict):
@@ -690,7 +716,6 @@ def generate_chain(
             g = UnitSection(metric, certs[-1].q, meta={"kind": "repeat-q"})
         else:
             raise ValueError(f"unknown step kind: {kind!r}")
-        cert = backlund_transform(pair, g, cert_tol=cert_tol, gmero_tol=gmero_tol)
-        certs.append(cert)
-        pair = cert.pair_out
+        prev = certs[-1] if certs else Pair.trivial(metric)
+        certs.append(backlund_transform(prev, g, cert_tol=cert_tol, gmero_tol=gmero_tol))
     return ChainResult(certs=certs)

@@ -98,13 +98,14 @@ def cmd_generate(args) -> int:
     metric = _metric_from_config(config)
     tols = _tolerances(config.get("tolerances", {}))
     outdir = Path(args.outdir or config.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    # every step's gates run before anything is written
     chain = bk.generate_chain(
         metric,
         config.get("chain", []),
         cert_tol=tols.get("cert", bk.DEFAULT_CERT_TOL),
         gmero_tol=tols.get("gmero", bk.DEFAULT_GMERO_TOL),
     )
+    outdir.mkdir(parents=True, exist_ok=True)
     final = chain.final if chain.certs else Pair.trivial(metric)
     hashes = {}
     hashes["pair.json"] = fio.save_pair(outdir / "pair.json", final)
@@ -233,9 +234,9 @@ def cmd_transport(args) -> int:
 
 def cmd_reduce(args) -> int:
     pair = fio.load_pair(args.pair, trivializer_path=args.trivializer)
+    red = bk.reduce_degree(pair)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    red = bk.reduce_degree(pair)
     fio.save_field(outdir / "g.json", red.g.field(), so3=True)
     fio.save_field(outdir / "trivializer_reduced.json", red.u)
     fio.save_pair(outdir / "pair_reduced.json", red.pair)

@@ -57,6 +57,11 @@ class InputNotCertified(CocycleLabError):
     """Input pair + trivializer fail the transport residual gate."""
 
 
+class OutputNotCertified(CocycleLabError):
+    """A transform or reduction produced a pair + trivializer that fail the
+    transport residual gate."""
+
+
 class PhiNotZero(CocycleLabError):
     """Operation requires a pair with vanishing Higgs field."""
 

@@ -11,8 +11,9 @@ raising/lowering parts of the frame act on the whole band at once:
   eta_minus : mode m -> m-1,  c |-> e^{-(1+m) lam} dbar(c e^{m lam})
   eta_plus  : mode m -> m+1,  c |-> e^{(m-1) lam} dz(c e^{-m lam})
 
-with dbar = (d/dx + i d/dy)/2, dz = (d/dx - i d/dy)/2 spectral, and
-X = eta_plus + eta_minus, H = i (eta_plus - eta_minus).
+with dbar = (d/dx + i d/dy)/2, dz = (d/dx - i d/dy)/2 spectral (one fft2
+over the trailing (ny, nx) axes of the whole band, one product with a cached
+symbol, one ifft2), and X = eta_plus + eta_minus, H = i (eta_plus - eta_minus).
 
 Connections are fields A = a cos(theta) + b sin(theta) with antisymmetric
 real coefficient grids (so modes +-1 only); Higgs fields are antisymmetric
@@ -30,6 +31,8 @@ unrolled kernel of nine output planes, each a sum of three plane products.
 The L2 pairing is <u, v> = integral over SM of trace(u v*) with measure
 e^{2 lam} dx dy dtheta, evaluated as a plain grid sum (spectrally accurate
 for smooth integrands): 2 pi * sum_m sum_grid trace(c_m d_m^*) e^{2 lam} dx dy.
+A norm is the same sum for v = u taken as re^2 + im^2 of the entries, which
+needs no conjugate copy of the band.
 """
 
 from __future__ import annotations
@@ -267,7 +270,7 @@ class FourierField:
     # -- norms and checks ------------------------------------------------------
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(max(l2_inner(self, self).real, 0.0)))
+        return _norm(self.metric, self.coef, "mijyx", fiber=True)
 
     def reality_residual(self) -> float:
         """Max norm of c_{-m} - conj(c_m) over modes, relative to the field size."""
@@ -307,11 +310,20 @@ def grid_l2_norm(metric: TorusMetric, grid: np.ndarray, fiber: bool = False) -> 
     With fiber=True the 2 pi fiber factor is included, matching the L2 norm
     of the single-mode field with this coefficient.
     """
-    dxdy = (metric.lx / metric.nx) * (metric.ly / metric.ny)
-    val = np.einsum("yxij,yxij,yx->", grid, np.conj(grid), metric.e_2lam).real * dxdy
+    return _norm(metric, grid, "yxij", fiber)
+
+
+def _norm(metric: TorusMetric, arr: np.ndarray, axes: str, fiber: bool) -> float:
+    """sqrt of the grid sum of e^{2 lam} (re^2 + im^2) dx dy over every entry
+    of arr, times 2 pi with fiber=True; axes ("mijyx" for a band, "yxij" for
+    a grid) names the axes of arr.  No conjugate copy is made."""
+    sq = np.einsum(f"{axes},{axes}->yx", arr.real, arr.real)
+    if np.iscomplexobj(arr):
+        sq += np.einsum(f"{axes},{axes}->yx", arr.imag, arr.imag)
+    val = np.vdot(sq, metric.e_2lam) * (metric.lx / metric.nx) * (metric.ly / metric.ny)
     if fiber:
         val *= 2.0 * np.pi
-    return float(np.sqrt(max(val, 0.0)))
+    return float(np.sqrt(val))
 
 
 # -- first order operators ------------------------------------------------------

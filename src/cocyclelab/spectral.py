@@ -7,6 +7,8 @@ the same helpers serve (theta, y, x, ...) sample cubes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -50,16 +52,41 @@ def laplacian(arr: np.ndarray, lx: float, ly: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _cauchy_riemann_symbol(ny: int, nx: int, lx: float, ly: float, sign: int) -> np.ndarray:
+    """The read-only (ny, nx) Fourier symbol (i kx - sign ky)/2 of
+    (d/dx + sign i d/dy)/2: dbar for sign = +1, dz for sign = -1, with the
+    Nyquist bins zeroed as in deriv."""
+    ky = wavenumbers(ny, ly)
+    kx = wavenumbers(nx, lx)
+    sym = 0.5 * (1j * kx - sign * ky[:, None])
+    sym.setflags(write=False)
+    return sym
+
+
+def _cauchy_riemann(arr: np.ndarray, lx: float, ly: float, axes: tuple[int, int],
+                    sign: int) -> np.ndarray:
+    """(d/dx + sign i d/dy)/2 over axes = (y_axis, x_axis): one fft2, one
+    in-place product with the cached symbol, one ifft2."""
+    arr = np.asarray(arr)
+    ay, ax = (a % arr.ndim for a in axes)
+    ny, nx = arr.shape[ay], arr.shape[ax]
+    sym = _cauchy_riemann_symbol(ny, nx, float(lx), float(ly), sign)
+    shape = [1] * arr.ndim
+    shape[ay], shape[ax] = ny, nx
+    f = np.fft.fft2(arr, axes=(ay, ax))
+    f *= (sym if ay < ax else sym.T).reshape(shape)
+    return np.fft.ifft2(f, axes=(ay, ax))
+
+
 def dbar(arr: np.ndarray, lx: float, ly: float, axes: tuple[int, int] = (0, 1)) -> np.ndarray:
     """(d/dx + i d/dy)/2 with axes = (y_axis, x_axis)."""
-    ay, ax = axes
-    return 0.5 * (deriv(arr, lx, ax) + 1j * deriv(arr, ly, ay))
+    return _cauchy_riemann(arr, lx, ly, axes, 1)
 
 
 def dz(arr: np.ndarray, lx: float, ly: float, axes: tuple[int, int] = (0, 1)) -> np.ndarray:
     """(d/dx - i d/dy)/2 with axes = (y_axis, x_axis)."""
-    ay, ax = axes
-    return 0.5 * (deriv(arr, lx, ax) - 1j * deriv(arr, ly, ay))
+    return _cauchy_riemann(arr, lx, ly, axes, -1)
 
 
 def nyquist_shell_max(grid: np.ndarray) -> float:

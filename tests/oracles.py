@@ -1,9 +1,10 @@
 """Reference computations the tests compare the package against.
 
 Each one takes a route independent of the code it checks: frame derivatives
-taken literally in (x, y, theta), a Cauchy integral for p', a finite-
-difference speed, readers of the files the package writes, and the
-frame-transfer identity of a trivializing u.  No verb runs them.
+taken literally in (x, y, theta), dbar and dz from one 1-D derivative per
+axis, a Cauchy integral for p', a finite-difference speed, readers of the
+files the package writes, and the frame-transfer identity of a trivializing
+u.  No verb runs them.
 """
 
 import numpy as np
@@ -80,6 +81,15 @@ def frame_apply(metric, samples: np.ndarray, op: str) -> np.ndarray:
             -sin_t * du_x + cos_t * du_y - (lam_x * cos_t + lam_y * sin_t) * du_t
         )
     raise ValueError(f"unknown frame op {op!r}")
+
+
+def cauchy_riemann_two_deriv(arr, lx: float, ly: float, axes: tuple[int, int],
+                             sign: int) -> np.ndarray:
+    """(d/dx + sign i d/dy)/2 over axes = (y_axis, x_axis) from two separate
+    spectral.deriv round trips, one per axis: dbar for sign = +1, dz for
+    sign = -1."""
+    ay, ax = axes
+    return 0.5 * (spectral.deriv(arr, lx, ax) + sign * 1j * spectral.deriv(arr, ly, ay))
 
 
 def p_derivative_cauchy(z0: complex, lx: float, ly: float, radius: float = 0.05,

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from cocyclelab import backlund as bk
+from cocyclelab import cocycle as cc
 from cocyclelab.cocycle import gauge_transform, transport_residual_field, triviality_residual
 from cocyclelab.errors import (
     FactoryValidationFailed,
     GNotHolomorphic,
     InputNotCertified,
     NotUnit,
+    OutputNotCertified,
     PhiNotZero,
     RankDeficient,
     ReductionFailed,
@@ -140,6 +142,11 @@ def test_backlund_gates():
     rand = bk.random_unit_section(TorusMetric.flat(48, 48), seed=3)
     with pytest.raises(GNotHolomorphic):
         bk.backlund_transform(Pair.trivial(TorusMetric.flat(48, 48)), rand)
+    # the output is gated at the same tolerance: the trivial input's residual
+    # is exactly 0, the constant step's output about 4e-15
+    assert transport_residual_field(Pair.trivial(met)) == 0.0
+    with pytest.raises(OutputNotCertified):
+        bk.backlund_transform(Pair.trivial(met), sec, cert_tol=1e-18)
 
 
 def test_phi_diagnostics_vanish_with_phi():
@@ -170,8 +177,9 @@ def test_backlund_factory_step_has_higgs():
 def test_higgs_bounded_by_axis_gradient():
     """With A = 0 the Higgs field is the mode-0 part of a (*dg) a^{-1};
     conjugation by the orthogonal a preserves norms, so dropping the
-    other modes can only shrink it."""
-    met = TorusMetric.flat(64, 64)
+    other modes can only shrink it.  At 64^2 the default factory step's
+    output residual is 1.6e-6, above the output gate, so the grid is 80^2."""
+    met = TorusMetric.flat(80, 80)
     sec = bk.holomorphic_g_factory(met)
     cert = bk.backlund_transform(Pair.trivial(met), sec)
     from cocyclelab.smfield import d_A, grid_l2_norm, hodge_star
@@ -258,7 +266,7 @@ def test_reduce_degree_recovers_inverse():
     assert transport_residual_field(red.pair) < 1e-10
 
 
-def test_reduce_degree_gates():
+def test_reduce_degree_gates(monkeypatch):
     met = TorusMetric.flat(32, 32)
     with pytest.raises(ValueError):
         bk.reduce_degree(Pair.trivial(met))
@@ -280,6 +288,28 @@ def test_reduce_degree_gates():
     b = bk.vertical_solution(rand)
     with pytest.raises(ReductionFailed):
         bk.reduce_degree(Pair(Connection.zero(met), Higgs.zero(met), trivializer=b))
+    # the reduced pair is gated at DEFAULT_CERT_TOL; the inner transform keeps
+    # its own 1e-6 default, so only that gate sees the lowered tolerance (the
+    # reduced residual of this curved step is about 1.4e-15)
+    curved = curved_metric(32)
+    step = bk.backlund_transform(Pair.trivial(curved), bk.UnitSection.constant(curved, AXIS))
+    assert bk.reduce_degree(step.pair_out).residuals["reduced-field"] > 1e-18
+    monkeypatch.setattr(bk, "DEFAULT_CERT_TOL", 1e-18)
+    with pytest.raises(OutputNotCertified, match="reduced field residual"):
+        bk.reduce_degree(step.pair_out)
+
+
+def test_reduce_degree_computes_the_star_bracket_once(monkeypatch):
+    """The star-bracket residual of the reduction axis is the transform's
+    own gate; the report keeps it under both keys."""
+    met = curved_metric(32)
+    cert = bk.backlund_transform(Pair.trivial(met), bk.UnitSection.constant(met, AXIS))
+    calls = []
+    star = bk._star_bracket
+    monkeypatch.setattr(bk, "_star_bracket", lambda *a: calls.append(1) or star(*a))
+    red = bk.reduce_degree(cert.pair_out)
+    assert len(calls) == 1
+    assert red.residuals["holomorphy"] == red.residuals["star-bracket"]
 
 
 def test_section_family_deterministic():
@@ -306,6 +336,23 @@ def test_last_step_certifies_q():
     for name in ("q-off-modes", "q-imag", "q-sym"):
         assert two.certs[-1].residuals[name] == three.certs[1].residuals[name]
     assert np.array_equal(three.certs[2].g.grid, two.certs[-1].q)
+
+
+def test_chain_builds_one_band_per_pair(monkeypatch):
+    """Each step continues from the certificate of the one before it: a
+    6-step chain builds the trivial input's band and one band per output,
+    and every input-field is the previous step's output-field bit for bit."""
+    met = TorusMetric.from_harmonics(32, 32, 1.0, 1.0,
+                                     [Harmonic(0.1, 1, 0), Harmonic(0.04, 1, 1, 0.5, 1.2)])
+    calls = []
+    band = cc._transport_band
+    monkeypatch.setattr(cc, "_transport_band", lambda p: calls.append(p) or band(p))
+    steps = [{"kind": "constant", "axis": AXIS.tolist()}] + [{"kind": "repeat-q"}] * 5
+    chain = bk.generate_chain(met, steps)
+    assert len(calls) == 7
+    for prev, cert in zip(chain.certs, chain.certs[1:]):
+        assert cert.residuals["input-field"] == prev.residuals["output-field"]
+        assert cert.pair_in is prev.pair_out
 
 
 def test_generate_chain_kinds():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cocyclelab import cli, cocycle as cc, fieldio as fio
+from cocyclelab import backlund as bk, cli, cocycle as cc, fieldio as fio
 from cocyclelab.errors import passes
 from cocyclelab.backlund import generate_chain
 from cocyclelab.smfield import Higgs, Pair
@@ -295,6 +295,28 @@ def test_reduce_verb(tmp_path):
     assert u.degree == 0
     pair = fio.load_pair(red / "pair_reduced.json")
     assert pair.conn.norm() < 1e-5  # undoing the only step: back to trivial
+
+
+def test_failed_output_gates_exit_1_and_write_nothing(tmp_path, monkeypatch, capsys):
+    """generate gates every step's output at the cert tolerance and reduce
+    gates the reduced pair at DEFAULT_CERT_TOL; a miss exits 1 before any
+    file or directory is written.  The one-step chain's output residual is
+    about 2.4e-15 and its reduced pair's about 7.5e-16."""
+    one = {"metric": {"nx": 32, "ny": 32, "harmonics": [[0.1, 1, 0]]},
+           "chain": [{"kind": "constant", "axis": [0.6, 0.0, 0.8]}]}
+    cfg = write_config(tmp_path, {**one, "tolerances": {"cert": 1e-18}}, "strict.json")
+    assert cli.main(["generate", cfg, "--outdir", str(tmp_path / "strict")]) == cli.EXIT_FAIL
+    assert "OutputNotCertified" in capsys.readouterr().err
+    assert not (tmp_path / "strict").exists()
+    out = run_generate(tmp_path, one)
+    monkeypatch.setattr(bk, "DEFAULT_CERT_TOL", 1e-18)
+    rc = cli.main([
+        "reduce", str(out / "pair.json"), str(out / "trivializer.json"),
+        "--outdir", str(tmp_path / "red"),
+    ])
+    assert rc == cli.EXIT_FAIL
+    assert "reduced field residual" in capsys.readouterr().err
+    assert not (tmp_path / "red").exists()
 
 
 def test_reduce_degree_zero_is_bad_input(tmp_path):

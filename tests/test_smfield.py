@@ -235,6 +235,26 @@ def test_reality_residual():
     assert complex_field.reality_residual() > 0.5
 
 
+def test_norms_are_the_einsum_form():
+    """l2_norm and grid_l2_norm, summed as re^2 + im^2, against the einsum
+    of a band or grid with its conjugate on a curved metric; a zero field
+    has norm exactly 0."""
+    met = curved(32, ly=1.4)
+    u = bandlimited_field(met, 2, seed=5)
+    ref = np.sqrt(l2_inner(u, u).real)
+    assert abs(u.l2_norm() - ref) <= 1e-14 * ref
+    dxdy = (met.lx / met.nx) * (met.ly / met.ny)
+    for grid in (u.mode(1), u.mode(0).real):
+        ref = np.sqrt(np.einsum("yxij,yxij,yx->", grid, np.conj(grid), met.e_2lam).real * dxdy)
+        assert abs(grid_l2_norm(met, grid) - ref) <= 1e-14 * ref
+        fiber = grid_l2_norm(met, grid, fiber=True)
+        assert abs(fiber - np.sqrt(2 * np.pi) * ref) <= 1e-14 * fiber
+    zero = np.zeros((met.ny, met.nx, 3, 3))
+    assert FourierField(met, {-1: zero, 1: zero}).l2_norm() == 0.0
+    assert grid_l2_norm(met, zero) == 0.0
+    assert grid_l2_norm(met, zero.astype(complex), fiber=True) == 0.0
+
+
 def test_identity_inner_product():
     """<Id, Id> = 2 pi * trace(Id) * area = 6 pi * area."""
     met = curved(48, ly=1.7)

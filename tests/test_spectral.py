@@ -4,6 +4,7 @@ import pytest
 from cocyclelab import interp
 from cocyclelab.interp import PeriodicCubic2D
 from cocyclelab.spectral import dbar, deriv, dz, laplacian, nyquist_shell_max, refine_grid
+from oracles import cauchy_riemann_two_deriv
 
 
 def _trig(nx, ny, lx, ly):
@@ -46,6 +47,24 @@ def test_dbar_dz_analytic_oracle():
     fy = py * s
     assert np.abs(dbar(f, lx, ly) - 0.5 * (fx + 1j * fy)).max() < 1e-10
     assert np.abs(dz(f, lx, ly) - 0.5 * (fx - 1j * fy)).max() < 1e-10
+
+
+@pytest.mark.parametrize("axes", [(0, 1), (3, 4)])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_dbar_dz_match_two_deriv_route(axes, complex_):
+    """The one-fft2 dbar and dz against one 1-D derivative per axis, on
+    white-noise data (every wavenumber, Nyquist included) on a 24 x 32 grid
+    with lx != ly, with the grid leading or trailing."""
+    rng = np.random.default_rng(11)
+    shape = (24, 32, 3, 3) if axes == (0, 1) else (2, 3, 3, 24, 32)
+    data = rng.normal(size=shape)
+    if complex_:
+        data = data + 1j * rng.normal(size=shape)
+    lx, ly = 1.3, 0.7
+    for op, sign in ((dbar, 1), (dz, -1)):
+        ref = cauchy_riemann_two_deriv(data, lx, ly, axes, sign)
+        err = np.abs(op(data, lx, ly, axes=axes) - ref).max()
+        assert err <= 1e-13 * np.abs(ref).max()
 
 
 def test_dbar_conjugate_roles():
