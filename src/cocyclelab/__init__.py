@@ -8,7 +8,6 @@ discretized fields and ODE transport along geodesics.
 
 from .errors import (
     CocycleLabError,
-    FactoryValidationFailed,
     GNotHolomorphic,
     InputNotCertified,
     NonOrthogonalDrift,
@@ -28,7 +27,6 @@ from .smfield import Connection, FourierField, Higgs, Pair, l2_inner
 __all__ = [
     "CocycleLabError",
     "Connection",
-    "FactoryValidationFailed",
     "FourierField",
     "GNotHolomorphic",
     "GeodesicPath",

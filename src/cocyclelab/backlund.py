@@ -28,7 +28,6 @@ from . import smfield as sm
 from .cocycle import transport_residual_field
 from .elliptic import weierstrass_p
 from .errors import (
-    FactoryValidationFailed,
     GNotHolomorphic,
     InputNotCertified,
     OutputNotCertified,
@@ -44,7 +43,6 @@ from .torus import TorusMetric
 
 DEFAULT_CERT_TOL = 1e-6
 DEFAULT_GMERO_TOL = 1e-6
-FACTORY_TOL = 1e-5
 
 
 class UnitSection:
@@ -89,15 +87,12 @@ def projector(g: UnitSection) -> np.ndarray:
     return -0.5 * (sm.grid_matmul(g.grid, g.grid) + 1j * g.grid)
 
 
-def vertical_solution(g: UnitSection, r: np.ndarray | None = None) -> FourierField:
-    """a(x, y, theta) = r exp(theta g), the solution of a g = V(a), as a
-    degree-one field: exp(theta g) = (Id + g^2) - cos(theta) g^2 + sin(theta) g."""
+def vertical_solution(g: UnitSection) -> FourierField:
+    """a(x, y, theta) = exp(theta g), a solution of a g = V(a) (so is r a for
+    any r: M -> SO(3)), as a degree-one field:
+    exp(theta g) = (Id + g^2) - cos(theta) g^2 + sin(theta) g."""
     c1 = projector(g)
     c0 = np.eye(3) - 2.0 * c1.real
-    if r is not None:
-        r = np.asarray(r, dtype=float)
-        c0 = r @ c0
-        c1 = r @ c1
     return FourierField(g.metric, {0: c0, 1: c1, -1: c1.conj()})
 
 
@@ -428,8 +423,6 @@ def holomorphic_g_factory(
     z0: tuple[float, float] | None = None,
     scale: complex = 1.0,
     offset: complex = 0.0,
-    conjugate: bool = False,
-    validate: bool = True,
 ) -> UnitSection:
     """Unit sections with holomorphic eigenbundle on a flat torus, A = 0.
 
@@ -437,12 +430,8 @@ def holomorphic_g_factory(
     meromorphic function zeta(z) = scale * wp(z - z0) + offset, where wp is
     the Weierstrass function of the lattice.  The resulting axis field is
     smooth across the pole of wp (it approaches the north pole).  z0 defaults
-    to a half-cell offset from the grid so no sample hits the pole.
-
-    conjugate=True uses the antiholomorphic zeta instead; such sections fail
-    the holomorphy gate and serve as negative controls.  With validate=True
-    the section must pass all four holomorphy residuals below FACTORY_TOL,
-    otherwise FactoryValidationFailed is raised.
+    to a half-cell offset from the grid so no sample hits the pole.  The
+    section is not validated here; a transform gates it (GNotHolomorphic).
     """
     if not metric.is_flat:
         raise ValueError("the elliptic factory requires a flat metric")
@@ -461,31 +450,20 @@ def holomorphic_g_factory(
     dist = np.hypot(zred_x, zred_y)
     if dist.min() < 1e-9:
         raise ValueError("z0 collides with a grid point; shift it off-grid")
-    zeta = scale * weierstrass_p(z, metric.lx, metric.ly) + offset
-    if conjugate:
-        zeta = zeta.conj()
-    n = _stereographic_axis(zeta)
+    n = _stereographic_axis(scale * weierstrass_p(z, metric.lx, metric.ly) + offset)
     meta = {
         "kind": "elliptic",
         "z0": [float(z0[0]), float(z0[1])],
         "scale": [float(np.real(scale)), float(np.imag(scale))],
         "offset": [float(np.real(offset)), float(np.imag(offset))],
-        "conjugate": bool(conjugate),
     }
-    sec = UnitSection.from_axis(metric, n, meta=meta)
-    if validate:
-        top = worst(holomorphy_residuals(sec, Connection.zero(metric)).values())
-        if not passes(top, FACTORY_TOL):
-            raise FactoryValidationFailed(
-                f"holomorphy residuals up to {top:.3e} exceed {FACTORY_TOL:.1e}"
-            )
-    return sec
+    return UnitSection.from_axis(metric, n, meta=meta)
 
 
 def section_family(metric: TorusMetric, count: int, seed: int) -> list[UnitSection]:
     """Random elliptic sections for sweep studies: log-normal scale with a
-    random phase, normal complex offset, uniform off-grid pole location.  They
-    are not validated; the sweep measures them."""
+    random phase, normal complex offset, uniform off-grid pole location; the
+    sweep measures their residuals."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -496,9 +474,7 @@ def section_family(metric: TorusMetric, count: int, seed: int) -> list[UnitSecti
         scale = mag * np.exp(1j * phase)
         offset = complex(rng.normal(0.0, 1.0), rng.normal(0.0, 1.0))
         out.append(
-            holomorphic_g_factory(
-                metric, z0=(x0, y0), scale=scale, offset=offset, validate=False
-            )
+            holomorphic_g_factory(metric, z0=(x0, y0), scale=scale, offset=offset)
         )
     return out
 
@@ -707,9 +683,7 @@ def generate_chain(
             scale = complex(*step.get("scale", (1.0, 0.0)))
             offset = complex(*step.get("offset", (0.0, 0.0)))
             z0 = tuple(step["z0"]) if "z0" in step else None
-            g = holomorphic_g_factory(
-                metric, z0=z0, scale=scale, offset=offset, validate=False
-            )
+            g = holomorphic_g_factory(metric, z0=z0, scale=scale, offset=offset)
         elif kind == "repeat-q":
             if not certs:
                 raise ValueError("repeat-q needs a previous step")

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import smfield as sm
 from .errors import NonOrthogonalDrift, NotClosed, passes, worst
-from .interp import PeriodicCubic2D
 from .smfield import FourierField, Higgs, Pair
 from .torus import SMPoint, integrate_geodesic, step_count, torus_distance
 
@@ -25,40 +24,15 @@ DRIFT_TOL = 1e-6
 
 
 class TransportContext:
-    """Interpolators of a pair across transports; the trivializer's is built
-    on the first trivializer_at call and kept."""
+    """Off-grid evaluators of a pair across transports, both built by
+    FourierField.interpolant: generator_at, of A + Phi (modes -1, 0, 1), at
+    once, and trivializer_at on its first call; both are kept.  Each takes
+    point arrays (x, y, theta) of one shape and returns that shape + (3, 3)."""
 
     def __init__(self, pair: Pair):
         self.pair = pair
-        met = pair.metric
-        channels = np.concatenate(
-            [
-                pair.conn.a.reshape(met.ny, met.nx, 9),
-                pair.conn.b.reshape(met.ny, met.nx, 9),
-                pair.higgs.phi.reshape(met.ny, met.nx, 9),
-            ],
-            axis=-1,
-        )
-        self._field_interp = PeriodicCubic2D(channels, met.lx, met.ly)
+        self.generator_at = pair.total_field().interpolant()
         self._trivializer_at = None
-
-    def coefficients_at(self, xs, ys):
-        """(a, b, phi) matrices at arbitrary base points; shapes (n, 3, 3)."""
-        met = self.pair.metric
-        vals = self._field_interp(np.asarray(xs) % met.lx, np.asarray(ys) % met.ly)
-        n = vals.shape[0]
-        return (
-            vals[:, 0:9].reshape(n, 3, 3),
-            vals[:, 9:18].reshape(n, 3, 3),
-            vals[:, 18:27].reshape(n, 3, 3),
-        )
-
-    def generator_at(self, xs, ys, thetas):
-        """B = A + Phi evaluated at unit tangent vectors; shape (n, 3, 3)."""
-        a, b, phi = self.coefficients_at(xs, ys)
-        ct = np.cos(thetas)[:, None, None]
-        st = np.sin(thetas)[:, None, None]
-        return a * ct + b * st + phi
 
     def trivializer_at(self, xs, ys, thetas):
         if self._trivializer_at is None:

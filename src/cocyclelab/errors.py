@@ -66,10 +66,6 @@ class PhiNotZero(CocycleLabError):
     """Operation requires a pair with vanishing Higgs field."""
 
 
-class FactoryValidationFailed(CocycleLabError):
-    """Constructed direction field failed its own validation residuals."""
-
-
 class RankDeficient(CocycleLabError):
     """Top Fourier mode vanishes on too large a fraction of the grid."""
 

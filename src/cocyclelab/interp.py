@@ -1,5 +1,6 @@
 """Periodic bicubic interpolation of real grid data; every off-grid field
-value in the package comes from here.
+value in the package comes from here, through FourierField.interpolant, which
+builds each spline over the real channels of a field's modes m >= 0.
 
 Interpolating cubic B-splines on a uniform periodic grid, built in one
 pruned real spectral pass.  The spline passes through the data resampled on

@@ -38,20 +38,6 @@ def deriv(arr: np.ndarray, length: float, axis: int) -> np.ndarray:
     return out
 
 
-def laplacian(arr: np.ndarray, lx: float, ly: float) -> np.ndarray:
-    """Spectral Laplacian over the two leading (y, x) axes."""
-    arr = np.asarray(arr)
-    ky = wavenumbers(arr.shape[0], ly)
-    kx = wavenumbers(arr.shape[1], lx)
-    k2 = ky[:, None] ** 2 + kx**2
-    f = np.fft.fft2(arr, axes=(0, 1))
-    f *= -k2.reshape(k2.shape + (1,) * (arr.ndim - 2))
-    out = np.fft.ifft2(f, axes=(0, 1))
-    if np.isrealobj(arr):
-        return out.real
-    return out
-
-
 @lru_cache(maxsize=64)
 def _cauchy_riemann_symbol(ny: int, nx: int, lx: float, ly: float, sign: int) -> np.ndarray:
     """The read-only (ny, nx) Fourier symbol (i kx - sign ky)/2 of

@@ -69,7 +69,9 @@ def _eval_harmonics(table, x, y, lib=np):
     """(lambda, lambda_x, lambda_y) of a harmonic sum at x, y of one shape.
 
     lib supplies cos and sin: numpy for arrays, math for Python floats (the
-    geodesic loop, where a numpy call on a scalar costs more than the sum)."""
+    geodesic loop, where a numpy call on a scalar costs more than the sum).
+    A table whose amplitudes are scaled by -(ax^2 + ay^2) gives the Laplacian
+    of lambda in place of lambda, since each term is separable."""
     lam = lam_x = lam_y = 0.0 * x
     for amp, ax, phase_x, ay, phase_y in table:
         if ax:
@@ -97,10 +99,10 @@ def _check_grid(nx, ny, lx, ly) -> None:
 
 class TorusMetric:
     """A conformal factor given by its harmonic series, sampled on the grid
-    with cached derivatives and curvature.
+    with its gradient and Gauss curvature.
 
-    Construct with flat() or from_harmonics().  Off-grid values of lambda and
-    its gradient are the exact trigonometric series.
+    Construct with flat() or from_harmonics().  lambda, its gradient and its
+    Laplacian, on the grid and off it, are the exact trigonometric series.
     """
 
     def __init__(self, nx, ny, lx, ly, harmonics):
@@ -118,21 +120,22 @@ class TorusMetric:
         self.lx, self.ly = float(lx), float(ly)
         self.harmonics = harmonics
         self._series = _harmonic_table(harmonics, lx, ly)
-        lam, _, _ = _eval_harmonics(self._series, *grid_coords(nx, ny, lx, ly))
+        xg, yg = grid_coords(nx, ny, lx, ly)
+        lam, lam_x, lam_y = _eval_harmonics(self._series, xg, yg)
         if not np.isfinite(lam).all():
             raise ValueError("lambda must be finite")
+        # the eta operators differentiate spectrally, so lambda must be resolved
         nyq = spectral.nyquist_shell_max(lam)
         if nyq > NYQUIST_TOL:
             raise NonSmoothLambda(
                 f"lambda Nyquist coefficient {nyq:.3e} exceeds {NYQUIST_TOL:.1e}"
             )
-        self.lam = lam
-        self.lam_x = spectral.deriv(lam, self.lx, axis=1)
-        self.lam_y = spectral.deriv(lam, self.ly, axis=0)
-        self.e_lam = np.exp(lam)
+        laplacian = tuple((-amp * (ax * ax + ay * ay), ax, px, ay, py)
+                          for amp, ax, px, ay, py in self._series)
+        self.lam, self.lam_x, self.lam_y = lam, lam_x, lam_y
         self.e_neg_lam = np.exp(-lam)
         self.e_2lam = np.exp(2.0 * lam)
-        self.gauss = -np.exp(-2.0 * lam) * spectral.laplacian(lam, self.lx, self.ly)
+        self.gauss = -np.exp(-2.0 * lam) * _eval_harmonics(laplacian, xg, yg)[0]
 
     @classmethod
     def flat(cls, nx=64, ny=64, lx=1.0, ly=1.0):

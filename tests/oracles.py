@@ -2,9 +2,10 @@
 
 Each one takes a route independent of the code it checks: frame derivatives
 taken literally in (x, y, theta), dbar and dz from one 1-D derivative per
-axis, a Cauchy integral for p', a finite-difference speed, readers of the
-files the package writes, and the frame-transfer identity of a trivializing
-u.  No verb runs them.
+axis, the metric's derivatives from its grid samples, the transport generator
+from a spline of its coefficient grids, a Cauchy integral for p', a
+finite-difference speed, readers of the files the package writes, and the
+frame-transfer identity of a trivializing u.  No verb runs them.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 from cocyclelab import smfield as sm
 from cocyclelab import spectral
 from cocyclelab.elliptic import weierstrass_p
+from cocyclelab.interp import PeriodicCubic2D
 from cocyclelab.lie3 import inner
 from cocyclelab.torus import _eval_harmonics
 
@@ -21,6 +23,37 @@ def lambda_and_grad_at(metric, x, y):
     (periodic), from its harmonic series."""
     return _eval_harmonics(metric._series, np.asarray(x, dtype=float),
                            np.asarray(y, dtype=float))
+
+
+def spectral_lambda_derivatives(metric):
+    """(lam_x, lam_y, gauss) of a TorusMetric from its grid samples of lambda
+    alone: spectral.deriv along each axis and a spectral Laplacian."""
+    lam = metric.lam
+    ky = spectral.wavenumbers(metric.ny, metric.ly)
+    kx = spectral.wavenumbers(metric.nx, metric.lx)
+    laplacian = np.fft.ifft2(-(ky[:, None] ** 2 + kx**2) * np.fft.fft2(lam)).real
+    return (spectral.deriv(lam, metric.lx, axis=1), spectral.deriv(lam, metric.ly, axis=0),
+            -np.exp(-2.0 * lam) * laplacian)
+
+
+def coefficient_spline_generator(pair):
+    """Evaluator (x, y, theta) -> B = a cos(theta) + b sin(theta) + Phi of a
+    pair, from one bicubic spline over the 27 channels of its grids a, b and
+    Phi; returns the points' shape + (3, 3)."""
+    met = pair.metric
+    grids = (pair.conn.a, pair.conn.b, pair.higgs.phi)
+    spline = PeriodicCubic2D(
+        np.concatenate([g.reshape(met.ny, met.nx, 9) for g in grids], axis=-1), met.lx, met.ly
+    )
+
+    def at(x, y, theta):
+        x = np.asarray(x, dtype=float)
+        vals = spline(x % met.lx, np.asarray(y, dtype=float) % met.ly)
+        a, b, phi = np.moveaxis(vals.reshape(x.shape + (3, 3, 3)), -3, 0)
+        th = np.asarray(theta, dtype=float)[..., None, None]
+        return a * np.cos(th) + b * np.sin(th) + phi
+
+    return at
 
 
 def so3_norm(g: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ from cocyclelab import backlund as bk
 from cocyclelab import cocycle as cc
 from cocyclelab.cocycle import gauge_transform, transport_residual_field, triviality_residual
 from cocyclelab.errors import (
-    FactoryValidationFailed,
     GNotHolomorphic,
     InputNotCertified,
     NotUnit,
@@ -59,7 +58,7 @@ def test_vertical_solution_left_factor():
     met = TorusMetric.flat(32, 32)
     sec = bk.UnitSection.constant(met, [0.0, 0.0, 1.0])
     r = np.broadcast_to(so3_exp(hat(np.array([0.1, 0.2, 0.3]))), (32, 32, 3, 3)).copy()
-    a = bk.vertical_solution(sec, r=r)
+    a = FourierField.from_grid(met, r) @ bk.vertical_solution(sec)
     assert bk.vertical_residual(a, sec) < 1e-15
     assert np.abs(a.sample(8)[0].real - r).max() < 1e-14  # theta = 0 gives r
 
@@ -88,14 +87,14 @@ def test_holomorphy_factory_versus_controls():
     good = bk.holomorphic_g_factory(met, scale=0.8 + 0.3j, offset=0.2 - 0.1j)
     res_good = bk.holomorphy_residuals(good, Connection.zero(met))
     assert max(res_good.values()) < 1e-9
-    bad = bk.holomorphic_g_factory(met, conjugate=True, validate=False)
+    # the y-flipped axis is the stereographic image of the conjugate zeta
+    g = bk.holomorphic_g_factory(met)
+    bad = bk.UnitSection.from_axis(met, vee(g.grid) * [1, -1, 1])
     res_bad = bk.holomorphy_residuals(bad, Connection.zero(met))
     assert min(res_bad.values()) > 1e-2
     rand = bk.random_unit_section(met, seed=13)
     res_rand = bk.holomorphy_residuals(rand, Connection.zero(met))
     assert min(res_rand.values()) > 1e-2
-    with pytest.raises(FactoryValidationFailed):
-        bk.holomorphic_g_factory(met, conjugate=True)
 
 
 def test_factory_requires_flat_metric():
@@ -297,6 +296,20 @@ def test_reduce_degree_gates(monkeypatch):
     monkeypatch.setattr(bk, "DEFAULT_CERT_TOL", 1e-18)
     with pytest.raises(OutputNotCertified, match="reduced field residual"):
         bk.reduce_degree(step.pair_out)
+
+
+def test_reduce_fills_masked_axis_from_neighbors():
+    """Masked points of a constant unit axis, a 2x2 block across the periodic
+    corner, are refilled with that axis and the others are kept bit for bit;
+    a fully masked grid cannot be filled."""
+    n = np.broadcast_to(AXIS, (32, 32, 3)).copy()
+    mask = np.zeros((32, 32), dtype=bool)
+    mask[np.ix_([31, 0], [31, 0])] = True
+    filled = bk._fill_masked_axis(np.where(mask[..., None], 0.0, n), mask)
+    assert np.array_equal(filled[~mask], n[~mask])
+    assert np.abs(filled[mask] - AXIS).max() < 1e-15
+    with pytest.raises(ReductionFailed):
+        bk._fill_masked_axis(np.zeros((32, 32, 3)), np.ones((32, 32), dtype=bool))
 
 
 def test_reduce_degree_computes_the_star_bracket_once(monkeypatch):

@@ -21,7 +21,7 @@ from cocyclelab.interp import PeriodicCubic2D
 from cocyclelab.lie3 import hat, so3_exp
 from cocyclelab.smfield import Connection, FourierField, Higgs, Pair
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords, integrate_geodesic
-from oracles import frame_transfer_residual
+from oracles import coefficient_spline_generator, frame_transfer_residual
 
 
 def curved_metric(n=64):
@@ -192,6 +192,22 @@ def test_interpolants_built_lazily_and_once(monkeypatch):
     flat = TorusMetric.flat(32, 32)
     assert holonomy_closed(Pair.trivial(flat), SMPoint(0.2, 0.9, 0.0), 1.0, 1e-2) < 1e-13
     assert len(builds) == 1
+
+
+def test_generator_matches_coefficient_spline():
+    """generator_at, the interpolant of A + Phi, equals the spline of the
+    grids a, b and Phi summed as a cos + b sin + Phi, on the curved-transport
+    pair and on a pair with nonzero Phi, and keeps a 2-D point array's shape."""
+    met = TorusMetric.from_harmonics(48, 48, 1.0, 1.0, [[0.1, 1, 0], [0.04, 1, 1, 0.5, 1.2]])
+    chain = [{"kind": "constant", "axis": [0.6, -0.48, 0.64]}, {"kind": "repeat-q"}]
+    rng = np.random.default_rng(5)
+    xs, ys = rng.uniform(-1, 2, (2, 40, 25))
+    ths = rng.uniform(-7, 7, (40, 25))
+    for pair in (generate_chain(met, chain).final, generic_pair(curved_metric(48), scale=3.0)):
+        got = TransportContext(pair).generator_at(xs, ys, ths)
+        ref = coefficient_spline_generator(pair)(xs, ys, ths)
+        assert got.shape == (40, 25, 3, 3)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_field_residual_certificate():

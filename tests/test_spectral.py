@@ -3,7 +3,7 @@ import pytest
 
 from cocyclelab import interp
 from cocyclelab.interp import PeriodicCubic2D
-from cocyclelab.spectral import dbar, deriv, dz, laplacian, nyquist_shell_max, refine_grid
+from cocyclelab.spectral import dbar, deriv, dz, nyquist_shell_max, refine_grid
 from oracles import cauchy_riemann_two_deriv
 
 
@@ -22,15 +22,6 @@ def test_deriv_matches_analytic():
     fy = -(2 * np.pi * 2 / ly) * np.sin(2 * np.pi * 3 * xg / lx) * np.sin(2 * np.pi * 2 * yg / ly)
     assert np.abs(deriv(f, lx, axis=1) - fx).max() < 1e-11
     assert np.abs(deriv(f, ly, axis=0) - fy).max() < 1e-11
-
-
-def test_laplacian_matches_analytic():
-    nx = ny = 64
-    lx, ly = 1.0, 2.0
-    xg, yg = _trig(nx, ny, lx, ly)
-    f = np.cos(2 * np.pi * xg / lx + 0.3) * np.sin(2 * np.pi * 4 * yg / ly)
-    k2 = (2 * np.pi / lx) ** 2 + (2 * np.pi * 4 / ly) ** 2
-    assert np.abs(laplacian(f, lx, ly) + k2 * f).max() < 1e-9
 
 
 def test_dbar_dz_analytic_oracle():

@@ -14,7 +14,7 @@ from cocyclelab.torus import (
     _harmonic_table,
     torus_distance,
 )
-from oracles import frame_apply, lambda_and_grad_at, unit_speed_residual
+from oracles import frame_apply, lambda_and_grad_at, spectral_lambda_derivatives, unit_speed_residual
 
 
 def curved_metric(n=64, amp=0.1):
@@ -29,6 +29,17 @@ def test_gauss_curvature_analytic():
     lam = 0.1 * np.cos(2 * np.pi * xg)
     expected = np.exp(-2 * lam) * (2 * np.pi) ** 2 * lam
     assert np.abs(met.gauss - expected).max() < 1e-9
+
+
+def test_lambda_derivatives_match_spectral_oracle():
+    """lam_x, lam_y and gauss from the harmonic series equal the spectral
+    derivatives of the sampled lambda, with lx != ly, a constant harmonic and
+    a harmonic mixed in x and y."""
+    met = TorusMetric.from_harmonics(
+        64, 48, 1.0, 1.5, [Harmonic(0.2), Harmonic(0.08, 1, 0), Harmonic(0.04, 1, 2, 0.5, 1.2)]
+    )
+    for got, ref in zip((met.lam_x, met.lam_y, met.gauss), spectral_lambda_derivatives(met)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_gauss_zero_on_flat():
