@@ -596,12 +596,13 @@ def reduce_degree(pair: Pair) -> ReductionResult:
             f"reduction axis fails the holomorphy gate at {top:.3e}"
         )
     a_new = vertical_solution(g_new)
+    # a_0 b_N = 0 makes a_1 b_{N-1} the whole of the new top mode N, so all
+    # three rows are relative to ||b_N||: b_{N-1} can vanish to rounding (a
+    # repeat-q chain), and a ratio to its own norm would read noise over noise
     bn_scale = max(grid_l2_norm(met, b_top), 1e-300)
     r_a1_bn = grid_l2_norm(met, a_new.mode(1) @ b_top) / bn_scale
     r_a0_bn = grid_l2_norm(met, a_new.mode(0) @ b_top) / bn_scale
-    b_next = b.mode(n_deg - 1)
-    bnm_scale = max(grid_l2_norm(met, b_next), 1e-300)
-    r_a1_bnm = grid_l2_norm(met, a_new.mode(1) @ b_next) / bnm_scale
+    r_a1_bnm = grid_l2_norm(met, a_new.mode(1) @ b.mode(n_deg - 1)) / bn_scale
 
     cert = backlund_transform(pair, g_new, vertical=a_new)
     u_full = cert.pair_out.trivializer

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smfield as sm
-from .errors import NonOrthogonalDrift, NotClosed, passes, worst
+from .errors import NonOrthogonalDrift, NotClosed, StepTooLarge, passes, worst
 from .smfield import FourierField, Higgs, Pair
 from .torus import SMPoint, integrate_geodesic, step_count, torus_distance
 
@@ -101,13 +101,17 @@ def transport(
     both land on t_final; both pieces are fourth order.  The equation is
     linear, so each step is one precomputed matrix product (_rk4_propagators).
     Orthogonality of C is monitored at every saved sample and
-    NonOrthogonalDrift is raised beyond DRIFT_TOL.
+    NonOrthogonalDrift is raised beyond DRIFT_TOL.  StepTooLarge (bad input)
+    names the geodesic half step and the cocycle step it comes from.
     """
     met = pair.metric
     ctx = context if context is not None else TransportContext(pair)
     nsteps = step_count(t_final, dt)
-    path = integrate_geodesic(met, p0, t_final, abs(t_final) / (2 * nsteps))
     h = t_final / nsteps
+    try:
+        path = integrate_geodesic(met, p0, t_final, abs(t_final) / (2 * nsteps))
+    except StepTooLarge as exc:
+        raise StepTooLarge(f"{exc} (half of the cocycle step {abs(h):g})") from None
     steps = _rk4_propagators(ctx.generator_at(path.xs, path.ys, path.thetas), h)
     c = np.eye(3)
     saved_t = [0.0]
@@ -268,9 +272,10 @@ def h0_residuals(u: FourierField, higgs: Higgs | None = None) -> dict[str, float
     """
     ut = u.transpose()
     f = ut @ sm.vertical(u)
-    # X = eta_+ + eta_- and H = i (eta_+ - eta_-), from one eta of each sign;
-    # every band is dropped once its norm is taken, which bounds the peak
-    ep, em = sm.eta_plus(f), sm.eta_minus(f)
+    # X = eta_+ + eta_- and H = i (eta_+ - eta_-), from one eta_- when f is
+    # real on SM (sm.eta_pair); every band is dropped once its norm is taken,
+    # which bounds the peak
+    ep, em = sm.eta_pair(f)
     xf = ep + em
     hf = (ep - em) * 1j
     del ep, em

@@ -29,8 +29,9 @@ class NonSmoothLambda(ValueError):
     """Conformal factor has Nyquist content on its grid: bad input, not a failed check."""
 
 
-class StepTooLarge(CocycleLabError):
-    """Requested integrator step exceeds the allowed fraction of the torus size."""
+class StepTooLarge(ValueError):
+    """Requested integrator step exceeds the allowed fraction of the torus
+    size: bad input, not a failed check."""
 
 
 class SamplingTooCoarse(CocycleLabError):

@@ -258,10 +258,23 @@ def field_to_json(field: FourierField, so3: bool = False) -> dict:
 
 
 def field_from_json(doc: dict, metric: TorusMetric | None = None) -> FourierField:
+    """The field of a document.  With metric (that of the pair the field
+    belongs to) the field lives on that metric object, and the header must
+    describe the same metric: equal grid and metric_harmonics, and a
+    metric_lambda within LAMBDA_TOL of their series; ValueError otherwise."""
     _check_format(doc)
     if doc.get("values") not in ("matrix", "so3"):
         raise ValueError('a field file declares "values": "matrix" or "so3"')
-    met = metric if metric is not None else metric_from_header(doc)
+    met = metric_from_header(doc)
+    if metric is not None:
+        for key, got, want in (
+            ("grid", (met.nx, met.ny, met.lx, met.ly),
+             (metric.nx, metric.ny, metric.lx, metric.ly)),
+            ("metric_harmonics", met.harmonics, metric.harmonics),
+        ):
+            if got != want:
+                raise ValueError(f"the field's {key} {got} differs from the pair's {want}")
+        met = metric
     return _field_from_block(met, doc, doc["values"] == "so3")
 
 

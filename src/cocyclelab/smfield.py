@@ -24,9 +24,18 @@ and transformed back.  That many samples resolve the whole product band
 [lo_u + lo_v, hi_u + hi_v], so nothing aliases and nothing is truncated; the
 product is exact to rounding; bracket forms [u, v] from the same samples.
 The fiber transforms are products with small dense DFT matrices, cached by
-size, which beat an FFT along the short mode axis.  Every pointwise 3x3
-product, of bands and of (ny, nx, 3, 3) grids alike, runs through one
-unrolled kernel of nine output planes, each a sum of three plane products.
+size, which beat an FFT along the short mode axis.  When both bands are real
+on SM to the bit (lo = -hi and c_{-m} == conj(c_m), as for the pair, the
+trivializer and every Bäcklund factor), the product runs in real arithmetic:
+each factor is sampled from [Re c_0..Re c_hi, Im c_1..Im c_hi] by a real
+synthesis matrix, the kernel multiplies float64 samples, a real analysis
+matrix returns the modes 0..K, and the modes m < 0 are filled by
+conjugation, so the product is real to the bit as well.  Any other band, or a
+one-mode factor, keeps the complex route.  Every pointwise 3x3 product, of
+bands and of (ny, nx, 3, 3) grids alike, runs through one unrolled kernel of
+nine output planes, each a sum of three plane products, in either dtype.
+X of a real field takes one eta_minus: eta_plus(u) is its conjugate, since
+dz(conj f) = conj(dbar f) and lam is real (eta_pair).
 
 The L2 pairing is <u, v> = integral over SM of trace(u v*) with measure
 e^{2 lam} dx dy dtheta, evaluated as a plain grid sum (spectrally accurate
@@ -101,6 +110,57 @@ def _from_angles(samples: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return coef.reshape((len(ks),) + samples.shape[1:])
 
 
+@lru_cache(maxsize=64)
+def _real_synthesis(nt: int, k: int) -> np.ndarray:
+    """The read-only (nt, 2k + 1) matrix taking [Re c_0..Re c_k, Im c_1..Im c_k]
+    of a field real on SM to its values at theta_j = 2 pi j / nt: columns 1,
+    2 cos(m theta_j) and -2 sin(m theta_j), m = 1..k."""
+    ang = 2 * np.pi / nt * (np.multiply.outer(np.arange(nt), np.arange(1, k + 1)) % nt)
+    mat = np.concatenate([np.ones((nt, 1)), 2 * np.cos(ang), -2 * np.sin(ang)], axis=1)
+    mat.setflags(write=False)
+    return mat
+
+
+@lru_cache(maxsize=64)
+def _real_analysis(nt: int, k: int) -> np.ndarray:
+    """The read-only (2k + 1, nt) matrix taking real samples at theta_j =
+    2 pi j / nt to [Re c_0..Re c_k, Im c_1..Im c_k]: rows cos(m theta_j) / nt,
+    m = 0..k, and -sin(m theta_j) / nt, m = 1..k."""
+    ang = 2 * np.pi / nt * (np.multiply.outer(np.arange(k + 1), np.arange(nt)) % nt)
+    mat = np.concatenate([np.cos(ang), -np.sin(ang[1:])]) / nt
+    mat.setflags(write=False)
+    return mat
+
+
+def _is_real(u: "FourierField") -> bool:
+    """u is real on SM to the bit: lo = -hi and c_{-m} == conj(c_m), compared
+    mode by mode (NaN compares unequal, so it takes the complex route)."""
+    c, k = u.coef, u.hi
+    return u.lo == -k and all(np.array_equal(c[k + m], np.conj(c[k - m])) for m in range(k + 1))
+
+
+def _real_angles(u: "FourierField", nt: int) -> np.ndarray:
+    """Values at theta_j = 2 pi j / nt of a field real on SM, nt > 2 hi: a
+    real (nt, 3, 3, ny, nx) array computed from its modes m >= 0."""
+    c = u.coef[u.hi:]
+    data = np.concatenate([c.real, c[1:].imag]).reshape(2 * u.hi + 1, -1)
+    return (_real_synthesis(nt, u.hi) @ data).reshape((nt,) + c.shape[1:])
+
+
+def _real_modes(samples: np.ndarray, k: int) -> np.ndarray:
+    """The modes -k..k of nt > 2k real equispaced samples: 0..k by the real
+    analysis matrix, m < 0 by conjugation, so they are real on SM to the bit."""
+    nt = len(samples)
+    parts = _real_analysis(nt, k) @ samples.reshape(nt, -1)
+    parts = parts.reshape((2 * k + 1,) + samples.shape[1:])
+    out = np.empty(parts.shape, dtype=complex)
+    out[k:].real = parts[: k + 1]
+    out[k].imag = 0.0
+    out[k + 1:].imag = parts[k + 1:]
+    out[:k] = np.conj(out[: k : -1])
+    return out
+
+
 def _commutator3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise commutator ab - ba of (..., 3, 3, ny, nx) arrays."""
     out = _matmul3(a, b)
@@ -110,13 +170,16 @@ def _commutator3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _pointwise(u: "FourierField", v: "FourierField", kernel) -> "FourierField":
     """kernel (_matmul3 or _commutator3) of u and v pointwise on SM (module
-    docstring); a one-mode factor is fiber-constant and needs no transform."""
+    docstring); a one-mode factor is fiber-constant and needs no transform,
+    and two fields real on SM are multiplied in real arithmetic."""
     u._check_same(v)
     a, b = u.coef, v.coef
+    nt = len(a) + len(b) - 1
     if min(len(a), len(b)) == 1:
         out = kernel(a, b)
+    elif _is_real(u) and _is_real(v):
+        out = _real_modes(kernel(_real_angles(u, nt), _real_angles(v, nt)), u.hi + v.hi)
     else:
-        nt = len(a) + len(b) - 1
         out = _from_angles(kernel(_to_angles(a, nt), _to_angles(b, nt)), np.arange(nt))
     return FourierField.band(u.metric, u.lo + v.lo, out)
 
@@ -233,9 +296,13 @@ class FourierField:
 
     # -- sampling ------------------------------------------------------------
 
+    def _theta_count(self) -> int:
+        """The default number of fiber angles of sample."""
+        return max(8, 4 * (self.degree + 1))
+
     def sample(self, ntheta: int | None = None) -> np.ndarray:
         """Pointwise values on the (theta, y, x) product grid: (ntheta, ny, nx, 3, 3)."""
-        ntheta = max(8, 4 * (self.degree + 1)) if ntheta is None else ntheta
+        ntheta = self._theta_count() if ntheta is None else ntheta
         if ntheta < 2 * self.degree + 1:
             raise ValueError("theta grid too coarse for the field degree")
         phase = np.exp(1j * self.lo * self.metric.theta_grid(ntheta))
@@ -281,10 +348,14 @@ class FourierField:
 
     def orthogonality_residual(self) -> float:
         """Max pointwise ||R^T R - Id|| + imaginary part, over the default
-        theta grid."""
-        s = _matrix_first(self.sample())
-        im = float(np.abs(s.imag).max())
-        r = s.real
+        theta grid.  A field real on SM is sampled in real arithmetic from its
+        modes m >= 0 (as a product factor is), so its imaginary part is 0."""
+        nt = self._theta_count()
+        if _is_real(self):
+            r, im = _real_angles(self, nt), 0.0
+        else:
+            s = _matrix_first(self.sample(nt))
+            r, im = s.real, float(np.abs(s.imag).max())
         g = _matmul3(np.swapaxes(r, 1, 2), r) - np.eye(3)[:, :, None, None]
         return float(np.sqrt(np.einsum("tijyx,tijyx->tyx", g, g)).max() + im)
 
@@ -355,9 +426,18 @@ def eta_plus(u: FourierField) -> FourierField:
     return FourierField.band(met, u.lo + 1, d)
 
 
+def eta_pair(u: FourierField) -> tuple[FourierField, FourierField]:
+    """(eta_plus(u), eta_minus(u)).  For u real on SM eta_plus(u) is the
+    conjugate of eta_minus(u), since dz(conj f) = conj(dbar f) and lam is
+    real, so one spectral transform serves both."""
+    em = eta_minus(u)
+    return (em.conj() if _is_real(u) else eta_plus(u)), em
+
+
 def x_op(u: FourierField) -> FourierField:
     """Geodesic vector field X = eta_plus + eta_minus in mode calculus."""
-    return eta_plus(u) + eta_minus(u)
+    ep, em = eta_pair(u)
+    return ep + em
 
 
 # -- connections and Higgs fields -------------------------------------------------

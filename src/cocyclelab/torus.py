@@ -220,7 +220,7 @@ def integrate_geodesic(
     nsteps = step_count(t_final, dt)
     if dt > MAX_STEP_FRACTION * min(metric.lx, metric.ly):
         raise StepTooLarge(
-            f"dt = {dt:g} exceeds {MAX_STEP_FRACTION:g} * min(Lx, Ly) = "
+            f"geodesic step {dt:g} exceeds {MAX_STEP_FRACTION:g} * min(Lx, Ly) = "
             f"{MAX_STEP_FRACTION * min(metric.lx, metric.ly):g}"
         )
     x, y, th = float(p0.x), float(p0.y), float(p0.theta)

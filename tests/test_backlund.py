@@ -17,7 +17,7 @@ from cocyclelab.errors import (
     ReductionFailed,
 )
 from cocyclelab.lie3 import hat, so3_exp, vee
-from cocyclelab.smfield import Connection, FourierField, Higgs, Pair, star_curvature
+from cocyclelab.smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm, star_curvature
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords
 from oracles import so3_norm
 
@@ -263,6 +263,21 @@ def test_reduce_degree_recovers_inverse():
     assert red.pair.higgs.norm() < 1e-10
     assert red.residuals["reduced-field"] < 1e-10
     assert transport_residual_field(red.pair) < 1e-10
+
+
+def test_reduce_constraint_rows_are_relative_to_the_top_mode():
+    """Mode N-1 of a repeat-q chain's trivializer vanishes to rounding, so
+    a_1 b_{N-1}, the whole of the new top mode once a_0 b_N = 0, is measured
+    against ||b_N|| like the other two constraint rows, not against noise."""
+    met = TorusMetric.from_harmonics(32, 32, 1.0, 1.0,
+                                     [Harmonic(0.1, 1, 0), Harmonic(0.04, 1, 1, 0.5, 1.2)])
+    chain = bk.generate_chain(met, [{"kind": "constant", "axis": AXIS.tolist()},
+                                    {"kind": "repeat-q"}])
+    u = chain.final.trivializer
+    assert grid_l2_norm(met, u.mode(1)) <= 1e-14 * grid_l2_norm(met, u.mode(2))
+    red = bk.reduce_degree(chain.final)
+    for key in ("constraint-a1-bN", "constraint-a0-bN", "constraint-a1-bNm1"):
+        assert red.residuals[key] <= 1e-14, key
 
 
 def test_reduce_degree_gates(monkeypatch):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cocyclelab import backlund as bk, cli, cocycle as cc, fieldio as fio
+from cocyclelab import backlund as bk, cli, cocycle as cc, fieldio as fio, smfield as sm
 from cocyclelab.errors import passes
 from cocyclelab.backlund import generate_chain
 from cocyclelab.smfield import Higgs, Pair
@@ -172,13 +172,36 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
     assert "all identities verified" not in capsys.readouterr().out
 
 
+def test_trivializer_header_must_match_the_pair(tmp_path, capsys):
+    """verify and reduce read the trivializer against the pair's metric, so
+    a header describing another grid, series or sampled lambda is bad input
+    that names the mismatched key."""
+    out = run_generate(tmp_path, CONST_CHAIN)
+    pair, triv = out / "pair.json", out / "trivializer.json"
+    good = json.loads(triv.read_bytes())
+    flat = {"metric_harmonics": [], "metric_lambda": [0.0] * len(good["metric_lambda"])}
+    for doc, key in (
+        ({**good, **flat, "grid": {**good["grid"], "lx": 7.0}}, "grid"),
+        ({**good, **flat}, "metric_harmonics"),
+        ({**good, "metric_lambda": [v + 1e-9 for v in good["metric_lambda"]]}, "metric_lambda"),
+    ):
+        triv.write_text(json.dumps(doc))
+        for argv in (["verify", str(pair), str(triv)],
+                     ["reduce", str(pair), str(triv), "--outdir", str(tmp_path / "r")]):
+            capsys.readouterr()
+            assert cli.main(argv) == cli.EXIT_BADINPUT, (key, argv[0])
+            captured = capsys.readouterr()
+            assert key in captured.err and "all identities verified" not in captured.out
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("verb, arg", [
-    ("verify", "--dt=nan"), ("verify", "--dt=0"), ("verify", "--dt=-1e-3"),
+    ("verify", "--dt=nan"), ("verify", "--dt=0"), ("verify", "--dt=-1e-3"), ("verify", "--dt=0.5"),
     ("verify", "--t-final=nan"), ("verify", "--t-final=inf"), ("verify", "--t-final=0"),
     ("verify", "--geodesics=0"), ("verify", "--seed=-1"),
     ("transport", "--dt=inf"), ("transport", "--t-final=0"), ("transport", "--t-final=-inf"),
     ("transport", "--x=nan"), ("transport", "--x=inf"), ("transport", "--y=-inf"),
-    ("transport", "--theta=nan"), ("transport", "--save-every=0"),
+    ("transport", "--theta=nan"), ("transport", "--save-every=0"), ("transport", "--dt=0.5"),
 ])
 def test_run_verbs_reject_bad_numbers(tmp_path, capsys, verb, arg):
     out = run_generate(tmp_path, {"metric": {"nx": 32, "ny": 32}, "chain": []})
@@ -222,6 +245,66 @@ def test_verify_builds_the_transport_band_once(monkeypatch):
     report = cli._verify_report(pair, {}, seed=0, geodesic_count=1, t_final=0.5, dt=1e-2)
     assert report["pass"] is True
     assert len(calls) == 1
+
+
+# the chains of the three benchmark workloads (perfbench/run.py), on grids
+# just large enough for their gates
+CURVED = [[0.1, 1, 0], [0.04, 1, 1, 0.5, 1.2]]
+REPEAT = {"kind": "repeat-q"}
+WORKLOAD_CHAINS = {
+    "flat-elliptic": {"metric": {"nx": 48, "ny": 48}, "chain": [
+        {"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]}, REPEAT]},
+    "curved-transport": {"metric": {"nx": 32, "ny": 32, "harmonics": CURVED},
+                         "chain": [CONST_CHAIN["chain"][0], REPEAT]},
+    "deep-chain": {"metric": {"nx": 32, "ny": 32, "harmonics": CURVED},
+                   "chain": [CONST_CHAIN["chain"][0]] + [REPEAT] * 5},
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_CHAINS)
+def test_real_fields_never_take_the_complex_route(tmp_path, monkeypatch, workload):
+    """Pairs, trivializers and Backlund factors are real on SM, so generate,
+    verify and reduce make no complex fiber transform, every x_op takes one
+    eta_minus and no eta_plus, and eta_plus runs only on fields that are not
+    real (the energy identity's one-mode fields).  A silent fallback to
+    complex arithmetic fails here, not only in the benchmark's timings."""
+    counts = {"_to_angles": 0, "_from_angles": 0}
+    etas, per_x = [], []
+
+    def counted(name):
+        fn = getattr(sm, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    def eta(sign, fn):
+        def wrapped(f):
+            real = f.lo == -f.hi and np.array_equal(f.coef, np.conj(f.coef[::-1]))
+            etas.append((sign, real))
+            return fn(f)
+        return wrapped
+
+    def x_op(f, fn=sm.x_op):
+        start = len(etas)
+        out = fn(f)
+        per_x.append([sign for sign, _ in etas[start:]])
+        return out
+
+    for name in counts:
+        monkeypatch.setattr(sm, name, counted(name))
+    monkeypatch.setattr(sm, "eta_plus", eta("+", sm.eta_plus))
+    monkeypatch.setattr(sm, "eta_minus", eta("-", sm.eta_minus))
+    monkeypatch.setattr(sm, "x_op", x_op)
+    out = run_generate(tmp_path, WORKLOAD_CHAINS[workload])
+    pair, triv = str(out / "pair.json"), str(out / "trivializer.json")
+    assert cli.main(["verify", pair, triv, "--geodesics", "1", "--t-final", "0.2",
+                     "--dt", "2e-3"]) == cli.EXIT_OK
+    assert cli.main(["reduce", pair, triv, "--outdir", str(tmp_path / "r")]) == cli.EXIT_OK
+    assert counts == {"_to_angles": 0, "_from_angles": 0}
+    assert per_x and all(signs == ["-"] for signs in per_x)
+    assert ("-", True) in etas and ("+", True) not in etas
 
 
 def test_verify_detects_corruption(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocyclelab import fieldio
+from cocyclelab import fieldio, smfield
 from cocyclelab.lie3 import hat
 from cocyclelab.smfield import (
     Connection,
@@ -120,6 +120,37 @@ def test_x_h_decompositions():
     assert (x_op(u) - (eta_plus(u) + eta_minus(u))).l2_norm() < 1e-14
 
 
+def test_real_fields_take_the_real_route():
+    """For u real on SM, x_op takes one eta_minus and its conjugate in place
+    of eta_plus; X, V, transposes, sums and products of real bands are real
+    to the bit, and the results agree with the complex route."""
+    met = curved(32)
+    u = real_on_sm(bandlimited_field(met, 3, seed=4))
+    v = real_on_sm(bandlimited_field(met, 2, seed=5))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("eta_plus", "eta_minus"):
+            op = getattr(smfield, name)
+            mp.setattr(smfield, name, lambda f, op=op, name=name: calls.append(name) or op(f))
+        xu = x_op(u)
+    assert calls == ["eta_minus"]
+    ref = eta_plus(u) + eta_minus(u)
+    assert (xu.lo, xu.hi) == (ref.lo, ref.hi)
+    assert (xu - ref).l2_norm() <= 1e-14 * ref.l2_norm()
+    for w in (u, xu, vertical(u), u.transpose(), u + v, u - v * 0.5, u @ v, bracket(u, v)):
+        assert is_real_to_the_bit(w)
+    # one ulp off in one negative mode: the complex route, the same numbers
+    bent = u.coef.copy()
+    bent.real[1, 0, 1, 3, 5] = np.nextafter(bent.real[1, 0, 1, 3, 5], np.inf)
+    w = FourierField.band(met, u.lo, bent)
+    assert not is_real_to_the_bit(w)
+    for got, want in ((w @ v, u @ v), (bracket(v, w), bracket(v, u)), (x_op(w), xu)):
+        assert not is_real_to_the_bit(got)
+        assert (got - want).l2_norm() <= 1e-14 * want.l2_norm()
+    ortho = u.orthogonality_residual()
+    assert abs(w.orthogonality_residual() - ortho) <= 1e-14 * ortho
+
+
 def test_adjointness():
     """<mu_+ u, v> = -<u, mu_- v> in the e^{2 lam} dx dy dtheta measure."""
     met = curved(64, ly=1.3)
@@ -169,21 +200,43 @@ def convolve_modes(u, v):
     return out
 
 
+def real_on_sm(u):
+    """The field with u's modes m > 0, the real part of its mode 0 and
+    c_{-m} = conj(c_m): real on SM to the bit."""
+    k = max(-u.lo, u.hi)
+    coef = np.zeros((2 * k + 1,) + u.coef.shape[1:], dtype=complex)
+    coef[k:] = [u.mode(m).transpose(2, 3, 0, 1) for m in range(k + 1)]
+    coef[k] = coef[k].real
+    coef[:k] = np.conj(coef[:k:-1])
+    return FourierField.band(u.metric, -k, coef)
+
+
+def is_real_to_the_bit(u):
+    return u.lo == -u.hi and np.array_equal(u.coef, np.conj(u.coef[::-1]))
+
+
+PRODUCT_BANDS = {
+    "0x(-1,1)": ((0,), (-1, 1)),
+    "deg1xdeg1": ((-1, 0, 1), (-1, 0, 1)),
+    "deg2xdeg1": (range(-2, 3), (-1, 0, 1)),
+    "deg12xdeg13": (range(-12, 13), range(-13, 14)),
+    "1x(-3)": ((1,), (-3,)),
+    "zero": ((), (-1, 0, 1)),
+}
+# the band shapes a field real on SM can have (lo = -hi)
+SYMMETRIC = ("0x(-1,1)", "deg1xdeg1", "deg2xdeg1", "deg12xdeg13", "zero")
+
+
 @pytest.mark.parametrize(
-    "bands",
-    [
-        ((0,), (-1, 1)),
-        ((-1, 0, 1), (-1, 0, 1)),
-        (range(-2, 3), (-1, 0, 1)),
-        (range(-12, 13), range(-13, 14)),
-        ((1,), (-3,)),
-        ((), (-1, 0, 1)),
-    ],
-    ids=["0x(-1,1)", "deg1xdeg1", "deg2xdeg1", "deg12xdeg13", "1x(-3)", "zero"],
+    "bands, real",
+    [(bands, False) for bands in PRODUCT_BANDS.values()]
+    + [(PRODUCT_BANDS[name], True) for name in SYMMETRIC],
+    ids=list(PRODUCT_BANDS) + [f"{name}-real" for name in SYMMETRIC],
 )
-def test_product_matches_mode_convolution(bands):
+def test_product_matches_mode_convolution(bands, real):
     """u @ v against the mode convolution, on band shapes that the Backlund
-    steps and residual suites multiply."""
+    steps and residual suites multiply; with real set, both factors are real
+    on SM (the real-arithmetic route) and so is their product, to the bit."""
     met = curved(16)
     rng = np.random.default_rng(31)
     u, v = (
@@ -191,7 +244,10 @@ def test_product_matches_mode_convolution(bands):
                            + 1j * rng.normal(size=(16, 16, 3, 3)) for m in ms})
         for ms in bands
     )
+    if real:
+        u, v = real_on_sm(u), real_on_sm(v)
     w = u @ v
+    assert is_real_to_the_bit(w) or not real
     ref = convolve_modes(u, v)
     scale = max((np.abs(c).max() for c in ref.values()), default=1.0)
     for m in set(ref) | set(w.modes):
@@ -199,10 +255,16 @@ def test_product_matches_mode_convolution(bands):
         assert np.abs(w.mode(m) - expect).max() <= 1e-13 * scale, m
 
 
-@pytest.mark.parametrize("lens", [(1, 3), (5, 1), (3, 5), (13, 14)])
-def test_bracket_is_the_commutator_of_products(lens):
+@pytest.mark.parametrize(
+    "lens, real",
+    [((1, 3), False), ((5, 1), False), ((3, 5), False), ((13, 14), False),
+     ((1, 3), True), ((5, 1), True), ((3, 5), True), ((25, 27), True)],
+    ids=["lens0", "lens1", "lens2", "lens3", "1x3-real", "5x1-real", "3x5-real", "25x27-real"],
+)
+def test_bracket_is_the_commutator_of_products(lens, real):
     """bracket(u, v) samples each factor once; with a one-mode factor it is
-    u @ v - v @ u bit for bit, otherwise the same to rounding."""
+    u @ v - v @ u bit for bit, otherwise the same to rounding.  Factors real
+    on SM give a bracket real on SM to the bit."""
     met = curved(16)
     rng = np.random.default_rng(37)
     u, v = (
@@ -210,9 +272,12 @@ def test_bracket_is_the_commutator_of_products(lens):
                           + 1j * rng.normal(size=(n, 3, 3, 16, 16)))
         for n in lens
     )
+    if real:
+        u, v = real_on_sm(u), real_on_sm(v)
     got = bracket(u, v)
     ref = u @ v - v @ u
     assert (got.lo, got.hi) == (ref.lo, ref.hi)
+    assert is_real_to_the_bit(got) or not real
     if min(lens) == 1:
         assert np.array_equal(got.coef, ref.coef)
     else:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from cocyclelab.cocycle import transport
 from cocyclelab.errors import NonSmoothLambda, StepTooLarge
+from cocyclelab.smfield import Pair
 from cocyclelab.torus import (
     FIRST_SLOPES,
     Harmonic,
@@ -207,6 +209,10 @@ def test_step_too_large():
     met = curved_metric(64)
     with pytest.raises(StepTooLarge):
         integrate_geodesic(met, SMPoint(0, 0, 0), 1.0, dt=0.5)
+    # bad input, and transport names the half step it gives the geodesic
+    assert issubclass(StepTooLarge, ValueError)
+    with pytest.raises(StepTooLarge, match=r"geodesic step 0\.25 .*half of the cocycle step 0\.5"):
+        transport(Pair.trivial(met), SMPoint(0, 0, 0), 1.0, dt=0.5)
 
 
 def test_flat_closed_geodesics_close():
