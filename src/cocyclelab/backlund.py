@@ -460,47 +460,6 @@ def holomorphic_g_factory(
     return UnitSection.from_axis(metric, n, meta=meta)
 
 
-def section_family(metric: TorusMetric, count: int, seed: int) -> list[UnitSection]:
-    """Random elliptic sections for sweep studies: log-normal scale with a
-    random phase, normal complex offset, uniform off-grid pole location; the
-    sweep measures their residuals."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        x0 = float(rng.uniform(0.1, 0.9) * metric.lx + 0.3 * metric.lx / metric.nx)
-        y0 = float(rng.uniform(0.1, 0.9) * metric.ly + 0.3 * metric.ly / metric.ny)
-        mag = float(np.exp(rng.normal(0.0, 0.5)))
-        phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        scale = mag * np.exp(1j * phase)
-        offset = complex(rng.normal(0.0, 1.0), rng.normal(0.0, 1.0))
-        out.append(
-            holomorphic_g_factory(metric, z0=(x0, y0), scale=scale, offset=offset)
-        )
-    return out
-
-
-def random_unit_section(metric: TorusMetric, seed: int) -> UnitSection:
-    """Band-limited random unit section (wavenumbers up to 2 per axis);
-    generically fails the holomorphy gate, which makes it a negative control."""
-    rng = np.random.default_rng(seed)
-    xg, yg = np.meshgrid(
-        2.0 * np.pi * np.arange(metric.nx) / metric.nx,
-        2.0 * np.pi * np.arange(metric.ny) / metric.ny,
-        indexing="xy",
-    )
-    n = np.zeros((metric.ny, metric.nx, 3))
-    n[..., 2] = 1.0
-    for c in range(3):
-        for kx in range(-2, 3):
-            for ky in range(-2, 3):
-                if kx == 0 and ky == 0:
-                    continue
-                amp = 0.6 * rng.normal() / (1 + kx * kx + ky * ky)
-                n[..., c] += amp * np.cos(kx * xg + ky * yg + rng.uniform(0, 2 * np.pi))
-    n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    return UnitSection.from_axis(metric, n, meta={"kind": "random", "seed": seed})
-
-
 # -- degree reduction ----------------------------------------------------------------
 
 

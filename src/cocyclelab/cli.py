@@ -201,6 +201,7 @@ def _verify_report(pair: Pair, tols: dict, seed: int, geodesic_count: int,
 def cmd_verify(args) -> int:
     _check_run_args(args)
     pair = fio.load_pair(args.pair, trivializer_path=args.trivializer)
+    cc.check_step(pair.metric, args.dt)
     tols = _tolerances(_load_config(args.tolerances)) if args.tolerances else {}
     report = _verify_report(
         pair, tols, seed=args.seed, geodesic_count=args.geodesics,

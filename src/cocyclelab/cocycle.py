@@ -18,7 +18,8 @@ import numpy as np
 from . import smfield as sm
 from .errors import NonOrthogonalDrift, NotClosed, StepTooLarge, passes, worst
 from .smfield import FourierField, Higgs, Pair
-from .torus import SMPoint, integrate_geodesic, step_count, torus_distance
+from .torus import (SMPoint, TorusMetric, check_geodesic_step, integrate_geodesic, step_count,
+                    torus_distance)
 
 DRIFT_TOL = 1e-6
 
@@ -86,6 +87,17 @@ def _rk4_propagators(b_all: np.ndarray, h: float) -> np.ndarray:
     return -(h / 6.0) * t1 + (h * h / 6.0) * t2 - (h**3 / 12.0) * t3 + (h**4 / 24.0) * t4
 
 
+def check_step(metric: TorusMetric, dt: float) -> None:
+    """Raise StepTooLarge (bad input) unless the geodesic half step dt / 2 of
+    a cocycle step dt fits the torus; the message names both steps.
+    transport calls it on its rounded step before any computation, and the
+    verify verb on --dt right after loading the pair."""
+    try:
+        check_geodesic_step(metric, dt / 2)
+    except StepTooLarge as exc:
+        raise StepTooLarge(f"{exc} (half of the cocycle step {dt:g})") from None
+
+
 def transport(
     pair: Pair,
     p0: SMPoint,
@@ -105,13 +117,11 @@ def transport(
     names the geodesic half step and the cocycle step it comes from.
     """
     met = pair.metric
-    ctx = context if context is not None else TransportContext(pair)
     nsteps = step_count(t_final, dt)
     h = t_final / nsteps
-    try:
-        path = integrate_geodesic(met, p0, t_final, abs(t_final) / (2 * nsteps))
-    except StepTooLarge as exc:
-        raise StepTooLarge(f"{exc} (half of the cocycle step {abs(h):g})") from None
+    check_step(met, abs(h))
+    ctx = context if context is not None else TransportContext(pair)
+    path = integrate_geodesic(met, p0, t_final, abs(t_final) / (2 * nsteps))
     steps = _rk4_propagators(ctx.generator_at(path.xs, path.ys, path.thetas), h)
     c = np.eye(3)
     saved_t = [0.0]

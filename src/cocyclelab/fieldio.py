@@ -1,39 +1,48 @@
 """Deterministic file formats: JSON fields and pairs, transport CSV, PGM heatmaps.
 
-Every float is written as its ``.17g`` token, which round-trips float64
+Every float written as text is its ``.17g`` token, which round-trips float64
 exactly and makes outputs byte-identical for identical inputs; an
 integer-valued float that ``.17g`` prints as bare digits carries a ``.0``
 (``1.0``, ``-0.0``), so every float token has a '.', an 'e' or both.  Float
-arrays (mode grids, ``metric_lambda``) are checked and formatted as a whole:
-one finiteness test and one format string per array, with the same tokens as
-the scalar formatter.  NaN and infinity are never written, and reading a
-field or pair rejects a non-finite value in any number it reads (grid
-header, metric, mode blocks), including literals such as ``1e999`` that
-overflow to infinity, with ValueError (exit 2 at the command line).
+arrays written as text (a pair's blocks, ``metric_lambda``) are checked and
+formatted as a whole: one finiteness test and one format string per array,
+with the same tokens as the scalar formatter.  NaN and infinity are never
+written, and reading a field or pair rejects a non-finite value in any
+number it reads (grid header, metric, mode blocks), including literals such
+as ``1e999`` that overflow to infinity, with ValueError (exit 2 at the
+command line).
 
-Field and pair files are format 2, which stores only the numbers the
+Field and pair files are format 3, which stores only the numbers the
 mathematics leaves free.  A field is real on SM (c_{-m} = conj(c_m)), so a
 file holds its modes m = 0..degree: mode 0 as its real part, the others as
 real and imaginary parts; the reader rebuilds m < 0 by conjugation.  An
 so(3)-valued grid is stored as its vee triples and rebuilt with hat.  The
 field schema:
 
-    {"format": 2,
+    {"format": 3,
      "grid": {"nx", "ny", "lx", "ly"},
      "metric_lambda": [row-major reals],
      "metric_harmonics": [{"amp", "kx", "ky", "phase_x", "phase_y"}, ...],
      "values": "matrix" | "so3",
      "degree": N,
-     "modes": [{"m": 0, "re": [...]}, {"m": 1, "re": [...], "im": [...]}, ...,
-               {"m": N, "re": [...], "im": [...]}]}
+     "modes": [{"m": 0, "re": "<base64>"}, {"m": 1, "re": "...", "im": "..."}, ...,
+               {"m": N, "re": "...", "im": "..."}]}
 
 Each mode grid is row-major in (y, x), then 3x3 row-major ("matrix", 9
 numbers a point) or the vee triple (v1, v2, v3) of hat(v) ("so3", 3 numbers
-a point).  A pair file has the same header without "values", "degree" and
-"modes", and three so(3)-valued mode-0 blocks: the connection coefficients
-"a" and "b" and the Higgs field "phi", each {"degree": 0, "modes": [{"m": 0,
-"re": [vee triples]}]}.  A file without "format": 2 is rejected with
-ValueError.
+a point).  In a field file each "re" and "im" grid is one JSON string: the
+standard base64 alphabet, without newlines, of the grid's little-endian
+float64 bytes, so a field reads back bit for bit without printing or parsing
+a float.  The reader rejects with ValueError a payload that is not a
+string, holds a character outside the alphabet or wrong padding, decodes to
+other than 8 * ny * nx * (9 or 3) bytes, or decodes to a non-finite value.
+
+A pair file has the same header without "values", "degree" and "modes", and
+three so(3)-valued mode-0 blocks: the connection coefficients "a" and "b"
+and the Higgs field "phi", each {"degree": 0, "modes": [{"m": 0, "re": [vee
+triples]}]}.  A pair keeps its grids as number lists: it holds a small part
+of a chain's floats, and stays readable and editable as text.  A file
+without "format": 3 is rejected with ValueError.
 
 The writer drops numbers only where they are redundant to STRUCTURE_TOL,
 verify's structure tolerance: a field whose reality_residual, or an so(3)
@@ -47,8 +56,10 @@ than LAMBDA_TOL, or that has no metric_harmonics, is rejected.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import io
+import math
 
 import numpy as np
 
@@ -57,7 +68,7 @@ from .lie3 import hat, vee
 from .smfield import Connection, FourierField, Higgs, Pair
 from .torus import TorusMetric
 
-FORMAT = 2
+FORMAT = 3
 FLOAT_FMT = ".17g"
 # verify's structure tolerance: the writer drops the modes m < 0 of a field
 # and the symmetric part of an so(3) value only when they are redundant to it
@@ -215,23 +226,56 @@ def _gate(name: str, check: str, residual: float) -> None:
                                 f"{STRUCTURE_TOL:.0e}, so format {FORMAT} cannot store it")
 
 
-def _mode_block(name: str, field: FourierField, so3: bool) -> dict:
+def _pack(grid: np.ndarray) -> str:
+    """A float grid as the base64 text of its row-major little-endian float64
+    bytes; a non-finite value is refused before anything is encoded."""
+    if not np.isfinite(grid).all():
+        raise ValueError("non-finite value cannot be serialized")
+    raw = grid.astype("<f8", copy=False).tobytes()
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+def _unpack(payload, shape: tuple[int, ...]) -> np.ndarray:
+    """The float grid of the given shape in a payload written by _pack, as
+    read-only memory; ValueError for a payload that is not a base64 string
+    of exactly that many finite float64 values."""
+    if not isinstance(payload, str):
+        raise ValueError(f"a field mode grid is a base64 string, not {type(payload).__name__}")
+    try:
+        raw = binascii.a2b_base64(payload, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"a field mode grid is not base64: {exc}") from None
+    count = math.prod(shape)
+    if len(raw) != 8 * count:
+        raise ValueError(f"a field mode grid holds {len(raw)} bytes, not 8 * {count}")
+    return _finite(np.frombuffer(raw, dtype="<f8")).reshape(shape)
+
+
+def _numbers(values, shape: tuple[int, ...]) -> np.ndarray:
+    """The float grid of the given shape in a number list (a pair's blocks)."""
+    return _finite(values).reshape(shape)
+
+
+def _mode_block(name: str, field: FourierField, so3: bool, pack) -> dict:
     """The modes m = 0..degree of a field that is real on SM: mode 0 as its
-    real part, the others as real and imaginary parts; vee triples if so3."""
+    real part, the others as real and imaginary parts; vee triples if so3.
+    pack turns each real grid into what the file holds."""
     _gate(name, "reality", field.reality_residual())
     if so3:
         _gate(name, "antisymmetry", float(np.abs(field.coef + field.coef.swapaxes(1, 2)).max()))
     modes = []
     for m in range(field.degree + 1):
-        c = vee(field.mode(m)) if so3 else field.mode(m)
-        entry = {"m": m, "re": c.real.ravel()}
-        if m:
-            entry["im"] = c.imag.ravel()
-        modes.append(entry)
+        c = field.mode(m)
+        # vee on each real part: complex arithmetic could flip a zero's sign
+        parts = (("re", c.real), ("im", c.imag)) if m else (("re", c.real),)
+        modes.append({"m": m} | {key: pack(vee(p) if so3 else p) for key, p in parts})
     return {"degree": field.degree, "modes": modes}
 
 
-def _field_from_block(metric: TorusMetric, block: dict, so3: bool) -> FourierField:
+def _field_from_block(metric: TorusMetric, block: dict, so3: bool, unpack) -> FourierField:
+    """The field of a mode block; unpack(payload, shape) reads one real grid.
+    The grids are copied into the field's own band, so the result owns
+    writable memory whatever unpack returns."""
     degree = int(_finite(block["degree"]))
     entries = block["modes"]
     if degree < 0 or [int(_finite(e["m"])) for e in entries] != list(range(degree + 1)):
@@ -239,21 +283,23 @@ def _field_from_block(metric: TorusMetric, block: dict, so3: bool) -> FourierFie
     if "im" in entries[0]:
         raise ValueError("mode 0 of a real field has no im part")
     shape = (metric.ny, metric.nx) + ((3,) if so3 else (3, 3))
-    modes = {}
+    # the band m = -degree..degree in the field's (mode, 3, 3, ny, nx) layout
+    coef = np.zeros((2 * degree + 1, 3, 3, metric.ny, metric.nx), dtype=complex)
     for m, entry in enumerate(entries):
-        c = _finite(entry["re"]).reshape(shape)
+        grid = np.moveaxis(coef[degree + m], (0, 1), (2, 3))
+        parts = (("re", grid.real), ("im", grid.imag)) if m else (("re", grid.real),)
+        for key, out in parts:
+            c = unpack(entry[key], shape)
+            out[...] = hat(c) if so3 else c
         if m:
-            c = c + 1j * _finite(entry["im"]).reshape(shape)
-        modes[m] = hat(c) if so3 else c
-        if m:
-            modes[-m] = np.conj(modes[m])
-    return FourierField(metric, modes)
+            np.conjugate(coef[degree + m], out=coef[degree - m])
+    return FourierField.band(metric, -degree, coef)
 
 
 def field_to_json(field: FourierField, so3: bool = False) -> dict:
     doc = _grid_header(field.metric)
     doc["values"] = "so3" if so3 else "matrix"
-    doc.update(_mode_block("field", field, so3))
+    doc.update(_mode_block("field", field, so3, _pack))
     return doc
 
 
@@ -275,7 +321,7 @@ def field_from_json(doc: dict, metric: TorusMetric | None = None) -> FourierFiel
             if got != want:
                 raise ValueError(f"the field's {key} {got} differs from the pair's {want}")
         met = metric
-    return _field_from_block(met, doc, doc["values"] == "so3")
+    return _field_from_block(met, doc, doc["values"] == "so3", _unpack)
 
 
 def save_field(path, field: FourierField, so3: bool = False) -> str:
@@ -296,14 +342,14 @@ PAIR_BLOCKS = ("a", "b", "phi")
 def pair_to_json(pair: Pair) -> dict:
     doc = _grid_header(pair.metric)
     for name, grid in zip(PAIR_BLOCKS, (pair.conn.a, pair.conn.b, pair.higgs.phi)):
-        doc[name] = _mode_block(name, FourierField.from_grid(pair.metric, grid), so3=True)
+        doc[name] = _mode_block(name, FourierField.from_grid(pair.metric, grid), True, np.ravel)
     return doc
 
 
 def pair_from_json(doc: dict) -> Pair:
     _check_format(doc)
     met = metric_from_header(doc)
-    a, b, phi = (_field_from_block(met, doc[name], so3=True) for name in PAIR_BLOCKS)
+    a, b, phi = (_field_from_block(met, doc[name], True, _numbers) for name in PAIR_BLOCKS)
     if max(a.degree, b.degree, phi.degree):
         raise ValueError("a pair block holds mode 0 only")
     return Pair(Connection(met, a.mode(0).real, b.mode(0).real), Higgs(met, phi.mode(0).real))

@@ -203,6 +203,15 @@ def step_count(t_final: float, dt: float) -> int:
     return max(1, int(round(abs(t_final) / dt)))
 
 
+def check_geodesic_step(metric: TorusMetric, dt: float) -> None:
+    """Raise StepTooLarge (a ValueError) if the geodesic step dt exceeds
+    MAX_STEP_FRACTION * min(Lx, Ly)."""
+    limit = MAX_STEP_FRACTION * min(metric.lx, metric.ly)
+    if dt > limit:
+        raise StepTooLarge(f"geodesic step {dt:g} exceeds {MAX_STEP_FRACTION:g} * min(Lx, Ly) = "
+                           f"{limit:g}")
+
+
 def integrate_geodesic(
     metric: TorusMetric, p0: SMPoint, t_final: float, dt: float
 ) -> GeodesicPath:
@@ -218,11 +227,7 @@ def integrate_geodesic(
     would cost more than the arithmetic.
     """
     nsteps = step_count(t_final, dt)
-    if dt > MAX_STEP_FRACTION * min(metric.lx, metric.ly):
-        raise StepTooLarge(
-            f"geodesic step {dt:g} exceeds {MAX_STEP_FRACTION:g} * min(Lx, Ly) = "
-            f"{MAX_STEP_FRACTION * min(metric.lx, metric.ly):g}"
-        )
+    check_geodesic_step(metric, dt)
     x, y, th = float(p0.x), float(p0.y), float(p0.theta)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
         raise ValueError("start point must be finite")

@@ -5,17 +5,22 @@ taken literally in (x, y, theta), dbar and dz from one 1-D derivative per
 axis, the metric's derivatives from its grid samples, the transport generator
 from a spline of its coefficient grids, a Cauchy integral for p', a
 finite-difference speed, readers of the files the package writes, and the
-frame-transfer identity of a trivializing u.  No verb runs them.
+frame-transfer identity of a trivializing u.  No verb runs them.  The
+sections the holomorphy tests sweep live here too: random elliptic families
+and band-limited random unit sections (the negative control).
 """
+
+import base64
 
 import numpy as np
 
 from cocyclelab import smfield as sm
 from cocyclelab import spectral
+from cocyclelab.backlund import UnitSection, holomorphic_g_factory
 from cocyclelab.elliptic import weierstrass_p
 from cocyclelab.interp import PeriodicCubic2D
 from cocyclelab.lie3 import inner
-from cocyclelab.torus import _eval_harmonics
+from cocyclelab.torus import TorusMetric, _eval_harmonics
 
 
 def lambda_and_grad_at(metric, x, y):
@@ -156,6 +161,17 @@ def read_transport_csv(path) -> dict:
     }
 
 
+def read_mode_grid(payload: str) -> np.ndarray:
+    """A mode grid of a field file (base64 of little-endian float64 bytes) as
+    a flat float array, decoded with the base64 module."""
+    return np.frombuffer(base64.b64decode(payload, validate=True), dtype="<f8")
+
+
+def mode_grid_payload(values) -> str:
+    """The base64 payload a field file holds for a float array."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM back into pixel values (not rescaled)."""
     with open(path, "rb") as f:
@@ -184,3 +200,44 @@ def frame_transfer_residual(pair) -> float:
     res = va + t2 + t3
     den = va.l2_norm() + t2.l2_norm() + t3.l2_norm() + f.l2_norm() + 1e-300
     return res.l2_norm() / den
+
+
+def section_family(metric: TorusMetric, count: int, seed: int) -> list[UnitSection]:
+    """Random elliptic sections for sweep studies: log-normal scale with a
+    random phase, normal complex offset, uniform off-grid pole location; the
+    sweep measures their residuals."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        x0 = float(rng.uniform(0.1, 0.9) * metric.lx + 0.3 * metric.lx / metric.nx)
+        y0 = float(rng.uniform(0.1, 0.9) * metric.ly + 0.3 * metric.ly / metric.ny)
+        mag = float(np.exp(rng.normal(0.0, 0.5)))
+        phase = float(rng.uniform(0.0, 2.0 * np.pi))
+        scale = mag * np.exp(1j * phase)
+        offset = complex(rng.normal(0.0, 1.0), rng.normal(0.0, 1.0))
+        out.append(
+            holomorphic_g_factory(metric, z0=(x0, y0), scale=scale, offset=offset)
+        )
+    return out
+
+
+def random_unit_section(metric: TorusMetric, seed: int) -> UnitSection:
+    """Band-limited random unit section (wavenumbers up to 2 per axis);
+    generically fails the holomorphy gate, which makes it a negative control."""
+    rng = np.random.default_rng(seed)
+    xg, yg = np.meshgrid(
+        2.0 * np.pi * np.arange(metric.nx) / metric.nx,
+        2.0 * np.pi * np.arange(metric.ny) / metric.ny,
+        indexing="xy",
+    )
+    n = np.zeros((metric.ny, metric.nx, 3))
+    n[..., 2] = 1.0
+    for c in range(3):
+        for kx in range(-2, 3):
+            for ky in range(-2, 3):
+                if kx == 0 and ky == 0:
+                    continue
+                amp = 0.6 * rng.normal() / (1 + kx * kx + ky * ky)
+                n[..., c] += amp * np.cos(kx * xg + ky * yg + rng.uniform(0, 2 * np.pi))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    return UnitSection.from_axis(metric, n, meta={"kind": "random", "seed": seed})

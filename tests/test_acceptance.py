@@ -31,7 +31,7 @@ from cocyclelab.torus import (
     flat_closed_geodesics,
     grid_coords,
 )
-from oracles import frame_apply, from_samples, so3_norm
+from oracles import frame_apply, from_samples, random_unit_section, section_family, so3_norm
 
 AXIS = np.array([0.6, -0.48, 0.64]) / np.linalg.norm([0.6, -0.48, 0.64])
 
@@ -189,8 +189,8 @@ def test_criterion_05_factory_step_with_higgs(capsys, factory_chain):
 def test_criterion_06_holomorphy_route_agreement(capsys, factory_chain):
     met = factory_chain.pair_in.metric
     zero = Connection.zero(met)
-    sections = bk.section_family(met, 25, seed=11)
-    sections += [bk.random_unit_section(met, seed=300 + i) for i in range(25)]
+    sections = section_family(met, 25, seed=11)
+    sections += [random_unit_section(met, seed=300 + i) for i in range(25)]
     disagreements = 0
     n_pass = 0
     factory = []

@@ -19,7 +19,7 @@ from cocyclelab.errors import (
 from cocyclelab.lie3 import hat, so3_exp, vee
 from cocyclelab.smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm, star_curvature
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords
-from oracles import so3_norm
+from oracles import random_unit_section, section_family, so3_norm
 
 AXIS = np.array([0.6, -0.48, 0.64]) / np.linalg.norm([0.6, -0.48, 0.64])
 
@@ -66,7 +66,7 @@ def test_vertical_solution_left_factor():
 def test_projector_properties():
     rng = np.random.default_rng(6)
     met = TorusMetric.flat(32, 32)
-    sec = bk.random_unit_section(met, seed=5)
+    sec = random_unit_section(met, seed=5)
     pi = bk.projector(sec)
     assert np.abs(pi @ pi - pi).max() < 1e-13
     assert np.abs(pi - np.conj(np.swapaxes(pi, -1, -2))).max() < 1e-13
@@ -92,7 +92,7 @@ def test_holomorphy_factory_versus_controls():
     bad = bk.UnitSection.from_axis(met, vee(g.grid) * [1, -1, 1])
     res_bad = bk.holomorphy_residuals(bad, Connection.zero(met))
     assert min(res_bad.values()) > 1e-2
-    rand = bk.random_unit_section(met, seed=13)
+    rand = random_unit_section(met, seed=13)
     res_rand = bk.holomorphy_residuals(rand, Connection.zero(met))
     assert min(res_rand.values()) > 1e-2
 
@@ -138,7 +138,7 @@ def test_backlund_gates():
     nan_triv = FourierField(met, {0: np.full((48, 48, 3, 3), np.nan)})
     with pytest.raises(InputNotCertified):
         bk.backlund_transform(Pair(Connection.zero(met), Higgs.zero(met), nan_triv), sec)
-    rand = bk.random_unit_section(TorusMetric.flat(48, 48), seed=3)
+    rand = random_unit_section(TorusMetric.flat(48, 48), seed=3)
     with pytest.raises(GNotHolomorphic):
         bk.backlund_transform(Pair.trivial(TorusMetric.flat(48, 48)), rand)
     # the output is gated at the same tolerance: the trivial input's residual
@@ -298,7 +298,7 @@ def test_reduce_degree_gates(monkeypatch):
             Pair(cert.pair_out.conn, cert.pair_out.higgs, trivializer=broken)
         )
     # an axis that fails the holomorphy gate
-    rand = bk.random_unit_section(met, seed=17)
+    rand = random_unit_section(met, seed=17)
     b = bk.vertical_solution(rand)
     with pytest.raises(ReductionFailed):
         bk.reduce_degree(Pair(Connection.zero(met), Higgs.zero(met), trivializer=b))
@@ -342,8 +342,8 @@ def test_reduce_degree_computes_the_star_bracket_once(monkeypatch):
 
 def test_section_family_deterministic():
     met = TorusMetric.flat(128, 128)
-    fam1 = bk.section_family(met, 3, seed=7)
-    fam2 = bk.section_family(met, 3, seed=7)
+    fam1 = section_family(met, 3, seed=7)
+    fam2 = section_family(met, 3, seed=7)
     zero = Connection.zero(met)
     for s1, s2 in zip(fam1, fam2):
         assert np.abs(s1.grid - s2.grid).max() == 0.0

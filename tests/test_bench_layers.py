@@ -45,3 +45,8 @@ def test_selftest_nan_prefix_precedes_a_number_in_a_pair_file(tmp_path):
     text = (tmp_path / "pair.json").read_text()
     at = text.index(heads[0]) + len(heads[0])
     assert re.match(r"-?[0-9]+(\.[0-9]*)?(e[-+]?[0-9]+)?,", text[at:]), text[at:at + 40]
+    # the self-test's edit: that number becomes NaN, which verify refuses as bad input
+    end = text.index(",", at)
+    (tmp_path / "pair.json").write_text(text[:at] + "NaN" + text[end:])
+    argv = ["verify", str(tmp_path / "pair.json"), str(tmp_path / "trivializer.json")]
+    assert cli.main(argv) == cli.EXIT_BADINPUT

@@ -15,7 +15,7 @@ from cocyclelab.errors import passes
 from cocyclelab.backlund import generate_chain
 from cocyclelab.smfield import Higgs, Pair
 from cocyclelab.torus import TorusMetric
-from oracles import read_pgm, read_transport_csv
+from oracles import mode_grid_payload, read_mode_grid, read_pgm, read_transport_csv
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -112,8 +112,7 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
     for path, where, tokens, verbs in (
         (pair, lambda d: d["phi"]["modes"][0]["re"], ("NaN", "1e999", "-1e999"), pair_verbs),
         (pair, lambda d: d["metric_lambda"], ("1e999",), pair_verbs),
-        (triv, lambda d: d["modes"][1]["im"], ("NaN", "1e999", "-1e999"), triv_verbs),
-        (triv, lambda d: d["modes"][0]["re"], ("NaN", "1e999", "-1e999"), triv_verbs),
+        (triv, lambda d: d["metric_lambda"], ("NaN", "1e999"), triv_verbs),
     ):
         good = path.read_bytes()
         for token in tokens:
@@ -138,7 +137,7 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
     # files of another format, or of none, are refused by name
     for path, verbs in ((pair, pair_verbs), (triv, triv_verbs)):
         good = path.read_bytes()
-        for fmt in (1, None):
+        for fmt in (1, 2, None):
             doc = json.loads(good)
             if fmt is None:
                 del doc["format"]
@@ -148,7 +147,7 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
             for argv in verbs:
                 capsys.readouterr()
                 assert cli.main(argv) == cli.EXIT_BADINPUT, (path.name, fmt, argv[0])
-                assert "format 2" in capsys.readouterr().err
+                assert "format 3" in capsys.readouterr().err
         path.write_bytes(good)
     tols = tmp_path / "tols.json"
     tols.write_text('{"structure": 1e999}')
@@ -216,6 +215,26 @@ def test_run_verbs_reject_bad_numbers(tmp_path, capsys, verb, arg):
     captured = capsys.readouterr()
     assert "input error" in captured.err
     assert "all identities verified" not in captured.out
+
+
+def test_step_too_large_exits_before_any_computation(tmp_path, monkeypatch, capsys):
+    """--dt is checked against the torus before any field is computed."""
+    out = run_generate(tmp_path, {"metric": {"nx": 32, "ny": 32}, "chain": []})
+    pair, triv = str(out / "pair.json"), str(out / "trivializer.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before --dt was checked")
+
+    for name in ("mode_residuals", "TransportContext", "integrate_geodesic"):
+        monkeypatch.setattr(cc, name, refuse)
+    for argv in (["verify", pair, triv],
+                 ["transport", pair, "--x", "0.2", "--y", "0.7", "--theta", "1.1",
+                  "--t-final", "1.0", "--out", str(tmp_path / "t.csv")]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--dt", "0.5"]) == cli.EXIT_BADINPUT
+        assert ("geodesic step 0.25 exceeds 0.01 * min(Lx, Ly) = 0.01 "
+                "(half of the cocycle step 0.5)") in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_verify_report_fails_on_nan():
@@ -307,6 +326,49 @@ def test_real_fields_never_take_the_complex_route(tmp_path, monkeypatch, workloa
     assert ("-", True) in etas and ("+", True) not in etas
 
 
+def _bad_payloads(payload):
+    """Corruptions of a field file's base64 mode grid, each with a word of
+    the message it draws."""
+    grid = read_mode_grid(payload)
+    yield payload[:-4], "bytes"  # one float short of a whole grid
+    yield payload[:-1], "base64"  # broken padding
+    yield payload + "AAAAAAAAAAA=", "bytes"  # one float too many
+    # a lenient decoder would skip an inserted character and read the grid
+    yield payload[:8] + "*" + payload[8:], "base64"
+    yield payload[:8] + " " + payload[8:], "base64"
+    yield payload[:8] + "\n" + payload[8:], "base64"
+    yield payload[:8] + "\u00e9" + payload[9:], "base64"
+    yield grid.tolist(), "base64 string"  # the number list of format 2
+    yield None, "base64 string"
+    for bad in (np.nan, np.inf, -np.inf):
+        changed = grid.copy()
+        changed[5] = bad
+        yield mode_grid_payload(changed), "non-finite"
+
+
+def test_bad_field_payloads_exit_2(tmp_path, capsys):
+    """A trivializer mode grid that is not the base64 of exactly ny * nx * 9
+    finite float64 values is bad input to every verb that reads it."""
+    out = run_generate(tmp_path, CONST_CHAIN)
+    pair, triv = out / "pair.json", out / "trivializer.json"
+    verbs = (["verify", str(pair), str(triv)],
+             ["reduce", str(pair), str(triv), "--outdir", str(tmp_path / "r")],
+             ["export", str(triv), "--out", str(tmp_path / "o.pgm")])
+    good = triv.read_bytes()
+    for m, key in ((0, "re"), (1, "im")):
+        for bad, message in _bad_payloads(json.loads(good)["modes"][m][key]):
+            doc = json.loads(good)
+            doc["modes"][m][key] = bad
+            triv.write_text(json.dumps(doc))
+            for argv in verbs:
+                capsys.readouterr()
+                assert cli.main(argv) == cli.EXIT_BADINPUT, (m, key, message, argv[0])
+                assert message in capsys.readouterr().err, (m, key, message, argv[0])
+    assert not (tmp_path / "r").exists()
+    triv.write_bytes(good)
+    assert cli.main(verbs[1]) == cli.EXIT_OK
+
+
 def test_verify_detects_corruption(tmp_path, capsys):
     out = run_generate(tmp_path, CONST_CHAIN)
     doc = fio.load_json(out / "pair.json")
@@ -333,8 +395,8 @@ def test_verify_fails_structure_on_perturbed_mode_one(tmp_path, capsys):
     out = run_generate(tmp_path, CONST_CHAIN)
     doc = fio.load_json(out / "trivializer.json")
     (entry,) = [e for e in doc["modes"] if e["m"] == 1]
-    entry["re"] = [1.01 * v for v in entry["re"]]
-    entry["im"] = [1.01 * v for v in entry["im"]]
+    entry["re"] = mode_grid_payload(1.01 * read_mode_grid(entry["re"]))
+    entry["im"] = mode_grid_payload(1.01 * read_mode_grid(entry["im"]))
     fio.save_json(out / "trivializer.json", doc)
     report = tmp_path / "report.json"
     rc = cli.main([

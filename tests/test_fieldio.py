@@ -12,9 +12,10 @@ from cocyclelab import backlund as bk
 from cocyclelab import fieldio as fio
 from cocyclelab.cocycle import transport
 from cocyclelab.errors import StructureViolated
+from cocyclelab.lie3 import hat
 from cocyclelab.smfield import FourierField, Pair
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric
-from oracles import read_pgm, read_transport_csv
+from oracles import read_mode_grid, read_pgm, read_transport_csv
 
 RNG = np.random.default_rng(1234)
 
@@ -101,13 +102,13 @@ def test_field_json_round_trip_exact(tmp_path):
     p = tmp_path / "field.json"
     h1 = fio.save_field(p, f)
     doc = fio.load_json(p)
-    assert doc["format"] == 2 and doc["values"] == "matrix"
+    assert doc["format"] == 3 and doc["values"] == "matrix"
     assert [e["m"] for e in doc["modes"]] == [0, 1, 2]
     g = fio.load_field(p)
     assert g.metric.nx == 20 and g.metric.ny == 16
     assert sorted(g.modes) == sorted(f.modes)
     for m in range(3):
-        assert np.array_equal(g.mode(m), f.mode(m))  # bit-exact via %.17g
+        assert np.array_equal(g.mode(m), f.mode(m))  # bit-exact float64 bytes
         assert np.array_equal(g.mode(-m), np.conj(g.mode(m)))  # exact conjugates
     h2 = fio.save_field(tmp_path / "again.json", g)
     assert h1 == h2  # identical bytes both times
@@ -116,8 +117,41 @@ def test_field_json_round_trip_exact(tmp_path):
     section = bk.UnitSection.from_axis(met, axis).field()
     fio.save_field(tmp_path / "g.json", section, so3=True)
     doc = fio.load_json(tmp_path / "g.json")
-    assert doc["values"] == "so3" and len(doc["modes"][0]["re"]) == 16 * 20 * 3
+    assert doc["values"] == "so3" and len(read_mode_grid(doc["modes"][0]["re"])) == 16 * 20 * 3
     assert np.array_equal(fio.load_field(tmp_path / "g.json").mode(0), section.mode(0))
+
+
+# signed zeros, subnormals and integer values next to ordinary doubles
+BIT_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.0, -3.0,
+                      2.0**60, 1e17, 0.1, -np.pi])
+
+
+@pytest.mark.parametrize("values", ["matrix", "so3"])
+def test_field_reads_back_bit_for_bit(tmp_path, values):
+    """A field file holds the float64 bytes of each mode grid, so every bit
+    comes back, signs of zeros included."""
+    met = TorusMetric.from_harmonics(20, 16, 1.0, 1.5, [Harmonic(0.05, 1, 1)])
+    rng = np.random.default_rng(41)
+    so3 = values == "so3"
+
+    def part():
+        shape = (met.ny, met.nx) + ((3,) if so3 else (3, 3))
+        grid = rng.choice(BIT_EDGES, size=shape)
+        normal = rng.random(shape) < 0.3
+        grid[normal] = rng.normal(size=normal.sum())
+        return hat(grid) if so3 else grid
+
+    modes = {0: part().astype(complex)}
+    for m in (1, 2):
+        c = np.empty((met.ny, met.nx, 3, 3), dtype=complex)
+        c.real, c.imag = part(), part()
+        modes[m], modes[-m] = c, np.conj(c)
+    f = FourierField(met, modes)
+    assert np.signbit(f.coef.real).any() and (f.coef.real == 0).any()
+    fio.save_field(tmp_path / "f.json", f, so3=so3)
+    g = fio.load_field(tmp_path / "f.json")
+    assert g.lo == f.lo and g.coef.flags.writeable
+    assert np.array_equal(g.coef.view(np.uint64), f.coef.view(np.uint64))
 
 
 def test_metric_round_trip_flat(tmp_path):
@@ -226,7 +260,7 @@ def test_load_json_rejects_non_finite_tokens(tmp_path, token):
 
 
 def test_writer_refuses_data_the_layout_would_change(tmp_path):
-    """Format 2 drops the modes m < 0 and the symmetric part of so(3) values;
+    """Format 3 drops the modes m < 0 and the symmetric part of so(3) values;
     data for which they are not redundant to STRUCTURE_TOL is a failed check,
     and no file is written."""
     met = TorusMetric.flat(16, 16)
