@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import NotUnit, SamplingTooCoarse, passes
 
-EYE3 = np.eye(3)
 UNIT_TOL = 1e-10
 MAX_LIFT_STEP = np.pi / 4
 
@@ -91,25 +90,6 @@ def ell(g: np.ndarray) -> np.ndarray:
     out[..., 1, 0] = 0.5 * (v[..., 1] + 1j * v[..., 0])
     out[..., 1, 1] = -0.5j * v[..., 2]
     return out
-
-
-def so3_exp(g: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t g) for skew g via the Rodrigues formula, batched.
-
-    Uses series coefficients for small rotation angles so the result is
-    orthogonal to rounding for any magnitude of t*|g|.
-    """
-    g = np.asarray(g, dtype=float)
-    w = vee(g) * t
-    ang = np.linalg.norm(w, axis=-1)
-    small = ang < 1e-6
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(small, 1.0 - ang**2 / 6.0, np.sin(ang) / np.where(small, 1.0, ang))
-        c = np.where(
-            small, 0.5 - ang**2 / 24.0, (1.0 - np.cos(ang)) / np.where(small, 1.0, ang**2)
-        )
-    k = hat(w)
-    return EYE3 + s[..., None, None] * k + c[..., None, None] * (k @ k)
 
 
 def polar_project(r: np.ndarray) -> np.ndarray:

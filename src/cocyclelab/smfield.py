@@ -32,8 +32,12 @@ synthesis matrix, the kernel multiplies float64 samples, a real analysis
 matrix returns the modes 0..K, and the modes m < 0 are filled by
 conjugation, so the product is real to the bit as well.  Any other band, or a
 one-mode factor, keeps the complex route.  Every pointwise 3x3 product, of
-bands and of (ny, nx, 3, 3) grids alike, runs through one unrolled kernel of
-nine output planes, each a sum of three plane products, in either dtype.
+bands and of (ny, nx, 3, 3) grids alike, runs through one kernel (_matmul3)
+that sums the three products a[i, k] b[k, j] in the order k = 0, 1, 2: two
+float64 factors by one einsum contraction, any other dtype by three broadcast
+products per output row.  Both forms give the values of nine planes of three
+plane products each, to the bit; only the sign of a zero can differ (einsum
+turns a sum of three -0.0 products into +0.0).
 X of a real field takes one eta_minus: eta_plus(u) is its conjugate, since
 dz(conj f) = conj(dbar f) and lam is real (eta_pair).
 
@@ -70,16 +74,21 @@ def _grid_first(arr: np.ndarray) -> np.ndarray:
 
 def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise 3x3 product of (..., 3, 3, ny, nx) arrays, broadcast over the
-    leading axes: plane out[i, j] is the sum over k of a[i, k] b[k, j]."""
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    dtype = np.result_type(a, b)
-    out = np.empty(shape, dtype=dtype)
-    tmp = np.empty(shape[:-4] + shape[-2:], dtype=dtype)
-    for i, j in np.ndindex(3, 3):
-        o = out[..., i, j, :, :]
-        np.multiply(a[..., i, 0, :, :], b[..., 0, j, :, :], out=o)
+    leading axes: out[i, j] = (a[i, 0] b[0, j] + a[i, 1] b[1, j]) + a[i, 2] b[2, j].
+
+    Two float64 factors take one einsum, which adds the three products in
+    this order, with no fused multiply-add, onto a +0.0 start: the same
+    value, and the same bits except that a sum of three -0.0 products comes
+    out +0.0.  Other dtypes take three broadcast products per output row,
+    since einsum's complex loops round differently."""
+    if a.dtype == np.float64 and b.dtype == np.float64:
+        return np.einsum("...ikyx,...kjyx->...ijyx", a, b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for i in range(3):
+        row = out[..., i, :, :, :]
+        np.multiply(a[..., i, 0, None, :, :], b[..., 0, :, :, :], out=row)
         for k in (1, 2):
-            o += np.multiply(a[..., i, k, :, :], b[..., k, j, :, :], out=tmp)
+            row += a[..., i, k, None, :, :] * b[..., k, :, :, :]
     return out
 
 
@@ -134,9 +143,10 @@ def _real_analysis(nt: int, k: int) -> np.ndarray:
 
 def _is_real(u: "FourierField") -> bool:
     """u is real on SM to the bit: lo = -hi and c_{-m} == conj(c_m), compared
-    mode by mode (NaN compares unequal, so it takes the complex route)."""
+    for all m >= 0 at once (NaN compares unequal, so it takes the complex
+    route)."""
     c, k = u.coef, u.hi
-    return u.lo == -k and all(np.array_equal(c[k + m], np.conj(c[k - m])) for m in range(k + 1))
+    return u.lo == -k and np.array_equal(c[k:], np.conj(c[k::-1]))
 
 
 def _real_angles(u: "FourierField", nt: int) -> np.ndarray:
@@ -157,7 +167,7 @@ def _real_modes(samples: np.ndarray, k: int) -> np.ndarray:
     out[k:].real = parts[: k + 1]
     out[k].imag = 0.0
     out[k + 1:].imag = parts[k + 1:]
-    out[:k] = np.conj(out[: k : -1])
+    np.conjugate(out[:k:-1], out=out[:k])
     return out
 
 
@@ -340,11 +350,18 @@ class FourierField:
         return _norm(self.metric, self.coef, "mijyx", fiber=True)
 
     def reality_residual(self) -> float:
-        """Max norm of c_{-m} - conj(c_m) over modes, relative to the field size."""
+        """Max norm of c_m - conj(c_{-m}) over modes, relative to the field size.
+        Modes m and -m give the same norm (the real parts differ only in sign,
+        the imaginary parts add), so modes m >= 0 of the band padded to
+        -degree..degree suffice."""
         scale = float(np.abs(self.coef).max())
         if scale == 0.0:
             return 0.0
-        return float(np.abs((self - self.conj()).coef).max()) / scale
+        c, k = self.coef, self.degree
+        if self.lo != -k or self.hi != k:
+            c = np.zeros((2 * k + 1,) + c.shape[1:], dtype=c.dtype)
+            c[self.lo + k : self.hi + k + 1] = self.coef
+        return float(np.abs(c[k:] - np.conj(c[k::-1])).max()) / scale
 
     def orthogonality_residual(self) -> float:
         """Max pointwise ||R^T R - Id|| + imaginary part, over the default

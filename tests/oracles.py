@@ -5,7 +5,9 @@ taken literally in (x, y, theta), dbar and dz from one 1-D derivative per
 axis, the metric's derivatives from its grid samples, the transport generator
 from a spline of its coefficient grids, a Cauchy integral for p', a
 finite-difference speed, readers of the files the package writes, and the
-frame-transfer identity of a trivializing u.  No verb runs them.  The
+frame-transfer identity of a trivializing u, the 3x3 product as nine planes
+of three plane products, the reality residual of a whole field minus its
+conjugate, and the Rodrigues exponential of so(3).  No verb runs them.  The
 sections the holomorphy tests sweep live here too: random elliptic families
 and band-limited random unit sections (the negative control).
 """
@@ -19,7 +21,7 @@ from cocyclelab import spectral
 from cocyclelab.backlund import UnitSection, holomorphic_g_factory
 from cocyclelab.elliptic import weierstrass_p
 from cocyclelab.interp import PeriodicCubic2D
-from cocyclelab.lie3 import inner
+from cocyclelab.lie3 import hat, inner, vee
 from cocyclelab.torus import TorusMetric, _eval_harmonics
 
 
@@ -61,9 +63,53 @@ def coefficient_spline_generator(pair):
     return at
 
 
+def so3_exp(g: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(t g) for skew g via the Rodrigues formula, batched.
+
+    Uses series coefficients for small rotation angles so the result is
+    orthogonal to rounding for any magnitude of t*|g|.
+    """
+    g = np.asarray(g, dtype=float)
+    w = vee(g) * t
+    ang = np.linalg.norm(w, axis=-1)
+    small = ang < 1e-6
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.where(small, 1.0 - ang**2 / 6.0, np.sin(ang) / np.where(small, 1.0, ang))
+        c = np.where(
+            small, 0.5 - ang**2 / 24.0, (1.0 - np.cos(ang)) / np.where(small, 1.0, ang**2)
+        )
+    k = hat(w)
+    return np.eye(3) + s[..., None, None] * k + c[..., None, None] * (k @ k)
+
+
 def so3_norm(g: np.ndarray) -> np.ndarray:
     """Pointwise norm sqrt(inner(g, g)) of so(3) values."""
     return np.sqrt(np.maximum(inner(g, g).real, 0.0))
+
+
+def plane_matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise 3x3 product of (..., 3, 3, ny, nx) arrays as nine output
+    planes, each a[i, 0] b[0, j] written out, then a[i, 1] b[1, j] and
+    a[i, 2] b[2, j] added in place."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    dtype = np.result_type(a, b)
+    out = np.empty(shape, dtype=dtype)
+    tmp = np.empty(shape[:-4] + shape[-2:], dtype=dtype)
+    for i, j in np.ndindex(3, 3):
+        o = out[..., i, j, :, :]
+        np.multiply(a[..., i, 0, :, :], b[..., 0, j, :, :], out=o)
+        for k in (1, 2):
+            o += np.multiply(a[..., i, k, :, :], b[..., k, j, :, :], out=tmp)
+    return out
+
+
+def band_reality_residual(u: sm.FourierField) -> float:
+    """Max norm over the modes of u - conj(u), relative to max |c_m|, from
+    whole-field arithmetic."""
+    scale = float(np.abs(u.coef).max())
+    if scale == 0.0:
+        return 0.0
+    return float(np.abs((u - u.conj()).coef).max()) / scale
 
 
 def from_samples(metric, samples: np.ndarray, degree: int | None = None) -> sm.FourierField:

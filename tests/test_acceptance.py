@@ -12,7 +12,7 @@ from cocyclelab import backlund as bk
 from cocyclelab import cli
 from cocyclelab import cocycle as cc
 from cocyclelab.errors import passes, worst
-from cocyclelab.lie3 import bracket, ell, hat, inner, so3_exp
+from cocyclelab.lie3 import bracket, ell, hat, inner
 from cocyclelab.smfield import (
     Connection,
     FourierField,
@@ -31,7 +31,14 @@ from cocyclelab.torus import (
     flat_closed_geodesics,
     grid_coords,
 )
-from oracles import frame_apply, from_samples, random_unit_section, section_family, so3_norm
+from oracles import (
+    frame_apply,
+    from_samples,
+    random_unit_section,
+    section_family,
+    so3_exp,
+    so3_norm,
+)
 
 AXIS = np.array([0.6, -0.48, 0.64]) / np.linalg.norm([0.6, -0.48, 0.64])
 

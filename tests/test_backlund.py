@@ -16,10 +16,10 @@ from cocyclelab.errors import (
     RankDeficient,
     ReductionFailed,
 )
-from cocyclelab.lie3 import hat, so3_exp, vee
+from cocyclelab.lie3 import hat, vee
 from cocyclelab.smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm, star_curvature
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords
-from oracles import random_unit_section, section_family, so3_norm
+from oracles import random_unit_section, section_family, so3_exp, so3_norm
 
 AXIS = np.array([0.6, -0.48, 0.64]) / np.linalg.norm([0.6, -0.48, 0.64])
 

@@ -284,11 +284,13 @@ WORKLOAD_CHAINS = {
 def test_real_fields_never_take_the_complex_route(tmp_path, monkeypatch, workload):
     """Pairs, trivializers and Backlund factors are real on SM, so generate,
     verify and reduce make no complex fiber transform, every x_op takes one
-    eta_minus and no eta_plus, and eta_plus runs only on fields that are not
-    real (the energy identity's one-mode fields).  A silent fallback to
-    complex arithmetic fails here, not only in the benchmark's timings."""
+    eta_minus and no eta_plus, eta_plus runs only on fields that are not
+    real (the energy identity's one-mode fields), and every 3x3 product of
+    two factors with more than one fiber sample multiplies float64 by
+    float64 (the einsum form of _matmul3).  A silent fallback to complex
+    arithmetic fails here, not only in the benchmark's timings."""
     counts = {"_to_angles": 0, "_from_angles": 0}
-    etas, per_x = [], []
+    etas, per_x, sampled = [], [], []
 
     def counted(name):
         fn = getattr(sm, name)
@@ -311,8 +313,14 @@ def test_real_fields_never_take_the_complex_route(tmp_path, monkeypatch, workloa
         per_x.append([sign for sign, _ in etas[start:]])
         return out
 
+    def matmul3(a, b, fn=sm._matmul3):
+        if min(np.prod(a.shape[:-4]), np.prod(b.shape[:-4])) > 1:
+            sampled.append((a.dtype, b.dtype))
+        return fn(a, b)
+
     for name in counts:
         monkeypatch.setattr(sm, name, counted(name))
+    monkeypatch.setattr(sm, "_matmul3", matmul3)
     monkeypatch.setattr(sm, "eta_plus", eta("+", sm.eta_plus))
     monkeypatch.setattr(sm, "eta_minus", eta("-", sm.eta_minus))
     monkeypatch.setattr(sm, "x_op", x_op)
@@ -324,6 +332,7 @@ def test_real_fields_never_take_the_complex_route(tmp_path, monkeypatch, workloa
     assert counts == {"_to_angles": 0, "_from_angles": 0}
     assert per_x and all(signs == ["-"] for signs in per_x)
     assert ("-", True) in etas and ("+", True) not in etas
+    assert sampled and set(sampled) == {(np.dtype(np.float64), np.dtype(np.float64))}
 
 
 def _bad_payloads(payload):

@@ -18,10 +18,10 @@ from cocyclelab.cocycle import (
 )
 from cocyclelab.errors import NonOrthogonalDrift, NotClosed
 from cocyclelab.interp import PeriodicCubic2D
-from cocyclelab.lie3 import hat, so3_exp
+from cocyclelab.lie3 import hat
 from cocyclelab.smfield import Connection, FourierField, Higgs, Pair
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords, integrate_geodesic
-from oracles import coefficient_spline_generator, frame_transfer_residual
+from oracles import coefficient_spline_generator, frame_transfer_residual, so3_exp
 
 
 def curved_metric(n=64):

@@ -13,12 +13,11 @@ from cocyclelab.lie3 import (
     inner,
     polar_project,
     rotation_angle,
-    so3_exp,
     su2_path_lift,
     unit_residual,
     vee,
 )
-from oracles import so3_norm
+from oracles import so3_exp, so3_norm
 
 RNG = np.random.default_rng(42)
 

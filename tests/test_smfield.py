@@ -38,7 +38,15 @@ from cocyclelab.smfield import (
     _to_angles,
 )
 from cocyclelab.torus import Harmonic, TorusMetric, grid_coords
-from oracles import frame_apply, from_samples, read_mode_grid, so3_norm
+from oracles import (
+    band_reality_residual,
+    frame_apply,
+    from_samples,
+    plane_matmul3,
+    read_mode_grid,
+    so3_exp,
+    so3_norm,
+)
 
 
 def curved(n=64, ly=1.0):
@@ -300,6 +308,28 @@ def test_reality_residual():
     assert complex_field.reality_residual() > 0.5
 
 
+@pytest.mark.parametrize("lo, hi", [(-2, 2), (0, 0), (-1, 3), (-3, 0), (1, 2), (-4, -2)])
+@pytest.mark.parametrize("kind", ["real", "random", "zero", "nan"])
+def test_reality_residual_matches_whole_field_formula(lo, hi, kind):
+    """reality_residual, from modes m >= 0 of the band padded to be
+    symmetric, equals the max over the whole field minus its conjugate
+    (oracles.band_reality_residual) bit for bit, on symmetric and asymmetric
+    bands, a field real on SM, an all-zero band and a band holding a NaN."""
+    met = curved(16)
+    rng = np.random.default_rng(hi - lo)
+    shape = (hi - lo + 1, 3, 3, 16, 16)
+    coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "real":
+        coef = coef + np.conj(coef[::-1])
+    elif kind == "zero":
+        coef[:] = 0.0
+    elif kind == "nan":
+        coef[-1, 1, 2, 3, 4] = np.nan
+    u = FourierField.band(met, lo, coef)
+    got, ref = u.reality_residual(), band_reality_residual(u)
+    assert got == ref or (np.isnan(got) and np.isnan(ref))
+
+
 def test_norms_are_the_einsum_form():
     """l2_norm and grid_l2_norm, summed as re^2 + im^2, against the einsum
     of a band or grid with its conjugate on a curved metric; a zero field
@@ -370,8 +400,6 @@ def test_d_A_of_commuting_constant_is_zero():
 
 def test_star_curvature_pure_gauge_vanishes():
     """A = r^{-1} X(r) for r: M -> SO(3) has zero curvature."""
-    from cocyclelab.lie3 import so3_exp
-
     met = curved(64)
     xg, yg = grid_coords(64, 64, 1.0, 1.0)
     w = np.stack(
@@ -454,9 +482,9 @@ def _random(rng, shape, complex_):
     b_complex=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_unrolled_kernel_matches_matmul(batch, ny, nx, a_complex, b_complex, seed):
-    """The unrolled 3x3 kernel against np.matmul: real and complex bands with
-    a batch, and a real grid broadcast against a complex band."""
+def test_kernel_matches_matmul(batch, ny, nx, a_complex, b_complex, seed):
+    """The 3x3 kernel against np.matmul: real and complex bands with a batch,
+    and a real grid broadcast against a complex band."""
     rng = np.random.default_rng(seed)
     a = _random(rng, tuple(batch) + (3, 3, ny, nx), a_complex)
     b = _random(rng, a.shape, b_complex)
@@ -468,6 +496,90 @@ def test_unrolled_kernel_matches_matmul(batch, ny, nx, a_complex, b_complex, see
         scale = np.matmul(np.abs(_grid_first(x)), np.abs(_grid_first(y))).max()
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.abs(got - ref).max() <= 1e-15 * scale
+
+
+def _parts(x):
+    """Real and imaginary parts of x stacked, as float64."""
+    return np.stack([x.real, np.imag(x)])
+
+
+def _assert_same_bits(got, a, b):
+    """got equals the nine-plane oracle of a @ b bit for bit: every value
+    (NaN where the oracle has NaN) and every sign bit outside NaN.  The one
+    allowed difference is the sign of a float64 zero whose three products
+    are all -0.0: the oracle keeps -0.0, einsum's sum starts at +0.0.  The
+    sign of a NaN is not compared: when both addends are NaN, which one an
+    add returns differs between numpy's loops."""
+    ref = plane_matmul3(a, b)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    g, r = _parts(got), _parts(ref)
+    assert np.array_equal(g, r, equal_nan=True)
+    flipped = (np.signbit(g) != np.signbit(r)) & ~np.isnan(r)
+    if got.dtype == np.float64:
+        neg_zero = np.ones(ref.shape, dtype=bool)
+        for k in range(3):
+            p = a[..., :, k, None, :, :] * b[..., None, k, :, :, :]
+            neg_zero &= (p == 0) & np.signbit(p)
+        assert np.array_equal(flipped[0], neg_zero) and not np.signbit(got[neg_zero]).any()
+    else:
+        assert not flipped.any()
+
+
+def _special(rng, shape, dtype):
+    """Normal entries with NaN, +-inf, +-0.0, 1e-200 (whose products
+    underflow) and whole rows and columns of -0.0 or +0.0 mixed in."""
+    x = rng.normal(size=shape)
+    hit = rng.random(shape) < 0.3
+    x[hit] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-200, -1e-200], size=hit.sum())
+    x[..., rng.integers(3), :, :, :] = rng.choice([0.0, -0.0])
+    x[..., :, rng.integers(3), :, :] = -0.0
+    if dtype == complex:
+        y = rng.normal(size=shape)
+        y[rng.random(shape) < 0.2] = -0.0
+        x = x + 1j * y
+    return x
+
+
+@pytest.mark.parametrize("da, db", [(float, float), (complex, complex), (float, complex),
+                                    (complex, float)])
+@pytest.mark.parametrize("ny, nx", [(1, 1), (1, 5), (2, 3), (4, 1), (5, 5), (3, 4)])
+def test_kernel_matches_plane_oracle_bit_for_bit(da, db, ny, nx):
+    """_matmul3 against the nine-plane kernel it replaced, bit for bit
+    (_assert_same_bits), on float64, complex and mixed factors: batches, a
+    one-mode factor broadcast on either side, a (3, 3, ny, nx) grid against a
+    band, swapaxes views (as orthogonality_residual passes them), and NaN,
+    +-inf, signed zeros and underflowing products.  The float64 cases pin
+    einsum as this numpy build runs it (2.4 wheel, SIMD baseline X86_V2):
+    the products summed in order k = 0, 1, 2 with no fused multiply-add.  A
+    build whose einsum fuses or reorders, or complex factors sent through
+    einsum, fail here."""
+    rng = np.random.default_rng(1000 * ny + nx)
+    band = _special(rng, (4, 3, 3, ny, nx), da)
+    other = _special(rng, (4, 3, 3, ny, nx), db)
+    batch = _special(rng, (2, 3, 3, 3, ny, nx), da)
+    batch2 = _special(rng, (2, 3, 3, 3, ny, nx), db)
+    one = _special(rng, (1, 3, 3, ny, nx), db)
+    grid = _special(rng, (3, 3, ny, nx), db)
+    samples = _special(rng, (5, 3, 3, ny, nx), da)
+    pairs = ((band, other), (batch, batch2), (band, one), (one, band), (grid, band),
+             (band, grid), (np.swapaxes(samples, 1, 2), samples),
+             (batch[::-1, ::-1], np.swapaxes(batch2, 2, 3)))
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+        for a, b in pairs:
+            _assert_same_bits(_matmul3(a, b), a, b)
+
+
+@pytest.mark.parametrize("shape", [(51, 3, 3, 32, 32), (25, 3, 3, 32, 32), (9, 3, 3, 48, 48)])
+def test_kernel_matches_plane_oracle_at_workload_sizes(shape):
+    """The float64 products of the benchmark's workloads (a deep-chain H0
+    bracket has 51 fiber samples at 32^2) match the oracle bit for bit, with
+    a rotation about e_z, whose exact zeros give sums of -0.0 products."""
+    rng = np.random.default_rng(shape[0])
+    a, b = rng.normal(size=shape), rng.normal(size=shape)
+    angles = rng.normal(size=shape[:1] + shape[3:] + (1, 1))
+    rot = _matrix_first(so3_exp(hat(np.array([0.0, 0.0, 1.0])) * angles))
+    for x, y in ((a, b), (b, a), (rot, -rot), (a, rot)):
+        _assert_same_bits(_matmul3(x, y), x, y)
 
 
 @pytest.mark.parametrize("n", range(1, 62))
