@@ -245,7 +245,7 @@ def mode_residuals(pair: Pair) -> dict[str, float]:
         "transport": band.l2_norm() / unorm,
         "recurrence": worst(n / unorm for n in band.mode_norms().values()),
     }
-    del band  # not held through h0_residuals, which sets the peak
+    del band  # h0_residuals does not read the band, and its temporaries set the peak
     return rows | h0_residuals(u, pair.higgs)
 
 
@@ -290,11 +290,14 @@ def h0_residuals(u: FourierField, higgs: Higgs | None = None) -> dict[str, float
     hf = (ep - em) * 1j
     del ep, em
     vxf = sm.vertical(xf)
+    hf_norm, vxf_norm = hf.l2_norm(), vxf.l2_norm()
+    lhs = hf + vxf
+    del hf, vxf
     brk = sm.bracket(xf, f)
     del xf
-    lhs = hf + vxf - brk
-    den1 = hf.l2_norm() + vxf.l2_norm() + brk.l2_norm()
-    del hf, vxf, brk
+    lhs = lhs - brk
+    den1 = hf_norm + vxf_norm + brk.l2_norm()
+    del brk
     psi = lhs * (-1.0) if higgs is None else ut @ higgs.as_field() @ u
     k1 = lhs + psi
     del lhs

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import binascii
 import hashlib
-import io
 import math
 
 import numpy as np
@@ -374,16 +373,12 @@ CSV_HEADER = "t,c11,c12,c13,c21,c22,c23,c31,c32,c33,drift"
 
 def write_transport_csv(path, result) -> None:
     """One row per saved sample: time, the nine entries of C row-major, and
-    the orthogonality drift ||C^T C - Id||_F."""
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for t, c, d in zip(result.times, result.matrices, result.drift):
-        row = [format(t, FLOAT_FMT)]
-        row.extend(format(v, FLOAT_FMT) for v in c.ravel())
-        row.append(format(d, FLOAT_FMT))
-        buf.write(",".join(row) + "\n")
+    the orthogonality drift ||C^T C - Id||_F, all formatted in one pass by
+    one format string (the .17g token of every value)."""
+    cols = np.column_stack([result.times, np.reshape(result.matrices, (-1, 9)), result.drift])
+    line = ",".join(["%" + FLOAT_FMT] * cols.shape[1]) + "\n"
     with open(path, "w") as f:
-        f.write(buf.getvalue())
+        f.write(CSV_HEADER + "\n" + (line * len(cols)) % tuple(cols.ravel().tolist()))
 
 
 # -- PGM heatmaps --------------------------------------------------------------------

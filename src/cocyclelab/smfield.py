@@ -41,6 +41,15 @@ turns a sum of three -0.0 products into +0.0).
 X of a real field takes one eta_minus: eta_plus(u) is its conjugate, since
 dz(conj f) = conj(dbar f) and lam is real (eta_pair).
 
+Allocation rule: an arithmetic result is one new band, written once.  u + v
+and u - v fill one band spanning both (_combine): a mode of both bands is
+the ufunc of the two, a mode of u alone a copy, a mode of v alone 0.0 +- v_m
+(what padding v with zeros gives), a gap between disjoint bands zero; so
+u - v is exactly u + (-v) with no negated copy of v.  A connection's modes
++-1 are written straight into the band that uses them (Connection.band,
+Connection.as_field), and the reality test compares real and imaginary
+parts with no conjugate band.
+
 The L2 pairing is <u, v> = integral over SM of trace(u v*) with measure
 e^{2 lam} dx dy dtheta, evaluated as a plain grid sum (spectrally accurate
 for smooth integrands): 2 pi * sum_m sum_grid trace(c_m d_m^*) e^{2 lam} dx dy.
@@ -143,10 +152,12 @@ def _real_analysis(nt: int, k: int) -> np.ndarray:
 
 def _is_real(u: "FourierField") -> bool:
     """u is real on SM to the bit: lo = -hi and c_{-m} == conj(c_m), compared
-    for all m >= 0 at once (NaN compares unequal, so it takes the complex
+    for all m >= 0 at once as Re c_m == Re c_{-m} and Im c_m == -Im c_{-m},
+    with no conjugate band (NaN compares unequal, so it takes the complex
     route)."""
     c, k = u.coef, u.hi
-    return u.lo == -k and np.array_equal(c[k:], np.conj(c[k::-1]))
+    return (u.lo == -k and np.array_equal(c[k:].real, c[k::-1].real)
+            and np.array_equal(c[k:].imag, -c[k::-1].imag))
 
 
 def _real_angles(u: "FourierField", nt: int) -> np.ndarray:
@@ -197,6 +208,34 @@ def _pointwise(u: "FourierField", v: "FourierField", kernel) -> "FourierField":
 def bracket(u: "FourierField", v: "FourierField") -> "FourierField":
     """[u, v] = u v - v u pointwise, sampling each factor once."""
     return _pointwise(u, v, _commutator3)
+
+
+def _combine(u: "FourierField", v: "FourierField", ufunc) -> "FourierField":
+    """u + v (ufunc np.add) or u - v (np.subtract) on the union of the two
+    bands, written once into one new band: a mode of both is ufunc(u_m, v_m),
+    a mode of u only is a copy of u_m, a mode of v only is ufunc(0.0, v_m)
+    (what padding v's band with zeros gives, +0.0 included), and the modes
+    in a gap between two disjoint bands are zero."""
+    u._check_same(v)
+    lo = min(u.lo, v.lo)
+    out = np.empty((max(u.hi, v.hi) - lo + 1,) + u.coef.shape[1:], dtype=complex)
+    # the modes of both bands; empty (olo > ohi) when they are disjoint, and
+    # then ohi + 1 .. olo - 1 is the gap between them
+    olo, ohi = max(u.lo, v.lo), min(u.hi, v.hi)
+
+    def modes(arr, first, a, b):
+        """Modes a..b of arr, whose first mode is first."""
+        return arr[a - first : b + 1 - first]
+
+    for a, b in ((u.lo, min(u.hi, olo - 1)), (max(u.lo, ohi + 1), u.hi)):
+        modes(out, lo, a, b)[...] = modes(u.coef, u.lo, a, b)
+    for a, b in ((v.lo, min(v.hi, olo - 1)), (max(v.lo, ohi + 1), v.hi)):
+        ufunc(0.0, modes(v.coef, v.lo, a, b), out=modes(out, lo, a, b))
+    if olo <= ohi:
+        ufunc(modes(u.coef, u.lo, olo, ohi), modes(v.coef, v.lo, olo, ohi),
+              out=modes(out, lo, olo, ohi))
+    modes(out, lo, ohi + 1, olo - 1)[...] = 0.0
+    return FourierField.band(u.metric, lo, out)
 
 
 class FourierField:
@@ -277,15 +316,10 @@ class FourierField:
             raise ValueError("fields live on different metrics")
 
     def __add__(self, other: "FourierField") -> "FourierField":
-        self._check_same(other)
-        lo = min(self.lo, other.lo)
-        coef = np.zeros((max(self.hi, other.hi) - lo + 1,) + self.coef.shape[1:], dtype=complex)
-        coef[self.lo - lo : self.hi + 1 - lo] = self.coef
-        coef[other.lo - lo : other.hi + 1 - lo] += other.coef
-        return FourierField.band(self.metric, lo, coef)
+        return _combine(self, other, np.add)
 
     def __sub__(self, other: "FourierField") -> "FourierField":
-        return self + (other * (-1.0))
+        return _combine(self, other, np.subtract)
 
     def __mul__(self, scalar) -> "FourierField":
         return FourierField.band(self.metric, self.lo, self.coef * scalar)
@@ -373,7 +407,8 @@ class FourierField:
         else:
             s = _matrix_first(self.sample(nt))
             r, im = s.real, float(np.abs(s.imag).max())
-        g = _matmul3(np.swapaxes(r, 1, 2), r) - np.eye(3)[:, :, None, None]
+        g = _matmul3(np.swapaxes(r, 1, 2), r)
+        g -= np.eye(3)[:, :, None, None]
         return float(np.sqrt(np.einsum("tijyx,tijyx->tyx", g, g)).max() + im)
 
 
@@ -504,10 +539,29 @@ class Connection:
             raise ValueError("connection coefficients are not real")
         return cls(f.metric, a.real, b.real)
 
+    def _mode_into(self, m: int, out: np.ndarray) -> None:
+        """Write mode m = +-1 of A, (a - i m b)/2, into the (3, 3, ny, nx)
+        complex array out, with the operations of 0.5 * (a -+ 1j * b)."""
+        np.multiply(1j, _matrix_first(self.b), out=out)
+        (np.subtract if m == 1 else np.add)(_matrix_first(self.a), out, out=out)
+        np.multiply(0.5, out, out=out)
+
+    def band(self, m: int) -> FourierField:
+        """A_m, the one-mode field of mode m = +-1 of A: A_1 = (A - i V(A))/2
+        for m = 1, its conjugate A_{-1} for m = -1."""
+        met = self.metric
+        out = np.empty((1, 3, 3, met.ny, met.nx), dtype=complex)
+        self._mode_into(m, out[0])
+        return FourierField.band(met, m, out)
+
     def as_field(self) -> FourierField:
-        c1 = 0.5 * (self.a - 1j * self.b)
-        cm1 = 0.5 * (self.a + 1j * self.b)
-        return FourierField(self.metric, {1: c1, -1: cm1})
+        """A as one band of modes -1, 0, 1 (mode 0 is zero)."""
+        met = self.metric
+        out = np.empty((3, 3, 3, met.ny, met.nx), dtype=complex)
+        self._mode_into(-1, out[0])
+        out[1] = 0.0
+        self._mode_into(1, out[2])
+        return FourierField.band(met, -1, out)
 
     def antisymmetry_residual(self) -> float:
         return worst([_antisym_residual(self.a), _antisym_residual(self.b)])
@@ -576,18 +630,15 @@ class Pair:
 
 def decompose_connection(conn: Connection) -> tuple[FourierField, FourierField]:
     """(A_1, A_{-1}) with A_1 = (A - i V(A))/2 in mode +1 and its conjugate in -1."""
-    f = conn.as_field()  # modes -1, 0, 1
-    return FourierField.band(f.metric, 1, f.coef[2:]), FourierField.band(f.metric, -1, f.coef[:1])
+    return conn.band(1), conn.band(-1)
 
 
 def mu_plus(u: FourierField, conn: Connection) -> FourierField:
-    a1, _ = decompose_connection(conn)
-    return eta_plus(u) + a1 @ u
+    return eta_plus(u) + conn.band(1) @ u
 
 
 def mu_minus(u: FourierField, conn: Connection) -> FourierField:
-    _, am1 = decompose_connection(conn)
-    return eta_minus(u) + am1 @ u
+    return eta_minus(u) + conn.band(-1) @ u
 
 
 def hodge_star(f: FourierField) -> FourierField:
@@ -614,7 +665,7 @@ def dbar_A(g: np.ndarray, conn: Connection) -> np.ndarray:
     coefficient grid e^{-lam} dbar(g) + [A_{-1}, g] of d_A g."""
     c = eta_minus(FourierField.from_grid(conn.metric, g)).mode(-1)
     if not conn.is_zero():
-        am1 = conn.as_field().mode(-1)
+        am1 = conn.band(-1).mode(-1)
         c = c + grid_matmul(am1, g) - grid_matmul(g, am1)
     return c
 

@@ -6,16 +6,20 @@ axis, the metric's derivatives from its grid samples, the transport generator
 from a spline of its coefficient grids, a Cauchy integral for p', a
 finite-difference speed, readers of the files the package writes, and the
 frame-transfer identity of a trivializing u, the 3x3 product as nine planes
-of three plane products, the reality residual of a whole field minus its
-conjugate, and the Rodrigues exponential of so(3).  No verb runs them.  The
+of three plane products, the sum and difference of two bands on a
+zero-padded band, the reality test by a conjugate copy of the band, the
+reality residual of a whole field minus its conjugate, the transport CSV
+written value by value, and the Rodrigues exponential of so(3).  No verb runs them.  The
 sections the holomorphy tests sweep live here too: random elliptic families
 and band-limited random unit sections (the negative control).
 """
 
 import base64
+import io
 
 import numpy as np
 
+from cocyclelab import fieldio as fio
 from cocyclelab import smfield as sm
 from cocyclelab import spectral
 from cocyclelab.backlund import UnitSection, holomorphic_g_factory
@@ -101,6 +105,24 @@ def plane_matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for k in (1, 2):
             o += np.multiply(a[..., i, k, :, :], b[..., k, j, :, :], out=tmp)
     return out
+
+
+def padded_band_op(u: sm.FourierField, v: sm.FourierField, ufunc) -> sm.FourierField:
+    """u + v (ufunc np.add) or u - v (np.subtract) on a zero band spanning
+    both: u is written into it, then v is combined in place."""
+    lo = min(u.lo, v.lo)
+    coef = np.zeros((max(u.hi, v.hi) - lo + 1,) + u.coef.shape[1:], dtype=complex)
+    coef[u.lo - lo : u.hi + 1 - lo] = u.coef
+    part = coef[v.lo - lo : v.hi + 1 - lo]
+    ufunc(part, v.coef, out=part)
+    return sm.FourierField.band(u.metric, lo, coef)
+
+
+def conjugate_is_real(u: sm.FourierField) -> bool:
+    """lo = -hi and c_{-m} == conj(c_m) for all m >= 0, by a conjugate copy
+    of the modes m <= 0."""
+    c, k = u.coef, u.hi
+    return u.lo == -k and np.array_equal(c[k:], np.conj(c[k::-1]))
 
 
 def band_reality_residual(u: sm.FourierField) -> float:
@@ -195,6 +217,20 @@ def unit_speed_residual(path) -> float:
     speed2 = np.exp(2.0 * lam) * (vx**2 + vy**2)
     interior = slice(1, -1)
     return float(np.abs(speed2[interior] - 1.0).max())
+
+
+def write_transport_csv(path, result) -> None:
+    """The transport CSV formatted one value at a time, each value its own
+    .17g token."""
+    buf = io.StringIO()
+    buf.write(fio.CSV_HEADER + "\n")
+    for t, c, d in zip(result.times, result.matrices, result.drift):
+        row = [format(t, fio.FLOAT_FMT)]
+        row.extend(format(v, fio.FLOAT_FMT) for v in c.ravel())
+        row.append(format(d, fio.FLOAT_FMT))
+        buf.write(",".join(row) + "\n")
+    with open(path, "w") as f:
+        f.write(buf.getvalue())
 
 
 def read_transport_csv(path) -> dict:

@@ -1,5 +1,7 @@
 """ODE transport of the cocycle and the triviality certificates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -320,3 +322,27 @@ def test_interpolant_of_modes_m_ge_0_matches_full_band(repeats):
     ref = _full_band_values(u, xs % 1.0, ys % 1.0, ths)
     assert got.dtype == np.float64 and got.shape == (500, 3, 3)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_mode_residuals_transient_memory_is_bounded():
+    """verify's mode rows on the flat-elliptic chain at 48^2 (trivializer
+    degree 2) hold at most 15 trivializer bands of temporaries at once: each
+    sum or difference is one new band, and h0_residuals drops every band once
+    its norm is taken (tracemalloc counts numpy's data buffers)."""
+    met = TorusMetric.flat(48, 48)
+    pair = generate_chain(met, [{"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]},
+                                {"kind": "repeat-q"}]).final
+    band = pair.trivializer.coef.nbytes
+    assert pair.trivializer.degree == 2
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        mode_residuals(pair)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 15 * band

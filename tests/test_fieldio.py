@@ -15,7 +15,7 @@ from cocyclelab.errors import StructureViolated
 from cocyclelab.lie3 import hat
 from cocyclelab.smfield import FourierField, Pair
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric
-from oracles import read_mode_grid, read_pgm, read_transport_csv
+from oracles import read_mode_grid, read_pgm, read_transport_csv, write_transport_csv
 
 RNG = np.random.default_rng(1234)
 
@@ -194,6 +194,22 @@ def test_transport_csv_round_trip(tmp_path):
     assert np.array_equal(back["times"], res.times)
     assert np.array_equal(back["matrices"], np.asarray(res.matrices))
     assert np.array_equal(back["drift"], np.asarray(res.drift))
+
+
+@pytest.mark.parametrize("t_final, save_every, rows", [(1.0, 10, 11), (-1.3, 10, 14), (1.0, 7, 16)])
+def test_transport_csv_matches_per_value_writer(tmp_path, t_final, save_every, rows):
+    """The one-pass writer gives the bytes of the per-value one: forward and
+    backward transports, and a save interval that does not divide the step
+    count (100 steps, every 7th saved, then the last)."""
+    met = TorusMetric.from_harmonics(32, 32, 1.0, 1.0, [Harmonic(0.08, 0, 1)])
+    cert = bk.backlund_transform(Pair.trivial(met),
+                                 bk.UnitSection.constant(met, np.array([0.6, -0.48, 0.64])))
+    res = transport(cert.pair_out, SMPoint(0.3, 0.7, 1.1), t_final, 1e-2, save_every=save_every)
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    fio.write_transport_csv(got, res)
+    write_transport_csv(ref, res)
+    assert got.read_bytes() == ref.read_bytes()
+    assert len(res.times) == rows
 
 
 def test_pgm_round_trip(tmp_path):

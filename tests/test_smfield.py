@@ -33,6 +33,7 @@ from cocyclelab.smfield import (
     x_op,
     _from_angles,
     _grid_first,
+    _is_real,
     _matmul3,
     _matrix_first,
     _to_angles,
@@ -40,8 +41,10 @@ from cocyclelab.smfield import (
 from cocyclelab.torus import Harmonic, TorusMetric, grid_coords
 from oracles import (
     band_reality_residual,
+    conjugate_is_real,
     frame_apply,
     from_samples,
+    padded_band_op,
     plane_matmul3,
     read_mode_grid,
     so3_exp,
@@ -580,6 +583,82 @@ def test_kernel_matches_plane_oracle_at_workload_sizes(shape):
     rot = _matrix_first(so3_exp(hat(np.array([0.0, 0.0, 1.0])) * angles))
     for x, y in ((a, b), (b, a), (rot, -rot), (a, rot)):
         _assert_same_bits(_matmul3(x, y), x, y)
+
+
+def _special_band(rng, met, lo, n):
+    """A band of modes lo .. lo + n - 1 whose real and imaginary parts are
+    _special values: NaN, +-inf and signed zeros among normal ones."""
+    shape = (n, 3, 3, met.ny, met.nx)
+    coef = np.empty(shape, dtype=complex)
+    coef.real = _special(rng, shape, float)
+    coef.imag = _special(rng, shape, float)
+    return FourierField.band(met, lo, coef)
+
+
+@pytest.mark.parametrize("u_band, v_band", [
+    ((-1, 3), (0, 3)),    # overlapping
+    ((-2, 5), (0, 1)),    # v nested in u
+    ((0, 1), (-2, 5)),    # u nested in v
+    ((-3, 2), (1, 2)),    # disjoint, gap -1..0
+    ((2, 2), (-3, 2)),    # disjoint, gap -1..1, v below
+    ((0, 2), (2, 1)),     # adjacent
+    ((0, 1), (0, 1)),     # one mode each
+    ((1, 1), (-1, 1)),    # one mode each, gap 0
+])
+def test_band_sum_and_difference_match_padded_oracle_bit_for_bit(u_band, v_band):
+    """u + v and u - v against the zero-padded band arithmetic they replace
+    (oracles.padded_band_op): the same band and every value (NaN where the
+    oracle has NaN) and every sign bit outside NaN.  Modes of v alone must be
+    0.0 + v_m and 0.0 - v_m, which turn a -0.0 of v into +0.0."""
+    met = TorusMetric.flat(16, 16)
+    rng = np.random.default_rng([m + 3 for m in u_band + v_band])
+    u, v = _special_band(rng, met, *u_band), _special_band(rng, met, *v_band)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for got, ufunc in ((u + v, np.add), (u - v, np.subtract)):
+            ref = padded_band_op(u, v, ufunc)
+            assert got.lo == ref.lo and got.coef.shape == ref.coef.shape
+            assert got.coef.dtype == ref.coef.dtype
+            g, r = _parts(got.coef), _parts(ref.coef)
+            assert np.array_equal(g, r, equal_nan=True)
+            assert not ((np.signbit(g) != np.signbit(r)) & ~np.isnan(r)).any()
+
+
+def _real_band(rng, met, k):
+    """A band real on SM of modes -k..k: c_{-m} = conj(c_m), mode 0 with a
+    -0.0 imaginary part (conjugated to +0.0) and -0.0 entries elsewhere."""
+    coef = _random(rng, (2 * k + 1, 3, 3, met.ny, met.nx), True)
+    coef[k].imag = -0.0
+    coef[k:][rng.random(coef[k:].shape) < 0.2] = complex(-0.0, -0.0)
+    coef[:k] = np.conj(coef[:k:-1])
+    return coef
+
+
+def test_is_real_matches_conjugate_copy_oracle():
+    """_is_real against the conjugate-copy test it replaced: bands real on
+    SM with signed-zero and infinite entries, a band with lo != -hi, a NaN
+    mode, one flipped bit of an imaginary part and a one-mode band."""
+    met = TorusMetric.flat(16, 16)
+    rng = np.random.default_rng(7)
+    cases = []
+    for k in (0, 1, 3):
+        cases.append((FourierField.band(met, -k, _real_band(rng, met, k)), True))
+    inf = _real_band(rng, met, 2)
+    inf[3, 0, 1] = complex(np.inf, -np.inf)
+    inf[1, 0, 1] = complex(np.inf, np.inf)
+    cases.append((FourierField.band(met, -2, inf), True))
+    cases.append((FourierField.band(met, -1, _real_band(rng, met, 2)), False))
+    cases.append((FourierField.band(met, 0, _real_band(rng, met, 2)[2:]), False))
+    nan = _real_band(rng, met, 2)
+    nan[3, 2, 0] = nan[1, 2, 0] = complex(np.nan, 0.0)
+    cases.append((FourierField.band(met, -2, nan), False))
+    flip = _real_band(rng, met, 1)
+    flip.imag[2, 1, 1, 0, 0] = np.nextafter(flip.imag[2, 1, 1, 0, 0], np.inf)
+    cases.append((FourierField.band(met, -1, flip), False))
+    imag0 = _real_band(rng, met, 0)
+    imag0[0, 0, 0, 1, 1] += 1e-300j
+    cases.append((FourierField.band(met, 0, imag0), False))
+    for u, expect in cases:
+        assert _is_real(u) is conjugate_is_real(u) is expect
 
 
 @pytest.mark.parametrize("n", range(1, 62))
