@@ -23,8 +23,7 @@ from . import backlund as bk
 from . import cocycle as cc
 from . import fieldio as fio
 from .errors import CocycleLabError, passes, worst
-from .smfield import Pair, l2_inner, mu_minus, mu_plus, star_curvature
-from .smfield import FourierField
+from .smfield import FourierField, Pair, grid_matmul, l2_inner, mu_minus, mu_plus, star_curvature
 from .torus import SMPoint, TorusMetric, flat_closed_geodesics
 
 EXIT_OK = 0
@@ -151,7 +150,7 @@ def _energy_residuals(pair: Pair, count: int, seed: int) -> float:
         lhs = l2_inner(up, up).real
         rhs = l2_inner(um, um).real
         op = FourierField(
-            met, {m: (1j * sf - m * met.gauss[..., None, None] * np.eye(3)) @ h}
+            met, {m: grid_matmul(1j * sf - m * met.gauss[..., None, None] * np.eye(3), h)}
         )
         rhs += 0.5 * l2_inner(op, u).real
         scale = max(abs(lhs), abs(rhs), 1e-300)

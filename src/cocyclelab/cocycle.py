@@ -27,8 +27,11 @@ DRIFT_TOL = 1e-6
 class TransportContext:
     """Off-grid evaluators of a pair across transports, both built by
     FourierField.interpolant: generator_at, of A + Phi (modes -1, 0, 1), at
-    once, and trivializer_at on its first call; both are kept.  Each takes
-    point arrays (x, y, theta) of one shape and returns that shape + (3, 3)."""
+    once, and trivializer_at on its first call; both are kept.  A + Phi of a
+    loaded or generated pair is antisymmetric to the bit, so its spline holds
+    the vee triples of modes 0 and 1 (9 channels); the orthogonal
+    trivializer's holds all nine entries of each mode.  Each takes point
+    arrays (x, y, theta) of one shape and returns that shape + (3, 3)."""
 
     def __init__(self, pair: Pair):
         self.pair = pair

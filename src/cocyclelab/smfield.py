@@ -68,6 +68,7 @@ import numpy as np
 from . import spectral
 from .errors import worst
 from .interp import PeriodicCubic2D
+from .lie3 import hat, vee
 from .torus import TorusMetric
 
 
@@ -158,6 +159,15 @@ def _is_real(u: "FourierField") -> bool:
     c, k = u.coef, u.hi
     return (u.lo == -k and np.array_equal(c[k:].real, c[k::-1].real)
             and np.array_equal(c[k:].imag, -c[k::-1].imag))
+
+
+def _is_skew(u: "FourierField") -> bool:
+    """Every mode of u is antisymmetric to the bit, c == -c^T: each entry
+    pair (i, j), i < j, and each diagonal entry compared with np.array_equal
+    (NaN compares unequal, so it fails the test)."""
+    c = u.coef
+    return all(np.array_equal(c[:, i, j], -c[:, j, i])
+               for i, j in ((1, 0), (2, 0), (2, 1), (0, 0), (1, 1), (2, 2)))
 
 
 def _real_angles(u: "FourierField", nt: int) -> np.ndarray:
@@ -357,14 +367,18 @@ class FourierField:
         (..., 3, 3), of a field that is real on SM (c_{-m} = conj(c_m), which
         reality_residual measures).  It reads modes m >= 0 only: one bicubic
         spline over the real channels [Re c_0, 2 Re c_m, -2 Im c_m], m = 1..hi,
-        summed against 1, cos(m theta) and sin(m theta)."""
+        summed against 1, cos(m theta) and sin(m theta).  When every mode is
+        antisymmetric to the bit (_is_skew, as for A + Phi), each channel is
+        splined as its vee triple, 3 values instead of 9, and the sum is
+        returned as its hat."""
         met = self.metric
         hi = max(self.hi, 0)
-        pos = np.stack([self.mode(m) for m in range(hi + 1)], axis=2).reshape(
-            met.ny, met.nx, hi + 1, 9
-        )
+        pos = np.stack([self.mode(m) for m in range(hi + 1)], axis=2)
         stack = np.concatenate([pos.real, -pos.imag[:, :, 1:]], axis=2)
         stack[:, :, 1:] *= 2.0
+        skew = _is_skew(self)
+        stack = vee(stack) if skew else stack.reshape(stack.shape[:3] + (9,))
+        width = stack.shape[-1]
         spline = PeriodicCubic2D(stack.reshape(met.ny, met.nx, -1), met.lx, met.ly)
         ms = np.arange(1, hi + 1, dtype=float)
 
@@ -373,8 +387,8 @@ class FourierField:
             vals = spline(x % met.lx, np.asarray(y, dtype=float) % met.ly)
             mt = np.multiply.outer(np.asarray(theta, dtype=float), ms)
             basis = np.concatenate([np.ones(mt.shape[:-1] + (1,)), np.cos(mt), np.sin(mt)], axis=-1)
-            out = np.einsum("...kc,...k->...c", vals.reshape(x.shape + (2 * hi + 1, 9)), basis)
-            return out.reshape(x.shape + (3, 3))
+            out = np.einsum("...kc,...k->...c", vals.reshape(x.shape + (2 * hi + 1, width)), basis)
+            return hat(out) if skew else out.reshape(x.shape + (3, 3))
 
         return at
 

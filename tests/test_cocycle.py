@@ -189,27 +189,47 @@ def test_interpolants_built_lazily_and_once(monkeypatch):
     ctx = TransportContext(pair)
     for p0 in (SMPoint(0.15, 0.67, 2.1), SMPoint(0.4, 0.2, 0.3)):
         assert triviality_residual(pair, p0, 0.5, 1e-2, context=ctx).max_residual < 1e-6
-    assert builds == [(32, 32, 27), (32, 32, 27)]
+    # the generator A + Phi is splined on its vee triples, the trivializer
+    # on all nine entries
+    assert builds == [(32, 32, 9), (32, 32, 27)]
     builds.clear()
     flat = TorusMetric.flat(32, 32)
     assert holonomy_closed(Pair.trivial(flat), SMPoint(0.2, 0.9, 0.0), 1.0, 1e-2) < 1e-13
     assert len(builds) == 1
 
 
-def test_generator_matches_coefficient_spline():
+def test_generator_matches_coefficient_spline(monkeypatch):
     """generator_at, the interpolant of A + Phi, equals the spline of the
     grids a, b and Phi summed as a cos + b sin + Phi, on the curved-transport
-    pair and on a pair with nonzero Phi, and keeps a 2-D point array's shape."""
+    pair and on a pair with nonzero Phi, and keeps a 2-D point array's shape.
+    An exactly skew generator is splined on its vee triples (9 channels) and
+    evaluates exactly skew; one entry one ulp off skew takes the path over
+    all nine entries (27 channels) and matches the same oracle."""
+    builds = []
+    init = PeriodicCubic2D.__init__
+
+    def counting_init(self, *args):
+        builds.append(np.shape(args[0])[-1])
+        init(self, *args)
+
+    monkeypatch.setattr(PeriodicCubic2D, "__init__", counting_init)
     met = TorusMetric.from_harmonics(48, 48, 1.0, 1.0, [[0.1, 1, 0], [0.04, 1, 1, 0.5, 1.2]])
     chain = [{"kind": "constant", "axis": [0.6, -0.48, 0.64]}, {"kind": "repeat-q"}]
+    nudged = generic_pair(curved_metric(48), scale=3.0)
+    nudged.conn.a[5, 7, 1, 2] = np.nextafter(nudged.conn.a[5, 7, 1, 2], np.inf)
     rng = np.random.default_rng(5)
     xs, ys = rng.uniform(-1, 2, (2, 40, 25))
     ths = rng.uniform(-7, 7, (40, 25))
-    for pair in (generate_chain(met, chain).final, generic_pair(curved_metric(48), scale=3.0)):
+    for pair, channels in ((generate_chain(met, chain).final, 9),
+                           (generic_pair(curved_metric(48), scale=3.0), 9), (nudged, 27)):
+        builds.clear()
         got = TransportContext(pair).generator_at(xs, ys, ths)
+        assert builds == [channels]
         ref = coefficient_spline_generator(pair)(xs, ys, ths)
         assert got.shape == (40, 25, 3, 3)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        if channels == 9:
+            assert np.array_equal(got, -np.swapaxes(got, -1, -2))
 
 
 def test_field_residual_certificate():
@@ -346,3 +366,26 @@ def test_mode_residuals_transient_memory_is_bounded():
         if started:
             tracemalloc.stop()
     assert peak <= 15 * band
+
+
+def test_transport_transient_memory_is_bounded():
+    """A 5-unit transport at dt 1e-3 on the curved-transport chain at 48^2,
+    with a fresh context, holds at most 24 MB of temporaries: the generator
+    A + Phi is splined on its 9 vee channels, so the stencil gather of one
+    CHUNK of points is a third of the 27-entry one (tracemalloc counts
+    numpy's data buffers)."""
+    met = TorusMetric.from_harmonics(48, 48, 1.0, 1.0, [[0.1, 1, 0], [0.04, 1, 1, 0.5, 1.2]])
+    pair = generate_chain(met, [{"kind": "constant", "axis": [0.6, -0.48, 0.64]},
+                                {"kind": "repeat-q"}]).final
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        transport(pair, SMPoint(0.15, 0.67, 2.1), 5.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 24e6
