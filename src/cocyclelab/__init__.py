@@ -15,7 +15,6 @@ from .errors import (
     NotClosed,
     NotUnit,
     OutputNotCertified,
-    PhiNotZero,
     RankDeficient,
     ReductionFailed,
     SamplingTooCoarse,
@@ -39,7 +38,6 @@ __all__ = [
     "NotUnit",
     "OutputNotCertified",
     "Pair",
-    "PhiNotZero",
     "RankDeficient",
     "ReductionFailed",
     "SMPoint",

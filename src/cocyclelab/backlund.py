@@ -13,9 +13,11 @@ numerically and the residuals are recorded in a certificate; the input and
 the output pair of every step are gated on their field residual, and a chain
 hands each certificate to the next step, so each pair's residual is computed
 once.  The module also
-implements the inverse transform, the Higgs-free two-step transform that
-lifts to SU(2), a factory of holomorphic unit sections from elliptic
-functions, and degree reduction of trivializers.
+implements the inverse transform, chains of steps (a repeat-q step
+transforms with the previous step's q; after a Higgs-free input the two
+steps are the doubling that lifts to SU(2), which fiber_loop_parity
+detects), a factory of holomorphic unit sections from elliptic functions,
+and degree reduction of trivializers.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
     GNotHolomorphic,
     InputNotCertified,
     OutputNotCertified,
-    PhiNotZero,
     RankDeficient,
     ReductionFailed,
     passes,
@@ -129,13 +130,19 @@ def _dbar_routes(g: UnitSection, conn: Connection) -> dict[str, float]:
 
     pi = projector(g)
     pi_perp = np.broadcast_to(np.eye(3), pi.shape) - pi
-    # column j of ds is the twisted dbar mu_- of the section pi e_j of C^3
-    ds = sm.mu_minus(FourierField.from_grid(met, pi), conn).mode(-1)
+    # one eta_minus of pi serves both routes: column j of ds is the twisted
+    # dbar e^{-lam} dbar(pi e_j) + A_{-1} pi e_j of the section pi e_j of
+    # C^3, and dbar_A pi = ds - pi A_{-1}
+    ds = sm.eta_minus(FourierField.from_grid(met, pi)).mode(-1)
+    dpi = ds
+    if not conn.is_zero():
+        am1 = conn.band(-1).mode(-1)
+        ds += sm.grid_matmul(am1, pi)
+        dpi = ds - sm.grid_matmul(pi, am1)
     num3 = np.sqrt((np.abs(sm.grid_matmul(pi_perp, ds)) ** 2).sum())
     dencols = np.sqrt((np.abs(ds) ** 2).sum(axis=(0, 1, 2))).sum()
     res3 = float(num3 / (1e-300 + dencols + np.sqrt((np.abs(pi) ** 2).sum())))
 
-    dpi = sm.dbar_A(pi, conn)
     den4 = grid_l2_norm(met, dpi) + grid_l2_norm(met, pi) + 1e-300
     res4 = grid_l2_norm(met, sm.grid_matmul(dpi, pi)) / den4
 
@@ -358,54 +365,6 @@ def fiber_loop_parity(u: FourierField) -> int:
     return su2_path_lift(polar_project(mats.real))
 
 
-@dataclass
-class TwoStepResult:
-    cert_first: BacklundCertificate
-    cert_second: BacklundCertificate
-    c_vertical_residual: float
-    phi_intermediate: float
-    phi_final: float
-    parity_in: int
-    parity_mid: int
-    parity_out: int
-
-
-def two_step_su2(pair: Pair, g: UnitSection) -> TwoStepResult:
-    """Higgs-free doubling: transform with g, then with q = a g a^{-1}.
-
-    Requires Phi = 0 on input, to 1e-10 relative to the connection
-    (PhiNotZero otherwise).  The intermediate pair
-    carries the Higgs field a (*d_A g) a^{-1}; the final one is again
-    Higgs-free.  The combined vertical solution c = a_q a satisfies
-    c^{-1} V(c) = 2g, and the two-step trivializer lifts to SU(2): the fiber
-    loop parity returns to +1, while the one-step trivializer has parity -1.
-    """
-    phi_rel = pair.higgs.norm() / (pair.conn.norm() + 1.0)
-    if not passes(phi_rel, 1e-10):
-        raise PhiNotZero(f"input Higgs field has relative size {phi_rel:.3e}")
-    parity_in = fiber_loop_parity(pair.trivializer)
-    cert1 = backlund_transform(pair, g)
-    q = cert1.q
-    q_sec = UnitSection(pair.metric, q, meta={"kind": "q", "from": g.meta.get("kind")})
-    cert2 = backlund_transform(cert1, q_sec)
-    c = cert2.vertical @ cert1.vertical
-    lhs = c.transpose() @ sm.vertical(c)
-    two_g = FourierField(pair.metric, {0: 2.0 * g.grid.astype(complex)})
-    c_res = (lhs - two_g).l2_norm() / two_g.l2_norm()
-    phi_mid = cert1.pair_out.higgs.norm() / (cert1.pair_out.conn.norm() + 1.0)
-    phi_out = cert2.pair_out.higgs.norm() / (cert2.pair_out.conn.norm() + 1.0)
-    return TwoStepResult(
-        cert_first=cert1,
-        cert_second=cert2,
-        c_vertical_residual=float(c_res),
-        phi_intermediate=float(phi_mid),
-        phi_final=float(phi_out),
-        parity_in=parity_in,
-        parity_mid=fiber_loop_parity(cert1.pair_out.trivializer),
-        parity_out=fiber_loop_parity(cert2.pair_out.trivializer),
-    )
-
-
 # -- holomorphic section factory ----------------------------------------------------
 
 
@@ -424,17 +383,19 @@ def holomorphic_g_factory(
     scale: complex = 1.0,
     offset: complex = 0.0,
 ) -> UnitSection:
-    """Unit sections with holomorphic eigenbundle on a flat torus, A = 0.
+    """Unit sections with holomorphic eigenbundle for the zero connection,
+    on any metric of the torus.
 
-    Composes the inverse stereographic projection with the doubly periodic
+    Holomorphy of a unit section depends only on the conformal structure,
+    and every metric here is conformally flat, so the section is the same
+    function of (x, y) as on the flat torus of the same periods.  Composes
+    the inverse stereographic projection with the doubly periodic
     meromorphic function zeta(z) = scale * wp(z - z0) + offset, where wp is
     the Weierstrass function of the lattice.  The resulting axis field is
     smooth across the pole of wp (it approaches the north pole).  z0 defaults
     to a half-cell offset from the grid so no sample hits the pole.  The
     section is not validated here; a transform gates it (GNotHolomorphic).
     """
-    if not metric.is_flat:
-        raise ValueError("the elliptic factory requires a flat metric")
     if z0 is None:
         z0 = (
             0.5 * metric.lx + 0.5 * metric.lx / metric.nx,

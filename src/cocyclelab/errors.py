@@ -63,10 +63,6 @@ class OutputNotCertified(CocycleLabError):
     transport residual gate."""
 
 
-class PhiNotZero(CocycleLabError):
-    """Operation requires a pair with vanishing Higgs field."""
-
-
 class RankDeficient(CocycleLabError):
     """Top Fourier mode vanishes on too large a fraction of the grid."""
 

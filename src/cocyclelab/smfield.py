@@ -642,11 +642,6 @@ class Pair:
         return self.conn.as_field() + self.higgs.as_field()
 
 
-def decompose_connection(conn: Connection) -> tuple[FourierField, FourierField]:
-    """(A_1, A_{-1}) with A_1 = (A - i V(A))/2 in mode +1 and its conjugate in -1."""
-    return conn.band(1), conn.band(-1)
-
-
 def mu_plus(u: FourierField, conn: Connection) -> FourierField:
     return eta_plus(u) + conn.band(1) @ u
 

@@ -9,9 +9,11 @@ frame-transfer identity of a trivializing u, the 3x3 product as nine planes
 of three plane products, the sum and difference of two bands on a
 zero-padded band, the reality test by a conjugate copy of the band, the
 reality residual of a whole field minus its conjugate, the transport CSV
-written value by value, and the Rodrigues exponential of so(3).  No verb runs them.  The
-sections the holomorphy tests sweep live here too: random elliptic families
-and band-limited random unit sections (the negative control).
+written value by value, the Rodrigues exponential of so(3), and the mode -1
+holomorphy routes with each route transforming the projector on its own.  No
+verb runs them.  The sections the holomorphy tests sweep live here too:
+random elliptic families and band-limited random unit sections (the negative
+control).
 """
 
 import base64
@@ -22,7 +24,7 @@ import numpy as np
 from cocyclelab import fieldio as fio
 from cocyclelab import smfield as sm
 from cocyclelab import spectral
-from cocyclelab.backlund import UnitSection, holomorphic_g_factory
+from cocyclelab.backlund import UnitSection, holomorphic_g_factory, projector
 from cocyclelab.elliptic import weierstrass_p
 from cocyclelab.interp import PeriodicCubic2D
 from cocyclelab.lie3 import hat, inner, vee
@@ -323,3 +325,28 @@ def random_unit_section(metric: TorusMetric, seed: int) -> UnitSection:
                 n[..., c] += amp * np.cos(kx * xg + ky * yg + rng.uniform(0, 2 * np.pi))
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
     return UnitSection.from_axis(metric, n, meta={"kind": "random", "seed": seed})
+
+
+def dbar_routes_reference(g: UnitSection, conn: sm.Connection) -> dict[str, float]:
+    """The dbar-bracket, subbundle and projector residuals of
+    backlund.holomorphy_residuals, with the subbundle route through
+    smfield.mu_minus (the A_{-1} product taken even for a zero connection)
+    and the projector route through smfield.dbar_A, so pi is transformed
+    once per route."""
+    met = g.metric
+    q = sm.dbar_A(g.grid, conn)
+    res2_g = q - 1j * (sm.grid_matmul(q, g.grid) - sm.grid_matmul(g.grid, q))
+    den2 = sm.grid_l2_norm(met, q) + sm.grid_l2_norm(met, g.grid) + 1e-300
+    res2 = sm.grid_l2_norm(met, res2_g) / den2
+
+    pi = projector(g)
+    pi_perp = np.broadcast_to(np.eye(3), pi.shape) - pi
+    ds = sm.mu_minus(sm.FourierField.from_grid(met, pi), conn).mode(-1)
+    num3 = np.sqrt((np.abs(sm.grid_matmul(pi_perp, ds)) ** 2).sum())
+    dencols = np.sqrt((np.abs(ds) ** 2).sum(axis=(0, 1, 2))).sum()
+    res3 = float(num3 / (1e-300 + dencols + np.sqrt((np.abs(pi) ** 2).sum())))
+
+    dpi = sm.dbar_A(pi, conn)
+    den4 = sm.grid_l2_norm(met, dpi) + sm.grid_l2_norm(met, pi) + 1e-300
+    res4 = sm.grid_l2_norm(met, sm.grid_matmul(dpi, pi)) / den4
+    return {"dbar-bracket": res2, "subbundle": res3, "projector": res4}

@@ -18,11 +18,11 @@ from cocyclelab.smfield import (
     FourierField,
     Higgs,
     Pair,
-    decompose_connection,
     l2_inner,
     mu_minus,
     mu_plus,
     star_curvature,
+    vertical,
 )
 from cocyclelab.torus import (
     Harmonic,
@@ -121,7 +121,7 @@ def test_criterion_02_operator_oracle(capsys):
         128, 128, 1.0, 1.0, [Harmonic(0.1, 1, 0), Harmonic(0.04, 1, 1, 0.5, 1.2)]
     )
     conn = bandlimited_connection(met, seed=41)
-    a1, am1 = decompose_connection(conn)
+    a1, am1 = conn.band(1), conn.band(-1)
     u = bandlimited_field(met, 3, seed=42)
     samples = u.sample(32)
     xs = frame_apply(met, samples, "X")
@@ -229,18 +229,26 @@ def test_criterion_07_inverse_round_trip(capsys, const_chain, factory_chain):
          f"round trip {worst_rt:.2e} (<=1e-7), q-lemma {worst_ql:.2e} (<=1e-8)")
 
 
-def test_criterion_08_two_step_su2(capsys, const_chain):
+def test_criterion_08_two_step_doubling(capsys, const_chain):
     met = const_chain.pair_in.metric
-    ts = bk.two_step_su2(Pair.trivial(met), bk.UnitSection.constant(met, AXIS))
+    certs = bk.generate_chain(met, [{"kind": "constant", "axis": list(AXIS)},
+                                    {"kind": "repeat-q"}]).certs
+    c = certs[1].vertical @ certs[0].vertical
+    two_g = FourierField(met, {0: 2.0 * certs[0].g.grid.astype(complex)})
+    c_res = (c.transpose() @ vertical(c) - two_g).l2_norm() / two_g.l2_norm()
+    final = certs[1].pair_out
+    phi_final = final.higgs.norm() / (final.conn.norm() + 1.0)
+    parity_mid, parity_out = (bk.fiber_loop_parity(cert.pair_out.trivializer)
+                              for cert in certs)
     ok = (
-        ts.phi_final <= 1e-8
-        and ts.c_vertical_residual <= 1e-9
-        and ts.parity_mid == -1
-        and ts.parity_out == 1
+        phi_final <= 1e-8
+        and c_res <= 1e-9
+        and parity_mid == -1
+        and parity_out == 1
     )
     emit(capsys, 8, "two-step doubling lifts to SU(2)", ok,
-         f"Phi_q {ts.phi_final:.2e} (<=1e-8), c^-1 V(c)=2g {ts.c_vertical_residual:.2e}"
-         f" (<=1e-9), parities {ts.parity_mid}/{ts.parity_out} (want -1/+1)")
+         f"Phi_q {phi_final:.2e} (<=1e-8), c^-1 V(c)=2g {c_res:.2e}"
+         f" (<=1e-9), parities {parity_mid}/{parity_out} (want -1/+1)")
 
 
 def test_criterion_09_degree_reduction(capsys, factory_chain):

@@ -12,16 +12,32 @@ from cocyclelab.errors import (
     InputNotCertified,
     NotUnit,
     OutputNotCertified,
-    PhiNotZero,
     RankDeficient,
     ReductionFailed,
 )
 from cocyclelab.lie3 import hat, vee
-from cocyclelab.smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm, star_curvature
+from cocyclelab.smfield import (
+    Connection,
+    FourierField,
+    Higgs,
+    Pair,
+    grid_l2_norm,
+    star_curvature,
+    vertical,
+)
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords
-from oracles import random_unit_section, section_family, so3_exp, so3_norm
+from oracles import (
+    dbar_routes_reference,
+    random_unit_section,
+    section_family,
+    so3_exp,
+    so3_norm,
+)
 
 AXIS = np.array([0.6, -0.48, 0.64]) / np.linalg.norm([0.6, -0.48, 0.64])
+# the benchmark's curved conformal factor and elliptic step (perfbench/run.py)
+BENCH_CURVED = [Harmonic(0.1, 1, 0), Harmonic(0.04, 1, 1, 0.5, 1.2)]
+ELLIPTIC = {"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]}
 
 
 def curved_metric(n=64):
@@ -97,9 +113,39 @@ def test_holomorphy_factory_versus_controls():
     assert min(res_rand.values()) > 1e-2
 
 
-def test_factory_requires_flat_metric():
-    with pytest.raises(ValueError):
-        bk.holomorphic_g_factory(curved_metric())
+def test_factory_step_on_curved_metric():
+    """Holomorphy of a unit section depends only on the conformal structure,
+    so the factory section certifies on a curved metric.  The Dirichlet
+    energy of g is conformally invariant, so |Phi| equals the flat one; |A|
+    does not (0.23% apart)."""
+    for n, tol in ((48, 1e-7), (64, 1e-10)):
+        curved = TorusMetric.from_harmonics(n, n, 1.0, 1.0, BENCH_CURVED)
+        step = bk.generate_chain(curved, [ELLIPTIC]).certs[0]
+        assert step.residuals["output-field"] < tol
+        flat = bk.generate_chain(TorusMetric.flat(n, n), [ELLIPTIC]).final
+        phi, phi_flat = step.pair_out.higgs.norm(), flat.higgs.norm()
+        assert abs(phi - phi_flat) <= 1e-12 * phi_flat
+
+
+def test_dbar_routes_match_the_per_route_reference():
+    """The mode -1 routes take one eta_minus of pi for both the subbundle and
+    the projector residual; every value equals the reference that transforms
+    pi once per route, to the bit, for zero and nonzero connections."""
+    met = TorusMetric.from_harmonics(48, 48, 1.0, 1.0, BENCH_CURVED)
+    chain = bk.generate_chain(met, [ELLIPTIC, {"kind": "repeat-q"}])
+    certs = chain.certs
+    zero = Connection.zero(met)
+    rand = random_unit_section(met, seed=21)
+    cases = [(certs[0].g, zero), (rand, zero),
+             (certs[1].g, certs[0].pair_out.conn), (rand, certs[1].pair_out.conn)]
+    for sec, conn in cases:
+        res = bk.holomorphy_residuals(sec, conn)
+        ref = dbar_routes_reference(sec, conn)
+        assert {k: res[k] for k in ref} == ref
+    # the section reduce builds, against the connection of the pair it peels
+    red = bk.reduce_degree(chain.final)
+    ref = dbar_routes_reference(red.g, chain.final.conn)
+    assert {k: red.residuals[k] for k in ref} == ref
 
 
 def test_backlund_constant_axis_closed_form():
@@ -222,25 +268,23 @@ def test_fiber_loop_parity_direct():
     assert bk.fiber_loop_parity(two) == 1
 
 
-def test_two_step_su2():
+def test_two_step_doubling():
+    """A constant step followed by repeat-q is the Higgs-free doubling: the
+    combined vertical solution c = a_q a satisfies c^T V(c) = 2g, Phi vanishes
+    again, and the fiber loop parity goes 1, -1, 1 (the SU(2) lift)."""
     met = curved_metric(48)
-    sec = bk.UnitSection.constant(met, AXIS)
-    ts = bk.two_step_su2(Pair.trivial(met), sec)
-    assert ts.c_vertical_residual < 1e-13
-    assert ts.phi_final < 1e-12
-    assert (ts.parity_in, ts.parity_mid, ts.parity_out) == (1, -1, 1)
+    certs = bk.generate_chain(met, [{"kind": "constant", "axis": list(AXIS)},
+                                    {"kind": "repeat-q"}]).certs
+    c = certs[1].vertical @ certs[0].vertical
+    two_g = FourierField(met, {0: 2.0 * certs[0].g.grid.astype(complex)})
+    assert (c.transpose() @ vertical(c) - two_g).l2_norm() / two_g.l2_norm() < 1e-13
+    final = certs[1].pair_out
+    assert final.higgs.norm() / (final.conn.norm() + 1.0) < 1e-12
+    parities = [bk.fiber_loop_parity(u) for u in (Pair.trivial(met).trivializer,
+                certs[0].pair_out.trivializer, certs[1].pair_out.trivializer)]
+    assert parities == [1, -1, 1]
     # doubling the constant-axis step doubles the connection
-    assert np.abs(
-        ts.cert_second.pair_out.conn.a - 2.0 * ts.cert_first.pair_out.conn.a
-    ).max() < 1e-12
-
-
-def test_two_step_requires_higgs_free_input():
-    met = curved_metric(48)
-    phi = Higgs(met, hat(np.stack([0.2 + 0 * met.lam, 0 * met.lam, 0 * met.lam], -1)))
-    pair = Pair(Connection.zero(met), phi, trivializer=FourierField.identity(met))
-    with pytest.raises(PhiNotZero):
-        bk.two_step_su2(pair, bk.UnitSection.constant(met, AXIS))
+    assert np.abs(final.conn.a - 2.0 * certs[0].pair_out.conn.a).max() < 1e-12
 
 
 def test_reduce_degree_recovers_inverse():

@@ -266,17 +266,21 @@ def test_verify_builds_the_transport_band_once(monkeypatch):
     assert len(calls) == 1
 
 
-# the chains of the three benchmark workloads (perfbench/run.py), on grids
-# just large enough for their gates
+# the chains of the three benchmark workloads (perfbench/run.py), and the
+# flat-elliptic chain on the curved metric: the one curved chain here whose
+# first step carries a Higgs field and whose connection is not abelian; each
+# on a grid just large enough for its gates
 CURVED = [[0.1, 1, 0], [0.04, 1, 1, 0.5, 1.2]]
 REPEAT = {"kind": "repeat-q"}
+ELLIPTIC = {"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]}
 WORKLOAD_CHAINS = {
-    "flat-elliptic": {"metric": {"nx": 48, "ny": 48}, "chain": [
-        {"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]}, REPEAT]},
+    "flat-elliptic": {"metric": {"nx": 48, "ny": 48}, "chain": [ELLIPTIC, REPEAT]},
     "curved-transport": {"metric": {"nx": 32, "ny": 32, "harmonics": CURVED},
                          "chain": [CONST_CHAIN["chain"][0], REPEAT]},
     "deep-chain": {"metric": {"nx": 32, "ny": 32, "harmonics": CURVED},
                    "chain": [CONST_CHAIN["chain"][0]] + [REPEAT] * 5},
+    "curved-elliptic": {"metric": {"nx": 48, "ny": 48, "harmonics": CURVED},
+                        "chain": [ELLIPTIC, REPEAT]},
 }
 
 
@@ -333,6 +337,27 @@ def test_real_fields_never_take_the_complex_route(tmp_path, monkeypatch, workloa
     assert per_x and all(signs == ["-"] for signs in per_x)
     assert ("-", True) in etas and ("+", True) not in etas
     assert sampled and set(sampled) == {(np.dtype(np.float64), np.dtype(np.float64))}
+
+
+def test_curved_elliptic_chain_generates_verifies_and_reduces(tmp_path, capsys):
+    """The elliptic factory needs only the conformal structure, so an
+    elliptic step and its repeat-q certify on a curved metric, and the pair,
+    whose connection is not abelian, passes verify (cocycle row included)
+    and reduce."""
+    out = run_generate(tmp_path, WORKLOAD_CHAINS["curved-elliptic"])
+    printed = float(capsys.readouterr().out.split("worst residual ")[1].rstrip(")\n"))
+    assert printed < 1e-7
+    pair, triv = str(out / "pair.json"), str(out / "trivializer.json")
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", pair, triv, "--geodesics", "2",
+                     "--report", str(report)]) == cli.EXIT_OK
+    doc = fio.load_json(report)
+    assert doc["pass"] is True and doc["residuals"]["cocycle"] < 1e-6
+    conn = fio.load_pair(out / "pair.json").conn
+    assert np.abs(conn.a @ conn.b - conn.b @ conn.a).max() > 1.0  # not abelian
+    red = tmp_path / "red"
+    assert cli.main(["reduce", pair, triv, "--outdir", str(red)]) == cli.EXIT_OK
+    assert fio.load_json(red / "reduction_report.json")["residuals"]["reduced-field"] < 1e-7
 
 
 def _bad_payloads(payload):

@@ -18,7 +18,6 @@ from cocyclelab.smfield import (
     Higgs,
     Pair,
     bracket,
-    decompose_connection,
     d_A,
     dbar_A,
     eta_minus,
@@ -113,7 +112,7 @@ def test_eta_formulas_match_frame_oracle():
 def test_mu_formulas_match_frame_oracle():
     met = TorusMetric.from_harmonics(128, 128, 1.0, 1.0, [Harmonic(0.1, 1, 0)])
     conn = bandlimited_connection(met, seed=11)
-    a1, am1 = decompose_connection(conn)
+    a1, am1 = conn.band(1), conn.band(-1)
     u = bandlimited_field(met, 2, seed=12)
     samples = u.sample(32)
     xs = frame_apply(met, samples, "X")
