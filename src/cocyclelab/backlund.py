@@ -12,10 +12,11 @@ vertical equation a g = V(a).  Every identity used along the way is checked
 numerically and the residuals are recorded in a certificate; the input and
 the output pair of every step are gated on their field residual, and a chain
 hands each certificate to the next step, so each pair's residual is computed
-once.  The module also
-implements the inverse transform, chains of steps (a repeat-q step
-transforms with the previous step's q; after a Higgs-free input the two
-steps are the doubling that lifts to SU(2), which fiber_loop_parity
+once.  The transform takes r = Id, so a = exp(theta g) commutes with g and
+q = a g a^{-1} is g itself.  The module also implements the inverse
+transform (with section -g), chains of steps (a repeat-q step transforms
+again with the previous step's section, its q; after a Higgs-free input the
+two steps are the doubling that lifts to SU(2), which fiber_loop_parity
 detects), a factory of holomorphic unit sections from elliptic functions,
 and degree reduction of trivializers.
 """
@@ -160,15 +161,15 @@ def _star_bracket(g: UnitSection, dg: FourierField, star_dg: FourierField) -> fl
 @dataclass
 class BacklundCertificate:
     """Inputs, outputs and the full residual record of one transform step.
-    q = a g a^{-1} is theta-independent and unit; the axis section of the
-    inverse transform is -q."""
+    The vertical solution a = exp(theta g) commutes with g, so
+    q = a g a^{-1} is g: a repeat-q step transforms with g again, and the
+    inverse transform with -g."""
 
     pair_in: Pair
     g: UnitSection
     vertical: FourierField
     pair_out: Pair
     residuals: dict[str, float]
-    q: np.ndarray
 
 
 def _project_structure(full: FourierField, keep: tuple[int, ...],
@@ -191,7 +192,6 @@ def _real_skew(metric: TorusMetric, c: np.ndarray) -> tuple[np.ndarray, float, f
 def backlund_transform(
     pair: Pair | BacklundCertificate,
     g: UnitSection,
-    vertical: FourierField | None = None,
     cert_tol: float = DEFAULT_CERT_TOL,
     gmero_tol: float = DEFAULT_GMERO_TOL,
 ) -> BacklundCertificate:
@@ -237,7 +237,7 @@ def backlund_transform(
         raise GNotHolomorphic(
             f"holomorphy residual {gres:.3e} exceeds {gmero_tol:.1e}"
         )
-    a = vertical if vertical is not None else vertical_solution(g)
+    a = vertical_solution(g)
     vres = vertical_residual(a, g)
     at = a.transpose()
 
@@ -267,11 +267,6 @@ def backlund_transform(
             f"output field residual {out_res:.3e} exceeds {cert_tol:.1e}"
         )
 
-    qf = a @ g.field() @ at
-    q_tot = max(np.sqrt(sum(v * v for v in qf.mode_norms().values())), 1e-300)
-    q_keep, q_off = _project_structure(qf, (0,), q_tot)
-    q, q_imag, q_sym = _real_skew(met, q_keep[0])
-
     residuals = {
         "input-field": in_res,
         "holomorphy": gres,
@@ -285,17 +280,15 @@ def backlund_transform(
         "conn-imag": (a_imag + b_imag) / tot,
         "conn-sym": (a_sym + b_sym) / tot,
         "output-field": out_res,
-        "q-off-modes": q_off,
-        "q-imag": q_imag / q_tot,
-        "q-sym": q_sym / q_tot,
     }
     return BacklundCertificate(
-        pair_in=pair, g=g, vertical=a, pair_out=pair_out, residuals=residuals, q=q,
+        pair_in=pair, g=g, vertical=a, pair_out=pair_out, residuals=residuals
     )
 
 
 def q_lemma_residuals(cert: BacklundCertificate) -> dict[str, float]:
-    """Certificates for q = a g a^{-1} on the output pair:
+    """Certificates for q = a g a^{-1} on the output pair, with q computed
+    as that product (it is g, since a = exp(theta g) commutes with g):
 
       vertical      V(q) = 0 (off-mode content of a g a^{-1})
       covariant     d_{A_g} q = [a Phi a^{-1}, q]
@@ -303,12 +296,16 @@ def q_lemma_residuals(cert: BacklundCertificate) -> dict[str, float]:
 
     The last one makes -q an admissible axis section for the inverse step.
     """
-    q = cert.q
     met = cert.pair_in.metric
+    a, at = cert.vertical, cert.vertical.transpose()
+    full = a @ cert.g.field() @ at
+    q_tot = max(np.sqrt(sum(v * v for v in full.mode_norms().values())), 1e-300)
+    q_keep, q_off = _project_structure(full, (0,), q_tot)
+    q = _real_skew(met, q_keep[0])[0]
     qf = FourierField(met, {0: q.astype(complex)})
     conn_out = cert.pair_out.conn
     dq = sm.d_A(q, conn_out)
-    rhs = cert.vertical @ cert.pair_in.higgs.as_field() @ cert.vertical.transpose()
+    rhs = a @ cert.pair_in.higgs.as_field() @ at
     rhs_brk = sm.bracket(rhs, qf)
     den = dq.l2_norm() + rhs_brk.l2_norm() + grid_l2_norm(met, q) + 1e-300
     covariant = (dq - rhs_brk).l2_norm() / den
@@ -316,7 +313,7 @@ def q_lemma_residuals(cert: BacklundCertificate) -> dict[str, float]:
     res3 = dq + sm.bracket(star_dq, qf)
     star = res3.l2_norm() / den
     return {
-        "vertical": cert.residuals["q-off-modes"],
+        "vertical": q_off,
         "covariant": covariant,
         "star-bracket": star,
     }
@@ -326,11 +323,10 @@ def inverse_backlund(
     cert: BacklundCertificate, gmero_tol: float = DEFAULT_GMERO_TOL
 ) -> BacklundCertificate:
     """Undo a transform step: run the forward transform on the output pair
-    with axis section -q and vertical solution a^{-1} = a^T."""
-    q = cert.q
-    g_inv = UnitSection(cert.pair_in.metric, -q, meta={"kind": "inverse"})
-    a_inv = cert.vertical.transpose()
-    return backlund_transform(cert, g_inv, vertical=a_inv, gmero_tol=gmero_tol)
+    with axis section -q = -g, whose vertical solution exp(-theta g) is
+    a^{-1} = a^T."""
+    g_inv = UnitSection(cert.g.metric, -cert.g.grid, meta={"kind": "inverse"})
+    return backlund_transform(cert, g_inv, gmero_tol=gmero_tol)
 
 
 def round_trip_residuals(cert_fwd: BacklundCertificate,
@@ -427,7 +423,6 @@ def holomorphic_g_factory(
 @dataclass
 class ReductionResult:
     g: UnitSection
-    vertical: FourierField
     u: FourierField
     pair: Pair
     residuals: dict[str, float]
@@ -515,7 +510,8 @@ def reduce_degree(pair: Pair) -> ReductionResult:
         raise ReductionFailed(
             f"reduction axis fails the holomorphy gate at {top:.3e}"
         )
-    a_new = vertical_solution(g_new)
+    cert = backlund_transform(pair, g_new)
+    a_new = cert.vertical
     # a_0 b_N = 0 makes a_1 b_{N-1} the whole of the new top mode N, so all
     # three rows are relative to ||b_N||: b_{N-1} can vanish to rounding (a
     # repeat-q chain), and a ratio to its own norm would read noise over noise
@@ -524,7 +520,6 @@ def reduce_degree(pair: Pair) -> ReductionResult:
     r_a0_bn = grid_l2_norm(met, a_new.mode(0) @ b_top) / bn_scale
     r_a1_bnm = grid_l2_norm(met, a_new.mode(1) @ b.mode(n_deg - 1)) / bn_scale
 
-    cert = backlund_transform(pair, g_new, vertical=a_new)
     u_full = cert.pair_out.trivializer
     unorm = u_full.l2_norm()
     top1 = np.sqrt(sum(grid_l2_norm(met, u_full.mode(m)) ** 2 for m in (n_deg, -n_deg)))
@@ -553,9 +548,7 @@ def reduce_degree(pair: Pair) -> ReductionResult:
             "reduced-field": float(red_res),
         }
     )
-    return ReductionResult(
-        g=g_new, vertical=a_new, u=u_red, pair=pair_red, residuals=residuals
-    )
+    return ReductionResult(g=g_new, u=u_red, pair=pair_red, residuals=residuals)
 
 
 # -- chains --------------------------------------------------------------------------
@@ -581,7 +574,8 @@ def generate_chain(
     Each step is a dict with "kind":
       constant  {"axis": [x, y, z]}
       elliptic  {"z0": [x, y], "scale": [re, im], "offset": [re, im]}
-      repeat-q  {}   (use q from the previous step; doubling step)
+      repeat-q  {}   (the previous step's section g again, which is its
+                      q = a g a^{-1}; doubling step)
 
     Each step continues from the certificate of the step before it
     (backlund_transform), so N steps build N + 1 transport bands.  Raises
@@ -608,7 +602,7 @@ def generate_chain(
         elif kind == "repeat-q":
             if not certs:
                 raise ValueError("repeat-q needs a previous step")
-            g = UnitSection(metric, certs[-1].q, meta={"kind": "repeat-q"})
+            g = UnitSection(metric, certs[-1].g.grid, meta={"kind": "repeat-q"})
         else:
             raise ValueError(f"unknown step kind: {kind!r}")
         prev = certs[-1] if certs else Pair.trivial(metric)

@@ -202,7 +202,7 @@ def holonomy_closed(
     met = pair.metric
     xe, ye, te = res.path_points[-1]
     gap = torus_distance(met, SMPoint(xe, ye, te), p0)
-    if gap > 1e-8:
+    if not passes(gap, 1e-8):
         raise NotClosed(f"geodesic endpoint misses start by {gap:.3e}")
     d = res.final() - np.eye(3)
     return float(np.sqrt((d * d).sum()))

@@ -277,7 +277,9 @@ def _field_from_block(metric: TorusMetric, block: dict, so3: bool, unpack) -> Fo
     writable memory whatever unpack returns."""
     degree = int(_finite(block["degree"]))
     entries = block["modes"]
-    if degree < 0 or [int(_finite(e["m"])) for e in entries] != list(range(degree + 1)):
+    # the count first, so an edited degree sizes nothing before it is refused
+    if (degree < 0 or len(entries) != degree + 1
+            or [int(_finite(e["m"])) for e in entries] != list(range(degree + 1))):
         raise ValueError(f"format {FORMAT} lists the modes m = 0..degree in order")
     if "im" in entries[0]:
         raise ValueError("mode 0 of a real field has no im part")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +404,22 @@ def test_bad_field_payloads_exit_2(tmp_path, capsys):
     assert cli.main(verbs[1]) == cli.EXIT_OK
 
 
+def test_huge_degree_exits_2_promptly(tmp_path, capsys):
+    """A trivializer's "degree" is checked against the number of modes the
+    file lists before it sizes anything: 10^12 exits 2 at once, where
+    listing its mode numbers first would take hours and terabytes."""
+    out = run_generate(tmp_path, CONST_CHAIN)
+    triv = out / "trivializer.json"
+    doc = json.loads(triv.read_text())
+    doc["degree"] = 10**12
+    triv.write_text(json.dumps(doc))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.main(["verify", str(out / "pair.json"), str(triv)]) == cli.EXIT_BADINPUT
+    assert time.perf_counter() - start < 5.0
+    assert "m = 0..degree" in capsys.readouterr().err
+
+
 def test_verify_detects_corruption(tmp_path, capsys):
     out = run_generate(tmp_path, CONST_CHAIN)
     doc = fio.load_json(out / "pair.json")
@@ -548,8 +565,8 @@ def test_generate_bad_config(tmp_path):
 
 
 def test_generate_rejects_non_holomorphic_chain(tmp_path):
-    # a repeat-q doubling after an elliptic step: q is not holomorphic for
-    # the doubled connection on a coarse grid, certification must fail loudly
+    # two elliptic steps of scale 2.5: on a 48^2 grid the first section
+    # already reads 7.6e-4 on the holomorphy gate, so generate must fail loudly
     doc = {
         "metric": {"nx": 48, "ny": 48},
         "chain": [
