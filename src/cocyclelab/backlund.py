@@ -9,16 +9,18 @@ dbar-operator, the transform produces a new certified pair
 
 with trivializer a u, where a(x, y, theta) = r(x, y) exp(theta g) solves the
 vertical equation a g = V(a).  Every identity used along the way is checked
-numerically and the residuals are recorded in a certificate; the input and
-the output pair of every step are gated on their field residual, and a chain
-hands each certificate to the next step, so each pair's residual is computed
+numerically and the residuals are recorded in a certificate.  One ungated
+core (_transformed) computes a step; backlund_transform gates the input and
+the output pair of every step on their field residual, and a chain hands
+each certificate to the next step, so each pair's residual is computed
 once.  The transform takes r = Id, so a = exp(theta g) commutes with g and
 q = a g a^{-1} is g itself.  The module also implements the inverse
 transform (with section -g), chains of steps (a repeat-q step transforms
 again with the previous step's section, its q; after a Higgs-free input the
 two steps are the doubling that lifts to SU(2), which fiber_loop_parity
 detects), a factory of holomorphic unit sections from elliptic functions,
-and degree reduction of trivializers.
+and degree reduction of trivializers, which runs the same core and gates
+only the pair it writes.
 """
 
 from __future__ import annotations
@@ -104,27 +106,22 @@ def vertical_residual(a: FourierField, g: UnitSection) -> float:
     return res.l2_norm() / max(a.l2_norm(), 1e-300)
 
 
-def holomorphy_residuals(g: UnitSection, conn: Connection) -> dict[str, float]:
+def holomorphy_residuals(g: UnitSection, conn: Connection,
+                         dg: FourierField) -> dict[str, float]:
     """Four equivalent certificates that the eigenbundle E_i of g is
-    holomorphic for the dbar-operator twisted by the connection:
+    holomorphic for the dbar-operator twisted by the connection, from the
+    caller's dg = d_A g:
 
       star-bracket   *d_A g + [d_A g, g] = 0      (1-form calculus)
-      dbar-bracket   Q - i[Q, g] = 0 with Q = dbar_A g   (mode -1 route)
+      dbar-bracket   Q - i[Q, g] = 0 with Q = dbar_A g, mode -1 of d_A g
       subbundle      pi_perp dbar_A (pi e_j) = 0 column by column
       projector      (dbar_A pi) pi = 0
 
     Residuals are relative; they agree up to discretization, and all vanish
     exactly when the axis of g is constant and the connection commutes.
     """
-    dg = sm.d_A(g.grid, conn)
-    return {"star-bracket": _star_bracket(g, dg, sm.hodge_star(dg))} | _dbar_routes(g, conn)
-
-
-def _dbar_routes(g: UnitSection, conn: Connection) -> dict[str, float]:
-    """The dbar-bracket, subbundle and projector residuals of
-    holomorphy_residuals: the three routes through the mode -1 coefficient."""
     met = g.metric
-    q = sm.dbar_A(g.grid, conn)
+    q = dg.mode(-1)
     res2_g = q - 1j * (sm.grid_matmul(q, g.grid) - sm.grid_matmul(g.grid, q))
     den2 = grid_l2_norm(met, q) + grid_l2_norm(met, g.grid) + 1e-300
     res2 = grid_l2_norm(met, res2_g) / den2
@@ -147,7 +144,8 @@ def _dbar_routes(g: UnitSection, conn: Connection) -> dict[str, float]:
     den4 = grid_l2_norm(met, dpi) + grid_l2_norm(met, pi) + 1e-300
     res4 = grid_l2_norm(met, sm.grid_matmul(dpi, pi)) / den4
 
-    return {"dbar-bracket": res2, "subbundle": res3, "projector": res4}
+    return {"star-bracket": _star_bracket(g, dg, sm.hodge_star(dg)),
+            "dbar-bracket": res2, "subbundle": res3, "projector": res4}
 
 
 def _star_bracket(g: UnitSection, dg: FourierField, star_dg: FourierField) -> float:
@@ -189,6 +187,49 @@ def _real_skew(metric: TorusMetric, c: np.ndarray) -> tuple[np.ndarray, float, f
             grid_l2_norm(metric, 0.5 * (re + re_t)))
 
 
+def _transformed(pair: Pair, g: UnitSection,
+                 star_dg: FourierField) -> tuple[FourierField, Pair, dict[str, float]]:
+    """The ungated part of a transform step with section g, from the Hodge
+    star of d_A g: the vertical solution a, the output pair (A_g, Phi_g)
+    projected onto its structural form with trivializer a u, and the
+    residual rows of that solution and projection."""
+    met = pair.metric
+    a = vertical_solution(g)
+    at = a.transpose()
+    gphi = inner(g.grid, pair.higgs.phi)
+    core = FourierField(met, {0: g.grid.astype(complex) * gphi[..., None, None]}) + star_dg
+
+    phi_full = a @ core @ at
+    a_full = sm.x_op(a) @ at * (-1.0) + a @ (pair.total_field() - core) @ at
+
+    # Every projection loss is relative to the joint norm of the transformed
+    # connection and Higgs fields: Phi can vanish up to rounding (a repeat-q
+    # step), and a ratio to its own norm would then read that rounding as O(1).
+    tot = max(float(np.hypot(phi_full.l2_norm(), a_full.l2_norm())), 1e-300)
+    phi_keep, phi_off = _project_structure(phi_full, (0,), tot)
+    phi_proj, phi_imag, phi_sym = _real_skew(met, phi_keep[0])
+
+    a_keep, conn_off = _project_structure(a_full, (1, -1), tot)
+    c1, cm1 = a_keep[1], a_keep[-1]
+    a_proj, a_imag, a_sym = _real_skew(met, c1 + cm1)
+    b_proj, b_imag, b_sym = _real_skew(met, 1j * (c1 - cm1))
+
+    u_out = a @ pair.trivializer
+    pair_out = Pair(Connection(met, a_proj, b_proj), Higgs(met, phi_proj), trivializer=u_out)
+    rows = {
+        "vertical": vertical_residual(a, g),
+        "a-orthogonality": a.orthogonality_residual(),
+        "u-out-orthogonality": u_out.orthogonality_residual(),
+        "phi-off-modes": phi_off,
+        "phi-imag": phi_imag / tot,
+        "phi-sym": phi_sym / tot,
+        "conn-off-modes": conn_off,
+        "conn-imag": (a_imag + b_imag) / tot,
+        "conn-sym": (a_sym + b_sym) / tot,
+    }
+    return a, pair_out, rows
+
+
 def backlund_transform(
     pair: Pair | BacklundCertificate,
     g: UnitSection,
@@ -221,10 +262,8 @@ def backlund_transform(
         raise InputNotCertified("input pair carries no trivializer")
     else:
         in_res = transport_residual_field(pair)
-    met = pair.metric
-    if g.metric is not met and g.metric != met:
+    if g.metric is not pair.metric and g.metric != pair.metric:
         raise ValueError("section and pair live on different metrics")
-    u_in = pair.trivializer
     if not passes(in_res, cert_tol):
         raise InputNotCertified(
             f"input field residual {in_res:.3e} exceeds {cert_tol:.1e}"
@@ -237,50 +276,13 @@ def backlund_transform(
         raise GNotHolomorphic(
             f"holomorphy residual {gres:.3e} exceeds {gmero_tol:.1e}"
         )
-    a = vertical_solution(g)
-    vres = vertical_residual(a, g)
-    at = a.transpose()
-
-    gphi = inner(g.grid, pair.higgs.phi)
-    core = FourierField(met, {0: g.grid.astype(complex) * gphi[..., None, None]}) + star_dg
-
-    phi_full = a @ core @ at
-    a_full = sm.x_op(a) @ at * (-1.0) + a @ (pair.total_field() - core) @ at
-
-    # Every projection loss is relative to the joint norm of the transformed
-    # connection and Higgs fields: Phi can vanish up to rounding (a repeat-q
-    # step), and a ratio to its own norm would then read that rounding as O(1).
-    tot = max(float(np.hypot(phi_full.l2_norm(), a_full.l2_norm())), 1e-300)
-    phi_keep, phi_off = _project_structure(phi_full, (0,), tot)
-    phi_proj, phi_imag, phi_sym = _real_skew(met, phi_keep[0])
-
-    a_keep, conn_off = _project_structure(a_full, (1, -1), tot)
-    c1, cm1 = a_keep[1], a_keep[-1]
-    a_proj, a_imag, a_sym = _real_skew(met, c1 + cm1)
-    b_proj, b_imag, b_sym = _real_skew(met, 1j * (c1 - cm1))
-
-    u_out = a @ u_in
-    pair_out = Pair(Connection(met, a_proj, b_proj), Higgs(met, phi_proj), trivializer=u_out)
+    a, pair_out, rows = _transformed(pair, g, star_dg)
     out_res = transport_residual_field(pair_out)
     if not passes(out_res, cert_tol):
         raise OutputNotCertified(
             f"output field residual {out_res:.3e} exceeds {cert_tol:.1e}"
         )
-
-    residuals = {
-        "input-field": in_res,
-        "holomorphy": gres,
-        "vertical": vres,
-        "a-orthogonality": a.orthogonality_residual(),
-        "u-out-orthogonality": u_out.orthogonality_residual(),
-        "phi-off-modes": phi_off,
-        "phi-imag": phi_imag / tot,
-        "phi-sym": phi_sym / tot,
-        "conn-off-modes": conn_off,
-        "conn-imag": (a_imag + b_imag) / tot,
-        "conn-sym": (a_sym + b_sym) / tot,
-        "output-field": out_res,
-    }
+    residuals = {"input-field": in_res, "holomorphy": gres, **rows, "output-field": out_res}
     return BacklundCertificate(
         pair_in=pair, g=g, vertical=a, pair_out=pair_out, residuals=residuals
     )
@@ -463,13 +465,14 @@ def reduce_degree(pair: Pair) -> ReductionResult:
     the sign of the frame; the argmax-norm column is used).  Grid points where
     b_N nearly vanishes (top singular value below 1e-8 relative) are filled
     from neighbors; RankDeficient is raised when they exceed 1% of the grid.
-    The section must pass the dbar-bracket, subbundle and projector
-    residuals below DEFAULT_GMERO_TOL (ReductionFailed otherwise) and the
-    transform's own star-bracket gate, which is computed once and reported
-    under both "holomorphy" and "star-bracket".  The transform with this
-    section annihilates the top modes of a u, which are dropped, and the
-    reduced pair must pass the field residual gate at DEFAULT_CERT_TOL
-    (OutputNotCertified).
+    d_A g of the section is built once: the four holomorphy residuals must
+    pass below DEFAULT_GMERO_TOL (ReductionFailed otherwise), and its Hodge
+    star feeds the transform's core.  The input pair must then pass the field
+    residual gate at DEFAULT_CERT_TOL (InputNotCertified).  The transform
+    with this section annihilates the top modes of a u, which are dropped
+    without gating the untruncated trivializer, and the reduced pair must
+    pass the field residual gate at DEFAULT_CERT_TOL (OutputNotCertified):
+    one step builds two transport bands.
     """
     b = pair.trivializer
     if b is None:
@@ -504,14 +507,19 @@ def reduce_degree(pair: Pair) -> ReductionResult:
         mask,
     )
     g_new = UnitSection(met, hat(n_axis), meta={"kind": "reduction", "from-degree": n_deg})
-    hres = _dbar_routes(g_new, pair.conn)
+    dg = sm.d_A(g_new.grid, pair.conn)
+    hres = holomorphy_residuals(g_new, pair.conn, dg)
     top = worst(hres.values())
     if not passes(top, DEFAULT_GMERO_TOL):
         raise ReductionFailed(
             f"reduction axis fails the holomorphy gate at {top:.3e}"
         )
-    cert = backlund_transform(pair, g_new)
-    a_new = cert.vertical
+    in_res = transport_residual_field(pair)
+    if not passes(in_res, DEFAULT_CERT_TOL):
+        raise InputNotCertified(
+            f"input field residual {in_res:.3e} exceeds {DEFAULT_CERT_TOL:.1e}"
+        )
+    a_new, pair_out, rows = _transformed(pair, g_new, sm.hodge_star(dg))
     # a_0 b_N = 0 makes a_1 b_{N-1} the whole of the new top mode N, so all
     # three rows are relative to ||b_N||: b_{N-1} can vanish to rounding (a
     # repeat-q chain), and a ratio to its own norm would read noise over noise
@@ -520,34 +528,32 @@ def reduce_degree(pair: Pair) -> ReductionResult:
     r_a0_bn = grid_l2_norm(met, a_new.mode(0) @ b_top) / bn_scale
     r_a1_bnm = grid_l2_norm(met, a_new.mode(1) @ b.mode(n_deg - 1)) / bn_scale
 
-    u_full = cert.pair_out.trivializer
+    u_full = pair_out.trivializer
     unorm = u_full.l2_norm()
     top1 = np.sqrt(sum(grid_l2_norm(met, u_full.mode(m)) ** 2 for m in (n_deg, -n_deg)))
     top2 = np.sqrt(
         sum(grid_l2_norm(met, u_full.mode(m)) ** 2 for m in (n_deg + 1, -n_deg - 1))
     )
     u_red = u_full.truncate(n_deg - 1)
-    pair_red = Pair(cert.pair_out.conn, cert.pair_out.higgs, trivializer=u_red)
+    pair_red = Pair(pair_out.conn, pair_out.higgs, trivializer=u_red)
     red_res = transport_residual_field(pair_red)
     if not passes(red_res, DEFAULT_CERT_TOL):
         raise OutputNotCertified(
             f"reduced field residual {red_res:.3e} exceeds {DEFAULT_CERT_TOL:.1e}"
         )
-    residuals = dict(cert.residuals)
-    residuals["star-bracket"] = cert.residuals["holomorphy"]
-    residuals.update(hres)
-    residuals.update(
-        {
-            "rank-deficient-fraction": frac,
-            "axis-norm-dev": axis_dev,
-            "constraint-a1-bN": float(r_a1_bn),
-            "constraint-a0-bN": float(r_a0_bn),
-            "constraint-a1-bNm1": float(r_a1_bnm),
-            "top-mode-N": float(top1 / unorm),
-            "top-mode-N1": float(top2 / unorm),
-            "reduced-field": float(red_res),
-        }
-    )
+    residuals = {
+        "input-field": in_res,
+        **hres,
+        **rows,
+        "rank-deficient-fraction": frac,
+        "axis-norm-dev": axis_dev,
+        "constraint-a1-bN": float(r_a1_bn),
+        "constraint-a0-bN": float(r_a0_bn),
+        "constraint-a1-bNm1": float(r_a1_bnm),
+        "top-mode-N": float(top1 / unorm),
+        "top-mode-N1": float(top2 / unorm),
+        "reduced-field": float(red_res),
+    }
     return ReductionResult(g=g_new, u=u_red, pair=pair_red, residuals=residuals)
 
 

@@ -73,23 +73,3 @@ def weierstrass_p(z: np.ndarray, lx: float = 1.0, ly: float = 1.0) -> np.ndarray
     scale = (np.pi / lx) ** 2
     return scale * ((th1 / th) ** 2 - th2 / th + ratio / 3.0)
 
-
-def invariants(lx: float = 1.0, ly: float = 1.0) -> tuple[float, float]:
-    """Lattice invariants (g2, g3) from Eisenstein q-series (real for
-    rectangular lattices)."""
-    _check_aspect(lx, ly)
-    qe = float(np.exp(-2.0 * np.pi * ly / lx))
-    e4 = 1.0
-    e6 = 1.0
-    qn = 1.0
-    for n in range(1, 64):
-        qn *= qe
-        if qn < 1e-300:
-            break
-        term = qn / (1.0 - qn)
-        e4 += 240.0 * n**3 * term
-        e6 -= 504.0 * n**5 * term
-    g2 = (4.0 * np.pi**4 / 3.0) * e4 / lx**4
-    g3 = (8.0 * np.pi**6 / 27.0) * e6 / lx**6
-    return g2, g3
-

@@ -62,7 +62,7 @@ import math
 
 import numpy as np
 
-from .errors import StructureViolated
+from .errors import StructureViolated, passes
 from .lie3 import hat, vee
 from .smfield import Connection, FourierField, Higgs, Pair
 from .torus import TorusMetric
@@ -209,7 +209,7 @@ def metric_from_header(doc: dict) -> TorusMetric:
     met = TorusMetric.from_harmonics(nx, ny, float(g["lx"]), float(g["ly"]),
                                      doc["metric_harmonics"])
     diff = float(np.abs(lam - met.lam).max())
-    if diff > LAMBDA_TOL:
+    if not passes(diff, LAMBDA_TOL):
         raise ValueError(f"metric_lambda differs from the series of metric_harmonics "
                          f"by {diff:.3e}")
     return met
@@ -220,7 +220,7 @@ def _gate(name: str, check: str, residual: float) -> None:
     than STRUCTURE_TOL."""
     if not np.isfinite(residual):
         raise ValueError("non-finite value cannot be serialized")
-    if residual > STRUCTURE_TOL:
+    if not passes(residual, STRUCTURE_TOL):
         raise StructureViolated(f"{name}: {check} residual {residual:.3e} exceeds "
                                 f"{STRUCTURE_TOL:.0e}, so format {FORMAT} cannot store it")
 

@@ -66,7 +66,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import spectral
-from .errors import worst
+from .errors import passes, worst
 from .interp import PeriodicCubic2D
 from .lie3 import hat, vee
 from .torus import TorusMetric
@@ -540,16 +540,18 @@ class Connection:
 
     @classmethod
     def from_field(cls, f: FourierField, tol: float = 1e-8) -> "Connection":
-        """Build from a field with modes +-1; raises if structure is violated."""
+        """Build from a field with modes +-1; raises ValueError if structure
+        is violated, and on any non-finite coefficient (passes' rule)."""
         scale = float(np.abs(f.coef).max())
         for m, c in f.modes.items():
-            if m not in (-1, 1) and np.abs(c).max() > tol * scale:
+            if m not in (-1, 1) and not passes(np.abs(c).max(), tol * scale):
                 raise ValueError(f"connection field has content in mode {m}")
         c1 = f.mode(1)
         cm1 = f.mode(-1)
         a = c1 + cm1
         b = 1j * (c1 - cm1)
-        if max(np.abs(a.imag).max(), np.abs(b.imag).max()) > tol * max(scale, 1e-300):
+        if not passes(worst([np.abs(a.imag).max(), np.abs(b.imag).max()]),
+                      tol * max(scale, 1e-300)):
             raise ValueError("connection coefficients are not real")
         return cls(f.metric, a.real, b.real)
 
@@ -667,16 +669,6 @@ def d_A(g: np.ndarray, conn: Connection) -> FourierField:
     if not conn.is_zero():
         out = out + bracket(conn.as_field(), gf)
     return out
-
-
-def dbar_A(g: np.ndarray, conn: Connection) -> np.ndarray:
-    """Covariant dbar of a matrix function of the base point: the mode -1
-    coefficient grid e^{-lam} dbar(g) + [A_{-1}, g] of d_A g."""
-    c = eta_minus(FourierField.from_grid(conn.metric, g)).mode(-1)
-    if not conn.is_zero():
-        am1 = conn.band(-1).mode(-1)
-        c = c + grid_matmul(am1, g) - grid_matmul(g, am1)
-    return c
 
 
 def star_curvature(conn: Connection) -> np.ndarray:

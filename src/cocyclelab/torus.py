@@ -28,7 +28,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import spectral
-from .errors import NonSmoothLambda, StepTooLarge
+from .errors import NonSmoothLambda, StepTooLarge, passes
 
 NYQUIST_TOL = 1e-10
 MAX_STEP_FRACTION = 1e-2
@@ -126,7 +126,7 @@ class TorusMetric:
             raise ValueError("lambda must be finite")
         # the eta operators differentiate spectrally, so lambda must be resolved
         nyq = spectral.nyquist_shell_max(lam)
-        if nyq > NYQUIST_TOL:
+        if not passes(nyq, NYQUIST_TOL):
             raise NonSmoothLambda(
                 f"lambda Nyquist coefficient {nyq:.3e} exceeds {NYQUIST_TOL:.1e}"
             )

@@ -9,9 +9,10 @@ frame-transfer identity of a trivializing u, the 3x3 product as nine planes
 of three plane products, the sum and difference of two bands on a
 zero-padded band, the reality test by a conjugate copy of the band, the
 reality residual of a whole field minus its conjugate, the transport CSV
-written value by value, the Rodrigues exponential of so(3), and the mode -1
-holomorphy routes with each route transforming the projector on its own.  No
-verb runs them.  The sections the holomorphy tests sweep live here too:
+written value by value, the Rodrigues exponential of so(3), the lattice
+invariants g2, g3 from Eisenstein series, the covariant dbar from its own
+eta_minus, and the mode -1 holomorphy routes with each route transforming the
+projector on its own.  No verb runs them.  The sections the holomorphy tests sweep live here too:
 random elliptic families and band-limited random unit sections (the negative
 control).
 """
@@ -25,7 +26,7 @@ from cocyclelab import fieldio as fio
 from cocyclelab import smfield as sm
 from cocyclelab import spectral
 from cocyclelab.backlund import UnitSection, holomorphic_g_factory, projector
-from cocyclelab.elliptic import weierstrass_p
+from cocyclelab.elliptic import _check_aspect, weierstrass_p
 from cocyclelab.interp import PeriodicCubic2D
 from cocyclelab.lie3 import hat, inner, vee
 from cocyclelab.torus import TorusMetric, _eval_harmonics
@@ -210,6 +211,27 @@ def p_derivative_cauchy(z0: complex, lx: float, ly: float, radius: float = 0.05,
     return complex(np.mean(vals * np.exp(-1j * t)) / radius)
 
 
+def invariants(lx: float = 1.0, ly: float = 1.0) -> tuple[float, float]:
+    """Lattice invariants (g2, g3) from Eisenstein q-series (real for
+    rectangular lattices): the Laurent coefficients p(z) = 1/z^2 + g2 z^2/20
+    + g3 z^4/28 + ... that the theta-series p must reproduce."""
+    _check_aspect(lx, ly)
+    qe = float(np.exp(-2.0 * np.pi * ly / lx))
+    e4 = 1.0
+    e6 = 1.0
+    qn = 1.0
+    for n in range(1, 64):
+        qn *= qe
+        if qn < 1e-300:
+            break
+        term = qn / (1.0 - qn)
+        e4 += 240.0 * n**3 * term
+        e6 -= 504.0 * n**5 * term
+    g2 = (4.0 * np.pi**4 / 3.0) * e4 / lx**4
+    g3 = (8.0 * np.pi**6 / 27.0) * e6 / lx**6
+    return g2, g3
+
+
 def unit_speed_residual(path) -> float:
     """Max deviation of the coordinate speed from e^{-lambda} along a
     GeodesicPath (finite-difference velocity against the conformal factor)."""
@@ -327,14 +349,25 @@ def random_unit_section(metric: TorusMetric, seed: int) -> UnitSection:
     return UnitSection.from_axis(metric, n, meta={"kind": "random", "seed": seed})
 
 
-def dbar_routes_reference(g: UnitSection, conn: sm.Connection) -> dict[str, float]:
+def dbar_A(g: np.ndarray, conn: sm.Connection) -> np.ndarray:
+    """Covariant dbar of a matrix function of the base point, e^{-lam}
+    dbar(g) + [A_{-1}, g], from its own eta_minus and two products with
+    A_{-1}, not as mode -1 of smfield.d_A."""
+    c = sm.eta_minus(sm.FourierField.from_grid(conn.metric, g)).mode(-1)
+    if not conn.is_zero():
+        am1 = conn.band(-1).mode(-1)
+        c = c + sm.grid_matmul(am1, g) - sm.grid_matmul(g, am1)
+    return c
+
+
+def dbar_routes_reference(g: UnitSection, conn: sm.Connection,
+                          q: np.ndarray) -> dict[str, float]:
     """The dbar-bracket, subbundle and projector residuals of
-    backlund.holomorphy_residuals, with the subbundle route through
-    smfield.mu_minus (the A_{-1} product taken even for a zero connection)
-    and the projector route through smfield.dbar_A, so pi is transformed
-    once per route."""
+    backlund.holomorphy_residuals, with the dbar-bracket taken from the given
+    q = dbar_A g, the subbundle route through smfield.mu_minus (the A_{-1}
+    product taken even for a zero connection) and the projector route
+    through dbar_A above, so pi is transformed once per route."""
     met = g.metric
-    q = sm.dbar_A(g.grid, conn)
     res2_g = q - 1j * (sm.grid_matmul(q, g.grid) - sm.grid_matmul(g.grid, q))
     den2 = sm.grid_l2_norm(met, q) + sm.grid_l2_norm(met, g.grid) + 1e-300
     res2 = sm.grid_l2_norm(met, res2_g) / den2
@@ -346,7 +379,7 @@ def dbar_routes_reference(g: UnitSection, conn: sm.Connection) -> dict[str, floa
     dencols = np.sqrt((np.abs(ds) ** 2).sum(axis=(0, 1, 2))).sum()
     res3 = float(num3 / (1e-300 + dencols + np.sqrt((np.abs(pi) ** 2).sum())))
 
-    dpi = sm.dbar_A(pi, conn)
+    dpi = dbar_A(pi, conn)
     den4 = sm.grid_l2_norm(met, dpi) + sm.grid_l2_norm(met, pi) + 1e-300
     res4 = sm.grid_l2_norm(met, sm.grid_matmul(dpi, pi)) / den4
     return {"dbar-bracket": res2, "subbundle": res3, "projector": res4}

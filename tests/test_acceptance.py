@@ -18,6 +18,7 @@ from cocyclelab.smfield import (
     FourierField,
     Higgs,
     Pair,
+    d_A,
     l2_inner,
     mu_minus,
     mu_plus,
@@ -202,7 +203,7 @@ def test_criterion_06_holomorphy_route_agreement(capsys, factory_chain):
     n_pass = 0
     factory = []
     for k, sec in enumerate(sections):
-        res = bk.holomorphy_residuals(sec, zero)
+        res = bk.holomorphy_residuals(sec, zero, d_A(sec.grid, zero))
         verdicts = [passes(v, 1e-5) for v in res.values()]
         if len(set(verdicts)) > 1:
             disagreements += 1

@@ -1,6 +1,8 @@
 """Transform steps, certificates, the elliptic section factory, inversion,
 doubling and degree reduction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,14 @@ from cocyclelab.smfield import (
     FourierField,
     Higgs,
     Pair,
+    d_A,
     grid_l2_norm,
     star_curvature,
     vertical,
 )
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords
 from oracles import (
+    dbar_A,
     dbar_routes_reference,
     random_unit_section,
     section_family,
@@ -42,6 +46,11 @@ ELLIPTIC = {"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]}
 
 def curved_metric(n=64):
     return TorusMetric.from_harmonics(n, n, 1.0, 1.0, [Harmonic(0.1, 1, 0)])
+
+
+def holomorphy(sec, conn):
+    """The four holomorphy residuals of sec, from its own d_A."""
+    return bk.holomorphy_residuals(sec, conn, d_A(sec.grid, conn))
 
 
 def test_unit_section_gates():
@@ -94,22 +103,22 @@ def test_projector_properties():
 def test_holomorphy_constant_section_exact():
     met = curved_metric(48)
     sec = bk.UnitSection.constant(met, AXIS)
-    res = bk.holomorphy_residuals(sec, Connection.zero(met))
+    res = holomorphy(sec, Connection.zero(met))
     assert max(res.values()) < 1e-14
 
 
 def test_holomorphy_factory_versus_controls():
     met = TorusMetric.flat(96, 96)
     good = bk.holomorphic_g_factory(met, scale=0.8 + 0.3j, offset=0.2 - 0.1j)
-    res_good = bk.holomorphy_residuals(good, Connection.zero(met))
+    res_good = holomorphy(good, Connection.zero(met))
     assert max(res_good.values()) < 1e-9
     # the y-flipped axis is the stereographic image of the conjugate zeta
     g = bk.holomorphic_g_factory(met)
     bad = bk.UnitSection.from_axis(met, vee(g.grid) * [1, -1, 1])
-    res_bad = bk.holomorphy_residuals(bad, Connection.zero(met))
+    res_bad = holomorphy(bad, Connection.zero(met))
     assert min(res_bad.values()) > 1e-2
     rand = random_unit_section(met, seed=13)
-    res_rand = bk.holomorphy_residuals(rand, Connection.zero(met))
+    res_rand = holomorphy(rand, Connection.zero(met))
     assert min(res_rand.values()) > 1e-2
 
 
@@ -128,9 +137,14 @@ def test_factory_step_on_curved_metric():
 
 
 def test_dbar_routes_match_the_per_route_reference():
-    """The mode -1 routes take one eta_minus of pi for both the subbundle and
-    the projector residual; every value equals the reference that transforms
-    pi once per route, to the bit, for zero and nonzero connections."""
+    """The mode -1 routes take Q = dbar_A g as mode -1 of the caller's d_A g,
+    and one eta_minus of pi for both the subbundle and the projector
+    residual; every value equals the reference that transforms pi once per
+    route, to the bit, for zero and nonzero connections.  Against the
+    reference whose Q is its own eta_minus plus [A_{-1}, g], the
+    dbar-bracket is bit-identical for the zero connection (mode -1 of x_op
+    is a copy of eta_minus's) and moves at rounding otherwise, because d_A
+    adds [A, g] in its own order."""
     met = TorusMetric.from_harmonics(48, 48, 1.0, 1.0, BENCH_CURVED)
     chain = bk.generate_chain(met, [ELLIPTIC, {"kind": "repeat-q"}])
     certs = chain.certs
@@ -139,12 +153,21 @@ def test_dbar_routes_match_the_per_route_reference():
     cases = [(certs[0].g, zero), (rand, zero),
              (certs[1].g, certs[0].pair_out.conn), (rand, certs[1].pair_out.conn)]
     for sec, conn in cases:
-        res = bk.holomorphy_residuals(sec, conn)
-        ref = dbar_routes_reference(sec, conn)
+        dg = d_A(sec.grid, conn)
+        res = bk.holomorphy_residuals(sec, conn, dg)
+        ref = dbar_routes_reference(sec, conn, dg.mode(-1))
         assert {k: res[k] for k in ref} == ref
+        own = dbar_routes_reference(sec, conn, dbar_A(sec.grid, conn))
+        for key in ("subbundle", "projector"):
+            assert res[key] == own[key]
+        if conn.is_zero():
+            assert res["dbar-bracket"] == own["dbar-bracket"]
+        else:
+            assert abs(res["dbar-bracket"] - own["dbar-bracket"]) <= 1e-15
     # the section reduce builds, against the connection of the pair it peels
     red = bk.reduce_degree(chain.final)
-    ref = dbar_routes_reference(red.g, chain.final.conn)
+    conn = chain.final.conn
+    ref = dbar_routes_reference(red.g, conn, d_A(red.g.grid, conn).mode(-1))
     assert {k: red.residuals[k] for k in ref} == ref
 
 
@@ -347,13 +370,19 @@ def test_reduce_degree_gates(monkeypatch):
     b = bk.vertical_solution(rand)
     with pytest.raises(ReductionFailed):
         bk.reduce_degree(Pair(Connection.zero(met), Higgs.zero(met), trivializer=b))
-    # the reduced pair is gated at DEFAULT_CERT_TOL; the inner transform keeps
-    # its own 1e-6 default, so only that gate sees the lowered tolerance (the
-    # reduced residual of this curved step is about 1.4e-15)
+    # the input and the reduced pair are both gated at DEFAULT_CERT_TOL, the
+    # input first; a reduced pair that misses (its field residual reported
+    # as 1.0 here) raises after the input has passed
     curved = curved_metric(32)
     step = bk.backlund_transform(Pair.trivial(curved), bk.UnitSection.constant(curved, AXIS))
     assert bk.reduce_degree(step.pair_out).residuals["reduced-field"] > 1e-18
+    field = bk.transport_residual_field
     monkeypatch.setattr(bk, "DEFAULT_CERT_TOL", 1e-18)
+    with pytest.raises(InputNotCertified, match="input field residual"):
+        bk.reduce_degree(step.pair_out)
+    monkeypatch.undo()
+    monkeypatch.setattr(bk, "transport_residual_field",
+                        lambda p: 1.0 if p.trivializer.degree == 0 else field(p))
     with pytest.raises(OutputNotCertified, match="reduced field residual"):
         bk.reduce_degree(step.pair_out)
 
@@ -373,16 +402,54 @@ def test_reduce_fills_masked_axis_from_neighbors():
 
 
 def test_reduce_degree_computes_the_star_bracket_once(monkeypatch):
-    """The star-bracket residual of the reduction axis is the transform's
-    own gate; the report keeps it under both keys."""
+    """One reduction takes d_A g of its axis once, for the four holomorphy
+    routes and the transform core alike, computes the star-bracket once,
+    builds two transport bands (the input pair and the reduced pair) and
+    never runs the gated transform, whose output band nothing would read."""
     met = curved_metric(32)
     cert = bk.backlund_transform(Pair.trivial(met), bk.UnitSection.constant(met, AXIS))
-    calls = []
-    star = bk._star_bracket
-    monkeypatch.setattr(bk, "_star_bracket", lambda *a: calls.append(1) or star(*a))
+    calls = {"d_A": 0, "_star_bracket": 0, "transport_residual_field": 0,
+             "backlund_transform": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: calls.__setitem__(name, calls[name] + 1)
+                            or fn(*a, **k))
+
+    counted(bk.sm, "d_A")
+    for name in ("_star_bracket", "transport_residual_field", "backlund_transform"):
+        counted(bk, name)
     red = bk.reduce_degree(cert.pair_out)
-    assert len(calls) == 1
-    assert red.residuals["holomorphy"] == red.residuals["star-bracket"]
+    assert calls == {"d_A": 1, "_star_bracket": 1, "transport_residual_field": 2,
+                     "backlund_transform": 0}
+    assert "holomorphy" not in red.residuals and "output-field" not in red.residuals
+
+
+def test_reduce_degree_transient_memory_is_bounded():
+    """reduce on the flat-elliptic chain at 48^2 (trivializer degree 2)
+    holds at most 12 trivializer bands of temporaries at once, after one
+    warm-up call fills the product caches: it builds the transform's output
+    pair once and gates only the input and the reduced pair, with no band
+    of the untruncated degree N + 1 trivializer (tracemalloc counts numpy's
+    data buffers)."""
+    met = TorusMetric.flat(48, 48)
+    pair = bk.generate_chain(met, [ELLIPTIC, {"kind": "repeat-q"}]).final
+    band = pair.trivializer.coef.nbytes
+    assert pair.trivializer.degree == 2
+    bk.reduce_degree(pair)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        bk.reduce_degree(pair)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 12 * band
 
 
 def test_section_family_deterministic():
@@ -392,7 +459,7 @@ def test_section_family_deterministic():
     zero = Connection.zero(met)
     for s1, s2 in zip(fam1, fam2):
         assert np.abs(s1.grid - s2.grid).max() == 0.0
-        res = bk.holomorphy_residuals(s1, zero)
+        res = holomorphy(s1, zero)
         assert max(res.values()) < 1e-6
 
 

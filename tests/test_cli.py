@@ -497,7 +497,8 @@ def test_failed_output_gates_exit_1_and_write_nothing(tmp_path, monkeypatch, cap
     """generate gates every step's output at the cert tolerance and reduce
     gates the reduced pair at DEFAULT_CERT_TOL; a miss exits 1 before any
     file or directory is written.  The one-step chain's output residual is
-    about 2.4e-15 and its reduced pair's about 7.5e-16."""
+    about 2.4e-15; the reduced pair's, about 7.5e-16, is reported as 1.0
+    here, after the input pair has passed its own gate."""
     one = {"metric": {"nx": 32, "ny": 32, "harmonics": [[0.1, 1, 0]]},
            "chain": [{"kind": "constant", "axis": [0.6, 0.0, 0.8]}]}
     cfg = write_config(tmp_path, {**one, "tolerances": {"cert": 1e-18}}, "strict.json")
@@ -505,7 +506,9 @@ def test_failed_output_gates_exit_1_and_write_nothing(tmp_path, monkeypatch, cap
     assert "OutputNotCertified" in capsys.readouterr().err
     assert not (tmp_path / "strict").exists()
     out = run_generate(tmp_path, one)
-    monkeypatch.setattr(bk, "DEFAULT_CERT_TOL", 1e-18)
+    field = bk.transport_residual_field
+    monkeypatch.setattr(bk, "transport_residual_field",
+                        lambda p: 1.0 if p.trivializer.degree == 0 else field(p))
     rc = cli.main([
         "reduce", str(out / "pair.json"), str(out / "trivializer.json"),
         "--outdir", str(tmp_path / "red"),

@@ -278,6 +278,18 @@ def test_gauge_transform_constant_rotation_exact():
     assert np.abs(gauged.conn.a - r0.T @ pair.conn.a @ r0).max() < 1e-12
 
 
+def test_gauge_transform_refuses_nan():
+    """A gauge r with one NaN entry gives a connection field holding NaN,
+    which Connection.from_field refuses; no pair with NaN a or phi comes
+    back."""
+    met = curved_metric(32)
+    pair = constant_axis_pair(met, [0.6, -0.48, 0.64])
+    r = np.broadcast_to(np.eye(3), (32, 32, 3, 3)).copy()
+    r[3, 4, 0, 2] = np.nan
+    with pytest.raises(ValueError):
+        gauge_transform(pair, r)
+
+
 def test_h0_residuals_controls():
     met = curved_metric()
     pair = constant_axis_pair(met, [0.6, -0.48, 0.64])

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cocyclelab.elliptic import invariants, weierstrass_p
-from oracles import p_derivative_cauchy
+from cocyclelab.elliptic import weierstrass_p
+from oracles import invariants, p_derivative_cauchy
 
 
 def test_laurent_expansion_near_zero():

@@ -19,7 +19,6 @@ from cocyclelab.smfield import (
     Pair,
     bracket,
     d_A,
-    dbar_A,
     eta_minus,
     eta_plus,
     grid_l2_norm,
@@ -41,6 +40,7 @@ from cocyclelab.torus import Harmonic, TorusMetric, grid_coords
 from oracles import (
     band_reality_residual,
     conjugate_is_real,
+    dbar_A,
     frame_apply,
     from_samples,
     padded_band_op,
@@ -389,9 +389,10 @@ def test_dbar_routes_agree():
     g = np.broadcast_to(g, (64, 64, 3, 3)) + 0.1 * np.sin(
         2 * np.pi * grid_coords(64, 64, 1, 1)[0]
     )[..., None, None] * hat(np.array([0.0, 0.0, 1.0]))
-    via_modes = dbar_A(g, conn)
-    via_forms = ((d_A(g, conn) - 1j * hodge_star(d_A(g, conn))) * 0.5).mode(-1)
-    assert grid_l2_norm(met, via_modes - via_forms) < 1e-12 * grid_l2_norm(met, g)
+    dg = d_A(g, conn)
+    via_forms = ((dg - 1j * hodge_star(dg)) * 0.5).mode(-1)
+    for via_modes in (dg.mode(-1), dbar_A(g, conn)):
+        assert grid_l2_norm(met, via_modes - via_forms) < 1e-12 * grid_l2_norm(met, g)
 
 
 def test_d_A_of_commuting_constant_is_zero():
@@ -441,6 +442,18 @@ def test_connection_from_field_gates():
     bad = f + FourierField(met, {0: np.ones((32, 32, 3, 3), dtype=complex)})
     with pytest.raises(ValueError):
         Connection.from_field(bad)
+
+
+def test_connection_from_field_refuses_nan():
+    """One NaN coefficient in mode 1 makes the structure scale NaN, and a
+    check against a NaN tolerance never passes, so no connection holding NaN
+    is built."""
+    met = curved(32)
+    f = bandlimited_connection(met, seed=72).as_field()
+    f.mode(1)[5, 7, 0, 1] = np.nan
+    assert np.isnan(f.coef).sum() == 1
+    with pytest.raises(ValueError):
+        Connection.from_field(f)
 
 
 def test_connection_shape_gate():
@@ -711,4 +724,4 @@ def test_dbar_a_zero_connection_is_eta_minus():
     met = curved(32)
     g = bandlimited_field(met, 0, seed=8).mode(0)
     expect = eta_minus(FourierField.from_grid(met, g)).mode(-1)
-    assert np.array_equal(dbar_A(g, Connection.zero(met)), expect)
+    assert np.array_equal(d_A(g, Connection.zero(met)).mode(-1), expect)
