@@ -38,6 +38,7 @@ from .errors import (
     OutputNotCertified,
     RankDeficient,
     ReductionFailed,
+    check_keys,
     passes,
     worst,
 )
@@ -106,11 +107,11 @@ def vertical_residual(a: FourierField, g: UnitSection) -> float:
     return res.l2_norm() / max(a.l2_norm(), 1e-300)
 
 
-def holomorphy_residuals(g: UnitSection, conn: Connection,
-                         dg: FourierField) -> dict[str, float]:
+def holomorphy_residuals(g: UnitSection, conn: Connection, dg: FourierField,
+                         star_dg: FourierField) -> dict[str, float]:
     """Four equivalent certificates that the eigenbundle E_i of g is
     holomorphic for the dbar-operator twisted by the connection, from the
-    caller's dg = d_A g:
+    caller's dg = d_A g and its Hodge star:
 
       star-bracket   *d_A g + [d_A g, g] = 0      (1-form calculus)
       dbar-bracket   Q - i[Q, g] = 0 with Q = dbar_A g, mode -1 of d_A g
@@ -144,7 +145,7 @@ def holomorphy_residuals(g: UnitSection, conn: Connection,
     den4 = grid_l2_norm(met, dpi) + grid_l2_norm(met, pi) + 1e-300
     res4 = grid_l2_norm(met, sm.grid_matmul(dpi, pi)) / den4
 
-    return {"star-bracket": _star_bracket(g, dg, sm.hodge_star(dg)),
+    return {"star-bracket": _star_bracket(g, dg, star_dg),
             "dbar-bracket": res2, "subbundle": res3, "projector": res4}
 
 
@@ -213,6 +214,9 @@ def _transformed(pair: Pair, g: UnitSection,
     c1, cm1 = a_keep[1], a_keep[-1]
     a_proj, a_imag, a_sym = _real_skew(met, c1 + cm1)
     b_proj, b_imag, b_sym = _real_skew(met, 1j * (c1 - cm1))
+    # the bands behind the projections are dropped before a u is formed,
+    # which sets the transient peak of a reduction
+    del core, phi_full, a_full, phi_keep, a_keep, c1, cm1
 
     u_out = a @ pair.trivializer
     pair_out = Pair(Connection(met, a_proj, b_proj), Higgs(met, phi_proj), trivializer=u_out)
@@ -465,14 +469,15 @@ def reduce_degree(pair: Pair) -> ReductionResult:
     the sign of the frame; the argmax-norm column is used).  Grid points where
     b_N nearly vanishes (top singular value below 1e-8 relative) are filled
     from neighbors; RankDeficient is raised when they exceed 1% of the grid.
-    d_A g of the section is built once: the four holomorphy residuals must
-    pass below DEFAULT_GMERO_TOL (ReductionFailed otherwise), and its Hodge
-    star feeds the transform's core.  The input pair must then pass the field
-    residual gate at DEFAULT_CERT_TOL (InputNotCertified).  The transform
-    with this section annihilates the top modes of a u, which are dropped
-    without gating the untruncated trivializer, and the reduced pair must
-    pass the field residual gate at DEFAULT_CERT_TOL (OutputNotCertified):
-    one step builds two transport bands.
+    d_A g of the section and its Hodge star are built once: the four
+    holomorphy residuals must pass below DEFAULT_GMERO_TOL (ReductionFailed
+    otherwise), and the star feeds the transform's core too.  The input pair
+    must then pass the field residual gate at DEFAULT_CERT_TOL
+    (InputNotCertified).  The transform with this section annihilates the
+    top modes of a u, which are dropped without gating the untruncated
+    trivializer, and the reduced pair must pass the field residual gate at
+    DEFAULT_CERT_TOL (OutputNotCertified): one step builds two transport
+    bands.
     """
     b = pair.trivializer
     if b is None:
@@ -508,7 +513,8 @@ def reduce_degree(pair: Pair) -> ReductionResult:
     )
     g_new = UnitSection(met, hat(n_axis), meta={"kind": "reduction", "from-degree": n_deg})
     dg = sm.d_A(g_new.grid, pair.conn)
-    hres = holomorphy_residuals(g_new, pair.conn, dg)
+    star_dg = sm.hodge_star(dg)
+    hres = holomorphy_residuals(g_new, pair.conn, dg, star_dg)
     top = worst(hres.values())
     if not passes(top, DEFAULT_GMERO_TOL):
         raise ReductionFailed(
@@ -519,7 +525,7 @@ def reduce_degree(pair: Pair) -> ReductionResult:
         raise InputNotCertified(
             f"input field residual {in_res:.3e} exceeds {DEFAULT_CERT_TOL:.1e}"
         )
-    a_new, pair_out, rows = _transformed(pair, g_new, sm.hodge_star(dg))
+    a_new, pair_out, rows = _transformed(pair, g_new, star_dg)
     # a_0 b_N = 0 makes a_1 b_{N-1} the whole of the new top mode N, so all
     # three rows are relative to ||b_N||: b_{N-1} can vanish to rounding (a
     # repeat-q chain), and a ratio to its own norm would read noise over noise
@@ -560,6 +566,10 @@ def reduce_degree(pair: Pair) -> ReductionResult:
 # -- chains --------------------------------------------------------------------------
 
 
+# the keys a chain step of each kind may carry besides "kind"
+STEP_KEYS = {"constant": ("axis",), "elliptic": ("z0", "scale", "offset"), "repeat-q": ()}
+
+
 @dataclass
 class ChainResult:
     certs: list[BacklundCertificate]
@@ -585,15 +595,19 @@ def generate_chain(
 
     Each step continues from the certificate of the step before it
     (backlund_transform), so N steps build N + 1 transport bands.  Raises
-    ValueError on a step that is not a dict, a non-finite parameter or an
-    axis of zero or overflowing length, before that step's section is built.
+    ValueError on a step that is not a dict, an unknown kind or key, a
+    non-finite parameter or an axis of zero or overflowing length, before
+    that step's section is built.
     """
     certs: list[BacklundCertificate] = []
     for step in steps:
         if not isinstance(step, dict):
             raise ValueError(f"chain step {len(certs)} must be a JSON object")
         kind = step.get("kind")
-        for key in ("axis", "z0", "scale", "offset"):
+        if kind not in STEP_KEYS:
+            raise ValueError(f"unknown step kind: {kind!r}")
+        check_keys(step, ("kind", *STEP_KEYS[kind]), f"chain step {len(certs)} ({kind})")
+        for key in STEP_KEYS[kind]:
             if key in step and not np.isfinite(np.asarray(step[key], dtype=float)).all():
                 raise ValueError(f"{kind} step: {key} must be finite")
         if kind == "constant":
@@ -605,12 +619,10 @@ def generate_chain(
             offset = complex(*step.get("offset", (0.0, 0.0)))
             z0 = tuple(step["z0"]) if "z0" in step else None
             g = holomorphic_g_factory(metric, z0=z0, scale=scale, offset=offset)
-        elif kind == "repeat-q":
+        else:  # repeat-q
             if not certs:
                 raise ValueError("repeat-q needs a previous step")
             g = UnitSection(metric, certs[-1].g.grid, meta={"kind": "repeat-q"})
-        else:
-            raise ValueError(f"unknown step kind: {kind!r}")
         prev = certs[-1] if certs else Pair.trivial(metric)
         certs.append(backlund_transform(prev, g, cert_tol=cert_tol, gmero_tol=gmero_tol))
     return ChainResult(certs=certs)

@@ -22,7 +22,7 @@ import numpy as np
 from . import backlund as bk
 from . import cocycle as cc
 from . import fieldio as fio
-from .errors import CocycleLabError, passes, worst
+from .errors import CocycleLabError, check_keys, passes, worst
 from .smfield import FourierField, Pair, grid_matmul, l2_inner, mu_minus, mu_plus, star_curvature
 from .torus import SMPoint, TorusMetric, flat_closed_geodesics
 
@@ -41,6 +41,11 @@ DEFAULT_TOLS = {
     "holonomy": 1e-5,
 }
 
+# the keys of a generate config, of its metric and of its tolerances
+CONFIG_KEYS = ("metric", "chain", "tolerances", "outdir")
+METRIC_KEYS = ("nx", "ny", "lx", "ly", "harmonics")
+GENERATE_TOLS = ("cert", "gmero")
+
 # the certificate residuals held to the cert and gmero tolerances; the others
 # are diagnostics of projection losses and have no tolerance
 GATED_RESIDUALS = ("input-field", "holomorphy", "output-field")
@@ -50,6 +55,7 @@ def _metric_from_config(doc: dict) -> TorusMetric:
     m = doc.get("metric", {})
     if not isinstance(m, dict):
         raise ValueError("metric must be a JSON object")
+    check_keys(m, METRIC_KEYS, "metric")
     nx, ny = int(m.get("nx", 128)), int(m.get("ny", 128))
     lx, ly = float(m.get("lx", 1.0)), float(m.get("ly", 1.0))
     harmonics = m.get("harmonics", [])
@@ -63,11 +69,13 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _tolerances(doc) -> dict:
-    """Tolerance overrides as floats.  An infinite one (a literal such as
-    1e999) would pass every finite residual, so non-finite values are bad input."""
+def _tolerances(doc, allowed) -> dict:
+    """Tolerance overrides as floats, each named in allowed.  An infinite one
+    (a literal such as 1e999) would pass every finite residual, so
+    non-finite values are bad input."""
     if not isinstance(doc, dict):
         raise ValueError("tolerances must be a JSON object")
+    check_keys(doc, allowed, "tolerances")
     tols = {k: float(v) for k, v in doc.items()}
     bad = sorted(k for k, v in tols.items() if not np.isfinite(v))
     if bad:
@@ -94,8 +102,9 @@ def _check_run_args(args) -> None:
 
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
+    check_keys(config, CONFIG_KEYS, "the config")
     metric = _metric_from_config(config)
-    tols = _tolerances(config.get("tolerances", {}))
+    tols = _tolerances(config.get("tolerances", {}), GENERATE_TOLS)
     outdir = Path(args.outdir or config.get("outdir", "."))
     # every step's gates run before anything is written
     chain = bk.generate_chain(
@@ -201,7 +210,7 @@ def cmd_verify(args) -> int:
     _check_run_args(args)
     pair = fio.load_pair(args.pair, trivializer_path=args.trivializer)
     cc.check_step(pair.metric, args.dt)
-    tols = _tolerances(_load_config(args.tolerances)) if args.tolerances else {}
+    tols = _tolerances(_load_config(args.tolerances), DEFAULT_TOLS) if args.tolerances else {}
     report = _verify_report(
         pair, tols, seed=args.seed, geodesic_count=args.geodesics,
         t_final=args.t_final, dt=args.dt,

@@ -1,5 +1,6 @@
-"""Exception types raised by construction and verification routines, and the
-one rule that turns a residual into a verdict."""
+"""Exception types raised by construction and verification routines, the
+one rule that turns a residual into a verdict, and the one check of the
+keys of an input object."""
 
 import numpy as np
 
@@ -14,6 +15,15 @@ def worst(values) -> float:
     """Largest of some non-negative residuals, 0.0 for none.  NaN when any is
     NaN; Python's max drops NaN depending on argument order."""
     return float(np.max([0.0, *values]))
+
+
+def check_keys(doc: dict, allowed, where: str) -> None:
+    """Bad input (ValueError) when doc has a key outside allowed: a
+    misspelled key would otherwise leave its default in place silently."""
+    unknown = [k for k in doc if k not in allowed]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}; "
+                         f"known keys: {', '.join(allowed)}")
 
 
 class CocycleLabError(Exception):

@@ -1,16 +1,13 @@
 """Deterministic file formats: JSON fields and pairs, transport CSV, PGM heatmaps.
 
-Every float written as text is its ``.17g`` token, which round-trips float64
-exactly and makes outputs byte-identical for identical inputs; an
-integer-valued float that ``.17g`` prints as bare digits carries a ``.0``
-(``1.0``, ``-0.0``), so every float token has a '.', an 'e' or both.  Float
-arrays written as text (a pair's blocks, ``metric_lambda``) are checked and
-formatted as a whole: one finiteness test and one format string per array,
-with the same tokens as the scalar formatter.  NaN and infinity are never
-written, and reading a field or pair rejects a non-finite value in any
-number it reads (grid header, metric, mode blocks), including literals such
-as ``1e999`` that overflow to infinity, with ValueError (exit 2 at the
-command line).
+Every float written as text is its shortest round-trip token (Python's
+``repr``, which json.dumps also writes), so a value reads back bit for bit
+and identical inputs give identical bytes.  JSON is written by one
+json.dumps call with no spaces.  NaN and infinity are never written (the
+encoder raises ValueError), and reading a field or pair rejects a
+non-finite value in any number it reads (grid header, metric, mode blocks),
+including literals such as ``1e999`` that overflow to infinity, with
+ValueError (exit 2 at the command line).
 
 Field and pair files are format 3, which stores only the numbers the
 mathematics leaves free.  A field is real on SM (c_{-m} = conj(c_m)), so a
@@ -58,6 +55,7 @@ from __future__ import annotations
 
 import binascii
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -68,7 +66,6 @@ from .smfield import Connection, FourierField, Higgs, Pair
 from .torus import TorusMetric
 
 FORMAT = 3
-FLOAT_FMT = ".17g"
 # verify's structure tolerance: the writer drops the modes m < 0 of a field
 # and the symmetric part of an so(3) value only when they are redundant to it
 STRUCTURE_TOL = 1e-9
@@ -80,72 +77,11 @@ LAMBDA_TOL = 1e-12
 # -- canonical JSON ------------------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    if np.isnan(x) or np.isinf(x):
-        raise ValueError("non-finite value cannot be serialized")
-    s = format(float(x), FLOAT_FMT)
-    # keep a uniform token shape: every float carries a '.', 'e' or sign
-    if s.lstrip("-").isdigit():
-        s += ".0"
-    return s
-
-
-def _emit_floats(a: np.ndarray, out: list) -> None:
-    """A 1-d float64 array in one pass, with the tokens of _fmt_float."""
-    if not np.isfinite(a).all():
-        raise ValueError("non-finite value cannot be serialized")
-    # .17g prints bare digits exactly for the integer values below 1e17, and
-    # %.1f prints those same digits followed by the ".0" _fmt_float appends
-    bare = (a == np.floor(a)) & (np.abs(a) < 1e17)
-    fmt = ",".join(np.where(bare, "%.1f", "%.17g").tolist())
-    out.append("[" + fmt % tuple(a.tolist()) + "]")
-
-
-def _emit(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            _emit(str(k), out)
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1:
-        _emit_floats(obj, out)
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        out.append("[")
-        for i, v in enumerate(seq):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps_canonical(obj) -> str:
-    out: list = []
-    _emit(obj, out)
-    return "".join(out)
-
-
 def save_json(path, obj) -> str:
-    """Write canonical JSON; returns the sha256 of the bytes written."""
-    data = dumps_canonical(obj).encode()
+    """Write obj as compact JSON; returns the sha256 of the bytes written.
+    NaN or infinity raises ValueError, and a numpy array or integer raises
+    TypeError: callers hand over Python lists."""
+    data = json.dumps(obj, allow_nan=False, separators=(",", ":")).encode()
     with open(path, "wb") as f:
         f.write(data)
     return hashlib.sha256(data).hexdigest()
@@ -158,8 +94,6 @@ def _reject_constant(token: str):
 def load_json(path):
     """Parse a JSON file; the non-standard NaN and Infinity tokens that
     Python's json module would accept are rejected with ValueError."""
-    import json
-
     with open(path, "rb") as f:
         return json.loads(f.read().decode(), parse_constant=_reject_constant)
 
@@ -171,7 +105,7 @@ def _grid_header(metric: TorusMetric) -> dict:
     return {
         "format": FORMAT,
         "grid": {"nx": metric.nx, "ny": metric.ny, "lx": metric.lx, "ly": metric.ly},
-        "metric_lambda": metric.lam.ravel(),
+        "metric_lambda": metric.lam.ravel().tolist(),
         "metric_harmonics": [
             {"amp": h.amp, "kx": h.kx, "ky": h.ky,
              "phase_x": h.phase_x, "phase_y": h.phase_y}
@@ -343,7 +277,8 @@ PAIR_BLOCKS = ("a", "b", "phi")
 def pair_to_json(pair: Pair) -> dict:
     doc = _grid_header(pair.metric)
     for name, grid in zip(PAIR_BLOCKS, (pair.conn.a, pair.conn.b, pair.higgs.phi)):
-        doc[name] = _mode_block(name, FourierField.from_grid(pair.metric, grid), True, np.ravel)
+        doc[name] = _mode_block(name, FourierField.from_grid(pair.metric, grid), True,
+                                lambda p: p.ravel().tolist())
     return doc
 
 
@@ -376,9 +311,9 @@ CSV_HEADER = "t,c11,c12,c13,c21,c22,c23,c31,c32,c33,drift"
 def write_transport_csv(path, result) -> None:
     """One row per saved sample: time, the nine entries of C row-major, and
     the orthogonality drift ||C^T C - Id||_F, all formatted in one pass by
-    one format string (the .17g token of every value)."""
+    one format string (the repr token of every value)."""
     cols = np.column_stack([result.times, np.reshape(result.matrices, (-1, 9)), result.drift])
-    line = ",".join(["%" + FLOAT_FMT] * cols.shape[1]) + "\n"
+    line = ",".join(["%r"] * cols.shape[1]) + "\n"
     with open(path, "w") as f:
         f.write(CSV_HEADER + "\n" + (line * len(cols)) % tuple(cols.ravel().tolist()))
 
@@ -410,8 +345,8 @@ def write_pgm(path, image: np.ndarray, bits: int = 8) -> tuple[float, float]:
     with open(path, "wb") as f:
         f.write(header + payload)
     with open(str(path) + ".txt", "w") as f:
-        f.write(f"min {format(lo, FLOAT_FMT)}\n")
-        f.write(f"max {format(hi, FLOAT_FMT)}\n")
+        f.write(f"min {lo!r}\n")
+        f.write(f"max {hi!r}\n")
         f.write(f"maxval {maxval}\n")
         f.write("value = min + pixel / maxval * (max - min)\n")
     return lo, hi

@@ -245,13 +245,13 @@ def unit_speed_residual(path) -> float:
 
 def write_transport_csv(path, result) -> None:
     """The transport CSV formatted one value at a time, each value its own
-    .17g token."""
+    repr token."""
     buf = io.StringIO()
     buf.write(fio.CSV_HEADER + "\n")
     for t, c, d in zip(result.times, result.matrices, result.drift):
-        row = [format(t, fio.FLOAT_FMT)]
-        row.extend(format(v, fio.FLOAT_FMT) for v in c.ravel())
-        row.append(format(d, fio.FLOAT_FMT))
+        row = [repr(float(t))]
+        row.extend(repr(float(v)) for v in c.ravel())
+        row.append(repr(float(d)))
         buf.write(",".join(row) + "\n")
     with open(path, "w") as f:
         f.write(buf.getvalue())

@@ -19,6 +19,7 @@ from cocyclelab.smfield import (
     Higgs,
     Pair,
     d_A,
+    hodge_star,
     l2_inner,
     mu_minus,
     mu_plus,
@@ -203,7 +204,8 @@ def test_criterion_06_holomorphy_route_agreement(capsys, factory_chain):
     n_pass = 0
     factory = []
     for k, sec in enumerate(sections):
-        res = bk.holomorphy_residuals(sec, zero, d_A(sec.grid, zero))
+        dg = d_A(sec.grid, zero)
+        res = bk.holomorphy_residuals(sec, zero, dg, hodge_star(dg))
         verdicts = [passes(v, 1e-5) for v in res.values()]
         if len(set(verdicts)) > 1:
             disagreements += 1

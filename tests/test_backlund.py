@@ -25,6 +25,7 @@ from cocyclelab.smfield import (
     Pair,
     d_A,
     grid_l2_norm,
+    hodge_star,
     star_curvature,
     vertical,
 )
@@ -50,7 +51,8 @@ def curved_metric(n=64):
 
 def holomorphy(sec, conn):
     """The four holomorphy residuals of sec, from its own d_A."""
-    return bk.holomorphy_residuals(sec, conn, d_A(sec.grid, conn))
+    dg = d_A(sec.grid, conn)
+    return bk.holomorphy_residuals(sec, conn, dg, hodge_star(dg))
 
 
 def test_unit_section_gates():
@@ -154,7 +156,7 @@ def test_dbar_routes_match_the_per_route_reference():
              (certs[1].g, certs[0].pair_out.conn), (rand, certs[1].pair_out.conn)]
     for sec, conn in cases:
         dg = d_A(sec.grid, conn)
-        res = bk.holomorphy_residuals(sec, conn, dg)
+        res = bk.holomorphy_residuals(sec, conn, dg, hodge_star(dg))
         ref = dbar_routes_reference(sec, conn, dg.mode(-1))
         assert {k: res[k] for k in ref} == ref
         own = dbar_routes_reference(sec, conn, dbar_A(sec.grid, conn))
@@ -251,8 +253,6 @@ def test_higgs_bounded_by_axis_gradient():
     met = TorusMetric.flat(80, 80)
     sec = bk.holomorphic_g_factory(met)
     cert = bk.backlund_transform(Pair.trivial(met), sec)
-    from cocyclelab.smfield import d_A, grid_l2_norm, hodge_star
-
     star_dg = hodge_star(d_A(sec.grid, Connection.zero(met)))
     phi_norm = cert.pair_out.higgs.norm()
     ref = np.sqrt(
@@ -404,11 +404,12 @@ def test_reduce_fills_masked_axis_from_neighbors():
 def test_reduce_degree_computes_the_star_bracket_once(monkeypatch):
     """One reduction takes d_A g of its axis once, for the four holomorphy
     routes and the transform core alike, computes the star-bracket once,
-    builds two transport bands (the input pair and the reduced pair) and
-    never runs the gated transform, whose output band nothing would read."""
+    builds two transport bands (the input pair and the reduced pair), takes
+    one Hodge star and never runs the gated transform, whose output band
+    nothing would read."""
     met = curved_metric(32)
     cert = bk.backlund_transform(Pair.trivial(met), bk.UnitSection.constant(met, AXIS))
-    calls = {"d_A": 0, "_star_bracket": 0, "transport_residual_field": 0,
+    calls = {"d_A": 0, "hodge_star": 0, "_star_bracket": 0, "transport_residual_field": 0,
              "backlund_transform": 0}
 
     def counted(module, name):
@@ -417,22 +418,24 @@ def test_reduce_degree_computes_the_star_bracket_once(monkeypatch):
                             lambda *a, **k: calls.__setitem__(name, calls[name] + 1)
                             or fn(*a, **k))
 
-    counted(bk.sm, "d_A")
+    for name in ("d_A", "hodge_star"):
+        counted(bk.sm, name)
     for name in ("_star_bracket", "transport_residual_field", "backlund_transform"):
         counted(bk, name)
     red = bk.reduce_degree(cert.pair_out)
-    assert calls == {"d_A": 1, "_star_bracket": 1, "transport_residual_field": 2,
-                     "backlund_transform": 0}
+    assert calls == {"d_A": 1, "hodge_star": 1, "_star_bracket": 1,
+                     "transport_residual_field": 2, "backlund_transform": 0}
     assert "holomorphy" not in red.residuals and "output-field" not in red.residuals
 
 
 def test_reduce_degree_transient_memory_is_bounded():
     """reduce on the flat-elliptic chain at 48^2 (trivializer degree 2)
-    holds at most 12 trivializer bands of temporaries at once, after one
+    holds at most 10 trivializer bands of temporaries at once, after one
     warm-up call fills the product caches: it builds the transform's output
     pair once and gates only the input and the reduced pair, with no band
-    of the untruncated degree N + 1 trivializer (tracemalloc counts numpy's
-    data buffers)."""
+    of the untruncated degree N + 1 trivializer, and the transform core
+    drops its projected bands before it forms a u (tracemalloc counts
+    numpy's data buffers)."""
     met = TorusMetric.flat(48, 48)
     pair = bk.generate_chain(met, [ELLIPTIC, {"kind": "repeat-q"}]).final
     band = pair.trivializer.coef.nbytes
@@ -449,7 +452,7 @@ def test_reduce_degree_transient_memory_is_bounded():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 12 * band
+    assert peak <= 10 * band
 
 
 def test_section_family_deterministic():

@@ -151,9 +151,15 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
                 assert "format 3" in capsys.readouterr().err
         path.write_bytes(good)
     tols = tmp_path / "tols.json"
-    tols.write_text('{"structure": 1e999}')
-    assert cli.main(verify + ["--tolerances", str(tols)]) == cli.EXIT_BADINPUT
-    for cfg_text in (
+    for tols_text, message in (('{"structure": 1e999}', "non-finite tolerance"),
+                               ('{"transprot": 1e-30}', "unknown key 'transprot'"),
+                               ('{"cert": 1e-30}', "unknown key 'cert'")):
+        tols.write_text(tols_text)
+        assert cli.main(verify + ["--tolerances", str(tols)]) == cli.EXIT_BADINPUT
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "all identities verified" not in captured.out
+    bad_configs = [(text, "input error") for text in (
         '{"metric": {"nx": 32, "ny": 32, "lx": Infinity}, "chain": []}',
         '{"metric": {"nx": 32, "ny": 32, "lx": 1e999}, "chain": []}',
         '{"metric": {"nx": 1e999, "ny": 32}, "chain": []}',
@@ -165,11 +171,29 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
         '{"metric": {"nx": 32, "ny": 32}, "chain": [{"kind": "elliptic", "offset": [0, 1e999]}]}',
         '{"metric": {"nx": 32, "ny": 32}, "chain": [{"kind": "constant", "axis": [0, 0, 0]}]}',
         '{"metric": {"nx": 32, "ny": 32}, "chain": [{"kind": "constant", "axis": [1e999, 0, 0]}]}',
-    ):
+    )]
+    # a misspelled key would leave its default in place: a trivial chain, or
+    # the default gate
+    one_step = '{"kind": "constant", "axis": [0, 0, 1]}'
+    bad_configs += [(text, f"unknown key '{key}'") for text, key in (
+        ('{"metric": {"nx": 32, "ny": 32}, "chian": [%s]}' % one_step, "chian"),
+        ('{"metric": {"nx": 32, "ny": 32, "harmonic": [[0.1, 1, 0]]}, "chain": []}', "harmonic"),
+        ('{"metric": {"nx": 32, "ny": 32}, "chain": [], "tolerances": {"certt": 1e-9}}', "certt"),
+        ('{"metric": {"nx": 32, "ny": 32}, "chain": [], "tolerances": {"transport": 1}}',
+         "transport"),
+        ('{"metric": {"nx": 32, "ny": 32}, "chain": [{"kind": "constant", "axis": [0, 0, 1], '
+         '"scale": [1, 0]}]}', "scale"),
+        ('{"metric": {"nx": 32, "ny": 32}, "chain": [{"kind": "elliptic", "z_0": [0.1, 0.2]}]}',
+         "z_0"),
+        ('{"metric": {"nx": 32, "ny": 32}, "chain": [%s, {"kind": "repeat-q", "axis": [1, 0, 0]}]}'
+         % one_step, "axis"),
+    )]
+    for cfg_text, message in bad_configs:
         cfg = tmp_path / "bad_config.json"
         cfg.write_text(cfg_text)
         assert cli.main(["generate", str(cfg), "--outdir", o]) == cli.EXIT_BADINPUT, cfg_text
-    assert "all identities verified" not in capsys.readouterr().out
+        assert message in capsys.readouterr().err, cfg_text
+    assert not (tmp_path / "o").exists()
 
 
 def test_trivializer_header_must_match_the_pair(tmp_path, capsys):

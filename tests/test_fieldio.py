@@ -1,10 +1,11 @@
 """Deterministic JSON/CSV/PGM serialization round trips."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -36,22 +37,9 @@ def real_random_field(met, degree=2, seed=0):
     return (f + f.conj()) * 0.5
 
 
-def test_float_formatting_round_trips():
-    vals = [0.1, 1.0 / 3.0, np.pi, 1e-300, -2.5e17, 0.0, 1.0]
-    vals += list(RNG.normal(size=50))
-    vals += list(RNG.normal(size=20) * 10.0 ** RNG.integers(-200, 200, size=20))
-    for v in vals:
-        s = fio._fmt_float(float(v))
-        assert float(s) == float(v), (v, s)
-    assert fio._fmt_float(1.0) == "1.0"  # integer-looking floats keep a dot
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError):
-            fio._fmt_float(float(bad))
-
-
-# finite doubles with the cases the array formatter treats apart: integer
-# values (bare digits under .17g below 1e17), signed zeros, subnormals and
-# values on both sides of 1e17
+# finite doubles at the edges of float text: signed zeros, subnormals, the
+# largest double, and integer values on both sides of 1e17, where the
+# shortest token turns from digits into an exponent
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
                1e17 - 16, 1e17, -(1e17 - 16), 2.0**60, 1.7976931348623157e308]
 FINITE = st.one_of(
@@ -60,6 +48,8 @@ FINITE = st.one_of(
     st.floats(min_value=9e16, max_value=1.1e17),
     st.sampled_from(EDGE_FLOATS),
 )
+# each example overwrites the same file, so one directory serves them all
+ONE_FILE = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def float_arrays(min_side=0):
@@ -67,33 +57,60 @@ def float_arrays(min_side=0):
     return hnp.arrays(np.float64, shape, elements=FINITE)
 
 
-@settings(deadline=None)
+def written(path, obj) -> bytes:
+    """The bytes save_json writes for obj, checked against the hash it returns."""
+    digest = fio.save_json(path, obj)
+    data = path.read_bytes()
+    assert digest == hashlib.sha256(data).hexdigest()
+    return data
+
+
+def test_float_formatting_round_trips(tmp_path):
+    vals = [0.1, 1.0 / 3.0, np.pi, 1e-300, -2.5e17, 0.0, 1.0]
+    vals += RNG.normal(size=50).tolist()
+    vals += (RNG.normal(size=20) * 10.0 ** RNG.integers(-200, 200, size=20)).tolist()
+    back = json.loads(written(tmp_path / "v.json", vals))
+    assert np.array(back).tobytes() == np.array(vals).tobytes()
+    assert written(tmp_path / "one.json", [1.0]) == b"[1.0]"  # a float stays a float
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            fio.save_json(tmp_path / "bad.json", [float(bad)])
+
+
+@ONE_FILE
+@example(np.array(EDGE_FLOATS))
 @given(float_arrays())
-def test_float_array_matches_scalar_tokens(a):
-    s = fio.dumps_canonical(a)
-    assert s == "[" + ",".join(fio._fmt_float(x) for x in a.tolist()) + "]"
-    back = np.array(json.loads(s), dtype=np.float64)
-    assert back.tobytes() == a.tobytes()  # bit-exact, signed zeros included
+def test_float_array_matches_scalar_tokens(tmp_path, a):
+    """A float list is written as the repr token of each value, the token
+    of the transport CSV and the heatmap sidecar, and reads back bit for bit."""
+    p = tmp_path / "doc.json"
+    data = written(p, a.tolist())
+    assert data.decode() == "[" + ",".join(repr(x) for x in a.tolist()) + "]"
+    nested = json.loads(written(p, {"modes": [{"re": a.tolist()}]}))["modes"][0]["re"]
+    for back in (json.loads(data), nested):
+        assert np.array(back, dtype=np.float64).tobytes() == a.tobytes()  # signed zeros too
 
 
-@settings(deadline=None)
+@ONE_FILE
 @given(float_arrays(min_side=1), st.sampled_from([np.nan, -np.nan, np.inf, -np.inf]),
        st.data())
-def test_float_array_rejects_non_finite(a, bad, data):
+def test_float_array_rejects_non_finite(tmp_path, a, bad, data):
     a[data.draw(st.integers(0, a.size - 1))] = bad
-    with pytest.raises(ValueError):
-        fio.dumps_canonical(a)
-    with pytest.raises(ValueError):
-        fio.dumps_canonical({"modes": [{"re": a}]})
+    p = tmp_path / "bad.json"
+    for doc in (a.tolist(), {"modes": [{"re": a.tolist()}]}, {"res": {"x": float(bad)}}):
+        with pytest.raises(ValueError):
+            fio.save_json(p, doc)
+        assert not p.exists()
 
 
-def test_canonical_json_parses_back():
-    doc = {"b": [1.5, 2.0, None, True], "a": {"y": 0.1, "x": 3, "s": 'q"\\'}}
-    s = fio.dumps_canonical(doc)
-    assert json.loads(s) == doc
-    assert fio.dumps_canonical(doc) == s  # same input, same bytes
-    with pytest.raises(TypeError):
-        fio.dumps_canonical({"f": object()})
+def test_canonical_json_parses_back(tmp_path):
+    doc = {"b": [1.5, 2.0, None, True], "a": {"y": 0.1, "x": 3, "s": 'q"\\\n\t\x01\u00e9'}}
+    data = written(tmp_path / "a.json", doc)
+    assert json.loads(data) == doc  # the control characters are escaped
+    assert written(tmp_path / "b.json", doc) == data  # same input, same bytes
+    for bad in (object(), np.arange(3.0), np.int64(1)):
+        with pytest.raises(TypeError):
+            fio.save_json(tmp_path / "c.json", {"f": bad})
 
 
 def test_field_json_round_trip_exact(tmp_path):
