@@ -428,8 +428,10 @@ def holomorphic_g_factory(
 
 @dataclass
 class ReductionResult:
+    """The section of one step down, the reduced pair (its trivializer is
+    the reduced u) and the step's residuals."""
+
     g: UnitSection
-    u: FourierField
     pair: Pair
     residuals: dict[str, float]
 
@@ -560,7 +562,7 @@ def reduce_degree(pair: Pair) -> ReductionResult:
         "top-mode-N1": float(top2 / unorm),
         "reduced-field": float(red_res),
     }
-    return ReductionResult(g=g_new, u=u_red, pair=pair_red, residuals=residuals)
+    return ReductionResult(g=g_new, pair=pair_red, residuals=residuals)
 
 
 # -- chains --------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def _metric_from_config(doc: dict) -> TorusMetric:
     if not isinstance(m, dict):
         raise ValueError("metric must be a JSON object")
     check_keys(m, METRIC_KEYS, "metric")
-    nx, ny = int(m.get("nx", 128)), int(m.get("ny", 128))
+    nx, ny = (fio.json_int(m.get(k, 128), f"metric {k}") for k in ("nx", "ny"))
     lx, ly = float(m.get("lx", 1.0)), float(m.get("ly", 1.0))
     harmonics = m.get("harmonics", [])
     return TorusMetric.from_harmonics(nx, ny, lx, ly, harmonics)
@@ -70,17 +70,22 @@ def _load_config(path: str) -> dict:
 
 
 def _tolerances(doc, allowed) -> dict:
-    """Tolerance overrides as floats, each named in allowed.  An infinite one
-    (a literal such as 1e999) would pass every finite residual, so
-    non-finite values are bad input."""
+    """Tolerance overrides as floats, each named in allowed and each a
+    positive, finite JSON number; anything else is bad input that names the
+    key.  float() would read true or "1" as 1.0, an infinite tolerance (a
+    literal such as 1e999) would pass every finite residual, and one at or
+    below 0 would fail every nonzero one."""
     if not isinstance(doc, dict):
         raise ValueError("tolerances must be a JSON object")
     check_keys(doc, allowed, "tolerances")
-    tols = {k: float(v) for k, v in doc.items()}
-    bad = sorted(k for k, v in tols.items() if not np.isfinite(v))
-    if bad:
-        raise ValueError(f"non-finite tolerance for {', '.join(bad)}")
-    return tols
+    for k, v in doc.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"tolerance for {k} must be a JSON number, got {v!r}")
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite tolerance for {k}")
+        if v <= 0:
+            raise ValueError(f"tolerance for {k} must be positive, got {v!r}")
+    return {k: float(v) for k, v in doc.items()}
 
 
 def _check_run_args(args) -> None:
@@ -195,11 +200,11 @@ def _verify_report(pair: Pair, tols: dict, seed: int, geodesic_count: int,
         # report it as a failure instead of crashing the run
         errors[tag] = f"{type(exc).__name__}: {exc}"
     merged = {**DEFAULT_TOLS, **tols}
-    failures = [k for k, v in residuals.items() if not passes(v, merged.get(k, 1e-6))]
+    failures = [k for k, v in residuals.items() if not passes(v, merged[k])]
     failures += sorted(errors)
     return {
         "residuals": residuals,
-        "tolerances": {k: merged.get(k, 1e-6) for k in residuals},
+        "tolerances": {k: merged[k] for k in residuals},
         "errors": errors,
         "failures": failures,
         "pass": not failures,
@@ -247,10 +252,10 @@ def cmd_reduce(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     fio.save_field(outdir / "g.json", red.g.field(), so3=True)
-    fio.save_field(outdir / "trivializer_reduced.json", red.u)
+    fio.save_field(outdir / "trivializer_reduced.json", red.pair.trivializer)
     fio.save_pair(outdir / "pair_reduced.json", red.pair)
     fio.save_json(outdir / "reduction_report.json", {"residuals": red.residuals})
-    print(f"reduced degree {pair.trivializer.degree} -> {red.u.degree}, "
+    print(f"reduced degree {pair.trivializer.degree} -> {red.pair.trivializer.degree}, "
           f"field residual {red.residuals['reduced-field']:.3e}")
     return EXIT_OK
 

@@ -131,12 +131,22 @@ def _finite(values) -> np.ndarray:
     return a
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of a file or config as an int.  It must be a JSON
+    integer (or a float without a fraction): int() would take a bool or a
+    string, and truncate 1.7 to 1."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def metric_from_header(doc: dict) -> TorusMetric:
     """The metric of a file: its harmonic series, which the sampled
     metric_lambda must match to LAMBDA_TOL."""
     g = doc["grid"]
-    _finite([g["nx"], g["ny"], g["lx"], g["ly"]])
-    nx, ny = int(g["nx"]), int(g["ny"])
+    _finite([g["lx"], g["ly"]])
+    nx, ny = json_int(g["nx"], "grid nx"), json_int(g["ny"], "grid ny")
     lam = _finite(doc["metric_lambda"]).reshape(ny, nx)
     if "metric_harmonics" not in doc:
         raise ValueError("the grid header has no metric_harmonics")
@@ -209,11 +219,11 @@ def _field_from_block(metric: TorusMetric, block: dict, so3: bool, unpack) -> Fo
     """The field of a mode block; unpack(payload, shape) reads one real grid.
     The grids are copied into the field's own band, so the result owns
     writable memory whatever unpack returns."""
-    degree = int(_finite(block["degree"]))
+    degree = json_int(block["degree"], "degree")
     entries = block["modes"]
     # the count first, so an edited degree sizes nothing before it is refused
     if (degree < 0 or len(entries) != degree + 1
-            or [int(_finite(e["m"])) for e in entries] != list(range(degree + 1))):
+            or [json_int(e["m"], "mode m") for e in entries] != list(range(degree + 1))):
         raise ValueError(f"format {FORMAT} lists the modes m = 0..degree in order")
     if "im" in entries[0]:
         raise ValueError("mode 0 of a real field has no im part")

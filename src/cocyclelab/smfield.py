@@ -17,27 +17,28 @@ symbol, one ifft2), and X = eta_plus + eta_minus, H = i (eta_plus - eta_minus).
 
 Connections are fields A = a cos(theta) + b sin(theta) with antisymmetric
 real coefficient grids (so modes +-1 only); Higgs fields are antisymmetric
-real mode-0 grids.  The product of two fields is pseudo-spectral (Boyd,
-Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 11): both bands are
-sampled at len_u + len_v - 1 equispaced fiber angles, multiplied pointwise
-and transformed back.  That many samples resolve the whole product band
-[lo_u + lo_v, hi_u + hi_v], so nothing aliases and nothing is truncated; the
+real mode-0 grids.  The pair, the trivializer and every Bäcklund factor are
+real maps, so every band the program multiplies is real on SM to the bit
+(lo = -hi and c_{-m} == conj(c_m)), and a product has two routes.  A one-mode
+factor is fiber-constant: the kernel multiplies the two bands as they are,
+complex or not.  Two multi-mode bands real on SM are multiplied
+pseudo-spectrally (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed.,
+ch. 11) in real arithmetic: each factor is sampled at len_u + len_v - 1
+equispaced fiber angles from [Re c_0..Re c_hi, Im c_1..Im c_hi] by a real
+synthesis matrix (cached by size, which beats an FFT along the short mode
+axis), the kernel multiplies float64 samples, a real analysis matrix returns
+the modes 0..K, and the modes m < 0 are filled by conjugation, so the product
+is real to the bit as well.  That many samples resolve the whole product band
+[-K, K], K = hi_u + hi_v, so nothing aliases and nothing is truncated; the
 product is exact to rounding; bracket forms [u, v] from the same samples.
-The fiber transforms are products with small dense DFT matrices, cached by
-size, which beat an FFT along the short mode axis.  When both bands are real
-on SM to the bit (lo = -hi and c_{-m} == conj(c_m), as for the pair, the
-trivializer and every Bäcklund factor), the product runs in real arithmetic:
-each factor is sampled from [Re c_0..Re c_hi, Im c_1..Im c_hi] by a real
-synthesis matrix, the kernel multiplies float64 samples, a real analysis
-matrix returns the modes 0..K, and the modes m < 0 are filled by
-conjugation, so the product is real to the bit as well.  Any other band, or a
-one-mode factor, keeps the complex route.  Every pointwise 3x3 product, of
-bands and of (ny, nx, 3, 3) grids alike, runs through one kernel (_matmul3)
-that sums the three products a[i, k] b[k, j] in the order k = 0, 1, 2: two
-float64 factors by one einsum contraction, any other dtype by three broadcast
-products per output row.  Both forms give the values of nine planes of three
-plane products each, to the bit; only the sign of a zero can differ (einsum
-turns a sum of three -0.0 products into +0.0).
+Two multi-mode bands of which one is not real on SM raise ValueError.  Every
+pointwise 3x3 product, of bands and of (ny, nx, 3, 3) grids alike, runs
+through one kernel (_matmul3) that sums the three products a[i, k] b[k, j] in
+the order k = 0, 1, 2: two float64 factors by one einsum contraction, any
+other dtype by three broadcast products per output row.  Both forms give the
+values of nine planes of three plane products each, to the bit; only the
+sign of a zero can differ (einsum turns a sum of three -0.0 products into
++0.0).
 X of a real field takes one eta_minus: eta_plus(u) is its conjugate, since
 dz(conj f) = conj(dbar f) and lam is real (eta_pair).
 
@@ -108,28 +109,6 @@ def grid_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _fiber_dft(nt: int, n: int) -> np.ndarray:
-    """The read-only (nt, n) matrix e^{i k theta_j} of modes k = 0 .. n-1 at
-    the fiber angles theta_j = 2 pi j / nt."""
-    mat = np.exp(2j * np.pi / nt * (np.multiply.outer(np.arange(nt), np.arange(n)) % nt))
-    mat.setflags(write=False)
-    return mat
-
-
-def _to_angles(coef: np.ndarray, nt: int) -> np.ndarray:
-    """sum_k coef[k] e^{i k theta} at theta_j = 2 pi j / nt, nt >= len(coef)."""
-    vals = _fiber_dft(nt, len(coef)) @ coef.reshape(len(coef), -1)
-    return vals.reshape((nt,) + coef.shape[1:])
-
-
-def _from_angles(samples: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Coefficients of the modes ks (taken mod nt) of nt equispaced samples."""
-    nt = len(samples)
-    coef = (_fiber_dft(nt, nt)[ks].conj() / nt) @ samples.reshape(nt, -1)
-    return coef.reshape((len(ks),) + samples.shape[1:])
-
-
-@lru_cache(maxsize=64)
 def _real_synthesis(nt: int, k: int) -> np.ndarray:
     """The read-only (nt, 2k + 1) matrix taking [Re c_0..Re c_k, Im c_1..Im c_k]
     of a field real on SM to its values at theta_j = 2 pi j / nt: columns 1,
@@ -154,11 +133,15 @@ def _real_analysis(nt: int, k: int) -> np.ndarray:
 def _is_real(u: "FourierField") -> bool:
     """u is real on SM to the bit: lo = -hi and c_{-m} == conj(c_m), compared
     for all m >= 0 at once as Re c_m == Re c_{-m} and Im c_m == -Im c_{-m},
-    with no conjugate band (NaN compares unequal, so it takes the complex
-    route)."""
+    with no conjugate band.  A NaN counts as its own mirror image, so a
+    field that holds NaN in conjugate places is real and its NaN reaches
+    every product and residual (except a NaN in Im c_0 alone: the real
+    route reads Re c_0 only); that NaN-aware comparison costs three times
+    the strict one, so it runs only when the strict one fails."""
     c, k = u.coef, u.hi
-    return (u.lo == -k and np.array_equal(c[k:].real, c[k::-1].real)
-            and np.array_equal(c[k:].imag, -c[k::-1].imag))
+    return u.lo == -k and any(
+        np.array_equal(c[k:].real, c[k::-1].real, equal_nan=nan)
+        and np.array_equal(c[k:].imag, -c[k::-1].imag, equal_nan=nan) for nan in (False, True))
 
 
 def _is_skew(u: "FourierField") -> bool:
@@ -201,17 +184,19 @@ def _commutator3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _pointwise(u: "FourierField", v: "FourierField", kernel) -> "FourierField":
     """kernel (_matmul3 or _commutator3) of u and v pointwise on SM (module
-    docstring); a one-mode factor is fiber-constant and needs no transform,
-    and two fields real on SM are multiplied in real arithmetic."""
+    docstring) by one of two routes: a one-mode factor is fiber-constant, so
+    the kernel takes the two bands as they are, whatever their dtype; two
+    bands real on SM are multiplied in real arithmetic.  Any other pair of
+    multi-mode bands raises ValueError."""
     u._check_same(v)
     a, b = u.coef, v.coef
-    nt = len(a) + len(b) - 1
     if min(len(a), len(b)) == 1:
         out = kernel(a, b)
     elif _is_real(u) and _is_real(v):
+        nt = len(a) + len(b) - 1
         out = _real_modes(kernel(_real_angles(u, nt), _real_angles(v, nt)), u.hi + v.hi)
     else:
-        out = _from_angles(kernel(_to_angles(a, nt), _to_angles(b, nt)), np.arange(nt))
+        raise ValueError("a product of two multi-mode fields needs both real on SM")
     return FourierField.band(u.metric, u.lo + v.lo, out)
 
 
@@ -350,18 +335,6 @@ class FourierField:
 
     # -- sampling ------------------------------------------------------------
 
-    def _theta_count(self) -> int:
-        """The default number of fiber angles of sample."""
-        return max(8, 4 * (self.degree + 1))
-
-    def sample(self, ntheta: int | None = None) -> np.ndarray:
-        """Pointwise values on the (theta, y, x) product grid: (ntheta, ny, nx, 3, 3)."""
-        ntheta = self._theta_count() if ntheta is None else ntheta
-        if ntheta < 2 * self.degree + 1:
-            raise ValueError("theta grid too coarse for the field degree")
-        phase = np.exp(1j * self.lo * self.metric.theta_grid(ntheta))
-        return _grid_first(_to_angles(self.coef, ntheta) * phase[:, None, None, None, None])
-
     def interpolant(self):
         """Evaluator (x, y, theta) -> real values at arbitrary SM points, shape
         (..., 3, 3), of a field that is real on SM (c_{-m} = conj(c_m), which
@@ -412,18 +385,16 @@ class FourierField:
         return float(np.abs(c[k:] - np.conj(c[k::-1])).max()) / scale
 
     def orthogonality_residual(self) -> float:
-        """Max pointwise ||R^T R - Id|| + imaginary part, over the default
-        theta grid.  A field real on SM is sampled in real arithmetic from its
-        modes m >= 0 (as a product factor is), so its imaginary part is 0."""
-        nt = self._theta_count()
-        if _is_real(self):
-            r, im = _real_angles(self, nt), 0.0
-        else:
-            s = _matrix_first(self.sample(nt))
-            r, im = s.real, float(np.abs(s.imag).max())
+        """Max pointwise ||R^T R - Id|| over max(8, 4 (degree + 1)) fiber
+        angles, of a field R real on SM, sampled in real arithmetic from its
+        modes m >= 0 as a product factor is; ValueError for a field not real
+        on SM."""
+        if not _is_real(self):
+            raise ValueError("orthogonality_residual needs a field real on SM")
+        r = _real_angles(self, max(8, 4 * (self.degree + 1)))
         g = _matmul3(np.swapaxes(r, 1, 2), r)
         g -= np.eye(3)[:, :, None, None]
-        return float(np.sqrt(np.einsum("tijyx,tijyx->tyx", g, g)).max() + im)
+        return float(np.sqrt(np.einsum("tijyx,tijyx->tyx", g, g)).max())
 
 
 # -- L2 structure ---------------------------------------------------------------

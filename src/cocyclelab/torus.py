@@ -150,9 +150,6 @@ class TorusMetric:
     def is_flat(self) -> bool:
         return float(np.abs(self.lam).max()) < 1e-14
 
-    def theta_grid(self, ntheta: int) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(ntheta) / ntheta
-
     def __eq__(self, other):
         return (
             isinstance(other, TorusMetric)

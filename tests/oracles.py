@@ -1,8 +1,9 @@
 """Reference computations the tests compare the package against.
 
 Each one takes a route independent of the code it checks: frame derivatives
-taken literally in (x, y, theta), dbar and dz from one 1-D derivative per
-axis, the metric's derivatives from its grid samples, the transport generator
+taken literally in (x, y, theta), a field's fiber samples and the field of
+given samples by an FFT along the fiber axis, dbar and dz from one 1-D
+derivative per axis, the metric's derivatives from its grid samples, the transport generator
 from a spline of its coefficient grids, a Cauchy integral for p', a
 finite-difference speed, readers of the files the package writes, and the
 frame-transfer identity of a trivializing u, the 3x3 product as nine planes
@@ -123,9 +124,9 @@ def padded_band_op(u: sm.FourierField, v: sm.FourierField, ufunc) -> sm.FourierF
 
 def conjugate_is_real(u: sm.FourierField) -> bool:
     """lo = -hi and c_{-m} == conj(c_m) for all m >= 0, by a conjugate copy
-    of the modes m <= 0."""
+    of the modes m <= 0, with a NaN equal to a NaN."""
     c, k = u.coef, u.hi
-    return u.lo == -k and np.array_equal(c[k:], np.conj(c[k::-1]))
+    return u.lo == -k and np.array_equal(c[k:], np.conj(c[k::-1]), equal_nan=True)
 
 
 def band_reality_residual(u: sm.FourierField) -> float:
@@ -137,17 +138,29 @@ def band_reality_residual(u: sm.FourierField) -> float:
     return float(np.abs((u - u.conj()).coef).max()) / scale
 
 
+def sample(u: sm.FourierField, ntheta: int) -> np.ndarray:
+    """Values of u at the fiber angles theta_j = 2 pi j / ntheta, shape
+    (ntheta, ny, nx, 3, 3): mode m placed at index m mod ntheta, then an
+    inverse FFT along the fiber axis."""
+    if ntheta < 2 * u.degree + 1:
+        raise ValueError("theta grid too coarse for the field degree")
+    full = np.zeros((ntheta,) + u.coef.shape[1:], dtype=complex)
+    full[np.arange(u.lo, u.hi + 1) % ntheta] = u.coef
+    return sm._grid_first(np.fft.ifft(full, axis=0) * ntheta)
+
+
 def from_samples(metric, samples: np.ndarray, degree: int | None = None) -> sm.FourierField:
     """The field of degree `degree` with the given fiber samples (ntheta, ny,
-    nx, 3, 3): the inverse of FourierField.sample, exact when ntheta > 2 degree."""
+    nx, 3, 3), by an FFT along the fiber axis: the inverse of sample, exact
+    when ntheta > 2 degree."""
     samples = np.asarray(samples, dtype=complex)
     ntheta = samples.shape[0]
     if degree is None:
         degree = (ntheta - 1) // 2
     if ntheta < 2 * degree + 1:
         raise ValueError("theta grid too coarse for the requested degree")
-    coef = sm._from_angles(sm._matrix_first(samples), np.arange(-degree, degree + 1) % ntheta)
-    return sm.FourierField.band(metric, -degree, coef)
+    coef = np.fft.fft(sm._matrix_first(samples), axis=0) / ntheta
+    return sm.FourierField.band(metric, -degree, coef[np.arange(-degree, degree + 1) % ntheta])
 
 
 def _expand(grid: np.ndarray, sample_ndim: int, lead: int = 1) -> np.ndarray:
@@ -172,7 +185,7 @@ def frame_apply(metric, samples: np.ndarray, op: str) -> np.ndarray:
     nd = samples.ndim
     if op == "V":
         return spectral.deriv(samples, 2.0 * np.pi, axis=0)
-    theta = metric.theta_grid(ntheta)
+    theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
     cos_t = _expand(np.cos(theta), nd, lead=0)
     sin_t = _expand(np.sin(theta), nd, lead=0)
     lam_x = _expand(metric.lam_x, nd)
@@ -296,13 +309,15 @@ def read_pgm(path) -> np.ndarray:
 def frame_transfer_residual(pair) -> float:
     """Residual of V(A) = -u X(f) u^{-1} - H(u) u^{-1} with f = u^{-1} V(u),
     an identity that holds when the pair's trivializer u trivializes it;
-    H = i (eta_plus - eta_minus)."""
+    H = i (eta_plus - eta_minus), with eta_plus(u) taken as the conjugate of
+    eta_minus(u) (smfield.eta_pair), so that H(u) is real on SM to the bit."""
     u = pair.trivializer
     ut = u.transpose()
     f = ut @ sm.vertical(u)
     va = sm.vertical(pair.conn.as_field())
     t2 = u @ sm.x_op(f) @ ut
-    t3 = ((sm.eta_plus(u) - sm.eta_minus(u)) * 1j) @ ut
+    ep, em = sm.eta_pair(u)
+    t3 = ((ep - em) * 1j) @ ut
     res = va + t2 + t3
     den = va.l2_norm() + t2.l2_norm() + t3.l2_norm() + f.l2_norm() + 1e-300
     return res.l2_norm() / den

@@ -37,6 +37,7 @@ from oracles import (
     frame_apply,
     from_samples,
     random_unit_section,
+    sample,
     section_family,
     so3_exp,
     so3_norm,
@@ -125,7 +126,7 @@ def test_criterion_02_operator_oracle(capsys):
     conn = bandlimited_connection(met, seed=41)
     a1, am1 = conn.band(1), conn.band(-1)
     u = bandlimited_field(met, 3, seed=42)
-    samples = u.sample(32)
+    samples = sample(u, 32)
     xs = frame_apply(met, samples, "X")
     hs = frame_apply(met, samples, "H")
     oracle_p = from_samples(met, (xs - 1j * hs) / 2.0, degree=4) + a1 @ u

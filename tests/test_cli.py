@@ -150,8 +150,30 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
                 assert cli.main(argv) == cli.EXIT_BADINPUT, (path.name, fmt, argv[0])
                 assert "format 3" in capsys.readouterr().err
         path.write_bytes(good)
+    # integer fields hold JSON integers: int() would truncate 1.7 to 1, and
+    # read "48" or false as a number
+    for path, edit, name, verbs in (
+        (triv, lambda d: d.update(degree=d["degree"] + 0.7), "degree", triv_verbs),
+        (triv, lambda d: d["modes"][1].update(m=1.4), "mode m", triv_verbs),
+        (triv, lambda d: d["grid"].update(ny=d["grid"]["ny"] + 0.9), "grid ny", triv_verbs),
+        (pair, lambda d: d["grid"].update(nx=str(d["grid"]["nx"])), "grid nx", pair_verbs),
+        (pair, lambda d: d["phi"]["modes"][0].update(m=False), "mode m", pair_verbs),
+    ):
+        good = path.read_bytes()
+        doc = json.loads(good)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        for argv in verbs:
+            capsys.readouterr()
+            assert cli.main(argv) == cli.EXIT_BADINPUT, (path.name, name, argv[0])
+            assert f"{name} must be an integer" in capsys.readouterr().err
+        path.write_bytes(good)
     tols = tmp_path / "tols.json"
     for tols_text, message in (('{"structure": 1e999}', "non-finite tolerance"),
+                               ('{"transport": true}', "tolerance for transport"),
+                               ('{"transport": "1"}', "tolerance for transport"),
+                               ('{"structure": -1}', "tolerance for structure"),
+                               ('{"holonomy": 0}', "tolerance for holonomy"),
                                ('{"transprot": 1e-30}', "unknown key 'transprot'"),
                                ('{"cert": 1e-30}', "unknown key 'cert'")):
         tols.write_text(tols_text)
@@ -187,6 +209,15 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
          "z_0"),
         ('{"metric": {"nx": 32, "ny": 32}, "chain": [%s, {"kind": "repeat-q", "axis": [1, 0, 0]}]}'
          % one_step, "axis"),
+    )]
+    # a grid size or tolerance that int() or float() would read anyway
+    bad_configs += [('{"metric": {%s}, "chain": [%s]%s}' % (grid, one_step, tols), message)
+                    for grid, tols, message in (
+        ('"nx": "16", "ny": 16', "", "metric nx must be an integer"),
+        ('"nx": 16, "ny": 16.9', "", "metric ny must be an integer"),
+        ('"nx": 16, "ny": 16', ', "tolerances": {"cert": true}', "tolerance for cert"),
+        ('"nx": 16, "ny": 16', ', "tolerances": {"gmero": "1"}', "tolerance for gmero"),
+        ('"nx": 16, "ny": 16', ', "tolerances": {"cert": -1}', "tolerance for cert"),
     )]
     for cfg_text, message in bad_configs:
         cfg = tmp_path / "bad_config.json"
@@ -310,24 +341,15 @@ WORKLOAD_CHAINS = {
 
 
 @pytest.mark.parametrize("workload", WORKLOAD_CHAINS)
-def test_real_fields_never_take_the_complex_route(tmp_path, monkeypatch, workload):
-    """Pairs, trivializers and Backlund factors are real on SM, so generate,
-    verify and reduce make no complex fiber transform, every x_op takes one
-    eta_minus and no eta_plus, eta_plus runs only on fields that are not
-    real (the energy identity's one-mode fields), and every 3x3 product of
-    two factors with more than one fiber sample multiplies float64 by
-    float64 (the einsum form of _matmul3).  A silent fallback to complex
-    arithmetic fails here, not only in the benchmark's timings."""
-    counts = {"_to_angles": 0, "_from_angles": 0}
+def test_real_fields_take_one_eta_and_float64_products(tmp_path, monkeypatch, workload):
+    """Pairs, trivializers and Backlund factors are real on SM, so in
+    generate, verify and reduce every x_op takes one eta_minus and no
+    eta_plus, eta_plus runs only on fields that are not real (the energy
+    identity's one-mode fields), and every 3x3 product of two factors with
+    more than one fiber sample multiplies float64 by float64 (the einsum
+    form of _matmul3).  A product of two multi-mode bands not real on SM
+    raises, so it cannot fall back to complex arithmetic."""
     etas, per_x, sampled = [], [], []
-
-    def counted(name):
-        fn = getattr(sm, name)
-
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapped
 
     def eta(sign, fn):
         def wrapped(f):
@@ -347,8 +369,6 @@ def test_real_fields_never_take_the_complex_route(tmp_path, monkeypatch, workloa
             sampled.append((a.dtype, b.dtype))
         return fn(a, b)
 
-    for name in counts:
-        monkeypatch.setattr(sm, name, counted(name))
     monkeypatch.setattr(sm, "_matmul3", matmul3)
     monkeypatch.setattr(sm, "eta_plus", eta("+", sm.eta_plus))
     monkeypatch.setattr(sm, "eta_minus", eta("-", sm.eta_minus))
@@ -358,7 +378,6 @@ def test_real_fields_never_take_the_complex_route(tmp_path, monkeypatch, workloa
     assert cli.main(["verify", pair, triv, "--geodesics", "1", "--t-final", "0.2",
                      "--dt", "2e-3"]) == cli.EXIT_OK
     assert cli.main(["reduce", pair, triv, "--outdir", str(tmp_path / "r")]) == cli.EXIT_OK
-    assert counts == {"_to_angles": 0, "_from_angles": 0}
     assert per_x and all(signs == ["-"] for signs in per_x)
     assert ("-", True) in etas and ("+", True) not in etas
     assert sampled and set(sampled) == {(np.dtype(np.float64), np.dtype(np.float64))}

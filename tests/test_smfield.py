@@ -29,12 +29,12 @@ from cocyclelab.smfield import (
     star_curvature,
     vertical,
     x_op,
-    _from_angles,
     _grid_first,
     _is_real,
     _matmul3,
     _matrix_first,
-    _to_angles,
+    _real_angles,
+    _real_modes,
 )
 from cocyclelab.torus import Harmonic, TorusMetric, grid_coords
 from oracles import (
@@ -46,6 +46,7 @@ from oracles import (
     padded_band_op,
     plane_matmul3,
     read_mode_grid,
+    sample,
     so3_exp,
     so3_norm,
 )
@@ -99,7 +100,7 @@ def test_eta_formulas_match_frame_oracle():
     )
     u = bandlimited_field(met, 3, seed=10)
     ntheta = 32
-    samples = u.sample(ntheta)
+    samples = sample(u, ntheta)
     xs = frame_apply(met, samples, "X")
     hs = frame_apply(met, samples, "H")
     up = from_samples(met, (xs - 1j * hs) / 2.0, degree=4)
@@ -114,7 +115,7 @@ def test_mu_formulas_match_frame_oracle():
     conn = bandlimited_connection(met, seed=11)
     a1, am1 = conn.band(1), conn.band(-1)
     u = bandlimited_field(met, 2, seed=12)
-    samples = u.sample(32)
+    samples = sample(u, 32)
     xs = frame_apply(met, samples, "X")
     hs = frame_apply(met, samples, "H")
     oracle_p = from_samples(met, (xs - 1j * hs) / 2.0, degree=3) + a1 @ u
@@ -133,7 +134,9 @@ def test_x_h_decompositions():
 def test_real_fields_take_the_real_route():
     """For u real on SM, x_op takes one eta_minus and its conjugate in place
     of eta_plus; X, V, transposes, sums and products of real bands are real
-    to the bit, and the results agree with the complex route."""
+    to the bit.  A band one ulp from real takes eta_plus in x_op, with the
+    same numbers, and has no product with a multi-mode band and no
+    orthogonality residual."""
     met = curved(32)
     u = real_on_sm(bandlimited_field(met, 3, seed=4))
     v = real_on_sm(bandlimited_field(met, 2, seed=5))
@@ -149,16 +152,18 @@ def test_real_fields_take_the_real_route():
     assert (xu - ref).l2_norm() <= 1e-14 * ref.l2_norm()
     for w in (u, xu, vertical(u), u.transpose(), u + v, u - v * 0.5, u @ v, bracket(u, v)):
         assert is_real_to_the_bit(w)
-    # one ulp off in one negative mode: the complex route, the same numbers
+    # one ulp off in one negative mode: eta_plus in x_op, the same numbers
     bent = u.coef.copy()
     bent.real[1, 0, 1, 3, 5] = np.nextafter(bent.real[1, 0, 1, 3, 5], np.inf)
     w = FourierField.band(met, u.lo, bent)
     assert not is_real_to_the_bit(w)
-    for got, want in ((w @ v, u @ v), (bracket(v, w), bracket(v, u)), (x_op(w), xu)):
-        assert not is_real_to_the_bit(got)
-        assert (got - want).l2_norm() <= 1e-14 * want.l2_norm()
-    ortho = u.orthogonality_residual()
-    assert abs(w.orthogonality_residual() - ortho) <= 1e-14 * ortho
+    xw = x_op(w)
+    assert not is_real_to_the_bit(xw)
+    assert (xw - xu).l2_norm() <= 1e-14 * xu.l2_norm()
+    for product in (lambda: w @ v, lambda: v @ w, lambda: bracket(v, w),
+                    w.orthogonality_residual):
+        with pytest.raises(ValueError):
+            product()
 
 
 def test_adjointness():
@@ -246,7 +251,9 @@ SYMMETRIC = ("0x(-1,1)", "deg1xdeg1", "deg2xdeg1", "deg12xdeg13", "zero")
 def test_product_matches_mode_convolution(bands, real):
     """u @ v against the mode convolution, on band shapes that the Backlund
     steps and residual suites multiply; with real set, both factors are real
-    on SM (the real-arithmetic route) and so is their product, to the bit."""
+    on SM (the real-arithmetic route) and so is their product, to the bit.
+    Without it, the factors are complex: a one-mode factor still multiplies,
+    and two multi-mode factors raise ValueError."""
     met = curved(16)
     rng = np.random.default_rng(31)
     u, v = (
@@ -256,6 +263,10 @@ def test_product_matches_mode_convolution(bands, real):
     )
     if real:
         u, v = real_on_sm(u), real_on_sm(v)
+    elif min(len(u.coef), len(v.coef)) > 1:
+        with pytest.raises(ValueError):
+            u @ v
+        return
     w = u @ v
     assert is_real_to_the_bit(w) or not real
     ref = convolve_modes(u, v)
@@ -274,7 +285,8 @@ def test_product_matches_mode_convolution(bands, real):
 def test_bracket_is_the_commutator_of_products(lens, real):
     """bracket(u, v) samples each factor once; with a one-mode factor it is
     u @ v - v @ u bit for bit, otherwise the same to rounding.  Factors real
-    on SM give a bracket real on SM to the bit."""
+    on SM give a bracket real on SM to the bit; two complex multi-mode
+    factors raise ValueError, as their product does."""
     met = curved(16)
     rng = np.random.default_rng(37)
     u, v = (
@@ -284,6 +296,10 @@ def test_bracket_is_the_commutator_of_products(lens, real):
     )
     if real:
         u, v = real_on_sm(u), real_on_sm(v)
+    elif min(lens) > 1:
+        with pytest.raises(ValueError):
+            bracket(u, v)
+        return
     got = bracket(u, v)
     ref = u @ v - v @ u
     assert (got.lo, got.hi) == (ref.lo, ref.hi)
@@ -297,7 +313,7 @@ def test_bracket_is_the_commutator_of_products(lens, real):
 def test_sample_round_trip():
     met = curved(32)
     u = bandlimited_field(met, 3, seed=41)
-    back = from_samples(met, u.sample(16), degree=3)
+    back = from_samples(met, sample(u, 16), degree=3)
     assert (u - back).l2_norm() < 1e-12
 
 
@@ -647,8 +663,9 @@ def _real_band(rng, met, k):
 
 def test_is_real_matches_conjugate_copy_oracle():
     """_is_real against the conjugate-copy test it replaced: bands real on
-    SM with signed-zero and infinite entries, a band with lo != -hi, a NaN
-    mode, one flipped bit of an imaginary part and a one-mode band."""
+    SM with signed-zero and infinite entries, a band with lo != -hi, NaN in
+    two conjugate places (real) and in one place only (not real), one
+    flipped bit of an imaginary part and a one-mode band."""
     met = TorusMetric.flat(16, 16)
     rng = np.random.default_rng(7)
     cases = []
@@ -662,7 +679,10 @@ def test_is_real_matches_conjugate_copy_oracle():
     cases.append((FourierField.band(met, 0, _real_band(rng, met, 2)[2:]), False))
     nan = _real_band(rng, met, 2)
     nan[3, 2, 0] = nan[1, 2, 0] = complex(np.nan, 0.0)
-    cases.append((FourierField.band(met, -2, nan), False))
+    cases.append((FourierField.band(met, -2, nan), True))
+    one_nan = _real_band(rng, met, 2)
+    one_nan[3, 2, 0] = complex(np.nan, 0.0)
+    cases.append((FourierField.band(met, -2, one_nan), False))
     flip = _real_band(rng, met, 1)
     flip.imag[2, 1, 1, 0, 0] = np.nextafter(flip.imag[2, 1, 1, 0, 0], np.inf)
     cases.append((FourierField.band(met, -1, flip), False))
@@ -675,20 +695,25 @@ def test_is_real_matches_conjugate_copy_oracle():
 
 @pytest.mark.parametrize("n", range(1, 62))
 def test_dft_matrix_fiber_transforms_match_fft(n):
-    """_to_angles and _from_angles against an FFT along the mode axis, for
-    the sample count of a product of two bands of length n."""
+    """The real synthesis and analysis matrices of the product (_real_angles,
+    _real_modes) against an FFT along the fiber axis (oracles.sample), at
+    the nt = 2n - 1 samples of a product of degree k = n - 1: a factor of
+    degree k and one of degree k // 2 are sampled, and the modes -k..k of
+    their samples give the factor back, real on SM to the bit."""
+    met = TorusMetric.flat(16, 16)
     rng = np.random.default_rng(n)
-    nt = 2 * n - 1
-    coef = _random(rng, (n, 3, 3, 2, 3), True)
-    vals = _to_angles(coef, nt)
-    ref = np.fft.ifft(coef, n=nt, axis=0) * nt
-    assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
-    ks = np.arange(-(n - 1), n) % nt
-    back = _from_angles(vals, ks)
-    ref_back = (np.fft.fft(ref, axis=0) / nt)[ks]
-    assert np.abs(back - ref_back).max() <= 1e-13 * np.abs(ref_back).max()
-    round_trip = _from_angles(vals, np.arange(n))
-    assert np.abs(round_trip - coef).max() <= 1e-13 * np.abs(coef).max()
+    k, nt = n - 1, 2 * n - 1
+    for deg in (k, k // 2):
+        u = FourierField.band(met, -deg, _real_band(rng, met, deg))
+        vals = _real_angles(u, nt)
+        ref = _matrix_first(sample(u, nt))
+        assert vals.dtype == np.float64
+        assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
+        back = _real_modes(vals, k)
+        want = np.zeros_like(back)
+        want[k - deg : k + deg + 1] = u.coef
+        assert is_real_to_the_bit(FourierField.band(met, -k, back))
+        assert np.abs(back - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_modes_are_grid_views_and_file_layout_is_unchanged():

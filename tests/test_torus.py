@@ -61,7 +61,7 @@ def test_frame_brackets():
         128, 128, 1.0, 1.0, [Harmonic(0.1, 1, 0), Harmonic(0.05, 0, 1, 0.7, 0.2)]
     )
     ntheta = 16
-    theta = met.theta_grid(ntheta)
+    theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
     xg, yg = grid_coords(128, 128, 1.0, 1.0)
     f = (
         np.cos(theta)[:, None, None] * np.cos(2 * np.pi * xg)[None]
