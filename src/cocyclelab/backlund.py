@@ -14,13 +14,16 @@ core (_transformed) computes a step; backlund_transform gates the input and
 the output pair of every step on their field residual, and a chain hands
 each certificate to the next step, so each pair's residual is computed
 once.  The transform takes r = Id, so a = exp(theta g) commutes with g and
-q = a g a^{-1} is g itself.  The module also implements the inverse
-transform (with section -g), chains of steps (a repeat-q step transforms
-again with the previous step's section, its q; after a Higgs-free input the
-two steps are the doubling that lifts to SU(2), which fiber_loop_parity
-detects), a factory of holomorphic unit sections from elliptic functions,
-and degree reduction of trivializers, which runs the same core and gates
-only the pair it writes.
+q = a g a^{-1} is g itself.  The module also implements chains of steps (a
+repeat-q step transforms again with the previous step's section, its q;
+after a Higgs-free input the two steps are the doubling that lifts to SU(2),
+which fiber_loop_parity detects), a factory of holomorphic unit sections
+from elliptic functions, and degree reduction of trivializers, which runs
+the same core and gates only the pair it writes.  The inverse transform
+(with section -g), the q-lemma rows and the round-trip distance are test
+references in tests/oracles.py.  Grids are (3, 3, ny, nx), multiplied by
+smfield's kernel; lie3's point helpers and a reduction's SVD and column pick
+read a grid through one np.moveaxis view.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .elliptic import weierstrass_p
 from .errors import (
     GNotHolomorphic,
     InputNotCertified,
+    NotUnit,
     OutputNotCertified,
     RankDeficient,
     ReductionFailed,
@@ -42,16 +46,37 @@ from .errors import (
     passes,
     worst,
 )
-from .lie3 import check_unit, hat, inner, polar_project, su2_path_lift
+from .lie3 import hat, inner, polar_project, su2_path_lift
 from .smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm
 from .torus import TorusMetric
 
 DEFAULT_CERT_TOL = 1e-6
 DEFAULT_GMERO_TOL = 1e-6
+UNIT_TOL = 1e-10
+
+
+def unit_residual(grid: np.ndarray) -> float:
+    """max over the points of a (3, 3, ny, nx) grid of ||g^3 + g||_F; zero
+    iff g is 0 or a unit section value there."""
+    r = sm._matmul3(sm._matmul3(grid, grid), grid) + grid
+    return float(np.sqrt(np.einsum("ijyx,ijyx->yx", r, r)).max())
+
+
+def check_unit(grid: np.ndarray) -> None:
+    """Raise NotUnit unless ||g^3 + g|| <= UNIT_TOL and | |g|^2 - 1 | <=
+    100 UNIT_TOL at every point of a (3, 3, ny, nx) grid."""
+    res = unit_residual(grid)
+    if not passes(res, UNIT_TOL):
+        raise NotUnit(f"||g^3 + g|| = {res:.3e} exceeds {UNIT_TOL:.1e}")
+    point = np.moveaxis(grid, (0, 1), (2, 3))
+    dev = float(np.abs(inner(point, point) - 1.0).max())
+    if not passes(dev, 100 * UNIT_TOL):
+        raise NotUnit(f"| |g|^2 - 1 | = {dev:.3e} exceeds {100 * UNIT_TOL:.1e}")
 
 
 class UnitSection:
-    """A section g: M -> so(3) with |g| = 1 pointwise, sampled on the metric grid.
+    """A section g: M -> so(3) with |g| = 1 pointwise, sampled on the metric
+    grid as a contiguous (3, 3, ny, nx) array.
 
     Unit length (g^3 = -g) is enforced at construction.  meta holds how the
     section was built (its kind and, for the elliptic factory, its parameters);
@@ -59,8 +84,8 @@ class UnitSection:
     """
 
     def __init__(self, metric: TorusMetric, grid: np.ndarray, meta: dict | None = None):
-        grid = np.asarray(grid, dtype=float)
-        if grid.shape != (metric.ny, metric.nx, 3, 3):
+        grid = np.ascontiguousarray(grid, dtype=float)
+        if grid.shape != (3, 3, metric.ny, metric.nx):
             raise ValueError(f"grid shape {grid.shape} does not match metric grid")
         check_unit(grid)
         self.metric = metric
@@ -71,16 +96,16 @@ class UnitSection:
     def constant(cls, metric: TorusMetric, axis) -> "UnitSection":
         v = np.asarray(axis, dtype=float)
         v = v / np.linalg.norm(v)
-        g = np.broadcast_to(hat(v), (metric.ny, metric.nx, 3, 3)).copy()
+        g = np.broadcast_to(hat(v)[:, :, None, None], (3, 3, metric.ny, metric.nx))
         return cls(metric, g, meta={"kind": "constant", "axis": v.tolist()})
 
     @classmethod
     def from_axis(cls, metric: TorusMetric, axis_grid: np.ndarray,
                   meta: dict | None = None) -> "UnitSection":
-        """Build from a unit-vector field n(x, y); normalizes defensively."""
+        """Build from a (ny, nx, 3) unit-vector field n(x, y); normalizes defensively."""
         n = np.asarray(axis_grid, dtype=float)
         n = n / np.linalg.norm(n, axis=-1, keepdims=True)
-        return cls(metric, hat(n), meta=meta)
+        return cls(metric, np.moveaxis(hat(n), (-2, -1), (0, 1)), meta=meta)
 
     def field(self) -> FourierField:
         return FourierField(self.metric, {0: self.grid.astype(complex)})
@@ -89,7 +114,7 @@ class UnitSection:
 def projector(g: UnitSection) -> np.ndarray:
     """pi = -g(g + i Id)/2, the Hermitian rank-one projector onto the
     i-eigenbundle E_i of g acting on C^3."""
-    return -0.5 * (sm.grid_matmul(g.grid, g.grid) + 1j * g.grid)
+    return -0.5 * (sm._matmul3(g.grid, g.grid) + 1j * g.grid)
 
 
 def vertical_solution(g: UnitSection) -> FourierField:
@@ -97,7 +122,7 @@ def vertical_solution(g: UnitSection) -> FourierField:
     any r: M -> SO(3)), as a degree-one field:
     exp(theta g) = (Id + g^2) - cos(theta) g^2 + sin(theta) g."""
     c1 = projector(g)
-    c0 = np.eye(3) - 2.0 * c1.real
+    c0 = np.eye(3)[:, :, None, None] - 2.0 * c1.real
     return FourierField(g.metric, {0: c0, 1: c1, -1: c1.conj()})
 
 
@@ -123,12 +148,12 @@ def holomorphy_residuals(g: UnitSection, conn: Connection, dg: FourierField,
     """
     met = g.metric
     q = dg.mode(-1)
-    res2_g = q - 1j * (sm.grid_matmul(q, g.grid) - sm.grid_matmul(g.grid, q))
+    res2_g = q - 1j * sm._commutator3(q, g.grid)
     den2 = grid_l2_norm(met, q) + grid_l2_norm(met, g.grid) + 1e-300
     res2 = grid_l2_norm(met, res2_g) / den2
 
     pi = projector(g)
-    pi_perp = np.broadcast_to(np.eye(3), pi.shape) - pi
+    pi_perp = np.eye(3)[:, :, None, None] - pi
     # one eta_minus of pi serves both routes: column j of ds is the twisted
     # dbar e^{-lam} dbar(pi e_j) + A_{-1} pi e_j of the section pi e_j of
     # C^3, and dbar_A pi = ds - pi A_{-1}
@@ -136,14 +161,14 @@ def holomorphy_residuals(g: UnitSection, conn: Connection, dg: FourierField,
     dpi = ds
     if not conn.is_zero():
         am1 = conn.band(-1).mode(-1)
-        ds += sm.grid_matmul(am1, pi)
-        dpi = ds - sm.grid_matmul(pi, am1)
-    num3 = np.sqrt((np.abs(sm.grid_matmul(pi_perp, ds)) ** 2).sum())
-    dencols = np.sqrt((np.abs(ds) ** 2).sum(axis=(0, 1, 2))).sum()
+        ds += sm._matmul3(am1, pi)
+        dpi = ds - sm._matmul3(pi, am1)
+    num3 = np.sqrt((np.abs(sm._matmul3(pi_perp, ds)) ** 2).sum())
+    dencols = np.sqrt((np.abs(ds) ** 2).sum(axis=(0, 2, 3))).sum()
     res3 = float(num3 / (1e-300 + dencols + np.sqrt((np.abs(pi) ** 2).sum())))
 
     den4 = grid_l2_norm(met, dpi) + grid_l2_norm(met, pi) + 1e-300
-    res4 = grid_l2_norm(met, sm.grid_matmul(dpi, pi)) / den4
+    res4 = grid_l2_norm(met, sm._matmul3(dpi, pi)) / den4
 
     return {"star-bracket": _star_bracket(g, dg, star_dg),
             "dbar-bracket": res2, "subbundle": res3, "projector": res4}
@@ -183,7 +208,7 @@ def _real_skew(metric: TorusMetric, c: np.ndarray) -> tuple[np.ndarray, float, f
     """The real antisymmetric part of a complex coefficient grid, with the
     norms of what it drops: the imaginary part and the real symmetric part."""
     re = c.real
-    re_t = np.swapaxes(re, -1, -2)
+    re_t = np.swapaxes(re, 0, 1)
     return (0.5 * (re - re_t), grid_l2_norm(metric, c.imag),
             grid_l2_norm(metric, 0.5 * (re + re_t)))
 
@@ -197,8 +222,8 @@ def _transformed(pair: Pair, g: UnitSection,
     met = pair.metric
     a = vertical_solution(g)
     at = a.transpose()
-    gphi = inner(g.grid, pair.higgs.phi)
-    core = FourierField(met, {0: g.grid.astype(complex) * gphi[..., None, None]}) + star_dg
+    gphi = inner(np.moveaxis(g.grid, (0, 1), (2, 3)), np.moveaxis(pair.higgs.phi, (0, 1), (2, 3)))
+    core = FourierField(met, {0: g.grid.astype(complex) * gphi}) + star_dg
 
     phi_full = a @ core @ at
     a_full = sm.x_op(a) @ at * (-1.0) + a @ (pair.total_field() - core) @ at
@@ -292,67 +317,6 @@ def backlund_transform(
     )
 
 
-def q_lemma_residuals(cert: BacklundCertificate) -> dict[str, float]:
-    """Certificates for q = a g a^{-1} on the output pair, with q computed
-    as that product (it is g, since a = exp(theta g) commutes with g):
-
-      vertical      V(q) = 0 (off-mode content of a g a^{-1})
-      covariant     d_{A_g} q = [a Phi a^{-1}, q]
-      star-bracket  d_{A_g} q + [*d_{A_g} q, q] = 0
-
-    The last one makes -q an admissible axis section for the inverse step.
-    """
-    met = cert.pair_in.metric
-    a, at = cert.vertical, cert.vertical.transpose()
-    full = a @ cert.g.field() @ at
-    q_tot = max(np.sqrt(sum(v * v for v in full.mode_norms().values())), 1e-300)
-    q_keep, q_off = _project_structure(full, (0,), q_tot)
-    q = _real_skew(met, q_keep[0])[0]
-    qf = FourierField(met, {0: q.astype(complex)})
-    conn_out = cert.pair_out.conn
-    dq = sm.d_A(q, conn_out)
-    rhs = a @ cert.pair_in.higgs.as_field() @ at
-    rhs_brk = sm.bracket(rhs, qf)
-    den = dq.l2_norm() + rhs_brk.l2_norm() + grid_l2_norm(met, q) + 1e-300
-    covariant = (dq - rhs_brk).l2_norm() / den
-    star_dq = sm.hodge_star(dq)
-    res3 = dq + sm.bracket(star_dq, qf)
-    star = res3.l2_norm() / den
-    return {
-        "vertical": q_off,
-        "covariant": covariant,
-        "star-bracket": star,
-    }
-
-
-def inverse_backlund(
-    cert: BacklundCertificate, gmero_tol: float = DEFAULT_GMERO_TOL
-) -> BacklundCertificate:
-    """Undo a transform step: run the forward transform on the output pair
-    with axis section -q = -g, whose vertical solution exp(-theta g) is
-    a^{-1} = a^T."""
-    g_inv = UnitSection(cert.g.metric, -cert.g.grid, meta={"kind": "inverse"})
-    return backlund_transform(cert, g_inv, gmero_tol=gmero_tol)
-
-
-def round_trip_residuals(cert_fwd: BacklundCertificate,
-                         cert_back: BacklundCertificate) -> dict[str, float]:
-    """Relative distance between the original pair and the inverse-transform
-    output: connection, Higgs field and trivializer."""
-    a0, b0 = cert_fwd.pair_in.conn.a, cert_fwd.pair_in.conn.b
-    a1, b1 = cert_back.pair_out.conn.a, cert_back.pair_out.conn.b
-    met = cert_fwd.pair_in.metric
-    conn_scale = cert_fwd.pair_in.conn.norm() + 1.0
-    dconn = np.sqrt(
-        grid_l2_norm(met, a1 - a0) ** 2 + grid_l2_norm(met, b1 - b0) ** 2
-    ) / conn_scale
-    dphi = grid_l2_norm(met, cert_back.pair_out.higgs.phi - cert_fwd.pair_in.higgs.phi) \
-        / (cert_fwd.pair_in.higgs.norm() + 1.0)
-    du = (cert_back.pair_out.trivializer - cert_fwd.pair_in.trivializer).l2_norm() \
-        / cert_fwd.pair_in.trivializer.l2_norm()
-    return {"conn": float(dconn), "higgs": float(dphi), "trivializer": float(du)}
-
-
 def fiber_loop_parity(u: FourierField) -> int:
     """Lift parity of the loop theta -> u(0, 0, theta) in SO(3).
 
@@ -363,7 +327,7 @@ def fiber_loop_parity(u: FourierField) -> int:
     thetas = np.linspace(0.0, 2.0 * np.pi, 513)
     mats = np.zeros((513, 3, 3), dtype=complex)
     for m in range(-u.degree, u.degree + 1):
-        mats += u.mode(m)[0, 0] * np.exp(1j * m * thetas)[:, None, None]
+        mats += u.mode(m)[:, :, 0, 0] * np.exp(1j * m * thetas)[:, None, None]
     return su2_path_lift(polar_project(mats.real))
 
 
@@ -489,7 +453,8 @@ def reduce_degree(pair: Pair) -> ReductionResult:
         raise ValueError("trivializer already has fiber degree zero")
     met = pair.metric
     b_top = b.mode(n_deg)
-    svals = np.linalg.svd(b_top, compute_uv=False)
+    b_pts = np.moveaxis(b_top, (0, 1), (2, 3))  # the SVD and column pick read points
+    svals = np.linalg.svd(b_pts, compute_uv=False)
     s1 = svals[..., 0]
     mask = s1 < 1e-8 * s1.max()
     frac = float(mask.mean())
@@ -497,7 +462,7 @@ def reduce_degree(pair: Pair) -> ReductionResult:
         raise RankDeficient(
             f"top mode rank-deficient on {100 * frac:.2f}% of the grid"
         )
-    c_re, d_im = b_top.real, b_top.imag
+    c_re, d_im = b_pts.real, b_pts.imag
     col_norms = np.linalg.norm(c_re, axis=-2)
     jstar = np.argmax(col_norms, axis=-1)
     idx = jstar[..., None, None]
@@ -513,7 +478,8 @@ def reduce_degree(pair: Pair) -> ReductionResult:
         np.where(mask[..., None], 0.0, n_axis / np.maximum(norms[..., None], 1e-300)),
         mask,
     )
-    g_new = UnitSection(met, hat(n_axis), meta={"kind": "reduction", "from-degree": n_deg})
+    g_new = UnitSection(met, np.moveaxis(hat(n_axis), (-2, -1), (0, 1)),
+                        meta={"kind": "reduction", "from-degree": n_deg})
     dg = sm.d_A(g_new.grid, pair.conn)
     star_dg = sm.hodge_star(dg)
     hres = holomorphy_residuals(g_new, pair.conn, dg, star_dg)
@@ -532,9 +498,9 @@ def reduce_degree(pair: Pair) -> ReductionResult:
     # three rows are relative to ||b_N||: b_{N-1} can vanish to rounding (a
     # repeat-q chain), and a ratio to its own norm would read noise over noise
     bn_scale = max(grid_l2_norm(met, b_top), 1e-300)
-    r_a1_bn = grid_l2_norm(met, a_new.mode(1) @ b_top) / bn_scale
-    r_a0_bn = grid_l2_norm(met, a_new.mode(0) @ b_top) / bn_scale
-    r_a1_bnm = grid_l2_norm(met, a_new.mode(1) @ b.mode(n_deg - 1)) / bn_scale
+    r_a1_bn = grid_l2_norm(met, sm._matmul3(a_new.mode(1), b_top)) / bn_scale
+    r_a0_bn = grid_l2_norm(met, sm._matmul3(a_new.mode(0), b_top)) / bn_scale
+    r_a1_bnm = grid_l2_norm(met, sm._matmul3(a_new.mode(1), b.mode(n_deg - 1))) / bn_scale
 
     u_full = pair_out.trivializer
     unorm = u_full.l2_norm()

@@ -264,8 +264,7 @@ def gauge_transform(pair: Pair, r: np.ndarray) -> Pair:
     rt = rf.transpose()
     a_new = rt @ sm.x_op(rf) + rt @ pair.conn.as_field() @ rf
     conn = sm.Connection.from_field(a_new, tol=1e-8)
-    rT = np.swapaxes(r, -1, -2)
-    higgs = Higgs(met, rT @ pair.higgs.phi @ r)
+    higgs = Higgs(met, sm._matmul3(sm._matmul3(np.swapaxes(r, 0, 1), pair.higgs.phi), r))
     triv = rt @ pair.trivializer if pair.trivializer is not None else None
     return Pair(conn, higgs, triv)
 

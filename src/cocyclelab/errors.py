@@ -1,6 +1,6 @@
 """Exception types raised by construction and verification routines, the
-one rule that turns a residual into a verdict, and the one check of the
-keys of an input object."""
+one rule that turns a residual into a verdict, and the checks of an input
+object's keys and integer fields."""
 
 import numpy as np
 
@@ -24,6 +24,16 @@ def check_keys(doc: dict, allowed, where: str) -> None:
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {where}; "
                          f"known keys: {', '.join(allowed)}")
+
+
+def json_int(value, what: str) -> int:
+    """An integer field of a file or config as an int.  It must be a JSON
+    integer (or a float without a fraction): int() would take a bool or a
+    string, and truncate 1.7 to 1."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 class CocycleLabError(Exception):

@@ -60,7 +60,7 @@ import math
 
 import numpy as np
 
-from .errors import StructureViolated, passes
+from .errors import StructureViolated, json_int, passes
 from .lie3 import hat, vee
 from .smfield import Connection, FourierField, Higgs, Pair
 from .torus import TorusMetric
@@ -131,16 +131,6 @@ def _finite(values) -> np.ndarray:
     return a
 
 
-def json_int(value, what: str) -> int:
-    """An integer field of a file or config as an int.  It must be a JSON
-    integer (or a float without a fraction): int() would take a bool or a
-    string, and truncate 1.7 to 1."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def metric_from_header(doc: dict) -> TorusMetric:
     """The metric of a file: its harmonic series, which the sampled
     metric_lambda must match to LAMBDA_TOL."""
@@ -208,7 +198,7 @@ def _mode_block(name: str, field: FourierField, so3: bool, pack) -> dict:
         _gate(name, "antisymmetry", float(np.abs(field.coef + field.coef.swapaxes(1, 2)).max()))
     modes = []
     for m in range(field.degree + 1):
-        c = field.mode(m)
+        c = np.moveaxis(field.mode(m), (0, 1), (2, 3))  # the file's (ny, nx, 3, 3) order
         # vee on each real part: complex arithmetic could flip a zero's sign
         parts = (("re", c.real), ("im", c.imag)) if m else (("re", c.real),)
         modes.append({"m": m} | {key: pack(vee(p) if so3 else p) for key, p in parts})
@@ -380,7 +370,7 @@ def heatmap_from_field(field: FourierField, selector: str) -> np.ndarray:
         raise ValueError(f"bad selector {selector!r}: non-integer indices") from exc
     if not (0 <= i < 3 and 0 <= j < 3):
         raise ValueError(f"bad selector {selector!r}: entry indices out of range")
-    comp = field.mode(m)[..., i, j]
+    comp = field.mode(m)[i, j]
     if parts[3] == "re":
         return comp.real.copy()
     if parts[3] == "im":

@@ -1,23 +1,21 @@
 """so(3)/su(2) matrix algebra on plain ndarrays.
 
-All functions are batched: an argument of shape (..., 3, 3) or (..., 3) is
-processed pointwise over the leading axes, so the same code paths serve a
-single matrix and a full grid of matrices.
+All functions are batched over point arrays: an argument of shape
+(..., 3, 3) or (..., 3) is processed pointwise over the leading axes, so the
+same code paths serve a single matrix, a path of matrices and the
+(ny, nx, 3, 3) view that np.moveaxis gives of a (3, 3, ny, nx) torus grid.
 
 Conventions:
   hat(v) w = v x w                (cross product)
   inner(g, h) = trace(g h^T) / 2  (so hat is an isometry: inner(hat v, hat w) = v.w)
-  ell : so(3) -> su(2) is half the quaternion cover's derivative; ell(2g)^2 = -Id
-  for unit g.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotUnit, SamplingTooCoarse, passes
+from .errors import SamplingTooCoarse
 
-UNIT_TOL = 1e-10
 MAX_LIFT_STEP = np.pi / 4
 
 
@@ -55,41 +53,6 @@ def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def inner(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Invariant inner product trace(g h^T)/2; reduces the trailing (3,3)."""
     return 0.5 * np.einsum("...ij,...ij->...", g, h)
-
-
-def unit_residual(g: np.ndarray) -> float:
-    """max over points of ||g^3 + g||_F; zero iff g is 0 or a unit section value."""
-    r = g @ g @ g + g
-    return float(np.sqrt(np.einsum("...ij,...ij->...", r, r)).max())
-
-
-def check_unit(g: np.ndarray) -> None:
-    """Raise NotUnit unless ||g^3 + g|| <= UNIT_TOL and | |g|^2 - 1 | <=
-    100 UNIT_TOL pointwise."""
-    res = unit_residual(g)
-    if not passes(res, UNIT_TOL):
-        raise NotUnit(f"||g^3 + g|| = {res:.3e} exceeds {UNIT_TOL:.1e}")
-    nrm = inner(g, g)
-    dev = float(np.abs(nrm - 1.0).max())
-    if not passes(dev, 100 * UNIT_TOL):
-        raise NotUnit(f"| |g|^2 - 1 | = {dev:.3e} exceeds {100 * UNIT_TOL:.1e}")
-
-
-def ell(g: np.ndarray) -> np.ndarray:
-    """Lie algebra isomorphism so(3) -> su(2).
-
-    In axis coordinates v = vee(g) it sends hat(v) to
-    (1/2) [[ i v3, -v2 + i v1 ], [ v2 + i v1, -i v3 ]],
-    which maps the standard basis brackets onto each other.  For a unit
-    section value g, ell(2g) squares to -Id.
-    """
-    v = vee(g)
-    out = np.zeros(v.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = 0.5j * v[..., 2]
-    out[..., 0, 1] = 0.5 * (-v[..., 1] + 1j * v[..., 0])
-    out[..., 1, 0] = 0.5 * (v[..., 1] + 1j * v[..., 0])
-    out[..., 1, 1] = -0.5j * v[..., 2]
-    return out
 
 
 def polar_project(r: np.ndarray) -> np.ndarray:

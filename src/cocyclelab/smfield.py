@@ -3,10 +3,14 @@
 A field u(x, y, theta) with values in 3x3 complex matrices is a finite
 Fourier series in the fiber angle, u = sum_m c_m(x, y) e^{i m theta}, stored
 as one contiguous band of modes: the lowest mode lo and an array coef of
-shape (n_modes, 3, 3, ny, nx) holding c_lo, ..., c_{lo+n_modes-1} in order
-(mode(m) and modes hand out (ny, nx, 3, 3) views).  Modes inside the band may
-be zero.  The vertical field V acts as multiplication by i*m on mode m, the
-raising/lowering parts of the frame act on the whole band at once:
+shape (n_modes, 3, 3, ny, nx) holding c_lo, ..., c_{lo+n_modes-1} in order.
+Every grid on the torus has the layout of one mode, (3, 3, ny, nx): mode(m)
+and modes hand out the band's own slices, and a connection's, a Higgs
+field's and a unit section's grids are stored so.  Only point arrays keep
+the matrix axes last (lie3's helpers, transport, the interpolant's values);
+a grid reaches them through one np.moveaxis view.  Modes inside the band
+may be zero.  The vertical field V acts as multiplication by i*m on mode m,
+the raising/lowering parts of the frame act on the whole band at once:
 
   eta_minus : mode m -> m-1,  c |-> e^{-(1+m) lam} dbar(c e^{m lam})
   eta_plus  : mode m -> m+1,  c |-> e^{(m-1) lam} dz(c e^{-m lam})
@@ -32,10 +36,10 @@ is real to the bit as well.  That many samples resolve the whole product band
 [-K, K], K = hi_u + hi_v, so nothing aliases and nothing is truncated; the
 product is exact to rounding; bracket forms [u, v] from the same samples.
 Two multi-mode bands of which one is not real on SM raise ValueError.  Every
-pointwise 3x3 product, of bands and of (ny, nx, 3, 3) grids alike, runs
-through one kernel (_matmul3) that sums the three products a[i, k] b[k, j] in
-the order k = 0, 1, 2: two float64 factors by one einsum contraction, any
-other dtype by three broadcast products per output row.  Both forms give the
+pointwise 3x3 product, of bands and of grids alike, runs through one kernel
+(_matmul3) that sums the three products a[i, k] b[k, j] in the order
+k = 0, 1, 2: two float64 factors by one einsum contraction, any other dtype
+by three broadcast products per output row.  Both forms give the
 values of nine planes of three plane products each, to the bit; only the
 sign of a zero can differ (einsum turns a sum of three -0.0 products into
 +0.0).
@@ -73,16 +77,6 @@ from .lie3 import hat, vee
 from .torus import TorusMetric
 
 
-def _matrix_first(grid: np.ndarray) -> np.ndarray:
-    """A (..., ny, nx, 3, 3) grid as a (..., 3, 3, ny, nx) view."""
-    return np.moveaxis(grid, (-2, -1), (-4, -3))
-
-
-def _grid_first(arr: np.ndarray) -> np.ndarray:
-    """A (..., 3, 3, ny, nx) array as a (..., ny, nx, 3, 3) view."""
-    return np.moveaxis(arr, (-4, -3), (-2, -1))
-
-
 def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise 3x3 product of (..., 3, 3, ny, nx) arrays, broadcast over the
     leading axes: out[i, j] = (a[i, 0] b[0, j] + a[i, 1] b[1, j]) + a[i, 2] b[2, j].
@@ -101,11 +95,6 @@ def _matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for k in (1, 2):
             row += a[..., i, k, None, :, :] * b[..., k, :, :, :]
     return out
-
-
-def grid_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise product of (..., ny, nx, 3, 3) grids through _matmul3."""
-    return _grid_first(_matmul3(_matrix_first(a), _matrix_first(b)))
 
 
 @lru_cache(maxsize=64)
@@ -241,14 +230,14 @@ class FourierField:
     def __init__(self, metric: TorusMetric, modes: dict[int, np.ndarray]):
         grids = {int(m): np.asarray(c) for m, c in modes.items()}
         for c in grids.values():
-            if c.shape != (metric.ny, metric.nx, 3, 3):
-                raise ValueError(f"mode grid must have shape ({metric.ny}, {metric.nx}, 3, 3), "
+            if c.shape != (3, 3, metric.ny, metric.nx):
+                raise ValueError(f"mode grid must have shape (3, 3, {metric.ny}, {metric.nx}), "
                                  f"got {c.shape}")
         lo = min(grids, default=0)
         hi = max(grids, default=0)
         coef = np.zeros((hi - lo + 1, 3, 3, metric.ny, metric.nx), dtype=complex)
         for m, c in grids.items():
-            coef[m - lo] = _matrix_first(c)
+            coef[m - lo] = c
         self.metric = metric
         self.lo = lo
         self.coef = coef
@@ -266,7 +255,7 @@ class FourierField:
 
     @classmethod
     def identity(cls, metric: TorusMetric) -> "FourierField":
-        return cls.from_grid(metric, np.broadcast_to(np.eye(3), (metric.ny, metric.nx, 3, 3)))
+        return cls.from_grid(metric, np.eye(3)[:, :, None, None] * np.ones((metric.ny, metric.nx)))
 
     @classmethod
     def from_grid(cls, metric: TorusMetric, grid: np.ndarray) -> "FourierField":
@@ -281,8 +270,8 @@ class FourierField:
 
     @property
     def modes(self):
-        """Read-only mapping from each mode of the band to its (ny, nx, 3, 3) grid."""
-        return MappingProxyType({self.lo + k: _grid_first(c) for k, c in enumerate(self.coef)})
+        """Read-only mapping from each mode of the band to its slice of the band."""
+        return MappingProxyType({self.lo + k: c for k, c in enumerate(self.coef)})
 
     @property
     def degree(self) -> int:
@@ -293,8 +282,8 @@ class FourierField:
 
     def mode(self, m: int) -> np.ndarray:
         if self.lo <= m <= self.hi:
-            return _grid_first(self.coef[m - self.lo])
-        return np.zeros((self.metric.ny, self.metric.nx, 3, 3), dtype=complex)
+            return self.coef[m - self.lo]
+        return np.zeros((3, 3, self.metric.ny, self.metric.nx), dtype=complex)
 
     def mode_norms(self) -> dict[int, float]:
         return {m: grid_l2_norm(self.metric, c, fiber=True) for m, c in self.modes.items()}
@@ -346,7 +335,8 @@ class FourierField:
         returned as its hat."""
         met = self.metric
         hi = max(self.hi, 0)
-        pos = np.stack([self.mode(m) for m in range(hi + 1)], axis=2)
+        # the spline reads point arrays: (ny, nx, mode, 3, 3)
+        pos = np.moveaxis(np.stack([self.mode(m) for m in range(hi + 1)]), (0, 1, 2), (2, 3, 4))
         stack = np.concatenate([pos.real, -pos.imag[:, :, 1:]], axis=2)
         stack[:, :, 1:] *= 2.0
         skew = _is_skew(self)
@@ -368,7 +358,7 @@ class FourierField:
     # -- norms and checks ------------------------------------------------------
 
     def l2_norm(self) -> float:
-        return _norm(self.metric, self.coef, "mijyx", fiber=True)
+        return _norm(self.metric, self.coef, fiber=True)
 
     def reality_residual(self) -> float:
         """Max norm of c_m - conj(c_{-m}) over modes, relative to the field size.
@@ -413,21 +403,22 @@ def l2_inner(u: FourierField, v: FourierField) -> complex:
 
 
 def grid_l2_norm(metric: TorusMetric, grid: np.ndarray, fiber: bool = False) -> float:
-    """L2 norm of a single (ny, nx, 3, 3) grid over the torus (e^{2 lam} weight).
+    """L2 norm of a single (3, 3, ny, nx) grid over the torus (e^{2 lam}
+    weight), read as a one-mode band.
 
     With fiber=True the 2 pi fiber factor is included, matching the L2 norm
     of the single-mode field with this coefficient.
     """
-    return _norm(metric, grid, "yxij", fiber)
+    return _norm(metric, grid[None], fiber)
 
 
-def _norm(metric: TorusMetric, arr: np.ndarray, axes: str, fiber: bool) -> float:
+def _norm(metric: TorusMetric, band: np.ndarray, fiber: bool) -> float:
     """sqrt of the grid sum of e^{2 lam} (re^2 + im^2) dx dy over every entry
-    of arr, times 2 pi with fiber=True; axes ("mijyx" for a band, "yxij" for
-    a grid) names the axes of arr.  No conjugate copy is made."""
-    sq = np.einsum(f"{axes},{axes}->yx", arr.real, arr.real)
-    if np.iscomplexobj(arr):
-        sq += np.einsum(f"{axes},{axes}->yx", arr.imag, arr.imag)
+    of a (n_modes, 3, 3, ny, nx) band, times 2 pi with fiber=True.  No
+    conjugate copy is made."""
+    sq = np.einsum("mijyx,mijyx->yx", band.real, band.real)
+    if np.iscomplexobj(band):
+        sq += np.einsum("mijyx,mijyx->yx", band.imag, band.imag)
     val = np.vdot(sq, metric.e_2lam) * (metric.lx / metric.nx) * (metric.ly / metric.ny)
     if fiber:
         val *= 2.0 * np.pi
@@ -480,8 +471,8 @@ def x_op(u: FourierField) -> FourierField:
 # -- connections and Higgs fields -------------------------------------------------
 
 
-def _antisym_residual(arr: np.ndarray) -> float:
-    s = arr + np.swapaxes(arr, -1, -2)
+def _antisym_residual(grid: np.ndarray) -> float:
+    s = grid + np.swapaxes(grid, 0, 1)
     return float(np.abs(s).max())
 
 
@@ -489,7 +480,7 @@ def _antisym_residual(arr: np.ndarray) -> float:
 class Connection:
     """SO(3) connection restricted to SM: A = a cos(theta) + b sin(theta).
 
-    a, b are real antisymmetric (ny, nx, 3, 3) grids; in terms of the 1-form
+    a, b are real antisymmetric (3, 3, ny, nx) grids; in terms of the 1-form
     A_x dx + A_y dy they are a = e^{-lam} A_x, b = e^{-lam} A_y.
     """
 
@@ -500,13 +491,13 @@ class Connection:
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        shape = (self.metric.ny, self.metric.nx, 3, 3)
+        shape = (3, 3, self.metric.ny, self.metric.nx)
         if self.a.shape != shape or self.b.shape != shape:
             raise ValueError(f"connection grids must have shape {shape}")
 
     @classmethod
     def zero(cls, metric: TorusMetric) -> "Connection":
-        z = np.zeros((metric.ny, metric.nx, 3, 3))
+        z = np.zeros((3, 3, metric.ny, metric.nx))
         return cls(metric, z, z.copy())
 
     @classmethod
@@ -529,8 +520,8 @@ class Connection:
     def _mode_into(self, m: int, out: np.ndarray) -> None:
         """Write mode m = +-1 of A, (a - i m b)/2, into the (3, 3, ny, nx)
         complex array out, with the operations of 0.5 * (a -+ 1j * b)."""
-        np.multiply(1j, _matrix_first(self.b), out=out)
-        (np.subtract if m == 1 else np.add)(_matrix_first(self.a), out, out=out)
+        np.multiply(1j, self.b, out=out)
+        (np.subtract if m == 1 else np.add)(self.a, out, out=out)
         np.multiply(0.5, out, out=out)
 
     def band(self, m: int) -> FourierField:
@@ -562,20 +553,21 @@ class Connection:
 
 @dataclass
 class Higgs:
-    """Higgs field: antisymmetric real matrix function of the base point."""
+    """Higgs field: antisymmetric real matrix function of the base point, a
+    (3, 3, ny, nx) grid."""
 
     metric: TorusMetric
     phi: np.ndarray
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
-        shape = (self.metric.ny, self.metric.nx, 3, 3)
+        shape = (3, 3, self.metric.ny, self.metric.nx)
         if self.phi.shape != shape:
             raise ValueError(f"higgs grid must have shape {shape}")
 
     @classmethod
     def zero(cls, metric: TorusMetric) -> "Higgs":
-        return cls(metric, np.zeros((metric.ny, metric.nx, 3, 3)))
+        return cls(metric, np.zeros((3, 3, metric.ny, metric.nx)))
 
     def as_field(self) -> FourierField:
         return FourierField(self.metric, {0: self.phi.astype(complex)})
@@ -632,7 +624,7 @@ def hodge_star(f: FourierField) -> FourierField:
 def d_A(g: np.ndarray, conn: Connection) -> FourierField:
     """Covariant derivative of a matrix function of the base point, as a field.
 
-    g is a (ny, nx, 3, 3) grid; the result is X(g) + [A, g] with modes +-1:
+    g is a (3, 3, ny, nx) grid; the result is X(g) + [A, g] with modes +-1:
     the 1-form d g + [A, g] evaluated on unit tangent vectors.
     """
     gf = FourierField.from_grid(conn.metric, g)
@@ -649,8 +641,8 @@ def star_curvature(conn: Connection) -> np.ndarray:
     e^{-lam}(b_x + b lam_x - a_y - a lam_y) + [a, b].
     """
     met = conn.metric
-    b_x = spectral.deriv(conn.b, met.lx, axis=1)
-    a_y = spectral.deriv(conn.a, met.ly, axis=0)
-    lin = b_x + conn.b * met.lam_x[..., None, None] - a_y - conn.a * met.lam_y[..., None, None]
-    lin *= met.e_neg_lam[..., None, None]
-    return lin + (conn.a @ conn.b - conn.b @ conn.a)
+    b_x = spectral.deriv(conn.b, met.lx, axis=-1)
+    a_y = spectral.deriv(conn.a, met.ly, axis=-2)
+    lin = b_x + conn.b * met.lam_x - a_y - conn.a * met.lam_y
+    lin *= met.e_neg_lam
+    return lin + _commutator3(conn.a, conn.b)

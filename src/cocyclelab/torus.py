@@ -23,12 +23,12 @@ leading axes.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from . import spectral
-from .errors import NonSmoothLambda, StepTooLarge, passes
+from .errors import NonSmoothLambda, StepTooLarge, json_int, passes
 
 NYQUIST_TOL = 1e-10
 MAX_STEP_FRACTION = 1e-2
@@ -112,6 +112,11 @@ class TorusMetric:
             else Harmonic(*h)
             for h in harmonics
         )
+        # a wavenumber is a JSON integer: true would read as 1 and 1.5 as no
+        # period of the torus
+        harmonics = tuple(replace(h, kx=json_int(h.kx, f"harmonic {k} kx"),
+                                  ky=json_int(h.ky, f"harmonic {k} ky"))
+                          for k, h in enumerate(harmonics))
         # checked before sampling, where they would turn into NaN and warnings
         _check_grid(nx, ny, lx, ly)
         if not all(math.isfinite(v) for h in harmonics for v in astuple(h)):

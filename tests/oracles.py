@@ -12,10 +12,13 @@ zero-padded band, the reality test by a conjugate copy of the band, the
 reality residual of a whole field minus its conjugate, the transport CSV
 written value by value, the Rodrigues exponential of so(3), the lattice
 invariants g2, g3 from Eisenstein series, the covariant dbar from its own
-eta_minus, and the mode -1 holomorphy routes with each route transforming the
-projector on its own.  No verb runs them.  The sections the holomorphy tests sweep live here too:
+eta_minus, the mode -1 holomorphy routes with each route transforming the
+projector on its own, the inverse Backlund step with the q-lemma rows and
+the round-trip distance that certify it, and the su(2) isomorphism ell.  No
+verb runs them.  The sections the holomorphy tests sweep live here too:
 random elliptic families and band-limited random unit sections (the negative
-control).
+control).  Grids are (3, 3, ny, nx), as in the package; hat_grid and points
+move a lie3 point array to a grid and back.
 """
 
 import base64
@@ -23,6 +26,7 @@ import io
 
 import numpy as np
 
+from cocyclelab import backlund as bk
 from cocyclelab import fieldio as fio
 from cocyclelab import smfield as sm
 from cocyclelab import spectral
@@ -58,7 +62,8 @@ def coefficient_spline_generator(pair):
     met = pair.metric
     grids = (pair.conn.a, pair.conn.b, pair.higgs.phi)
     spline = PeriodicCubic2D(
-        np.concatenate([g.reshape(met.ny, met.nx, 9) for g in grids], axis=-1), met.lx, met.ly
+        np.concatenate([points(g).reshape(met.ny, met.nx, 9) for g in grids], axis=-1),
+        met.lx, met.ly
     )
 
     def at(x, y, theta):
@@ -88,6 +93,17 @@ def so3_exp(g: np.ndarray, t: float = 1.0) -> np.ndarray:
         )
     k = hat(w)
     return np.eye(3) + s[..., None, None] * k + c[..., None, None] * (k @ k)
+
+
+def hat_grid(v: np.ndarray) -> np.ndarray:
+    """hat of a (ny, nx, 3) vector field as a (3, 3, ny, nx) torus grid."""
+    return np.moveaxis(hat(v), (-2, -1), (0, 1))
+
+
+def points(grid: np.ndarray) -> np.ndarray:
+    """A (3, 3, ny, nx) torus grid as the (ny, nx, 3, 3) point array that the
+    lie3 helpers read."""
+    return np.moveaxis(grid, (0, 1), (2, 3))
 
 
 def so3_norm(g: np.ndarray) -> np.ndarray:
@@ -140,18 +156,18 @@ def band_reality_residual(u: sm.FourierField) -> float:
 
 def sample(u: sm.FourierField, ntheta: int) -> np.ndarray:
     """Values of u at the fiber angles theta_j = 2 pi j / ntheta, shape
-    (ntheta, ny, nx, 3, 3): mode m placed at index m mod ntheta, then an
+    (ntheta, 3, 3, ny, nx): mode m placed at index m mod ntheta, then an
     inverse FFT along the fiber axis."""
     if ntheta < 2 * u.degree + 1:
         raise ValueError("theta grid too coarse for the field degree")
     full = np.zeros((ntheta,) + u.coef.shape[1:], dtype=complex)
     full[np.arange(u.lo, u.hi + 1) % ntheta] = u.coef
-    return sm._grid_first(np.fft.ifft(full, axis=0) * ntheta)
+    return np.fft.ifft(full, axis=0) * ntheta
 
 
 def from_samples(metric, samples: np.ndarray, degree: int | None = None) -> sm.FourierField:
-    """The field of degree `degree` with the given fiber samples (ntheta, ny,
-    nx, 3, 3), by an FFT along the fiber axis: the inverse of sample, exact
+    """The field of degree `degree` with the given fiber samples (ntheta, 3,
+    3, ny, nx), by an FFT along the fiber axis: the inverse of sample, exact
     when ntheta > 2 degree."""
     samples = np.asarray(samples, dtype=complex)
     ntheta = samples.shape[0]
@@ -159,40 +175,31 @@ def from_samples(metric, samples: np.ndarray, degree: int | None = None) -> sm.F
         degree = (ntheta - 1) // 2
     if ntheta < 2 * degree + 1:
         raise ValueError("theta grid too coarse for the requested degree")
-    coef = np.fft.fft(sm._matrix_first(samples), axis=0) / ntheta
+    coef = np.fft.fft(samples, axis=0) / ntheta
     return sm.FourierField.band(metric, -degree, coef[np.arange(-degree, degree + 1) % ntheta])
-
-
-def _expand(grid: np.ndarray, sample_ndim: int, lead: int = 1) -> np.ndarray:
-    """Reshape a (ny, nx) grid for broadcasting against (ntheta, ny, nx, ...)."""
-    shape = (1,) * lead + grid.shape + (1,) * (sample_ndim - lead - grid.ndim)
-    return grid.reshape(shape)
 
 
 def frame_apply(metric, samples: np.ndarray, op: str) -> np.ndarray:
     """Apply a frame vector field to a sampled function on the unit tangent bundle.
 
-    samples: shape (ntheta, ny, nx) or (ntheta, ny, nx, 3, 3), uniformly
+    samples: shape (ntheta, ny, nx) or (ntheta, 3, 3, ny, nx), uniformly
     sampled in all three periodic variables.  op is one of "X", "H", "V".
     Derivatives are spectral in every variable; the fiber grid must resolve
     the field (ntheta at least 4*(degree+1) is the convention used by the
     Fourier-mode code paths).
     """
     samples = np.asarray(samples)
-    if samples.shape[1:3] != (metric.ny, metric.nx):
+    if samples.shape[-2:] != (metric.ny, metric.nx):
         raise ValueError("sample grid does not match the metric grid")
     ntheta = samples.shape[0]
-    nd = samples.ndim
     if op == "V":
         return spectral.deriv(samples, 2.0 * np.pi, axis=0)
-    theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
-    cos_t = _expand(np.cos(theta), nd, lead=0)
-    sin_t = _expand(np.sin(theta), nd, lead=0)
-    lam_x = _expand(metric.lam_x, nd)
-    lam_y = _expand(metric.lam_y, nd)
-    e_neg = _expand(metric.e_neg_lam, nd)
-    du_x = spectral.deriv(samples, metric.lx, axis=2)
-    du_y = spectral.deriv(samples, metric.ly, axis=1)
+    # the (ny, nx) grids broadcast against the trailing axes, theta along axis 0
+    theta = (2.0 * np.pi * np.arange(ntheta) / ntheta).reshape((-1,) + (1,) * (samples.ndim - 1))
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    lam_x, lam_y, e_neg = metric.lam_x, metric.lam_y, metric.e_neg_lam
+    du_x = spectral.deriv(samples, metric.lx, axis=-1)
+    du_y = spectral.deriv(samples, metric.ly, axis=-2)
     du_t = spectral.deriv(samples, 2.0 * np.pi, axis=0)
     if op == "X":
         return e_neg * (
@@ -371,7 +378,7 @@ def dbar_A(g: np.ndarray, conn: sm.Connection) -> np.ndarray:
     c = sm.eta_minus(sm.FourierField.from_grid(conn.metric, g)).mode(-1)
     if not conn.is_zero():
         am1 = conn.band(-1).mode(-1)
-        c = c + sm.grid_matmul(am1, g) - sm.grid_matmul(g, am1)
+        c = c + sm._matmul3(am1, g) - sm._matmul3(g, am1)
     return c
 
 
@@ -383,18 +390,97 @@ def dbar_routes_reference(g: UnitSection, conn: sm.Connection,
     product taken even for a zero connection) and the projector route
     through dbar_A above, so pi is transformed once per route."""
     met = g.metric
-    res2_g = q - 1j * (sm.grid_matmul(q, g.grid) - sm.grid_matmul(g.grid, q))
+    res2_g = q - 1j * (sm._matmul3(q, g.grid) - sm._matmul3(g.grid, q))
     den2 = sm.grid_l2_norm(met, q) + sm.grid_l2_norm(met, g.grid) + 1e-300
     res2 = sm.grid_l2_norm(met, res2_g) / den2
 
     pi = projector(g)
-    pi_perp = np.broadcast_to(np.eye(3), pi.shape) - pi
+    pi_perp = np.eye(3)[:, :, None, None] - pi
     ds = sm.mu_minus(sm.FourierField.from_grid(met, pi), conn).mode(-1)
-    num3 = np.sqrt((np.abs(sm.grid_matmul(pi_perp, ds)) ** 2).sum())
-    dencols = np.sqrt((np.abs(ds) ** 2).sum(axis=(0, 1, 2))).sum()
+    num3 = np.sqrt((np.abs(sm._matmul3(pi_perp, ds)) ** 2).sum())
+    dencols = np.sqrt((np.abs(ds) ** 2).sum(axis=(0, 2, 3))).sum()
     res3 = float(num3 / (1e-300 + dencols + np.sqrt((np.abs(pi) ** 2).sum())))
 
     dpi = dbar_A(pi, conn)
     den4 = sm.grid_l2_norm(met, dpi) + sm.grid_l2_norm(met, pi) + 1e-300
-    res4 = sm.grid_l2_norm(met, sm.grid_matmul(dpi, pi)) / den4
+    res4 = sm.grid_l2_norm(met, sm._matmul3(dpi, pi)) / den4
     return {"dbar-bracket": res2, "subbundle": res3, "projector": res4}
+
+
+def q_lemma_residuals(cert: bk.BacklundCertificate) -> dict[str, float]:
+    """Certificates for q = a g a^{-1} on the output pair, with q computed
+    as that product (it is g, since a = exp(theta g) commutes with g):
+
+      vertical      V(q) = 0 (off-mode content of a g a^{-1})
+      covariant     d_{A_g} q = [a Phi a^{-1}, q]
+      star-bracket  d_{A_g} q + [*d_{A_g} q, q] = 0
+
+    The last one makes -q an admissible axis section for the inverse step.
+    """
+    met = cert.pair_in.metric
+    a, at = cert.vertical, cert.vertical.transpose()
+    full = a @ cert.g.field() @ at
+    q_tot = max(np.sqrt(sum(v * v for v in full.mode_norms().values())), 1e-300)
+    q_keep, q_off = bk._project_structure(full, (0,), q_tot)
+    q = bk._real_skew(met, q_keep[0])[0]
+    qf = sm.FourierField(met, {0: q.astype(complex)})
+    conn_out = cert.pair_out.conn
+    dq = sm.d_A(q, conn_out)
+    rhs = a @ cert.pair_in.higgs.as_field() @ at
+    rhs_brk = sm.bracket(rhs, qf)
+    den = dq.l2_norm() + rhs_brk.l2_norm() + sm.grid_l2_norm(met, q) + 1e-300
+    covariant = (dq - rhs_brk).l2_norm() / den
+    star_dq = sm.hodge_star(dq)
+    res3 = dq + sm.bracket(star_dq, qf)
+    star = res3.l2_norm() / den
+    return {
+        "vertical": q_off,
+        "covariant": covariant,
+        "star-bracket": star,
+    }
+
+
+def inverse_backlund(
+    cert: bk.BacklundCertificate, gmero_tol: float = bk.DEFAULT_GMERO_TOL
+) -> bk.BacklundCertificate:
+    """Undo a transform step: run the forward transform on the output pair
+    with axis section -q = -g, whose vertical solution exp(-theta g) is
+    a^{-1} = a^T."""
+    g_inv = UnitSection(cert.g.metric, -cert.g.grid, meta={"kind": "inverse"})
+    return bk.backlund_transform(cert, g_inv, gmero_tol=gmero_tol)
+
+
+def round_trip_residuals(cert_fwd: bk.BacklundCertificate,
+                         cert_back: bk.BacklundCertificate) -> dict[str, float]:
+    """Relative distance between the original pair and the inverse-transform
+    output: connection, Higgs field and trivializer."""
+    a0, b0 = cert_fwd.pair_in.conn.a, cert_fwd.pair_in.conn.b
+    a1, b1 = cert_back.pair_out.conn.a, cert_back.pair_out.conn.b
+    met = cert_fwd.pair_in.metric
+    conn_scale = cert_fwd.pair_in.conn.norm() + 1.0
+    dconn = np.sqrt(
+        sm.grid_l2_norm(met, a1 - a0) ** 2 + sm.grid_l2_norm(met, b1 - b0) ** 2
+    ) / conn_scale
+    dphi = sm.grid_l2_norm(met, cert_back.pair_out.higgs.phi - cert_fwd.pair_in.higgs.phi) \
+        / (cert_fwd.pair_in.higgs.norm() + 1.0)
+    du = (cert_back.pair_out.trivializer - cert_fwd.pair_in.trivializer).l2_norm() \
+        / cert_fwd.pair_in.trivializer.l2_norm()
+    return {"conn": float(dconn), "higgs": float(dphi), "trivializer": float(du)}
+
+
+def ell(g: np.ndarray) -> np.ndarray:
+    """Lie algebra isomorphism so(3) -> su(2), half the quaternion cover's
+    derivative.
+
+    In axis coordinates v = vee(g) it sends hat(v) to
+    (1/2) [[ i v3, -v2 + i v1 ], [ v2 + i v1, -i v3 ]],
+    which maps the standard basis brackets onto each other.  For a unit
+    section value g, ell(2g) squares to -Id.
+    """
+    v = vee(g)
+    out = np.zeros(v.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = 0.5j * v[..., 2]
+    out[..., 0, 1] = 0.5 * (-v[..., 1] + 1j * v[..., 0])
+    out[..., 1, 0] = 0.5 * (v[..., 1] + 1j * v[..., 0])
+    out[..., 1, 1] = -0.5j * v[..., 2]
+    return out

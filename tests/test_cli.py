@@ -16,7 +16,7 @@ from cocyclelab.errors import passes
 from cocyclelab.backlund import generate_chain
 from cocyclelab.smfield import Higgs, Pair
 from cocyclelab.torus import TorusMetric
-from oracles import mode_grid_payload, read_mode_grid, read_pgm, read_transport_csv
+from oracles import mode_grid_payload, plane_matmul3, read_mode_grid, read_pgm, read_transport_csv
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -173,7 +173,7 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
                                ('{"transport": true}', "tolerance for transport"),
                                ('{"transport": "1"}', "tolerance for transport"),
                                ('{"structure": -1}', "tolerance for structure"),
-                               ('{"holonomy": 0}', "tolerance for holonomy"),
+                               ('{"cocycle": 0}', "tolerance for cocycle"),
                                ('{"transprot": 1e-30}', "unknown key 'transprot'"),
                                ('{"cert": 1e-30}', "unknown key 'cert'")):
         tols.write_text(tols_text)
@@ -225,6 +225,64 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
         assert cli.main(["generate", str(cfg), "--outdir", o]) == cli.EXIT_BADINPUT, cfg_text
         assert message in capsys.readouterr().err, cfg_text
     assert not (tmp_path / "o").exists()
+
+
+def test_harmonic_wavenumbers_are_integers(tmp_path, capsys):
+    """A harmonic's kx and ky follow the rule of every integer field, in a
+    config and in a file: true would read as 1 and 1.5 is no period of the
+    torus, so each exits 2 and names the field.  1.0 is the integer 1."""
+    o = tmp_path / "o"
+    for harmonics, name in (([[0.1, True, 0]], "harmonic 0 kx"),
+                            ([[0.1, 1.5, 0]], "harmonic 0 kx"),
+                            ([[0.1, 1, 0], {"amp": 0.05, "kx": 0, "ky": "1"}], "harmonic 1 ky")):
+        cfg = write_config(tmp_path, {"metric": {"nx": 32, "ny": 32, "harmonics": harmonics},
+                                      "chain": []})
+        capsys.readouterr()
+        assert cli.main(["generate", cfg, "--outdir", str(o)]) == cli.EXIT_BADINPUT, harmonics
+        assert f"{name} must be an integer" in capsys.readouterr().err, harmonics
+    assert not o.exists()
+    outs = []
+    for kx in (1, 1.0):
+        cfg = write_config(tmp_path, {"metric": {"nx": 32, "ny": 32, "harmonics": [[0.1, kx, 0]]},
+                                      "chain": []})
+        outs.append(tmp_path / f"out{kx!r}")
+        assert cli.main(["generate", cfg, "--outdir", str(outs[-1])]) == cli.EXIT_OK
+    assert (outs[0] / "pair.json").read_bytes() == (outs[1] / "pair.json").read_bytes()
+    pair, triv = outs[0] / "pair.json", outs[0] / "trivializer.json"
+    for path in (pair, triv):
+        keep = path.read_bytes()
+        for value in (True, 1.5):
+            doc = json.loads(keep)
+            doc["metric_harmonics"][0]["kx"] = value
+            path.write_text(json.dumps(doc))
+            for argv in (["verify", str(pair), str(triv)], ["export", str(path), "--out", str(o)]):
+                capsys.readouterr()
+                assert cli.main(argv) == cli.EXIT_BADINPUT, (path.name, value, argv[0])
+                assert "harmonic 0 kx must be an integer" in capsys.readouterr().err
+            path.write_bytes(keep)
+    assert not o.exists()
+
+
+def test_verify_tolerances_name_only_rows_the_metric_computes(tmp_path, capsys):
+    """verify computes the holonomy row on a flat metric and the cocycle row
+    on a curved one; a tolerance for the other row would go unused, so it
+    exits 2 and names the key, and one for the computed row is applied."""
+    runs = (("curved", CONST_CHAIN, "cocycle", "holonomy"),
+            ("flat", {"metric": {"nx": 32, "ny": 32}, "chain": []}, "holonomy", "cocycle"))
+    for name, doc, used, unused in runs:
+        (tmp_path / name).mkdir()
+        out = run_generate(tmp_path / name, doc)
+        verify = ["verify", str(out / "pair.json"), str(out / "trivializer.json"),
+                  "--geodesics", "1", "--t-final", "0.5", "--dt", "5e-3"]
+        tols, report = tmp_path / name / "tols.json", tmp_path / name / "report.json"
+        tols.write_text('{"%s": 1e-30}' % unused)
+        capsys.readouterr()
+        assert cli.main(verify + ["--tolerances", str(tols)]) == cli.EXIT_BADINPUT, name
+        assert f"unknown key '{unused}'" in capsys.readouterr().err, name
+        assert not report.exists()
+        tols.write_text('{"%s": 0.5}' % used)
+        assert cli.main(verify + ["--tolerances", str(tols), "--report", str(report)]) == 0
+        assert fio.load_json(report)["tolerances"][used] == 0.5
 
 
 def test_trivializer_header_must_match_the_pair(tmp_path, capsys):
@@ -298,7 +356,7 @@ def test_verify_report_fails_on_nan():
     met = TorusMetric.from_harmonics(32, 32, 1.0, 1.0, [[0.1, 1, 0]])
     good = generate_chain(met, CONST_CHAIN["chain"]).final
     phi = good.higgs.phi.copy()
-    phi[0, 0, 0, 1] = np.nan
+    phi[0, 1, 0, 0] = np.nan
     pair = Pair(good.conn, Higgs(met, phi), good.trivializer)
     rows = cc.mode_residuals(pair)
     for k, v in rows.items():
@@ -322,10 +380,12 @@ def test_verify_builds_the_transport_band_once(monkeypatch):
     assert len(calls) == 1
 
 
-# the chains of the three benchmark workloads (perfbench/run.py), and the
+# the chains of the three benchmark workloads (perfbench/run.py), the
 # flat-elliptic chain on the curved metric: the one curved chain here whose
 # first step carries a Higgs field and whose connection is not abelian; each
-# on a grid just large enough for its gates
+# on a grid just large enough for its gates; and a curved and a flat chain on
+# grids with nx != ny, where numpy's @ on two (3, 3, ny, nx) grids raises
+# instead of multiplying the (ny, nx) planes as matrices
 CURVED = [[0.1, 1, 0], [0.04, 1, 1, 0.5, 1.2]]
 REPEAT = {"kind": "repeat-q"}
 ELLIPTIC = {"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]}
@@ -337,6 +397,9 @@ WORKLOAD_CHAINS = {
                    "chain": [CONST_CHAIN["chain"][0]] + [REPEAT] * 5},
     "curved-elliptic": {"metric": {"nx": 48, "ny": 48, "harmonics": CURVED},
                         "chain": [ELLIPTIC, REPEAT]},
+    "curved-nonsquare": {"metric": {"nx": 32, "ny": 48, "harmonics": CURVED},
+                         "chain": [CONST_CHAIN["chain"][0], REPEAT]},
+    "flat-nonsquare": {"metric": {"nx": 64, "ny": 48}, "chain": [ELLIPTIC, REPEAT]},
 }
 
 
@@ -398,7 +461,8 @@ def test_curved_elliptic_chain_generates_verifies_and_reduces(tmp_path, capsys):
     doc = fio.load_json(report)
     assert doc["pass"] is True and doc["residuals"]["cocycle"] < 1e-6
     conn = fio.load_pair(out / "pair.json").conn
-    assert np.abs(conn.a @ conn.b - conn.b @ conn.a).max() > 1.0  # not abelian
+    ab = plane_matmul3(conn.a, conn.b) - plane_matmul3(conn.b, conn.a)
+    assert np.abs(ab).max() > 1.0  # not abelian
     red = tmp_path / "red"
     assert cli.main(["reduce", pair, triv, "--outdir", str(red)]) == cli.EXIT_OK
     assert fio.load_json(red / "reduction_report.json")["residuals"]["reduced-field"] < 1e-7

@@ -4,20 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cocyclelab.backlund import check_unit, unit_residual
 from cocyclelab.errors import NotUnit, SamplingTooCoarse
 from cocyclelab.lie3 import (
     bracket,
-    check_unit,
-    ell,
     hat,
     inner,
     polar_project,
     rotation_angle,
     su2_path_lift,
-    unit_residual,
     vee,
 )
-from oracles import so3_exp, so3_norm
+from oracles import ell, hat_grid, so3_exp, so3_norm
 
 RNG = np.random.default_rng(42)
 
@@ -77,9 +75,10 @@ def test_so3_norm():
 
 
 def test_unit_residual_and_check():
+    """The unit check of a unit section's (3, 3, ny, nx) grid."""
     v = RNG.normal(size=(50, 3))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    g = hat(v)
+    g = hat_grid(v.reshape(5, 10, 3))
     assert unit_residual(g) < 1e-14
     check_unit(g)
     with pytest.raises(NotUnit):

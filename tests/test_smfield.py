@@ -29,10 +29,8 @@ from cocyclelab.smfield import (
     star_curvature,
     vertical,
     x_op,
-    _grid_first,
     _is_real,
     _matmul3,
-    _matrix_first,
     _real_angles,
     _real_modes,
 )
@@ -43,8 +41,10 @@ from oracles import (
     dbar_A,
     frame_apply,
     from_samples,
+    hat_grid,
     padded_band_op,
     plane_matmul3,
+    points,
     read_mode_grid,
     sample,
     so3_exp,
@@ -69,8 +69,8 @@ def bandlimited_field(metric, degree, seed, kcut=5):
         h = rng.normal(size=(metric.ny, metric.nx, 3, 3)) + 1j * rng.normal(
             size=(metric.ny, metric.nx, 3, 3)
         )
-        hf = np.fft.fft2(h, axes=(0, 1))
-        modes[m] = np.fft.ifft2(hf * mask[..., None, None], axes=(0, 1))
+        hf = np.fft.fft2(np.moveaxis(h, (2, 3), (0, 1)))
+        modes[m] = np.fft.ifft2(hf * mask)
     return FourierField(metric, modes)
 
 
@@ -88,7 +88,7 @@ def bandlimited_connection(metric, seed, scale=0.3):
                         2 * np.pi * (kx * xg / metric.lx + ky * yg / metric.ly)
                         + rng.uniform(0, 2 * np.pi)
                     )
-        return hat(w)
+        return hat_grid(w)
 
     return Connection(metric, coeff(), coeff())
 
@@ -198,7 +198,7 @@ def test_energy_identity_random_triples():
         sf = star_curvature(conn)
         op = FourierField(
             met,
-            {m: (1j * sf - m * met.gauss[..., None, None] * np.eye(3)) @ u.mode(m)},
+            {m: plane_matmul3(1j * sf - m * met.gauss * np.eye(3)[:, :, None, None], u.mode(m))},
         )
         rhs = l2_inner(um, um).real + 0.5 * l2_inner(op, u).real
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
@@ -211,7 +211,7 @@ def convolve_modes(u, v):
     out = {}
     for mu, cu in u.modes.items():
         for mv, cv in v.modes.items():
-            out[mu + mv] = out.get(mu + mv, 0.0) + cu @ cv
+            out[mu + mv] = out.get(mu + mv, 0.0) + plane_matmul3(cu, cv)
     return out
 
 
@@ -220,7 +220,7 @@ def real_on_sm(u):
     c_{-m} = conj(c_m): real on SM to the bit."""
     k = max(-u.lo, u.hi)
     coef = np.zeros((2 * k + 1,) + u.coef.shape[1:], dtype=complex)
-    coef[k:] = [u.mode(m).transpose(2, 3, 0, 1) for m in range(k + 1)]
+    coef[k:] = [u.mode(m) for m in range(k + 1)]
     coef[k] = coef[k].real
     coef[:k] = np.conj(coef[:k:-1])
     return FourierField.band(u.metric, -k, coef)
@@ -257,8 +257,8 @@ def test_product_matches_mode_convolution(bands, real):
     met = curved(16)
     rng = np.random.default_rng(31)
     u, v = (
-        FourierField(met, {m: rng.normal(size=(16, 16, 3, 3))
-                           + 1j * rng.normal(size=(16, 16, 3, 3)) for m in ms})
+        FourierField(met, {m: rng.normal(size=(3, 3, 16, 16))
+                           + 1j * rng.normal(size=(3, 3, 16, 16)) for m in ms})
         for ms in bands
     )
     if real:
@@ -272,7 +272,7 @@ def test_product_matches_mode_convolution(bands, real):
     ref = convolve_modes(u, v)
     scale = max((np.abs(c).max() for c in ref.values()), default=1.0)
     for m in set(ref) | set(w.modes):
-        expect = ref.get(m, np.zeros((16, 16, 3, 3)))
+        expect = ref.get(m, np.zeros((3, 3, 16, 16)))
         assert np.abs(w.mode(m) - expect).max() <= 1e-13 * scale, m
 
 
@@ -319,7 +319,7 @@ def test_sample_round_trip():
 
 def test_reality_residual():
     met = curved(32)
-    c = np.random.default_rng(5).normal(size=(32, 32, 3, 3)) + 0j
+    c = np.random.default_rng(5).normal(size=(3, 3, 32, 32)) + 0j
     real_field = FourierField(met, {1: c, -1: c.conj()})
     assert real_field.reality_residual() < 1e-15
     complex_field = FourierField(met, {1: c})
@@ -358,11 +358,11 @@ def test_norms_are_the_einsum_form():
     assert abs(u.l2_norm() - ref) <= 1e-14 * ref
     dxdy = (met.lx / met.nx) * (met.ly / met.ny)
     for grid in (u.mode(1), u.mode(0).real):
-        ref = np.sqrt(np.einsum("yxij,yxij,yx->", grid, np.conj(grid), met.e_2lam).real * dxdy)
+        ref = np.sqrt(np.einsum("ijyx,ijyx,yx->", grid, np.conj(grid), met.e_2lam).real * dxdy)
         assert abs(grid_l2_norm(met, grid) - ref) <= 1e-14 * ref
         fiber = grid_l2_norm(met, grid, fiber=True)
         assert abs(fiber - np.sqrt(2 * np.pi) * ref) <= 1e-14 * fiber
-    zero = np.zeros((met.ny, met.nx, 3, 3))
+    zero = np.zeros((3, 3, met.ny, met.nx))
     assert FourierField(met, {-1: zero, 1: zero}).l2_norm() == 0.0
     assert grid_l2_norm(met, zero) == 0.0
     assert grid_l2_norm(met, zero.astype(complex), fiber=True) == 0.0
@@ -380,7 +380,7 @@ def test_identity_inner_product():
 
 def test_vertical_multiplies_by_im():
     met = TorusMetric.flat(32, 32)
-    c = np.ones((32, 32, 3, 3), dtype=complex)
+    c = np.ones((3, 3, 32, 32), dtype=complex)
     u = FourierField(met, {2: c, -1: c})
     v = vertical(u)
     assert np.abs(v.mode(2) - 2j * c).max() < 1e-15
@@ -401,10 +401,10 @@ def test_dbar_routes_agree():
     met = curved(64)
     conn = bandlimited_connection(met, seed=61)
     rng = np.random.default_rng(62)
-    g = hat(rng.normal(size=(3,)))
-    g = np.broadcast_to(g, (64, 64, 3, 3)) + 0.1 * np.sin(
+    g = hat(rng.normal(size=(3,)))[:, :, None, None]
+    g = np.broadcast_to(g, (3, 3, 64, 64)) + 0.1 * np.sin(
         2 * np.pi * grid_coords(64, 64, 1, 1)[0]
-    )[..., None, None] * hat(np.array([0.0, 0.0, 1.0]))
+    ) * hat(np.array([0.0, 0.0, 1.0]))[:, :, None, None]
     dg = d_A(g, conn)
     via_forms = ((dg - 1j * hodge_star(dg)) * 0.5).mode(-1)
     for via_modes in (dg.mode(-1), dbar_A(g, conn)):
@@ -413,7 +413,7 @@ def test_dbar_routes_agree():
 
 def test_d_A_of_commuting_constant_is_zero():
     met = curved(32)
-    g = np.broadcast_to(hat(np.array([0.0, 0.0, 1.0])), (32, 32, 3, 3)).copy()
+    g = np.broadcast_to(hat(np.array([0.0, 0.0, 1.0]))[:, :, None, None], (3, 3, 32, 32)).copy()
     assert d_A(g, Connection.zero(met)).l2_norm() < 1e-14
 
 
@@ -429,7 +429,7 @@ def test_star_curvature_pure_gauge_vanishes():
         ],
         axis=-1,
     )
-    r = so3_exp(hat(w))
+    r = np.moveaxis(so3_exp(hat(w)), (2, 3), (0, 1))
     rf = FourierField.from_grid(met, r)
     af = rf.transpose() @ x_op(rf)
     conn = Connection.from_field(af, tol=1e-7)
@@ -441,11 +441,11 @@ def test_star_curvature_constant_axis_oracle():
     """The connection -e^{-lam}(lam_y cos - lam_x sin) g has *F = -K g."""
     met = curved(96)
     g = hat(np.array([0.28, -0.96, 0.0]))
-    gg = np.broadcast_to(g, (96, 96, 3, 3))
-    a = -met.e_neg_lam[..., None, None] * met.lam_y[..., None, None] * gg
-    b = met.e_neg_lam[..., None, None] * met.lam_x[..., None, None] * gg
+    gg = np.broadcast_to(g[:, :, None, None], (3, 3, 96, 96))
+    a = -met.e_neg_lam * met.lam_y * gg
+    b = met.e_neg_lam * met.lam_x * gg
     sf = star_curvature(Connection(met, a, b))
-    expected = -met.gauss[..., None, None] * gg
+    expected = -met.gauss * gg
     assert np.abs(sf - expected).max() < 1e-9
 
 
@@ -455,7 +455,7 @@ def test_connection_from_field_gates():
     f = conn.as_field()
     back = Connection.from_field(f)
     assert np.abs(back.a - conn.a).max() < 1e-13
-    bad = f + FourierField(met, {0: np.ones((32, 32, 3, 3), dtype=complex)})
+    bad = f + FourierField(met, {0: np.ones((3, 3, 32, 32), dtype=complex)})
     with pytest.raises(ValueError):
         Connection.from_field(bad)
 
@@ -466,7 +466,7 @@ def test_connection_from_field_refuses_nan():
     is built."""
     met = curved(32)
     f = bandlimited_connection(met, seed=72).as_field()
-    f.mode(1)[5, 7, 0, 1] = np.nan
+    f.mode(1)[0, 1, 5, 7] = np.nan
     assert np.isnan(f.coef).sum() == 1
     with pytest.raises(ValueError):
         Connection.from_field(f)
@@ -475,7 +475,9 @@ def test_connection_from_field_refuses_nan():
 def test_connection_shape_gate():
     met = curved(32)
     with pytest.raises(ValueError):
-        Connection(met, np.zeros((16, 16, 3, 3)), np.zeros((16, 16, 3, 3)))
+        Connection(met, np.zeros((3, 3, 16, 16)), np.zeros((3, 3, 16, 16)))
+    with pytest.raises(ValueError):  # grids laid out point by point
+        Connection(met, np.zeros((32, 32, 3, 3)), np.zeros((32, 32, 3, 3)))
 
 
 def test_higgs_and_pair_basics():
@@ -486,9 +488,9 @@ def test_higgs_and_pair_basics():
     assert pair.trivializer is not None
     assert pair.trivializer.degree == 0
     assert pair.total_field().l2_norm() < 1e-15
-    phi = Higgs(met, hat(np.ones((32, 32, 3)) * 0.2))
+    phi = Higgs(met, hat_grid(np.ones((32, 32, 3)) * 0.2))
     assert phi.antisymmetry_residual() < 1e-15
-    assert abs(so3_norm(phi.phi).max() - 0.2 * np.sqrt(3)) < 1e-12
+    assert abs(so3_norm(points(phi.phi)).max() - 0.2 * np.sqrt(3)) < 1e-12
 
 
 def test_orthogonality_residual_flags_nonorthogonal():
@@ -522,9 +524,11 @@ def test_kernel_matches_matmul(batch, ny, nx, a_complex, b_complex, seed):
     grid = rng.normal(size=(3, 3, ny, nx))
     band = _random(rng, a.shape, True)
     for x, y in ((a, b), (b, a), (grid, band), (band, grid)):
-        got = _grid_first(_matmul3(x, y))
-        ref = np.matmul(_grid_first(x), _grid_first(y))
-        scale = np.matmul(np.abs(_grid_first(x)), np.abs(_grid_first(y))).max()
+        got = _matmul3(x, y)
+        # np.matmul reads the 3x3 matrices on the last two axes
+        xl, yl = (np.moveaxis(z, (-4, -3), (-2, -1)) for z in (x, y))
+        ref = np.moveaxis(np.matmul(xl, yl), (-2, -1), (-4, -3))
+        scale = np.matmul(np.abs(xl), np.abs(yl)).max()
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.abs(got - ref).max() <= 1e-15 * scale
 
@@ -608,7 +612,7 @@ def test_kernel_matches_plane_oracle_at_workload_sizes(shape):
     rng = np.random.default_rng(shape[0])
     a, b = rng.normal(size=shape), rng.normal(size=shape)
     angles = rng.normal(size=shape[:1] + shape[3:] + (1, 1))
-    rot = _matrix_first(so3_exp(hat(np.array([0.0, 0.0, 1.0])) * angles))
+    rot = np.moveaxis(so3_exp(hat(np.array([0.0, 0.0, 1.0])) * angles), (-2, -1), (1, 2))
     for x, y in ((a, b), (b, a), (rot, -rot), (a, rot)):
         _assert_same_bits(_matmul3(x, y), x, y)
 
@@ -706,7 +710,7 @@ def test_dft_matrix_fiber_transforms_match_fft(n):
     for deg in (k, k // 2):
         u = FourierField.band(met, -deg, _real_band(rng, met, deg))
         vals = _real_angles(u, nt)
-        ref = _matrix_first(sample(u, nt))
+        ref = sample(u, nt)
         assert vals.dtype == np.float64
         assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
         back = _real_modes(vals, k)
@@ -717,18 +721,20 @@ def test_dft_matrix_fiber_transforms_match_fft(n):
 
 
 def test_modes_are_grid_views_and_file_layout_is_unchanged():
+    """A mode is the band's own (3, 3, ny, nx) slice; a file still lays each
+    mode grid out point by point."""
     met = curved(16)
     rng = np.random.default_rng(3)
-    grids = {m: _random(rng, (16, 16, 3, 3), True) for m in (-2, 0, 1)}
+    grids = {m: _random(rng, (3, 3, 16, 16), True) for m in (-2, 0, 1)}
     f = FourierField(met, grids)
     assert f.coef.shape == (4, 3, 3, 16, 16)
     assert np.array_equal(f.coef[1], np.zeros((3, 3, 16, 16)))
     assert set(f.modes) == {-2, -1, 0, 1}
     for m, grid in f.modes.items():
-        assert grid.shape == (16, 16, 3, 3)
+        assert grid.shape == (3, 3, 16, 16) and np.shares_memory(grid, f.coef)
         assert np.array_equal(grid, f.mode(m))
-        assert np.array_equal(grid, grids.get(m, np.zeros((16, 16, 3, 3))))
-    assert np.array_equal(f.coef, _matrix_first(np.stack([f.mode(m) for m in range(-2, 2)])))
+        assert np.array_equal(grid, grids.get(m, np.zeros((3, 3, 16, 16))))
+    assert np.array_equal(f.coef, np.stack([f.mode(m) for m in range(-2, 2)]))
     # a file holds the modes m >= 0 of a real field, row-major (y, x, i, j)
     grids[0] = grids[0].real
     grids[2] = np.conj(grids.pop(-2))
@@ -737,7 +743,7 @@ def test_modes_are_grid_views_and_file_layout_is_unchanged():
     entries = fieldio.field_to_json(real)["modes"]
     assert [e["m"] for e in entries] == [0, 1, 2]
     for entry in entries:
-        grid = grids[entry["m"]]
+        grid = points(grids[entry["m"]])
         assert np.array_equal(read_mode_grid(entry["re"]), grid.real.ravel())
         if entry["m"]:
             assert np.array_equal(read_mode_grid(entry["im"]), grid.imag.ravel())
