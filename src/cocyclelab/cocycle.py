@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smfield as sm
-from .errors import NonOrthogonalDrift, NotClosed, StepTooLarge, passes, worst
+from .errors import NonOrthogonalDrift, NotClosed, StepTooLarge, json_int, passes, worst
 from .smfield import FourierField, Higgs, Pair
 from .torus import (SMPoint, TorusMetric, check_geodesic_step, integrate_geodesic, step_count,
                     torus_distance)
@@ -60,14 +60,9 @@ class CocycleResult:
         return self.matrices[-1]
 
 
-def _ortho_defect(c: np.ndarray) -> float:
-    g = c.T @ c - np.eye(3)
-    return float(np.sqrt((g * g).sum()))
-
-
 def _rk4_propagators(b_all: np.ndarray, h: float) -> np.ndarray:
     """The RK4 step propagators P_k = I + D_k of C' = -B C, returned as the
-    D_k: step k is C <- C + D_k C.
+    D_k: step k takes C to C + D_k C.
 
     b_all holds B at the 2n + 1 half-step points of n steps of size h, so
     step k reads B0 = b_all[2k], Bh = b_all[2k+1] and B1 = b_all[2k+2].  The
@@ -79,6 +74,8 @@ def _rk4_propagators(b_all: np.ndarray, h: float) -> np.ndarray:
     built for all n steps at once by (n, 3, 3) products; shape (n, 3, 3).
     D is kept apart from I: rounding I + D would repeat the same error at
     every step of a constant generator instead of one relative to D.
+    transport composes the D_k of each block between saved samples
+    (_compose_blocks) the same way.
     """
     b0, bh, b1 = b_all[0:-1:2], b_all[1::2], b_all[2::2]
     hb0 = bh @ b0
@@ -88,6 +85,24 @@ def _rk4_propagators(b_all: np.ndarray, h: float) -> np.ndarray:
     t3 = bh @ hb0 + b1h @ bh
     t4 = b1h @ hb0
     return -(h / 6.0) * t1 + (h * h / 6.0) * t2 - (h**3 / 12.0) * t3 + (h**4 / 24.0) * t4
+
+
+def _compose_blocks(d: np.ndarray, s: int) -> np.ndarray:
+    """E_j with I + E_j = P_{js+s-1} ... P_{js+1} P_{js} for the step
+    propagators P_k = I + D_k of d (shape (n, 3, 3)), in blocks of s steps;
+    shape (ceil(n / s), 3, 3).  Each block is composed as
+    E <- E + D_i + D_i E, s - 1 products over all blocks at once, keeping E
+    apart from I as _rk4_propagators keeps D.  Only a last partial block is
+    padded, with D = 0 (P = I), which leaves its E unchanged."""
+    pad = -len(d) % s
+    if pad:
+        d = np.concatenate([d, np.zeros((pad, 3, 3))])
+    d = d.reshape(-1, s, 3, 3)
+    e = d[:, 0]
+    for i in range(1, s):
+        di = d[:, i]
+        e = e + di + di @ e
+    return e
 
 
 def check_step(metric: TorusMetric, dt: float) -> None:
@@ -114,45 +129,50 @@ def transport(
     The cocycle takes n = max(1, round(|t_final| / dt)) steps and the geodesic
     exactly 2n half steps, so the generator is available at RK4 midpoints and
     both land on t_final; both pieces are fourth order.  The equation is
-    linear, so each step is one precomputed matrix product (_rk4_propagators).
-    Orthogonality of C is monitored at every saved sample and
-    NonOrthogonalDrift is raised beyond DRIFT_TOL.  StepTooLarge (bad input)
-    names the geodesic half step and the cocycle step it comes from.
+    linear, so each step is a precomputed propagator (_rk4_propagators), and
+    C is only read at the samples saved every save_every steps (and at
+    t_final): the propagators of each block between two samples are composed
+    in one batch (_compose_blocks), and C <- C + E_j C takes one 3x3 product
+    per block.  Orthogonality of C is checked at each sample as it is
+    reached, and NonOrthogonalDrift is raised beyond DRIFT_TOL before any
+    later block is applied.  save_every must be an integer >= 1 (json_int;
+    ValueError before any computation); StepTooLarge (bad input) names the
+    geodesic half step and the cocycle step it comes from.
     """
+    if json_int(save_every, "save_every") < 1:
+        raise ValueError(f"save_every must be at least 1, got {save_every!r}")
     met = pair.metric
     nsteps = step_count(t_final, dt)
     h = t_final / nsteps
     check_step(met, abs(h))
     ctx = context if context is not None else TransportContext(pair)
     path = integrate_geodesic(met, p0, t_final, abs(t_final) / (2 * nsteps))
+    s = min(int(save_every), nsteps)
     steps = _rk4_propagators(ctx.generator_at(path.xs, path.ys, path.thetas), h)
-    c = np.eye(3)
-    saved_t = [0.0]
-    saved_c = [c]
-    saved_drift = [0.0]
-    saved_idx = [0]
-    for k in range(nsteps):
-        c = c + steps[k] @ c
-        step = k + 1
-        if step % save_every == 0 or step == nsteps:
-            d = _ortho_defect(c)
-            if not passes(d, DRIFT_TOL):
-                raise NonOrthogonalDrift(
-                    f"orthogonality defect {d:.3e} exceeds {DRIFT_TOL:.1e} at t={step * h:.4f}"
-                )
-            saved_t.append(step * h)
-            saved_c.append(c)
-            saved_drift.append(d)
-            saved_idx.append(2 * step)
-    pts = np.stack(
-        [path.xs[saved_idx], path.ys[saved_idx], path.thetas[saved_idx]], axis=-1
-    )
+    blocks = _compose_blocks(steps, s)
+    saved_steps = np.minimum(np.arange(len(blocks) + 1) * s, nsteps)
+    eye = np.eye(3)
+    mats = np.empty((len(blocks) + 1, 3, 3))
+    drift = np.zeros(len(blocks) + 1)
+    mats[0] = c = eye
+    for j, e in enumerate(blocks, 1):
+        c = c + e @ c
+        g = c.T @ c - eye
+        d = float(np.sqrt((g * g).sum()))
+        if not passes(d, DRIFT_TOL):
+            raise NonOrthogonalDrift(f"orthogonality defect {d:.3e} exceeds {DRIFT_TOL:.1e} "
+                                     f"at t={saved_steps[j] * h:.4f}")
+        mats[j] = c
+        drift[j] = d
+    times = saved_steps * h
+    times[0] = 0.0  # not -0.0 when t_final < 0
+    idx = 2 * saved_steps
     return CocycleResult(
-        times=np.array(saved_t),
-        matrices=np.array(saved_c),
-        drift=np.array(saved_drift),
+        times=times,
+        matrices=mats,
+        drift=drift,
         path_times=path.times,
-        path_points=pts,
+        path_points=np.stack([path.xs[idx], path.ys[idx], path.thetas[idx]], axis=-1),
     )
 
 

@@ -288,7 +288,9 @@ def pair_from_json(doc: dict) -> Pair:
     a, b, phi = (_field_from_block(met, doc[name], True, _numbers) for name in PAIR_BLOCKS)
     if max(a.degree, b.degree, phi.degree):
         raise ValueError("a pair block holds mode 0 only")
-    return Pair(Connection(met, a.mode(0).real, b.mode(0).real), Higgs(met, phi.mode(0).real))
+    # C-contiguous copies: a .real view strides over the complex band and keeps it alive
+    a, b, phi = (np.ascontiguousarray(f.mode(0).real) for f in (a, b, phi))
+    return Pair(Connection(met, a, b), Higgs(met, phi))
 
 
 def save_pair(path, pair: Pair) -> str:

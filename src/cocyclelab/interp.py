@@ -15,8 +15,9 @@ and divided by the B-spline symbols (4 + 2 cos(2 pi k / n)) / 6 of the fine
 axes, then scattered into a (factor*ny, nx/2 + 1) half spectrum.  An inverse
 FFT along y and an inverse real FFT along x of length factor*nx, which
 zero-pads x without storing the zeros, give the coefficients of the spline
-through every fine-grid sample.  Evaluation gathers the 4x4 stencil with
-wrapped indexing, CHUNK points at a time.
+through every fine-grid sample.  Evaluation gathers the 4x4 stencil of
+each point with one take of the coefficient rows at the flat indices
+gy * nx + gx of the wrapped stencil, CHUNK points at a time.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ class PeriodicCubic2D:
         wy = _bspline_weights(ty - iy)
         gx = (ix[:, None].astype(int) + np.arange(-1, 3)) % self.nx
         gy = (iy[:, None].astype(int) + np.arange(-1, 3)) % self.ny
-        patch = self.coef[gy[:, :, None], gx[:, None, :]].reshape(x.size, 16, -1)
+        flat = (gy[:, :, None] * self.nx + gx[:, None, :]).reshape(x.size, 16)
+        patch = self.coef.reshape(self.ny * self.nx, -1).take(flat, axis=0)
         # per point, the outer product of the weights times the 4x4 stencil
         w = (wy[:, :, None] * wx[:, None, :]).reshape(x.size, 1, 16)
         return (w @ patch)[:, 0]

@@ -45,11 +45,6 @@ def vee(g: np.ndarray) -> np.ndarray:
     )
 
 
-def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix commutator [a, b] = ab - ba."""
-    return a @ b - b @ a
-
-
 def inner(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Invariant inner product trace(g h^T)/2; reduces the trailing (3,3)."""
     return 0.5 * np.einsum("...ij,...ij->...", g, h)

@@ -14,11 +14,13 @@ written value by value, the Rodrigues exponential of so(3), the lattice
 invariants g2, g3 from Eisenstein series, the covariant dbar from its own
 eta_minus, the mode -1 holomorphy routes with each route transforming the
 projector on its own, the inverse Backlund step with the q-lemma rows and
-the round-trip distance that certify it, and the su(2) isomorphism ell.  No
-verb runs them.  The sections the holomorphy tests sweep live here too:
-random elliptic families and band-limited random unit sections (the negative
-control).  Grids are (3, 3, ny, nx), as in the package; hat_grid and points
-move a lie3 point array to a grid and back.
+the round-trip distance that certify it, the su(2) isomorphism ell, the
+matrix commutator of point arrays, and a spline evaluation that gathers its
+stencil by a 2-D fancy index.  No verb runs them.  The sections the
+holomorphy tests sweep live here too: random elliptic families and
+band-limited random unit sections (the negative control).  Grids are
+(3, 3, ny, nx), as in the package; hat_grid and points move a lie3 point
+array to a grid and back.
 """
 
 import base64
@@ -28,6 +30,7 @@ import numpy as np
 
 from cocyclelab import backlund as bk
 from cocyclelab import fieldio as fio
+from cocyclelab import interp
 from cocyclelab import smfield as sm
 from cocyclelab import spectral
 from cocyclelab.backlund import UnitSection, holomorphic_g_factory, projector
@@ -484,3 +487,25 @@ def ell(g: np.ndarray) -> np.ndarray:
     out[..., 1, 0] = 0.5 * (v[..., 1] + 1j * v[..., 0])
     out[..., 1, 1] = -0.5j * v[..., 2]
     return out
+
+
+def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix commutator [a, b] = ab - ba of point arrays (..., 3, 3) or (..., 2, 2)."""
+    return a @ b - b @ a
+
+
+def spline_eval_fancy(spline: PeriodicCubic2D, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """PeriodicCubic2D at 1-D point arrays x, y with the 4x4 stencil gathered
+    by a 2-D fancy index coef[gy, gx], the gather the spline's flat take
+    replaces; shape (P, C)."""
+    tx = x / spline.lx * spline.nx
+    ty = y / spline.ly * spline.ny
+    ix = np.floor(tx)
+    iy = np.floor(ty)
+    wx = interp._bspline_weights(tx - ix)
+    wy = interp._bspline_weights(ty - iy)
+    gx = (ix[:, None].astype(int) + np.arange(-1, 3)) % spline.nx
+    gy = (iy[:, None].astype(int) + np.arange(-1, 3)) % spline.ny
+    patch = spline.coef[gy[:, :, None], gx[:, None, :]].reshape(x.size, 16, -1)
+    w = (wy[:, :, None] * wx[:, None, :]).reshape(x.size, 1, 16)
+    return (w @ patch)[:, 0]

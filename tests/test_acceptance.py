@@ -12,7 +12,7 @@ from cocyclelab import backlund as bk
 from cocyclelab import cli
 from cocyclelab import cocycle as cc
 from cocyclelab.errors import passes, worst
-from cocyclelab.lie3 import bracket, hat, inner
+from cocyclelab.lie3 import hat, inner
 from cocyclelab.smfield import (
     Connection,
     FourierField,
@@ -34,6 +34,7 @@ from cocyclelab.torus import (
     grid_coords,
 )
 from oracles import (
+    bracket,
     ell,
     frame_apply,
     from_samples,

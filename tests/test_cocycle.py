@@ -1,6 +1,7 @@
 """ODE transport of the cocycle and the triviality certificates."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,17 +87,24 @@ def test_transport_fourth_order():
     assert 12.0 < e1 / e2 < 20.0
 
 
-def test_propagator_step_matches_stagewise_rk4():
-    """transport's precomputed step matrices against the four RK4 stages
-    applied one by one to the same generator samples.  The coarse step and
-    the large generator make each of the h^2, h^3 and h^4 terms of a step
-    matrix far larger than the tolerance."""
+RK4_CASE = (SMPoint(0.33, 0.41, 0.9), 1.0, 125)  # p0, t_final, steps
+
+
+@pytest.mark.parametrize("save_every", [1, 7, 10, RK4_CASE[2] + 3])
+def test_propagator_step_matches_stagewise_rk4(save_every):
+    """transport's precomputed step matrices, composed in blocks of
+    save_every steps, against the four RK4 stages applied one by one to the
+    same generator samples: C at every saved sample (each save_every-th
+    step, then the last one) to 1e-13; times are step * h and path points
+    the geodesic at 2 * step, exactly, and drift starts at 0.  The coarse
+    step and the large generator make each of the h^2, h^3 and h^4 terms of
+    a step matrix far larger than the tolerance.  125 steps: 7 and 10 leave
+    a partial last block, and 128 gives one block of all 125 steps."""
     met = curved_metric()
     pair = generic_pair(met, scale=12.0)
     ctx = TransportContext(pair)
-    p0 = SMPoint(0.33, 0.41, 0.9)
-    t_final, n = 1.0, 125
-    res = transport(pair, p0, t_final, t_final / n, save_every=1, context=ctx)
+    p0, t_final, n = RK4_CASE
+    res = transport(pair, p0, t_final, t_final / n, save_every=save_every, context=ctx)
     path = integrate_geodesic(met, p0, t_final, t_final / (2 * n))
     b = ctx.generator_at(path.xs, path.ys, path.thetas)
     h = t_final / n
@@ -111,8 +119,97 @@ def test_propagator_step_matches_stagewise_rk4():
         c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         ref.append(c)
     ref = np.array(ref)
-    assert res.matrices.shape == ref.shape
-    assert np.abs(res.matrices - ref).max() <= 1e-13 * np.abs(ref).max()
+    saved = [0] + [k for k in range(1, n + 1) if k % save_every == 0 or k == n]
+    assert res.matrices.shape == (len(saved), 3, 3)
+    assert np.abs(res.matrices - ref[saved]).max() <= 1e-13 * np.abs(ref).max()
+    assert res.times.tolist() == [0.0] + [k * h for k in saved[1:]]
+    idx = [2 * k for k in saved]
+    assert np.array_equal(res.path_points,
+                          np.stack([path.xs[idx], path.ys[idx], path.thetas[idx]], axis=-1))
+    assert res.drift[0] == 0.0 and 0.0 < res.drift.max() < 1e-6
+
+
+def test_blocks_of_one_step_are_the_per_step_loop():
+    """save_every=1 applies each propagator as C <- C + D_k C, so C and the
+    drift ||C^T C - Id||_F are those of the per-step loop, bit for bit."""
+    met = curved_metric()
+    pair = generic_pair(met, scale=12.0)
+    ctx = TransportContext(pair)
+    p0, t_final, n = RK4_CASE
+    res = transport(pair, p0, t_final, t_final / n, save_every=1, context=ctx)
+    path = integrate_geodesic(met, p0, t_final, t_final / (2 * n))
+    steps = cocycle._rk4_propagators(ctx.generator_at(path.xs, path.ys, path.thetas), t_final / n)
+    c = np.eye(3)
+    mats, drift = [c], [0.0]
+    for k in range(n):
+        c = c + steps[k] @ c
+        g = c.T @ c - np.eye(3)
+        mats.append(c)
+        drift.append(float(np.sqrt((g * g).sum())))
+    assert res.matrices.tobytes() == np.array(mats).tobytes()
+    assert res.drift.tobytes() == np.array(drift).tobytes()
+
+
+def test_drift_raises_before_c_overflows():
+    """With the generator scaled by 2000 the coarse RK4 step is unstable:
+    stepped to the end, C would reach about 1e870.  Each block's composed
+    propagator stays finite, and the first saved sample (t = 0.08) fails
+    the drift check, so no later block is applied and nothing overflows."""
+    met = curved_metric()
+    pair = generic_pair(met, scale=2000.0)
+    p0, t_final, dt = SMPoint(0.33, 0.41, 0.9), 4.0, 8e-3
+    ctx = TransportContext(pair)
+    path = integrate_geodesic(met, p0, t_final, dt / 2)
+    steps = cocycle._rk4_propagators(ctx.generator_at(path.xs, path.ys, path.thetas), dt)
+    c, log10_c = np.eye(3), 0.0
+    for d in steps:  # C renormalised after each step, its scale kept as a log
+        c = c + d @ c
+        top = np.abs(c).max()
+        log10_c += np.log10(top)
+        c = c / top
+    assert log10_c > 400
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(NonOrthogonalDrift, match="at t=0.0800"):
+            transport(pair, p0, t_final, dt, context=ctx)
+
+
+@pytest.mark.parametrize("save_every", [0, -3, 2.5, True])
+def test_save_every_must_be_a_positive_integer(monkeypatch, save_every):
+    """A save_every that is not an integer >= 1 is refused before the
+    geodesic is integrated (0 used to divide by zero after the whole path
+    was built)."""
+    met = curved_metric(32)
+    monkeypatch.setattr(cocycle, "integrate_geodesic", None)
+    with pytest.raises(ValueError, match="save_every must be"):
+        transport(Pair.trivial(met), SMPoint(0.1, 0.2, 0.3), 1.0, 1e-2, save_every=save_every)
+
+
+def test_huge_save_every_allocates_nothing_extra():
+    """save_every beyond the step count composes one block of all the steps
+    and pads nothing: the result and the traced peak are those of
+    save_every = step count (tracemalloc counts numpy's data buffers)."""
+    met = curved_metric(32)
+    pair = generic_pair(met)
+    ctx = TransportContext(pair)
+    args = (pair, SMPoint(0.1, 0.2, 0.3), 2.0, 1e-2)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        runs = []
+        for save_every in (200, 10**9):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            res = transport(*args, save_every=save_every, context=ctx)
+            runs.append((res, tracemalloc.get_traced_memory()[1] - base))
+    finally:
+        if started:
+            tracemalloc.stop()
+    (exact, peak_exact), (huge, peak_huge) = runs
+    assert huge.times.tolist() == [0.0, 2.0]
+    assert huge.matrices.tobytes() == exact.matrices.tobytes()
+    assert peak_huge <= peak_exact + 4096
 
 
 @pytest.mark.parametrize("slope, dt", [((3, 1), 1e-3), ((1, 1), 9.99e-4)])

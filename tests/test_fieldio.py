@@ -197,6 +197,22 @@ def test_pair_round_trip(tmp_path):
     assert no_triv.trivializer is None
 
 
+def test_loaded_pair_grids_are_contiguous_float64(tmp_path):
+    """A loaded pair's a, b and phi are C-contiguous float64 grids of their
+    own, not strided .real views that keep a complex band alive."""
+    met = TorusMetric.from_harmonics(16, 24, 1.0, 1.5, [Harmonic(0.1, 1, 0)])
+    cert = bk.backlund_transform(Pair.trivial(met),
+                                 bk.UnitSection.constant(met, np.array([0.0, 0.6, 0.8])))
+    fio.save_pair(tmp_path / "pair.json", cert.pair_out)
+    back = fio.load_pair(tmp_path / "pair.json")
+    for grid in (back.conn.a, back.conn.b, back.higgs.phi):
+        assert grid.dtype == np.float64 and grid.flags.c_contiguous
+        base = grid
+        while base is not None:
+            assert not np.iscomplexobj(base)
+            base = base.base
+
+
 def test_transport_csv_round_trip(tmp_path):
     met = TorusMetric.from_harmonics(32, 32, 1.0, 1.0, [Harmonic(0.08, 0, 1)])
     axis = np.array([1.0, 0.0, 0.0])

@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 from cocyclelab.backlund import check_unit, unit_residual
 from cocyclelab.errors import NotUnit, SamplingTooCoarse
 from cocyclelab.lie3 import (
-    bracket,
     hat,
     inner,
     polar_project,
@@ -15,7 +14,7 @@ from cocyclelab.lie3 import (
     su2_path_lift,
     vee,
 )
-from oracles import ell, hat_grid, so3_exp, so3_norm
+from oracles import bracket, ell, hat_grid, so3_exp, so3_norm
 
 RNG = np.random.default_rng(42)
 

@@ -4,7 +4,7 @@ import pytest
 from cocyclelab import interp
 from cocyclelab.interp import PeriodicCubic2D
 from cocyclelab.spectral import dbar, deriv, dz, nyquist_shell_max, refine_grid
-from oracles import cauchy_riemann_two_deriv
+from oracles import cauchy_riemann_two_deriv, spline_eval_fancy
 
 
 def _trig(nx, ny, lx, ly):
@@ -147,6 +147,22 @@ def test_interp_channels_and_chunking():
     assert whole.shape == (n, 2)
     assert np.array_equal(whole, sliced)
     assert np.abs(whole[:, 0] - np.sin(2 * np.pi * xs)).max() < 2e-7
+
+
+def test_interp_flat_take_matches_fancy_index():
+    """The stencil gathered by one take at flat indices gy * nx + gx gives
+    the values of the 2-D fancy index coef[gy, gx], bit for bit: on a
+    non-square grid with unequal sides and 9 channels, at points far outside
+    the period and on grid lines, so every wrap of both axes is taken."""
+    rng = np.random.default_rng(27)
+    itp = PeriodicCubic2D(rng.normal(size=(24, 40, 9)), 1.3, 0.7)
+    n = 3000
+    xs = np.concatenate([rng.uniform(-5, 5, n), 1.3 * np.arange(-3, 4) / 40])
+    ys = np.concatenate([rng.uniform(-5, 5, n), 0.7 * np.arange(-3, 4) / 24])
+    got = itp(xs, ys)
+    ref = spline_eval_fancy(itp, xs, ys)
+    assert got.shape == ref.shape == (n + 7, 9)
+    assert got.tobytes() == ref.tobytes()
 
 
 def _two_pass_coefficients(data, factor):
