@@ -17,7 +17,6 @@ from .errors import (
     OutputNotCertified,
     RankDeficient,
     ReductionFailed,
-    SamplingTooCoarse,
     StepTooLarge,
 )
 from .torus import GeodesicPath, Harmonic, SMPoint, TorusMetric, integrate_geodesic
@@ -41,7 +40,6 @@ __all__ = [
     "RankDeficient",
     "ReductionFailed",
     "SMPoint",
-    "SamplingTooCoarse",
     "StepTooLarge",
     "TorusMetric",
     "integrate_geodesic",

@@ -16,14 +16,15 @@ each certificate to the next step, so each pair's residual is computed
 once.  The transform takes r = Id, so a = exp(theta g) commutes with g and
 q = a g a^{-1} is g itself.  The module also implements chains of steps (a
 repeat-q step transforms again with the previous step's section, its q;
-after a Higgs-free input the two steps are the doubling that lifts to SU(2),
-which fiber_loop_parity detects), a factory of holomorphic unit sections
-from elliptic functions, and degree reduction of trivializers, which runs
-the same core and gates only the pair it writes.  The inverse transform
-(with section -g), the q-lemma rows and the round-trip distance are test
-references in tests/oracles.py.  Grids are (3, 3, ny, nx), multiplied by
-smfield's kernel; lie3's point helpers and a reduction's SVD and column pick
-read a grid through one np.moveaxis view.
+after a Higgs-free input the two steps are the doubling that lifts to SU(2)),
+a factory of holomorphic unit sections from elliptic functions, and degree
+reduction of trivializers, which runs the same core and gates only the pair
+it writes.  Every gate raises through errors.gate.  The inverse transform
+(with section -g), the q-lemma rows, the round-trip distance and the SU(2)
+lift parity of a trivializer's fiber loop are test references in
+tests/oracles.py.  Grids are (3, 3, ny, nx), multiplied by smfield's kernel;
+lie3's point helpers and a reduction's SVD and column pick read a grid
+through one np.moveaxis view.
 """
 
 from __future__ import annotations
@@ -43,16 +44,21 @@ from .errors import (
     RankDeficient,
     ReductionFailed,
     check_keys,
-    passes,
+    gate,
     worst,
 )
-from .lie3 import hat, inner, polar_project, su2_path_lift
+from .lie3 import hat, inner
 from .smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm
 from .torus import TorusMetric
 
 DEFAULT_CERT_TOL = 1e-6
 DEFAULT_GMERO_TOL = 1e-6
 UNIT_TOL = 1e-10
+
+# the certificate residuals that backlund_transform gates on cert_tol and
+# gmero_tol; the others are diagnostics of projection losses and have no
+# tolerance
+GATED_RESIDUALS = ("input-field", "holomorphy", "output-field")
 
 
 def unit_residual(grid: np.ndarray) -> float:
@@ -65,13 +71,10 @@ def unit_residual(grid: np.ndarray) -> float:
 def check_unit(grid: np.ndarray) -> None:
     """Raise NotUnit unless ||g^3 + g|| <= UNIT_TOL and | |g|^2 - 1 | <=
     100 UNIT_TOL at every point of a (3, 3, ny, nx) grid."""
-    res = unit_residual(grid)
-    if not passes(res, UNIT_TOL):
-        raise NotUnit(f"||g^3 + g|| = {res:.3e} exceeds {UNIT_TOL:.1e}")
+    gate(unit_residual(grid), UNIT_TOL, NotUnit, "||g^3 + g|| =")
     point = np.moveaxis(grid, (0, 1), (2, 3))
-    dev = float(np.abs(inner(point, point) - 1.0).max())
-    if not passes(dev, 100 * UNIT_TOL):
-        raise NotUnit(f"| |g|^2 - 1 | = {dev:.3e} exceeds {100 * UNIT_TOL:.1e}")
+    gate(float(np.abs(inner(point, point) - 1.0).max()), 100 * UNIT_TOL, NotUnit,
+         "| |g|^2 - 1 | =")
 
 
 class UnitSection:
@@ -293,42 +296,19 @@ def backlund_transform(
         in_res = transport_residual_field(pair)
     if g.metric is not pair.metric and g.metric != pair.metric:
         raise ValueError("section and pair live on different metrics")
-    if not passes(in_res, cert_tol):
-        raise InputNotCertified(
-            f"input field residual {in_res:.3e} exceeds {cert_tol:.1e}"
-        )
+    gate(in_res, cert_tol, InputNotCertified, "input field residual")
     # the star-bracket holomorphy residual is the admissibility gate of g
     dg = sm.d_A(g.grid, pair.conn)
     star_dg = sm.hodge_star(dg)
     gres = _star_bracket(g, dg, star_dg)
-    if not passes(gres, gmero_tol):
-        raise GNotHolomorphic(
-            f"holomorphy residual {gres:.3e} exceeds {gmero_tol:.1e}"
-        )
+    gate(gres, gmero_tol, GNotHolomorphic, "holomorphy residual")
     a, pair_out, rows = _transformed(pair, g, star_dg)
     out_res = transport_residual_field(pair_out)
-    if not passes(out_res, cert_tol):
-        raise OutputNotCertified(
-            f"output field residual {out_res:.3e} exceeds {cert_tol:.1e}"
-        )
+    gate(out_res, cert_tol, OutputNotCertified, "output field residual")
     residuals = {"input-field": in_res, "holomorphy": gres, **rows, "output-field": out_res}
     return BacklundCertificate(
         pair_in=pair, g=g, vertical=a, pair_out=pair_out, residuals=residuals
     )
-
-
-def fiber_loop_parity(u: FourierField) -> int:
-    """Lift parity of the loop theta -> u(0, 0, theta) in SO(3).
-
-    Returns +1 when the loop lifts to a closed path in SU(2) (homotopically
-    trivial) and -1 otherwise.  The loop is sampled at 513 angles over the
-    grid point at the origin, so closure at theta = 2 pi is exact.
-    """
-    thetas = np.linspace(0.0, 2.0 * np.pi, 513)
-    mats = np.zeros((513, 3, 3), dtype=complex)
-    for m in range(-u.degree, u.degree + 1):
-        mats += u.mode(m)[:, :, 0, 0] * np.exp(1j * m * thetas)[:, None, None]
-    return su2_path_lift(polar_project(mats.real))
 
 
 # -- holomorphic section factory ----------------------------------------------------
@@ -483,16 +463,10 @@ def reduce_degree(pair: Pair) -> ReductionResult:
     dg = sm.d_A(g_new.grid, pair.conn)
     star_dg = sm.hodge_star(dg)
     hres = holomorphy_residuals(g_new, pair.conn, dg, star_dg)
-    top = worst(hres.values())
-    if not passes(top, DEFAULT_GMERO_TOL):
-        raise ReductionFailed(
-            f"reduction axis fails the holomorphy gate at {top:.3e}"
-        )
+    gate(worst(hres.values()), DEFAULT_GMERO_TOL, ReductionFailed,
+         "reduction axis holomorphy residual")
     in_res = transport_residual_field(pair)
-    if not passes(in_res, DEFAULT_CERT_TOL):
-        raise InputNotCertified(
-            f"input field residual {in_res:.3e} exceeds {DEFAULT_CERT_TOL:.1e}"
-        )
+    gate(in_res, DEFAULT_CERT_TOL, InputNotCertified, "input field residual")
     a_new, pair_out, rows = _transformed(pair, g_new, star_dg)
     # a_0 b_N = 0 makes a_1 b_{N-1} the whole of the new top mode N, so all
     # three rows are relative to ||b_N||: b_{N-1} can vanish to rounding (a
@@ -511,10 +485,7 @@ def reduce_degree(pair: Pair) -> ReductionResult:
     u_red = u_full.truncate(n_deg - 1)
     pair_red = Pair(pair_out.conn, pair_out.higgs, trivializer=u_red)
     red_res = transport_residual_field(pair_red)
-    if not passes(red_res, DEFAULT_CERT_TOL):
-        raise OutputNotCertified(
-            f"reduced field residual {red_res:.3e} exceeds {DEFAULT_CERT_TOL:.1e}"
-        )
+    gate(red_res, DEFAULT_CERT_TOL, OutputNotCertified, "reduced field residual")
     residuals = {
         "input-field": in_res,
         **hres,

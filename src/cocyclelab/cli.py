@@ -24,7 +24,7 @@ from . import cocycle as cc
 from . import fieldio as fio
 from .errors import CocycleLabError, check_keys, json_int, passes, worst
 from .smfield import FourierField, Pair, _matmul3, l2_inner, mu_minus, mu_plus, star_curvature
-from .torus import SMPoint, TorusMetric, flat_closed_geodesics
+from .torus import SMPoint, TorusMetric, flat_closed_geodesics, step_count
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -45,10 +45,6 @@ DEFAULT_TOLS = {
 CONFIG_KEYS = ("metric", "chain", "tolerances", "outdir")
 METRIC_KEYS = ("nx", "ny", "lx", "ly", "harmonics")
 GENERATE_TOLS = ("cert", "gmero")
-
-# the certificate residuals held to the cert and gmero tolerances; the others
-# are diagnostics of projection losses and have no tolerance
-GATED_RESIDUALS = ("input-field", "holomorphy", "output-field")
 
 
 def _metric_from_config(doc: dict) -> TorusMetric:
@@ -89,20 +85,13 @@ def _tolerances(doc, allowed) -> dict:
 
 
 def _check_run_args(args) -> None:
-    """Reject numeric arguments of verify and transport that argparse accepts
-    but no run can use: a non-finite or non-positive step, a non-finite or
-    zero time, a non-finite start point, counts below 1 and a negative seed."""
-    if not (math.isfinite(args.dt) and args.dt > 0):
-        raise ValueError(f"--dt must be positive and finite, got {args.dt}")
-    if not (math.isfinite(args.t_final) and args.t_final != 0):
-        raise ValueError(f"--t-final must be nonzero and finite, got {args.t_final}")
-    for name in ("x", "y", "theta"):
-        if name in args and not math.isfinite(getattr(args, name)):
-            raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")
-    for name, least in (("save_every", 1), ("geodesics", 1), ("seed", 0)):
-        if name in args and getattr(args, name) < least:
-            flag = name.replace("_", "-")
-            raise ValueError(f"--{flag} must be at least {least}, got {getattr(args, name)}")
+    """Reject the arguments of verify that argparse accepts but no run can
+    use and no library function checks: a geodesic count below 1 and a
+    negative seed.  The step, the time, the start point and save_every are
+    checked where they are used (step_count, check_step, transport)."""
+    for name, least in (("geodesics", 1), ("seed", 0)):
+        if getattr(args, name) < least:
+            raise ValueError(f"--{name} must be at least {least}, got {getattr(args, name)}")
 
 
 def cmd_generate(args) -> int:
@@ -133,7 +122,7 @@ def cmd_generate(args) -> int:
         "hashes": hashes,
     }
     fio.save_json(outdir / "certificates.json", certs_doc)
-    gated = worst(c.residuals[k] for c in chain.certs for k in GATED_RESIDUALS)
+    gated = worst(c.residuals[k] for c in chain.certs for k in bk.GATED_RESIDUALS)
     print(f"wrote {outdir}/pair.json trivializer.json certificates.json "
           f"(chain length {len(chain.certs)}, worst residual {gated:.3e})")
     return EXIT_OK
@@ -212,6 +201,8 @@ def _verify_report(pair: Pair, tols: dict, seed: int, geodesic_count: int,
 def cmd_verify(args) -> int:
     _check_run_args(args)
     pair = fio.load_pair(args.pair, trivializer_path=args.trivializer)
+    # --dt and --t-final, and then --dt against this torus, before any computation
+    step_count(args.t_final, args.dt)
     cc.check_step(pair.metric, args.dt)
     # a tolerance for the ODE row this metric does not compute would go unused
     unused = "cocycle" if pair.metric.is_flat else "holonomy"
@@ -237,7 +228,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    _check_run_args(args)
     pair = fio.load_pair(args.pair)
     p0 = SMPoint(args.x, args.y, args.theta)
     result = cc.transport(pair, p0, args.t_final, args.dt, save_every=args.save_every)

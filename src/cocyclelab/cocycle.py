@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smfield as sm
-from .errors import NonOrthogonalDrift, NotClosed, StepTooLarge, json_int, passes, worst
+from .errors import NonOrthogonalDrift, NotClosed, StepTooLarge, gate, json_int, worst
 from .smfield import FourierField, Higgs, Pair
 from .torus import (SMPoint, TorusMetric, check_geodesic_step, integrate_geodesic, step_count,
                     torus_distance)
@@ -109,7 +109,8 @@ def check_step(metric: TorusMetric, dt: float) -> None:
     """Raise StepTooLarge (bad input) unless the geodesic half step dt / 2 of
     a cocycle step dt fits the torus; the message names both steps.
     transport calls it on its rounded step before any computation, and the
-    verify verb on --dt right after loading the pair."""
+    verify verb on --dt right after loading the pair, once step_count has
+    checked --dt and --t-final."""
     try:
         check_geodesic_step(metric, dt / 2)
     except StepTooLarge as exc:
@@ -135,9 +136,9 @@ def transport(
     in one batch (_compose_blocks), and C <- C + E_j C takes one 3x3 product
     per block.  Orthogonality of C is checked at each sample as it is
     reached, and NonOrthogonalDrift is raised beyond DRIFT_TOL before any
-    later block is applied.  save_every must be an integer >= 1 (json_int;
-    ValueError before any computation); StepTooLarge (bad input) names the
-    geodesic half step and the cocycle step it comes from.
+    later block is applied.  save_every must be an integer >= 1 (json_int)
+    and p0 finite (ValueError before any computation); StepTooLarge (bad
+    input) names the geodesic half step and the cocycle step it comes from.
     """
     if json_int(save_every, "save_every") < 1:
         raise ValueError(f"save_every must be at least 1, got {save_every!r}")
@@ -145,12 +146,16 @@ def transport(
     nsteps = step_count(t_final, dt)
     h = t_final / nsteps
     check_step(met, abs(h))
+    if not np.isfinite([p0.x, p0.y, p0.theta]).all():
+        raise ValueError("start point must be finite")
     ctx = context if context is not None else TransportContext(pair)
     path = integrate_geodesic(met, p0, t_final, abs(t_final) / (2 * nsteps))
     s = min(int(save_every), nsteps)
     steps = _rk4_propagators(ctx.generator_at(path.xs, path.ys, path.thetas), h)
     blocks = _compose_blocks(steps, s)
     saved_steps = np.minimum(np.arange(len(blocks) + 1) * s, nsteps)
+    times = saved_steps * h
+    times[0] = 0.0  # not -0.0 when t_final < 0
     eye = np.eye(3)
     mats = np.empty((len(blocks) + 1, 3, 3))
     drift = np.zeros(len(blocks) + 1)
@@ -159,13 +164,9 @@ def transport(
         c = c + e @ c
         g = c.T @ c - eye
         d = float(np.sqrt((g * g).sum()))
-        if not passes(d, DRIFT_TOL):
-            raise NonOrthogonalDrift(f"orthogonality defect {d:.3e} exceeds {DRIFT_TOL:.1e} "
-                                     f"at t={saved_steps[j] * h:.4f}")
+        gate(d, DRIFT_TOL, NonOrthogonalDrift, "orthogonality defect", f" at t={times[j]:.4f}")
         mats[j] = c
         drift[j] = d
-    times = saved_steps * h
-    times[0] = 0.0  # not -0.0 when t_final < 0
     idx = 2 * saved_steps
     return CocycleResult(
         times=times,
@@ -222,8 +223,7 @@ def holonomy_closed(
     met = pair.metric
     xe, ye, te = res.path_points[-1]
     gap = torus_distance(met, SMPoint(xe, ye, te), p0)
-    if not passes(gap, 1e-8):
-        raise NotClosed(f"geodesic endpoint misses start by {gap:.3e}")
+    gate(gap, 1e-8, NotClosed, "geodesic endpoint gap")
     d = res.final() - np.eye(3)
     return float(np.sqrt((d * d).sum()))
 

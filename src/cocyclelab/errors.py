@@ -1,6 +1,7 @@
 """Exception types raised by construction and verification routines, the
-one rule that turns a residual into a verdict, and the checks of an input
-object's keys and integer fields."""
+one rule that turns a residual into a verdict (passes) and the gate that
+raises by it, and the checks of an input object's keys and integer
+fields."""
 
 import numpy as np
 
@@ -9,6 +10,14 @@ def passes(value, tol) -> bool:
     """The pass rule of every gate and verdict: value is finite and <= tol,
     so NaN and infinity never pass."""
     return bool(np.isfinite(value) and value <= tol)
+
+
+def gate(value, tol, error, what: str, where: str = "") -> None:
+    """Raise error("<what> <value> exceeds <tol><where>") unless
+    passes(value, tol): every residual gate of the package, so each names its
+    value and its tolerance the same way."""
+    if not passes(value, tol):
+        raise error(f"{what} {value:.3e} exceeds {tol:.1e}{where}")
 
 
 def worst(values) -> float:
@@ -52,10 +61,6 @@ class NonSmoothLambda(ValueError):
 class StepTooLarge(ValueError):
     """Requested integrator step exceeds the allowed fraction of the torus
     size: bad input, not a failed check."""
-
-
-class SamplingTooCoarse(CocycleLabError):
-    """Consecutive samples of a rotation loop differ by too large an angle to lift."""
 
 
 class NonOrthogonalDrift(CocycleLabError):

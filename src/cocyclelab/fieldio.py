@@ -60,9 +60,9 @@ import math
 
 import numpy as np
 
-from .errors import StructureViolated, json_int, passes
+from .errors import StructureViolated, gate, json_int
 from .lie3 import hat, vee
-from .smfield import Connection, FourierField, Higgs, Pair
+from .smfield import Connection, FourierField, Higgs, Pair, _antisym_residual
 from .torus import TorusMetric
 
 FORMAT = 3
@@ -142,10 +142,8 @@ def metric_from_header(doc: dict) -> TorusMetric:
         raise ValueError("the grid header has no metric_harmonics")
     met = TorusMetric.from_harmonics(nx, ny, float(g["lx"]), float(g["ly"]),
                                      doc["metric_harmonics"])
-    diff = float(np.abs(lam - met.lam).max())
-    if not passes(diff, LAMBDA_TOL):
-        raise ValueError(f"metric_lambda differs from the series of metric_harmonics "
-                         f"by {diff:.3e}")
+    gate(float(np.abs(lam - met.lam).max()), LAMBDA_TOL, ValueError,
+         "metric_lambda differs from the series of metric_harmonics: distance")
     return met
 
 
@@ -154,9 +152,8 @@ def _gate(name: str, check: str, residual: float) -> None:
     than STRUCTURE_TOL."""
     if not np.isfinite(residual):
         raise ValueError("non-finite value cannot be serialized")
-    if not passes(residual, STRUCTURE_TOL):
-        raise StructureViolated(f"{name}: {check} residual {residual:.3e} exceeds "
-                                f"{STRUCTURE_TOL:.0e}, so format {FORMAT} cannot store it")
+    gate(residual, STRUCTURE_TOL, StructureViolated, f"{name}: {check} residual",
+         f", so format {FORMAT} cannot store it")
 
 
 def _pack(grid: np.ndarray) -> str:
@@ -195,7 +192,7 @@ def _mode_block(name: str, field: FourierField, so3: bool, pack) -> dict:
     pack turns each real grid into what the file holds."""
     _gate(name, "reality", field.reality_residual())
     if so3:
-        _gate(name, "antisymmetry", float(np.abs(field.coef + field.coef.swapaxes(1, 2)).max()))
+        _gate(name, "antisymmetry", _antisym_residual(field.coef))
     modes = []
     for m in range(field.degree + 1):
         c = np.moveaxis(field.mode(m), (0, 1), (2, 3))  # the file's (ny, nx, 3, 3) order

@@ -71,7 +71,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import spectral
-from .errors import passes, worst
+from .errors import gate, worst
 from .interp import PeriodicCubic2D
 from .lie3 import hat, vee
 from .torus import TorusMetric
@@ -472,7 +472,8 @@ def x_op(u: FourierField) -> FourierField:
 
 
 def _antisym_residual(grid: np.ndarray) -> float:
-    s = grid + np.swapaxes(grid, 0, 1)
+    """max |c + c^T| over a (..., 3, 3, ny, nx) array: a grid, or a band of them."""
+    s = grid + np.swapaxes(grid, -4, -3)
     return float(np.abs(s).max())
 
 
@@ -503,18 +504,18 @@ class Connection:
     @classmethod
     def from_field(cls, f: FourierField, tol: float = 1e-8) -> "Connection":
         """Build from a field with modes +-1; raises ValueError if structure
-        is violated, and on any non-finite coefficient (passes' rule)."""
+        is violated, and on any non-finite coefficient (errors.gate's rule)."""
         scale = float(np.abs(f.coef).max())
         for m, c in f.modes.items():
-            if m not in (-1, 1) and not passes(np.abs(c).max(), tol * scale):
-                raise ValueError(f"connection field has content in mode {m}")
+            if m not in (-1, 1):
+                gate(np.abs(c).max(), tol * scale, ValueError,
+                     f"connection field content in mode {m}")
         c1 = f.mode(1)
         cm1 = f.mode(-1)
         a = c1 + cm1
         b = 1j * (c1 - cm1)
-        if not passes(worst([np.abs(a.imag).max(), np.abs(b.imag).max()]),
-                      tol * max(scale, 1e-300)):
-            raise ValueError("connection coefficients are not real")
+        gate(worst([np.abs(a.imag).max(), np.abs(b.imag).max()]), tol * max(scale, 1e-300),
+             ValueError, "connection coefficients' imaginary part")
         return cls(f.metric, a.real, b.real)
 
     def _mode_into(self, m: int, out: np.ndarray) -> None:

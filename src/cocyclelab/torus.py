@@ -28,7 +28,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from . import spectral
-from .errors import NonSmoothLambda, StepTooLarge, json_int, passes
+from .errors import NonSmoothLambda, StepTooLarge, gate, json_int
 
 NYQUIST_TOL = 1e-10
 MAX_STEP_FRACTION = 1e-2
@@ -130,11 +130,8 @@ class TorusMetric:
         if not np.isfinite(lam).all():
             raise ValueError("lambda must be finite")
         # the eta operators differentiate spectrally, so lambda must be resolved
-        nyq = spectral.nyquist_shell_max(lam)
-        if not passes(nyq, NYQUIST_TOL):
-            raise NonSmoothLambda(
-                f"lambda Nyquist coefficient {nyq:.3e} exceeds {NYQUIST_TOL:.1e}"
-            )
+        gate(spectral.nyquist_shell_max(lam), NYQUIST_TOL, NonSmoothLambda,
+             "lambda Nyquist coefficient")
         laplacian = tuple((-amp * (ax * ax + ay * ay), ax, px, ay, py)
                           for amp, ax, px, ay, py in self._series)
         self.lam, self.lam_x, self.lam_y = lam, lam_x, lam_y

@@ -36,6 +36,7 @@ from cocyclelab.torus import (
 from oracles import (
     bracket,
     ell,
+    fiber_loop_parity,
     frame_apply,
     from_samples,
     hat_grid,
@@ -250,7 +251,7 @@ def test_criterion_08_two_step_doubling(capsys, const_chain):
     c_res = (c.transpose() @ vertical(c) - two_g).l2_norm() / two_g.l2_norm()
     final = certs[1].pair_out
     phi_final = final.higgs.norm() / (final.conn.norm() + 1.0)
-    parity_mid, parity_out = (bk.fiber_loop_parity(cert.pair_out.trivializer)
+    parity_mid, parity_out = (fiber_loop_parity(cert.pair_out.trivializer)
                               for cert in certs)
     ok = (
         phi_final <= 1e-8

@@ -33,6 +33,7 @@ from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords
 from oracles import (
     dbar_A,
     dbar_routes_reference,
+    fiber_loop_parity,
     hat_grid,
     inverse_backlund,
     plane_matmul3,
@@ -295,11 +296,11 @@ def test_inverse_round_trip_factory():
 
 def test_fiber_loop_parity_direct():
     met = TorusMetric.flat(32, 32)
-    assert bk.fiber_loop_parity(FourierField.identity(met)) == 1
+    assert fiber_loop_parity(FourierField.identity(met)) == 1
     one = bk.vertical_solution(bk.UnitSection.constant(met, AXIS))
-    assert bk.fiber_loop_parity(one) == -1
+    assert fiber_loop_parity(one) == -1
     two = one @ one  # exp(2 theta g)
-    assert bk.fiber_loop_parity(two) == 1
+    assert fiber_loop_parity(two) == 1
 
 
 def test_two_step_doubling():
@@ -314,7 +315,7 @@ def test_two_step_doubling():
     assert (c.transpose() @ vertical(c) - two_g).l2_norm() / two_g.l2_norm() < 1e-13
     final = certs[1].pair_out
     assert final.higgs.norm() / (final.conn.norm() + 1.0) < 1e-12
-    parities = [bk.fiber_loop_parity(u) for u in (Pair.trivial(met).trivializer,
+    parities = [fiber_loop_parity(u) for u in (Pair.trivial(met).trivializer,
                 certs[0].pair_out.trivializer, certs[1].pair_out.trivializer)]
     assert parities == [1, -1, 1]
     # doubling the constant-axis step doubles the connection
@@ -375,10 +376,11 @@ def test_reduce_degree_gates(monkeypatch):
         bk.reduce_degree(
             Pair(cert.pair_out.conn, cert.pair_out.higgs, trivializer=broken)
         )
-    # an axis that fails the holomorphy gate
+    # an axis that fails the holomorphy gate, named with its tolerance
     rand = random_unit_section(met, seed=17)
     b = bk.vertical_solution(rand)
-    with pytest.raises(ReductionFailed):
+    with pytest.raises(ReductionFailed, match=r"^reduction axis holomorphy residual "
+                       r"\d\.\d{3}e[-+]\d+ exceeds 1\.0e-06$"):
         bk.reduce_degree(Pair(Connection.zero(met), Higgs.zero(met), trivializer=b))
     # the input and the reduced pair are both gated at DEFAULT_CERT_TOL, the
     # input first; a reduced pair that misses (its field residual reported

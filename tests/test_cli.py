@@ -88,7 +88,7 @@ def test_generate_prints_worst_gated_residual(tmp_path, capsys):
     out = run_generate(tmp_path, doc)
     printed = float(capsys.readouterr().out.split("worst residual ")[1].rstrip(")\n"))
     steps = fio.load_json(out / "certificates.json")["steps"]
-    gated = [s["residuals"][k] for s in steps for k in cli.GATED_RESIDUALS]
+    gated = [s["residuals"][k] for s in steps for k in bk.GATED_RESIDUALS]
     assert printed == float(f"{max(gated):.3e}")
     assert printed < 1e-6
 

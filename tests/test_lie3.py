@@ -5,16 +5,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cocyclelab.backlund import check_unit, unit_residual
-from cocyclelab.errors import NotUnit, SamplingTooCoarse
-from cocyclelab.lie3 import (
-    hat,
-    inner,
+from cocyclelab.errors import NotUnit
+from cocyclelab.lie3 import hat, inner, vee
+from oracles import (
+    SamplingTooCoarse,
+    bracket,
+    ell,
+    hat_grid,
     polar_project,
     rotation_angle,
+    so3_exp,
+    so3_norm,
     su2_path_lift,
-    vee,
 )
-from oracles import bracket, ell, hat_grid, so3_exp, so3_norm
 
 RNG = np.random.default_rng(42)
 

@@ -456,8 +456,13 @@ def test_connection_from_field_gates():
     back = Connection.from_field(f)
     assert np.abs(back.a - conn.a).max() < 1e-13
     bad = f + FourierField(met, {0: np.ones((3, 3, 32, 32), dtype=complex)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^connection field content in mode 0 "
+                       r"1\.000e\+00 exceeds \d\.\de-\d+$"):
         Connection.from_field(bad)
+    twisted = FourierField(met, {1: 1j * f.mode(1), -1: f.mode(-1)})
+    with pytest.raises(ValueError, match=r"^connection coefficients' imaginary part "
+                       r"\d\.\d{3}e[-+]\d+ exceeds \d\.\de-\d+$"):
+        Connection.from_field(twisted)
 
 
 def test_connection_from_field_refuses_nan():
