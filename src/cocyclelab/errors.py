@@ -55,7 +55,8 @@ class StructureViolated(CocycleLabError):
 
 
 class NonSmoothLambda(ValueError):
-    """Conformal factor has Nyquist content on its grid: bad input, not a failed check."""
+    """A harmonic of the conformal factor has a wavenumber its grid cannot
+    resolve (at or above Nyquist): bad input, not a failed check."""
 
 
 class StepTooLarge(ValueError):

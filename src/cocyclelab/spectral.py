@@ -75,22 +75,6 @@ def dz(arr: np.ndarray, lx: float, ly: float, axes: tuple[int, int] = (0, 1)) ->
     return _cauchy_riemann(arr, lx, ly, axes, -1)
 
 
-def nyquist_shell_max(grid: np.ndarray) -> float:
-    """Largest normalized FFT coefficient magnitude on the Nyquist rows/cols."""
-    g = np.asarray(grid)
-    ny, nx = g.shape[:2]
-    f = np.fft.fft2(g, axes=(0, 1)) / (nx * ny)
-    mags = np.abs(f)
-    while mags.ndim > 2:
-        mags = mags.max(axis=-1)
-    pieces = []
-    if ny % 2 == 0:
-        pieces.append(mags[ny // 2, :].max())
-    if nx % 2 == 0:
-        pieces.append(mags[:, nx // 2].max())
-    return float(max(pieces)) if pieces else 0.0
-
-
 def refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     """Band-limited upsampling of a periodic grid (ny, nx, ...), even ny and
     nx, to (factor*ny, factor*nx) by zero-padding its FFT; factor >= 2.

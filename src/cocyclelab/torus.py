@@ -16,21 +16,20 @@ with t = theta; X generates the geodesic flow, V the fiber rotation, and
 H = [V, X].  Gauss curvature: K = -e^{-2 lambda} Laplacian(lambda).
 
 Grids are (ny, nx) row-major with x fastest: grid[j, i] is the value at
-x = i*Lx/nx, y = j*Ly/ny.  Sample cubes over the fiber use (ntheta, ny, nx)
-leading axes.
+x = i*Lx/nx, y = j*Ly/ny.  The geodesic RK4 loop is generated per metric
+(_compile_geodesic_loop), its series written out as straight-line float code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from . import spectral
-from .errors import NonSmoothLambda, StepTooLarge, gate, json_int
+from .errors import NonSmoothLambda, StepTooLarge, json_int
 
-NYQUIST_TOL = 1e-10
 MAX_STEP_FRACTION = 1e-2
 
 
@@ -65,29 +64,74 @@ def _harmonic_table(harmonics, lx, ly):
     )
 
 
-def _eval_harmonics(table, x, y, lib=np):
-    """(lambda, lambda_x, lambda_y) of a harmonic sum at x, y of one shape.
-
-    lib supplies cos and sin: numpy for arrays, math for Python floats (the
-    geodesic loop, where a numpy call on a scalar costs more than the sum).
-    A table whose amplitudes are scaled by -(ax^2 + ay^2) gives the Laplacian
-    of lambda in place of lambda, since each term is separable."""
+def _eval_harmonics(table, x, y):
+    """(lambda, lambda_x, lambda_y) of a harmonic sum at grids x, y of one
+    shape.  A table whose amplitudes are scaled by -(ax^2 + ay^2) gives the
+    Laplacian of lambda in place of lambda, since each term is separable.
+    _compile_geodesic_loop writes out the same sum on Python floats."""
     lam = lam_x = lam_y = 0.0 * x
     for amp, ax, phase_x, ay, phase_y in table:
         if ax:
-            cx = lib.cos(ax * x + phase_x)
-            sx = lib.sin(ax * x + phase_x)
+            cx = np.cos(ax * x + phase_x)
+            sx = np.sin(ax * x + phase_x)
         else:
             cx, sx = 1.0, 0.0
         if ay:
-            cy = lib.cos(ay * y + phase_y)
-            sy = lib.sin(ay * y + phase_y)
+            cy = np.cos(ay * y + phase_y)
+            sy = np.sin(ay * y + phase_y)
         else:
             cy, sy = 1.0, 0.0
         lam = lam + amp * cx * cy
         lam_x = lam_x + -amp * ax * sx * cy
         lam_y = lam_y + -amp * ay * cx * sy
     return lam, lam_x, lam_y
+
+
+def _compile_geodesic_loop(table):
+    """loop(x, y, th, h, n) -> lists xs, ys, ts of n classical RK4 steps of
+    size h of the geodesic equations from (x, y, th), compiled from
+    straight-line source for one harmonic table: the four stages inlined, each
+    with the series of _eval_harmonics written out term by term, its table
+    entries as float literals.  The float operations and their order are
+    those of one rhs call per stage and _eval_harmonics on floats, and a zero
+    wavenumber keeps its factors 1.0 and 0.0, so every bit (and the sign of
+    every zero) is theirs.  Raises ValueError on a non-finite table entry."""
+    def lit(v):
+        v = float(v)
+        if not math.isfinite(v):
+            raise ValueError(f"harmonic series entry {v!r} is not finite")
+        return repr(v)
+
+    code = ["def loop(x, y, th, h, n, cos=cos, sin=sin, exp=exp):",
+            " h2, h6 = 0.5 * h, h / 6.0", " xs, ys, ts = [x], [y], [th]",
+            " xa, ya, ta = xs.append, ys.append, ts.append", " for _ in range(n):"]
+    for k, step in enumerate(("", "h2", "h2", "h"), 1):
+        u, v, w = ("x", "y", "th") if k == 1 else ("u", "v", "w")
+        if step:
+            code.append(f"  u = x + {step} * ax{k - 1}; v = y + {step} * ay{k - 1}; "
+                        f"w = th + {step} * at{k - 1}")
+        lam, lam_x, lam_y = "z", "z", "z"
+        code.append(f"  z = 0.0 * {u}")
+        for i, (amp, ax, px, ay, py) in enumerate(table):
+            cx, sx, cy, sy = "1.0", "0.0", "1.0", "0.0"
+            if ax:
+                cx, sx = f"cx{i}", f"sx{i}"
+                code.append(f"  a = {lit(ax)} * {u} + {lit(px)}; {cx} = cos(a); {sx} = sin(a)")
+            if ay:
+                cy, sy = f"cy{i}", f"sy{i}"
+                code.append(f"  a = {lit(ay)} * {v} + {lit(py)}; {cy} = cos(a); {sy} = sin(a)")
+            lam += f" + {lit(amp)} * {cx} * {cy}"
+            lam_x += f" + {lit(-amp * ax)} * {sx} * {cy}"
+            lam_y += f" + {lit(-amp * ay)} * {cx} * {sy}"
+        code += [f"  lam = {lam}; lam_x = {lam_x}; lam_y = {lam_y}",
+                 f"  e = exp(-lam); c = cos({w}); s = sin({w})",
+                 f"  ax{k} = e * c; ay{k} = e * s; at{k} = e * (-lam_x * s + lam_y * c)"]
+    code += [f"  {q} += h6 * (a{p}1 + 2.0 * a{p}2 + 2.0 * a{p}3 + a{p}4); {p}a({q})"
+             for q, p in (("x", "x"), ("y", "y"), ("th", "t"))]
+    code.append(" return xs, ys, ts")
+    namespace = {"cos": math.cos, "sin": math.sin, "exp": math.exp}
+    exec(compile("\n".join(code), "<geodesic loop>", "exec"), namespace)
+    return namespace["loop"]
 
 
 def _check_grid(nx, ny, lx, ly) -> None:
@@ -122,6 +166,13 @@ class TorusMetric:
         if not all(math.isfinite(v) for h in harmonics for v in astuple(h)):
             raise ValueError("harmonic parameters must be finite")
         self.nx, self.ny = int(nx), int(ny)
+        # the grid samples alias a wavenumber of Nyquist or above to a lower
+        # one, which the series (geodesics, curvature) does not
+        for k, h in enumerate(harmonics):
+            if not (2 * abs(h.kx) < self.nx and 2 * abs(h.ky) < self.ny):
+                raise NonSmoothLambda(
+                    f"harmonic {k} wavenumber ({h.kx}, {h.ky}) is not resolved by the "
+                    f"{self.nx}x{self.ny} grid: 2|kx| < nx and 2|ky| < ny are needed")
         self.lx, self.ly = float(lx), float(ly)
         self.harmonics = harmonics
         self._series = _harmonic_table(harmonics, lx, ly)
@@ -129,9 +180,6 @@ class TorusMetric:
         lam, lam_x, lam_y = _eval_harmonics(self._series, xg, yg)
         if not np.isfinite(lam).all():
             raise ValueError("lambda must be finite")
-        # the eta operators differentiate spectrally, so lambda must be resolved
-        gate(spectral.nyquist_shell_max(lam), NYQUIST_TOL, NonSmoothLambda,
-             "lambda Nyquist coefficient")
         laplacian = tuple((-amp * (ax * ax + ay * ay), ax, px, ay, py)
                           for amp, ax, px, ay, py in self._series)
         self.lam, self.lam_x, self.lam_y = lam, lam_x, lam_y
@@ -147,6 +195,10 @@ class TorusMetric:
     def from_harmonics(cls, nx, ny, lx, ly, harmonics):
         """Harmonics are Harmonic objects, dicts of its fields or tuples."""
         return cls(nx, ny, lx, ly, harmonics)
+
+    @cached_property
+    def _geodesic_loop(self):
+        return _compile_geodesic_loop(self._series)
 
     @property
     def is_flat(self) -> bool:
@@ -219,39 +271,19 @@ def integrate_geodesic(
     t_final may be negative (time-reversed flow).  dt is a magnitude; it is
     adjusted slightly so an integer number of steps lands exactly on t_final.
     Raises ValueError on a non-finite p0, t_final or dt, and StepTooLarge if
-    dt exceeds 1e-2 * min(Lx, Ly).
+    the step taken, |t_final| / nsteps, exceeds 1e-2 * min(Lx, Ly).
 
-    The loop runs on Python floats: a step is four evaluations of lambda and
-    its gradient plus a few float operations, where numpy calls on scalars
-    would cost more than the arithmetic.
+    The steps run in the metric's generated loop (_compile_geodesic_loop,
+    compiled on first use and kept on the metric): one straight-line block
+    of Python float operations per step, where numpy calls on scalars would
+    cost more than the arithmetic.
     """
     nsteps = step_count(t_final, dt)
-    check_geodesic_step(metric, dt)
+    check_geodesic_step(metric, abs(t_final) / nsteps)
     x, y, th = float(p0.x), float(p0.y), float(p0.theta)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
         raise ValueError("start point must be finite")
-    series = metric._series
-    cos, sin, exp = math.cos, math.sin, math.exp
-
-    def rhs(x, y, th):
-        lam, lam_x, lam_y = _eval_harmonics(series, x, y, math)
-        e = exp(-lam)
-        c, s = cos(th), sin(th)
-        return e * c, e * s, e * (-lam_x * s + lam_y * c)
-
-    h = t_final / nsteps
-    xs, ys, ts = [x], [y], [th]
-    for _ in range(nsteps):
-        ax1, ay1, at1 = rhs(x, y, th)
-        ax2, ay2, at2 = rhs(x + 0.5 * h * ax1, y + 0.5 * h * ay1, th + 0.5 * h * at1)
-        ax3, ay3, at3 = rhs(x + 0.5 * h * ax2, y + 0.5 * h * ay2, th + 0.5 * h * at2)
-        ax4, ay4, at4 = rhs(x + h * ax3, y + h * ay3, th + h * at3)
-        x += h / 6.0 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-        y += h / 6.0 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
-        th += h / 6.0 * (at1 + 2.0 * at2 + 2.0 * at3 + at4)
-        xs.append(x)
-        ys.append(y)
-        ts.append(th)
+    xs, ys, ts = metric._geodesic_loop(x, y, th, t_final / nsteps, nsteps)
     times = np.linspace(0.0, t_final, nsteps + 1)
     return GeodesicPath(metric, times, np.array(xs), np.array(ys), np.array(ts))
 

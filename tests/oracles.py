@@ -15,12 +15,14 @@ invariants g2, g3 from Eisenstein series, the covariant dbar from its own
 eta_minus, the mode -1 holomorphy routes with each route transforming the
 projector on its own, the inverse Backlund step with the q-lemma rows and
 the round-trip distance that certify it, the su(2) isomorphism ell, the
-matrix commutator of point arrays, and a spline evaluation that gathers its
-stencil by a 2-D fancy index.  No verb runs them.  The SU(2) lift of a
-sampled SO(3) loop (polar projection, rotation angle and a quaternion
-product along the loop) lives here too, with the parity of a trivializer's
-fiber loop that it gives: the doubling tests read it, and no verb does.  So
-do the sections the holomorphy tests sweep: random elliptic families and
+matrix commutator of point arrays, a spline evaluation that gathers its
+stencil by a 2-D fancy index, the geodesic RK4 loop on Python floats with
+one call per stage (the bits the generated loop must reproduce), and the
+largest FFT coefficient on a grid's Nyquist rows.  No verb runs them.  The
+SU(2) lift of a sampled SO(3) loop (polar projection, rotation angle and a
+quaternion product along the loop) lives here too, with the parity of a
+trivializer's fiber loop that it gives: the doubling tests read it, and no
+verb does.  So do the sections the holomorphy tests sweep: random elliptic families and
 band-limited random unit sections (the negative control).  Grids are
 (3, 3, ny, nx), as in the package; hat_grid and points move a lie3 point
 array to a grid and back.
@@ -28,6 +30,7 @@ array to a grid and back.
 
 import base64
 import io
+import math
 
 import numpy as np
 
@@ -49,6 +52,73 @@ def lambda_and_grad_at(metric, x, y):
     (periodic), from its harmonic series."""
     return _eval_harmonics(metric._series, np.asarray(x, dtype=float),
                            np.asarray(y, dtype=float))
+
+
+def float_loop_geodesic(metric, p0, t_final, dt):
+    """(xs, ys, thetas, times) of classical RK4 on Python floats, one rhs
+    call per stage, each evaluating the harmonic series term by term with
+    math.cos and math.sin: the loop integrate_geodesic ran before its loop
+    was generated per metric, and the bits that loop must reproduce."""
+    nsteps = max(1, int(round(abs(t_final) / dt)))
+    x, y, th = float(p0.x), float(p0.y), float(p0.theta)
+    series = metric._series
+    cos, sin, exp = math.cos, math.sin, math.exp
+
+    def eval_harmonics(x, y):
+        lam = lam_x = lam_y = 0.0 * x
+        for amp, ax, phase_x, ay, phase_y in series:
+            if ax:
+                cx = cos(ax * x + phase_x)
+                sx = sin(ax * x + phase_x)
+            else:
+                cx, sx = 1.0, 0.0
+            if ay:
+                cy = cos(ay * y + phase_y)
+                sy = sin(ay * y + phase_y)
+            else:
+                cy, sy = 1.0, 0.0
+            lam = lam + amp * cx * cy
+            lam_x = lam_x + -amp * ax * sx * cy
+            lam_y = lam_y + -amp * ay * cx * sy
+        return lam, lam_x, lam_y
+
+    def rhs(x, y, th):
+        lam, lam_x, lam_y = eval_harmonics(x, y)
+        e = exp(-lam)
+        c, s = cos(th), sin(th)
+        return e * c, e * s, e * (-lam_x * s + lam_y * c)
+
+    h = t_final / nsteps
+    xs, ys, ts = [x], [y], [th]
+    for _ in range(nsteps):
+        ax1, ay1, at1 = rhs(x, y, th)
+        ax2, ay2, at2 = rhs(x + 0.5 * h * ax1, y + 0.5 * h * ay1, th + 0.5 * h * at1)
+        ax3, ay3, at3 = rhs(x + 0.5 * h * ax2, y + 0.5 * h * ay2, th + 0.5 * h * at2)
+        ax4, ay4, at4 = rhs(x + h * ax3, y + h * ay3, th + h * at3)
+        x += h / 6.0 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+        y += h / 6.0 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+        th += h / 6.0 * (at1 + 2.0 * at2 + 2.0 * at3 + at4)
+        xs.append(x)
+        ys.append(y)
+        ts.append(th)
+    times = np.linspace(0.0, t_final, nsteps + 1)
+    return np.array(xs), np.array(ys), np.array(ts), times
+
+
+def nyquist_shell_max(grid: np.ndarray) -> float:
+    """Largest normalized FFT coefficient magnitude on the Nyquist rows/cols."""
+    g = np.asarray(grid)
+    ny, nx = g.shape[:2]
+    f = np.fft.fft2(g, axes=(0, 1)) / (nx * ny)
+    mags = np.abs(f)
+    while mags.ndim > 2:
+        mags = mags.max(axis=-1)
+    pieces = []
+    if ny % 2 == 0:
+        pieces.append(mags[ny // 2, :].max())
+    if nx % 2 == 0:
+        pieces.append(mags[:, nx // 2].max())
+    return float(max(pieces)) if pieces else 0.0
 
 
 def spectral_lambda_derivatives(metric):

@@ -187,6 +187,9 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
         '{"metric": {"nx": 1e999, "ny": 32}, "chain": []}',
         '{"metric": {"nx": 32, "ny": 32, "harmonics": [[1e999, 1, 0]]}, "chain": []}',
         '{"metric": {"nx": 32, "ny": 32, "harmonics": [[0.1, 16, 0]]}, "chain": []}',
+        # aliased to kx = 1 and ky = 15 on the grid samples, not in the series
+        '{"metric": {"nx": 32, "ny": 32, "harmonics": [[0.1, 33, 0]]}, "chain": []}',
+        '{"metric": {"nx": 32, "ny": 32, "harmonics": [[0.1, 0, -17]]}, "chain": []}',
         '{"metric": {"nx": 32, "ny": 32, "lx": 0, "harmonics": [[0.1, 1, 0]]}, "chain": []}',
         '{"metric": {"nx": 32, "ny": 32}, "chain": [], "tolerances": {"cert": 1e999}}',
         '{"metric": {"nx": 32, "ny": 32}, "chain": [{"kind": "elliptic", "scale": [1e999, 0]}]}',

@@ -3,8 +3,8 @@ import pytest
 
 from cocyclelab import interp
 from cocyclelab.interp import PeriodicCubic2D
-from cocyclelab.spectral import dbar, deriv, dz, nyquist_shell_max, refine_grid
-from oracles import cauchy_riemann_two_deriv, spline_eval_fancy
+from cocyclelab.spectral import dbar, deriv, dz, refine_grid
+from oracles import cauchy_riemann_two_deriv, nyquist_shell_max, spline_eval_fancy
 
 
 def _trig(nx, ny, lx, ly):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cocyclelab.torus import (
     Harmonic,
     SMPoint,
     TorusMetric,
+    _compile_geodesic_loop,
     flat_closed_geodesics,
     grid_coords,
     integrate_geodesic,
@@ -16,7 +19,8 @@ from cocyclelab.torus import (
     _harmonic_table,
     torus_distance,
 )
-from oracles import frame_apply, lambda_and_grad_at, spectral_lambda_derivatives, unit_speed_residual
+from oracles import (float_loop_geodesic, frame_apply, lambda_and_grad_at,
+                     spectral_lambda_derivatives, unit_speed_residual)
 
 
 def curved_metric(n=64, amp=0.1):
@@ -88,6 +92,19 @@ def test_nonsmooth_lambda_rejected():
         TorusMetric.from_harmonics(32, 32, 1, 1, [Harmonic(0.05, 16, 0)])
 
 
+@pytest.mark.parametrize("kx, ky", [(33, 0), (0, -17), (-16, 3)])
+def test_unresolved_wavenumber_rejected(kx, ky):
+    """A wavenumber the 32^2 grid aliases (33 reads as 1 and -17 as 15 on its
+    samples) or puts at Nyquist is refused before sampling, by name."""
+    with pytest.raises(NonSmoothLambda, match=rf"harmonic 1 wavenumber \({kx}, {ky}\)"):
+        TorusMetric.from_harmonics(32, 32, 1, 1, [Harmonic(0.02, 1, 0), Harmonic(0.05, kx, ky)])
+
+
+def test_highest_resolved_wavenumber_accepted():
+    met = TorusMetric.from_harmonics(32, 32, 1, 1, [Harmonic(0.05, 15, -15)])
+    assert met.harmonics[0].kx == 15
+
+
 def test_min_grid_size():
     with pytest.raises(ValueError):
         TorusMetric.flat(8, 32)
@@ -105,7 +122,7 @@ def test_flat_geodesics_are_straight_lines():
 
 def reference_geodesic(metric, p0, t_final, dt):
     """Classical RK4 on numpy calls, one lambda_and_grad_at per stage: the
-    loop the float loop of integrate_geodesic replaced."""
+    loop that integrate_geodesic's float loops replaced."""
 
     def rhs(x, y, theta):
         lam, lam_x, lam_y = lambda_and_grad_at(metric, x, y)
@@ -143,6 +160,79 @@ def test_float_loop_matches_numpy_reference(kind, t_final):
     got = np.stack([path.xs, path.ys, path.thetas], axis=-1)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-14
+
+
+BENCH_METRIC = TorusMetric.from_harmonics(48, 48, 1.0, 1.0, [(0.1, 1, 0), (0.04, 1, 1, 0.5, 1.2)])
+BITWISE_CASES = {
+    "bench": (BENCH_METRIC, SMPoint(0.3, 0.7, 1.1), 2.0),
+    "flat": (TorusMetric.flat(32, 32), SMPoint(-0.25, 0.8, -0.0), 2.0),
+    "x-only": (TorusMetric.from_harmonics(32, 32, 1.0, 1.0, [Harmonic(0.07, 2, 0, 0.3)]),
+               SMPoint(0.1, 0.2, 0.4), 2.0),
+    "y-only": (TorusMetric.from_harmonics(32, 32, 1.0, 1.0, [Harmonic(0.05, 0, -3, 0.0, 0.7)]),
+               SMPoint(0.1, 0.2, 1.3), 2.0),
+    "constant": (TorusMetric.from_harmonics(32, 32, 1.0, 1.0, [Harmonic(0.2, 0, 0, 0.4, 0.9)]),
+                 SMPoint(0.5, 0.5, 2.0), 2.0),
+    "lx-ne-ly": (TorusMetric.from_harmonics(32, 48, 1.0, 1.5, [Harmonic(0.1, 1, 0),
+                                                               Harmonic(0.04, -1, 2, 0.5, 1.2)]),
+                 SMPoint(0.3, 1.1, 2.2), 2.0),
+    "negative-t": (BENCH_METRIC, SMPoint(0.3, 0.7, 1.1), -2.3),
+    "phase-minus-zero": (TorusMetric.from_harmonics(32, 32, 1.0, 1.0,
+                                                    [Harmonic(0.1, 1, 0, -0.0),
+                                                     Harmonic(0.03, 0, 1, 0.0, -0.0)]),
+                         SMPoint(-0.0, 0.0, -0.0), 1.0),
+    "numpy-floats": (TorusMetric.from_harmonics(
+        32, 32, np.float64(1.2), np.float64(0.9),
+        [Harmonic(np.float64(0.08), 1, 1, np.float64(0.2), np.float64(-0.4))]),
+        SMPoint(np.float64(0.2), np.float64(0.3), np.float64(0.5)), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BITWISE_CASES))
+def test_generated_loop_matches_float_loop(case):
+    """The generated loop reproduces the float loop it replaced to the bit,
+    the sign of every zero included."""
+    metric, p0, t_final = BITWISE_CASES[case]
+    path = integrate_geodesic(metric, p0, t_final, 1e-3)
+    ref = float_loop_geodesic(metric, p0, t_final, 1e-3)
+    for got, want in zip((path.xs, path.ys, path.thetas, path.times), ref):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_geodesic_python_calls_do_not_grow_with_steps():
+    """The steps run inside one generated function, so the Python-level calls
+    of integrate_geodesic do not depend on the step count (the float loop
+    made eight per step: four rhs and four series calls)."""
+    met = curved_metric(32)
+    p0 = SMPoint(0.2, 0.4, 0.6)
+    integrate_geodesic(met, p0, 0.1, 1e-3)  # compiles the metric's loop
+
+    def calls(nsteps):
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            integrate_geodesic(met, p0, nsteps * 1e-3, 1e-3)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    assert calls(400) <= calls(200)
+
+
+def test_geodesic_loop_is_compiled_once_per_metric():
+    met = curved_metric(32)
+    assert met._geodesic_loop is met._geodesic_loop
+    assert curved_metric(32)._geodesic_loop is not met._geodesic_loop
+
+
+def test_geodesic_loop_refuses_non_finite_series():
+    with pytest.raises(ValueError, match="not finite"):
+        _compile_geodesic_loop(((0.1, np.inf, 0.0, 0.0, 0.0),))
 
 
 @pytest.mark.parametrize("p0, t_final, dt", [
@@ -213,6 +303,14 @@ def test_step_too_large():
     assert issubclass(StepTooLarge, ValueError)
     with pytest.raises(StepTooLarge, match=r"geodesic step 0\.25 .*half of the cocycle step 0\.5"):
         transport(Pair.trivial(met), SMPoint(0, 0, 0), 1.0, dt=0.5)
+
+
+def test_geodesic_checks_the_step_taken():
+    """0.025 at dt 0.01 takes 2 steps of 0.0125, above 1e-2 * min(Lx, Ly)."""
+    met = TorusMetric.flat(32, 32)
+    with pytest.raises(StepTooLarge, match=r"geodesic step 0\.0125 exceeds"):
+        integrate_geodesic(met, SMPoint(0, 0, 0), 0.025, 0.01)
+    assert len(integrate_geodesic(met, SMPoint(0, 0, 0), 0.02, 0.01).times) == 3
 
 
 def test_flat_closed_geodesics_close():
