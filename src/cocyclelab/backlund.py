@@ -49,7 +49,7 @@ from .errors import (
 )
 from .lie3 import hat, inner
 from .smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm
-from .torus import TorusMetric
+from .torus import TorusMetric, grid_coords
 
 DEFAULT_CERT_TOL = 1e-6
 DEFAULT_GMERO_TOL = 1e-6
@@ -347,8 +347,6 @@ def holomorphic_g_factory(
             0.5 * metric.lx + 0.5 * metric.lx / metric.nx,
             0.5 * metric.ly + 0.5 * metric.ly / metric.ny,
         )
-    from .torus import grid_coords
-
     xg, yg = grid_coords(metric.nx, metric.ny, metric.lx, metric.ly)
     z = (xg - z0[0]) + 1j * (yg - z0[1])
     # keep all samples away from the lattice of poles

@@ -22,7 +22,7 @@ import numpy as np
 from . import backlund as bk
 from . import cocycle as cc
 from . import fieldio as fio
-from .errors import CocycleLabError, check_keys, json_int, passes, worst
+from .errors import CocycleLabError, check_keys, json_int, json_number, passes, worst
 from .smfield import FourierField, Pair, _matmul3, l2_inner, mu_minus, mu_plus, star_curvature
 from .torus import SMPoint, TorusMetric, flat_closed_geodesics, step_count
 
@@ -53,7 +53,7 @@ def _metric_from_config(doc: dict) -> TorusMetric:
         raise ValueError("metric must be a JSON object")
     check_keys(m, METRIC_KEYS, "metric")
     nx, ny = (json_int(m.get(k, 128), f"metric {k}") for k in ("nx", "ny"))
-    lx, ly = float(m.get("lx", 1.0)), float(m.get("ly", 1.0))
+    lx, ly = (json_number(m.get(k, 1.0), f"metric {k}") for k in ("lx", "ly"))
     harmonics = m.get("harmonics", [])
     return TorusMetric.from_harmonics(nx, ny, lx, ly, harmonics)
 
@@ -67,31 +67,30 @@ def _load_config(path: str) -> dict:
 
 def _tolerances(doc, allowed) -> dict:
     """Tolerance overrides as floats, each named in allowed and each a
-    positive, finite JSON number; anything else is bad input that names the
-    key.  float() would read true or "1" as 1.0, an infinite tolerance (a
-    literal such as 1e999) would pass every finite residual, and one at or
-    below 0 would fail every nonzero one."""
+    positive, finite JSON number (json_number); anything else is bad input
+    that names the key.  An infinite tolerance (a literal such as 1e999)
+    would pass every finite residual, and one at or below 0 would fail every
+    nonzero one."""
     if not isinstance(doc, dict):
         raise ValueError("tolerances must be a JSON object")
     check_keys(doc, allowed, "tolerances")
-    for k, v in doc.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"tolerance for {k} must be a JSON number, got {v!r}")
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite tolerance for {k}")
+    tols = {k: json_number(v, f"tolerance for {k}") for k, v in doc.items()}
+    for k, v in tols.items():
         if v <= 0:
-            raise ValueError(f"tolerance for {k} must be positive, got {v!r}")
-    return {k: float(v) for k, v in doc.items()}
+            raise ValueError(f"tolerance for {k} must be positive, got {doc[k]!r}")
+    return tols
 
 
 def _check_run_args(args) -> None:
-    """Reject the arguments of verify that argparse accepts but no run can
-    use and no library function checks: a geodesic count below 1 and a
-    negative seed.  The step, the time, the start point and save_every are
-    checked where they are used (step_count, check_step, transport)."""
+    """Reject the arguments of verify that argparse accepts but no run checks:
+    a geodesic count below 1, a negative seed, and a zero or non-finite
+    --t-final, which no run uses on a flat metric.  --dt is checked on the
+    step of each run (step_count, in _verify_report)."""
     for name, least in (("geodesics", 1), ("seed", 0)):
         if getattr(args, name) < least:
             raise ValueError(f"--{name} must be at least {least}, got {getattr(args, name)}")
+    if not (math.isfinite(args.t_final) and args.t_final != 0):
+        raise ValueError("--t-final must be nonzero and finite")
 
 
 def cmd_generate(args) -> int:
@@ -159,29 +158,33 @@ def _energy_residuals(pair: Pair, count: int, seed: int) -> float:
     return worst(rel)
 
 
+def _geodesic_runs(met: TorusMetric, seed: int, count: int, t_final: float) -> list:
+    """verify's ODE runs (p0, T): count closed geodesics on a flat metric, each
+    for its length, else count starts of the seed + 1 generator for t_final."""
+    if met.is_flat:
+        return flat_closed_geodesics(met, count, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    return [(SMPoint(rng.uniform(0, met.lx), rng.uniform(0, met.ly), rng.uniform(0, 2 * np.pi)),
+             t_final) for _ in range(count)]
+
+
 def _verify_report(pair: Pair, tols: dict, seed: int, geodesic_count: int,
                    t_final: float, dt: float) -> dict:
     met = pair.metric
+    runs = _geodesic_runs(met, seed, geodesic_count, t_final)
+    # every run's step is refused as transport would refuse it, before any computation
+    for _, t_run in runs:
+        step_count(met, t_run, dt, cocycle=True)
     residuals = cc.mode_residuals(pair)
     residuals["energy"] = float(_energy_residuals(pair, 8, seed))
-    rng = np.random.default_rng(seed + 1)
     ctx = cc.TransportContext(pair)
     errors = {}
     tag = "holonomy" if met.is_flat else "cocycle"
     try:
-        per_geodesic = []
-        if met.is_flat:
-            for p0, t_closed in flat_closed_geodesics(met, geodesic_count, seed=seed):
-                per_geodesic.append(cc.holonomy_closed(pair, p0, t_closed, dt, context=ctx))
-        else:
-            for _ in range(geodesic_count):
-                p0 = SMPoint(
-                    rng.uniform(0, met.lx), rng.uniform(0, met.ly),
-                    rng.uniform(0, 2 * np.pi),
-                )
-                tv = cc.triviality_residual(pair, p0, t_final, dt, context=ctx)
-                per_geodesic.append(tv.max_residual)
-        residuals[tag] = worst(per_geodesic)
+        residuals[tag] = worst(
+            cc.holonomy_closed(pair, p0, t_run, dt, context=ctx) if met.is_flat
+            else cc.triviality_residual(pair, p0, t_run, dt, context=ctx).max_residual
+            for p0, t_run in runs)
     except CocycleLabError as exc:
         # e.g. orthogonality drift blowing past its bound on a broken pair;
         # report it as a failure instead of crashing the run
@@ -201,9 +204,6 @@ def _verify_report(pair: Pair, tols: dict, seed: int, geodesic_count: int,
 def cmd_verify(args) -> int:
     _check_run_args(args)
     pair = fio.load_pair(args.pair, trivializer_path=args.trivializer)
-    # --dt and --t-final, and then --dt against this torus, before any computation
-    step_count(args.t_final, args.dt)
-    cc.check_step(pair.metric, args.dt)
     # a tolerance for the ODE row this metric does not compute would go unused
     unused = "cocycle" if pair.metric.is_flat else "holonomy"
     rows = [k for k in DEFAULT_TOLS if k != unused]

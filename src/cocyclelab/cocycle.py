@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smfield as sm
-from .errors import NonOrthogonalDrift, NotClosed, StepTooLarge, gate, json_int, worst
+from .errors import NonOrthogonalDrift, NotClosed, gate, json_int, worst
 from .smfield import FourierField, Higgs, Pair
-from .torus import (SMPoint, TorusMetric, check_geodesic_step, integrate_geodesic, step_count,
-                    torus_distance)
+from .torus import SMPoint, integrate_geodesic, step_count, torus_distance
 
 DRIFT_TOL = 1e-6
 
@@ -105,18 +104,6 @@ def _compose_blocks(d: np.ndarray, s: int) -> np.ndarray:
     return e
 
 
-def check_step(metric: TorusMetric, dt: float) -> None:
-    """Raise StepTooLarge (bad input) unless the geodesic half step dt / 2 of
-    a cocycle step dt fits the torus; the message names both steps.
-    transport calls it on its rounded step before any computation, and the
-    verify verb on --dt right after loading the pair, once step_count has
-    checked --dt and --t-final."""
-    try:
-        check_geodesic_step(metric, dt / 2)
-    except StepTooLarge as exc:
-        raise StepTooLarge(f"{exc} (half of the cocycle step {dt:g})") from None
-
-
 def transport(
     pair: Pair,
     p0: SMPoint,
@@ -127,25 +114,25 @@ def transport(
 ) -> CocycleResult:
     """RK4 transport of C' = -(A + Phi) C along the geodesic from p0.
 
-    The cocycle takes n = max(1, round(|t_final| / dt)) steps and the geodesic
-    exactly 2n half steps, so the generator is available at RK4 midpoints and
-    both land on t_final; both pieces are fourth order.  The equation is
-    linear, so each step is a precomputed propagator (_rk4_propagators), and
-    C is only read at the samples saved every save_every steps (and at
-    t_final): the propagators of each block between two samples are composed
-    in one batch (_compose_blocks), and C <- C + E_j C takes one 3x3 product
-    per block.  Orthogonality of C is checked at each sample as it is
-    reached, and NonOrthogonalDrift is raised beyond DRIFT_TOL before any
-    later block is applied.  save_every must be an integer >= 1 (json_int)
-    and p0 finite (ValueError before any computation); StepTooLarge (bad
-    input) names the geodesic half step and the cocycle step it comes from.
+    The cocycle takes n steps of t_final / n (step_count, its bound on the
+    geodesic's half step) and the geodesic exactly 2n half steps, so the
+    generator is available at RK4 midpoints and both land on t_final; both
+    pieces are fourth order.  The equation is linear, so each step is a
+    precomputed propagator (_rk4_propagators), and C is only read at the
+    samples saved every save_every steps (and at t_final): the propagators of
+    each block between two samples are composed in one batch
+    (_compose_blocks), and C <- C + E_j C takes one 3x3 product per block.
+    Orthogonality of C is checked at each sample as it is reached, and
+    NonOrthogonalDrift is raised beyond DRIFT_TOL before any later block is
+    applied.  save_every must be an integer >= 1 (json_int) and p0 finite
+    (ValueError before any computation); step_count's StepTooLarge (bad input)
+    names the geodesic half step and the cocycle step it comes from.
     """
     if json_int(save_every, "save_every") < 1:
         raise ValueError(f"save_every must be at least 1, got {save_every!r}")
     met = pair.metric
-    nsteps = step_count(t_final, dt)
+    nsteps = step_count(met, t_final, dt, cocycle=True)
     h = t_final / nsteps
-    check_step(met, abs(h))
     if not np.isfinite([p0.x, p0.y, p0.theta]).all():
         raise ValueError("start point must be finite")
     ctx = context if context is not None else TransportContext(pair)

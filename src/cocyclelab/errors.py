@@ -1,7 +1,9 @@
 """Exception types raised by construction and verification routines, the
 one rule that turns a residual into a verdict (passes) and the gate that
-raises by it, and the checks of an input object's keys and integer
-fields."""
+raises by it, and the checks of an input object's keys and of its integer
+and number fields."""
+
+import math
 
 import numpy as np
 
@@ -43,6 +45,17 @@ def json_int(value, what: str) -> int:
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_number(value, what: str) -> float:
+    """A number field of a file or config as a float.  It must be a finite
+    JSON number: float() would take a bool or a string such as "1.5", and
+    json reads a literal such as 1e999 as infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {what}")
+    return float(value)
 
 
 class CocycleLabError(Exception):

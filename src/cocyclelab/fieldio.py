@@ -60,7 +60,7 @@ import math
 
 import numpy as np
 
-from .errors import StructureViolated, gate, json_int
+from .errors import StructureViolated, gate, json_int, json_number
 from .lie3 import hat, vee
 from .smfield import Connection, FourierField, Higgs, Pair, _antisym_residual
 from .torus import TorusMetric
@@ -135,13 +135,12 @@ def metric_from_header(doc: dict) -> TorusMetric:
     """The metric of a file: its harmonic series, which the sampled
     metric_lambda must match to LAMBDA_TOL."""
     g = doc["grid"]
-    _finite([g["lx"], g["ly"]])
+    lx, ly = (json_number(g[k], f"grid {k}") for k in ("lx", "ly"))
     nx, ny = json_int(g["nx"], "grid nx"), json_int(g["ny"], "grid ny")
     lam = _finite(doc["metric_lambda"]).reshape(ny, nx)
     if "metric_harmonics" not in doc:
         raise ValueError("the grid header has no metric_harmonics")
-    met = TorusMetric.from_harmonics(nx, ny, float(g["lx"]), float(g["ly"]),
-                                     doc["metric_harmonics"])
+    met = TorusMetric.from_harmonics(nx, ny, lx, ly, doc["metric_harmonics"])
     gate(float(np.abs(lam - met.lam).max()), LAMBDA_TOL, ValueError,
          "metric_lambda differs from the series of metric_harmonics: distance")
     return met

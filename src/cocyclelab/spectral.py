@@ -1,8 +1,8 @@
 """FFT differentiation helpers for periodic grids.
 
-Arrays carry the grid on two leading axes (y, x) by default, with any number
-of trailing component axes; every routine takes explicit axis arguments so
-the same helpers serve (theta, y, x, ...) sample cubes.
+deriv takes one grid axis and dbar and dz the pair (y_axis, x_axis), which
+are trailing on the package's matrix-first (3, 3, ny, nx) grids; their
+default axes and refine_grid read an (ny, nx, ...) array.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ def wavenumbers(n: int, length: float) -> np.ndarray:
     """Angular wavenumbers 2*pi*k/length in FFT order, Nyquist zeroed.
 
     Zeroing the Nyquist bin makes odd-order derivatives of real data real
-    and is exact for fields with no content at that frequency (enforced
-    elsewhere for the metric; smooth fields have negligible content there).
+    and is exact for fields with no content at that frequency (TorusMetric
+    refuses 2|k| >= n in lambda; smooth fields have negligible content).
     """
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
     if n % 2 == 0:

@@ -23,12 +23,12 @@ x = i*Lx/nx, y = j*Ly/ny.  The geodesic RK4 loop is generated per metric
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NonSmoothLambda, StepTooLarge, json_int
+from .errors import NonSmoothLambda, StepTooLarge, json_int, json_number
 
 MAX_STEP_FRACTION = 1e-2
 
@@ -157,14 +157,14 @@ class TorusMetric:
             for h in harmonics
         )
         # a wavenumber is a JSON integer: true would read as 1 and 1.5 as no
-        # period of the torus
+        # period of the torus; amplitudes and phases are finite JSON numbers
         harmonics = tuple(replace(h, kx=json_int(h.kx, f"harmonic {k} kx"),
                                   ky=json_int(h.ky, f"harmonic {k} ky"))
                           for k, h in enumerate(harmonics))
-        # checked before sampling, where they would turn into NaN and warnings
+        for k, h in enumerate(harmonics):
+            for name in ("amp", "phase_x", "phase_y"):
+                json_number(getattr(h, name), f"harmonic {k} {name}")
         _check_grid(nx, ny, lx, ly)
-        if not all(math.isfinite(v) for h in harmonics for v in astuple(h)):
-            raise ValueError("harmonic parameters must be finite")
         self.nx, self.ny = int(nx), int(ny)
         # the grid samples alias a wavenumber of Nyquist or above to a lower
         # one, which the series (geodesics, curvature) does not
@@ -243,24 +243,26 @@ class GeodesicPath:
         return SMPoint(float(self.xs[-1]), float(self.ys[-1]), float(self.thetas[-1]))
 
 
-def step_count(t_final: float, dt: float) -> int:
-    """Number of steps of magnitude about dt that land exactly on t_final.
-    Raises ValueError unless t_final is finite and nonzero and dt finite and
-    positive."""
+def step_count(metric: TorusMetric, t_final: float, dt: float, cocycle: bool = False) -> int:
+    """The step rule of every geodesic run: n = max(1, round(|t_final| / dt))
+    steps of |t_final| / n land exactly on t_final, and the geodesic's step,
+    that step or half of a cocycle step (cocycle=True: transport runs the
+    geodesic at half steps), is at most MAX_STEP_FRACTION * min(Lx, Ly), else
+    StepTooLarge (a ValueError).  ValueError unless t_final is finite and
+    nonzero and dt finite and positive."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
     if not (math.isfinite(t_final) and t_final != 0):
         raise ValueError("t_final must be nonzero and finite")
-    return max(1, int(round(abs(t_final) / dt)))
-
-
-def check_geodesic_step(metric: TorusMetric, dt: float) -> None:
-    """Raise StepTooLarge (a ValueError) if the geodesic step dt exceeds
-    MAX_STEP_FRACTION * min(Lx, Ly)."""
+    n = max(1, int(round(abs(t_final) / dt)))
+    step = abs(t_final) / n
+    geodesic = step / 2 if cocycle else step
     limit = MAX_STEP_FRACTION * min(metric.lx, metric.ly)
-    if dt > limit:
-        raise StepTooLarge(f"geodesic step {dt:g} exceeds {MAX_STEP_FRACTION:g} * min(Lx, Ly) = "
-                           f"{limit:g}")
+    if geodesic > limit:
+        note = f" (half of the cocycle step {step:g})" if cocycle else ""
+        raise StepTooLarge(f"geodesic step {geodesic:g} exceeds {MAX_STEP_FRACTION:g} * "
+                           f"min(Lx, Ly) = {limit:g}{note}")
+    return n
 
 
 def integrate_geodesic(
@@ -268,18 +270,16 @@ def integrate_geodesic(
 ) -> GeodesicPath:
     """Classical RK4 integration of the geodesic equations from p0.
 
-    t_final may be negative (time-reversed flow).  dt is a magnitude; it is
-    adjusted slightly so an integer number of steps lands exactly on t_final.
-    Raises ValueError on a non-finite p0, t_final or dt, and StepTooLarge if
-    the step taken, |t_final| / nsteps, exceeds 1e-2 * min(Lx, Ly).
+    t_final may be negative (time-reversed flow).  dt is a magnitude, rounded
+    so that whole steps land exactly on t_final; step_count checks the step
+    taken (ValueError, StepTooLarge), and a non-finite p0 is a ValueError.
 
     The steps run in the metric's generated loop (_compile_geodesic_loop,
     compiled on first use and kept on the metric): one straight-line block
     of Python float operations per step, where numpy calls on scalars would
     cost more than the arithmetic.
     """
-    nsteps = step_count(t_final, dt)
-    check_geodesic_step(metric, abs(t_final) / nsteps)
+    nsteps = step_count(metric, t_final, dt)
     x, y, th = float(p0.x), float(p0.y), float(p0.theta)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
         raise ValueError("start point must be finite")

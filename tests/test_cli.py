@@ -122,13 +122,18 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
             for argv in verbs:
                 assert cli.main(argv) == cli.EXIT_BADINPUT, (path.name, token, argv[0])
         path.write_bytes(good)
-    # metric_lambda off the series of metric_harmonics, and no series at all
+    # metric_lambda off the series of metric_harmonics, no series at all, and
+    # a side length that float() would read but that is no JSON number
     good = pair.read_bytes()
     shifted = json.loads(good)
     shifted["metric_lambda"] = [v + 0.5 for v in shifted["metric_lambda"]]
     unseries = json.loads(good)
     del unseries["metric_harmonics"]
-    for doc, message in ((shifted, "metric_lambda differs"), (unseries, "no metric_harmonics")):
+    text_lx, bool_lx = json.loads(good), json.loads(good)
+    text_lx["grid"]["lx"], bool_lx["grid"]["lx"] = "1.0", True
+    for doc, message in ((shifted, "metric_lambda differs"), (unseries, "no metric_harmonics"),
+                         (text_lx, "grid lx must be a JSON number"),
+                         (bool_lx, "grid lx must be a JSON number")):
         pair.write_text(json.dumps(doc))
         for argv in pair_verbs:
             capsys.readouterr()
@@ -213,7 +218,8 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
         ('{"metric": {"nx": 32, "ny": 32}, "chain": [%s, {"kind": "repeat-q", "axis": [1, 0, 0]}]}'
          % one_step, "axis"),
     )]
-    # a grid size or tolerance that int() or float() would read anyway
+    # a grid size, side length, amplitude or tolerance that int() or float()
+    # would read anyway
     bad_configs += [('{"metric": {%s}, "chain": [%s]%s}' % (grid, one_step, tols), message)
                     for grid, tols, message in (
         ('"nx": "16", "ny": 16', "", "metric nx must be an integer"),
@@ -221,6 +227,11 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
         ('"nx": 16, "ny": 16', ', "tolerances": {"cert": true}', "tolerance for cert"),
         ('"nx": 16, "ny": 16', ', "tolerances": {"gmero": "1"}', "tolerance for gmero"),
         ('"nx": 16, "ny": 16', ', "tolerances": {"cert": -1}', "tolerance for cert"),
+        ('"nx": 16, "ny": 16, "lx": true', "", "metric lx must be a JSON number"),
+        ('"nx": 16, "ny": 16, "lx": "1"', "", "metric lx must be a JSON number"),
+        ('"nx": 16, "ny": 16, "lx": "1.5"', "", "metric lx must be a JSON number"),
+        ('"nx": 16, "ny": 16, "harmonics": [[true, 1, 0]]', "",
+         "harmonic 0 amp must be a JSON number"),
     )]
     for cfg_text, message in bad_configs:
         cfg = tmp_path / "bad_config.json"
@@ -335,23 +346,62 @@ def test_run_verbs_reject_bad_numbers(tmp_path, capsys, verb, arg):
 
 
 def test_step_too_large_exits_before_any_computation(tmp_path, monkeypatch, capsys):
-    """--dt is checked against the torus before any field is computed."""
-    out = run_generate(tmp_path, {"metric": {"nx": 32, "ny": 32}, "chain": []})
-    pair, triv = str(out / "pair.json"), str(out / "trivializer.json")
+    """Each run's step is checked against the torus before any field is
+    computed: the requested --dt 0.5, then steps that only the rounding makes
+    too large, the (3, 1) closed geodesic's 158 steps of 0.0200144 on the
+    flat torus and --t-final 0.025 in one step of 0.025 on a curved one."""
+    pairs = {}
+    for name, harmonics in (("flat", []), ("curved", [[0.1, 1, 0], [0.04, 1, 1, 0.5, 1.2]])):
+        (tmp_path / name).mkdir()
+        out = run_generate(tmp_path / name,
+                           {"metric": {"nx": 32, "ny": 32, "harmonics": harmonics}, "chain": []})
+        pairs[name] = [str(out / "pair.json"), str(out / "trivializer.json")]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("computed before --dt was checked")
+        raise AssertionError("computed before the step was checked")
 
     for name in ("mode_residuals", "TransportContext", "integrate_geodesic"):
         monkeypatch.setattr(cc, name, refuse)
-    for argv in (["verify", pair, triv],
-                 ["transport", pair, "--x", "0.2", "--y", "0.7", "--theta", "1.1",
-                  "--t-final", "1.0", "--out", str(tmp_path / "t.csv")]):
+    transport = ["transport", pairs["flat"][0], "--x", "0.2", "--y", "0.7", "--theta", "1.1",
+                 "--t-final", "1.0", "--out", str(tmp_path / "t.csv")]
+    for argv, geodesic, cocycle in (
+        (["verify", *pairs["flat"], "--dt", "0.5"], "0.25", "0.5"),
+        (transport + ["--dt", "0.5"], "0.25", "0.5"),
+        (["verify", *pairs["flat"], "--dt", "0.02", "--geodesics", "7"], "0.0100072", "0.0200144"),
+        (["verify", *pairs["curved"], "--t-final", "0.025", "--dt", "0.02"], "0.0125", "0.025"),
+    ):
         capsys.readouterr()
-        assert cli.main(argv + ["--dt", "0.5"]) == cli.EXIT_BADINPUT
-        assert ("geodesic step 0.25 exceeds 0.01 * min(Lx, Ly) = 0.01 "
-                "(half of the cocycle step 0.5)") in capsys.readouterr().err
+        assert cli.main(argv) == cli.EXIT_BADINPUT, argv
+        assert (f"geodesic step {geodesic} exceeds 0.01 * min(Lx, Ly) = 0.01 "
+                f"(half of the cocycle step {cocycle})") in capsys.readouterr().err, argv
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("metric, t_final, dt, accepted", [
+    ("flat", 1.0, 0.0201, True),  # 50 steps of 0.02, though 0.0201 itself is too large
+    ("flat", 1.0, 0.02, True),
+    ("flat", 1.0, 0.021, False),  # 48 steps of 0.0208
+    ("curved", 0.04, 0.02, True),
+    ("curved", 0.025, 0.02, False),  # one step of 0.025
+    ("curved", -0.03, 0.02, True),  # two steps of 0.015
+])
+def test_verify_and_transport_refuse_the_same_steps(tmp_path, capsys, metric, t_final, dt,
+                                                     accepted):
+    """verify accepts exactly the (T, dt) that transport accepts: both check
+    the step taken, |T| / round(|T| / dt), not the requested dt.  On the
+    flat unit torus verify runs the closed geodesics of slopes (1, 0) and
+    (0, 1), each for T = 1, and on a curved one each run takes --t-final."""
+    harmonics = [] if metric == "flat" else [[0.1, 1, 0], [0.04, 1, 1, 0.5, 1.2]]
+    out = run_generate(tmp_path, {"metric": {"nx": 32, "ny": 32, "harmonics": harmonics},
+                                  "chain": []})
+    pair = str(out / "pair.json")
+    times = ["--t-final", repr(t_final), "--dt", repr(dt)]
+    expected = cli.EXIT_OK if accepted else cli.EXIT_BADINPUT
+    assert cli.main(["verify", pair, str(out / "trivializer.json"), "--geodesics", "2",
+                     *times]) == expected
+    assert cli.main(["transport", pair, "--x", "0.2", "--y", "0.7", "--theta", "1.1", *times,
+                     "--out", str(tmp_path / "t.csv")]) == expected
+    assert ("geodesic step" in capsys.readouterr().err) != accepted
 
 
 def test_verify_report_fails_on_nan():
