@@ -45,6 +45,7 @@ from .errors import (
     ReductionFailed,
     check_keys,
     gate,
+    json_number,
     worst,
 )
 from .lie3 import hat, inner
@@ -111,7 +112,7 @@ class UnitSection:
         return cls(metric, np.moveaxis(hat(n), (-2, -1), (0, 1)), meta=meta)
 
     def field(self) -> FourierField:
-        return FourierField(self.metric, {0: self.grid.astype(complex)})
+        return FourierField.from_grid(self.metric, self.grid)
 
 
 def projector(g: UnitSection) -> np.ndarray:
@@ -126,7 +127,7 @@ def vertical_solution(g: UnitSection) -> FourierField:
     exp(theta g) = (Id + g^2) - cos(theta) g^2 + sin(theta) g."""
     c1 = projector(g)
     c0 = np.eye(3)[:, :, None, None] - 2.0 * c1.real
-    return FourierField(g.metric, {0: c0, 1: c1, -1: c1.conj()})
+    return FourierField(g.metric, {0: c0, 1: c1})
 
 
 def vertical_residual(a: FourierField, g: UnitSection) -> float:
@@ -143,6 +144,7 @@ def holomorphy_residuals(g: UnitSection, conn: Connection, dg: FourierField,
 
       star-bracket   *d_A g + [d_A g, g] = 0      (1-form calculus)
       dbar-bracket   Q - i[Q, g] = 0 with Q = dbar_A g, mode -1 of d_A g
+                     (the conjugate of its mode 1)
       subbundle      pi_perp dbar_A (pi e_j) = 0 column by column
       projector      (dbar_A pi) pi = 0
 
@@ -157,15 +159,12 @@ def holomorphy_residuals(g: UnitSection, conn: Connection, dg: FourierField,
 
     pi = projector(g)
     pi_perp = np.eye(3)[:, :, None, None] - pi
-    # one eta_minus of pi serves both routes: column j of ds is the twisted
-    # dbar e^{-lam} dbar(pi e_j) + A_{-1} pi e_j of the section pi e_j of
-    # C^3, and dbar_A pi = ds - pi A_{-1}
-    ds = sm.eta_minus(FourierField.from_grid(met, pi)).mode(-1)
-    dpi = ds
-    if not conn.is_zero():
-        am1 = conn.band(-1).mode(-1)
-        ds += sm._matmul3(am1, pi)
-        dpi = ds - sm._matmul3(pi, am1)
+    # one eta_minus of the complex grid pi (mode 0) serves both routes:
+    # column j of ds is the twisted dbar e^{-lam} dbar(pi e_j) + A_{-1} pi e_j
+    # of the section pi e_j of C^3, and dbar_A pi = ds - pi A_{-1}
+    am1 = None if conn.is_zero() else conn.mode(-1)
+    ds = sm.eta_minus(met, pi[None], [0], am1)[0]
+    dpi = ds if am1 is None else ds - sm._matmul3(pi, am1)
     num3 = np.sqrt((np.abs(sm._matmul3(pi_perp, ds)) ** 2).sum())
     dencols = np.sqrt((np.abs(ds) ** 2).sum(axis=(0, 2, 3))).sum()
     res3 = float(num3 / (1e-300 + dencols + np.sqrt((np.abs(pi) ** 2).sum())))
@@ -199,21 +198,19 @@ class BacklundCertificate:
     residuals: dict[str, float]
 
 
-def _project_structure(full: FourierField, keep: tuple[int, ...],
-                       scale: float) -> tuple[dict, float]:
-    """Split a field into its kept modes and the norm of the others / scale."""
+def _off_modes(full: FourierField, keep: int, scale: float) -> float:
+    """The norm of a field without its modes +-keep, over scale; a mode
+    m > 0 counts for m and -m."""
     norms = full.mode_norms()
-    off = np.sqrt(sum(v * v for m, v in norms.items() if m not in keep))
-    return {m: full.mode(m) for m in keep}, off / scale
+    off = np.sqrt(sum((2.0 if m else 1.0) * v * v for m, v in norms.items() if m != keep))
+    return off / scale
 
 
-def _real_skew(metric: TorusMetric, c: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """The real antisymmetric part of a complex coefficient grid, with the
-    norms of what it drops: the imaginary part and the real symmetric part."""
-    re = c.real
+def _real_skew(metric: TorusMetric, re: np.ndarray) -> tuple[np.ndarray, float]:
+    """The antisymmetric part of a real grid, with the norm of the symmetric
+    part it drops."""
     re_t = np.swapaxes(re, 0, 1)
-    return (0.5 * (re - re_t), grid_l2_norm(metric, c.imag),
-            grid_l2_norm(metric, 0.5 * (re + re_t)))
+    return 0.5 * (re - re_t), grid_l2_norm(metric, 0.5 * (re + re_t))
 
 
 def _transformed(pair: Pair, g: UnitSection,
@@ -235,16 +232,15 @@ def _transformed(pair: Pair, g: UnitSection,
     # connection and Higgs fields: Phi can vanish up to rounding (a repeat-q
     # step), and a ratio to its own norm would then read that rounding as O(1).
     tot = max(float(np.hypot(phi_full.l2_norm(), a_full.l2_norm())), 1e-300)
-    phi_keep, phi_off = _project_structure(phi_full, (0,), tot)
-    phi_proj, phi_imag, phi_sym = _real_skew(met, phi_keep[0])
+    phi_off = _off_modes(phi_full, 0, tot)
+    phi_proj, phi_sym = _real_skew(met, phi_full.coef[0].real)
 
-    a_keep, conn_off = _project_structure(a_full, (1, -1), tot)
-    c1, cm1 = a_keep[1], a_keep[-1]
-    a_proj, a_imag, a_sym = _real_skew(met, c1 + cm1)
-    b_proj, b_imag, b_sym = _real_skew(met, 1j * (c1 - cm1))
+    conn_off = _off_modes(a_full, 1, tot)
+    a_re, b_re = sm._connection_grids(a_full.mode(1))
+    (a_proj, a_sym), (b_proj, b_sym) = _real_skew(met, a_re), _real_skew(met, b_re)
     # the bands behind the projections are dropped before a u is formed,
     # which sets the transient peak of a reduction
-    del core, phi_full, a_full, phi_keep, a_keep, c1, cm1
+    del core, phi_full, a_full, a_re, b_re
 
     u_out = a @ pair.trivializer
     pair_out = Pair(Connection(met, a_proj, b_proj), Higgs(met, phi_proj), trivializer=u_out)
@@ -253,10 +249,8 @@ def _transformed(pair: Pair, g: UnitSection,
         "a-orthogonality": a.orthogonality_residual(),
         "u-out-orthogonality": u_out.orthogonality_residual(),
         "phi-off-modes": phi_off,
-        "phi-imag": phi_imag / tot,
         "phi-sym": phi_sym / tot,
         "conn-off-modes": conn_off,
-        "conn-imag": (a_imag + b_imag) / tot,
         "conn-sym": (a_sym + b_sym) / tot,
     }
     return a, pair_out, rows
@@ -283,7 +277,7 @@ def backlund_transform(
 
     The transformed connection and Higgs field are computed in mode calculus,
     projected onto their structural form (modes +-1 for A, mode 0 for Phi,
-    real antisymmetric coefficients), and certified again through the field
+    antisymmetric coefficients), and certified again through the field
     residual of the output trivializer a u.  All projection losses are
     recorded in the certificate residuals; they measure discretization, not
     modelling error.
@@ -503,8 +497,24 @@ def reduce_degree(pair: Pair) -> ReductionResult:
 # -- chains --------------------------------------------------------------------------
 
 
-# the keys a chain step of each kind may carry besides "kind"
-STEP_KEYS = {"constant": ("axis",), "elliptic": ("z0", "scale", "offset"), "repeat-q": ()}
+# the keys a chain step of each kind may carry besides "kind", each a list of
+# that many JSON numbers
+STEP_KEYS = {"constant": {"axis": 3}, "elliptic": {"z0": 2, "scale": 2, "offset": 2},
+             "repeat-q": {}}
+
+
+def _step_numbers(step: dict, kind: str, where: str) -> dict[str, list[float]]:
+    """The number lists of a chain step, each read through json_number with
+    its exact length; ValueError naming the step and the key otherwise."""
+    out = {}
+    for key, count in STEP_KEYS[kind].items():
+        if key in step:
+            value = step[key]
+            if not isinstance(value, (list, tuple)) or len(value) != count:
+                raise ValueError(f"{where}: {key} must be a list of {count} JSON numbers, "
+                                 f"got {value!r}")
+            out[key] = [json_number(v, f"{where} {key}") for v in value]
+    return out
 
 
 @dataclass
@@ -533,8 +543,9 @@ def generate_chain(
     Each step continues from the certificate of the step before it
     (backlund_transform), so N steps build N + 1 transport bands.  Raises
     ValueError on a step that is not a dict, an unknown kind or key, a
-    non-finite parameter or an axis of zero or overflowing length, before
-    that step's section is built.
+    parameter that is not a list of that many finite JSON numbers
+    (_step_numbers) or an axis of zero or overflowing length, before that
+    step's section is built.
     """
     certs: list[BacklundCertificate] = []
     for step in steps:
@@ -543,18 +554,19 @@ def generate_chain(
         kind = step.get("kind")
         if kind not in STEP_KEYS:
             raise ValueError(f"unknown step kind: {kind!r}")
-        check_keys(step, ("kind", *STEP_KEYS[kind]), f"chain step {len(certs)} ({kind})")
-        for key in STEP_KEYS[kind]:
-            if key in step and not np.isfinite(np.asarray(step[key], dtype=float)).all():
-                raise ValueError(f"{kind} step: {key} must be finite")
+        where = f"chain step {len(certs)} ({kind})"
+        check_keys(step, ("kind", *STEP_KEYS[kind]), where)
+        nums = _step_numbers(step, kind, where)
         if kind == "constant":
-            if not 0 < np.linalg.norm(np.asarray(step["axis"], dtype=float)) < np.inf:
-                raise ValueError("constant step: axis must have a nonzero finite length")
-            g = UnitSection.constant(metric, step["axis"])
+            if "axis" not in nums:
+                raise ValueError(f"{where}: axis is required")
+            if not 0 < np.linalg.norm(nums["axis"]) < np.inf:
+                raise ValueError(f"{where}: axis must have a nonzero finite length")
+            g = UnitSection.constant(metric, nums["axis"])
         elif kind == "elliptic":
-            scale = complex(*step.get("scale", (1.0, 0.0)))
-            offset = complex(*step.get("offset", (0.0, 0.0)))
-            z0 = tuple(step["z0"]) if "z0" in step else None
+            scale = complex(*nums.get("scale", (1.0, 0.0)))
+            offset = complex(*nums.get("offset", (0.0, 0.0)))
+            z0 = tuple(nums["z0"]) if "z0" in nums else None
             g = holomorphic_g_factory(metric, z0=z0, scale=scale, offset=offset)
         else:  # repeat-q
             if not certs:

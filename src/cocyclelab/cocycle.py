@@ -221,7 +221,8 @@ def holonomy_closed(
 def _transport_band(pair: Pair) -> tuple[FourierField, float]:
     """X(u) + (A + Phi) u for the pair's trivializer u, and ||u||.  Since
     X + A = mu_plus + mu_minus, which shift modes by +1 and -1, mode m of this
-    band is the recurrence mu_plus(u_{m-1}) + mu_minus(u_{m+1}) + Phi u_m."""
+    band is the recurrence mu_plus(u_{m-1}) + mu_minus(u_{m+1}) + Phi u_m,
+    with u_{-1} = conj(u_1)."""
     u = pair.trivializer
     if u is None:
         raise ValueError("no trivializer to test")
@@ -236,8 +237,8 @@ def transport_residual_field(pair: Pair) -> float:
 
 
 def recurrence_residuals(pair: Pair) -> dict[int, float]:
-    """Per-mode norms of X(u) + (A + Phi) u relative to ||u||: the residuals
-    of the recurrence."""
+    """Per-mode norms of X(u) + (A + Phi) u relative to ||u||, m = 0..K + 1
+    (mode -m has the norm of mode m): the residuals of the recurrence."""
     band, unorm = _transport_band(pair)
     return {m: n / unorm for m, n in band.mode_norms().items()}
 
@@ -248,7 +249,7 @@ def mode_residuals(pair: Pair) -> dict[str, float]:
     mode norm, over ||u||, of one band (_transport_band)."""
     u = pair.trivializer
     structure = [pair.conn.antisymmetry_residual(), pair.higgs.antisymmetry_residual(),
-                 u.orthogonality_residual(), u.reality_residual()]
+                 u.orthogonality_residual()]
     band, unorm = _transport_band(pair)
     rows = {
         "structure": worst(structure),
@@ -291,13 +292,10 @@ def h0_residuals(u: FourierField, higgs: Higgs | None = None) -> dict[str, float
     """
     ut = u.transpose()
     f = ut @ sm.vertical(u)
-    # X = eta_+ + eta_- and H = i (eta_+ - eta_-), from one eta_- when f is
-    # real on SM (sm.eta_pair); every band is dropped once its norm is taken,
-    # which bounds the peak
-    ep, em = sm.eta_pair(f)
-    xf = ep + em
-    hf = (ep - em) * 1j
-    del ep, em
+    # X = eta_+ + eta_- and H = i (eta_+ - eta_-) from one eta_- pass
+    # (sm.frame_ops); every band is dropped once its norm is taken, which
+    # bounds the peak
+    xf, hf = sm.frame_ops(f)
     vxf = sm.vertical(xf)
     hf_norm, vxf_norm = hf.l2_norm(), vxf.l2_norm()
     lhs = hf + vxf

@@ -63,8 +63,8 @@ class CocycleLabError(Exception):
 
 
 class StructureViolated(CocycleLabError):
-    """Data handed to a writer is not real on SM or not skew-symmetric to the
-    structure tolerance, so the compact file layout would change it."""
+    """An so(3) grid handed to a writer is not skew-symmetric to the structure
+    tolerance, so the compact file layout would change it."""
 
 
 class NonSmoothLambda(ValueError):

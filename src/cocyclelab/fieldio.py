@@ -10,11 +10,11 @@ including literals such as ``1e999`` that overflow to infinity, with
 ValueError (exit 2 at the command line).
 
 Field and pair files are format 3, which stores only the numbers the
-mathematics leaves free.  A field is real on SM (c_{-m} = conj(c_m)), so a
-file holds its modes m = 0..degree: mode 0 as its real part, the others as
-real and imaginary parts; the reader rebuilds m < 0 by conjugation.  An
-so(3)-valued grid is stored as its vee triples and rebuilt with hat.  The
-field schema:
+mathematics leaves free.  A field is real on SM and holds its modes
+m = 0..degree only (smfield), and a file holds the same modes: mode 0 as its
+real part, the others as real and imaginary parts, read back into the
+field's band as they stand.  An so(3)-valued grid is stored as its vee
+triples and rebuilt with hat.  The field schema:
 
     {"format": 3,
      "grid": {"nx", "ny", "lx", "ly"},
@@ -42,9 +42,9 @@ of a chain's floats, and stays readable and editable as text.  A file
 without "format": 3 is rejected with ValueError.
 
 The writer drops numbers only where they are redundant to STRUCTURE_TOL,
-verify's structure tolerance: a field whose reality_residual, or an so(3)
-grid whose antisymmetry residual, exceeds it raises StructureViolated (a
-failed check, exit 1) and writes nothing.
+verify's structure tolerance: an so(3) grid whose antisymmetry residual
+exceeds it raises StructureViolated (a failed check, exit 1) and writes
+nothing.
 
 The metric is read from its harmonic series; metric_lambda is that series
 sampled on the grid, and a file whose metric_lambda differs from it by more
@@ -66,8 +66,8 @@ from .smfield import Connection, FourierField, Higgs, Pair, _antisym_residual
 from .torus import TorusMetric
 
 FORMAT = 3
-# verify's structure tolerance: the writer drops the modes m < 0 of a field
-# and the symmetric part of an so(3) value only when they are redundant to it
+# verify's structure tolerance: the writer drops the symmetric part of an
+# so(3) value only when it is redundant to it
 STRUCTURE_TOL = 1e-9
 # the writer's tokens round-trip exactly; the margin absorbs libm differences
 # in the sampled series between machines
@@ -186,15 +186,14 @@ def _numbers(values, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _mode_block(name: str, field: FourierField, so3: bool, pack) -> dict:
-    """The modes m = 0..degree of a field that is real on SM: mode 0 as its
-    real part, the others as real and imaginary parts; vee triples if so3.
-    pack turns each real grid into what the file holds."""
-    _gate(name, "reality", field.reality_residual())
+    """The modes m = 0..degree of a field: mode 0 as its real part, the
+    others as real and imaginary parts; vee triples if so3.  pack turns each
+    real grid into what the file holds."""
     if so3:
         _gate(name, "antisymmetry", _antisym_residual(field.coef))
     modes = []
     for m in range(field.degree + 1):
-        c = np.moveaxis(field.mode(m), (0, 1), (2, 3))  # the file's (ny, nx, 3, 3) order
+        c = np.moveaxis(field.coef[m], (0, 1), (2, 3))  # the file's (ny, nx, 3, 3) order
         # vee on each real part: complex arithmetic could flip a zero's sign
         parts = (("re", c.real), ("im", c.imag)) if m else (("re", c.real),)
         modes.append({"m": m} | {key: pack(vee(p) if so3 else p) for key, p in parts})
@@ -214,17 +213,15 @@ def _field_from_block(metric: TorusMetric, block: dict, so3: bool, unpack) -> Fo
     if "im" in entries[0]:
         raise ValueError("mode 0 of a real field has no im part")
     shape = (metric.ny, metric.nx) + ((3,) if so3 else (3, 3))
-    # the band m = -degree..degree in the field's (mode, 3, 3, ny, nx) layout
-    coef = np.zeros((2 * degree + 1, 3, 3, metric.ny, metric.nx), dtype=complex)
+    # the band m = 0..degree in the field's (mode, 3, 3, ny, nx) layout
+    coef = np.zeros((degree + 1, 3, 3, metric.ny, metric.nx), dtype=complex)
     for m, entry in enumerate(entries):
-        grid = np.moveaxis(coef[degree + m], (0, 1), (2, 3))
+        grid = np.moveaxis(coef[m], (0, 1), (2, 3))
         parts = (("re", grid.real), ("im", grid.imag)) if m else (("re", grid.real),)
         for key, out in parts:
             c = unpack(entry[key], shape)
             out[...] = hat(c) if so3 else c
-        if m:
-            np.conjugate(coef[degree + m], out=coef[degree - m])
-    return FourierField.band(metric, -degree, coef)
+    return FourierField.band(metric, coef)
 
 
 def field_to_json(field: FourierField, so3: bool = False) -> dict:
@@ -256,8 +253,8 @@ def field_from_json(doc: dict, metric: TorusMetric | None = None) -> FourierFiel
 
 
 def save_field(path, field: FourierField, so3: bool = False) -> str:
-    """Write a field that is real on SM; so3 stores each value as its vee
-    triple (a unit section, say)."""
+    """Write a field; so3 stores each value as its vee triple (a unit
+    section, say)."""
     return save_json(path, field_to_json(field, so3))
 
 
@@ -285,7 +282,7 @@ def pair_from_json(doc: dict) -> Pair:
     if max(a.degree, b.degree, phi.degree):
         raise ValueError("a pair block holds mode 0 only")
     # C-contiguous copies: a .real view strides over the complex band and keeps it alive
-    a, b, phi = (np.ascontiguousarray(f.mode(0).real) for f in (a, b, phi))
+    a, b, phi = (np.ascontiguousarray(f.coef[0].real) for f in (a, b, phi))
     return Pair(Connection(met, a, b), Higgs(met, phi))
 
 
@@ -353,12 +350,15 @@ def write_pgm(path, image: np.ndarray, bits: int = 8) -> tuple[float, float]:
 def heatmap_from_field(field: FourierField, selector: str) -> np.ndarray:
     """Turn a field into a 2-d image.
 
-    Selectors: "norm" for sqrt(sum_m ||c_m||_F^2) pointwise, or
-    "m,i,j,part" with part in re/im/abs for a single matrix entry of one mode.
+    Selectors: "norm" for sqrt(sum_m ||c_m||_F^2) pointwise, over the modes
+    -K..K, or "m,i,j,part" with part in
+    re/im/abs for a single matrix entry of one mode (mode -m is conj(c_m)).
     """
     sel = selector.strip().lower()
     if sel == "norm":
-        return np.sqrt((np.abs(field.coef) ** 2).sum(axis=(0, 1, 2)))
+        # |c_{-m}| = |c_m|, summed in the order of the modes -K..K
+        sq = np.abs(field.coef) ** 2
+        return np.sqrt(np.concatenate([sq[:0:-1], sq]).sum(axis=(0, 1, 2)))
     parts = [p.strip() for p in sel.split(",")]
     if len(parts) != 4:
         raise ValueError(f"bad selector {selector!r}: want 'norm' or 'm,i,j,part'")

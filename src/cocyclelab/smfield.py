@@ -1,65 +1,70 @@
 """Matrix-valued functions on the unit tangent bundle as fiber Fourier sums.
 
-A field u(x, y, theta) with values in 3x3 complex matrices is a finite
-Fourier series in the fiber angle, u = sum_m c_m(x, y) e^{i m theta}, stored
-as one contiguous band of modes: the lowest mode lo and an array coef of
-shape (n_modes, 3, 3, ny, nx) holding c_lo, ..., c_{lo+n_modes-1} in order.
-Every grid on the torus has the layout of one mode, (3, 3, ny, nx): mode(m)
-and modes hand out the band's own slices, and a connection's, a Higgs
-field's and a unit section's grids are stored so.  Only point arrays keep
-the matrix axes last (lie3's helpers, transport, the interpolant's values);
-a grid reaches them through one np.moveaxis view.  Modes inside the band
-may be zero.  The vertical field V acts as multiplication by i*m on mode m,
-the raising/lowering parts of the frame act on the whole band at once:
+A field u(x, y, theta) with values in 3x3 matrices is a finite Fourier
+series in the fiber angle, u = sum_m c_m(x, y) e^{i m theta}.  The pair, the
+trivializer and every Bäcklund factor are real maps, so c_{-m} = conj(c_m)
+and a field stores its modes 0..K only: one complex array coef of shape
+(K + 1, 3, 3, ny, nx), c_0 first, whose imaginary part is exactly zero.
+Mode -m is conj(c_m) wherever a caller asks for it (mode(m)).  Every grid on
+the torus has the layout of one mode, (3, 3, ny, nx): mode(m) for m >= 0 and
+modes hand out the band's own slices, and a connection's, a Higgs field's
+and a unit section's grids are stored so.  Only point arrays keep the matrix
+axes last (lie3's helpers, transport, the interpolant's values); a grid
+reaches them through one np.moveaxis view.  Every operation maps such bands
+to such bands: sums, differences, real scalar multiples, transposes, the
+vertical field V (multiplication by i*m on mode m), the frame operators and
+products.
+
+The raising and lowering parts of the frame act on stacks of grids with
+given mode numbers (one fft2 over the trailing (ny, nx) axes of the whole
+stack, one product with a cached symbol, one ifft2):
 
   eta_minus : mode m -> m-1,  c |-> e^{-(1+m) lam} dbar(c e^{m lam})
   eta_plus  : mode m -> m+1,  c |-> e^{(m-1) lam} dz(c e^{-m lam})
 
-with dbar = (d/dx + i d/dy)/2, dz = (d/dx - i d/dy)/2 spectral (one fft2
-over the trailing (ny, nx) axes of the whole band, one product with a cached
-symbol, one ifft2), and X = eta_plus + eta_minus, H = i (eta_plus - eta_minus).
+with dbar = (d/dx + i d/dy)/2 and dz = (d/dx - i d/dy)/2 spectral.  Since
+dz(conj f) = conj(dbar f) and lam is real, eta_plus(c_j) is the conjugate of
+eta_minus(conj c_j) at mode -j, so the frame operators of a degree-K band
+take one eta_minus of the 2K + 1 grids conj(c_K)..conj(c_1), c_0..c_K:
 
-Connections are fields A = a cos(theta) + b sin(theta) with antisymmetric
-real coefficient grids (so modes +-1 only); Higgs fields are antisymmetric
-real mode-0 grids.  The pair, the trivializer and every Bäcklund factor are
-real maps, so every band the program multiplies is real on SM to the bit
-(lo = -hi and c_{-m} == conj(c_m)), and a product has two routes.  A one-mode
-factor is fiber-constant: the kernel multiplies the two bands as they are,
-complex or not.  Two multi-mode bands real on SM are multiplied
-pseudo-spectrally (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed.,
-ch. 11) in real arithmetic: each factor is sampled at len_u + len_v - 1
-equispaced fiber angles from [Re c_0..Re c_hi, Im c_1..Im c_hi] by a real
-synthesis matrix (cached by size, which beats an FFT along the short mode
-axis), the kernel multiplies float64 samples, a real analysis matrix returns
-the modes 0..K, and the modes m < 0 are filled by conjugation, so the product
-is real to the bit as well.  That many samples resolve the whole product band
-[-K, K], K = hi_u + hi_v, so nothing aliases and nothing is truncated; the
-product is exact to rounding; bracket forms [u, v] from the same samples.
-Two multi-mode bands of which one is not real on SM raise ValueError.  Every
-pointwise 3x3 product, of bands and of grids alike, runs through one kernel
-(_matmul3) that sums the three products a[i, k] b[k, j] in the order
-k = 0, 1, 2: two float64 factors by one einsum contraction, any other dtype
-by three broadcast products per output row.  Both forms give the
+  X(u)_m = eta_plus(c_{m-1}) + eta_minus(c_{m+1}),    X(u)_0 = 2 Re eta_minus(c_1)
+  H(u)_m = i (eta_plus(c_{m-1}) - eta_minus(c_{m+1})), H(u)_0 = 2 Im eta_minus(c_1)
+
+Single complex grids (the energy identity's random one-mode fields, the
+projector of a unit section) call the grid kernels themselves; given the
+grid A_1 (A_{-1}) of a connection as twist, eta_plus (eta_minus) adds
+A_1 c (A_{-1} c) and is mu_plus (mu_minus).
+
+A product has two routes.  A degree-0 factor is fiber-constant: the kernel
+multiplies the two bands as they are.  Two bands of higher degree are
+multiplied pseudo-spectrally (Boyd, Chebyshev and Fourier Spectral Methods,
+2nd ed., ch. 11) in real arithmetic: each factor is sampled at
+2 (K_u + K_v) + 1 equispaced fiber angles from [Re c_0..Re c_K,
+Im c_1..Im c_K] by a real synthesis matrix (cached by size, which beats an
+FFT along the short mode axis), the kernel multiplies float64 samples, and a
+real analysis matrix returns the modes 0..K_u + K_v.  That many samples
+resolve the whole product, so nothing aliases and nothing is truncated;
+the product is exact to rounding; bracket forms [u, v] from the same
+samples.  Every pointwise 3x3 product, of bands and of grids alike, runs
+through one kernel (_matmul3) that sums the three products a[i, k] b[k, j]
+in the order k = 0, 1, 2: two float64 factors by one einsum contraction, any
+other dtype by three broadcast products per output row.  Both forms give the
 values of nine planes of three plane products each, to the bit; only the
 sign of a zero can differ (einsum turns a sum of three -0.0 products into
 +0.0).
-X of a real field takes one eta_minus: eta_plus(u) is its conjugate, since
-dz(conj f) = conj(dbar f) and lam is real (eta_pair).
 
 Allocation rule: an arithmetic result is one new band, written once.  u + v
-and u - v fill one band spanning both (_combine): a mode of both bands is
-the ufunc of the two, a mode of u alone a copy, a mode of v alone 0.0 +- v_m
-(what padding v with zeros gives), a gap between disjoint bands zero; so
-u - v is exactly u + (-v) with no negated copy of v.  A connection's modes
-+-1 are written straight into the band that uses them (Connection.band,
-Connection.as_field), and the reality test compares real and imaginary
-parts with no conjugate band.
+and u - v fill one band as long as the longer one (_combine): a mode of both
+bands is the ufunc of the two, a mode of u alone a copy, a mode of v alone
+0.0 +- v_m (what padding v with zeros gives); so u - v is exactly u + (-v)
+with no negated copy of v.
 
-The L2 pairing is <u, v> = integral over SM of trace(u v*) with measure
-e^{2 lam} dx dy dtheta, evaluated as a plain grid sum (spectrally accurate
-for smooth integrands): 2 pi * sum_m sum_grid trace(c_m d_m^*) e^{2 lam} dx dy.
-A norm is the same sum for v = u taken as re^2 + im^2 of the entries, which
-needs no conjugate copy of the band.
+The L2 pairing of grids is <c, d> = integral over the torus of trace(c d*)
+with measure e^{2 lam} dx dy, evaluated as a plain grid sum (spectrally
+accurate for smooth integrands), times 2 pi for the fiber.  The norm of a
+band counts each mode m > 0 twice, for m and -m: ||u||^2 = 2 pi sum_grid
+(|c_0|^2 + 2 sum_m |c_m|^2) e^{2 lam} dx dy, summed as re^2 + im^2 of the
+entries, which needs no conjugate copy.
 """
 
 from __future__ import annotations
@@ -119,20 +124,6 @@ def _real_analysis(nt: int, k: int) -> np.ndarray:
     return mat
 
 
-def _is_real(u: "FourierField") -> bool:
-    """u is real on SM to the bit: lo = -hi and c_{-m} == conj(c_m), compared
-    for all m >= 0 at once as Re c_m == Re c_{-m} and Im c_m == -Im c_{-m},
-    with no conjugate band.  A NaN counts as its own mirror image, so a
-    field that holds NaN in conjugate places is real and its NaN reaches
-    every product and residual (except a NaN in Im c_0 alone: the real
-    route reads Re c_0 only); that NaN-aware comparison costs three times
-    the strict one, so it runs only when the strict one fails."""
-    c, k = u.coef, u.hi
-    return u.lo == -k and any(
-        np.array_equal(c[k:].real, c[k::-1].real, equal_nan=nan)
-        and np.array_equal(c[k:].imag, -c[k::-1].imag, equal_nan=nan) for nan in (False, True))
-
-
 def _is_skew(u: "FourierField") -> bool:
     """Every mode of u is antisymmetric to the bit, c == -c^T: each entry
     pair (i, j), i < j, and each diagonal entry compared with np.array_equal
@@ -143,24 +134,23 @@ def _is_skew(u: "FourierField") -> bool:
 
 
 def _real_angles(u: "FourierField", nt: int) -> np.ndarray:
-    """Values at theta_j = 2 pi j / nt of a field real on SM, nt > 2 hi: a
-    real (nt, 3, 3, ny, nx) array computed from its modes m >= 0."""
-    c = u.coef[u.hi:]
-    data = np.concatenate([c.real, c[1:].imag]).reshape(2 * u.hi + 1, -1)
-    return (_real_synthesis(nt, u.hi) @ data).reshape((nt,) + c.shape[1:])
+    """Values at theta_j = 2 pi j / nt of u, nt > 2 K: a real
+    (nt, 3, 3, ny, nx) array computed from its modes 0..K."""
+    c, k = u.coef, u.degree
+    data = np.concatenate([c.real, c[1:].imag]).reshape(2 * k + 1, -1)
+    return (_real_synthesis(nt, k) @ data).reshape((nt,) + c.shape[1:])
 
 
 def _real_modes(samples: np.ndarray, k: int) -> np.ndarray:
-    """The modes -k..k of nt > 2k real equispaced samples: 0..k by the real
-    analysis matrix, m < 0 by conjugation, so they are real on SM to the bit."""
+    """The modes 0..k of nt > 2k real equispaced samples, by the real
+    analysis matrix; mode 0 with an imaginary part of exactly zero."""
     nt = len(samples)
     parts = _real_analysis(nt, k) @ samples.reshape(nt, -1)
     parts = parts.reshape((2 * k + 1,) + samples.shape[1:])
-    out = np.empty(parts.shape, dtype=complex)
-    out[k:].real = parts[: k + 1]
-    out[k].imag = 0.0
-    out[k + 1:].imag = parts[k + 1:]
-    np.conjugate(out[:k:-1], out=out[:k])
+    out = np.empty((k + 1,) + samples.shape[1:], dtype=complex)
+    out.real = parts[: k + 1]
+    out[0].imag = 0.0
+    out[1:].imag = parts[k + 1:]
     return out
 
 
@@ -173,20 +163,17 @@ def _commutator3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _pointwise(u: "FourierField", v: "FourierField", kernel) -> "FourierField":
     """kernel (_matmul3 or _commutator3) of u and v pointwise on SM (module
-    docstring) by one of two routes: a one-mode factor is fiber-constant, so
-    the kernel takes the two bands as they are, whatever their dtype; two
-    bands real on SM are multiplied in real arithmetic.  Any other pair of
-    multi-mode bands raises ValueError."""
+    docstring): a degree-0 factor is fiber-constant, so the kernel takes the
+    two bands as they are; two bands of higher degree are multiplied in real
+    arithmetic."""
     u._check_same(v)
     a, b = u.coef, v.coef
     if min(len(a), len(b)) == 1:
         out = kernel(a, b)
-    elif _is_real(u) and _is_real(v):
-        nt = len(a) + len(b) - 1
-        out = _real_modes(kernel(_real_angles(u, nt), _real_angles(v, nt)), u.hi + v.hi)
     else:
-        raise ValueError("a product of two multi-mode fields needs both real on SM")
-    return FourierField.band(u.metric, u.lo + v.lo, out)
+        k = u.degree + v.degree
+        out = _real_modes(kernel(_real_angles(u, 2 * k + 1), _real_angles(v, 2 * k + 1)), k)
+    return FourierField.band(u.metric, out)
 
 
 def bracket(u: "FourierField", v: "FourierField") -> "FourierField":
@@ -195,61 +182,52 @@ def bracket(u: "FourierField", v: "FourierField") -> "FourierField":
 
 
 def _combine(u: "FourierField", v: "FourierField", ufunc) -> "FourierField":
-    """u + v (ufunc np.add) or u - v (np.subtract) on the union of the two
-    bands, written once into one new band: a mode of both is ufunc(u_m, v_m),
-    a mode of u only is a copy of u_m, a mode of v only is ufunc(0.0, v_m)
-    (what padding v's band with zeros gives, +0.0 included), and the modes
-    in a gap between two disjoint bands are zero."""
+    """u + v (ufunc np.add) or u - v (np.subtract), written once into one new
+    band as long as the longer one: a mode of both is ufunc(u_m, v_m), a mode
+    of u only is a copy of u_m, and a mode of v only is ufunc(0.0, v_m) (what
+    padding v's band with zeros gives, +0.0 included)."""
     u._check_same(v)
-    lo = min(u.lo, v.lo)
-    out = np.empty((max(u.hi, v.hi) - lo + 1,) + u.coef.shape[1:], dtype=complex)
-    # the modes of both bands; empty (olo > ohi) when they are disjoint, and
-    # then ohi + 1 .. olo - 1 is the gap between them
-    olo, ohi = max(u.lo, v.lo), min(u.hi, v.hi)
-
-    def modes(arr, first, a, b):
-        """Modes a..b of arr, whose first mode is first."""
-        return arr[a - first : b + 1 - first]
-
-    for a, b in ((u.lo, min(u.hi, olo - 1)), (max(u.lo, ohi + 1), u.hi)):
-        modes(out, lo, a, b)[...] = modes(u.coef, u.lo, a, b)
-    for a, b in ((v.lo, min(v.hi, olo - 1)), (max(v.lo, ohi + 1), v.hi)):
-        ufunc(0.0, modes(v.coef, v.lo, a, b), out=modes(out, lo, a, b))
-    if olo <= ohi:
-        ufunc(modes(u.coef, u.lo, olo, ohi), modes(v.coef, v.lo, olo, ohi),
-              out=modes(out, lo, olo, ohi))
-    modes(out, lo, ohi + 1, olo - 1)[...] = 0.0
-    return FourierField.band(u.metric, lo, out)
+    n = min(len(u.coef), len(v.coef))
+    out = np.empty((max(len(u.coef), len(v.coef)),) + u.coef.shape[1:], dtype=complex)
+    ufunc(u.coef[:n], v.coef[:n], out=out[:n])
+    out[n: len(u.coef)] = u.coef[n:]
+    ufunc(0.0, v.coef[n:], out=out[n: len(v.coef)])
+    return FourierField.band(u.metric, out)
 
 
 class FourierField:
-    """A contiguous band of fiber modes of a matrix field on SM."""
+    """The modes 0..K of a real matrix field on SM (module docstring)."""
 
-    __slots__ = ("metric", "lo", "coef")
+    __slots__ = ("metric", "coef")
 
     def __init__(self, metric: TorusMetric, modes: dict[int, np.ndarray]):
+        """The field with the given grids c_m, m >= 0, and zero in the modes
+        between them; an empty dict is the zero field of degree 0.  ValueError
+        for a negative mode, a grid of the wrong shape, or a mode-0 grid with
+        a nonzero imaginary part: those are not the modes of a real field."""
         grids = {int(m): np.asarray(c) for m, c in modes.items()}
-        for c in grids.values():
+        for m, c in grids.items():
+            if m < 0:
+                raise ValueError(f"a field stores its modes m >= 0, got mode {m}")
             if c.shape != (3, 3, metric.ny, metric.nx):
                 raise ValueError(f"mode grid must have shape (3, 3, {metric.ny}, {metric.nx}), "
                                  f"got {c.shape}")
-        lo = min(grids, default=0)
-        hi = max(grids, default=0)
-        coef = np.zeros((hi - lo + 1, 3, 3, metric.ny, metric.nx), dtype=complex)
+        if 0 in grids and np.iscomplexobj(grids[0]) and np.any(grids[0].imag):
+            raise ValueError("mode 0 of a real field has a nonzero imaginary part")
+        coef = np.zeros((max(grids, default=0) + 1, 3, 3, metric.ny, metric.nx), dtype=complex)
         for m, c in grids.items():
-            coef[m - lo] = c
+            coef[m] = c
         self.metric = metric
-        self.lo = lo
         self.coef = coef
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def band(cls, metric: TorusMetric, lo: int, coef: np.ndarray) -> "FourierField":
-        """Field with modes lo .. lo + len(coef) - 1 taken from coef (not copied)."""
+    def band(cls, metric: TorusMetric, coef: np.ndarray) -> "FourierField":
+        """Field with modes 0 .. len(coef) - 1 taken from coef (not copied);
+        the imaginary part of coef[0] must be zero."""
         out = cls.__new__(cls)
         out.metric = metric
-        out.lo = int(lo)
         out.coef = coef
         return out
 
@@ -259,39 +237,34 @@ class FourierField:
 
     @classmethod
     def from_grid(cls, metric: TorusMetric, grid: np.ndarray) -> "FourierField":
-        """Mode-0 field c(x, y), constant along the fiber."""
-        return cls(metric, {0: np.asarray(grid, dtype=complex)})
+        """Mode-0 field c(x, y) of a real grid, constant along the fiber."""
+        return cls(metric, {0: grid})
 
     # -- basic structure -----------------------------------------------------
 
     @property
-    def hi(self) -> int:
-        return self.lo + len(self.coef) - 1
+    def degree(self) -> int:
+        return len(self.coef) - 1
 
     @property
     def modes(self):
-        """Read-only mapping from each mode of the band to its slice of the band."""
-        return MappingProxyType({self.lo + k: c for k, c in enumerate(self.coef)})
-
-    @property
-    def degree(self) -> int:
-        return max(abs(self.lo), abs(self.hi))
-
-    def _ms(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi + 1)
+        """Read-only mapping from each mode 0..K to its slice of the band."""
+        return MappingProxyType(dict(enumerate(self.coef)))
 
     def mode(self, m: int) -> np.ndarray:
-        if self.lo <= m <= self.hi:
-            return self.coef[m - self.lo]
+        """c_m: the band's own slice for m >= 0, conj(c_{-m}) (a new grid)
+        for m < 0, zero outside -K..K."""
+        if abs(m) <= self.degree:
+            return self.coef[m] if m >= 0 else np.conj(self.coef[-m])
         return np.zeros((3, 3, self.metric.ny, self.metric.nx), dtype=complex)
 
     def mode_norms(self) -> dict[int, float]:
+        """The norm of each single mode c_m e^{i m theta}, m = 0..K."""
         return {m: grid_l2_norm(self.metric, c, fiber=True) for m, c in self.modes.items()}
 
     def truncate(self, degree: int) -> "FourierField":
         """Field restricted to the modes |m| <= degree."""
-        lo, hi = max(self.lo, -degree), min(self.hi, degree)
-        return FourierField.band(self.metric, lo, self.coef[lo - self.lo : hi + 1 - self.lo])
+        return FourierField.band(self.metric, self.coef[: degree + 1])
 
     # -- algebra -------------------------------------------------------------
 
@@ -305,8 +278,9 @@ class FourierField:
     def __sub__(self, other: "FourierField") -> "FourierField":
         return _combine(self, other, np.subtract)
 
-    def __mul__(self, scalar) -> "FourierField":
-        return FourierField.band(self.metric, self.lo, self.coef * scalar)
+    def __mul__(self, scalar: float) -> "FourierField":
+        """Multiple by a real scalar (a complex one raises TypeError)."""
+        return FourierField.band(self.metric, self.coef * float(scalar))
 
     __rmul__ = __mul__
 
@@ -316,41 +290,35 @@ class FourierField:
 
     def transpose(self) -> "FourierField":
         """Pointwise matrix transpose (the inverse for SO(3)-valued fields)."""
-        return FourierField.band(self.metric, self.lo, np.swapaxes(self.coef, 1, 2))
-
-    def conj(self) -> "FourierField":
-        """Pointwise complex conjugate of the field (mode m -> -m, conjugated)."""
-        return FourierField.band(self.metric, -self.hi, np.conj(self.coef[::-1]))
+        return FourierField.band(self.metric, np.swapaxes(self.coef, 1, 2))
 
     # -- sampling ------------------------------------------------------------
 
     def interpolant(self):
         """Evaluator (x, y, theta) -> real values at arbitrary SM points, shape
-        (..., 3, 3), of a field that is real on SM (c_{-m} = conj(c_m), which
-        reality_residual measures).  It reads modes m >= 0 only: one bicubic
-        spline over the real channels [Re c_0, 2 Re c_m, -2 Im c_m], m = 1..hi,
-        summed against 1, cos(m theta) and sin(m theta).  When every mode is
-        antisymmetric to the bit (_is_skew, as for A + Phi), each channel is
-        splined as its vee triple, 3 values instead of 9, and the sum is
-        returned as its hat."""
+        (..., 3, 3): one bicubic spline over the real channels [Re c_0,
+        2 Re c_m, -2 Im c_m], m = 1..K, summed against 1, cos(m theta) and
+        sin(m theta).  When every mode is antisymmetric to the bit (_is_skew,
+        as for A + Phi), each channel is splined as its vee triple, 3 values
+        instead of 9, and the sum is returned as its hat."""
         met = self.metric
-        hi = max(self.hi, 0)
+        k = self.degree
         # the spline reads point arrays: (ny, nx, mode, 3, 3)
-        pos = np.moveaxis(np.stack([self.mode(m) for m in range(hi + 1)]), (0, 1, 2), (2, 3, 4))
+        pos = np.moveaxis(self.coef, (0, 1, 2), (2, 3, 4))
         stack = np.concatenate([pos.real, -pos.imag[:, :, 1:]], axis=2)
         stack[:, :, 1:] *= 2.0
         skew = _is_skew(self)
         stack = vee(stack) if skew else stack.reshape(stack.shape[:3] + (9,))
         width = stack.shape[-1]
         spline = PeriodicCubic2D(stack.reshape(met.ny, met.nx, -1), met.lx, met.ly)
-        ms = np.arange(1, hi + 1, dtype=float)
+        ms = np.arange(1, k + 1, dtype=float)
 
         def at(x, y, theta) -> np.ndarray:
             x = np.asarray(x, dtype=float)
             vals = spline(x % met.lx, np.asarray(y, dtype=float) % met.ly)
             mt = np.multiply.outer(np.asarray(theta, dtype=float), ms)
             basis = np.concatenate([np.ones(mt.shape[:-1] + (1,)), np.cos(mt), np.sin(mt)], axis=-1)
-            out = np.einsum("...kc,...k->...c", vals.reshape(x.shape + (2 * hi + 1, width)), basis)
+            out = np.einsum("...kc,...k->...c", vals.reshape(x.shape + (2 * k + 1, width)), basis)
             return hat(out) if skew else out.reshape(x.shape + (3, 3))
 
         return at
@@ -358,29 +326,13 @@ class FourierField:
     # -- norms and checks ------------------------------------------------------
 
     def l2_norm(self) -> float:
-        return _norm(self.metric, self.coef, fiber=True)
-
-    def reality_residual(self) -> float:
-        """Max norm of c_m - conj(c_{-m}) over modes, relative to the field size.
-        Modes m and -m give the same norm (the real parts differ only in sign,
-        the imaginary parts add), so modes m >= 0 of the band padded to
-        -degree..degree suffice."""
-        scale = float(np.abs(self.coef).max())
-        if scale == 0.0:
-            return 0.0
-        c, k = self.coef, self.degree
-        if self.lo != -k or self.hi != k:
-            c = np.zeros((2 * k + 1,) + c.shape[1:], dtype=c.dtype)
-            c[self.lo + k : self.hi + k + 1] = self.coef
-        return float(np.abs(c[k:] - np.conj(c[k::-1])).max()) / scale
+        """||u||, each mode m > 0 counted for m and -m (module docstring)."""
+        c = self.coef
+        return _integral(self.metric, _square_sum(c[:1]) + 2.0 * _square_sum(c[1:]), True)
 
     def orthogonality_residual(self) -> float:
         """Max pointwise ||R^T R - Id|| over max(8, 4 (degree + 1)) fiber
-        angles, of a field R real on SM, sampled in real arithmetic from its
-        modes m >= 0 as a product factor is; ValueError for a field not real
-        on SM."""
-        if not _is_real(self):
-            raise ValueError("orthogonality_residual needs a field real on SM")
+        angles, sampled in real arithmetic as a product factor is."""
         r = _real_angles(self, max(8, 4 * (self.degree + 1)))
         g = _matmul3(np.swapaxes(r, 1, 2), r)
         g -= np.eye(3)[:, :, None, None]
@@ -390,35 +342,35 @@ class FourierField:
 # -- L2 structure ---------------------------------------------------------------
 
 
-def l2_inner(u: FourierField, v: FourierField) -> complex:
-    u._check_same(v)
-    met = u.metric
-    dxdy = (met.lx / met.nx) * (met.ly / met.ny)
-    lo = max(u.lo, v.lo)
-    n = max(min(u.hi, v.hi) - lo + 1, 0)
-    cu = u.coef[lo - u.lo : lo - u.lo + n]
-    cv = v.coef[lo - v.lo : lo - v.lo + n]
-    total = np.einsum("mijyx,mijyx,yx->", cu, np.conj(cv), met.e_2lam)
+def l2_inner(metric: TorusMetric, c: np.ndarray, d: np.ndarray) -> complex:
+    """<c, d> = 2 pi sum over the grid of trace(c d*) e^{2 lam} dx dy, for
+    two (n, 3, 3, ny, nx) stacks of grids paired grid by grid."""
+    dxdy = (metric.lx / metric.nx) * (metric.ly / metric.ny)
+    total = np.einsum("mijyx,mijyx,yx->", c, np.conj(d), metric.e_2lam)
     return complex(2.0 * np.pi * dxdy * total)
 
 
 def grid_l2_norm(metric: TorusMetric, grid: np.ndarray, fiber: bool = False) -> float:
     """L2 norm of a single (3, 3, ny, nx) grid over the torus (e^{2 lam}
-    weight), read as a one-mode band.
+    weight).
 
     With fiber=True the 2 pi fiber factor is included, matching the L2 norm
     of the single-mode field with this coefficient.
     """
-    return _norm(metric, grid[None], fiber)
+    return _integral(metric, _square_sum(grid[None]), fiber)
 
 
-def _norm(metric: TorusMetric, band: np.ndarray, fiber: bool) -> float:
-    """sqrt of the grid sum of e^{2 lam} (re^2 + im^2) dx dy over every entry
-    of a (n_modes, 3, 3, ny, nx) band, times 2 pi with fiber=True.  No
-    conjugate copy is made."""
+def _square_sum(band: np.ndarray) -> np.ndarray:
+    """The (ny, nx) sum of re^2 + im^2 over every entry of a (n, 3, 3, ny,
+    nx) stack; no conjugate copy is made."""
     sq = np.einsum("mijyx,mijyx->yx", band.real, band.real)
     if np.iscomplexobj(band):
         sq += np.einsum("mijyx,mijyx->yx", band.imag, band.imag)
+    return sq
+
+
+def _integral(metric: TorusMetric, sq: np.ndarray, fiber: bool) -> float:
+    """sqrt of the grid sum of sq e^{2 lam} dx dy, times 2 pi with fiber=True."""
     val = np.vdot(sq, metric.e_2lam) * (metric.lx / metric.nx) * (metric.ly / metric.ny)
     if fiber:
         val *= 2.0 * np.pi
@@ -430,42 +382,77 @@ def _norm(metric: TorusMetric, band: np.ndarray, fiber: bool) -> float:
 
 def vertical(u: FourierField) -> FourierField:
     """V(u) = du/dtheta: multiplication by i*m on mode m."""
-    return FourierField.band(u.metric, u.lo, 1j * u._ms()[:, None, None, None, None] * u.coef)
+    ms = np.arange(u.degree + 1)
+    return FourierField.band(u.metric, 1j * ms[:, None, None, None, None] * u.coef)
 
 
 def _exp_lam(metric: TorusMetric, ks: np.ndarray) -> np.ndarray:
-    """e^{k lam} for each k in ks, shaped to scale a band of modes."""
+    """e^{k lam} for each k in ks, shaped to scale a stack of grids."""
     return np.exp(np.multiply.outer(ks, metric.lam))[:, None, None]
 
 
-def eta_minus(u: FourierField) -> FourierField:
-    met = u.metric
-    ms = u._ms()
-    d = spectral.dbar(u.coef * _exp_lam(met, ms), met.lx, met.ly, axes=(3, 4))
-    d *= _exp_lam(met, -(1 + ms))
-    return FourierField.band(met, u.lo - 1, d)
+def eta_minus(metric: TorusMetric, grids: np.ndarray, ms, twist: np.ndarray | None = None
+              ) -> np.ndarray:
+    """eta_minus of each grid of an (n, 3, 3, ny, nx) stack, grid j taken as
+    mode ms[j]: e^{-(1+m) lam} dbar(c e^{m lam}), the coefficient of mode
+    m - 1; with a (3, 3, ny, nx) grid twist, plus twist c (mu_minus, for
+    twist = A_{-1})."""
+    ms = np.asarray(ms)
+    d = spectral.dbar(grids * _exp_lam(metric, ms), metric.lx, metric.ly, axes=(3, 4))
+    d *= _exp_lam(metric, -(1 + ms))
+    if twist is not None:
+        d += _matmul3(twist, grids)
+    return d
 
 
-def eta_plus(u: FourierField) -> FourierField:
-    met = u.metric
-    ms = u._ms()
-    d = spectral.dz(u.coef * _exp_lam(met, -ms), met.lx, met.ly, axes=(3, 4))
-    d *= _exp_lam(met, ms - 1)
-    return FourierField.band(met, u.lo + 1, d)
+def eta_plus(metric: TorusMetric, grids: np.ndarray, ms, twist: np.ndarray | None = None
+             ) -> np.ndarray:
+    """eta_plus of each grid of an (n, 3, 3, ny, nx) stack, grid j taken as
+    mode ms[j]: e^{(m-1) lam} dz(c e^{-m lam}), the coefficient of mode
+    m + 1; with a (3, 3, ny, nx) grid twist, plus twist c (mu_plus, for
+    twist = A_1)."""
+    ms = np.asarray(ms)
+    d = spectral.dz(grids * _exp_lam(metric, -ms), metric.lx, metric.ly, axes=(3, 4))
+    d *= _exp_lam(metric, ms - 1)
+    if twist is not None:
+        d += _matmul3(twist, grids)
+    return d
 
 
-def eta_pair(u: FourierField) -> tuple[FourierField, FourierField]:
-    """(eta_plus(u), eta_minus(u)).  For u real on SM eta_plus(u) is the
-    conjugate of eta_minus(u), since dz(conj f) = conj(dbar f) and lam is
-    real, so one spectral transform serves both."""
-    em = eta_minus(u)
-    return (em.conj() if _is_real(u) else eta_plus(u)), em
+def _eta_parts(u: FourierField) -> tuple[np.ndarray, np.ndarray]:
+    """(up, down) for a degree-K band: up[j] = eta_plus(c_j), j = 0..K, the
+    coefficients of the modes 1..K + 1, and down[j] = eta_minus(c_{j+1}),
+    j = 0..K - 1, those of the modes 0..K - 1.  One eta_minus of the modes
+    -K..K serves both, since eta_plus(c_j) = conj(eta_minus(conj c_j) at
+    mode -j) (module docstring)."""
+    c, k = u.coef, u.degree
+    em = eta_minus(u.metric, np.concatenate([np.conj(c[:0:-1]), c]), np.arange(-k, k + 1))
+    return np.conj(em[k::-1]), em[k + 1:]
+
+
+def _frame_band(u: FourierField, up: np.ndarray, down: np.ndarray, h: bool) -> FourierField:
+    """X(u) (h False) or H(u) (h True) from _eta_parts(u) (module docstring):
+    up + down, or (up - down) * 1j, in the modes 1..K + 1, and mode 0 as
+    2 Re or 2 Im of eta_minus(c_1)."""
+    k = u.degree
+    out = np.empty((k + 2,) + u.coef.shape[1:], dtype=complex)
+    out[1:] = up
+    (np.subtract if h else np.add)(out[1:k], down[1:], out=out[1:k])
+    if h:
+        out[1:] *= 1j
+    out[0] = 2.0 * (down[0].imag if h else down[0].real) if k else 0.0
+    return FourierField.band(u.metric, out)
 
 
 def x_op(u: FourierField) -> FourierField:
     """Geodesic vector field X = eta_plus + eta_minus in mode calculus."""
-    ep, em = eta_pair(u)
-    return ep + em
+    return _frame_band(u, *_eta_parts(u), h=False)
+
+
+def frame_ops(u: FourierField) -> tuple[FourierField, FourierField]:
+    """(X(u), H(u)) from one _eta_parts pass, H = i (eta_plus - eta_minus)."""
+    up, down = _eta_parts(u)
+    return _frame_band(u, up, down, False), _frame_band(u, up, down, True)
 
 
 # -- connections and Higgs fields -------------------------------------------------
@@ -503,44 +490,28 @@ class Connection:
 
     @classmethod
     def from_field(cls, f: FourierField, tol: float = 1e-8) -> "Connection":
-        """Build from a field with modes +-1; raises ValueError if structure
-        is violated, and on any non-finite coefficient (errors.gate's rule)."""
+        """Build from a field of mode 1, a = 2 Re c_1 and b = -2 Im c_1
+        (_connection_grids); raises ValueError if another mode holds content,
+        and on any non-finite coefficient (errors.gate's rule)."""
         scale = float(np.abs(f.coef).max())
         for m, c in f.modes.items():
-            if m not in (-1, 1):
+            if m != 1:
                 gate(np.abs(c).max(), tol * scale, ValueError,
                      f"connection field content in mode {m}")
-        c1 = f.mode(1)
-        cm1 = f.mode(-1)
-        a = c1 + cm1
-        b = 1j * (c1 - cm1)
-        gate(worst([np.abs(a.imag).max(), np.abs(b.imag).max()]), tol * max(scale, 1e-300),
-             ValueError, "connection coefficients' imaginary part")
-        return cls(f.metric, a.real, b.real)
+        return cls(f.metric, *_connection_grids(f.mode(1)))
 
-    def _mode_into(self, m: int, out: np.ndarray) -> None:
-        """Write mode m = +-1 of A, (a - i m b)/2, into the (3, 3, ny, nx)
-        complex array out, with the operations of 0.5 * (a -+ 1j * b)."""
+    def mode(self, m: int) -> np.ndarray:
+        """A_m, the (3, 3, ny, nx) grid of mode m = +-1 of A, (a - i m b)/2:
+        A_1 = (A - i V(A))/2 and its conjugate A_{-1}."""
+        out = np.empty((3, 3, self.metric.ny, self.metric.nx), dtype=complex)
         np.multiply(1j, self.b, out=out)
         (np.subtract if m == 1 else np.add)(self.a, out, out=out)
         np.multiply(0.5, out, out=out)
-
-    def band(self, m: int) -> FourierField:
-        """A_m, the one-mode field of mode m = +-1 of A: A_1 = (A - i V(A))/2
-        for m = 1, its conjugate A_{-1} for m = -1."""
-        met = self.metric
-        out = np.empty((1, 3, 3, met.ny, met.nx), dtype=complex)
-        self._mode_into(m, out[0])
-        return FourierField.band(met, m, out)
+        return out
 
     def as_field(self) -> FourierField:
-        """A as one band of modes -1, 0, 1 (mode 0 is zero)."""
-        met = self.metric
-        out = np.empty((3, 3, 3, met.ny, met.nx), dtype=complex)
-        self._mode_into(-1, out[0])
-        out[1] = 0.0
-        self._mode_into(1, out[2])
-        return FourierField.band(met, -1, out)
+        """A as one band of modes 0 and 1 (mode 0 is zero)."""
+        return FourierField(self.metric, {1: self.mode(1)})
 
     def antisymmetry_residual(self) -> float:
         return worst([_antisym_residual(self.a), _antisym_residual(self.b)])
@@ -571,7 +542,7 @@ class Higgs:
         return cls(metric, np.zeros((3, 3, metric.ny, metric.nx)))
 
     def as_field(self) -> FourierField:
-        return FourierField(self.metric, {0: self.phi.astype(complex)})
+        return FourierField.from_grid(self.metric, self.phi)
 
     def antisymmetry_residual(self) -> float:
         return _antisym_residual(self.phi)
@@ -604,16 +575,15 @@ class Pair:
         return cls(Connection.zero(metric), Higgs.zero(metric), FourierField.identity(metric))
 
     def total_field(self) -> FourierField:
-        """A + Phi as one field (modes -1, 0, 1)."""
+        """A + Phi as one field (modes 0 and 1)."""
         return self.conn.as_field() + self.higgs.as_field()
 
 
-def mu_plus(u: FourierField, conn: Connection) -> FourierField:
-    return eta_plus(u) + conn.band(1) @ u
-
-
-def mu_minus(u: FourierField, conn: Connection) -> FourierField:
-    return eta_minus(u) + conn.band(-1) @ u
+def _connection_grids(c1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) = (2 Re c_1, -2 Im c_1) of the mode-1 grid of a connection
+    field, real by construction; b is 0.0 - 2 Im c_1, so that its zeros are
+    +0.0 whatever the sign of Im c_1."""
+    return 2.0 * c1.real, 0.0 - 2.0 * c1.imag
 
 
 def hodge_star(f: FourierField) -> FourierField:
@@ -625,7 +595,7 @@ def hodge_star(f: FourierField) -> FourierField:
 def d_A(g: np.ndarray, conn: Connection) -> FourierField:
     """Covariant derivative of a matrix function of the base point, as a field.
 
-    g is a (3, 3, ny, nx) grid; the result is X(g) + [A, g] with modes +-1:
+    g is a real (3, 3, ny, nx) grid; the result is X(g) + [A, g], mode 1:
     the 1-form d g + [A, g] evaluated on unit tangent vectors.
     """
     gf = FourierField.from_grid(conn.metric, g)

@@ -31,6 +31,11 @@ import numpy as np
 from .errors import NonSmoothLambda, StepTooLarge, json_int, json_number
 
 MAX_STEP_FRACTION = 1e-2
+# The most steps one geodesic run may take.  A transport run holds about
+# 0.9 kB per step (the generator at its 2n + 1 half steps, the step
+# propagators and the path), so 1e6 steps hold about 1 GB; the longest runs
+# of the benchmark and the acceptance gate take 5e3 and 2e4 steps.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -249,12 +254,15 @@ def step_count(metric: TorusMetric, t_final: float, dt: float, cocycle: bool = F
     that step or half of a cocycle step (cocycle=True: transport runs the
     geodesic at half steps), is at most MAX_STEP_FRACTION * min(Lx, Ly), else
     StepTooLarge (a ValueError).  ValueError unless t_final is finite and
-    nonzero and dt finite and positive."""
+    nonzero, dt finite and positive, and |t_final| / dt at most MAX_STEPS."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
     if not (math.isfinite(t_final) and t_final != 0):
         raise ValueError("t_final must be nonzero and finite")
-    n = max(1, int(round(abs(t_final) / dt)))
+    count = abs(t_final) / dt
+    if count > MAX_STEPS:
+        raise ValueError(f"|t_final| / dt = {count:.3g} steps exceeds MAX_STEPS = {MAX_STEPS}")
+    n = max(1, int(round(count)))
     step = abs(t_final) / n
     geodesic = step / 2 if cocycle else step
     limit = MAX_STEP_FRACTION * min(metric.lx, metric.ly)

@@ -8,8 +8,8 @@ from a spline of its coefficient grids, a Cauchy integral for p', a
 finite-difference speed, readers of the files the package writes, and the
 frame-transfer identity of a trivializing u, the 3x3 product as nine planes
 of three plane products, the sum and difference of two bands on a
-zero-padded band, the reality test by a conjugate copy of the band, the
-reality residual of a whole field minus its conjugate, the transport CSV
+zero-padded band, the modes -K..K of a field written out (full_band) and a
+field from them (half_band), the transport CSV
 written value by value, the Rodrigues exponential of so(3), the lattice
 invariants g2, g3 from Eisenstein series, the covariant dbar from its own
 eta_minus, the mode -1 holomorphy routes with each route transforming the
@@ -205,55 +205,57 @@ def plane_matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def padded_band_op(u: sm.FourierField, v: sm.FourierField, ufunc) -> sm.FourierField:
-    """u + v (ufunc np.add) or u - v (np.subtract) on a zero band spanning
-    both: u is written into it, then v is combined in place."""
-    lo = min(u.lo, v.lo)
-    coef = np.zeros((max(u.hi, v.hi) - lo + 1,) + u.coef.shape[1:], dtype=complex)
-    coef[u.lo - lo : u.hi + 1 - lo] = u.coef
-    part = coef[v.lo - lo : v.hi + 1 - lo]
+    """u + v (ufunc np.add) or u - v (np.subtract) on a zero band as long as
+    the longer one: u is written into it, then v is combined in place."""
+    coef = np.zeros((max(len(u.coef), len(v.coef)),) + u.coef.shape[1:], dtype=complex)
+    coef[: len(u.coef)] = u.coef
+    part = coef[: len(v.coef)]
     ufunc(part, v.coef, out=part)
-    return sm.FourierField.band(u.metric, lo, coef)
+    return sm.FourierField.band(u.metric, coef)
 
 
-def conjugate_is_real(u: sm.FourierField) -> bool:
-    """lo = -hi and c_{-m} == conj(c_m) for all m >= 0, by a conjugate copy
-    of the modes m <= 0, with a NaN equal to a NaN."""
-    c, k = u.coef, u.hi
-    return u.lo == -k and np.array_equal(c[k:], np.conj(c[k::-1]), equal_nan=True)
+def full_band(u: sm.FourierField) -> np.ndarray:
+    """The modes -K..K of a field, shape (2K + 1, 3, 3, ny, nx): mode -m
+    written out as conj(c_m)."""
+    return np.concatenate([np.conj(u.coef[:0:-1]), u.coef])
 
 
-def band_reality_residual(u: sm.FourierField) -> float:
-    """Max norm over the modes of u - conj(u), relative to max |c_m|, from
-    whole-field arithmetic."""
-    scale = float(np.abs(u.coef).max())
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs((u - u.conj()).coef).max()) / scale
+def half_band(metric, full: np.ndarray) -> sm.FourierField:
+    """The field of a full band of modes -K..K that is real on SM: its modes
+    m > 0 and the real part of its mode 0."""
+    k = len(full) // 2
+    coef = full[k:].copy()
+    coef[0] = coef[0].real
+    return sm.FourierField.band(metric, coef)
 
 
-def sample(u: sm.FourierField, ntheta: int) -> np.ndarray:
-    """Values of u at the fiber angles theta_j = 2 pi j / ntheta, shape
-    (ntheta, 3, 3, ny, nx): mode m placed at index m mod ntheta, then an
-    inverse FFT along the fiber axis."""
-    if ntheta < 2 * u.degree + 1:
+def band_norm(metric, full: np.ndarray) -> float:
+    """The L2 norm of a full band of modes, from its pairing with itself."""
+    return math.sqrt(sm.l2_inner(metric, full, full).real)
+
+
+def sample(full: np.ndarray, ntheta: int) -> np.ndarray:
+    """Values at the fiber angles theta_j = 2 pi j / ntheta of the full band
+    of modes -K..K, shape (ntheta, 3, 3, ny, nx): mode m placed at index
+    m mod ntheta, then an inverse FFT along the fiber axis."""
+    k = len(full) // 2
+    if ntheta < 2 * k + 1:
         raise ValueError("theta grid too coarse for the field degree")
-    full = np.zeros((ntheta,) + u.coef.shape[1:], dtype=complex)
-    full[np.arange(u.lo, u.hi + 1) % ntheta] = u.coef
-    return np.fft.ifft(full, axis=0) * ntheta
+    out = np.zeros((ntheta,) + full.shape[1:], dtype=complex)
+    out[np.arange(-k, k + 1) % ntheta] = full
+    return np.fft.ifft(out, axis=0) * ntheta
 
 
-def from_samples(metric, samples: np.ndarray, degree: int | None = None) -> sm.FourierField:
-    """The field of degree `degree` with the given fiber samples (ntheta, 3,
-    3, ny, nx), by an FFT along the fiber axis: the inverse of sample, exact
-    when ntheta > 2 degree."""
+def from_samples(samples: np.ndarray, degree: int) -> np.ndarray:
+    """The full band of modes -degree..degree with the given fiber samples
+    (ntheta, 3, 3, ny, nx), by an FFT along the fiber axis: the inverse of
+    sample, exact when ntheta > 2 degree."""
     samples = np.asarray(samples, dtype=complex)
     ntheta = samples.shape[0]
-    if degree is None:
-        degree = (ntheta - 1) // 2
     if ntheta < 2 * degree + 1:
         raise ValueError("theta grid too coarse for the requested degree")
     coef = np.fft.fft(samples, axis=0) / ntheta
-    return sm.FourierField.band(metric, -degree, coef[np.arange(-degree, degree + 1) % ntheta])
+    return coef[np.arange(-degree, degree + 1) % ntheta]
 
 
 def frame_apply(metric, samples: np.ndarray, op: str) -> np.ndarray:
@@ -393,15 +395,13 @@ def read_pgm(path) -> np.ndarray:
 def frame_transfer_residual(pair) -> float:
     """Residual of V(A) = -u X(f) u^{-1} - H(u) u^{-1} with f = u^{-1} V(u),
     an identity that holds when the pair's trivializer u trivializes it;
-    H = i (eta_plus - eta_minus), with eta_plus(u) taken as the conjugate of
-    eta_minus(u) (smfield.eta_pair), so that H(u) is real on SM to the bit."""
+    H = i (eta_plus - eta_minus) (smfield.frame_ops)."""
     u = pair.trivializer
     ut = u.transpose()
     f = ut @ sm.vertical(u)
     va = sm.vertical(pair.conn.as_field())
     t2 = u @ sm.x_op(f) @ ut
-    ep, em = sm.eta_pair(u)
-    t3 = ((ep - em) * 1j) @ ut
+    t3 = sm.frame_ops(u)[1] @ ut
     res = va + t2 + t3
     den = va.l2_norm() + t2.l2_norm() + t3.l2_norm() + f.l2_norm() + 1e-300
     return res.l2_norm() / den
@@ -452,9 +452,9 @@ def dbar_A(g: np.ndarray, conn: sm.Connection) -> np.ndarray:
     """Covariant dbar of a matrix function of the base point, e^{-lam}
     dbar(g) + [A_{-1}, g], from its own eta_minus and two products with
     A_{-1}, not as mode -1 of smfield.d_A."""
-    c = sm.eta_minus(sm.FourierField.from_grid(conn.metric, g)).mode(-1)
+    c = sm.eta_minus(conn.metric, g[None], [0])[0]
     if not conn.is_zero():
-        am1 = conn.band(-1).mode(-1)
+        am1 = conn.mode(-1)
         c = c + sm._matmul3(am1, g) - sm._matmul3(g, am1)
     return c
 
@@ -463,7 +463,7 @@ def dbar_routes_reference(g: UnitSection, conn: sm.Connection,
                           q: np.ndarray) -> dict[str, float]:
     """The dbar-bracket, subbundle and projector residuals of
     backlund.holomorphy_residuals, with the dbar-bracket taken from the given
-    q = dbar_A g, the subbundle route through smfield.mu_minus (the A_{-1}
+    q = dbar_A g, the subbundle route through eta_minus twisted by A_{-1} (the
     product taken even for a zero connection) and the projector route
     through dbar_A above, so pi is transformed once per route."""
     met = g.metric
@@ -473,7 +473,7 @@ def dbar_routes_reference(g: UnitSection, conn: sm.Connection,
 
     pi = projector(g)
     pi_perp = np.eye(3)[:, :, None, None] - pi
-    ds = sm.mu_minus(sm.FourierField.from_grid(met, pi), conn).mode(-1)
+    ds = sm.eta_minus(met, pi[None], [0], conn.mode(-1))[0]
     num3 = np.sqrt((np.abs(sm._matmul3(pi_perp, ds)) ** 2).sum())
     dencols = np.sqrt((np.abs(ds) ** 2).sum(axis=(0, 2, 3))).sum()
     res3 = float(num3 / (1e-300 + dencols + np.sqrt((np.abs(pi) ** 2).sum())))
@@ -497,10 +497,10 @@ def q_lemma_residuals(cert: bk.BacklundCertificate) -> dict[str, float]:
     met = cert.pair_in.metric
     a, at = cert.vertical, cert.vertical.transpose()
     full = a @ cert.g.field() @ at
-    q_tot = max(np.sqrt(sum(v * v for v in full.mode_norms().values())), 1e-300)
-    q_keep, q_off = bk._project_structure(full, (0,), q_tot)
-    q = bk._real_skew(met, q_keep[0])[0]
-    qf = sm.FourierField(met, {0: q.astype(complex)})
+    q_tot = max(full.l2_norm(), 1e-300)
+    q_off = bk._off_modes(full, 0, q_tot)
+    q = bk._real_skew(met, full.coef[0].real)[0]
+    qf = sm.FourierField.from_grid(met, q)
     conn_out = cert.pair_out.conn
     dq = sm.d_A(q, conn_out)
     rhs = a @ cert.pair_in.higgs.as_field() @ at

@@ -15,7 +15,7 @@ from cocyclelab import backlund as bk, cli, cocycle as cc, fieldio as fio, smfie
 from cocyclelab.errors import passes
 from cocyclelab.backlund import generate_chain
 from cocyclelab.smfield import Higgs, Pair
-from cocyclelab.torus import TorusMetric
+from cocyclelab.torus import MAX_STEPS, TorusMetric, step_count
 from oracles import mode_grid_payload, plane_matmul3, read_mode_grid, read_pgm, read_transport_csv
 
 
@@ -233,6 +233,17 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
         ('"nx": 16, "ny": 16, "harmonics": [[true, 1, 0]]', "",
          "harmonic 0 amp must be a JSON number"),
     )]
+    # a chain step's numbers: JSON numbers, as many as the key takes
+    bad_configs += [('{"metric": {"nx": 16, "ny": 16}, "chain": [{"kind": "%s", %s}]}'
+                     % (kind, entry), message) for kind, entry, message in (
+        ("constant", '"axis": [0, 1]', "chain step 0 (constant): axis must be a list of 3"),
+        ("constant", '"axis": ["0", "0", "1"]',
+         "chain step 0 (constant) axis must be a JSON number"),
+        ("constant", '"axis": [true, 0, 0]', "chain step 0 (constant) axis must be a JSON number"),
+        ("elliptic", '"scale": [true, 0]', "chain step 0 (elliptic) scale must be a JSON number"),
+        ("elliptic", '"z0": [0.51, 0.52, 3]', "chain step 0 (elliptic): z0 must be a list of 2"),
+        ("elliptic", '"scale": [1, 0, 0]', "chain step 0 (elliptic): scale must be a list of 2"),
+    )]
     for cfg_text, message in bad_configs:
         cfg = tmp_path / "bad_config.json"
         cfg.write_text(cfg_text)
@@ -377,6 +388,33 @@ def test_step_too_large_exits_before_any_computation(tmp_path, monkeypatch, caps
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_step_count_beyond_max_steps_exits_before_any_computation(tmp_path, monkeypatch,
+                                                                  capsys):
+    """A run of more than torus.MAX_STEPS steps is bad input, refused before
+    any computation: step_count itself, verify on a flat pair of side 1e300
+    (its closed geodesics are about 1e300 long) and a transport whose
+    --t-final asks for 1e9 steps.  Spies make any computation fail, so no
+    such run starts."""
+    with pytest.raises(ValueError, match="exceeds MAX_STEPS"):
+        step_count(TorusMetric.flat(16, 16), 1e3 * MAX_STEPS, 1e-3)
+    assert step_count(TorusMetric.flat(16, 16), MAX_STEPS * 1e-3, 1e-3) == MAX_STEPS
+    out = run_generate(tmp_path, {"metric": {"nx": 16, "ny": 16, "lx": 1e300}, "chain": []})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the step count was checked")
+
+    for name in ("mode_residuals", "TransportContext", "integrate_geodesic"):
+        monkeypatch.setattr(cc, name, refuse)
+    pair = str(out / "pair.json")
+    for argv in (["verify", pair, str(out / "trivializer.json")],
+                 ["transport", pair, "--x", "0.2", "--y", "0.7", "--theta", "1.1",
+                  "--t-final", "1e6", "--out", str(tmp_path / "t.csv")]):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_BADINPUT, argv
+        assert "exceeds MAX_STEPS" in capsys.readouterr().err, argv
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("metric, t_final, dt, accepted", [
     ("flat", 1.0, 0.0201, True),  # 50 steps of 0.02, though 0.0201 itself is too large
     ("flat", 1.0, 0.02, True),
@@ -460,18 +498,19 @@ WORKLOAD_CHAINS = {
 def test_real_fields_take_one_eta_and_float64_products(tmp_path, monkeypatch, workload):
     """Pairs, trivializers and Backlund factors are real on SM, so in
     generate, verify and reduce every x_op takes one eta_minus and no
-    eta_plus, eta_plus runs only on fields that are not real (the energy
-    identity's one-mode fields), and every 3x3 product of two factors with
-    more than one fiber sample multiplies float64 by float64 (the einsum
-    form of _matmul3).  A product of two multi-mode bands not real on SM
-    raises, so it cannot fall back to complex arithmetic."""
+    eta_plus, of its modes -K..K (a conjugate-symmetric stack), eta_plus runs
+    only on grids that are not such a stack (the energy identity's one-mode
+    grids), and every 3x3 product of two factors with more than one fiber
+    sample multiplies float64 by float64 (the einsum form of _matmul3)."""
     etas, per_x, sampled = [], [], []
 
     def eta(sign, fn):
-        def wrapped(f):
-            real = f.lo == -f.hi and np.array_equal(f.coef, np.conj(f.coef[::-1]))
+        def wrapped(metric, grids, ms, twist=None):
+            ms = np.asarray(ms)
+            real = (np.array_equal(ms, -ms[::-1])
+                    and np.array_equal(grids, np.conj(grids[::-1])))
             etas.append((sign, real))
-            return fn(f)
+            return fn(metric, grids, ms, twist)
         return wrapped
 
     def x_op(f, fn=sm.x_op):

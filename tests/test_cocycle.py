@@ -24,8 +24,8 @@ from cocyclelab.interp import PeriodicCubic2D
 from cocyclelab.lie3 import hat
 from cocyclelab.smfield import Connection, FourierField, Higgs, Pair
 from cocyclelab.torus import Harmonic, SMPoint, TorusMetric, grid_coords, integrate_geodesic
-from oracles import (coefficient_spline_generator, frame_transfer_residual, hat_grid,
-                     plane_matmul3, so3_exp)
+from oracles import (coefficient_spline_generator, frame_transfer_residual, full_band,
+                     hat_grid, plane_matmul3, so3_exp)
 
 
 def curved_metric(n=64):
@@ -44,7 +44,7 @@ def constant_axis_pair(met, gv):
     g2 = plane_matmul3(gm, gm)
     c0 = np.broadcast_to(np.eye(3)[:, :, None, None] + g2, gg.shape).astype(complex)
     c1 = np.broadcast_to(-0.5 * (g2 + 1j * gm), gg.shape).astype(complex)
-    u = FourierField(met, {0: c0, 1: c1, -1: c1.conj()})
+    u = FourierField(met, {0: c0, 1: c1})
     return Pair(Connection(met, a, b), Higgs.zero(met), trivializer=u)
 
 
@@ -403,9 +403,7 @@ def test_h0_residuals_controls():
     assert bad["h0-frame"] > 1e-3
     # contaminate u with a spurious mode: the psi-from-frame route must flag it
     c1 = u.mode(1)
-    u_bad = FourierField(
-        met, {0: u.mode(0), 1: c1, -1: c1.conj(), 2: 0.3 * c1, -2: 0.3 * c1.conj()}
-    )
+    u_bad = FourierField(met, {0: u.mode(0), 1: c1, 2: 0.3 * c1})
     flagged = h0_residuals(u_bad)
     assert flagged["h0-vertical"] > 1e-3
 
@@ -432,10 +430,11 @@ def _full_band_values(u, xs, ys, ths):
     every mode, negative ones included, summed against e^{i m theta}, real
     part taken."""
     met = u.metric
-    stack = np.moveaxis(u.coef, (0, 1, 2), (2, 3, 4)).reshape(met.ny, met.nx, -1)
+    full = full_band(u)
+    stack = np.moveaxis(full, (0, 1, 2), (2, 3, 4)).reshape(met.ny, met.nx, -1)
     vals = PeriodicCubic2D(stack.real, met.lx, met.ly)(xs, ys)
     vals = vals + 1j * PeriodicCubic2D(stack.imag, met.lx, met.ly)(xs, ys)
-    phases = np.exp(1j * np.multiply.outer(ths, np.arange(u.lo, u.hi + 1)))
+    phases = np.exp(1j * np.multiply.outer(ths, np.arange(-u.degree, u.degree + 1)))
     out = np.einsum("pmc,pm->pc", vals.reshape(len(xs), -1, 9), phases)
     return out.real.reshape(len(xs), 3, 3)
 
@@ -459,13 +458,15 @@ def test_interpolant_of_modes_m_ge_0_matches_full_band(repeats):
 
 def test_mode_residuals_transient_memory_is_bounded():
     """verify's mode rows on the flat-elliptic chain at 48^2 (trivializer
-    degree 2) hold at most 15 trivializer bands of temporaries at once: each
-    sum or difference is one new band, and h0_residuals drops every band once
-    its norm is taken (tracemalloc counts numpy's data buffers)."""
+    degree 2) hold at most 15 times the bytes of the trivializer's modes
+    -2..2 in temporaries at once: each sum or difference is one new band, and
+    h0_residuals drops every band once its norm is taken (tracemalloc counts
+    numpy's data buffers)."""
     met = TorusMetric.flat(48, 48)
     pair = generate_chain(met, [{"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]},
                                 {"kind": "repeat-q"}]).final
-    band = pair.trivializer.coef.nbytes
+    # the bytes of the modes -2..2, the unit this bound was set in
+    band = 5 * pair.trivializer.coef[0].nbytes
     assert pair.trivializer.degree == 2
     started = not tracemalloc.is_tracing()
     if started:
@@ -479,6 +480,29 @@ def test_mode_residuals_transient_memory_is_bounded():
         if started:
             tracemalloc.stop()
     assert peak <= 15 * band
+
+
+def test_mode_residuals_of_half_bands_peak_below_36_mb():
+    """verify's mode rows on the flat-elliptic chain at 64^2 (trivializer
+    degree 2) peak below 36 MB of temporaries: every band holds the modes
+    0..K of a real field only.  Bands of the modes -K..K peaked at 40.8 MB
+    (tracemalloc counts numpy's data buffers)."""
+    met = TorusMetric.flat(64, 64)
+    pair = generate_chain(met, [{"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]},
+                                {"kind": "repeat-q"}]).final
+    mode_residuals(pair)  # fills the product caches
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        mode_residuals(pair)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 36e6
 
 
 def test_transport_transient_memory_is_bounded():

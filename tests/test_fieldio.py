@@ -22,19 +22,13 @@ RNG = np.random.default_rng(1234)
 
 
 def random_field(met, degree=2, seed=0):
+    """A random field: a real mode 0 and complex modes 1..degree."""
     rng = np.random.default_rng(seed)
-    modes = {}
-    for m in range(-degree, degree + 1):
-        modes[m] = rng.normal(size=(3, 3, met.ny, met.nx)) + 1j * rng.normal(
-            size=(3, 3, met.ny, met.nx)
-        )
+    shape = (3, 3, met.ny, met.nx)
+    modes = {0: rng.normal(size=shape)}
+    for m in range(1, degree + 1):
+        modes[m] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return FourierField(met, modes)
-
-
-def real_random_field(met, degree=2, seed=0):
-    """A random field that is real on SM: c_{-m} = conj(c_m), c_0 real."""
-    f = random_field(met, degree, seed)
-    return (f + f.conj()) * 0.5
 
 
 # finite doubles at the edges of float text: signed zeros, subnormals, the
@@ -115,7 +109,7 @@ def test_canonical_json_parses_back(tmp_path):
 
 def test_field_json_round_trip_exact(tmp_path):
     met = TorusMetric.from_harmonics(20, 16, 1.0, 1.5, [Harmonic(0.05, 1, 1)])
-    f = real_random_field(met, degree=2, seed=3)
+    f = random_field(met, degree=2, seed=3)
     p = tmp_path / "field.json"
     h1 = fio.save_field(p, f)
     doc = fio.load_json(p)
@@ -126,7 +120,6 @@ def test_field_json_round_trip_exact(tmp_path):
     assert sorted(g.modes) == sorted(f.modes)
     for m in range(3):
         assert np.array_equal(g.mode(m), f.mode(m))  # bit-exact float64 bytes
-        assert np.array_equal(g.mode(-m), np.conj(g.mode(m)))  # exact conjugates
     h2 = fio.save_field(tmp_path / "again.json", g)
     assert h1 == h2  # identical bytes both times
     # a unit section is stored as its vee triples and read back bit-exact
@@ -158,16 +151,16 @@ def test_field_reads_back_bit_for_bit(tmp_path, values):
         grid[normal] = rng.normal(size=normal.sum())
         return np.moveaxis(hat(grid) if so3 else grid, (2, 3), (0, 1))
 
-    modes = {0: part().astype(complex)}
+    modes = {0: part()}
     for m in (1, 2):
         c = np.empty((3, 3, met.ny, met.nx), dtype=complex)
         c.real, c.imag = part(), part()
-        modes[m], modes[-m] = c, np.conj(c)
+        modes[m] = c
     f = FourierField(met, modes)
     assert np.signbit(f.coef.real).any() and (f.coef.real == 0).any()
     fio.save_field(tmp_path / "f.json", f, so3=so3)
     g = fio.load_field(tmp_path / "f.json")
-    assert g.lo == f.lo and g.coef.flags.writeable
+    assert g.degree == f.degree and g.coef.flags.writeable
     assert np.array_equal(g.coef.view(np.uint64), f.coef.view(np.uint64))
 
 
@@ -309,16 +302,10 @@ def test_load_json_rejects_non_finite_tokens(tmp_path, token):
 
 
 def test_writer_refuses_data_the_layout_would_change(tmp_path):
-    """Format 3 drops the modes m < 0 and the symmetric part of so(3) values;
-    data for which they are not redundant to STRUCTURE_TOL is a failed check,
-    and no file is written."""
+    """Format 3 drops the symmetric part of so(3) values; data for which it
+    is not redundant to STRUCTURE_TOL is a failed check, and no file is
+    written."""
     met = TorusMetric.flat(16, 16)
-    f = real_random_field(met, degree=1, seed=5)
-    bent = f + FourierField(met, {-1: np.full((3, 3, 16, 16), 1e-8)})
-    assert bent.reality_residual() > fio.STRUCTURE_TOL
-    with pytest.raises(StructureViolated):
-        fio.save_field(tmp_path / "bent.json", bent)
-    assert not (tmp_path / "bent.json").exists()
     axis = np.array([0.0, 0.6, 0.8])
     pair = bk.backlund_transform(Pair.trivial(met), bk.UnitSection.constant(met, axis)).pair_out
     pair.higgs.phi[0, 1, 3, 4] += 1e-8
