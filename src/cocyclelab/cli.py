@@ -12,6 +12,7 @@ seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -45,6 +46,18 @@ DEFAULT_TOLS = {
 CONFIG_KEYS = ("metric", "chain", "tolerances", "outdir")
 METRIC_KEYS = ("nx", "ny", "lx", "ly", "harmonics")
 GENERATE_TOLS = ("cert", "gmero")
+
+# glibc's mallopt parameters and the values main fixes them at.  Each product
+# and eta call allocates and frees a (K + 1) x 9 x n^2 complex band; left to
+# its dynamic thresholds, glibc trims such freed pages off the heap and the
+# next band faults them in again (about 30k minor faults a flat 48^2
+# generate/verify/reduce).  32 MiB is the ceiling of glibc's own dynamic mmap
+# threshold on 64-bit, and 64 MiB twice that, the trim threshold its dynamic
+# rule pairs with it.  Both are fixed, since fixing either one switches off
+# the dynamic adjustment of the other.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD_BYTES = 64 << 20
+MMAP_THRESHOLD_BYTES = 32 << 20
 
 
 def _metric_from_config(doc: dict) -> TorusMetric:
@@ -324,13 +337,27 @@ def _discard_stdout() -> None:
     os.close(null)
 
 
+def _fix_heap_thresholds() -> None:
+    """Fix glibc's trim and mmap thresholds (see MMAP_THRESHOLD_BYTES); best
+    effort, so a libc without mallopt, or none to load, is left as it is."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except OSError:
+        return
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
     """Run one verb and map its outcome to the exit code.  This is the only
     place an exception becomes an exit code: a CocycleLabError is a failed
     check (1), and so is a standard output closed by its reader (a
     BrokenPipeError, reported silently: stderr may be that pipe too); the
     built-in errors that the loaders, the argument checks and the writers
-    raise are bad input (2)."""
+    raise are bad input (2).  glibc's heap thresholds are fixed first
+    (_fix_heap_thresholds)."""
+    _fix_heap_thresholds()
     args = build_parser().parse_args(argv)
     try:
         rc = args.func(args)

@@ -318,7 +318,12 @@ def write_transport_csv(path, result) -> None:
 
 def write_pgm(path, image: np.ndarray, bits: int = 8) -> tuple[float, float]:
     """Binary PGM (P5), min-max scaled; writes <path>.txt with the scale so
-    pixel values can be mapped back to field values.  Returns (lo, hi)."""
+    pixel values can be mapped back to field values.  Returns (lo, hi).
+
+    A span hi - lo of at most 64 ulps of max(|lo|, |hi|) is rounding noise
+    (the norm of an orthogonal trivializer is sqrt(3) at every point), so
+    the image is drawn flat, all pixels 0, as for an exactly constant one;
+    the sidecar still records lo and hi."""
     if bits not in (8, 16):
         raise ValueError("bits must be 8 or 16")
     img = np.asarray(image, dtype=float)
@@ -327,7 +332,7 @@ def write_pgm(path, image: np.ndarray, bits: int = 8) -> tuple[float, float]:
     lo, hi = float(img.min()), float(img.max())
     span = hi - lo
     maxval = (1 << bits) - 1
-    if span == 0.0:
+    if span <= 64 * np.spacing(max(abs(lo), abs(hi))):
         scaled = np.zeros_like(img)
     else:
         scaled = np.round((img - lo) / span * maxval)

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -816,3 +817,61 @@ def test_verify_into_a_closed_pipe_exits_1(tmp_path, unbuffered):
         os.close(write_end)
     assert proc.returncode == cli.EXIT_FAIL, proc.stderr
     assert proc.stderr == ""
+
+
+FAULT_GUARD = """
+import io, json, os, resource, sys
+from contextlib import redirect_stdout
+from cocyclelab import cli
+
+work = sys.argv[1]
+cfg = os.path.join(work, "config.json")
+with open(cfg, "w") as f:
+    json.dump({"metric": {"nx": 48, "ny": 48}, "chain": [
+        {"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]},
+        {"kind": "repeat-q"}]}, f)
+out = os.path.join(work, "out")
+
+def run(*argv):
+    with redirect_stdout(io.StringIO()):
+        rc = cli.main(list(argv))
+    if rc != cli.EXIT_OK:
+        sys.exit(f"{argv[0]} exited {rc}")
+
+run("generate", cfg, "--outdir", out)
+faults = []
+for k in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run("verify", os.path.join(out, "pair.json"), os.path.join(out, "trivializer.json"),
+        "--report", os.path.join(work, f"report{k}.json"))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_repeated_verify_reuses_heap_pages(tmp_path):
+    """A second flat 48^2 verify in one process finds the pages the first one
+    freed still in the heap: without fixed thresholds glibc trims them and
+    the run faults about 18k pages in again."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FAULT_GUARD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout)
+    assert faults[1] < 2000, faults
+    assert (tmp_path / "report0.json").read_bytes() == (tmp_path / "report1.json").read_bytes()
+
+
+@pytest.mark.parametrize("cdll", ["raises", "no-mallopt"])
+def test_heap_thresholds_are_best_effort(tmp_path, monkeypatch, cdll):
+    """No libc to load, or one without mallopt, leaves the heap as it is and
+    the verb runs as before."""
+    def fake_cdll(name, *args, **kwargs):
+        if cdll == "raises":
+            raise OSError("no libc")
+        return object()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
+    run_generate(tmp_path, {"metric": {"nx": 32, "ny": 32}, "chain": []})

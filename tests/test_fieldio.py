@@ -259,9 +259,18 @@ def test_pgm_round_trip(tmp_path):
 
 
 def test_pgm_constant_image(tmp_path):
-    img = np.full((4, 5), 2.5)
-    fio.write_pgm(tmp_path / "c.pgm", img)
-    assert read_pgm(tmp_path / "c.pgm").max() == 0.0
+    # a span of a few ulps is rounding noise (the norm image of a certified
+    # trivializer is sqrt(3) to about 7 ulps) and is drawn flat too
+    noisy = np.full((4, 5), np.sqrt(3.0))
+    noisy[1, 2] = np.nextafter(noisy[1, 2], 2.0)
+    noisy[3] += 7 * np.spacing(np.sqrt(3.0))
+    for img in (np.full((4, 5), 2.5), noisy):
+        lo, hi = fio.write_pgm(tmp_path / "c.pgm", img)
+        assert (lo, hi) == (img.min(), img.max())
+        assert read_pgm(tmp_path / "c.pgm").max() == 0.0
+        with open(str(tmp_path / "c.pgm") + ".txt") as f:
+            lines = f.read().splitlines()
+        assert lines[:2] == [f"min {lo!r}", f"max {hi!r}"]
 
 
 def test_pgm_input_gates(tmp_path):
