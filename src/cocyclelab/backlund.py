@@ -1,8 +1,9 @@
 """Bäcklund transformations that build cohomologically trivial SO(3) pairs.
 
 Starting from a certified pair (A, Phi) with trivializer u and a unit section
-g: M -> so(3) whose complex eigenbundle is holomorphic for the induced
-dbar-operator, the transform produces a new certified pair
+g = hat(n): M -> so(3), given by its axis field n: M -> S^2, whose complex
+eigenbundle is holomorphic for the induced dbar-operator, the transform
+produces a new certified pair
 
     Phi_g = a (g<g,Phi> + *d_A g) a^{-1},
     A_g   = -X(a) a^{-1} + a (A + Phi - g<g,Phi> - *d_A g) a^{-1},
@@ -18,13 +19,14 @@ q = a g a^{-1} is g itself.  The module also implements chains of steps (a
 repeat-q step transforms again with the previous step's section, its q;
 after a Higgs-free input the two steps are the doubling that lifts to SU(2)),
 a factory of holomorphic unit sections from elliptic functions, and degree
-reduction of trivializers, which runs the same core and gates only the pair
-it writes.  Every gate raises through errors.gate.  The inverse transform
-(with section -g), the q-lemma rows, the round-trip distance and the SU(2)
-lift parity of a trivializer's fiber loop are test references in
-tests/oracles.py.  Grids are (3, 3, ny, nx), multiplied by smfield's kernel;
-lie3's point helpers and a reduction's SVD and column pick read a grid
-through one np.moveaxis view.
+reduction of trivializers, which reads the new axis straight off the top
+mode b_N of the trivializer as vee(Im b_N b_N^H), runs the same core and
+gates only the pair it writes.  Every gate raises through errors.gate.  The
+inverse transform (with section -g), the q-lemma rows, the round-trip
+distance and the SU(2) lift parity of a trivializer's fiber loop are test
+references in tests/oracles.py.  Grids are (3, 3, ny, nx), multiplied by
+smfield's kernel; lie3's point helpers read a grid through one np.moveaxis
+view.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     json_number,
     worst,
 )
-from .lie3 import hat, inner
+from .lie3 import hat, inner, vee
 from .smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm
 from .torus import TorusMetric, grid_coords
 
@@ -62,54 +64,32 @@ UNIT_TOL = 1e-10
 GATED_RESIDUALS = ("input-field", "holomorphy", "output-field")
 
 
-def unit_residual(grid: np.ndarray) -> float:
-    """max over the points of a (3, 3, ny, nx) grid of ||g^3 + g||_F; zero
-    iff g is 0 or a unit section value there."""
-    r = sm._matmul3(sm._matmul3(grid, grid), grid) + grid
-    return float(np.sqrt(np.einsum("ijyx,ijyx->yx", r, r)).max())
-
-
-def check_unit(grid: np.ndarray) -> None:
-    """Raise NotUnit unless ||g^3 + g|| <= UNIT_TOL and | |g|^2 - 1 | <=
-    100 UNIT_TOL at every point of a (3, 3, ny, nx) grid."""
-    gate(unit_residual(grid), UNIT_TOL, NotUnit, "||g^3 + g|| =")
-    point = np.moveaxis(grid, (0, 1), (2, 3))
-    gate(float(np.abs(inner(point, point) - 1.0).max()), 100 * UNIT_TOL, NotUnit,
-         "| |g|^2 - 1 | =")
-
-
 class UnitSection:
-    """A section g: M -> so(3) with |g| = 1 pointwise, sampled on the metric
-    grid as a contiguous (3, 3, ny, nx) array.
-
-    Unit length (g^3 = -g) is enforced at construction.  meta holds how the
-    section was built (its kind and, for the elliptic factory, its parameters);
-    generate writes it with each step's residuals.
+    """A section g = hat(n): M -> so(3) of a (ny, nx, 3) axis field n,
+    with grid g as a contiguous (3, 3, ny, nx) array.  NotUnit unless
+    max | |n|^2 - 1 | <= UNIT_TOL / 2 (n is not normalized here).  meta holds
+    how the section was built (its kind and, for the elliptic factory, its
+    parameters); generate writes it with each step's residuals.
     """
 
-    def __init__(self, metric: TorusMetric, grid: np.ndarray, meta: dict | None = None):
-        grid = np.ascontiguousarray(grid, dtype=float)
-        if grid.shape != (3, 3, metric.ny, metric.nx):
-            raise ValueError(f"grid shape {grid.shape} does not match metric grid")
-        check_unit(grid)
+    def __init__(self, metric: TorusMetric, axis: np.ndarray, meta: dict | None = None):
+        axis = np.asarray(axis, dtype=float)
+        if axis.shape != (metric.ny, metric.nx, 3):
+            raise ValueError(f"axis shape {axis.shape} does not match the metric grid "
+                             f"({metric.ny}, {metric.nx}, 3)")
+        gate(float(np.abs(np.einsum("yxk,yxk->yx", axis, axis) - 1.0).max()), UNIT_TOL / 2,
+             NotUnit, "| |n|^2 - 1 | =")
         self.metric = metric
-        self.grid = grid
+        self.axis = axis
+        self.grid = np.ascontiguousarray(np.moveaxis(hat(axis), (-2, -1), (0, 1)))
         self.meta = dict(meta) if meta else {}
 
     @classmethod
     def constant(cls, metric: TorusMetric, axis) -> "UnitSection":
         v = np.asarray(axis, dtype=float)
         v = v / np.linalg.norm(v)
-        g = np.broadcast_to(hat(v)[:, :, None, None], (3, 3, metric.ny, metric.nx))
-        return cls(metric, g, meta={"kind": "constant", "axis": v.tolist()})
-
-    @classmethod
-    def from_axis(cls, metric: TorusMetric, axis_grid: np.ndarray,
-                  meta: dict | None = None) -> "UnitSection":
-        """Build from a (ny, nx, 3) unit-vector field n(x, y); normalizes defensively."""
-        n = np.asarray(axis_grid, dtype=float)
-        n = n / np.linalg.norm(n, axis=-1, keepdims=True)
-        return cls(metric, np.moveaxis(hat(n), (-2, -1), (0, 1)), meta=meta)
+        return cls(metric, np.broadcast_to(v, (metric.ny, metric.nx, 3)),
+                   meta={"kind": "constant", "axis": v.tolist()})
 
     def field(self) -> FourierField:
         return FourierField.from_grid(self.metric, self.grid)
@@ -350,13 +330,14 @@ def holomorphic_g_factory(
     if dist.min() < 1e-9:
         raise ValueError("z0 collides with a grid point; shift it off-grid")
     n = _stereographic_axis(scale * weierstrass_p(z, metric.lx, metric.ly) + offset)
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
     meta = {
         "kind": "elliptic",
         "z0": [float(z0[0]), float(z0[1])],
         "scale": [float(np.real(scale)), float(np.imag(scale))],
         "offset": [float(np.real(offset)), float(np.imag(offset))],
     }
-    return UnitSection.from_axis(metric, n, meta=meta)
+    return UnitSection(metric, n, meta=meta)
 
 
 # -- degree reduction ----------------------------------------------------------------
@@ -398,24 +379,42 @@ def _fill_masked_axis(n: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return n
 
 
+def _top_mode_axis(b_top: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(axis, mask, axis-norm-dev) of a trivializer's top mode b_N = C + iD.
+
+    Where b_N = (p + iq) w^T is rank one with isotropic range (p, q
+    orthogonal of equal length), Im(b_N b_N^H) = D C^T - C D^T is
+    |w|^2 hat(p x q): the axis is v = vee(D C^T - C D^T) normalised (zero on
+    the mask), and 2 |v| / |b_N|_F^2 = 1.  The mask holds the points where
+    |b_N|_F, the top singular value of a rank-one matrix, is below 1e-8 of
+    its maximum; axis-norm-dev is max |2 |v| / |b_N|_F^2 - 1| off the mask.
+    """
+    c, d = b_top.real, b_top.imag
+    # vee(D C^T - C D^T) = 2 vee(D C^T), read through the point view of lie3
+    v = 2.0 * vee(np.moveaxis(sm._matmul3(d, np.swapaxes(c, 0, 1)), (0, 1), (2, 3)))
+    b_sq = sm._square_sum(b_top[None])
+    b_norm = np.sqrt(b_sq)
+    mask = b_norm < 1e-8 * b_norm.max()
+    v_norm = np.linalg.norm(v, axis=-1)
+    axis_dev = float(np.abs(2.0 * v_norm[~mask] / np.maximum(b_sq[~mask], 1e-300) - 1.0).max())
+    n = np.where(mask[..., None], 0.0, v / np.maximum(v_norm[..., None], 1e-300))
+    return n, mask, axis_dev
+
+
 def reduce_degree(pair: Pair) -> ReductionResult:
     """Lower the fiber degree of a certified trivializer by one Bäcklund step.
 
-    The top mode b_N of the trivializer is rank one with isotropic range;
-    writing b_N = C + iD, the new axis section is n = unit(Cy) x unit(Dy) for
-    any column choice y with Cy != 0 (the result is independent of y and of
-    the sign of the frame; the argmax-norm column is used).  Grid points where
-    b_N nearly vanishes (top singular value below 1e-8 relative) are filled
-    from neighbors; RankDeficient is raised when they exceed 1% of the grid.
-    d_A g of the section and its Hodge star are built once: the four
-    holomorphy residuals must pass below DEFAULT_GMERO_TOL (ReductionFailed
-    otherwise), and the star feeds the transform's core too.  The input pair
-    must then pass the field residual gate at DEFAULT_CERT_TOL
-    (InputNotCertified).  The transform with this section annihilates the
-    top modes of a u, which are dropped without gating the untruncated
-    trivializer, and the reduced pair must pass the field residual gate at
-    DEFAULT_CERT_TOL (OutputNotCertified): one step builds two transport
-    bands.
+    The new section's axis is read off the trivializer's top mode
+    (_top_mode_axis); its masked points are filled from neighbors, and
+    RankDeficient is raised when they exceed 1% of the grid.  d_A g of the
+    section and its Hodge star are built once: the four holomorphy residuals
+    must pass below DEFAULT_GMERO_TOL (ReductionFailed otherwise), and the
+    star feeds the transform's core too.  The input pair must then pass the
+    field residual gate at DEFAULT_CERT_TOL (InputNotCertified).  The
+    transform with this section annihilates the top modes of a u, which are
+    dropped without gating the untruncated trivializer, and the reduced pair
+    must pass the field residual gate at DEFAULT_CERT_TOL
+    (OutputNotCertified): one step builds two transport bands.
     """
     b = pair.trivializer
     if b is None:
@@ -425,32 +424,10 @@ def reduce_degree(pair: Pair) -> ReductionResult:
         raise ValueError("trivializer already has fiber degree zero")
     met = pair.metric
     b_top = b.mode(n_deg)
-    b_pts = np.moveaxis(b_top, (0, 1), (2, 3))  # the SVD and column pick read points
-    svals = np.linalg.svd(b_pts, compute_uv=False)
-    s1 = svals[..., 0]
-    mask = s1 < 1e-8 * s1.max()
+    n_axis, mask, axis_dev = _top_mode_axis(b_top)
     frac = float(mask.mean())
-    if frac > 0.01:
-        raise RankDeficient(
-            f"top mode rank-deficient on {100 * frac:.2f}% of the grid"
-        )
-    c_re, d_im = b_pts.real, b_pts.imag
-    col_norms = np.linalg.norm(c_re, axis=-2)
-    jstar = np.argmax(col_norms, axis=-1)
-    idx = jstar[..., None, None]
-    cy = np.take_along_axis(c_re, np.broadcast_to(idx, c_re.shape[:-1] + (1,)), -1)[..., 0]
-    dy = np.take_along_axis(d_im, np.broadcast_to(idx, d_im.shape[:-1] + (1,)), -1)[..., 0]
-    safe = np.maximum(np.linalg.norm(cy, axis=-1, keepdims=True), 1e-300)
-    p = cy / safe
-    qv = dy / np.maximum(np.linalg.norm(dy, axis=-1, keepdims=True), 1e-300)
-    n_axis = np.cross(p, qv)
-    norms = np.linalg.norm(n_axis, axis=-1)
-    axis_dev = float(np.abs(norms[~mask] - 1.0).max()) if (~mask).any() else 0.0
-    n_axis = _fill_masked_axis(
-        np.where(mask[..., None], 0.0, n_axis / np.maximum(norms[..., None], 1e-300)),
-        mask,
-    )
-    g_new = UnitSection(met, np.moveaxis(hat(n_axis), (-2, -1), (0, 1)),
+    gate(frac, 0.01, RankDeficient, "top mode rank-deficient fraction")
+    g_new = UnitSection(met, _fill_masked_axis(n_axis, mask),
                         meta={"kind": "reduction", "from-degree": n_deg})
     dg = sm.d_A(g_new.grid, pair.conn)
     star_dg = sm.hodge_star(dg)
@@ -470,10 +447,9 @@ def reduce_degree(pair: Pair) -> ReductionResult:
 
     u_full = pair_out.trivializer
     unorm = u_full.l2_norm()
-    top1 = np.sqrt(sum(grid_l2_norm(met, u_full.mode(m)) ** 2 for m in (n_deg, -n_deg)))
-    top2 = np.sqrt(
-        sum(grid_l2_norm(met, u_full.mode(m)) ** 2 for m in (n_deg + 1, -n_deg - 1))
-    )
+    # modes N and N + 1 of a u, each counted for m and -m
+    top1, top2 = (np.sqrt(2.0 * grid_l2_norm(met, u_full.mode(m)) ** 2)
+                  for m in (n_deg, n_deg + 1))
     u_red = u_full.truncate(n_deg - 1)
     pair_red = Pair(pair_out.conn, pair_out.higgs, trivializer=u_red)
     red_res = transport_residual_field(pair_red)
@@ -542,11 +518,13 @@ def generate_chain(
 
     Each step continues from the certificate of the step before it
     (backlund_transform), so N steps build N + 1 transport bands.  Raises
-    ValueError on a step that is not a dict, an unknown kind or key, a
-    parameter that is not a list of that many finite JSON numbers
-    (_step_numbers) or an axis of zero or overflowing length, before that
-    step's section is built.
+    ValueError on a chain that is not a list, a step that is not a dict, an
+    unknown kind or key, a parameter that is not a list of that many finite
+    JSON numbers (_step_numbers) or an axis of zero or overflowing length,
+    before that step's section is built.
     """
+    if not isinstance(steps, (list, tuple)):
+        raise ValueError(f"chain must be a list of steps, got {steps!r}")
     certs: list[BacklundCertificate] = []
     for step in steps:
         if not isinstance(step, dict):
@@ -571,7 +549,7 @@ def generate_chain(
         else:  # repeat-q
             if not certs:
                 raise ValueError("repeat-q needs a previous step")
-            g = UnitSection(metric, certs[-1].g.grid, meta={"kind": "repeat-q"})
+            g = UnitSection(metric, certs[-1].g.axis, meta={"kind": "repeat-q"})
         prev = certs[-1] if certs else Pair.trivial(metric)
         certs.append(backlund_transform(prev, g, cert_tol=cert_tol, gmero_tol=gmero_tol))
     return ChainResult(certs=certs)

@@ -25,7 +25,7 @@ from . import cocycle as cc
 from . import fieldio as fio
 from .errors import CocycleLabError, check_keys, json_int, json_number, passes, worst
 from .smfield import Pair, _matmul3, eta_minus, eta_plus, l2_inner, star_curvature
-from .torus import SMPoint, TorusMetric, flat_closed_geodesics, step_count
+from .torus import MAX_STEPS, SMPoint, TorusMetric, flat_closed_geodesics, step_count
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -96,12 +96,15 @@ def _tolerances(doc, allowed) -> dict:
 
 def _check_run_args(args) -> None:
     """Reject the arguments of verify that argparse accepts but no run checks:
-    a geodesic count below 1, a negative seed, and a zero or non-finite
-    --t-final, which no run uses on a flat metric.  --dt is checked on the
-    step of each run (step_count, in _verify_report)."""
+    a geodesic count below 1 or above MAX_STEPS (each run takes a step at
+    least), a negative seed, and a zero or non-finite --t-final, which no run
+    uses on a flat metric.  --dt is checked on the step of each run and on
+    their total (step_count, in _verify_report)."""
     for name, least in (("geodesics", 1), ("seed", 0)):
         if getattr(args, name) < least:
             raise ValueError(f"--{name} must be at least {least}, got {getattr(args, name)}")
+    if args.geodesics > MAX_STEPS:
+        raise ValueError(f"--geodesics {args.geodesics} exceeds MAX_STEPS = {MAX_STEPS}")
     if not (math.isfinite(args.t_final) and args.t_final != 0):
         raise ValueError("--t-final must be nonzero and finite")
 
@@ -184,9 +187,12 @@ def _verify_report(pair: Pair, tols: dict, seed: int, geodesic_count: int,
                    t_final: float, dt: float) -> dict:
     met = pair.metric
     runs = _geodesic_runs(met, seed, geodesic_count, t_final)
-    # every run's step is refused as transport would refuse it, before any computation
-    for _, t_run in runs:
-        step_count(met, t_run, dt, cocycle=True)
+    # every run's step is refused as transport would refuse it, and so is a
+    # total beyond what one run may take, before any computation
+    total = sum(step_count(met, t_run, dt, cocycle=True) for _, t_run in runs)
+    if total > MAX_STEPS:
+        raise ValueError(f"the {len(runs)} geodesic runs take {total:.3g} cocycle steps in "
+                         f"total, which exceeds MAX_STEPS = {MAX_STEPS}")
     residuals = cc.mode_residuals(pair)
     residuals["energy"] = float(_energy_residuals(pair, 8, seed))
     ctx = cc.TransportContext(pair)

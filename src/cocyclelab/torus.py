@@ -23,12 +23,12 @@ x = i*Lx/nx, y = j*Ly/ny.  The geodesic RK4 loop is generated per metric
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NonSmoothLambda, StepTooLarge, json_int, json_number
+from .errors import NonSmoothLambda, StepTooLarge, check_keys, json_int, json_number
 
 MAX_STEP_FRACTION = 1e-2
 # The most steps one geodesic run may take.  A transport run holds about
@@ -139,6 +139,22 @@ def _compile_geodesic_loop(table):
     return namespace["loop"]
 
 
+def _harmonic(h, k: int) -> Harmonic:
+    """Harmonic k of a series: a Harmonic, a dict of its fields with amp, or
+    a list of its first 1 to 5 fields in order; ValueError naming it otherwise."""
+    if isinstance(h, Harmonic):
+        return h
+    names = [f.name for f in fields(Harmonic)]
+    if isinstance(h, dict):
+        check_keys(h, names, f"harmonic {k}")
+        if "amp" in h:
+            return Harmonic(**h)
+    elif isinstance(h, (list, tuple)) and 1 <= len(h) <= len(names):
+        return Harmonic(*h)
+    raise ValueError(f"harmonic {k} must be an object with amp or a list of 1 to "
+                     f"{len(names)} numbers ({', '.join(names)}), got {h!r}")
+
+
 def _check_grid(nx, ny, lx, ly) -> None:
     if nx < 16 or ny < 16:
         raise ValueError("grid must be at least 16x16")
@@ -155,12 +171,9 @@ class TorusMetric:
     """
 
     def __init__(self, nx, ny, lx, ly, harmonics):
-        harmonics = tuple(
-            h if isinstance(h, Harmonic)
-            else Harmonic(**h) if isinstance(h, dict)
-            else Harmonic(*h)
-            for h in harmonics
-        )
+        if not isinstance(harmonics, (list, tuple)):
+            raise ValueError(f"harmonics must be a list, got {harmonics!r}")
+        harmonics = tuple(_harmonic(h, k) for k, h in enumerate(harmonics))
         # a wavenumber is a JSON integer: true would read as 1 and 1.5 as no
         # period of the torus; amplitudes and phases are finite JSON numbers
         harmonics = tuple(replace(h, kx=json_int(h.kx, f"harmonic {k} kx"),

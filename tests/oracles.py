@@ -14,7 +14,8 @@ written value by value, the Rodrigues exponential of so(3), the lattice
 invariants g2, g3 from Eisenstein series, the covariant dbar from its own
 eta_minus, the mode -1 holomorphy routes with each route transforming the
 projector on its own, the inverse Backlund step with the q-lemma rows and
-the round-trip distance that certify it, the su(2) isomorphism ell, the
+the round-trip distance that certify it, the axis of a trivializer's top
+mode by a per-point SVD and a column pick, the su(2) isomorphism ell, the
 matrix commutator of point arrays, a spline evaluation that gathers its
 stencil by a 2-D fancy index, the geodesic RK4 loop on Python floats with
 one call per stage (the bits the generated loop must reproduce), and the
@@ -445,7 +446,26 @@ def random_unit_section(metric: TorusMetric, seed: int) -> UnitSection:
                 amp = 0.6 * rng.normal() / (1 + kx * kx + ky * ky)
                 n[..., c] += amp * np.cos(kx * xg + ky * yg + rng.uniform(0, 2 * np.pi))
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    return UnitSection.from_axis(metric, n, meta={"kind": "random", "seed": seed})
+    return UnitSection(metric, n, meta={"kind": "random", "seed": seed})
+
+
+def svd_column_axis(b_top: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(axis, mask, axis-norm-dev) of a trivializer's top mode b_N = C + iD
+    by a per-point SVD and a column pick: the mask holds the points whose top
+    singular value is below 1e-8 of its maximum, the axis is
+    unit(Cy) x unit(Dy) for the column y of largest |Cy| (zero on the mask),
+    and axis-norm-dev is max | |unit(Cy) x unit(Dy)| - 1 | off the mask."""
+    pts = np.moveaxis(b_top, (0, 1), (2, 3))
+    s1 = np.linalg.svd(pts, compute_uv=False)[..., 0]
+    mask = s1 < 1e-8 * s1.max()
+    col = np.argmax(np.linalg.norm(pts.real, axis=-2), axis=-1)[..., None, None]
+    cy, dy = (np.take_along_axis(part, np.broadcast_to(col, part.shape[:-1] + (1,)), -1)[..., 0]
+              for part in (pts.real, pts.imag))
+    n = np.cross(cy / np.maximum(np.linalg.norm(cy, axis=-1, keepdims=True), 1e-300),
+                 dy / np.maximum(np.linalg.norm(dy, axis=-1, keepdims=True), 1e-300))
+    norms = np.linalg.norm(n, axis=-1)
+    dev = float(np.abs(norms[~mask] - 1.0).max())
+    return np.where(mask[..., None], 0.0, n / np.maximum(norms[..., None], 1e-300)), mask, dev
 
 
 def dbar_A(g: np.ndarray, conn: sm.Connection) -> np.ndarray:
@@ -523,7 +543,7 @@ def inverse_backlund(
     """Undo a transform step: run the forward transform on the output pair
     with axis section -q = -g, whose vertical solution exp(-theta g) is
     a^{-1} = a^T."""
-    g_inv = UnitSection(cert.g.metric, -cert.g.grid, meta={"kind": "inverse"})
+    g_inv = UnitSection(cert.g.metric, -cert.g.axis, meta={"kind": "inverse"})
     return bk.backlund_transform(cert, g_inv, gmero_tol=gmero_tol)
 
 

@@ -44,6 +44,7 @@ from oracles import (
     round_trip_residuals,
     sample,
     section_family,
+    svd_column_axis,
     so3_exp,
     so3_norm,
 )
@@ -65,17 +66,37 @@ def holomorphy(sec, conn):
 
 
 def test_unit_section_gates():
+    """A section is its axis field and one gate on | |n|^2 - 1 |: a random
+    unit field gives g^3 = -g to rounding, the zero, NaN and 1.3x and 1.5x
+    axes raise NotUnit and a wrong shape ValueError.  The gate is no looser
+    than the two grid checks it replaced: every scale it admits also keeps
+    ||g^3 + g|| <= UNIT_TOL and | |g|^2 - 1 | <= 100 UNIT_TOL."""
     met = TorusMetric.flat(32, 32)
     sec = bk.UnitSection.constant(met, [3.0, 0.0, 4.0])
     assert np.abs(vee(points(sec.grid)) - np.array([0.6, 0.0, 0.8])).max() < 1e-15
-    with pytest.raises(NotUnit):
-        bk.UnitSection(met, 1.3 * sec.grid)
-    with pytest.raises(NotUnit):
-        bk.UnitSection(met, np.full_like(sec.grid, np.nan))
-    with pytest.raises(ValueError):
-        bk.UnitSection(met, np.zeros((3, 3, 16, 16)))
-    with pytest.raises(ValueError):  # a grid laid out point by point
-        bk.UnitSection(met, points(sec.grid))
+    assert sec.grid.shape == (3, 3, 32, 32) and sec.grid.flags.c_contiguous
+    rand = random_unit_section(met, seed=4)
+    g = rand.grid
+    assert np.abs(plane_matmul3(plane_matmul3(g, g), g) + g).max() < 1e-14
+    assert np.array_equal(g, hat_grid(rand.axis))
+    for axis in (np.zeros((32, 32, 3)), np.full((32, 32, 3), np.nan), 1.3 * sec.axis,
+                 1.5 * rand.axis):
+        with pytest.raises(NotUnit, match=r"^\| \|n\|\^2 - 1 \| ="):
+            bk.UnitSection(met, axis)
+    for axis in (np.zeros((16, 16, 3)), sec.grid, sec.axis[..., :2]):
+        with pytest.raises(ValueError, match="axis shape"):
+            bk.UnitSection(met, axis)
+    admitted = 0
+    for scale in 1.0 + np.linspace(-8e-11, 8e-11, 33):
+        try:
+            g = bk.UnitSection(met, scale * rand.axis).grid
+        except NotUnit:
+            continue
+        admitted += 1
+        r = plane_matmul3(plane_matmul3(g, g), g) + g
+        assert np.sqrt((r * r).sum(axis=(0, 1))).max() <= bk.UNIT_TOL
+        assert np.abs(0.5 * (g * g).sum(axis=(0, 1)) - 1.0).max() <= 100 * bk.UNIT_TOL
+    assert 0 < admitted < 33
 
 
 def test_vertical_solution_is_exponential():
@@ -128,7 +149,7 @@ def test_holomorphy_factory_versus_controls():
     assert max(res_good.values()) < 1e-9
     # the y-flipped axis is the stereographic image of the conjugate zeta
     g = bk.holomorphic_g_factory(met)
-    bad = bk.UnitSection.from_axis(met, vee(points(g.grid)) * [1, -1, 1])
+    bad = bk.UnitSection(met, g.axis * [1, -1, 1])
     res_bad = holomorphy(bad, Connection.zero(met))
     assert min(res_bad.values()) > 1e-2
     rand = random_unit_section(met, seed=13)
@@ -413,6 +434,48 @@ def test_reduce_fills_masked_axis_from_neighbors():
     assert np.abs(filled[mask] - AXIS).max() < 1e-15
     with pytest.raises(ReductionFailed):
         bk._fill_masked_axis(np.zeros((32, 32, 3)), np.ones((32, 32), dtype=bool))
+
+
+def top_modes():
+    """The top modes of the trivializers of the three benchmark chains and
+    of test_reduce_degree_recovers_inverse's one step."""
+    curved48, curved32 = (TorusMetric.from_harmonics(n, n, 1.0, 1.0, BENCH_CURVED)
+                          for n in (48, 32))
+    constant, repeat = {"kind": "constant", "axis": AXIS.tolist()}, {"kind": "repeat-q"}
+    for met, steps in ((TorusMetric.flat(48, 48), [ELLIPTIC, repeat]),
+                       (curved48, [constant, repeat]), (curved32, [constant] + [repeat] * 5),
+                       (TorusMetric.flat(96, 96), [{"kind": "elliptic", "scale": [0.9, 0.1]}])):
+        u = bk.generate_chain(met, steps).final.trivializer
+        yield u.mode(u.degree)
+
+
+def test_top_mode_axis_matches_the_svd_column_pick():
+    """The axis read off Im(b_N b_N^H) is the per-point SVD and column-pick
+    axis to 1e-14 on the mask that the SVD's top singular value gives, and
+    axis-norm-dev reads rounding."""
+    for top in top_modes():
+        axis, mask, dev = bk._top_mode_axis(top)
+        ref_axis, ref_mask, ref_dev = svd_column_axis(top)
+        assert np.array_equal(mask, ref_mask)
+        assert np.abs(axis - ref_axis).max() <= 1e-14
+        assert dev <= 1e-14 and ref_dev <= 1e-14
+
+
+def test_axis_norm_dev_detects_a_top_mode_off_rank_one_isotropic():
+    """axis-norm-dev is 0 exactly for a rank-one top mode with isotropic
+    range, where 2 |vee(D C^T - C D^T)| / |b_N|_F^2 takes its maximum 1, so
+    it falls off quadratically: a real rank-one term of relative size
+    eps = 1e-3 reads about eps^2 (0.97e-6 to 1.0e-6 here), far above
+    rounding, and a second isotropic rank-one term reads O(1) (0.33 to 0.67)."""
+    rng = np.random.default_rng(8)
+    eps = 1e-3
+    for top in top_modes():
+        size = np.sqrt((np.abs(top) ** 2).sum(axis=(0, 1)))
+        r, s = rng.normal(size=(2, 3))
+        real = np.outer(r / np.linalg.norm(r), s / np.linalg.norm(s))[:, :, None, None]
+        assert 0.5 * eps**2 <= bk._top_mode_axis(top + eps * size * real)[2] <= 2 * eps**2
+        second = np.outer([0.0, 1.0, 1.0j], [0.0, 0.0, 1.0])[:, :, None, None]
+        assert bk._top_mode_axis(top + size * second)[2] > 0.1
 
 
 def test_reduce_degree_computes_the_star_bracket_once(monkeypatch):

@@ -130,9 +130,11 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
     shifted["metric_lambda"] = [v + 0.5 for v in shifted["metric_lambda"]]
     unseries = json.loads(good)
     del unseries["metric_harmonics"]
-    text_lx, bool_lx = json.loads(good), json.loads(good)
+    text_lx, bool_lx, flat_series = json.loads(good), json.loads(good), json.loads(good)
     text_lx["grid"]["lx"], bool_lx["grid"]["lx"] = "1.0", True
+    flat_series["metric_harmonics"] = [0.1, 1, 0]
     for doc, message in ((shifted, "metric_lambda differs"), (unseries, "no metric_harmonics"),
+                         (flat_series, "harmonic 0 must be an object with amp"),
                          (text_lx, "grid lx must be a JSON number"),
                          (bool_lx, "grid lx must be a JSON number")):
         pair.write_text(json.dumps(doc))
@@ -244,6 +246,16 @@ def test_every_verb_rejects_non_finite_files(tmp_path, capsys):
         ("elliptic", '"scale": [true, 0]', "chain step 0 (elliptic) scale must be a JSON number"),
         ("elliptic", '"z0": [0.51, 0.52, 3]', "chain step 0 (elliptic): z0 must be a list of 2"),
         ("elliptic", '"scale": [1, 0, 0]', "chain step 0 (elliptic): scale must be a list of 2"),
+    )]
+    # the shape of the chain and of the harmonics
+    bad_configs += [('{"metric": {"nx": 16, "ny": 16%s}, "chain": %s}' % (harmonics, chain),
+                     message) for harmonics, chain, message in (
+        ("", "5", "chain must be a list of steps, got 5"),
+        (', "harmonics": 5', "[]", "harmonics must be a list, got 5"),
+        (', "harmonics": [5]', "[]", "harmonic 0 must be an object with amp or a list of 1 to 5"),
+        (', "harmonics": [[0.1, 1, 0, 0, 0, 9]]', "[]", "harmonic 0 must be an object with amp"),
+        (', "harmonics": [{"kx": 1}]', "[]", "harmonic 0 must be an object with amp"),
+        (', "harmonics": [{"amp": 0.1, "bogus": 1}]', "[]", "unknown key 'bogus' in harmonic 0"),
     )]
     for cfg_text, message in bad_configs:
         cfg = tmp_path / "bad_config.json"
@@ -414,6 +426,33 @@ def test_step_count_beyond_max_steps_exits_before_any_computation(tmp_path, monk
         assert cli.main(argv) == cli.EXIT_BADINPUT, argv
         assert "exceeds MAX_STEPS" in capsys.readouterr().err, argv
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_verify_total_steps_beyond_max_steps_exit_before_any_computation(tmp_path, monkeypatch,
+                                                                        capsys):
+    """Each run of verify may pass step_count while all of them together
+    ask for more than MAX_STEPS cocycle steps: on a flat 16^2 pair at the
+    default --dt, 1000 closed geodesics take 2.16e7 steps and 20000 take
+    1.93e9.  Both are bad input that names the total, and a --geodesics
+    count above MAX_STEPS is refused before the run list is built.  Spies
+    make any computation fail, so no such run starts."""
+    out = run_generate(tmp_path, {"metric": {"nx": 16, "ny": 16}, "chain": []})
+    verify = ["verify", str(out / "pair.json"), str(out / "trivializer.json")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the total step count was checked")
+
+    for name in ("mode_residuals", "TransportContext", "integrate_geodesic"):
+        monkeypatch.setattr(cc, name, refuse)
+    for count, total in ((1000, "2.16e+07"), (20000, "1.93e+09")):
+        capsys.readouterr()
+        assert cli.main(verify + ["--geodesics", str(count)]) == cli.EXIT_BADINPUT, count
+        assert (f"the {count} geodesic runs take {total} cocycle steps in total, which "
+                f"exceeds MAX_STEPS = {MAX_STEPS}") in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_geodesic_runs", refuse)
+    assert cli.main(verify + ["--geodesics", str(MAX_STEPS + 1)]) == cli.EXIT_BADINPUT
+    assert (f"--geodesics {MAX_STEPS + 1} exceeds MAX_STEPS = {MAX_STEPS}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("metric, t_final, dt, accepted", [

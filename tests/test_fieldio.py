@@ -124,7 +124,7 @@ def test_field_json_round_trip_exact(tmp_path):
     assert h1 == h2  # identical bytes both times
     # a unit section is stored as its vee triples and read back bit-exact
     axis = np.stack([np.cos(met.lam), np.sin(met.lam), np.zeros_like(met.lam)], axis=-1)
-    section = bk.UnitSection.from_axis(met, axis).field()
+    section = bk.UnitSection(met, axis).field()
     fio.save_field(tmp_path / "g.json", section, so3=True)
     doc = fio.load_json(tmp_path / "g.json")
     assert doc["values"] == "so3" and len(read_mode_grid(doc["modes"][0]["re"])) == 16 * 20 * 3

@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cocyclelab.backlund import check_unit, unit_residual
+from cocyclelab.backlund import UnitSection
 from cocyclelab.errors import NotUnit
 from cocyclelab.lie3 import hat, inner, vee
+from cocyclelab.torus import TorusMetric
 from oracles import (
     SamplingTooCoarse,
     bracket,
     ell,
     hat_grid,
+    plane_matmul3,
     polar_project,
     rotation_angle,
     so3_exp,
@@ -77,14 +79,18 @@ def test_so3_norm():
 
 
 def test_unit_residual_and_check():
-    """The unit check of a unit section's (3, 3, ny, nx) grid."""
-    v = RNG.normal(size=(50, 3))
+    """The unit check of a unit section's (3, 3, ny, nx) grid: a unit axis
+    field gives ||g^3 + g|| to rounding and passes the section's gate, 1.5x
+    of it raises NotUnit."""
+    v = RNG.normal(size=(16, 20, 3))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    g = hat_grid(v.reshape(5, 10, 3))
-    assert unit_residual(g) < 1e-14
-    check_unit(g)
+    g = hat_grid(v)
+    r = plane_matmul3(plane_matmul3(g, g), g) + g
+    assert np.sqrt((r * r).sum(axis=(0, 1))).max() < 1e-14
+    met = TorusMetric.flat(nx=20, ny=16)
+    assert np.array_equal(UnitSection(met, v).grid, g)
     with pytest.raises(NotUnit):
-        check_unit(1.5 * g)
+        UnitSection(met, 1.5 * v)
 
 
 def test_exp_matches_series_oracle():
