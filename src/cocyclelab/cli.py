@@ -186,6 +186,18 @@ def _geodesic_runs(met: TorusMetric, seed: int, count: int, t_final: float) -> l
 def _verify_report(pair: Pair, tols: dict, seed: int, geodesic_count: int,
                    t_final: float, dt: float) -> dict:
     met = pair.metric
+    # N runs take at least N times the steps of the shortest, a bound refused
+    # before the runs are listed: a curved run takes t_final, and the closed
+    # geodesics begin with the slopes (1, 0) and (0, 1), of lengths Lx and
+    # Ly, and none is shorter than both
+    if not met.is_flat:
+        shortest = t_final
+    else:
+        shortest = met.lx if geodesic_count == 1 else min(met.lx, met.ly)
+    least = geodesic_count * step_count(met, shortest, dt, cocycle=True)
+    if least > MAX_STEPS:
+        raise ValueError(f"the {geodesic_count} geodesic runs take at least {least:.3g} cocycle "
+                         f"steps in total, which exceeds MAX_STEPS = {MAX_STEPS}")
     runs = _geodesic_runs(met, seed, geodesic_count, t_final)
     # every run's step is refused as transport would refuse it, and so is a
     # total beyond what one run may take, before any computation

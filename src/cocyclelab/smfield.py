@@ -295,12 +295,13 @@ class FourierField:
     # -- sampling ------------------------------------------------------------
 
     def interpolant(self):
-        """Evaluator (x, y, theta) -> real values at arbitrary SM points, shape
-        (..., 3, 3): one bicubic spline over the real channels [Re c_0,
-        2 Re c_m, -2 Im c_m], m = 1..K, summed against 1, cos(m theta) and
-        sin(m theta).  When every mode is antisymmetric to the bit (_is_skew,
-        as for A + Phi), each channel is splined as its vee triple, 3 values
-        instead of 9, and the sum is returned as its hat."""
+        """Evaluator (x, y, theta) -> real values at arbitrary SM points of one
+        shape (ValueError otherwise), that shape + (3, 3): one bicubic spline
+        over the real channels [Re c_0, 2 Re c_m, -2 Im c_m], m = 1..K, summed
+        against 1, cos(m theta) and sin(m theta).  When every mode is
+        antisymmetric to the bit (_is_skew, as for A + Phi), each channel is
+        splined as its vee triple, 3 values instead of 9, and the sum is
+        returned as its hat."""
         met = self.metric
         k = self.degree
         # the spline reads point arrays: (ny, nx, mode, 3, 3)
@@ -314,6 +315,9 @@ class FourierField:
         ms = np.arange(1, k + 1, dtype=float)
 
         def at(x, y, theta) -> np.ndarray:
+            if not np.shape(x) == np.shape(y) == np.shape(theta):
+                raise ValueError(f"x, y and theta must have one shape, got {np.shape(x)}, "
+                                 f"{np.shape(y)} and {np.shape(theta)}")
             x = np.asarray(x, dtype=float)
             vals = spline(x % met.lx, np.asarray(y, dtype=float) % met.ly)
             mt = np.multiply.outer(np.asarray(theta, dtype=float), ms)

@@ -432,9 +432,10 @@ def test_verify_total_steps_beyond_max_steps_exit_before_any_computation(tmp_pat
                                                                         capsys):
     """Each run of verify may pass step_count while all of them together
     ask for more than MAX_STEPS cocycle steps: on a flat 16^2 pair at the
-    default --dt, 1000 closed geodesics take 2.16e7 steps and 20000 take
-    1.93e9.  Both are bad input that names the total, and a --geodesics
-    count above MAX_STEPS is refused before the run list is built.  Spies
+    default --dt, 1000 closed geodesics take 2.16e7 steps, which is bad input
+    that names the total.  20000 runs take at least 20000 times the 1000
+    steps of the shortest closed geodesic, a bound refused before the run
+    list is built, and so is a --geodesics count above MAX_STEPS.  Spies
     make any computation fail, so no such run starts."""
     out = run_generate(tmp_path, {"metric": {"nx": 16, "ny": 16}, "chain": []})
     verify = ["verify", str(out / "pair.json"), str(out / "trivializer.json")]
@@ -444,12 +445,14 @@ def test_verify_total_steps_beyond_max_steps_exit_before_any_computation(tmp_pat
 
     for name in ("mode_residuals", "TransportContext", "integrate_geodesic"):
         monkeypatch.setattr(cc, name, refuse)
-    for count, total in ((1000, "2.16e+07"), (20000, "1.93e+09")):
-        capsys.readouterr()
-        assert cli.main(verify + ["--geodesics", str(count)]) == cli.EXIT_BADINPUT, count
-        assert (f"the {count} geodesic runs take {total} cocycle steps in total, which "
-                f"exceeds MAX_STEPS = {MAX_STEPS}") in capsys.readouterr().err
+    capsys.readouterr()
+    assert cli.main(verify + ["--geodesics", "1000"]) == cli.EXIT_BADINPUT
+    assert ("the 1000 geodesic runs take 2.16e+07 cocycle steps in total, which "
+            f"exceeds MAX_STEPS = {MAX_STEPS}") in capsys.readouterr().err
     monkeypatch.setattr(cli, "_geodesic_runs", refuse)
+    assert cli.main(verify + ["--geodesics", "20000"]) == cli.EXIT_BADINPUT
+    assert ("the 20000 geodesic runs take at least 2e+07 cocycle steps in total, which "
+            f"exceeds MAX_STEPS = {MAX_STEPS}") in capsys.readouterr().err
     assert cli.main(verify + ["--geodesics", str(MAX_STEPS + 1)]) == cli.EXIT_BADINPUT
     assert (f"--geodesics {MAX_STEPS + 1} exceeds MAX_STEPS = {MAX_STEPS}"
             in capsys.readouterr().err)

@@ -271,9 +271,27 @@ def test_holonomy_closed_on_flat_torus():
         holonomy_closed(pair, SMPoint(0.2, 0.9, 0.7), 1.0, 1e-3)
 
 
+def _count_tensor_builds(monkeypatch) -> list:
+    """Spy on PeriodicCubic2D.coef: the data shape of every spline whose
+    fine-grid coefficient tensor is built, once per build."""
+    tensors = []
+    coef = PeriodicCubic2D.coef
+
+    def counting_coef(self):
+        if self._coef is None:
+            tensors.append(self.data.shape)
+        return coef.fget(self)
+
+    monkeypatch.setattr(PeriodicCubic2D, "coef", property(counting_coef))
+    return tensors
+
+
 def test_interpolants_built_lazily_and_once(monkeypatch):
     """A context builds the field interpolant at once and the trivializer's
-    on first use, then keeps both; holonomy never needs the trivializer."""
+    on first use, then keeps both; holonomy never needs the trivializer.
+    The generator's 1001 half-step points per run exceed the direct order's
+    512 at 32^2, so its coefficient tensor is built on the first run and
+    kept; the trivializer's 26 samples a run never build one."""
     builds = []
     init = PeriodicCubic2D.__init__
 
@@ -282,18 +300,35 @@ def test_interpolants_built_lazily_and_once(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(PeriodicCubic2D, "__init__", counting_init)
+    tensors = _count_tensor_builds(monkeypatch)
     met = curved_metric(32)
     pair = constant_axis_pair(met, [0.6, -0.48, 0.64])
     ctx = TransportContext(pair)
-    for p0 in (SMPoint(0.15, 0.67, 2.1), SMPoint(0.4, 0.2, 0.3)):
-        assert triviality_residual(pair, p0, 0.5, 1e-2, context=ctx).max_residual < 1e-6
+    for p0 in (SMPoint(0.15, 0.67, 2.1), SMPoint(0.4, 0.2, 0.3), SMPoint(0.9, 0.5, 4.0)):
+        assert triviality_residual(pair, p0, 0.5, 1e-3, context=ctx).max_residual < 1e-6
     # the generator A + Phi is splined on its vee triples, the trivializer
     # on all nine entries
     assert builds == [(32, 32, 9), (32, 32, 27)]
+    assert tensors == [(32, 32, 9)]
     builds.clear()
     flat = TorusMetric.flat(32, 32)
     assert holonomy_closed(Pair.trivial(flat), SMPoint(0.2, 0.9, 0.0), 1.0, 1e-2) < 1e-13
     assert len(builds) == 1
+
+
+def test_trivializer_along_a_verify_run_never_builds_the_tensor(monkeypatch):
+    """On the curved-transport pair (48^2, degree 2) one verify run, t_final
+    5 at dt 1e-3, reads the trivializer at its 251 saved samples, within the
+    direct order's 768 points: only the generator's tensor (10001 half-step
+    points) is built, never the trivializer's 48^2 x 45 one."""
+    met = TorusMetric.from_harmonics(48, 48, 1.0, 1.0, [[0.1, 1, 0], [0.04, 1, 1, 0.5, 1.2]])
+    pair = generate_chain(met, [{"kind": "constant", "axis": [0.6, -0.48, 0.64]},
+                                {"kind": "repeat-q"}]).final
+    assert pair.trivializer.degree == 2
+    tensors = _count_tensor_builds(monkeypatch)
+    res = triviality_residual(pair, SMPoint(0.31, 0.77, 1.9), 5.0, 1e-3)
+    assert len(res.times) == 251 and res.max_residual < 1e-6
+    assert tensors == [(48, 48, 9)]
 
 
 def test_generator_matches_coefficient_spline(monkeypatch):
@@ -442,18 +477,24 @@ def _full_band_values(u, xs, ys, ths):
 @pytest.mark.parametrize("repeats", [1, 5])
 def test_interpolant_of_modes_m_ge_0_matches_full_band(repeats):
     """On the curved degree-2 and degree-6 trivializers the interpolant built
-    from the modes m >= 0 equals the full-band route to rounding."""
+    from the modes m >= 0 equals the full-band route to rounding, and its
+    direct and tensor contraction orders agree to 1e-14 of the largest
+    value."""
     met = TorusMetric.from_harmonics(32, 32, 1.0, 1.0, [[0.1, 1, 0], [0.04, 1, 1, 0.5, 1.2]])
     steps = [{"kind": "constant", "axis": [0.6, -0.48, 0.64]}] + [{"kind": "repeat-q"}] * repeats
     u = generate_chain(met, steps).final.trivializer
     assert u.degree == repeats + 1
     rng = np.random.default_rng(repeats)
-    xs, ys = rng.uniform(-1, 2, (2, 500))
-    ths = rng.uniform(0, 2 * np.pi, 500)
-    got = u.interpolant()(xs, ys, ths)
+    xs, ys = rng.uniform(-1, 2, (2, 513))
+    ths = rng.uniform(0, 2 * np.pi, 513)
+    at = u.interpolant()
+    # 513 points take the tensor order at 32^2, their first 512 the direct one
+    got = at(xs, ys, ths)
+    direct = at(xs[:512], ys[:512], ths[:512])
     ref = _full_band_values(u, xs % 1.0, ys % 1.0, ths)
-    assert got.dtype == np.float64 and got.shape == (500, 3, 3)
+    assert got.dtype == np.float64 and got.shape == (513, 3, 3)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(direct - got[:512]).max() <= 1e-14 * np.abs(got).max()
 
 
 def test_mode_residuals_transient_memory_is_bounded():

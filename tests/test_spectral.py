@@ -3,7 +3,9 @@ import pytest
 
 from cocyclelab import interp
 from cocyclelab.interp import PeriodicCubic2D
+from cocyclelab.smfield import Pair
 from cocyclelab.spectral import dbar, deriv, dz, refine_grid
+from cocyclelab.torus import TorusMetric
 from oracles import cauchy_riemann_two_deriv, nyquist_shell_max, spline_eval_fancy
 
 
@@ -186,8 +188,53 @@ def test_interp_one_pass_build_matches_refine_then_prefilter():
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def _bandlimited(rng, shape, keep):
+    """Random real data with wavenumbers |k| < keep * n on both axes."""
+    f = np.fft.fft2(rng.normal(size=shape), axes=(0, 1))
+    my = np.abs(np.fft.fftfreq(shape[0])) < keep
+    mx = np.abs(np.fft.fftfreq(shape[1])) < keep
+    return np.fft.ifft2(f * (my[:, None] & mx)[:, :, None], axes=(0, 1)).real
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 3), (32, 48, 9), (48, 48, 27), (8, 194, 5)])
+def test_interp_direct_and_tensor_orders_agree(shape):
+    """A call on at most fy * fx / nx points contracts the data directly
+    against each point's axis rows, one more point takes the fine-grid
+    coefficient tensor; on band-limited data, at points far outside the
+    period and on grid lines, the two agree to 1e-14 of the largest value."""
+    rng = np.random.default_rng(sum(shape))
+    ny, nx = shape[:2]
+    itp = PeriodicCubic2D(_bandlimited(rng, shape, 0.3), 1.3, 0.7)
+    limit = itp.ny * itp.nx // nx
+    assert limit == (4 if max(ny, nx) <= 192 else 2) ** 2 * ny
+    xs = np.concatenate([1.3 * np.arange(-3, 4) / nx, rng.uniform(-5, 5, limit - 6)])
+    ys = np.concatenate([0.7 * np.arange(-3, 4) / ny, rng.uniform(-5, 5, limit - 6)])
+    tensor = itp(xs, ys)
+    assert itp._coef is not None
+    direct = itp(xs[:limit], ys[:limit])
+    assert direct.shape == (limit, shape[2]) and tensor.shape == (limit + 1, shape[2])
+    assert np.abs(direct - tensor[:limit]).max() <= 1e-14 * np.abs(tensor).max()
+
+
 def test_interp_rejects_complex_and_odd_data():
     with pytest.raises(TypeError):
         PeriodicCubic2D(np.ones((8, 8, 2), dtype=complex), 1.0, 1.0)
     with pytest.raises(ValueError):
         PeriodicCubic2D(np.ones((8, 7, 2)), 1.0, 1.0)
+
+
+def test_interp_rejects_points_of_different_shapes():
+    """x and y are paired by flat order only when their shapes agree: both
+    contraction orders (up to 256 points at 16^2, and above) refuse a
+    mismatch, and so does the evaluator of FourierField.interpolant for x,
+    y and theta."""
+    itp = PeriodicCubic2D(np.ones((16, 16, 2)), 1.0, 1.0)
+    for xshape, yshape in (((5,), (1,)), ((2, 3), (6,)), ((300,), (1,)), ((2, 300), (600,))):
+        with pytest.raises(ValueError, match="one shape"):
+            itp(np.zeros(xshape), np.zeros(yshape))
+    at = Pair.trivial(TorusMetric.flat(16, 16)).trivializer.interpolant()
+    assert at(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3))).shape == (2, 3, 3, 3)
+    for shapes in (((5,), (1,), (5,)), ((2, 3), (6,), (2, 3)), ((2, 3), (2, 3), (6,)),
+                   ((300,), (300,), (1,))):
+        with pytest.raises(ValueError, match="one shape"):
+            at(*(np.zeros(s) for s in shapes))
