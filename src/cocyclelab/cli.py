@@ -152,6 +152,7 @@ def _energy_residuals(pair: Pair, count: int, seed: int) -> float:
     shape = (met.ny, met.nx, 3, 3)
     ky, kx = (np.fft.fftfreq(n, 1.0 / n) for n in (met.ny, met.nx))
     mask = ((-6 <= ky) & (ky < 6))[:, None] & ((-6 <= kx) & (kx < 6))
+    a1, am1, isf = pair.conn.mode(1), pair.conn.mode(-1), 1j * sf
     rel = []
     for _ in range(count):
         m = int(rng.integers(-3, 4))
@@ -162,11 +163,11 @@ def _energy_residuals(pair: Pair, count: int, seed: int) -> float:
         # exact; the FFTs keep the point-first memory order, so copy it matrix-first
         u = np.ascontiguousarray(np.fft.ifft2(np.fft.fft2(np.moveaxis(h, (2, 3), (0, 1))) * mask))
         u = u[None]
-        up = eta_plus(met, u, [m], pair.conn.mode(1))  # mu_plus
-        um = eta_minus(met, u, [m], pair.conn.mode(-1))  # mu_minus
+        up = eta_plus(met, u, [m], a1)  # mu_plus
+        um = eta_minus(met, u, [m], am1)  # mu_minus
         lhs = l2_inner(met, up, up).real
         rhs = l2_inner(met, um, um).real
-        op = _matmul3(1j * sf - m * met.gauss * np.eye(3)[:, :, None, None], u)
+        op = _matmul3(isf - m * met.gauss * np.eye(3)[:, :, None, None], u)
         rhs += 0.5 * l2_inner(met, op, u).real
         scale = max(abs(lhs), abs(rhs), 1e-300)
         rel.append(abs(lhs - rhs) / scale)

@@ -11,12 +11,14 @@ and direct ODE transport compared against the trivializer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import smfield as sm
 from .errors import NonOrthogonalDrift, NotClosed, gate, json_int, worst
+from .lie3 import vee
 from .smfield import FourierField, Higgs, Pair
 from .torus import SMPoint, integrate_geodesic, step_count, torus_distance
 
@@ -256,7 +258,7 @@ def mode_residuals(pair: Pair) -> dict[str, float]:
         "transport": band.l2_norm() / unorm,
         "recurrence": worst(n / unorm for n in band.mode_norms().values()),
     }
-    del band  # h0_residuals does not read the band, and its temporaries set the peak
+    del band  # h0_residuals does not read it, and its temporaries would sit on top
     return rows | h0_residuals(u, pair.higgs)
 
 
@@ -277,6 +279,19 @@ def gauge_transform(pair: Pair, r: np.ndarray) -> Pair:
     return Pair(conn, higgs, triv)
 
 
+def _vee(w: FourierField) -> FourierField:
+    """The vee triples (K + 1, 3, ny, nx) of w's modes, their antisymmetric
+    part, copied triple-first for the FFTs and products downstream."""
+    triples = vee(np.moveaxis(w.coef, (1, 2), (3, 4)))
+    return FourierField.band(w.metric, np.ascontiguousarray(np.moveaxis(triples, 3, 1)))
+
+
+def _frobenius(w: FourierField) -> float:
+    """||hat w||, the norm of the so(3) field whose vee triples w holds:
+    |hat a|_F = sqrt(2) |a|."""
+    return math.sqrt(2.0) * w.l2_norm()
+
+
 def h0_residuals(u: FourierField, higgs: Higgs | None = None) -> dict[str, float]:
     """Residuals of the two compatibility equations satisfied by
     f = u^{-1} V(u) and Psi = u^{-1} Phi u for a trivializing u:
@@ -289,39 +304,45 @@ def h0_residuals(u: FourierField, higgs: Higgs | None = None) -> dict[str, float
     reconstructed from u alone is consistent; for certified trivializers
     pass the actual Higgs field.  Residuals are relative to the sum of the
     norms of the constituent terms.
+
+    f, Psi and every term lie in so(3) and are carried as bands of vee
+    triples (_vee); each bracket is a cross product, [hat a, hat b] =
+    hat(a x b), and each norm that of the hat (_frobenius), so the ratios
+    and the ||u|| floor read as on 3x3 fields.  _vee drops the symmetric
+    part of u^T V(u), V(u^T u) / 2, which the structure row bounds.
     """
     ut = u.transpose()
-    f = ut @ sm.vertical(u)
+    f = _vee(ut @ sm.vertical(u))
     # X = eta_+ + eta_- and H = i (eta_+ - eta_-) from one eta_- pass
     # (sm.frame_ops); every band is dropped once its norm is taken, which
     # bounds the peak
     xf, hf = sm.frame_ops(f)
     vxf = sm.vertical(xf)
-    hf_norm, vxf_norm = hf.l2_norm(), vxf.l2_norm()
+    hf_norm, vxf_norm = _frobenius(hf), _frobenius(vxf)
     lhs = hf + vxf
     del hf, vxf
-    brk = sm.bracket(xf, f)
+    brk = sm.cross(xf, f)
     del xf
     lhs = lhs - brk
-    den1 = hf_norm + vxf_norm + brk.l2_norm()
+    den1 = hf_norm + vxf_norm + _frobenius(brk)
     del brk
-    psi = lhs * (-1.0) if higgs is None else ut @ higgs.as_field() @ u
+    psi = lhs * (-1.0) if higgs is None else _vee(ut @ higgs.as_field() @ u)
     k1 = lhs + psi
     del lhs
-    frame = k1.l2_norm()
+    frame = _frobenius(k1)
     del k1
     # the scale floor keeps the ratio meaningful when the equations hold
     # degenerately: f and Psi can both sit at rounding level (e.g. a constant
     # trivializer with a certified-zero Higgs field), and the orthogonal u is
     # the natural O(1) unit against which such a Psi counts as zero
-    scale = f.l2_norm() + psi.l2_norm() + u.l2_norm()
-    den1 = den1 + psi.l2_norm() + scale
+    psi_norm = _frobenius(psi)
+    scale = _frobenius(f) + psi_norm + u.l2_norm()
+    den1 = den1 + psi_norm + scale
     vpsi = sm.vertical(psi)
-    brk2 = sm.bracket(f, psi)
+    brk2 = sm.cross(f, psi)
     k2 = vpsi + brk2
-    den2 = vpsi.l2_norm() + brk2.l2_norm() + scale
+    den2 = _frobenius(vpsi) + _frobenius(brk2) + scale
     return {
         "h0-frame": frame / den1,
-        "h0-vertical": k2.l2_norm() / den2,
+        "h0-vertical": _frobenius(k2) / den2,
     }
-

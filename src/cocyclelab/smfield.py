@@ -15,9 +15,18 @@ to such bands: sums, differences, real scalar multiples, transposes, the
 vertical field V (multiplication by i*m on mode m), the frame operators and
 products.
 
-The raising and lowering parts of the frame act on stacks of grids with
-given mode numbers (one fft2 over the trailing (ny, nx) axes of the whole
-stack, one product with a cached symbol, one ifft2):
+A band may hold entries of another shape: cocycle.h0_residuals carries
+so(3) fields as bands of their vee triples, (K + 1, 3, ny, nx).  The eta
+kernels, the frame operators, V, sums, differences, real multiples, the
+fiber sampling and analysis of a product (_real_angles, _real_modes) and
+the norms act on stacks of any entry shape; cross is the bracket of two
+triple bands, their pointwise cross product.  Products, transposes and
+interpolants read 3x3 entries.
+
+The raising and lowering parts of the frame act on stacks of grids (3x3
+grids or triples) with given mode numbers (one fft2 over the trailing
+(ny, nx) axes of the whole stack, one product with a cached symbol, one
+ifft2):
 
   eta_minus : mode m -> m-1,  c |-> e^{-(1+m) lam} dbar(c e^{m lam})
   eta_plus  : mode m -> m+1,  c |-> e^{(m-1) lam} dz(c e^{-m lam})
@@ -70,7 +79,7 @@ entries, which needs no conjugate copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -134,8 +143,9 @@ def _is_skew(u: "FourierField") -> bool:
 
 
 def _real_angles(u: "FourierField", nt: int) -> np.ndarray:
-    """Values at theta_j = 2 pi j / nt of u, nt > 2 K: a real
-    (nt, 3, 3, ny, nx) array computed from its modes 0..K."""
+    """Values at theta_j = 2 pi j / nt of u, nt > 2 K: a real array of nt
+    entries of u's shape ((3, 3, ny, nx) or (3, ny, nx)) computed from its
+    modes 0..K."""
     c, k = u.coef, u.degree
     data = np.concatenate([c.real, c[1:].imag]).reshape(2 * k + 1, -1)
     return (_real_synthesis(nt, k) @ data).reshape((nt,) + c.shape[1:])
@@ -162,10 +172,10 @@ def _commutator3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pointwise(u: "FourierField", v: "FourierField", kernel) -> "FourierField":
-    """kernel (_matmul3 or _commutator3) of u and v pointwise on SM (module
-    docstring): a degree-0 factor is fiber-constant, so the kernel takes the
-    two bands as they are; two bands of higher degree are multiplied in real
-    arithmetic."""
+    """kernel (_matmul3, _commutator3 or a cross product) of u and v
+    pointwise on SM (module docstring): a degree-0 factor is fiber-constant,
+    so the kernel takes the two bands as they are; two bands of higher
+    degree are multiplied in real arithmetic."""
     u._check_same(v)
     a, b = u.coef, v.coef
     if min(len(a), len(b)) == 1:
@@ -179,6 +189,12 @@ def _pointwise(u: "FourierField", v: "FourierField", kernel) -> "FourierField":
 def bracket(u: "FourierField", v: "FourierField") -> "FourierField":
     """[u, v] = u v - v u pointwise, sampling each factor once."""
     return _pointwise(u, v, _commutator3)
+
+
+def cross(u: "FourierField", v: "FourierField") -> "FourierField":
+    """[u, v] of two so(3) fields held as bands of vee triples, as their
+    pointwise cross product over the triple axis: [hat a, hat b] = hat(a x b)."""
+    return _pointwise(u, v, partial(np.cross, axis=-3))
 
 
 def _combine(u: "FourierField", v: "FourierField", ufunc) -> "FourierField":
@@ -365,11 +381,12 @@ def grid_l2_norm(metric: TorusMetric, grid: np.ndarray, fiber: bool = False) -> 
 
 
 def _square_sum(band: np.ndarray) -> np.ndarray:
-    """The (ny, nx) sum of re^2 + im^2 over every entry of a (n, 3, 3, ny,
+    """The (ny, nx) sum of re^2 + im^2 over every entry of an (n, ..., ny,
     nx) stack; no conjugate copy is made."""
-    sq = np.einsum("mijyx,mijyx->yx", band.real, band.real)
+    sub = "mij"[: band.ndim - 2] + "yx"
+    sq = np.einsum(f"{sub},{sub}->yx", band.real, band.real)
     if np.iscomplexobj(band):
-        sq += np.einsum("mijyx,mijyx->yx", band.imag, band.imag)
+        sq += np.einsum(f"{sub},{sub}->yx", band.imag, band.imag)
     return sq
 
 
@@ -386,24 +403,27 @@ def _integral(metric: TorusMetric, sq: np.ndarray, fiber: bool) -> float:
 
 def vertical(u: FourierField) -> FourierField:
     """V(u) = du/dtheta: multiplication by i*m on mode m."""
-    ms = np.arange(u.degree + 1)
-    return FourierField.band(u.metric, 1j * ms[:, None, None, None, None] * u.coef)
+    ms = np.arange(u.degree + 1).reshape((-1,) + (1,) * (u.coef.ndim - 1))
+    return FourierField.band(u.metric, 1j * ms * u.coef)
 
 
-def _exp_lam(metric: TorusMetric, ks: np.ndarray) -> np.ndarray:
-    """e^{k lam} for each k in ks, shaped to scale a stack of grids."""
-    return np.exp(np.multiply.outer(ks, metric.lam))[:, None, None]
+def _exp_lam(metric: TorusMetric, ks: np.ndarray, ndim: int) -> np.ndarray:
+    """e^{k lam} for each k in ks, shaped to scale an ndim-dimensional stack
+    of grids (n, ..., ny, nx)."""
+    e = np.exp(np.multiply.outer(ks, metric.lam))
+    return e.reshape(e.shape[:1] + (1,) * (ndim - 3) + e.shape[1:])
 
 
 def eta_minus(metric: TorusMetric, grids: np.ndarray, ms, twist: np.ndarray | None = None
               ) -> np.ndarray:
-    """eta_minus of each grid of an (n, 3, 3, ny, nx) stack, grid j taken as
-    mode ms[j]: e^{-(1+m) lam} dbar(c e^{m lam}), the coefficient of mode
-    m - 1; with a (3, 3, ny, nx) grid twist, plus twist c (mu_minus, for
-    twist = A_{-1})."""
+    """eta_minus of each grid of an (n, ..., ny, nx) stack (3x3 grids, or vee
+    triples (3, ny, nx)), grid j taken as mode ms[j]: e^{-(1+m) lam}
+    dbar(c e^{m lam}), the coefficient of mode m - 1; with a (3, 3, ny, nx)
+    grid twist, plus twist c (mu_minus, for twist = A_{-1})."""
     ms = np.asarray(ms)
-    d = spectral.dbar(grids * _exp_lam(metric, ms), metric.lx, metric.ly, axes=(3, 4))
-    d *= _exp_lam(metric, -(1 + ms))
+    d = spectral.dbar(grids * _exp_lam(metric, ms, grids.ndim), metric.lx, metric.ly,
+                      axes=(-2, -1))
+    d *= _exp_lam(metric, -(1 + ms), grids.ndim)
     if twist is not None:
         d += _matmul3(twist, grids)
     return d
@@ -411,13 +431,14 @@ def eta_minus(metric: TorusMetric, grids: np.ndarray, ms, twist: np.ndarray | No
 
 def eta_plus(metric: TorusMetric, grids: np.ndarray, ms, twist: np.ndarray | None = None
              ) -> np.ndarray:
-    """eta_plus of each grid of an (n, 3, 3, ny, nx) stack, grid j taken as
+    """eta_plus of each grid of an (n, ..., ny, nx) stack, grid j taken as
     mode ms[j]: e^{(m-1) lam} dz(c e^{-m lam}), the coefficient of mode
     m + 1; with a (3, 3, ny, nx) grid twist, plus twist c (mu_plus, for
     twist = A_1)."""
     ms = np.asarray(ms)
-    d = spectral.dz(grids * _exp_lam(metric, -ms), metric.lx, metric.ly, axes=(3, 4))
-    d *= _exp_lam(metric, ms - 1)
+    d = spectral.dz(grids * _exp_lam(metric, -ms, grids.ndim), metric.lx, metric.ly,
+                    axes=(-2, -1))
+    d *= _exp_lam(metric, ms - 1, grids.ndim)
     if twist is not None:
         d += _matmul3(twist, grids)
     return d

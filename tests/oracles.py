@@ -6,7 +6,8 @@ given samples by an FFT along the fiber axis, dbar and dz from one 1-D
 derivative per axis, the metric's derivatives from its grid samples, the transport generator
 from a spline of its coefficient grids, a Cauchy integral for p', a
 finite-difference speed, readers of the files the package writes, and the
-frame-transfer identity of a trivializing u, the 3x3 product as nine planes
+frame-transfer identity of a trivializing u, the H0 rows with f and Psi
+kept as 3x3 bands (h0_residuals_3x3), the 3x3 product as nine planes
 of three plane products, the sum and difference of two bands on a
 zero-padded band, the modes -K..K of a field written out (full_band) and a
 field from them (half_band), the transport CSV
@@ -406,6 +407,33 @@ def frame_transfer_residual(pair) -> float:
     res = va + t2 + t3
     den = va.l2_norm() + t2.l2_norm() + t3.l2_norm() + f.l2_norm() + 1e-300
     return res.l2_norm() / den
+
+
+def h0_residuals_3x3(u: sm.FourierField, higgs: sm.Higgs | None = None) -> dict[str, float]:
+    """cocycle.h0_residuals with f = u^{-1} V(u) and Psi = u^{-1} Phi u kept
+    as 3x3 bands: the frame operators on 9 channels, each bracket one
+    sampled commutator (smfield.bracket) and each norm the Frobenius norm of
+    the band itself.  On an orthogonal u it agrees with the vee-triple route
+    to rounding; on a non-orthogonal one it also keeps the symmetric part of
+    u^T V(u), which the triple route drops."""
+    ut = u.transpose()
+    f = ut @ sm.vertical(u)
+    xf, hf = sm.frame_ops(f)
+    vxf = sm.vertical(xf)
+    hf_norm, vxf_norm = hf.l2_norm(), vxf.l2_norm()
+    lhs = hf + vxf
+    brk = sm.bracket(xf, f)
+    lhs = lhs - brk
+    den1 = hf_norm + vxf_norm + brk.l2_norm()
+    psi = lhs * (-1.0) if higgs is None else ut @ higgs.as_field() @ u
+    frame = (lhs + psi).l2_norm()
+    scale = f.l2_norm() + psi.l2_norm() + u.l2_norm()
+    den1 = den1 + psi.l2_norm() + scale
+    vpsi = sm.vertical(psi)
+    brk2 = sm.bracket(f, psi)
+    k2 = vpsi + brk2
+    den2 = vpsi.l2_norm() + brk2.l2_norm() + scale
+    return {"h0-frame": frame / den1, "h0-vertical": k2.l2_norm() / den2}
 
 
 def section_family(metric: TorusMetric, count: int, seed: int) -> list[UnitSection]:

@@ -1,4 +1,6 @@
-"""Acceptance gate: one test per advertised guarantee, one printed line each.
+"""Acceptance gate: one test per advertised guarantee, one printed line each,
+and one unprinted check that shares criterion 11's chains (the H0 rows on
+vee triples against their 3x3 reference).
 
 Run with plain pytest; the PASS/FAIL lines bypass output capture so they are
 visible in any mode.  Thresholds here are the contract, not regression values;
@@ -40,6 +42,7 @@ from oracles import (
     fiber_loop_parity,
     frame_apply,
     from_samples,
+    h0_residuals_3x3,
     hat_grid,
     inverse_backlund,
     plane_matmul3,
@@ -344,6 +347,45 @@ def test_criterion_11_h0_correspondence(capsys, const_chain, factory_chain):
     emit(capsys, 11, "h0 equations for certified pairs", ok,
          f"worst positive residual {res:.2e} (<=1e-7), negative controls "
          f"{neg1:.2e}/{neg2:.2e} (>1e-3)")
+
+
+# the chains of perfbench/run.py's three workloads: (n, harmonics, steps)
+CURVED = [[0.1, 1, 0], [0.04, 1, 1, 0.5, 1.2]]
+CONSTANT = {"kind": "constant", "axis": [0.6, -0.48, 0.64]}
+ELLIPTIC = {"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]}
+REPEAT = {"kind": "repeat-q"}
+BENCH_CHAINS = {
+    "flat-elliptic": (48, [], [ELLIPTIC, REPEAT]),
+    "curved-transport": (48, CURVED, [CONSTANT, REPEAT]),
+    "deep-chain": (32, CURVED, [CONSTANT] + [REPEAT] * 5),
+}
+
+
+def test_h0_vee_triples_match_the_3x3_reference(const_chain, factory_chain):
+    """The H0 rows on vee triples agree with the 3x3 route (oracles) within
+    1e-13 + 1e-6 |reference| on the three bench chains and criterion 11's
+    two, each with its own Phi, Phi scaled by 1.6 and by 1 + 1e-4, and no
+    Phi.  On criterion 11's non-orthogonal control the routes differ by
+    design (the triples drop the symmetric part of u^T V(u)): there both
+    flag the h0-vertical row, and the structure row's orthogonality term
+    fails u_bad as well."""
+    pairs = [bk.generate_chain(TorusMetric.from_harmonics(n, n, 1.0, 1.0, h), steps).final
+             for n, h, steps in BENCH_CHAINS.values()]
+    pairs += [const_chain.pair_out, factory_chain.pair_out]
+    for pair in pairs:
+        met, phi = pair.metric, pair.higgs.phi
+        for higgs in (pair.higgs, Higgs(met, 1.6 * phi), Higgs(met, (1 + 1e-4) * phi), None):
+            got = cc.h0_residuals(pair.trivializer, higgs)
+            ref = h0_residuals_3x3(pair.trivializer, higgs)
+            assert got.keys() == ref.keys()
+            for k in ref:
+                assert abs(got[k] - ref[k]) <= 1e-13 + 1e-6 * abs(ref[k]), (k, got[k], ref[k])
+    u_c = const_chain.pair_out.trivializer
+    c1 = u_c.mode(1)
+    u_bad = FourierField(u_c.metric, {0: u_c.mode(0), 1: c1, 2: 0.3 * c1})
+    assert cc.h0_residuals(u_bad)["h0-vertical"] > 1e-3
+    assert h0_residuals_3x3(u_bad)["h0-vertical"] > 1e-3
+    assert u_bad.orthogonality_residual() > 1e-9
 
 
 def test_criterion_12_perturbation_controls(capsys, const_chain, factory_chain):

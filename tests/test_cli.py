@@ -541,43 +541,64 @@ WORKLOAD_CHAINS = {
 def test_real_fields_take_one_eta_and_float64_products(tmp_path, monkeypatch, workload):
     """Pairs, trivializers and Backlund factors are real on SM, so in
     generate, verify and reduce every x_op takes one eta_minus and no
-    eta_plus, of its modes -K..K (a conjugate-symmetric stack), eta_plus runs
-    only on grids that are not such a stack (the energy identity's one-mode
-    grids), and every 3x3 product of two factors with more than one fiber
-    sample multiplies float64 by float64 (the einsum form of _matmul3)."""
-    etas, per_x, sampled = [], [], []
+    eta_plus, of its modes -K..K (a conjugate-symmetric stack) of 3x3
+    grids, eta_plus runs only on grids that are not such a stack (the energy
+    identity's one-mode grids), and every 3x3 product of two factors with
+    more than one fiber sample multiplies float64 by float64 (the einsum
+    form of _matmul3).  verify's H0 rows run on vee triples: the one
+    frame_ops of verify hands eta_minus a conjugate-symmetric stack of
+    (3, ny, nx) triples, and verify never calls the 3x3 bracket."""
+    etas, per_x, per_frame, sampled, brackets = [], [], [], [], []
+    verb = [None]
 
     def eta(sign, fn):
         def wrapped(metric, grids, ms, twist=None):
             ms = np.asarray(ms)
             real = (np.array_equal(ms, -ms[::-1])
                     and np.array_equal(grids, np.conj(grids[::-1])))
-            etas.append((sign, real))
+            etas.append((sign, real, grids.shape[1:]))
             return fn(metric, grids, ms, twist)
         return wrapped
 
-    def x_op(f, fn=sm.x_op):
-        start = len(etas)
-        out = fn(f)
-        per_x.append([sign for sign, _ in etas[start:]])
-        return out
+    def spy(log, fn):
+        def wrapped(f):
+            start = len(etas)
+            out = fn(f)
+            log.append((verb[0], etas[start:]))
+            return out
+        return wrapped
 
     def matmul3(a, b, fn=sm._matmul3):
         if min(np.prod(a.shape[:-4]), np.prod(b.shape[:-4])) > 1:
             sampled.append((a.dtype, b.dtype))
         return fn(a, b)
 
+    def bracket(u, v, fn=sm.bracket):
+        brackets.append(verb[0])
+        return fn(u, v)
+
     monkeypatch.setattr(sm, "_matmul3", matmul3)
     monkeypatch.setattr(sm, "eta_plus", eta("+", sm.eta_plus))
     monkeypatch.setattr(sm, "eta_minus", eta("-", sm.eta_minus))
-    monkeypatch.setattr(sm, "x_op", x_op)
-    out = run_generate(tmp_path, WORKLOAD_CHAINS[workload])
+    monkeypatch.setattr(sm, "x_op", spy(per_x, sm.x_op))
+    monkeypatch.setattr(sm, "frame_ops", spy(per_frame, sm.frame_ops))
+    monkeypatch.setattr(sm, "bracket", bracket)
+    doc = WORKLOAD_CHAINS[workload]
+    n = (doc["metric"]["ny"], doc["metric"]["nx"])
+    verb[0] = "generate"
+    out = run_generate(tmp_path, doc)
     pair, triv = str(out / "pair.json"), str(out / "trivializer.json")
+    verb[0] = "verify"
     assert cli.main(["verify", pair, triv, "--geodesics", "1", "--t-final", "0.2",
                      "--dt", "2e-3"]) == cli.EXIT_OK
+    verb[0] = "reduce"
     assert cli.main(["reduce", pair, triv, "--outdir", str(tmp_path / "r")]) == cli.EXIT_OK
-    assert per_x and all(signs == ["-"] for signs in per_x)
-    assert ("-", True) in etas and ("+", True) not in etas
+    assert per_x and all(calls == [("-", True, (3, 3) + n)] for _, calls in per_x)
+    h0 = [calls for v, calls in per_frame if v == "verify"]
+    assert h0 == [[("-", True, (3,) + n)]]
+    assert "verify" not in brackets and "generate" in brackets
+    assert ("-", True, (3, 3) + n) in etas
+    assert not any(sign == "+" and real for sign, real, _ in etas)
     assert sampled and set(sampled) == {(np.dtype(np.float64), np.dtype(np.float64))}
 
 

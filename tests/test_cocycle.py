@@ -499,10 +499,12 @@ def test_interpolant_of_modes_m_ge_0_matches_full_band(repeats):
 
 def test_mode_residuals_transient_memory_is_bounded():
     """verify's mode rows on the flat-elliptic chain at 48^2 (trivializer
-    degree 2) hold at most 15 times the bytes of the trivializer's modes
-    -2..2 in temporaries at once: each sum or difference is one new band, and
-    h0_residuals drops every band once its norm is taken (tracemalloc counts
-    numpy's data buffers)."""
+    degree 2) hold at most 7 times the bytes of the trivializer's modes
+    -2..2 in temporaries at once: each sum or difference is one new band,
+    h0_residuals carries f, Psi and every term of its equations as vee
+    triples (3 channels, not 9) and drops every band once its norm is taken.
+    They held 5.0 such units, and 11.0 with the H0 terms as 3x3 bands
+    (tracemalloc counts numpy's data buffers)."""
     met = TorusMetric.flat(48, 48)
     pair = generate_chain(met, [{"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]},
                                 {"kind": "repeat-q"}]).final
@@ -520,14 +522,16 @@ def test_mode_residuals_transient_memory_is_bounded():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 15 * band
+    assert peak <= 7 * band
 
 
-def test_mode_residuals_of_half_bands_peak_below_36_mb():
+def test_mode_residuals_of_half_bands_and_vee_triples_peak_below_20_mb():
     """verify's mode rows on the flat-elliptic chain at 64^2 (trivializer
-    degree 2) peak below 36 MB of temporaries: every band holds the modes
-    0..K of a real field only.  Bands of the modes -K..K peaked at 40.8 MB
-    (tracemalloc counts numpy's data buffers)."""
+    degree 2) peak below 20 MB of temporaries: every band holds the modes
+    0..K of a real field only, and the H0 terms are vee triples.  They
+    peaked at 14.8 MB; bands of the modes -K..K peaked at 40.8 MB and the
+    H0 terms as 3x3 bands at 32.5 MB (tracemalloc counts numpy's data
+    buffers)."""
     met = TorusMetric.flat(64, 64)
     pair = generate_chain(met, [{"kind": "elliptic", "scale": [0.3, 0.1], "offset": [0.15, -0.1]},
                                 {"kind": "repeat-q"}]).final
@@ -543,7 +547,7 @@ def test_mode_residuals_of_half_bands_peak_below_36_mb():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 36e6
+    assert peak <= 20e6
 
 
 def test_transport_transient_memory_is_bounded():

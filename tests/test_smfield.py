@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocyclelab import fieldio, smfield
-from cocyclelab.lie3 import hat
+from cocyclelab.lie3 import hat, vee
 from cocyclelab.smfield import (
     Connection,
     FourierField,
     Higgs,
     Pair,
     bracket,
+    cross,
     d_A,
     eta_minus,
     eta_plus,
@@ -281,6 +282,31 @@ def test_bracket_is_the_commutator_of_products(lens):
         assert np.array_equal(got.coef, ref.coef)
     else:
         assert np.abs(got.coef - ref.coef).max() <= 1e-14 * np.abs(ref.coef).max()
+
+
+def triples(w):
+    """The band of vee triples (K + 1, 3, ny, nx) of a band's modes."""
+    return FourierField.band(w.metric, np.moveaxis(vee(np.moveaxis(w.coef, (1, 2), (3, 4))), 3, 1))
+
+
+@pytest.mark.parametrize(
+    "lens", [(1, 3), (5, 1), (3, 5), (25, 27)],
+    ids=["1x3-real", "5x1-real", "3x5-real", "25x27-real"],
+)
+def test_triple_bands_match_their_hats(lens):
+    """On bands of vee triples of skew fields u, v: cross is the bracket of
+    the hats, V, X and H (one frame_ops) are those of the hats, and sqrt(2)
+    times the norm is the hat's norm, each to rounding."""
+    met = curved(16)
+    rng = np.random.default_rng(43)
+    u, v = (random_field(met, range(n // 2 + 1), rng) for n in lens)
+    u, v = u - u.transpose(), v - v.transpose()
+    tu, tv = triples(u), triples(v)
+    for got, ref in [(cross(tu, tv), bracket(u, v)), (vertical(tu), vertical(u)),
+                     *zip(frame_ops(tu), frame_ops(u))]:
+        assert got.coef.shape[1] == 3 and not got.coef[0].imag.any()
+        assert np.abs(got.coef - triples(ref).coef).max() <= 1e-14 * np.abs(ref.coef).max()
+    assert abs(np.sqrt(2.0) * tu.l2_norm() - u.l2_norm()) <= 1e-14 * u.l2_norm()
 
 
 def test_sample_round_trip():
