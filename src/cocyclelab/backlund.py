@@ -25,8 +25,9 @@ gates only the pair it writes.  Every gate raises through errors.gate.  The
 inverse transform (with section -g), the q-lemma rows, the round-trip
 distance and the SU(2) lift parity of a trivializer's fiber loop are test
 references in tests/oracles.py.  Grids are (3, 3, ny, nx), multiplied by
-smfield's kernel; lie3's point helpers read a grid through one np.moveaxis
-view.
+smfield's kernel; a pair's a, b and Phi are vee triples (3, ny, nx), hatted
+where a product needs them.  lie3's point helpers read a grid through one
+np.moveaxis view.
 """
 
 from __future__ import annotations
@@ -187,10 +188,9 @@ def _off_modes(full: FourierField, keep: int, scale: float) -> float:
 
 
 def _real_skew(metric: TorusMetric, re: np.ndarray) -> tuple[np.ndarray, float]:
-    """The antisymmetric part of a real grid, with the norm of the symmetric
-    part it drops."""
-    re_t = np.swapaxes(re, 0, 1)
-    return 0.5 * (re - re_t), grid_l2_norm(metric, 0.5 * (re + re_t))
+    """The vee triples of a real grid, its antisymmetric part, with the norm
+    of the symmetric part they drop."""
+    return vee(re, axis=-3), grid_l2_norm(metric, 0.5 * (re + np.swapaxes(re, 0, 1)))
 
 
 def _transformed(pair: Pair, g: UnitSection,
@@ -202,7 +202,8 @@ def _transformed(pair: Pair, g: UnitSection,
     met = pair.metric
     a = vertical_solution(g)
     at = a.transpose()
-    gphi = inner(np.moveaxis(g.grid, (0, 1), (2, 3)), np.moveaxis(pair.higgs.phi, (0, 1), (2, 3)))
+    phi = hat(pair.higgs.phi, axis=-3)
+    gphi = inner(np.moveaxis(g.grid, (0, 1), (2, 3)), np.moveaxis(phi, (0, 1), (2, 3)))
     core = FourierField(met, {0: g.grid.astype(complex) * gphi}) + star_dg
 
     phi_full = a @ core @ at

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import smfield as sm
 from .errors import NonOrthogonalDrift, NotClosed, gate, json_int, worst
-from .lie3 import vee
+from .lie3 import hat, vee
 from .smfield import FourierField, Higgs, Pair
 from .torus import SMPoint, integrate_geodesic, step_count, torus_distance
 
@@ -28,16 +28,20 @@ DRIFT_TOL = 1e-6
 class TransportContext:
     """Off-grid evaluators of a pair across transports, both built by
     FourierField.interpolant: generator_at, of A + Phi (modes -1, 0, 1), at
-    once, and trivializer_at on its first call; both are kept.  A + Phi of a
-    loaded or generated pair is antisymmetric to the bit, so its spline holds
-    the vee triples of modes 0 and 1 (9 channels); the orthogonal
-    trivializer's holds all nine entries of each mode.  Each takes point
-    arrays (x, y, theta) of one shape and returns that shape + (3, 3)."""
+    once, and trivializer_at on its first call; both are kept.  The
+    generator splines the triple band [phi, (a - i b)/2] (9 channels) and
+    hats its values, the trivializer all nine entries of each mode.  Each
+    takes point arrays (x, y, theta) of one shape, returns that shape + (3, 3)."""
 
     def __init__(self, pair: Pair):
         self.pair = pair
-        self.generator_at = pair.total_field().interpolant()
+        band = np.stack([pair.higgs.phi.astype(complex),
+                         sm._half_mode(pair.conn.a, pair.conn.b, 1)])
+        self._generator_at = FourierField.band(pair.metric, band).interpolant()
         self._trivializer_at = None
+
+    def generator_at(self, xs, ys, thetas):
+        return hat(self._generator_at(xs, ys, thetas))
 
     def trivializer_at(self, xs, ys, thetas):
         if self._trivializer_at is None:
@@ -247,14 +251,14 @@ def recurrence_residuals(pair: Pair) -> dict[int, float]:
 
 def mode_residuals(pair: Pair) -> dict[str, float]:
     """verify's mode-calculus rows structure, transport, recurrence, h0-frame
-    and h0-vertical.  transport and recurrence are the L2 norm and the largest
-    mode norm, over ||u||, of one band (_transport_band)."""
+    and h0-vertical.  structure is u's orthogonality (a pair holds so(3)
+    triples); transport and recurrence are the L2 norm and the largest mode
+    norm, over ||u||, of one band (_transport_band)."""
     u = pair.trivializer
-    structure = [pair.conn.antisymmetry_residual(), pair.higgs.antisymmetry_residual(),
-                 u.orthogonality_residual()]
+    structure = u.orthogonality_residual()
     band, unorm = _transport_band(pair)
     rows = {
-        "structure": worst(structure),
+        "structure": structure,
         "transport": band.l2_norm() / unorm,
         "recurrence": worst(n / unorm for n in band.mode_norms().values()),
     }
@@ -273,17 +277,18 @@ def gauge_transform(pair: Pair, r: np.ndarray) -> Pair:
     rf = FourierField.from_grid(met, r)
     rt = rf.transpose()
     a_new = rt @ sm.x_op(rf) + rt @ pair.conn.as_field() @ rf
-    conn = sm.Connection.from_field(a_new, tol=1e-8)
-    higgs = Higgs(met, sm._matmul3(sm._matmul3(np.swapaxes(r, 0, 1), pair.higgs.phi), r))
+    conn = sm.Connection.from_field(a_new)
+    phi = sm._matmul3(sm._matmul3(np.swapaxes(r, 0, 1), hat(pair.higgs.phi, axis=-3)), r)
+    higgs = Higgs(met, vee(phi, axis=-3))
     triv = rt @ pair.trivializer if pair.trivializer is not None else None
     return Pair(conn, higgs, triv)
 
 
-def _vee(w: FourierField) -> FourierField:
-    """The vee triples (K + 1, 3, ny, nx) of w's modes, their antisymmetric
-    part, copied triple-first for the FFTs and products downstream."""
-    triples = vee(np.moveaxis(w.coef, (1, 2), (3, 4)))
-    return FourierField.band(w.metric, np.ascontiguousarray(np.moveaxis(triples, 3, 1)))
+def _vee_product(u: FourierField, v: FourierField) -> FourierField:
+    """The vee triples (K + 1, 3, ny, nx) of the modes of u v, its
+    antisymmetric part: the product routes with a kernel that takes the vee
+    of each sampled 3x3 product."""
+    return sm._pointwise(u, v, lambda a, b: vee(sm._matmul3(a, b), axis=-3))
 
 
 def _frobenius(w: FourierField) -> float:
@@ -306,13 +311,13 @@ def h0_residuals(u: FourierField, higgs: Higgs | None = None) -> dict[str, float
     norms of the constituent terms.
 
     f, Psi and every term lie in so(3) and are carried as bands of vee
-    triples (_vee); each bracket is a cross product, [hat a, hat b] =
-    hat(a x b), and each norm that of the hat (_frobenius), so the ratios
-    and the ||u|| floor read as on 3x3 fields.  _vee drops the symmetric
-    part of u^T V(u), V(u^T u) / 2, which the structure row bounds.
+    triples (_vee_product); each bracket is a cross product, [hat a, hat b]
+    = hat(a x b), and each norm that of the hat (_frobenius), so the ratios
+    and the ||u|| floor read as on 3x3 fields.  The triples drop the
+    symmetric part of u^T V(u), V(u^T u) / 2, which the structure row bounds.
     """
     ut = u.transpose()
-    f = _vee(ut @ sm.vertical(u))
+    f = _vee_product(ut, sm.vertical(u))
     # X = eta_+ + eta_- and H = i (eta_+ - eta_-) from one eta_- pass
     # (sm.frame_ops); every band is dropped once its norm is taken, which
     # bounds the peak
@@ -326,7 +331,7 @@ def h0_residuals(u: FourierField, higgs: Higgs | None = None) -> dict[str, float
     lhs = lhs - brk
     den1 = hf_norm + vxf_norm + _frobenius(brk)
     del brk
-    psi = lhs * (-1.0) if higgs is None else _vee(ut @ higgs.as_field() @ u)
+    psi = lhs * (-1.0) if higgs is None else _vee_product(ut @ higgs.as_field(), u)
     k1 = lhs + psi
     del lhs
     frame = _frobenius(k1)

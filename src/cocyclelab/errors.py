@@ -63,8 +63,8 @@ class CocycleLabError(Exception):
 
 
 class StructureViolated(CocycleLabError):
-    """An so(3) grid handed to a writer is not skew-symmetric to the structure
-    tolerance, so the compact file layout would change it."""
+    """An so(3) field handed to the field writer is not skew-symmetric to the
+    structure tolerance, so the compact file layout would change it."""
 
 
 class NonSmoothLambda(ValueError):

@@ -37,14 +37,15 @@ other than 8 * ny * nx * (9 or 3) bytes, or decodes to a non-finite value.
 A pair file has the same header without "values", "degree" and "modes", and
 three so(3)-valued mode-0 blocks: the connection coefficients "a" and "b"
 and the Higgs field "phi", each {"degree": 0, "modes": [{"m": 0, "re": [vee
-triples]}]}.  A pair keeps its grids as number lists: it holds a small part
-of a chain's floats, and stays readable and editable as text.  A file
-without "format": 3 is rejected with ValueError.
+triples]}]}, the triples a pair holds in memory, moved as they stand.  A
+pair keeps its grids as number lists: it holds a small part of a chain's
+floats, and stays readable and editable as text.  A file without
+"format": 3 is rejected with ValueError.
 
-The writer drops numbers only where they are redundant to STRUCTURE_TOL,
-verify's structure tolerance: an so(3) grid whose antisymmetry residual
-exceeds it raises StructureViolated (a failed check, exit 1) and writes
-nothing.
+The field writer drops numbers only where they are redundant to
+STRUCTURE_TOL, verify's structure tolerance: an so(3) field whose
+antisymmetry residual exceeds it raises StructureViolated (a failed check,
+exit 1) and writes nothing.
 
 The metric is read from its harmonic series; metric_lambda is that series
 sampled on the grid, and a file whose metric_lambda differs from it by more
@@ -62,7 +63,7 @@ import numpy as np
 
 from .errors import StructureViolated, gate, json_int, json_number
 from .lie3 import hat, vee
-from .smfield import Connection, FourierField, Higgs, Pair, _antisym_residual
+from .smfield import Connection, FourierField, Higgs, Pair
 from .torus import TorusMetric
 
 FORMAT = 3
@@ -146,15 +147,6 @@ def metric_from_header(doc: dict) -> TorusMetric:
     return met
 
 
-def _gate(name: str, check: str, residual: float) -> None:
-    """Refuse to write data that the compact layout would change by more
-    than STRUCTURE_TOL."""
-    if not np.isfinite(residual):
-        raise ValueError("non-finite value cannot be serialized")
-    gate(residual, STRUCTURE_TOL, StructureViolated, f"{name}: {check} residual",
-         f", so format {FORMAT} cannot store it")
-
-
 def _pack(grid: np.ndarray) -> str:
     """A float grid as the base64 text of its row-major little-endian float64
     bytes; a non-finite value is refused before anything is encoded."""
@@ -180,30 +172,28 @@ def _unpack(payload, shape: tuple[int, ...]) -> np.ndarray:
     return _finite(np.frombuffer(raw, dtype="<f8")).reshape(shape)
 
 
-def _numbers(values, shape: tuple[int, ...]) -> np.ndarray:
-    """The float grid of the given shape in a number list (a pair's blocks)."""
-    return _finite(values).reshape(shape)
-
-
-def _mode_block(name: str, field: FourierField, so3: bool, pack) -> dict:
+def _mode_block(field: FourierField, so3: bool) -> dict:
     """The modes m = 0..degree of a field: mode 0 as its real part, the
-    others as real and imaginary parts; vee triples if so3.  pack turns each
-    real grid into what the file holds."""
+    others as real and imaginary parts, each packed by _pack; vee triples if
+    so3, which must drop no more than STRUCTURE_TOL."""
     if so3:
-        _gate(name, "antisymmetry", _antisym_residual(field.coef))
+        residual = float(np.abs(field.coef + np.swapaxes(field.coef, 1, 2)).max())
+        if not np.isfinite(residual):
+            raise ValueError("non-finite value cannot be serialized")
+        gate(residual, STRUCTURE_TOL, StructureViolated, "field: antisymmetry residual",
+             f", so format {FORMAT} cannot store it")
     modes = []
     for m in range(field.degree + 1):
         c = np.moveaxis(field.coef[m], (0, 1), (2, 3))  # the file's (ny, nx, 3, 3) order
         # vee on each real part: complex arithmetic could flip a zero's sign
         parts = (("re", c.real), ("im", c.imag)) if m else (("re", c.real),)
-        modes.append({"m": m} | {key: pack(vee(p) if so3 else p) for key, p in parts})
+        modes.append({"m": m} | {key: _pack(vee(p) if so3 else p) for key, p in parts})
     return {"degree": field.degree, "modes": modes}
 
 
-def _field_from_block(metric: TorusMetric, block: dict, so3: bool, unpack) -> FourierField:
-    """The field of a mode block; unpack(payload, shape) reads one real grid.
-    The grids are copied into the field's own band, so the result owns
-    writable memory whatever unpack returns."""
+def _field_from_block(metric: TorusMetric, block: dict, so3: bool) -> FourierField:
+    """The field of a mode block, each grid read by _unpack and copied into
+    the field's own band, so the result owns writable memory."""
     degree = json_int(block["degree"], "degree")
     entries = block["modes"]
     # the count first, so an edited degree sizes nothing before it is refused
@@ -219,7 +209,7 @@ def _field_from_block(metric: TorusMetric, block: dict, so3: bool, unpack) -> Fo
         grid = np.moveaxis(coef[m], (0, 1), (2, 3))
         parts = (("re", grid.real), ("im", grid.imag)) if m else (("re", grid.real),)
         for key, out in parts:
-            c = unpack(entry[key], shape)
+            c = _unpack(entry[key], shape)
             out[...] = hat(c) if so3 else c
     return FourierField.band(metric, coef)
 
@@ -227,7 +217,7 @@ def _field_from_block(metric: TorusMetric, block: dict, so3: bool, unpack) -> Fo
 def field_to_json(field: FourierField, so3: bool = False) -> dict:
     doc = _grid_header(field.metric)
     doc["values"] = "so3" if so3 else "matrix"
-    doc.update(_mode_block("field", field, so3, _pack))
+    doc.update(_mode_block(field, so3))
     return doc
 
 
@@ -249,7 +239,7 @@ def field_from_json(doc: dict, metric: TorusMetric | None = None) -> FourierFiel
             if got != want:
                 raise ValueError(f"the field's {key} {got} differs from the pair's {want}")
         met = metric
-    return _field_from_block(met, doc, doc["values"] == "so3", _unpack)
+    return _field_from_block(met, doc, doc["values"] == "so3")
 
 
 def save_field(path, field: FourierField, so3: bool = False) -> str:
@@ -269,20 +259,28 @@ PAIR_BLOCKS = ("a", "b", "phi")
 
 def pair_to_json(pair: Pair) -> dict:
     doc = _grid_header(pair.metric)
-    for name, grid in zip(PAIR_BLOCKS, (pair.conn.a, pair.conn.b, pair.higgs.phi)):
-        doc[name] = _mode_block(name, FourierField.from_grid(pair.metric, grid), True,
-                                lambda p: p.ravel().tolist())
+    for name, triples in zip(PAIR_BLOCKS, (pair.conn.a, pair.conn.b, pair.higgs.phi)):
+        doc[name] = {"degree": 0,
+                     "modes": [{"m": 0, "re": np.moveaxis(triples, 0, -1).ravel().tolist()}]}
     return doc
+
+
+def _pair_triples(metric: TorusMetric, block: dict) -> np.ndarray:
+    """The (3, ny, nx) vee triples of a pair block, copied C-contiguous;
+    ValueError but for degree 0 and one mode, m = 0, with no "im" part and a
+    "re" list of 3 * ny * nx finite numbers."""
+    entries = block["modes"]
+    if (json_int(block["degree"], "degree") != 0 or len(entries) != 1
+            or json_int(entries[0]["m"], "mode m") != 0 or "im" in entries[0]):
+        raise ValueError("a pair block holds one real mode, m = 0")
+    triples = _finite(entries[0]["re"]).reshape(metric.ny, metric.nx, 3)
+    return np.ascontiguousarray(np.moveaxis(triples, -1, 0))
 
 
 def pair_from_json(doc: dict) -> Pair:
     _check_format(doc)
     met = metric_from_header(doc)
-    a, b, phi = (_field_from_block(met, doc[name], True, _numbers) for name in PAIR_BLOCKS)
-    if max(a.degree, b.degree, phi.degree):
-        raise ValueError("a pair block holds mode 0 only")
-    # C-contiguous copies: a .real view strides over the complex band and keeps it alive
-    a, b, phi = (np.ascontiguousarray(f.coef[0].real) for f in (a, b, phi))
+    a, b, phi = (_pair_triples(met, doc[name]) for name in PAIR_BLOCKS)
     return Pair(Connection(met, a, b), Higgs(met, phi))
 
 

@@ -1,8 +1,8 @@
 """Periodic bicubic interpolation of real grid data; every off-grid field
 value in the package comes from here, through FourierField.interpolant, which
-builds each spline over the real channels of a field's modes m >= 0: the 9
-matrix entries of each channel, or only its 3 vee coordinates when every
-mode is antisymmetric (the so(3)-valued transport generator A + Phi).
+builds each spline over the real channels of a band's modes m >= 0: the 9
+matrix entries of each (the trivializer), or 3 vee coordinates (the
+transport generator A + Phi, a band of so(3) triples).
 
 Interpolating cubic B-splines on a uniform periodic grid.  The spline passes
 through the data resampled on a grid 4 times finer per axis (2 times when an

@@ -7,21 +7,22 @@ and a field stores its modes 0..K only: one complex array coef of shape
 (K + 1, 3, 3, ny, nx), c_0 first, whose imaginary part is exactly zero.
 Mode -m is conj(c_m) wherever a caller asks for it (mode(m)).  Every grid on
 the torus has the layout of one mode, (3, 3, ny, nx): mode(m) for m >= 0 and
-modes hand out the band's own slices, and a connection's, a Higgs field's
-and a unit section's grids are stored so.  Only point arrays keep the matrix
-axes last (lie3's helpers, transport, the interpolant's values); a grid
-reaches them through one np.moveaxis view.  Every operation maps such bands
-to such bands: sums, differences, real scalar multiples, transposes, the
-vertical field V (multiplication by i*m on mode m), the frame operators and
-products.
+modes hand out the band's own slices.  A connection's a, b and a Higgs
+field's phi are so(3) grids stored as their (3, ny, nx) vee triples;
+lie3.hat builds the 3x3 grid where a product needs one.  Only point arrays
+keep the matrix axes last (lie3's helpers, transport, the interpolant's
+values); a grid reaches them through one np.moveaxis view.  Every operation
+maps such bands to such bands: sums, differences, real scalar multiples,
+transposes, the vertical field V (multiplication by i*m on mode m), the
+frame operators and products.
 
-A band may hold entries of another shape: cocycle.h0_residuals carries
-so(3) fields as bands of their vee triples, (K + 1, 3, ny, nx).  The eta
-kernels, the frame operators, V, sums, differences, real multiples, the
-fiber sampling and analysis of a product (_real_angles, _real_modes) and
-the norms act on stacks of any entry shape; cross is the bracket of two
-triple bands, their pointwise cross product.  Products, transposes and
-interpolants read 3x3 entries.
+A band may hold entries of another shape: the transport generator and
+cocycle.h0_residuals carry so(3) fields as bands of their vee triples,
+(K + 1, 3, ny, nx).  The eta kernels, the frame operators, V, sums,
+differences, real multiples, the fiber sampling and analysis of a product,
+the interpolant and the norms act on stacks of any entry shape; cross is
+the bracket of two triple bands, their pointwise cross product.  Products
+read 3x3 entries, and a product kernel may return their vee triples.
 
 The raising and lowering parts of the frame act on stacks of grids (3x3
 grids or triples) with given mode numbers (one fft2 over the trailing
@@ -85,7 +86,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import spectral
-from .errors import gate, worst
+from .errors import gate
 from .interp import PeriodicCubic2D
 from .lie3 import hat, vee
 from .torus import TorusMetric
@@ -133,15 +134,6 @@ def _real_analysis(nt: int, k: int) -> np.ndarray:
     return mat
 
 
-def _is_skew(u: "FourierField") -> bool:
-    """Every mode of u is antisymmetric to the bit, c == -c^T: each entry
-    pair (i, j), i < j, and each diagonal entry compared with np.array_equal
-    (NaN compares unequal, so it fails the test)."""
-    c = u.coef
-    return all(np.array_equal(c[:, i, j], -c[:, j, i])
-               for i, j in ((1, 0), (2, 0), (2, 1), (0, 0), (1, 1), (2, 2)))
-
-
 def _real_angles(u: "FourierField", nt: int) -> np.ndarray:
     """Values at theta_j = 2 pi j / nt of u, nt > 2 K: a real array of nt
     entries of u's shape ((3, 3, ny, nx) or (3, ny, nx)) computed from its
@@ -172,10 +164,10 @@ def _commutator3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pointwise(u: "FourierField", v: "FourierField", kernel) -> "FourierField":
-    """kernel (_matmul3, _commutator3 or a cross product) of u and v
-    pointwise on SM (module docstring): a degree-0 factor is fiber-constant,
-    so the kernel takes the two bands as they are; two bands of higher
-    degree are multiplied in real arithmetic."""
+    """kernel (_matmul3, _commutator3, a cross product or a product's vee)
+    of u and v pointwise on SM (module docstring): a degree-0 factor is
+    fiber-constant, so the kernel takes the two bands as they are; two bands
+    of higher degree are multiplied in real arithmetic."""
     u._check_same(v)
     a, b = u.coef, v.coef
     if min(len(a), len(b)) == 1:
@@ -312,21 +304,18 @@ class FourierField:
 
     def interpolant(self):
         """Evaluator (x, y, theta) -> real values at arbitrary SM points of one
-        shape (ValueError otherwise), that shape + (3, 3): one bicubic spline
-        over the real channels [Re c_0, 2 Re c_m, -2 Im c_m], m = 1..K, summed
-        against 1, cos(m theta) and sin(m theta).  When every mode is
-        antisymmetric to the bit (_is_skew, as for A + Phi), each channel is
-        splined as its vee triple, 3 values instead of 9, and the sum is
-        returned as its hat."""
+        shape (ValueError otherwise), that shape + the band's entry shape
+        ((3, 3), or (3,) for vee triples): one bicubic spline over the real
+        channels [Re c_0, 2 Re c_m, -2 Im c_m], m = 1..K, summed against 1,
+        cos(m theta) and sin(m theta)."""
         met = self.metric
         k = self.degree
-        # the spline reads point arrays: (ny, nx, mode, 3, 3)
-        pos = np.moveaxis(self.coef, (0, 1, 2), (2, 3, 4))
+        entry = self.coef.shape[1:-2]
+        # the spline reads point arrays: (ny, nx, mode, entry)
+        pos = np.moveaxis(self.coef, (-2, -1), (0, 1))
         stack = np.concatenate([pos.real, -pos.imag[:, :, 1:]], axis=2)
         stack[:, :, 1:] *= 2.0
-        skew = _is_skew(self)
-        stack = vee(stack) if skew else stack.reshape(stack.shape[:3] + (9,))
-        width = stack.shape[-1]
+        width = stack[0, 0, 0].size
         spline = PeriodicCubic2D(stack.reshape(met.ny, met.nx, -1), met.lx, met.ly)
         ms = np.arange(1, k + 1, dtype=float)
 
@@ -339,7 +328,7 @@ class FourierField:
             mt = np.multiply.outer(np.asarray(theta, dtype=float), ms)
             basis = np.concatenate([np.ones(mt.shape[:-1] + (1,)), np.cos(mt), np.sin(mt)], axis=-1)
             out = np.einsum("...kc,...k->...c", vals.reshape(x.shape + (2 * k + 1, width)), basis)
-            return hat(out) if skew else out.reshape(x.shape + (3, 3))
+            return out.reshape(x.shape + entry)
 
         return at
 
@@ -371,8 +360,8 @@ def l2_inner(metric: TorusMetric, c: np.ndarray, d: np.ndarray) -> complex:
 
 
 def grid_l2_norm(metric: TorusMetric, grid: np.ndarray, fiber: bool = False) -> float:
-    """L2 norm of a single (3, 3, ny, nx) grid over the torus (e^{2 lam}
-    weight).
+    """L2 norm of a single (3, 3, ny, nx) grid, or (3, ny, nx) triple grid,
+    over the torus (e^{2 lam} weight).
 
     With fiber=True the 2 pi fiber factor is included, matching the L2 norm
     of the single-mode field with this coefficient.
@@ -483,18 +472,22 @@ def frame_ops(u: FourierField) -> tuple[FourierField, FourierField]:
 # -- connections and Higgs fields -------------------------------------------------
 
 
-def _antisym_residual(grid: np.ndarray) -> float:
-    """max |c + c^T| over a (..., 3, 3, ny, nx) array: a grid, or a band of them."""
-    s = grid + np.swapaxes(grid, -4, -3)
-    return float(np.abs(s).max())
+def _half_mode(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """(a - i m b)/2, m = +-1, of two real arrays of one shape: mode m of
+    a cos(theta) + b sin(theta)."""
+    out = np.empty(a.shape, dtype=complex)
+    np.multiply(1j, b, out=out)
+    (np.subtract if m == 1 else np.add)(a, out, out=out)
+    np.multiply(0.5, out, out=out)
+    return out
 
 
 @dataclass
 class Connection:
-    """SO(3) connection restricted to SM: A = a cos(theta) + b sin(theta).
+    """SO(3) connection restricted to SM: A = hat(a) cos(theta) + hat(b) sin(theta).
 
-    a, b are real antisymmetric (3, 3, ny, nx) grids; in terms of the 1-form
-    A_x dx + A_y dy they are a = e^{-lam} A_x, b = e^{-lam} A_y.
+    a, b are the real (3, ny, nx) vee triples of its coefficients; in terms
+    of the 1-form A_x dx + A_y dy, hat(a) = e^{-lam} A_x, hat(b) = e^{-lam} A_y.
     """
 
     metric: TorusMetric
@@ -504,42 +497,38 @@ class Connection:
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        shape = (3, 3, self.metric.ny, self.metric.nx)
+        shape = (3, self.metric.ny, self.metric.nx)
         if self.a.shape != shape or self.b.shape != shape:
-            raise ValueError(f"connection grids must have shape {shape}")
+            raise ValueError(f"connection triples must have shape {shape}")
 
     @classmethod
     def zero(cls, metric: TorusMetric) -> "Connection":
-        z = np.zeros((3, 3, metric.ny, metric.nx))
+        z = np.zeros((3, metric.ny, metric.nx))
         return cls(metric, z, z.copy())
 
     @classmethod
-    def from_field(cls, f: FourierField, tol: float = 1e-8) -> "Connection":
-        """Build from a field of mode 1, a = 2 Re c_1 and b = -2 Im c_1
-        (_connection_grids); raises ValueError if another mode holds content,
+    def from_field(cls, f: FourierField) -> "Connection":
+        """Build from a field of mode 1: a, b = vee of 2 Re c_1, -2 Im c_1
+        (_connection_grids).  ValueError when another mode, or the symmetric
+        part of c_1 that vee drops, exceeds 1e-8 of the largest coefficient,
         and on any non-finite coefficient (errors.gate's rule)."""
-        scale = float(np.abs(f.coef).max())
+        tol = 1e-8 * float(np.abs(f.coef).max())
         for m, c in f.modes.items():
             if m != 1:
-                gate(np.abs(c).max(), tol * scale, ValueError,
-                     f"connection field content in mode {m}")
-        return cls(f.metric, *_connection_grids(f.mode(1)))
+                gate(np.abs(c).max(), tol, ValueError, f"connection field content in mode {m}")
+        c1 = f.mode(1)
+        gate(0.5 * np.abs(c1 + np.swapaxes(c1, 0, 1)).max(), tol, ValueError,
+             "connection field symmetric part in mode 1")
+        return cls(f.metric, *(vee(g, axis=-3) for g in _connection_grids(c1)))
 
     def mode(self, m: int) -> np.ndarray:
-        """A_m, the (3, 3, ny, nx) grid of mode m = +-1 of A, (a - i m b)/2:
-        A_1 = (A - i V(A))/2 and its conjugate A_{-1}."""
-        out = np.empty((3, 3, self.metric.ny, self.metric.nx), dtype=complex)
-        np.multiply(1j, self.b, out=out)
-        (np.subtract if m == 1 else np.add)(self.a, out, out=out)
-        np.multiply(0.5, out, out=out)
-        return out
+        """A_m, the (3, 3, ny, nx) grid of mode m = +-1 of A, (hat a - i m
+        hat b)/2: A_1 = (A - i V(A))/2 and its conjugate A_{-1}."""
+        return _half_mode(hat(self.a, axis=-3), hat(self.b, axis=-3), m)
 
     def as_field(self) -> FourierField:
         """A as one band of modes 0 and 1 (mode 0 is zero)."""
         return FourierField(self.metric, {1: self.mode(1)})
-
-    def antisymmetry_residual(self) -> float:
-        return worst([_antisym_residual(self.a), _antisym_residual(self.b)])
 
     def norm(self) -> float:
         return self.as_field().l2_norm()
@@ -550,33 +539,28 @@ class Connection:
 
 @dataclass
 class Higgs:
-    """Higgs field: antisymmetric real matrix function of the base point, a
-    (3, 3, ny, nx) grid."""
+    """Higgs field Phi: M -> so(3), stored as the real (3, ny, nx) grid phi
+    of its vee triples."""
 
     metric: TorusMetric
     phi: np.ndarray
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
-        shape = (3, 3, self.metric.ny, self.metric.nx)
+        shape = (3, self.metric.ny, self.metric.nx)
         if self.phi.shape != shape:
-            raise ValueError(f"higgs grid must have shape {shape}")
+            raise ValueError(f"higgs triples must have shape {shape}")
 
     @classmethod
     def zero(cls, metric: TorusMetric) -> "Higgs":
-        return cls(metric, np.zeros((3, 3, metric.ny, metric.nx)))
+        return cls(metric, np.zeros((3, metric.ny, metric.nx)))
 
     def as_field(self) -> FourierField:
-        return FourierField.from_grid(self.metric, self.phi)
-
-    def antisymmetry_residual(self) -> float:
-        return _antisym_residual(self.phi)
+        return FourierField.from_grid(self.metric, hat(self.phi, axis=-3))
 
     def norm(self) -> float:
-        return grid_l2_norm(self.metric, self.phi, fiber=True)
-
-    def is_zero(self) -> bool:
-        return np.abs(self.phi).max() <= 0.0
+        """||hat phi||, sqrt(2) times the norm of the triples."""
+        return 2.0**0.5 * grid_l2_norm(self.metric, self.phi, fiber=True)
 
 
 @dataclass
@@ -634,11 +618,13 @@ def star_curvature(conn: Connection) -> np.ndarray:
     """The function *F_A = *(dA + A wedge A) on the base, an so(3) grid.
 
     In terms of the coefficient grids (a, b) and the conformal factor:
-    e^{-lam}(b_x + b lam_x - a_y - a lam_y) + [a, b].
+    e^{-lam}(b_x + b lam_x - a_y - a lam_y) + [a, b], taken on the hat
+    grids of a and b.
     """
     met = conn.metric
-    b_x = spectral.deriv(conn.b, met.lx, axis=-1)
-    a_y = spectral.deriv(conn.a, met.ly, axis=-2)
-    lin = b_x + conn.b * met.lam_x - a_y - conn.a * met.lam_y
+    a, b = hat(conn.a, axis=-3), hat(conn.b, axis=-3)
+    b_x = spectral.deriv(b, met.lx, axis=-1)
+    a_y = spectral.deriv(a, met.ly, axis=-2)
+    lin = b_x + b * met.lam_x - a_y - a * met.lam_y
     lin *= met.e_neg_lam
-    return lin + _commutator3(conn.a, conn.b)
+    return lin + _commutator3(a, b)

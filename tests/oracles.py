@@ -26,8 +26,10 @@ quaternion product along the loop) lives here too, with the parity of a
 trivializer's fiber loop that it gives: the doubling tests read it, and no
 verb does.  So do the sections the holomorphy tests sweep: random elliptic families and
 band-limited random unit sections (the negative control).  Grids are
-(3, 3, ny, nx), as in the package; hat_grid and points move a lie3 point
-array to a grid and back.
+(3, 3, ny, nx), as in the package; points moves a grid to a lie3 point
+array, and triple_grid a (ny, nx, 3) vector field to the (3, ny, nx) vee
+triples that a connection and a Higgs field hold (lie3.hat with axis=-3
+gives their grid).
 """
 
 import base64
@@ -136,10 +138,10 @@ def spectral_lambda_derivatives(metric):
 
 def coefficient_spline_generator(pair):
     """Evaluator (x, y, theta) -> B = a cos(theta) + b sin(theta) + Phi of a
-    pair, from one bicubic spline over the 27 channels of its grids a, b and
-    Phi; returns the points' shape + (3, 3)."""
+    pair, from one bicubic spline over the 27 channels of the hat grids of
+    its triples a, b and Phi; returns the points' shape + (3, 3)."""
     met = pair.metric
-    grids = (pair.conn.a, pair.conn.b, pair.higgs.phi)
+    grids = (hat(t, axis=-3) for t in (pair.conn.a, pair.conn.b, pair.higgs.phi))
     spline = PeriodicCubic2D(
         np.concatenate([points(g).reshape(met.ny, met.nx, 9) for g in grids], axis=-1),
         met.lx, met.ly
@@ -174,9 +176,10 @@ def so3_exp(g: np.ndarray, t: float = 1.0) -> np.ndarray:
     return np.eye(3) + s[..., None, None] * k + c[..., None, None] * (k @ k)
 
 
-def hat_grid(v: np.ndarray) -> np.ndarray:
-    """hat of a (ny, nx, 3) vector field as a (3, 3, ny, nx) torus grid."""
-    return np.moveaxis(hat(v), (-2, -1), (0, 1))
+def triple_grid(v: np.ndarray) -> np.ndarray:
+    """A (ny, nx, 3) vector field as the (3, ny, nx) grid of vee triples
+    that Connection and Higgs hold."""
+    return np.ascontiguousarray(np.moveaxis(v, -1, 0))
 
 
 def points(grid: np.ndarray) -> np.ndarray:
@@ -547,7 +550,7 @@ def q_lemma_residuals(cert: bk.BacklundCertificate) -> dict[str, float]:
     full = a @ cert.g.field() @ at
     q_tot = max(full.l2_norm(), 1e-300)
     q_off = bk._off_modes(full, 0, q_tot)
-    q = bk._real_skew(met, full.coef[0].real)[0]
+    q = hat(bk._real_skew(met, full.coef[0].real)[0], axis=-3)
     qf = sm.FourierField.from_grid(met, q)
     conn_out = cert.pair_out.conn
     dq = sm.d_A(q, conn_out)
@@ -584,10 +587,12 @@ def round_trip_residuals(cert_fwd: bk.BacklundCertificate,
     met = cert_fwd.pair_in.metric
     conn_scale = cert_fwd.pair_in.conn.norm() + 1.0
     dconn = np.sqrt(
-        sm.grid_l2_norm(met, a1 - a0) ** 2 + sm.grid_l2_norm(met, b1 - b0) ** 2
+        sm.grid_l2_norm(met, hat(a1 - a0, axis=-3)) ** 2
+        + sm.grid_l2_norm(met, hat(b1 - b0, axis=-3)) ** 2
     ) / conn_scale
-    dphi = sm.grid_l2_norm(met, cert_back.pair_out.higgs.phi - cert_fwd.pair_in.higgs.phi) \
-        / (cert_fwd.pair_in.higgs.norm() + 1.0)
+    dphi = sm.grid_l2_norm(
+        met, hat(cert_back.pair_out.higgs.phi - cert_fwd.pair_in.higgs.phi, axis=-3)
+    ) / (cert_fwd.pair_in.higgs.norm() + 1.0)
     du = (cert_back.pair_out.trivializer - cert_fwd.pair_in.trivializer).l2_norm() \
         / cert_fwd.pair_in.trivializer.l2_norm()
     return {"conn": float(dconn), "higgs": float(dphi), "trivializer": float(du)}

@@ -14,6 +14,7 @@ import pytest
 
 from cocyclelab import backlund as bk, cli, cocycle as cc, fieldio as fio, smfield as sm
 from cocyclelab.errors import passes
+from cocyclelab.lie3 import hat
 from cocyclelab.backlund import generate_chain
 from cocyclelab.smfield import Higgs, Pair
 from cocyclelab.torus import MAX_STEPS, TorusMetric, step_count
@@ -486,16 +487,24 @@ def test_verify_and_transport_refuse_the_same_steps(tmp_path, capsys, metric, t_
 
 
 def test_verify_report_fails_on_nan():
-    """No verdict passes on NaN, even where Python's max would drop it."""
+    """No verdict passes on NaN, even where Python's max would drop it.  A
+    NaN in phi reaches every mode row but structure, which reads the
+    trivializer alone; a NaN there reaches structure."""
     met = TorusMetric.from_harmonics(32, 32, 1.0, 1.0, [[0.1, 1, 0]])
     good = generate_chain(met, CONST_CHAIN["chain"]).final
     phi = good.higgs.phi.copy()
-    phi[0, 1, 0, 0] = np.nan
+    phi[0, 0, 0] = np.nan
     pair = Pair(good.conn, Higgs(met, phi), good.trivializer)
     rows = cc.mode_residuals(pair)
+    assert np.isfinite(rows["structure"])
+    coef = good.trivializer.coef.copy()
+    coef[1, 0, 1, 0, 0] = np.nan
+    nan_u = Pair(good.conn, good.higgs, sm.FourierField.band(met, coef))
+    rows["structure"] = cc.mode_residuals(nan_u)["structure"]
     for k, v in rows.items():
         assert np.isnan(v), k
         assert not passes(v, cli.DEFAULT_TOLS[k])
+    del rows["structure"]
     report = cli._verify_report(pair, {}, seed=0, geodesic_count=1, t_final=0.5, dt=1e-2)
     assert report["pass"] is False
     nan_keys = [k for k, v in report["residuals"].items() if np.isnan(v)]
@@ -617,8 +626,8 @@ def test_curved_elliptic_chain_generates_verifies_and_reduces(tmp_path, capsys):
     doc = fio.load_json(report)
     assert doc["pass"] is True and doc["residuals"]["cocycle"] < 1e-6
     conn = fio.load_pair(out / "pair.json").conn
-    ab = plane_matmul3(conn.a, conn.b) - plane_matmul3(conn.b, conn.a)
-    assert np.abs(ab).max() > 1.0  # not abelian
+    a, b = hat(conn.a, axis=-3), hat(conn.b, axis=-3)
+    assert np.abs(plane_matmul3(a, b) - plane_matmul3(b, a)).max() > 1.0  # not abelian
     red = tmp_path / "red"
     assert cli.main(["reduce", pair, triv, "--outdir", str(red)]) == cli.EXIT_OK
     assert fio.load_json(red / "reduction_report.json")["residuals"]["reduced-field"] < 1e-7

@@ -311,17 +311,42 @@ def test_load_json_rejects_non_finite_tokens(tmp_path, token):
 
 
 def test_writer_refuses_data_the_layout_would_change(tmp_path):
-    """Format 3 drops the symmetric part of so(3) values; data for which it
-    is not redundant to STRUCTURE_TOL is a failed check, and no file is
-    written."""
+    """Format 3 drops the symmetric part of an so(3) field (a unit section,
+    g.json); data for which it is not redundant to STRUCTURE_TOL is a failed
+    check, and no file is written."""
     met = TorusMetric.flat(16, 16)
-    axis = np.array([0.0, 0.6, 0.8])
-    pair = bk.backlund_transform(Pair.trivial(met), bk.UnitSection.constant(met, axis)).pair_out
-    pair.higgs.phi[0, 1, 3, 4] += 1e-8
-    assert pair.higgs.antisymmetry_residual() > fio.STRUCTURE_TOL
+    g = bk.UnitSection.constant(met, np.array([0.0, 0.6, 0.8])).field()
+    g.coef[0, 0, 1, 3, 4] += 1e-8
     with pytest.raises(StructureViolated):
-        fio.save_pair(tmp_path / "pair.json", pair)
-    assert not (tmp_path / "pair.json").exists()
+        fio.save_field(tmp_path / "g.json", g, so3=True)
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_pair_reader_gates(tmp_path):
+    """A pair block holds degree 0 and one mode, m = 0, as a list of
+    3 * ny * nx finite numbers with no im part; anything else is refused."""
+    met = TorusMetric.flat(16, 16)
+    pair = bk.backlund_transform(
+        Pair.trivial(met), bk.UnitSection.constant(met, np.array([0.0, 0.6, 0.8]))).pair_out
+    good = fio.pair_to_json(pair)
+    entry = good["a"]["modes"][0]
+    edits = [
+        ({"degree": 1, "modes": [entry, {"m": 1, "re": entry["re"], "im": entry["re"]}]},
+         "one real mode"),
+        ({"degree": 0, "modes": [entry, entry]}, "one real mode"),
+        ({"degree": 0, "modes": [{"m": 1, "re": entry["re"]}]}, "one real mode"),
+        ({"degree": 0, "modes": [{"m": 0, "re": entry["re"], "im": entry["re"]}]},
+         "one real mode"),
+        ({"degree": 0, "modes": [{"m": 0, "re": entry["re"][:-1]}]}, "reshape"),
+        ({"degree": 0, "modes": [{"m": 0, "re": entry["re"][:-1] + [1e999]}]}, "non-finite"),
+    ]
+    for block, message in edits:
+        doc = json.loads(json.dumps(good))
+        doc["a"] = block
+        with pytest.raises(ValueError, match=message):
+            fio.pair_from_json(doc)
+    back = fio.pair_from_json(json.loads(json.dumps(good)))
+    assert np.array_equal(back.conn.a, pair.conn.a)
 
 
 def test_non_finite_rejected(tmp_path):

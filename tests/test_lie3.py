@@ -12,13 +12,13 @@ from oracles import (
     SamplingTooCoarse,
     bracket,
     ell,
-    hat_grid,
     plane_matmul3,
     polar_project,
     rotation_angle,
     so3_exp,
     so3_norm,
     su2_path_lift,
+    triple_grid,
 )
 
 RNG = np.random.default_rng(42)
@@ -35,6 +35,25 @@ def test_hat_is_cross_product():
 def test_vee_inverts_hat():
     v = RNG.normal(size=(200, 3))
     assert np.abs(vee(hat(v)) - v).max() < 1e-15
+
+
+def test_hat_and_vee_on_the_grid_layout():
+    """With axis=-3, hat and vee map a stack of triple grids (..., 3, ny, nx)
+    to its (..., 3, 3, ny, nx) grids and back: the point-layout values moved
+    to that layout, bit for bit with the signs of zeros, written
+    C-contiguous; vee inverts hat bit for bit and keeps the antisymmetric
+    part of any grid."""
+    v = RNG.normal(size=(2, 3, 6, 8))
+    v[0, 1, 2, 3], v[1, 2, 0, 0] = 0.0, -0.0
+    g = hat(v, axis=-3)
+    ref = np.moveaxis(hat(np.moveaxis(v, 1, -1)), (-2, -1), (1, 2))
+    assert g.shape == (2, 3, 3, 6, 8) and g.flags.c_contiguous
+    assert np.array_equal(g, ref) and np.array_equal(np.signbit(g), np.signbit(ref))
+    back = vee(g, axis=-3)
+    assert back.flags.c_contiguous
+    assert np.array_equal(back, v) and np.array_equal(np.signbit(back), np.signbit(v))
+    m = RNG.normal(size=(3, 3, 6, 8))
+    assert np.array_equal(vee(m, axis=-3), np.moveaxis(vee(np.moveaxis(m, (0, 1), (2, 3))), -1, 0))
 
 
 def test_hat_intertwines_cross_and_bracket():
@@ -84,7 +103,7 @@ def test_unit_residual_and_check():
     of it raises NotUnit."""
     v = RNG.normal(size=(16, 20, 3))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    g = hat_grid(v)
+    g = hat(triple_grid(v), axis=-3)
     r = plane_matmul3(plane_matmul3(g, g), g) + g
     assert np.sqrt((r * r).sum(axis=(0, 1))).max() < 1e-14
     met = TorusMetric.flat(nx=20, ny=16)

@@ -41,7 +41,6 @@ from oracles import (
     from_samples,
     full_band,
     half_band,
-    hat_grid,
     padded_band_op,
     plane_matmul3,
     points,
@@ -49,6 +48,7 @@ from oracles import (
     sample,
     so3_exp,
     so3_norm,
+    triple_grid,
 )
 
 
@@ -104,7 +104,7 @@ def bandlimited_connection(metric, seed, scale=0.3):
                         2 * np.pi * (kx * xg / metric.lx + ky * yg / metric.ly)
                         + rng.uniform(0, 2 * np.pi)
                     )
-        return hat_grid(w)
+        return triple_grid(w)
 
     return Connection(metric, coeff(), coeff())
 
@@ -286,7 +286,7 @@ def test_bracket_is_the_commutator_of_products(lens):
 
 def triples(w):
     """The band of vee triples (K + 1, 3, ny, nx) of a band's modes."""
-    return FourierField.band(w.metric, np.moveaxis(vee(np.moveaxis(w.coef, (1, 2), (3, 4))), 3, 1))
+    return FourierField.band(w.metric, vee(w.coef, axis=-3))
 
 
 @pytest.mark.parametrize(
@@ -401,7 +401,8 @@ def test_star_curvature_pure_gauge_vanishes():
     r = np.moveaxis(so3_exp(hat(w)), (2, 3), (0, 1))
     rf = FourierField.from_grid(met, r)
     af = rf.transpose() @ x_op(rf)
-    conn = Connection.from_field(af, tol=1e-7)
+    assert not af.mode(0).any()  # so from_field's default bound suffices
+    conn = Connection.from_field(af)
     sf = star_curvature(conn)
     assert grid_l2_norm(met, sf) / max(conn.norm(), 1e-300) < 1e-6
 
@@ -409,10 +410,10 @@ def test_star_curvature_pure_gauge_vanishes():
 def test_star_curvature_constant_axis_oracle():
     """The connection -e^{-lam}(lam_y cos - lam_x sin) g has *F = -K g."""
     met = curved(96)
-    g = hat(np.array([0.28, -0.96, 0.0]))
-    gg = np.broadcast_to(g[:, :, None, None], (3, 3, 96, 96))
-    a = -met.e_neg_lam * met.lam_y * gg
-    b = met.e_neg_lam * met.lam_x * gg
+    v = np.array([0.28, -0.96, 0.0])[:, None, None]
+    gg = np.broadcast_to(hat(v[:, 0, 0])[:, :, None, None], (3, 3, 96, 96))
+    a = -met.e_neg_lam * met.lam_y * v
+    b = met.e_neg_lam * met.lam_x * v
     sf = star_curvature(Connection(met, a, b))
     expected = -met.gauss * gg
     assert np.abs(sf - expected).max() < 1e-9
@@ -428,6 +429,11 @@ def test_connection_from_field_gates():
     with pytest.raises(ValueError, match=r"^connection field content in mode 0 "
                        r"1\.000e\+00 exceeds \d\.\de-\d+$"):
         Connection.from_field(bad)
+    # the symmetric part of mode 1, which the vee triples would drop
+    sym = FourierField(met, {1: np.ones((3, 3, 32, 32), dtype=complex)})
+    with pytest.raises(ValueError, match=r"^connection field symmetric part in mode 1 "
+                       r"1\.000e\+00 exceeds \d\.\de-\d+$"):
+        Connection.from_field(f + sym)
     # a field stores the modes of a real map: no mode m < 0, a real mode 0
     for modes in ({-1: f.mode(-1)}, {0: 1j * np.ones((3, 3, 32, 32))}):
         with pytest.raises(ValueError):
@@ -447,24 +453,31 @@ def test_connection_from_field_refuses_nan():
 
 
 def test_connection_shape_gate():
+    """A connection and a Higgs field hold (3, ny, nx) vee triples: the
+    (3, 3, ny, nx) grids they held before, triples of another grid size and
+    triples laid out point by point are refused."""
     met = curved(32)
-    with pytest.raises(ValueError):
-        Connection(met, np.zeros((3, 3, 16, 16)), np.zeros((3, 3, 16, 16)))
-    with pytest.raises(ValueError):  # grids laid out point by point
-        Connection(met, np.zeros((32, 32, 3, 3)), np.zeros((32, 32, 3, 3)))
+    for shape in ((3, 3, 32, 32), (3, 16, 16), (32, 32, 3)):
+        with pytest.raises(ValueError):
+            Connection(met, np.zeros(shape), np.zeros(shape))
+        with pytest.raises(ValueError):
+            Higgs(met, np.zeros(shape))
 
 
 def test_higgs_and_pair_basics():
     met = curved(32)
     pair = Pair.trivial(met)
     assert pair.conn.is_zero()
-    assert pair.higgs.is_zero()
+    assert not pair.higgs.phi.any()
     assert pair.trivializer is not None
     assert pair.trivializer.degree == 0
     assert pair.total_field().l2_norm() < 1e-15
-    phi = Higgs(met, hat_grid(np.ones((32, 32, 3)) * 0.2))
-    assert phi.antisymmetry_residual() < 1e-15
-    assert abs(so3_norm(points(phi.phi)).max() - 0.2 * np.sqrt(3)) < 1e-12
+    phi = Higgs(met, triple_grid(np.ones((32, 32, 3)) * 0.2))
+    grid = phi.as_field().mode(0).real
+    assert np.array_equal(grid, -np.swapaxes(grid, 0, 1))
+    assert abs(so3_norm(points(grid)).max() - 0.2 * np.sqrt(3)) < 1e-12
+    # the norm is that of the hat grid, sqrt(2) times that of the triples
+    assert abs(phi.norm() - phi.as_field().l2_norm()) <= 1e-15 * phi.norm()
 
 
 def test_orthogonality_residual_flags_nonorthogonal():

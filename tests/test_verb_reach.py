@@ -2,8 +2,10 @@
 
 Every verb runs under sys.setprofile on a curved and a flat chain, and each
 public module-level function of the package must be entered at least once.
-A function that only the tests call belongs in tests/oracles.py."""
+A function that only the tests call belongs in tests/oracles.py.  No module
+imports a name it never reads."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -87,3 +89,44 @@ def test_every_public_function_is_run_by_a_verb(tmp_path, capsys):
     unreached = sorted(set(public.values()) - {public[c] for c in reached}
                        - _traced_layers() - WAITING)
     assert not unreached, f"public functions no verb runs: {unreached}"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module's import statements bind and its code never reads:
+    a name counts as read when it is loaded anywhere, including inside a
+    string annotation, or listed in __all__.  __future__ imports bind
+    nothing."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    trees = [tree]
+    for node in ast.walk(tree):
+        notes = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            notes = [a.annotation for a in args.posonlyargs + args.args + args.kwonlyargs
+                     + [args.vararg, args.kwarg] if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        trees += [ast.parse(n.value, mode="eval") for n in notes
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            trees += [ast.parse(e.value, mode="eval") for e in node.value.elts]
+    read = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    sample = ("from __future__ import annotations\nimport math\nimport numpy as np\n"
+              "from .a import b, c, d\n__all__ = ['d']\n"
+              "def f(x: 'c') -> float:\n    return np.pi * x\n")
+    assert _unused_imports(sample) == ["b (line 4)", "math (line 2)"]
+    src = Path(cocyclelab.__file__).parent
+    unused = {path.name: _unused_imports(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert not any(unused.values()), {k: v for k, v in unused.items() if v}
