@@ -24,10 +24,17 @@ mode b_N of the trivializer as vee(Im b_N b_N^H), runs the same core and
 gates only the pair it writes.  Every gate raises through errors.gate.  The
 inverse transform (with section -g), the q-lemma rows, the round-trip
 distance and the SU(2) lift parity of a trivializer's fiber loop are test
-references in tests/oracles.py.  Grids are (3, 3, ny, nx), multiplied by
-smfield's kernel; a pair's a, b and Phi are vee triples (3, ny, nx), hatted
-where a product needs them.  lie3's point helpers read a grid through one
-np.moveaxis view.
+references in tests/oracles.py.
+
+Every so(3) quantity of a step is carried as its vee triples: the section's
+axis n and a pair's a, b and phi as (3, ny, nx) grids, d_A g, its Hodge star
+and the unprojected Phi_g and A_g as bands (K + 1, 3, ny, nx).  Each term is
+conjugated by the rotation a, and a hat(w) a^T = hat(a w), so Phi_g and A_g
+are skew by construction: Phi_g = a core and A_g = -vee(X(a) a^T) +
+a (A + Phi - core) with core = n (n . phi) + *d_A g, and every bracket is a
+cross product.  Only matrices that are not skew are (3, 3, ny, nx): the
+vertical solution a, the projector pi (both built from the section's grid
+hat(n)) and the trivializer.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from .errors import (
     json_number,
     worst,
 )
-from .lie3 import hat, inner, vee
+from .lie3 import hat, vee
 from .smfield import Connection, FourierField, Higgs, Pair, grid_l2_norm
 from .torus import TorusMetric, grid_coords
 
@@ -66,30 +73,31 @@ GATED_RESIDUALS = ("input-field", "holomorphy", "output-field")
 
 
 class UnitSection:
-    """A section g = hat(n): M -> so(3) of a (ny, nx, 3) axis field n,
-    with grid g as a contiguous (3, 3, ny, nx) array.  NotUnit unless
+    """A section g = hat(n): M -> so(3) of an axis field n, held as the
+    contiguous (3, ny, nx) triple grid axis (the layout of a pair's a, b and
+    phi), with grid = hat(axis) as a (3, 3, ny, nx) array.  NotUnit unless
     max | |n|^2 - 1 | <= UNIT_TOL / 2 (n is not normalized here).  meta holds
     how the section was built (its kind and, for the elliptic factory, its
     parameters); generate writes it with each step's residuals.
     """
 
     def __init__(self, metric: TorusMetric, axis: np.ndarray, meta: dict | None = None):
-        axis = np.asarray(axis, dtype=float)
-        if axis.shape != (metric.ny, metric.nx, 3):
+        axis = np.ascontiguousarray(axis, dtype=float)
+        if axis.shape != (3, metric.ny, metric.nx):
             raise ValueError(f"axis shape {axis.shape} does not match the metric grid "
-                             f"({metric.ny}, {metric.nx}, 3)")
-        gate(float(np.abs(np.einsum("yxk,yxk->yx", axis, axis) - 1.0).max()), UNIT_TOL / 2,
+                             f"(3, {metric.ny}, {metric.nx})")
+        gate(float(np.abs(np.einsum("kyx,kyx->yx", axis, axis) - 1.0).max()), UNIT_TOL / 2,
              NotUnit, "| |n|^2 - 1 | =")
         self.metric = metric
         self.axis = axis
-        self.grid = np.ascontiguousarray(np.moveaxis(hat(axis), (-2, -1), (0, 1)))
+        self.grid = hat(axis, axis=-3)
         self.meta = dict(meta) if meta else {}
 
     @classmethod
     def constant(cls, metric: TorusMetric, axis) -> "UnitSection":
         v = np.asarray(axis, dtype=float)
         v = v / np.linalg.norm(v)
-        return cls(metric, np.broadcast_to(v, (metric.ny, metric.nx, 3)),
+        return cls(metric, np.broadcast_to(v[:, None, None], (3, metric.ny, metric.nx)),
                    meta={"kind": "constant", "axis": v.tolist()})
 
     def field(self) -> FourierField:
@@ -121,7 +129,7 @@ def holomorphy_residuals(g: UnitSection, conn: Connection, dg: FourierField,
                          star_dg: FourierField) -> dict[str, float]:
     """Four equivalent certificates that the eigenbundle E_i of g is
     holomorphic for the dbar-operator twisted by the connection, from the
-    caller's dg = d_A g and its Hodge star:
+    caller's dg = d_A g (a band of vee triples) and its Hodge star:
 
       star-bracket   *d_A g + [d_A g, g] = 0      (1-form calculus)
       dbar-bracket   Q - i[Q, g] = 0 with Q = dbar_A g, mode -1 of d_A g
@@ -134,8 +142,9 @@ def holomorphy_residuals(g: UnitSection, conn: Connection, dg: FourierField,
     """
     met = g.metric
     q = dg.mode(-1)
-    res2_g = q - 1j * sm._commutator3(q, g.grid)
-    den2 = grid_l2_norm(met, q) + grid_l2_norm(met, g.grid) + 1e-300
+    # [Q, g] = hat(q x n); both ratios read the same on triples as on hats
+    res2_g = q - 1j * np.cross(q, g.axis, axis=0)
+    den2 = grid_l2_norm(met, q) + grid_l2_norm(met, g.axis) + 1e-300
     res2 = grid_l2_norm(met, res2_g) / den2
 
     pi = projector(g)
@@ -159,10 +168,10 @@ def holomorphy_residuals(g: UnitSection, conn: Connection, dg: FourierField,
 
 def _star_bracket(g: UnitSection, dg: FourierField, star_dg: FourierField) -> float:
     """|| *d_A g + [d_A g, g] || relative to || d_A g || + || g ||: the
-    star-bracket holomorphy residual, from d_A g and its Hodge star."""
-    gf = g.field()
-    res = star_dg + sm.bracket(dg, gf)
-    return res.l2_norm() / (dg.l2_norm() + grid_l2_norm(g.metric, g.grid) + 1e-300)
+    star-bracket holomorphy residual, from the triple bands d_A g and its
+    Hodge star; the bracket is the cross product with the axis."""
+    res = star_dg + sm.cross(dg, FourierField.band(g.metric, g.axis[None]))
+    return res.l2_norm() / (dg.l2_norm() + grid_l2_norm(g.metric, g.axis) + 1e-300)
 
 
 @dataclass
@@ -187,10 +196,19 @@ def _off_modes(full: FourierField, keep: int, scale: float) -> float:
     return off / scale
 
 
-def _real_skew(metric: TorusMetric, re: np.ndarray) -> tuple[np.ndarray, float]:
-    """The vee triples of a real grid, its antisymmetric part, with the norm
-    of the symmetric part they drop."""
-    return vee(re, axis=-3), grid_l2_norm(metric, 0.5 * (re + np.swapaxes(re, 0, 1)))
+def _transformed_bands(pair: Pair, g: UnitSection,
+                       star_dg: FourierField) -> tuple[FourierField, FourierField, FourierField]:
+    """The vertical solution a of section g and the unprojected output pair
+    as bands of vee triples: with core = n (n . phi) + *d_A g,
+    Phi_g = a core and A_g = -vee(X(a) a^T) + a (A + Phi - core), since
+    a hat(w) a^T = hat(a w) for the rotation a."""
+    a = vertical_solution(g)
+    n = g.axis
+    gphi = n * np.einsum("kyx,kyx->yx", n, pair.higgs.phi)  # g <g, Phi>
+    core = FourierField.band(pair.metric, gphi[None].astype(complex)) + star_dg
+    phi_full = sm._matvec(a, core)
+    a_full = sm._matvec(a, pair.total_triples() - core) - sm._vee_product(sm.x_op(a), a.transpose())
+    return a, phi_full, a_full
 
 
 def _transformed(pair: Pair, g: UnitSection,
@@ -200,28 +218,19 @@ def _transformed(pair: Pair, g: UnitSection,
     projected onto its structural form with trivializer a u, and the
     residual rows of that solution and projection."""
     met = pair.metric
-    a = vertical_solution(g)
-    at = a.transpose()
-    phi = hat(pair.higgs.phi, axis=-3)
-    gphi = inner(np.moveaxis(g.grid, (0, 1), (2, 3)), np.moveaxis(phi, (0, 1), (2, 3)))
-    core = FourierField(met, {0: g.grid.astype(complex) * gphi}) + star_dg
-
-    phi_full = a @ core @ at
-    a_full = sm.x_op(a) @ at * (-1.0) + a @ (pair.total_field() - core) @ at
+    a, phi_full, a_full = _transformed_bands(pair, g, star_dg)
 
     # Every projection loss is relative to the joint norm of the transformed
     # connection and Higgs fields: Phi can vanish up to rounding (a repeat-q
     # step), and a ratio to its own norm would then read that rounding as O(1).
     tot = max(float(np.hypot(phi_full.l2_norm(), a_full.l2_norm())), 1e-300)
     phi_off = _off_modes(phi_full, 0, tot)
-    phi_proj, phi_sym = _real_skew(met, phi_full.coef[0].real)
-
     conn_off = _off_modes(a_full, 1, tot)
-    a_re, b_re = sm._connection_grids(a_full.mode(1))
-    (a_proj, a_sym), (b_proj, b_sym) = _real_skew(met, a_re), _real_skew(met, b_re)
+    phi_proj = phi_full.coef[0].real.copy()
+    a_proj, b_proj = sm._connection_grids(a_full.coef[1])
     # the bands behind the projections are dropped before a u is formed,
     # which sets the transient peak of a reduction
-    del core, phi_full, a_full, a_re, b_re
+    del phi_full, a_full
 
     u_out = a @ pair.trivializer
     pair_out = Pair(Connection(met, a_proj, b_proj), Higgs(met, phi_proj), trivializer=u_out)
@@ -230,9 +239,7 @@ def _transformed(pair: Pair, g: UnitSection,
         "a-orthogonality": a.orthogonality_residual(),
         "u-out-orthogonality": u_out.orthogonality_residual(),
         "phi-off-modes": phi_off,
-        "phi-sym": phi_sym / tot,
         "conn-off-modes": conn_off,
-        "conn-sym": (a_sym + b_sym) / tot,
     }
     return a, pair_out, rows
 
@@ -256,10 +263,10 @@ def backlund_transform(
     the input residual here and the pair's band is not built again: along a
     chain of N steps, N + 1 bands are built.
 
-    The transformed connection and Higgs field are computed in mode calculus,
-    projected onto their structural form (modes +-1 for A, mode 0 for Phi,
-    antisymmetric coefficients), and certified again through the field
-    residual of the output trivializer a u.  All projection losses are
+    The transformed connection and Higgs field are computed in mode calculus
+    as bands of vee triples, projected onto their structural form (modes +-1
+    for A, mode 0 for Phi), and certified again through the field residual
+    of the output trivializer a u.  All projection losses are
     recorded in the certificate residuals; they measure discretization, not
     modelling error.
     """
@@ -273,7 +280,7 @@ def backlund_transform(
         raise ValueError("section and pair live on different metrics")
     gate(in_res, cert_tol, InputNotCertified, "input field residual")
     # the star-bracket holomorphy residual is the admissibility gate of g
-    dg = sm.d_A(g.grid, pair.conn)
+    dg = sm.d_A(g.axis, pair.conn)
     star_dg = sm.hodge_star(dg)
     gres = _star_bracket(g, dg, star_dg)
     gate(gres, gmero_tol, GNotHolomorphic, "holomorphy residual")
@@ -291,11 +298,11 @@ def backlund_transform(
 
 def _stereographic_axis(zeta: np.ndarray) -> np.ndarray:
     """Inverse stereographic projection C -> S^2,
-    zeta -> (2 Re, 2 Im, |zeta|^2 - 1) / (|zeta|^2 + 1)."""
+    zeta -> (2 Re, 2 Im, |zeta|^2 - 1) / (|zeta|^2 + 1), as a (3, ny, nx)
+    triple grid."""
     r2 = zeta.real**2 + zeta.imag**2
     den = 1.0 + r2
-    return np.stack([2.0 * zeta.real / den, 2.0 * zeta.imag / den, (r2 - 1.0) / den],
-                    axis=-1)
+    return np.stack([2.0 * zeta.real / den, 2.0 * zeta.imag / den, (r2 - 1.0) / den])
 
 
 def holomorphic_g_factory(
@@ -331,7 +338,7 @@ def holomorphic_g_factory(
     if dist.min() < 1e-9:
         raise ValueError("z0 collides with a grid point; shift it off-grid")
     n = _stereographic_axis(scale * weierstrass_p(z, metric.lx, metric.ly) + offset)
-    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    n = n / np.linalg.norm(n, axis=0)
     meta = {
         "kind": "elliptic",
         "z0": [float(z0[0]), float(z0[1])],
@@ -355,7 +362,8 @@ class ReductionResult:
 
 
 def _fill_masked_axis(n: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Fill masked grid points by averaging periodic neighbors, then renormalize."""
+    """Fill masked grid points of a (3, ny, nx) axis by averaging periodic
+    neighbors, then renormalize."""
     n = n.copy()
     todo = mask.copy()
     for _ in range(32):
@@ -364,16 +372,16 @@ def _fill_masked_axis(n: np.ndarray, mask: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(n)
         cnt = np.zeros(todo.shape)
         for ax, sh in ((0, 1), (0, -1), (1, 1), (1, -1)):
-            nb = np.roll(n, sh, axis=ax)
+            nb = np.roll(n, sh, axis=ax + 1)
             ok = ~np.roll(todo, sh, axis=ax)
-            acc += np.where(ok[..., None], nb, 0.0)
+            acc += np.where(ok, nb, 0.0)
             cnt += ok
         ready = todo & (cnt > 0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            avg = acc / np.maximum(cnt, 1)[..., None]
-        norm = np.linalg.norm(avg, axis=-1, keepdims=True)
-        good = ready & (norm[..., 0] > 1e-12)
-        n = np.where(good[..., None], avg / np.maximum(norm, 1e-300), n)
+            avg = acc / np.maximum(cnt, 1)
+        norm = np.linalg.norm(avg, axis=0)
+        good = ready & (norm > 1e-12)
+        n = np.where(good, avg / np.maximum(norm, 1e-300), n)
         todo = todo & ~good
     if todo.any():
         raise ReductionFailed("could not fill rank-deficient grid points")
@@ -385,20 +393,21 @@ def _top_mode_axis(b_top: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
     Where b_N = (p + iq) w^T is rank one with isotropic range (p, q
     orthogonal of equal length), Im(b_N b_N^H) = D C^T - C D^T is
-    |w|^2 hat(p x q): the axis is v = vee(D C^T - C D^T) normalised (zero on
-    the mask), and 2 |v| / |b_N|_F^2 = 1.  The mask holds the points where
+    |w|^2 hat(p x q): the axis is the (3, ny, nx) triple grid
+    v = vee(D C^T - C D^T) normalised (zero on the mask), and
+    2 |v| / |b_N|_F^2 = 1.  The mask holds the points where
     |b_N|_F, the top singular value of a rank-one matrix, is below 1e-8 of
     its maximum; axis-norm-dev is max |2 |v| / |b_N|_F^2 - 1| off the mask.
     """
     c, d = b_top.real, b_top.imag
-    # vee(D C^T - C D^T) = 2 vee(D C^T), read through the point view of lie3
-    v = 2.0 * vee(np.moveaxis(sm._matmul3(d, np.swapaxes(c, 0, 1)), (0, 1), (2, 3)))
+    # vee(D C^T - C D^T) = 2 vee(D C^T)
+    v = 2.0 * vee(sm._matmul3(d, np.swapaxes(c, 0, 1)), axis=-3)
     b_sq = sm._square_sum(b_top[None])
     b_norm = np.sqrt(b_sq)
     mask = b_norm < 1e-8 * b_norm.max()
-    v_norm = np.linalg.norm(v, axis=-1)
+    v_norm = np.linalg.norm(v, axis=0)
     axis_dev = float(np.abs(2.0 * v_norm[~mask] / np.maximum(b_sq[~mask], 1e-300) - 1.0).max())
-    n = np.where(mask[..., None], 0.0, v / np.maximum(v_norm[..., None], 1e-300))
+    n = np.where(mask, 0.0, v / np.maximum(v_norm, 1e-300))
     return n, mask, axis_dev
 
 
@@ -430,7 +439,7 @@ def reduce_degree(pair: Pair) -> ReductionResult:
     gate(frac, 0.01, RankDeficient, "top mode rank-deficient fraction")
     g_new = UnitSection(met, _fill_masked_axis(n_axis, mask),
                         meta={"kind": "reduction", "from-degree": n_deg})
-    dg = sm.d_A(g_new.grid, pair.conn)
+    dg = sm.d_A(g_new.axis, pair.conn)
     star_dg = sm.hodge_star(dg)
     hres = holomorphy_residuals(g_new, pair.conn, dg, star_dg)
     gate(worst(hres.values()), DEFAULT_GMERO_TOL, ReductionFailed,

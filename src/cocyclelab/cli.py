@@ -24,6 +24,7 @@ from . import backlund as bk
 from . import cocycle as cc
 from . import fieldio as fio
 from .errors import CocycleLabError, check_keys, json_int, json_number, passes, worst
+from .lie3 import hat
 from .smfield import Pair, _matmul3, eta_minus, eta_plus, l2_inner, star_curvature
 from .torus import MAX_STEPS, SMPoint, TorusMetric, flat_closed_geodesics, step_count
 
@@ -148,7 +149,7 @@ def _energy_residuals(pair: Pair, count: int, seed: int) -> float:
     ||mu_+ u||^2 = ||mu_- u||^2 + (1/2) <(i *F - m K) u, u>."""
     met = pair.metric
     rng = np.random.default_rng(seed)
-    sf = star_curvature(pair.conn)
+    sf = hat(star_curvature(pair.conn), axis=-3)
     shape = (met.ny, met.nx, 3, 3)
     ky, kx = (np.fft.fftfreq(n, 1.0 / n) for n in (met.ny, met.nx))
     mask = ((-6 <= ky) & (ky < 6))[:, None] & ((-6 <= kx) & (kx < 6))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import smfield as sm
 from .errors import NonOrthogonalDrift, NotClosed, gate, json_int, worst
-from .lie3 import hat, vee
+from .lie3 import hat
 from .smfield import FourierField, Higgs, Pair
 from .torus import SMPoint, integrate_geodesic, step_count, torus_distance
 
@@ -35,9 +35,7 @@ class TransportContext:
 
     def __init__(self, pair: Pair):
         self.pair = pair
-        band = np.stack([pair.higgs.phi.astype(complex),
-                         sm._half_mode(pair.conn.a, pair.conn.b, 1)])
-        self._generator_at = FourierField.band(pair.metric, band).interpolant()
+        self._generator_at = pair.total_triples().interpolant()
         self._trivializer_at = None
 
     def generator_at(self, xs, ys, thetas):
@@ -270,25 +268,25 @@ def gauge_transform(pair: Pair, r: np.ndarray) -> Pair:
     """Act by a gauge transformation r: M -> SO(3) on (A, Phi) and the trivializer.
 
     A -> r^{-1} dr + r^{-1} A r (realized on SM), Phi -> r^{-1} Phi r,
-    u -> r^{-1} u.
+    u -> r^{-1} u.  For a rotation r^T hat(w) r = hat(r^T w), so the new
+    triples are vee(r^T X(r)) + r^T (a, b) and r^T phi.  ValueError on a
+    non-finite r, before any computation.
     """
-    met = pair.metric
     r = np.asarray(r, dtype=float)
+    if not np.isfinite(r).all():
+        raise ValueError("gauge transformation r must be finite")
+    met = pair.metric
     rf = FourierField.from_grid(met, r)
     rt = rf.transpose()
-    a_new = rt @ sm.x_op(rf) + rt @ pair.conn.as_field() @ rf
-    conn = sm.Connection.from_field(a_new)
-    phi = sm._matmul3(sm._matmul3(np.swapaxes(r, 0, 1), hat(pair.higgs.phi, axis=-3)), r)
-    higgs = Higgs(met, vee(phi, axis=-3))
+    a, b = sm._connection_grids(sm._vee_product(rt, sm.x_op(rf)).mode(1))
+
+    def rt_on(w):  # r^T w of a (3, ny, nx) triple grid
+        return np.einsum("kiyx,kyx->iyx", r, w)
+
+    conn = sm.Connection(met, a + rt_on(pair.conn.a), b + rt_on(pair.conn.b))
+    higgs = Higgs(met, rt_on(pair.higgs.phi))
     triv = rt @ pair.trivializer if pair.trivializer is not None else None
     return Pair(conn, higgs, triv)
-
-
-def _vee_product(u: FourierField, v: FourierField) -> FourierField:
-    """The vee triples (K + 1, 3, ny, nx) of the modes of u v, its
-    antisymmetric part: the product routes with a kernel that takes the vee
-    of each sampled 3x3 product."""
-    return sm._pointwise(u, v, lambda a, b: vee(sm._matmul3(a, b), axis=-3))
 
 
 def _frobenius(w: FourierField) -> float:
@@ -311,13 +309,13 @@ def h0_residuals(u: FourierField, higgs: Higgs | None = None) -> dict[str, float
     norms of the constituent terms.
 
     f, Psi and every term lie in so(3) and are carried as bands of vee
-    triples (_vee_product); each bracket is a cross product, [hat a, hat b]
+    triples (smfield._vee_product); each bracket is a cross product, [hat a, hat b]
     = hat(a x b), and each norm that of the hat (_frobenius), so the ratios
     and the ||u|| floor read as on 3x3 fields.  The triples drop the
     symmetric part of u^T V(u), V(u^T u) / 2, which the structure row bounds.
     """
     ut = u.transpose()
-    f = _vee_product(ut, sm.vertical(u))
+    f = sm._vee_product(ut, sm.vertical(u))
     # X = eta_+ + eta_- and H = i (eta_+ - eta_-) from one eta_- pass
     # (sm.frame_ops); every band is dropped once its norm is taken, which
     # bounds the peak
@@ -331,7 +329,7 @@ def h0_residuals(u: FourierField, higgs: Higgs | None = None) -> dict[str, float
     lhs = lhs - brk
     den1 = hf_norm + vxf_norm + _frobenius(brk)
     del brk
-    psi = lhs * (-1.0) if higgs is None else _vee_product(ut @ higgs.as_field(), u)
+    psi = lhs * (-1.0) if higgs is None else sm._vee_product(ut @ higgs.as_field(), u)
     k1 = lhs + psi
     del lhs
     frame = _frobenius(k1)

@@ -8,9 +8,8 @@ hat and vee also take the (negative) axis of the triple, so axis=-3 maps a
 torus grid of triples (..., 3, ny, nx) to its (..., 3, 3, ny, nx) grid and
 back, written in that layout.
 
-Conventions:
-  hat(v) w = v x w                (cross product)
-  inner(g, h) = trace(g h^T) / 2  (so hat is an isometry: inner(hat v, hat w) = v.w)
+Convention: hat(v) w = v x w (cross product), so [hat a, hat b] = hat(a x b)
+and trace(hat a hat b^T) / 2 = a . b.
 """
 
 from __future__ import annotations
@@ -49,7 +48,3 @@ def vee(g: np.ndarray, axis: int = -1) -> np.ndarray:
         axis=axis,
     )
 
-
-def inner(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Invariant inner product trace(g h^T)/2; reduces the trailing (3,3)."""
-    return 0.5 * np.einsum("...ij,...ij->...", g, h)

@@ -16,13 +16,18 @@ maps such bands to such bands: sums, differences, real scalar multiples,
 transposes, the vertical field V (multiplication by i*m on mode m), the
 frame operators and products.
 
-A band may hold entries of another shape: the transport generator and
-cocycle.h0_residuals carry so(3) fields as bands of their vee triples,
-(K + 1, 3, ny, nx).  The eta kernels, the frame operators, V, sums,
-differences, real multiples, the fiber sampling and analysis of a product,
-the interpolant and the norms act on stacks of any entry shape; cross is
-the bracket of two triple bands, their pointwise cross product.  Products
-read 3x3 entries, and a product kernel may return their vee triples.
+A band may hold entries of another shape: every so(3) field (the transport
+generator, d_A of a section, the Bäcklund core's Phi_g and A_g, the H0
+terms) is carried as a band of its vee triples, (K + 1, 3, ny, nx).  The eta
+kernels, the frame operators, V, sums, differences, real multiples, the
+fiber sampling and analysis of a product, the interpolant and the norms act
+on stacks of any entry shape.  Three products take triples: cross, the
+bracket of two triple bands as their pointwise cross product
+([hat a, hat b] = hat(a x b)); _matvec, a band of 3x3 entries acting on a
+triple band (for a rotation r, r hat(w) r^T = hat(r w)); and _vee_product,
+the vee triples of the product of two 3x3 bands.  Every other product reads
+and returns 3x3 entries: those of the matrices that are not skew, the
+trivializer, the vertical solution of a step and the projector of a section.
 
 The raising and lowering parts of the frame act on stacks of grids (3x3
 grids or triples) with given mode numbers (one fft2 over the trailing
@@ -54,8 +59,9 @@ Im c_1..Im c_K] by a real synthesis matrix (cached by size, which beats an
 FFT along the short mode axis), the kernel multiplies float64 samples, and a
 real analysis matrix returns the modes 0..K_u + K_v.  That many samples
 resolve the whole product, so nothing aliases and nothing is truncated;
-the product is exact to rounding; bracket forms [u, v] from the same
-samples.  Every pointwise 3x3 product, of bands and of grids alike, runs
+the product is exact to rounding, and so are cross, _matvec and
+_vee_product, which take the same routes with their own kernels.  Every
+pointwise 3x3 product, of bands and of grids alike, runs
 through one kernel (_matmul3) that sums the three products a[i, k] b[k, j]
 in the order k = 0, 1, 2: two float64 factors by one einsum contraction, any
 other dtype by three broadcast products per output row.  Both forms give the
@@ -86,7 +92,6 @@ from types import MappingProxyType
 import numpy as np
 
 from . import spectral
-from .errors import gate
 from .interp import PeriodicCubic2D
 from .lie3 import hat, vee
 from .torus import TorusMetric
@@ -156,18 +161,11 @@ def _real_modes(samples: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _commutator3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise commutator ab - ba of (..., 3, 3, ny, nx) arrays."""
-    out = _matmul3(a, b)
-    out -= _matmul3(b, a)
-    return out
-
-
 def _pointwise(u: "FourierField", v: "FourierField", kernel) -> "FourierField":
-    """kernel (_matmul3, _commutator3, a cross product or a product's vee)
-    of u and v pointwise on SM (module docstring): a degree-0 factor is
-    fiber-constant, so the kernel takes the two bands as they are; two bands
-    of higher degree are multiplied in real arithmetic."""
+    """kernel (_matmul3, a matrix on a triple, a cross product or a
+    product's vee) of u and v pointwise on SM (module docstring): a degree-0
+    factor is fiber-constant, so the kernel takes the two bands as they are;
+    two bands of higher degree are multiplied in real arithmetic."""
     u._check_same(v)
     a, b = u.coef, v.coef
     if min(len(a), len(b)) == 1:
@@ -178,15 +176,23 @@ def _pointwise(u: "FourierField", v: "FourierField", kernel) -> "FourierField":
     return FourierField.band(u.metric, out)
 
 
-def bracket(u: "FourierField", v: "FourierField") -> "FourierField":
-    """[u, v] = u v - v u pointwise, sampling each factor once."""
-    return _pointwise(u, v, _commutator3)
-
-
 def cross(u: "FourierField", v: "FourierField") -> "FourierField":
     """[u, v] of two so(3) fields held as bands of vee triples, as their
     pointwise cross product over the triple axis: [hat a, hat b] = hat(a x b)."""
     return _pointwise(u, v, partial(np.cross, axis=-3))
+
+
+def _matvec(u: "FourierField", w: "FourierField") -> "FourierField":
+    """u w pointwise: a band of 3x3 entries acting on a band of vee triples.
+    For a rotation u, u hat(w) u^T = hat(u w)."""
+    return _pointwise(u, w, partial(np.einsum, "...ikyx,...kyx->...iyx"))
+
+
+def _vee_product(u: "FourierField", v: "FourierField") -> "FourierField":
+    """The vee triples (K + 1, 3, ny, nx) of the modes of u v, its
+    antisymmetric part: the product routes with a kernel that takes the vee
+    of each sampled 3x3 product."""
+    return _pointwise(u, v, lambda a, b: vee(_matmul3(a, b), axis=-3))
 
 
 def _combine(u: "FourierField", v: "FourierField", ufunc) -> "FourierField":
@@ -506,21 +512,6 @@ class Connection:
         z = np.zeros((3, metric.ny, metric.nx))
         return cls(metric, z, z.copy())
 
-    @classmethod
-    def from_field(cls, f: FourierField) -> "Connection":
-        """Build from a field of mode 1: a, b = vee of 2 Re c_1, -2 Im c_1
-        (_connection_grids).  ValueError when another mode, or the symmetric
-        part of c_1 that vee drops, exceeds 1e-8 of the largest coefficient,
-        and on any non-finite coefficient (errors.gate's rule)."""
-        tol = 1e-8 * float(np.abs(f.coef).max())
-        for m, c in f.modes.items():
-            if m != 1:
-                gate(np.abs(c).max(), tol, ValueError, f"connection field content in mode {m}")
-        c1 = f.mode(1)
-        gate(0.5 * np.abs(c1 + np.swapaxes(c1, 0, 1)).max(), tol, ValueError,
-             "connection field symmetric part in mode 1")
-        return cls(f.metric, *(vee(g, axis=-3) for g in _connection_grids(c1)))
-
     def mode(self, m: int) -> np.ndarray:
         """A_m, the (3, 3, ny, nx) grid of mode m = +-1 of A, (hat a - i m
         hat b)/2: A_1 = (A - i V(A))/2 and its conjugate A_{-1}."""
@@ -529,9 +520,6 @@ class Connection:
     def as_field(self) -> FourierField:
         """A as one band of modes 0 and 1 (mode 0 is zero)."""
         return FourierField(self.metric, {1: self.mode(1)})
-
-    def norm(self) -> float:
-        return self.as_field().l2_norm()
 
     def is_zero(self) -> bool:
         return max(np.abs(self.a).max(), np.abs(self.b).max()) <= 0.0
@@ -558,10 +546,6 @@ class Higgs:
     def as_field(self) -> FourierField:
         return FourierField.from_grid(self.metric, hat(self.phi, axis=-3))
 
-    def norm(self) -> float:
-        """||hat phi||, sqrt(2) times the norm of the triples."""
-        return 2.0**0.5 * grid_l2_norm(self.metric, self.phi, fiber=True)
-
 
 @dataclass
 class Pair:
@@ -587,6 +571,11 @@ class Pair:
         """A + Phi as one field (modes 0 and 1)."""
         return self.conn.as_field() + self.higgs.as_field()
 
+    def total_triples(self) -> FourierField:
+        """A + Phi as one band of vee triples [phi, (a - i b)/2]."""
+        return FourierField.band(self.metric, np.stack([self.higgs.phi.astype(complex),
+                                                        _half_mode(self.conn.a, self.conn.b, 1)]))
+
 
 def _connection_grids(c1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) = (2 Re c_1, -2 Im c_1) of the mode-1 grid of a connection
@@ -601,30 +590,33 @@ def hodge_star(f: FourierField) -> FourierField:
     return vertical(f) * (-1.0)
 
 
-def d_A(g: np.ndarray, conn: Connection) -> FourierField:
-    """Covariant derivative of a matrix function of the base point, as a field.
+def d_A(n: np.ndarray, conn: Connection) -> FourierField:
+    """Covariant derivative of an so(3) function of the base point, as a
+    band of vee triples.
 
-    g is a real (3, 3, ny, nx) grid; the result is X(g) + [A, g], mode 1:
-    the 1-form d g + [A, g] evaluated on unit tangent vectors.
+    n is the real (3, ny, nx) triple grid of the function; the result is
+    X(n) + A x n, mode 1: the 1-form d n + [A, n] evaluated on unit tangent
+    vectors, with A the triple band [0, (a - i b)/2].
     """
-    gf = FourierField.from_grid(conn.metric, g)
-    out = x_op(gf)
+    nf = FourierField.band(conn.metric, n[None].astype(complex))
+    out = x_op(nf)
     if not conn.is_zero():
-        out = out + bracket(conn.as_field(), gf)
+        half = _half_mode(conn.a, conn.b, 1)
+        out = out + cross(FourierField.band(conn.metric, np.stack([np.zeros_like(half), half])), nf)
     return out
 
 
 def star_curvature(conn: Connection) -> np.ndarray:
-    """The function *F_A = *(dA + A wedge A) on the base, an so(3) grid.
+    """The function *F_A = *(dA + A wedge A) on the base, as the (3, ny, nx)
+    triple grid of an so(3) function.
 
-    In terms of the coefficient grids (a, b) and the conformal factor:
-    e^{-lam}(b_x + b lam_x - a_y - a lam_y) + [a, b], taken on the hat
-    grids of a and b.
+    In terms of the coefficient triples (a, b) and the conformal factor:
+    e^{-lam}(b_x + b lam_x - a_y - a lam_y) + a x b.
     """
     met = conn.metric
-    a, b = hat(conn.a, axis=-3), hat(conn.b, axis=-3)
+    a, b = conn.a, conn.b
     b_x = spectral.deriv(b, met.lx, axis=-1)
     a_y = spectral.deriv(a, met.ly, axis=-2)
     lin = b_x + b * met.lam_x - a_y - a * met.lam_y
     lin *= met.e_neg_lam
-    return lin + _commutator3(a, b)
+    return lin + np.cross(a, b, axis=0)

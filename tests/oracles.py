@@ -7,7 +7,10 @@ derivative per axis, the metric's derivatives from its grid samples, the transpo
 from a spline of its coefficient grids, a Cauchy integral for p', a
 finite-difference speed, readers of the files the package writes, and the
 frame-transfer identity of a trivializing u, the H0 rows with f and Psi
-kept as 3x3 bands (h0_residuals_3x3), the 3x3 product as nine planes
+kept as 3x3 bands (h0_residuals_3x3), the sampled commutator of two 3x3
+bands (band_bracket), d_A of a 3x3 grid (d_A_3x3), the Bäcklund core on
+3x3 bands with the symmetric parts its projection drops (transformed_3x3),
+the invariant inner product of so(3), the 3x3 product as nine planes
 of three plane products, the sum and difference of two bands on a
 zero-padded band, the modes -K..K of a field written out (full_band) and a
 field from them (half_band), the transport CSV
@@ -28,8 +31,8 @@ verb does.  So do the sections the holomorphy tests sweep: random elliptic famil
 band-limited random unit sections (the negative control).  Grids are
 (3, 3, ny, nx), as in the package; points moves a grid to a lie3 point
 array, and triple_grid a (ny, nx, 3) vector field to the (3, ny, nx) vee
-triples that a connection and a Higgs field hold (lie3.hat with axis=-3
-gives their grid).
+triples that a connection, a Higgs field and a unit section hold (lie3.hat
+with axis=-3 gives their grid).
 """
 
 import base64
@@ -47,7 +50,7 @@ from cocyclelab.backlund import UnitSection, holomorphic_g_factory, projector
 from cocyclelab.elliptic import _check_aspect, weierstrass_p
 from cocyclelab.errors import CocycleLabError
 from cocyclelab.interp import PeriodicCubic2D
-from cocyclelab.lie3 import hat, inner, vee
+from cocyclelab.lie3 import hat, vee
 from cocyclelab.torus import TorusMetric, _eval_harmonics
 
 
@@ -188,6 +191,12 @@ def points(grid: np.ndarray) -> np.ndarray:
     return np.moveaxis(grid, (0, 1), (2, 3))
 
 
+def inner(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Invariant inner product trace(g h^T)/2 of point arrays; reduces the
+    trailing (3, 3), so inner(hat v, hat w) = v . w."""
+    return 0.5 * np.einsum("...ij,...ij->...", g, h)
+
+
 def so3_norm(g: np.ndarray) -> np.ndarray:
     """Pointwise norm sqrt(inner(g, g)) of so(3) values."""
     return np.sqrt(np.maximum(inner(g, g).real, 0.0))
@@ -207,6 +216,72 @@ def plane_matmul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for k in (1, 2):
             o += np.multiply(a[..., i, k, :, :], b[..., k, j, :, :], out=tmp)
     return out
+
+
+def commutator3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise commutator ab - ba of (..., 3, 3, ny, nx) arrays, by the
+    package's 3x3 kernel."""
+    out = sm._matmul3(a, b)
+    out -= sm._matmul3(b, a)
+    return out
+
+
+def band_bracket(u: sm.FourierField, v: sm.FourierField) -> sm.FourierField:
+    """[u, v] = u v - v u of two 3x3 bands pointwise, sampling each factor
+    once (the product routes with the commutator as kernel): the 3x3 form of
+    smfield.cross."""
+    return sm._pointwise(u, v, commutator3)
+
+
+def d_A_3x3(g: np.ndarray, conn: sm.Connection) -> sm.FourierField:
+    """smfield.d_A on the (3, 3, ny, nx) grid g of a matrix function of the
+    base point: X(g) + [A, g] as a 3x3 band of mode 1, the bracket one
+    sampled commutator of the connection's 3x3 band."""
+    gf = sm.FourierField.from_grid(conn.metric, g)
+    out = sm.x_op(gf)
+    if not conn.is_zero():
+        out = out + band_bracket(conn.as_field(), gf)
+    return out
+
+
+def transformed_3x3(pair: sm.Pair, g: UnitSection):
+    """backlund._transformed with every band 3x3, from the section's grid:
+    star_dg = *d_A g (d_A_3x3), core = g <g, Phi> + star_dg, Phi_g =
+    a core a^T and A_g = -X(a) a^T + a (A + Phi - core) a^T, projected by
+    keeping the antisymmetric part of mode 0 (Phi) and mode 1 (A).  Returns
+    (a, pair_out, rows, phi_full, a_full): rows holds the rows of the
+    package's core and phi-sym and conn-sym, the norms of the symmetric parts
+    the projection drops, relative to the joint norm of the two bands."""
+    met = pair.metric
+    star_dg = sm.hodge_star(d_A_3x3(g.grid, pair.conn))
+    a = bk.vertical_solution(g)
+    at = a.transpose()
+    phi = hat(pair.higgs.phi, axis=-3)
+    gphi = inner(points(g.grid), points(phi))
+    core = sm.FourierField(met, {0: g.grid.astype(complex) * gphi}) + star_dg
+    phi_full = a @ core @ at
+    a_full = sm.x_op(a) @ at * (-1.0) + a @ (pair.total_field() - core) @ at
+
+    def skew(re):  # vee triples of a real grid and the norm of its symmetric part
+        return vee(re, axis=-3), sm.grid_l2_norm(met, 0.5 * (re + np.swapaxes(re, 0, 1)))
+
+    tot = max(float(np.hypot(phi_full.l2_norm(), a_full.l2_norm())), 1e-300)
+    phi_proj, phi_sym = skew(phi_full.coef[0].real)
+    a_re, b_re = sm._connection_grids(a_full.mode(1))
+    (a_proj, a_sym), (b_proj, b_sym) = skew(a_re), skew(b_re)
+    u_out = a @ pair.trivializer
+    pair_out = sm.Pair(sm.Connection(met, a_proj, b_proj), sm.Higgs(met, phi_proj),
+                       trivializer=u_out)
+    rows = {
+        "vertical": bk.vertical_residual(a, g),
+        "a-orthogonality": a.orthogonality_residual(),
+        "u-out-orthogonality": u_out.orthogonality_residual(),
+        "phi-off-modes": bk._off_modes(phi_full, 0, tot),
+        "phi-sym": phi_sym / tot,
+        "conn-off-modes": bk._off_modes(a_full, 1, tot),
+        "conn-sym": (a_sym + b_sym) / tot,
+    }
+    return a, pair_out, rows, phi_full, a_full
 
 
 def padded_band_op(u: sm.FourierField, v: sm.FourierField, ufunc) -> sm.FourierField:
@@ -415,7 +490,7 @@ def frame_transfer_residual(pair) -> float:
 def h0_residuals_3x3(u: sm.FourierField, higgs: sm.Higgs | None = None) -> dict[str, float]:
     """cocycle.h0_residuals with f = u^{-1} V(u) and Psi = u^{-1} Phi u kept
     as 3x3 bands: the frame operators on 9 channels, each bracket one
-    sampled commutator (smfield.bracket) and each norm the Frobenius norm of
+    sampled commutator (band_bracket) and each norm the Frobenius norm of
     the band itself.  On an orthogonal u it agrees with the vee-triple route
     to rounding; on a non-orthogonal one it also keeps the symmetric part of
     u^T V(u), which the triple route drops."""
@@ -425,7 +500,7 @@ def h0_residuals_3x3(u: sm.FourierField, higgs: sm.Higgs | None = None) -> dict[
     vxf = sm.vertical(xf)
     hf_norm, vxf_norm = hf.l2_norm(), vxf.l2_norm()
     lhs = hf + vxf
-    brk = sm.bracket(xf, f)
+    brk = band_bracket(xf, f)
     lhs = lhs - brk
     den1 = hf_norm + vxf_norm + brk.l2_norm()
     psi = lhs * (-1.0) if higgs is None else ut @ higgs.as_field() @ u
@@ -433,7 +508,7 @@ def h0_residuals_3x3(u: sm.FourierField, higgs: sm.Higgs | None = None) -> dict[
     scale = f.l2_norm() + psi.l2_norm() + u.l2_norm()
     den1 = den1 + psi.l2_norm() + scale
     vpsi = sm.vertical(psi)
-    brk2 = sm.bracket(f, psi)
+    brk2 = band_bracket(f, psi)
     k2 = vpsi + brk2
     den2 = vpsi.l2_norm() + brk2.l2_norm() + scale
     return {"h0-frame": frame / den1, "h0-vertical": k2.l2_norm() / den2}
@@ -477,7 +552,7 @@ def random_unit_section(metric: TorusMetric, seed: int) -> UnitSection:
                 amp = 0.6 * rng.normal() / (1 + kx * kx + ky * ky)
                 n[..., c] += amp * np.cos(kx * xg + ky * yg + rng.uniform(0, 2 * np.pi))
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    return UnitSection(metric, n, meta={"kind": "random", "seed": seed})
+    return UnitSection(metric, triple_grid(n), meta={"kind": "random", "seed": seed})
 
 
 def svd_column_axis(b_top: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -485,7 +560,8 @@ def svd_column_axis(b_top: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     by a per-point SVD and a column pick: the mask holds the points whose top
     singular value is below 1e-8 of its maximum, the axis is
     unit(Cy) x unit(Dy) for the column y of largest |Cy| (zero on the mask),
-    and axis-norm-dev is max | |unit(Cy) x unit(Dy)| - 1 | off the mask."""
+    as a (3, ny, nx) triple grid, and axis-norm-dev is
+    max | |unit(Cy) x unit(Dy)| - 1 | off the mask."""
     pts = np.moveaxis(b_top, (0, 1), (2, 3))
     s1 = np.linalg.svd(pts, compute_uv=False)[..., 0]
     mask = s1 < 1e-8 * s1.max()
@@ -496,7 +572,8 @@ def svd_column_axis(b_top: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
                  dy / np.maximum(np.linalg.norm(dy, axis=-1, keepdims=True), 1e-300))
     norms = np.linalg.norm(n, axis=-1)
     dev = float(np.abs(norms[~mask] - 1.0).max())
-    return np.where(mask[..., None], 0.0, n / np.maximum(norms[..., None], 1e-300)), mask, dev
+    n = np.where(mask[..., None], 0.0, n / np.maximum(norms[..., None], 1e-300))
+    return triple_grid(n), mask, dev
 
 
 def dbar_A(g: np.ndarray, conn: sm.Connection) -> np.ndarray:
@@ -550,16 +627,16 @@ def q_lemma_residuals(cert: bk.BacklundCertificate) -> dict[str, float]:
     full = a @ cert.g.field() @ at
     q_tot = max(full.l2_norm(), 1e-300)
     q_off = bk._off_modes(full, 0, q_tot)
-    q = hat(bk._real_skew(met, full.coef[0].real)[0], axis=-3)
+    q = hat(vee(full.coef[0].real, axis=-3), axis=-3)
     qf = sm.FourierField.from_grid(met, q)
     conn_out = cert.pair_out.conn
-    dq = sm.d_A(q, conn_out)
+    dq = d_A_3x3(q, conn_out)
     rhs = a @ cert.pair_in.higgs.as_field() @ at
-    rhs_brk = sm.bracket(rhs, qf)
+    rhs_brk = band_bracket(rhs, qf)
     den = dq.l2_norm() + rhs_brk.l2_norm() + sm.grid_l2_norm(met, q) + 1e-300
     covariant = (dq - rhs_brk).l2_norm() / den
     star_dq = sm.hodge_star(dq)
-    res3 = dq + sm.bracket(star_dq, qf)
+    res3 = dq + band_bracket(star_dq, qf)
     star = res3.l2_norm() / den
     return {
         "vertical": q_off,
@@ -585,14 +662,14 @@ def round_trip_residuals(cert_fwd: bk.BacklundCertificate,
     a0, b0 = cert_fwd.pair_in.conn.a, cert_fwd.pair_in.conn.b
     a1, b1 = cert_back.pair_out.conn.a, cert_back.pair_out.conn.b
     met = cert_fwd.pair_in.metric
-    conn_scale = cert_fwd.pair_in.conn.norm() + 1.0
+    conn_scale = cert_fwd.pair_in.conn.as_field().l2_norm() + 1.0
     dconn = np.sqrt(
         sm.grid_l2_norm(met, hat(a1 - a0, axis=-3)) ** 2
         + sm.grid_l2_norm(met, hat(b1 - b0, axis=-3)) ** 2
     ) / conn_scale
     dphi = sm.grid_l2_norm(
         met, hat(cert_back.pair_out.higgs.phi - cert_fwd.pair_in.higgs.phi, axis=-3)
-    ) / (cert_fwd.pair_in.higgs.norm() + 1.0)
+    ) / (cert_fwd.pair_in.higgs.as_field().l2_norm() + 1.0)
     du = (cert_back.pair_out.trivializer - cert_fwd.pair_in.trivializer).l2_norm() \
         / cert_fwd.pair_in.trivializer.l2_norm()
     return {"conn": float(dconn), "higgs": float(dphi), "trivializer": float(du)}

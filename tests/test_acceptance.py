@@ -14,7 +14,7 @@ from cocyclelab import backlund as bk
 from cocyclelab import cli
 from cocyclelab import cocycle as cc
 from cocyclelab.errors import passes, worst
-from cocyclelab.lie3 import hat, inner
+from cocyclelab.lie3 import hat
 from cocyclelab.smfield import (
     Connection,
     FourierField,
@@ -43,6 +43,7 @@ from oracles import (
     frame_apply,
     from_samples,
     h0_residuals_3x3,
+    inner,
     inverse_backlund,
     plane_matmul3,
     q_lemma_residuals,
@@ -174,7 +175,7 @@ def test_criterion_03_energy_identity(capsys):
         u = bandlimited_field(met, 0, seed=2000 + trial)  # one complex grid, mode m
         up, um = eta_plus(met, u, [m], conn.mode(1)), eta_minus(met, u, [m], conn.mode(-1))
         lhs = l2_inner(met, up, up).real
-        sf = star_curvature(conn)
+        sf = hat(star_curvature(conn), axis=-3)
         op = plane_matmul3(1j * sf - m * met.gauss * np.eye(3)[:, :, None, None], u)
         rhs = l2_inner(met, um, um).real + 0.5 * l2_inner(met, op, u).real
         rel.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
@@ -217,7 +218,7 @@ def test_criterion_06_holomorphy_route_agreement(capsys, factory_chain):
     n_pass = 0
     factory = []
     for k, sec in enumerate(sections):
-        dg = d_A(sec.grid, zero)
+        dg = d_A(sec.axis, zero)
         res = bk.holomorphy_residuals(sec, zero, dg, hodge_star(dg))
         verdicts = [passes(v, 1e-5) for v in res.values()]
         if len(set(verdicts)) > 1:
@@ -253,7 +254,7 @@ def test_criterion_08_two_step_doubling(capsys, const_chain):
     two_g = FourierField.from_grid(met, 2.0 * certs[0].g.grid)
     c_res = (c.transpose() @ vertical(c) - two_g).l2_norm() / two_g.l2_norm()
     final = certs[1].pair_out
-    phi_final = final.higgs.norm() / (final.conn.norm() + 1.0)
+    phi_final = final.higgs.as_field().l2_norm() / (final.conn.as_field().l2_norm() + 1.0)
     parity_mid, parity_out = (fiber_loop_parity(cert.pair_out.trivializer)
                               for cert in certs)
     ok = (
@@ -275,7 +276,7 @@ def test_criterion_09_degree_reduction(capsys, factory_chain):
         red.residuals["constraint-a0-bN"],
         red.residuals["constraint-a1-bNm1"],
     ])
-    phi_norm = red.pair.higgs.norm()
+    phi_norm = red.pair.higgs.as_field().l2_norm()
     field_res = red.residuals["reduced-field"]
     report = cli._verify_report(red.pair, {}, seed=0, geodesic_count=3,
                                 t_final=3.0, dt=1e-3)

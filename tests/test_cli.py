@@ -550,14 +550,15 @@ WORKLOAD_CHAINS = {
 def test_real_fields_take_one_eta_and_float64_products(tmp_path, monkeypatch, workload):
     """Pairs, trivializers and Backlund factors are real on SM, so in
     generate, verify and reduce every x_op takes one eta_minus and no
-    eta_plus, of its modes -K..K (a conjugate-symmetric stack) of 3x3
-    grids, eta_plus runs only on grids that are not such a stack (the energy
-    identity's one-mode grids), and every 3x3 product of two factors with
-    more than one fiber sample multiplies float64 by float64 (the einsum
-    form of _matmul3).  verify's H0 rows run on vee triples: the one
-    frame_ops of verify hands eta_minus a conjugate-symmetric stack of
-    (3, ny, nx) triples, and verify never calls the 3x3 bracket."""
-    etas, per_x, per_frame, sampled, brackets = [], [], [], [], []
+    eta_plus, of its modes -K..K (a conjugate-symmetric stack), eta_plus
+    runs only on grids that are not such a stack (the energy identity's
+    one-mode grids), and every 3x3 product of two factors with more than one
+    fiber sample multiplies float64 by float64 (the einsum form of
+    _matmul3).  so(3) fields run on vee triples: the one frame_ops of verify
+    (the H0 rows) and every d_A of generate and reduce (the section's
+    covariant derivative) hand eta_minus a conjugate-symmetric stack of
+    (3, ny, nx) triples, and every other x_op one of 3x3 grids."""
+    etas, per_x, per_frame, per_d_a, sampled = [], [], [], [], []
     verb = [None]
 
     def eta(sign, fn):
@@ -570,9 +571,9 @@ def test_real_fields_take_one_eta_and_float64_products(tmp_path, monkeypatch, wo
         return wrapped
 
     def spy(log, fn):
-        def wrapped(f):
+        def wrapped(*args):
             start = len(etas)
-            out = fn(f)
+            out = fn(*args)
             log.append((verb[0], etas[start:]))
             return out
         return wrapped
@@ -582,16 +583,12 @@ def test_real_fields_take_one_eta_and_float64_products(tmp_path, monkeypatch, wo
             sampled.append((a.dtype, b.dtype))
         return fn(a, b)
 
-    def bracket(u, v, fn=sm.bracket):
-        brackets.append(verb[0])
-        return fn(u, v)
-
     monkeypatch.setattr(sm, "_matmul3", matmul3)
     monkeypatch.setattr(sm, "eta_plus", eta("+", sm.eta_plus))
     monkeypatch.setattr(sm, "eta_minus", eta("-", sm.eta_minus))
     monkeypatch.setattr(sm, "x_op", spy(per_x, sm.x_op))
     monkeypatch.setattr(sm, "frame_ops", spy(per_frame, sm.frame_ops))
-    monkeypatch.setattr(sm, "bracket", bracket)
+    monkeypatch.setattr(sm, "d_A", spy(per_d_a, sm.d_A))
     doc = WORKLOAD_CHAINS[workload]
     n = (doc["metric"]["ny"], doc["metric"]["nx"])
     verb[0] = "generate"
@@ -602,10 +599,13 @@ def test_real_fields_take_one_eta_and_float64_products(tmp_path, monkeypatch, wo
                      "--dt", "2e-3"]) == cli.EXIT_OK
     verb[0] = "reduce"
     assert cli.main(["reduce", pair, triv, "--outdir", str(tmp_path / "r")]) == cli.EXIT_OK
-    assert per_x and all(calls == [("-", True, (3, 3) + n)] for _, calls in per_x)
+    triples, grids = [("-", True, (3,) + n)], [("-", True, (3, 3) + n)]
+    assert {v for v, _ in per_d_a} == {"generate", "reduce"}
+    assert all(calls == triples for _, calls in per_d_a)
+    assert per_x and all(calls in (triples, grids) for _, calls in per_x)
+    assert [calls for _, calls in per_x].count(triples) == len(per_d_a)
     h0 = [calls for v, calls in per_frame if v == "verify"]
-    assert h0 == [[("-", True, (3,) + n)]]
-    assert "verify" not in brackets and "generate" in brackets
+    assert h0 == [triples]
     assert ("-", True, (3, 3) + n) in etas
     assert not any(sign == "+" and real for sign, real, _ in etas)
     assert sampled and set(sampled) == {(np.dtype(np.float64), np.dtype(np.float64))}
@@ -762,7 +762,7 @@ def test_reduce_verb(tmp_path):
     u = fio.load_field(red / "trivializer_reduced.json")
     assert u.degree == 0
     pair = fio.load_pair(red / "pair_reduced.json")
-    assert pair.conn.norm() < 1e-5  # undoing the only step: back to trivial
+    assert pair.conn.as_field().l2_norm() < 1e-5  # undoing the only step: back to trivial
 
 
 def test_failed_output_gates_exit_1_and_write_nothing(tmp_path, monkeypatch, capsys):

@@ -408,15 +408,16 @@ def test_gauge_transform_constant_rotation_exact():
 
 
 def test_gauge_transform_refuses_nan():
-    """A gauge r with one NaN entry gives a connection field holding NaN,
-    which Connection.from_field refuses; no pair with NaN a or phi comes
+    """A gauge r with one NaN or inf entry is refused before any computation,
+    with a ValueError that names r; no pair with non-finite a or phi comes
     back."""
     met = curved_metric(32)
     pair = constant_axis_pair(met, [0.6, -0.48, 0.64])
-    r = np.broadcast_to(np.eye(3)[:, :, None, None], (3, 3, 32, 32)).copy()
-    r[0, 2, 3, 4] = np.nan
-    with pytest.raises(ValueError):
-        gauge_transform(pair, r)
+    for bad in (np.nan, np.inf):
+        r = np.broadcast_to(np.eye(3)[:, :, None, None], (3, 3, 32, 32)).copy()
+        r[0, 2, 3, 4] = bad
+        with pytest.raises(ValueError, match=r"^gauge transformation r must be finite$"):
+            gauge_transform(pair, r)
 
 
 def test_h0_residuals_controls():

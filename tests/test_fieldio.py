@@ -123,7 +123,7 @@ def test_field_json_round_trip_exact(tmp_path):
     h2 = fio.save_field(tmp_path / "again.json", g)
     assert h1 == h2  # identical bytes both times
     # a unit section is stored as its vee triples and read back bit-exact
-    axis = np.stack([np.cos(met.lam), np.sin(met.lam), np.zeros_like(met.lam)], axis=-1)
+    axis = np.stack([np.cos(met.lam), np.sin(met.lam), np.zeros_like(met.lam)])
     section = bk.UnitSection(met, axis).field()
     fio.save_field(tmp_path / "g.json", section, so3=True)
     doc = fio.load_json(tmp_path / "g.json")

@@ -6,12 +6,13 @@ from hypothesis.extra import numpy as hnp
 
 from cocyclelab.backlund import UnitSection
 from cocyclelab.errors import NotUnit
-from cocyclelab.lie3 import hat, inner, vee
+from cocyclelab.lie3 import hat, vee
 from cocyclelab.torus import TorusMetric
 from oracles import (
     SamplingTooCoarse,
     bracket,
     ell,
+    inner,
     plane_matmul3,
     polar_project,
     rotation_angle,
@@ -107,9 +108,9 @@ def test_unit_residual_and_check():
     r = plane_matmul3(plane_matmul3(g, g), g) + g
     assert np.sqrt((r * r).sum(axis=(0, 1))).max() < 1e-14
     met = TorusMetric.flat(nx=20, ny=16)
-    assert np.array_equal(UnitSection(met, v).grid, g)
+    assert np.array_equal(UnitSection(met, triple_grid(v)).grid, g)
     with pytest.raises(NotUnit):
-        UnitSection(met, 1.5 * v)
+        UnitSection(met, triple_grid(1.5 * v))
 
 
 def test_exp_matches_series_oracle():
